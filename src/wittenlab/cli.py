@@ -118,21 +118,39 @@ def _resolve_K(check, m, manifold, flow):
     return fit_super_flow_constant(flow, m)
 
 
+def _source_node(x0, manifold):
+    """The configured source node checked against the grid; origin if unset."""
+    if x0 is None:
+        return (0,) * manifold.dim_n
+    if len(x0) != manifold.dim_n:
+        raise ConfigError(
+            f"solver.x0 needs {manifold.dim_n} node index(es) on model "
+            f"{manifold.model}, got {list(x0)}"
+        )
+    if not all(0 <= i < n for i, n in zip(x0, manifold.shape)):
+        raise ConfigError(f"solver.x0 {list(x0)} lies outside the grid {manifold.shape}")
+    return x0
+
+
 class _Runner:
     def __init__(self, config, selected, seed):
         self.config = config
         self.selected = selected
         self.seed = seed
         self.summary = {}
-        self.manifold = build_manifold(config.manifold)
-        self.flow = None
-        if config.flow is not None:
-            self.flow = make_flow(
-                self.manifold,
-                config.flow.get("family"),
-                config.flow.get("params"),
-                config.flow.get("horizon", config.solver.times[-1]),
-            )
+        try:
+            self.manifold = build_manifold(config.manifold)
+            self.flow = None
+            if config.flow is not None:
+                self.flow = make_flow(
+                    self.manifold,
+                    config.flow.get("family"),
+                    config.flow.get("params"),
+                    config.flow.get("horizon", config.solver.times[-1]),
+                )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+        self.x0 = _source_node(config.solver.x0, self.manifold)
         self._snapshots = None
         self._manifest = None
 
@@ -143,16 +161,12 @@ class _Runner:
     def snapshots(self):
         if self._snapshots is None:
             solver = self.config.solver
-            x0 = solver.x0 if len(solver.x0) == self.manifold.dim_n else (0,) * self.manifold.dim_n
-            s0 = initial_delta(self.manifold, x0, t0=solver.t0)
+            s0 = initial_delta(self.manifold, self.x0, t0=solver.t0)
             self._manifest = []
-            times = solver.times
-            if abs(times[0] - solver.t0) < 1e-15:
-                times = times
             self._snapshots = evolve(
                 self.manifold,
                 s0,
-                times,
+                solver.times,
                 local_error=solver.local_error,
                 manifest=self._manifest,
             )
@@ -375,8 +389,7 @@ class _Runner:
     def check_flow_entropy(self, check):
         flow = self.flow
         solver = self.config.solver
-        x0 = solver.x0 if len(solver.x0) == self.manifold.dim_n else (0,) * self.manifold.dim_n
-        s0 = initial_delta(self.manifold, x0, t0=solver.t0)
+        s0 = initial_delta(self.manifold, self.x0, t0=solver.t0)
         times = [t for t in solver.times if t <= flow.horizon + 1e-12]
         snaps = evolve_heat_on_flow(flow, s0, times, local_error=solver.local_error)
         for m in check.m_values:

@@ -3,9 +3,10 @@
 Top-level keys of an experiment file:
 
     manifold:  model, grid, period, potential.{family,params,samples}
-    solver:    t0, x0, times, local_error
-    checks:    list of {name, m, K, ...}; K is a number, "admissible",
-               or "fitted" (flow checks only)
+    solver:    t0, x0 (default: the origin node), times, local_error
+    checks:    list of {name, m, K, ...}; m is a number or a list of
+               numbers (required by the checks in NEEDS_M); K is a
+               number, "admissible", or "fitted" (flow checks only)
     flow:      family, params, horizon (optional section)
     out:       output directory (optional; CLI flag overrides)
 
@@ -15,6 +16,7 @@ Validation failures raise :class:`ConfigError` naming the offending key.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import yaml
@@ -36,6 +38,19 @@ CHECK_NAMES = (
 )
 
 
+# checks that loop over their m values and have no default for them
+NEEDS_M = (
+    "li_yau",
+    "hamilton",
+    "sup_bound",
+    "integrated",
+    "kernel_bounds",
+    "entropy",
+    "flow_margin",
+    "flow_entropy",
+)
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
@@ -52,7 +67,7 @@ class CheckSpec:
 @dataclass
 class SolverParams:
     t0: float
-    x0: tuple
+    x0: tuple | None  # None: the origin node of whatever grid is built
     times: tuple
     local_error: float
 
@@ -97,6 +112,39 @@ def _parse_K(raw, check_name):
     return "explicit", value
 
 
+def _as_list(raw):
+    """A scalar or a sequence as a list; None as the empty list."""
+    if raw is None:
+        return []
+    return list(raw) if isinstance(raw, (list, tuple)) else [raw]
+
+
+def _parse_x0(raw):
+    if raw is None:
+        return None
+    items = _as_list(raw)
+    if not items or not all(
+        isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in items
+    ):
+        raise ConfigError(
+            f"solver.x0 must be a node index or a list of node indices, got {raw!r}"
+        )
+    return tuple(int(i) for i in items)
+
+
+def _parse_m(raw, check_name):
+    items = _as_list(raw)
+    if not all(isinstance(m, numbers.Real) and not isinstance(m, bool) for m in items):
+        raise ConfigError(f"checks.{check_name}.m must be a number or a list of numbers")
+    m_values = tuple(float(m) for m in items)
+    for m in m_values:
+        if m <= 0 or not math.isfinite(m):
+            raise ConfigError(f"checks.{check_name}.m must be positive and finite")
+    if not m_values and check_name in NEEDS_M:
+        raise ConfigError(f"checks.{check_name} needs at least one m value")
+    return m_values
+
+
 def validate_experiment(data, out_override=None, grid_scale=1):
     """Turn a raw config mapping into an :class:`ExperimentConfig`."""
     if "manifold" not in data:
@@ -115,8 +163,7 @@ def validate_experiment(data, out_override=None, grid_scale=1):
     t0 = float(solver_raw.get("t0", 0.05))
     if t0 <= 0:
         raise ConfigError("solver.t0 must be positive")
-    x0_raw = solver_raw.get("x0", 0)
-    x0 = tuple(x0_raw) if isinstance(x0_raw, (list, tuple)) else (int(x0_raw),)
+    x0 = _parse_x0(solver_raw.get("x0"))
     times = tuple(float(t) for t in solver_raw.get("times", (0.1, 0.5, 1.0)))
     if not times:
         raise ConfigError("solver.times must not be empty")
@@ -136,16 +183,12 @@ def validate_experiment(data, out_override=None, grid_scale=1):
     for item in checks_raw:
         if isinstance(item, str):
             item = {"name": item}
+        if not isinstance(item, dict):
+            raise ConfigError(f"a check must be a name or a mapping, got {item!r}")
         name = item.get("name")
         if name not in CHECK_NAMES:
             raise ConfigError(f"unknown check name: {name!r}")
-        m_raw = item.get("m", [])
-        if isinstance(m_raw, (int, float)):
-            m_raw = [m_raw]
-        m_values = tuple(float(m) for m in m_raw)
-        for m in m_values:
-            if m <= 0 or not math.isfinite(m):
-                raise ConfigError(f"checks.{name}.m must be positive and finite")
+        m_values = _parse_m(item.get("m"), name)
         K_mode, K_value = _parse_K(item.get("K"), name)
         options = {
             k: v for k, v in item.items() if k not in ("name", "m", "K")

@@ -1,10 +1,14 @@
 """Heat flow of the drift Laplacian with mass conservation and positivity.
 
-Time stepping is Crank-Nicolson (implicit midpoint) on the divergence
-form operator, with an implicit Euler option for strongly damped starts.
-The implicit solves run conjugate gradients on the similarity-transformed
-symmetric operator with an FFT Helmholtz preconditioner, to a residual of
-1e-13, so conservation statements are meaningful.
+On a constant potential the divergence form operator is diagonal in
+Fourier space (symbol ``-|k|^2``, per-axis Nyquist planes removed), so
+:func:`evolve` applies its exact propagator ``exp(-|k|^2 t)`` with one FFT
+pair per snapshot and no time stepping.  Other potentials are stepped by
+Crank-Nicolson (implicit midpoint) on the divergence form operator, with
+an implicit Euler option for strongly damped starts.  The implicit solves
+run conjugate gradients on the similarity-transformed symmetric operator
+with an FFT Helmholtz preconditioner, to a residual of 1e-13, so
+conservation statements are meaningful.
 
 Positivity bookkeeping: solver and FFT rounding can leave values of
 order 1e-16 * max(u) with either sign at nodes where the true solution is
@@ -21,7 +25,13 @@ import numpy as np
 
 from . import kernels
 from .geometry import WeightedManifold
-from .operators import dealias_nyquist, integrate_mu, witten_laplacian, gradient
+from .operators import (
+    _zero_nyquist_planes,
+    dealias_nyquist,
+    gradient,
+    integrate_mu,
+    witten_laplacian,
+)
 
 __all__ = [
     "HeatState",
@@ -57,7 +67,7 @@ class PositivityError(RuntimeError):
 
 
 class SolverConvergenceError(RuntimeError):
-    """The implicit linear solve missed its residual target."""
+    """The implicit linear solve or the step-size control missed its target."""
 
 
 @dataclass(frozen=True)
@@ -128,6 +138,31 @@ def _clamp_rounding_negatives(manifold, u, where="state"):
     return np.maximum(u, kernels.TINY)
 
 
+def _accept(manifold, u, t, mass, kernel, where):
+    """State at time t from raw solver values u.
+
+    Projects u back to ``mass``, clamps rounding debris and drops the
+    closed-form marker of kernel states, which no longer holds after a
+    numerical propagation.
+    """
+    u = u + (mass - integrate_mu(manifold, u)) / manifold.mu_total
+    u = _clamp_rounding_negatives(manifold, u, where=where)
+    if kernel is not None and kernel.analytic:
+        kernel = replace(kernel, analytic=False)
+    return make_state(manifold, u, t, kernel=kernel)
+
+
+def _wavenumber_square(manifold):
+    """|k|^2 on the full Fourier grid."""
+    sym = np.zeros(manifold.shape)
+    for a in range(manifold.dim_n):
+        k = manifold.wavenumbers(a)
+        shape = [1] * manifold.dim_n
+        shape[a] = manifold.grid_sizes[a]
+        sym = sym + (k ** 2).reshape(shape)
+    return sym
+
+
 def _helmholtz_solve(manifold, gamma, b, x0, tol=CG_TOL):
     """Solve (I - gamma L) u = b by preconditioned conjugate gradients.
 
@@ -136,13 +171,7 @@ def _helmholtz_solve(manifold, gamma, b, x0, tol=CG_TOL):
     applied in Fourier space.
     """
     s_half = np.exp(-0.5 * manifold.potential)
-    sym = np.zeros(manifold.shape)
-    for a in range(manifold.dim_n):
-        k = manifold.wavenumbers(a)
-        shape = [1] * manifold.dim_n
-        shape[a] = manifold.grid_sizes[a]
-        sym = sym + (k ** 2).reshape(shape)
-    pre = 1.0 / (1.0 + gamma * sym)
+    pre = 1.0 / (1.0 + gamma * _wavenumber_square(manifold))
 
     def apply_sym(v):
         return v - gamma * s_half * witten_laplacian(manifold, v / s_half)
@@ -199,12 +228,20 @@ def step(manifold, state, dt, scheme="crank_nicolson"):
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     u = _advance(manifold, state.u, dt, scheme)
-    u = u + (state.mass - integrate_mu(manifold, u)) / manifold.mu_total
-    u = _clamp_rounding_negatives(manifold, u, where=f"step to t={state.t + dt:.6g}")
-    kernel = state.kernel
-    if kernel is not None and kernel.analytic:
-        kernel = replace(kernel, analytic=False)
-    return make_state(manifold, u, state.t + dt, kernel=kernel)
+    return _accept(
+        manifold, u, state.t + dt, state.mass, state.kernel,
+        where=f"step to t={state.t + dt:.6g}",
+    )
+
+
+def _snapshot_times(state, times):
+    """Snapshot times as floats, strictly ascending and not before the state."""
+    times = [float(t) for t in times]
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("snapshot times must be strictly ascending")
+    if times and times[0] < state.t - 1e-12:
+        raise ValueError(f"first snapshot {times[0]} is before state time {state.t}")
+    return times
 
 
 def _adaptive_evolve(
@@ -218,12 +255,12 @@ def _adaptive_evolve(
     manifest,
     label,
 ):
-    """Shared step-doubling driver; ``advance_fn(u, t, dt)`` takes one step."""
-    times = [float(t) for t in times]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("snapshot times must be strictly ascending")
-    if times and times[0] < state.t - 1e-12:
-        raise ValueError(f"first snapshot {times[0]} is before state time {state.t}")
+    """Shared step-doubling loop; ``advance_fn(u, t, dt)`` takes one step.
+
+    Raises :class:`SolverConvergenceError` when the step size falls to
+    1e-12 with the error estimate still above ``local_error``.
+    """
+    times = _snapshot_times(state, times)
 
     out = []
     current = state
@@ -240,19 +277,20 @@ def _adaptive_evolve(
             fine = advance_fn(half, current.t + 0.5 * dt, 0.5 * dt)
             scale = float(np.abs(fine).max())
             err = float(np.abs(coarse - fine).max()) / (3.0 * max(scale, 1e-300))
-            if err <= local_error or dt <= 1e-12:
-                u = fine + (mass0 - integrate_mu(manifold, fine)) / manifold.mu_total
-                u = _clamp_rounding_negatives(
-                    manifold, u, where=f"{label} at t={current.t + dt:.6g}"
+            if err <= local_error:
+                current = _accept(
+                    manifold, fine, current.t + dt, mass0, current.kernel,
+                    where=f"{label} at t={current.t + dt:.6g}",
                 )
-                kernel = current.kernel
-                if kernel is not None and kernel.analytic:
-                    kernel = replace(kernel, analytic=False)
-                current = make_state(manifold, u, current.t + dt, kernel=kernel)
                 if manifest is not None:
                     manifest.append({"t": current.t, "dt": dt, "error_estimate": err})
                 grow = 0.9 * (local_error / max(err, 1e-16)) ** (1.0 / 3.0)
                 dt = dt * min(5.0, max(0.2, grow))
+            elif dt <= 1e-12:
+                raise SolverConvergenceError(
+                    f"{label} at t={current.t:.6g}: local error estimate {err:.3g} "
+                    f"still above {local_error:g} at step size {dt:.3g}"
+                )
             else:
                 dt = dt * max(0.2, 0.9 * (local_error / err) ** (1.0 / 3.0))
         if abs(current.t - target) > 1e-10:
@@ -268,15 +306,27 @@ def evolve(
     local_error=1e-8,
     dt_init=None,
     dt_max=0.25,
-    scheme="crank_nicolson",
+    scheme=None,
     manifest=None,
 ):
-    """Snapshots at the requested times with adaptive substepping.
+    """Snapshots of the heat flow at the requested times.
 
-    Local error per step is estimated by step doubling and held below
-    ``local_error`` relative to max(u).  Pass a list as ``manifest`` to
-    collect (t, dt, error) rows of the accepted steps.
+    With ``scheme=None`` a constant-potential model is propagated exactly
+    (see :func:`_exact_evolve`); ``local_error``, ``dt_init`` and ``dt_max``
+    do not apply there.  Any other model, or an explicit
+    ``"crank_nicolson"`` or ``"implicit_euler"``, is time stepped with
+    adaptive substeps: the local error per step is estimated by step
+    doubling and held below ``local_error`` relative to max(u).
+
+    Either way every snapshot keeps the start state's mass and is
+    positive.  A time equal to the state time returns the state itself.
+    Pass a list as ``manifest`` to collect (t, dt, error_estimate) rows,
+    one per accepted step or exact propagation.
     """
+    if scheme is None:
+        if _constant_potential(manifold):
+            return _exact_evolve(manifold, state, times, manifest)
+        scheme = "crank_nicolson"
 
     def advance_fn(u, t, h):
         return _advance(manifold, u, h, scheme)
@@ -285,6 +335,34 @@ def evolve(
         manifold, state, times, advance_fn, local_error, dt_init, dt_max, manifest,
         label="evolve",
     )
+
+
+def _exact_evolve(manifold, state, times, manifest):
+    """Constant-potential snapshots by the exact Fourier propagator.
+
+    The operator is then diagonal in Fourier space with symbol -|k|^2 and
+    blind to the per-axis Nyquist planes, which are zeroed as every
+    implicit step zeroes them.  Each snapshot comes straight from the
+    start state; its manifest row has the time since the previous
+    snapshot as ``dt`` and ``error_estimate`` 0.
+    """
+    times = _snapshot_times(state, times)
+    ksq = _wavenumber_square(manifold)
+    uh = _zero_nyquist_planes(manifold, np.fft.fftn(state.u))
+    out = []
+    current = state
+    for target in times:
+        if current.t < target - 1e-13:
+            dt = target - current.t
+            u = np.real(np.fft.ifftn(np.exp(-(target - state.t) * ksq) * uh))
+            current = _accept(
+                manifold, u, target, state.mass, state.kernel,
+                where=f"exact propagation to t={target:.6g}",
+            )
+            if manifest is not None:
+                manifest.append({"t": current.t, "dt": dt, "error_estimate": 0.0})
+        out.append(current)
+    return out
 
 
 def _fejer_bump(manifold, x0):

@@ -63,12 +63,16 @@ def dealias_nyquist(manifold, f):
     is invisible to the divergence-form operator; removing it keeps time
     stepping from accumulating frozen sawtooth components.
     """
-    fh = np.fft.fftn(f)
+    return np.real(np.fft.ifftn(_zero_nyquist_planes(manifold, np.fft.fftn(f))))
+
+
+def _zero_nyquist_planes(manifold, fh):
+    """Zero the per-axis Nyquist planes of Fourier coefficients, in place."""
     for axis in range(manifold.dim_n):
         idx = [slice(None)] * manifold.dim_n
         idx[axis] = manifold.grid_sizes[axis] // 2
         fh[tuple(idx)] = 0.0
-    return np.real(np.fft.ifftn(fh))
+    return fh
 
 
 def gradient(manifold, f):

@@ -1,5 +1,6 @@
 """Config validation and the command-line runner's contract."""
 
+import copy
 import os
 
 import pytest
@@ -41,12 +42,56 @@ def test_validate_happy_path():
     ],
 )
 def test_validate_rejections(mutate, match):
-    import copy
-
     data = copy.deepcopy(BASE)
     mutate(data)
     with pytest.raises(ConfigError, match=match):
         validate_experiment(data)
+
+
+TORUS_32 = {"model": "flat_torus_2d", "grid": [32, 32], "potential": {"family": "zero"}}
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(
+            lambda d: d["manifold"].update(potential={"family": "nope"}),
+            id="unknown_potential_family",
+        ),
+        pytest.param(lambda d: d["manifold"].update(grid=63), id="odd_grid"),
+        pytest.param(lambda d: d["manifold"].update(grid=64.5), id="non_integer_grid"),
+        pytest.param(lambda d: d.update(flow={"family": "nope"}), id="unknown_flow_family"),
+        pytest.param(lambda d: d["solver"].update(x0=999), id="x0_outside_grid"),
+        pytest.param(
+            lambda d: (d.update(manifold=TORUS_32), d["solver"].update(x0=[3])),
+            id="one_index_x0_on_torus",
+        ),
+        pytest.param(
+            lambda d: d.update(checks=[{"name": "hamilton", "K": 0.5}]),
+            id="hamilton_without_m",
+        ),
+        pytest.param(
+            lambda d: d.update(checks=[{"name": "hamilton", "m": "abc", "K": 0.5}]),
+            id="m_is_a_string",
+        ),
+    ],
+)
+def test_invalid_input_exits_2_without_traceback(tmp_path, capsys, mutate):
+    data = copy.deepcopy(BASE)
+    mutate(data)
+    path = write_config(tmp_path, data)
+    assert main(["all", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_missing_x0_starts_at_the_origin(tmp_path):
+    data = copy.deepcopy(BASE)
+    data.update(manifold=TORUS_32)
+    del data["solver"]["x0"]
+    assert validate_experiment(data).solver.x0 is None
+    path = write_config(tmp_path, data)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_negative_K_exits_2(tmp_path):

@@ -15,7 +15,7 @@ from wittenlab import (
     step,
     uniform_state,
 )
-from wittenlab.heatflow import grad_log_u
+from wittenlab.heatflow import SolverConvergenceError, _adaptive_evolve, grad_log_u
 from wittenlab.kernels import eigen_sum_circle, wrapped_gaussian
 from wittenlab.operators import witten_laplacian
 
@@ -262,3 +262,78 @@ def test_kernel_mass_drift_over_long_run(circle_flat):
     for out in snaps:
         assert abs(out.mass - 1.0) <= 1e-10
         assert out.u.min() > 0.0
+
+
+@pytest.mark.parametrize(
+    "name,x0,t0", [("circle_flat", (5,), 1e-3), ("torus_flat", (3, 60), 0.02)]
+)
+def test_exact_evolve_matches_closed_form_kernel(request, name, x0, t0):
+    M = request.getfixturevalue(name)
+    s0 = initial_delta(M, x0, t0=t0)
+    manifest = []
+    snaps = evolve(M, s0, [t0, 0.03, 0.3, 1.0], manifest=manifest)
+    assert snaps[0] is s0
+    assert [r["t"] for r in manifest] == [0.03, 0.3, 1.0]
+    assert [r["dt"] for r in manifest] == pytest.approx([0.03 - t0, 0.27, 0.7])
+    assert all(r["error_estimate"] == 0.0 for r in manifest)
+    for s in snaps[1:]:
+        exact = kernel_state(M, x0, s.t).u
+        assert np.abs(s.u - exact).max() <= 1e-12 * exact.max()
+        assert abs(s.mass - 1.0) <= 1e-10
+        assert s.u.min() > 0.0
+        assert not s.kernel.analytic
+
+
+def test_exact_evolve_agrees_with_crank_nicolson(circle_flat):
+    s0 = initial_delta(circle_flat, 0, t0=0.05)
+    times = [0.1, 0.5]
+    exact = evolve(circle_flat, s0, times)
+    manifest = []
+    stepped = evolve(
+        circle_flat, s0, times, local_error=1e-10, scheme="crank_nicolson",
+        manifest=manifest,
+    )
+    assert len(manifest) > len(times)  # an explicit scheme forces time stepping
+    for a, b in zip(exact, stepped):
+        assert np.abs(a.u - b.u).max() <= 1e-7 * a.u.max()
+
+
+@pytest.mark.parametrize("name", ["circle_flat", "torus_flat"])
+def test_exact_evolve_removes_nyquist_content(request, name):
+    # a sawtooth on every axis is invisible to the operator; stepping
+    # dealiases it, and the exact path must too, even over a tiny interval
+    M = request.getfixturevalue(name)
+    saw = np.ones(M.shape)
+    for axis, n in enumerate(M.shape):
+        shape = [1] * M.dim_n
+        shape[axis] = n
+        saw = saw * ((-1.0) ** np.arange(n)).reshape(shape)
+    u = (1.0 + 0.5 * saw + 0.3 * np.cos(M.coordinates()[0])) / M.mu_total
+    s0 = make_state(M, u, 0.0)
+    for s in evolve(M, s0, [1e-6, 1e-3, 1.0]):
+        uh = np.fft.fftn(s.u)
+        for axis, n in enumerate(M.shape):
+            assert np.abs(np.take(uh, n // 2, axis=axis)).max() <= 1e-13 * abs(uh.flat[0])
+        assert abs(s.mass - s0.mass) <= 1e-10
+        assert s.u.min() > 0.0
+
+
+def test_weighted_model_still_steps(circle_cos):
+    s0 = initial_delta(circle_cos, 0, t0=0.05)
+    manifest = []
+    snaps = evolve(circle_cos, s0, [0.1, 0.2], manifest=manifest)
+    assert len(manifest) > len(snaps)
+
+
+def test_adaptive_evolve_raises_when_step_size_collapses(circle_flat):
+    s0 = uniform_state(circle_flat)
+    shift = 1.0 / circle_flat.mu_total
+
+    def advance_fn(u, t, h):
+        # one step and two half steps never agree, whatever the step size
+        return u + shift
+
+    with pytest.raises(SolverConvergenceError, match="local error estimate"):
+        _adaptive_evolve(
+            circle_flat, s0, [0.1], advance_fn, 1e-8, None, 0.25, None, label="test"
+        )
