@@ -94,6 +94,13 @@ def load_config(path):
     return data
 
 
+def _number(raw, key):
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {raw!r}") from None
+
+
 def _parse_K(raw, check_name):
     if raw is None:
         return "admissible", None
@@ -103,10 +110,7 @@ def _parse_K(raw, check_name):
                 f"checks.{check_name}.K must be a number, 'admissible' or 'fitted'"
             )
         return raw, None
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"checks.{check_name}.K is not a number: {raw!r}") from None
+    value = _number(raw, f"checks.{check_name}.K")
     if value < 0.0 or not math.isfinite(value):
         raise ConfigError(f"checks.{check_name}.K must be finite and nonnegative")
     return "explicit", value
@@ -117,6 +121,14 @@ def _as_list(raw):
     if raw is None:
         return []
     return list(raw) if isinstance(raw, (list, tuple)) else [raw]
+
+
+def _mapping(data, key):
+    """Section ``key`` of the config as a dict; absent or empty is {}."""
+    raw = data.get(key) or {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{key} must be a mapping, got {raw!r}")
+    return dict(raw)
 
 
 def _parse_x0(raw):
@@ -149,7 +161,7 @@ def validate_experiment(data, out_override=None, grid_scale=1):
     """Turn a raw config mapping into an :class:`ExperimentConfig`."""
     if "manifold" not in data:
         raise ConfigError("missing section: manifold")
-    manifold = dict(data["manifold"])
+    manifold = _mapping(data, "manifold")
     if grid_scale != 1:
         grid = manifold.get("grid")
         if isinstance(grid, int):
@@ -159,19 +171,22 @@ def validate_experiment(data, out_override=None, grid_scale=1):
         else:
             raise ConfigError("manifold.grid must be an int or a list")
 
-    solver_raw = data.get("solver", {}) or {}
-    t0 = float(solver_raw.get("t0", 0.05))
+    solver_raw = _mapping(data, "solver")
+    t0 = _number(solver_raw.get("t0", 0.05), "solver.t0")
     if t0 <= 0:
         raise ConfigError("solver.t0 must be positive")
     x0 = _parse_x0(solver_raw.get("x0"))
-    times = tuple(float(t) for t in solver_raw.get("times", (0.1, 0.5, 1.0)))
+    times_raw = solver_raw.get("times", (0.1, 0.5, 1.0))
+    if not isinstance(times_raw, (list, tuple)):
+        raise ConfigError(f"solver.times must be a list of numbers, got {times_raw!r}")
+    times = tuple(_number(t, "solver.times") for t in times_raw)
     if not times:
         raise ConfigError("solver.times must not be empty")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ConfigError("solver.times must be strictly ascending")
     if times[0] < t0 - 1e-15:
         raise ConfigError("solver.times must start at or after solver.t0")
-    local_error = float(solver_raw.get("local_error", 1e-8))
+    local_error = _number(solver_raw.get("local_error", 1e-8), "solver.local_error")
     if not (0 < local_error < 1):
         raise ConfigError("solver.local_error must be in (0, 1)")
     solver = SolverParams(t0=t0, x0=x0, times=times, local_error=local_error)
@@ -179,6 +194,8 @@ def validate_experiment(data, out_override=None, grid_scale=1):
     checks_raw = data.get("checks")
     if not checks_raw:
         raise ConfigError("at least one check must be selected")
+    if not isinstance(checks_raw, list):
+        raise ConfigError(f"checks must be a list, got {checks_raw!r}")
     checks = []
     for item in checks_raw:
         if isinstance(item, str):
@@ -203,15 +220,26 @@ def validate_experiment(data, out_override=None, grid_scale=1):
             )
         )
 
-    flow = data.get("flow")
-    if flow is not None:
-        flow = dict(flow)
+    flow = None
+    if data.get("flow") is not None:
+        flow = _mapping(data, "flow")
         if "family" not in flow:
             raise ConfigError("flow.family is required when a flow is given")
 
     needs_flow = {"flow_margin", "flow_entropy"}
     if flow is None and any(c.name in needs_flow for c in checks):
         raise ConfigError("flow checks selected but no flow section given")
+
+    # the entropy series differentiate W across snapshots
+    names = {c.name for c in checks}
+    if "entropy" in names and len(times) < 2:
+        raise ConfigError("checks.entropy needs at least two solver.times")
+    if "flow_entropy" in names:
+        horizon = _number(flow.get("horizon", times[-1]), "flow.horizon")
+        if sum(t <= horizon + 1e-12 for t in times) < 2:
+            raise ConfigError(
+                "checks.flow_entropy needs at least two solver.times within flow.horizon"
+            )
 
     out_dir = out_override or data.get("out", "wittenlab_out")
     return ExperimentConfig(

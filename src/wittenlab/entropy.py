@@ -12,16 +12,23 @@ checks assert.
 The additive constant of Phi_mK is fixed so that K = 0 reproduces the
 classical normalization (m/2)(log(4 pi t) + 1); reports carry this
 convention explicitly.
+
+One private core evaluates these functionals on a fixed metric and along
+the space-constant conformal flows of :mod:`wittenlab.ricciflow`.  Along
+such a flow L(t) = scale * L_base with scale = e^{-2 lam(t)}, and the
+curvature term (1/2) dg/dt adds rate = lam'(t) times the metric; the
+Bakry-Emery tensor of the base does not depend on t.  A fixed metric is
+scale = 1, rate = 0, and the public functions below are that case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import bakry_emery_tensor
+from .geometry import M_EQUALS_N_TOL, bakry_emery_tensor
 from .heatflow import grad_log_u
 from .operators import gamma2, hessian, gradient, integrate_mu
 
@@ -40,8 +47,6 @@ __all__ = [
     "tilde_w_comparison",
     "monotonicity_bound",
 ]
-
-M_EQUALS_N_TOL = 1e-12
 
 
 def _exp_series(x, rtol=1e-17):
@@ -99,23 +104,43 @@ def monotonicity_bound(t, m, K):
     )
 
 
+def _entropy_H(manifold, state, scale):
+    u = state.u
+    H = -integrate_mu(manifold, u * np.log(u))
+    g = grad_log_u(manifold, state)
+    dH = integrate_mu(manifold, np.einsum("a...,a...->...", g, g) * u)
+    return H, scale * dH
+
+
 def entropy_H(manifold, state):
     """Boltzmann entropy and its dissipation rate.
 
     Returns (H, dH_dt) with H = -int u log u dmu and
     dH_dt = int |grad log u|^2 u dmu, both by grid quadrature.
     """
-    u = state.u
-    H = -integrate_mu(manifold, u * np.log(u))
-    g = grad_log_u(manifold, state)
-    dH = integrate_mu(manifold, np.einsum("a...,a...->...", g, g) * u)
-    return H, dH
+    return _entropy_H(manifold, state, 1.0)
+
+
+def _entropy_second_derivative(manifold, state, scale, rate):
+    logu = np.log(state.u)
+    G = gradient(manifold, logu)
+    quad = scale * scale * gamma2(manifold, logu) + rate * scale * np.einsum(
+        "a...,a...->...", G, G
+    )
+    return -2.0 * integrate_mu(manifold, quad * state.u)
 
 
 def entropy_second_derivative(manifold, state):
     """-2 int Gamma2(grad log u, grad log u) u dmu."""
-    logu = np.log(state.u)
-    return -2.0 * integrate_mu(manifold, gamma2(manifold, logu) * state.u)
+    return _entropy_second_derivative(manifold, state, 1.0, 0.0)
+
+
+def _w_entropy(manifold, state, m, K, scale):
+    t = state.t
+    H, dH = _entropy_H(manifold, state, scale)
+    H_mK = H - phi_mK(t, m, K)
+    W_mK = H_mK + t * (dH - phi_mK_prime(t, m, K))
+    return {"H": H, "dH_dt": dH, "H_mK": H_mK, "W_mK": W_mK}
 
 
 def w_entropy(manifold, state, m, K):
@@ -124,11 +149,7 @@ def w_entropy(manifold, state, m, K):
     W is computed by the product rule, W = H_mK + t (dH/dt - Phi'),
     with the dissipation-rate quadrature supplying dH/dt.
     """
-    t = state.t
-    H, dH = entropy_H(manifold, state)
-    H_mK = H - phi_mK(t, m, K)
-    W_mK = H_mK + t * (dH - phi_mK_prime(t, m, K))
-    return {"H": H, "dH_dt": dH, "H_mK": H_mK, "W_mK": W_mK}
+    return _w_entropy(manifold, state, m, K, 1.0)
 
 
 def _tilde_normalization(t, m, K):
@@ -170,8 +191,12 @@ class WDecomposition:
         return self.T1 + self.T2 + self.T3 + self.T4
 
 
-def w_derivative_decomposition(manifold, state, m, K):
-    """Evaluate the four terms of the dW/dt identity at a state."""
+def _w_decomposition(manifold, state, m, K, scale, rate):
+    """Four terms of dW/dt with norms taken in the metric g = g_base / scale.
+
+    The Hessian of log u is completed by c g, whose base components are
+    c / scale; the curvature quadratic carries rate + K in front of g.
+    """
     n = manifold.dim_n
     if m < n - M_EQUALS_N_TOL:
         raise ValueError(f"need m >= n, got m={m}, n={n}")
@@ -184,30 +209,33 @@ def w_derivative_decomposition(manifold, state, m, K):
     G = gradient(manifold, logu)
     c = 0.5 * K + 0.5 / t
 
-    completed = H + c * np.eye(n).reshape((n, n) + (1,) * n)
-    T1 = -2.0 * t * integrate_mu(
+    completed = H + (c / scale) * np.eye(n).reshape((n, n) + (1,) * n)
+    T1 = -2.0 * t * (scale * scale) * integrate_mu(
         manifold, np.einsum("ab...,ab...->...", completed, completed) * u
     )
 
-    ric = bakry_emery_tensor(manifold, m if m - n > M_EQUALS_N_TOL else math.inf)
-    quad = np.einsum("ab...,a...,b...->...", ric, G, G) + K * np.einsum(
-        "a...,a...->...", G, G
-    )
+    ric = bakry_emery_tensor(manifold, m)
+    quad = scale * scale * np.einsum("ab...,a...,b...->...", ric, G, G) + (
+        rate + K
+    ) * scale * np.einsum("a...,a...->...", G, G)
     T2 = -2.0 * t * integrate_mu(manifold, quad * u)
 
     if m - n > M_EQUALS_N_TOL:
         grad_phi = gradient(manifold, manifold.potential)
-        align = np.einsum("a...,a...->...", grad_phi, G) - (m - n) * (1.0 + K * t) / (
-            2.0 * t
-        )
+        align = scale * np.einsum("a...,a...->...", grad_phi, G) - (m - n) * (
+            1.0 + K * t
+        ) / (2.0 * t)
         T3 = -(2.0 * t / (m - n)) * integrate_mu(manifold, align * align * u)
     else:
-        if np.ptp(manifold.potential) > 1e-13 * (1.0 + np.abs(manifold.potential).max()):
-            raise ValueError("m == n requires a constant potential")
-        T3 = 0.0
+        T3 = 0.0  # bakry_emery_tensor has checked that phi is constant
 
     T4 = monotonicity_bound(t, m, K)
     return WDecomposition(T1=float(T1), T2=float(T2), T3=float(T3), T4=float(T4))
+
+
+def w_derivative_decomposition(manifold, state, m, K):
+    """Evaluate the four terms of the dW/dt identity at a state."""
+    return _w_decomposition(manifold, state, m, K, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -233,28 +261,19 @@ class EntropySeries:
     monotonicity_bound: np.ndarray
 
     def __post_init__(self):
-        for name in (
-            "times",
-            "H",
-            "dH_dt",
-            "d2H_dt2",
-            "Phi",
-            "H_mK",
-            "W_mK",
-            "dW_dt_numeric",
-            "T1",
-            "T2",
-            "T3",
-            "T4",
-            "dW_dt_formula",
-            "residual",
-            "monotonicity_bound",
-        ):
-            getattr(self, name).setflags(write=False)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
 
-def build_series(manifold, snapshots, m, K):
+def build_series(manifold, snapshots, m, K, flow=None):
     """Assemble an :class:`EntropySeries` from heat-flow snapshots.
+
+    With ``flow`` (a conformal flow over ``manifold``, such as
+    :func:`wittenlab.ricciflow.make_flow` returns) every functional is
+    taken in the flow metric at the snapshot's time; a static flow gives
+    the fixed-metric series.
 
     The numeric dW/dt column is the centered (nonuniform) finite
     difference of W across neighboring snapshots; endpoints use one-sided
@@ -271,12 +290,17 @@ def build_series(manifold, snapshots, m, K):
     Phi = np.empty_like(times)
     T = np.empty((4, times.size))
     for i, s in enumerate(snapshots):
-        vals = w_entropy(manifold, s, m, K)
+        scale, rate = (
+            (1.0, 0.0)
+            if flow is None
+            else (flow.operator_scale(s.t), flow.log_factor_rate(s.t))
+        )
+        vals = _w_entropy(manifold, s, m, K, scale)
         H[i], dH[i] = vals["H"], vals["dH_dt"]
         H_mK[i], W[i] = vals["H_mK"], vals["W_mK"]
         Phi[i] = phi_mK(s.t, m, K)
-        d2H[i] = entropy_second_derivative(manifold, s)
-        dec = w_derivative_decomposition(manifold, s, m, K)
+        d2H[i] = _entropy_second_derivative(manifold, s, scale, rate)
+        dec = _w_decomposition(manifold, s, m, K, scale, rate)
         T[:, i] = (dec.T1, dec.T2, dec.T3, dec.T4)
     dW_num = np.gradient(W, times)
     formula = T.sum(axis=0)

@@ -55,9 +55,6 @@ class WeightedManifold:
         Nodes per dimension; even and at least 16 (Fourier differentiation).
     circumferences : tuple of float
         Coordinate period per dimension.
-    metric_factor : ndarray
-        Per-node conformal factor of the metric; identically 1 for the
-        flat models supported here.
     potential : ndarray
         Per-node potential ``phi``.
     measure_weights : ndarray
@@ -69,13 +66,12 @@ class WeightedManifold:
     model: str
     grid_sizes: tuple
     circumferences: tuple
-    metric_factor: np.ndarray
     potential: np.ndarray
     measure_weights: np.ndarray
     dim_n: int
 
     def __post_init__(self):
-        for a in (self.metric_factor, self.potential, self.measure_weights):
+        for a in (self.potential, self.measure_weights):
             a.setflags(write=False)
 
     @property
@@ -230,7 +226,6 @@ def build_manifold(config):
         model=model,
         grid_sizes=grid,
         circumferences=period,
-        metric_factor=np.ones(shape),
         potential=phi,
         measure_weights=weights,
         dim_n=dim,
@@ -291,17 +286,23 @@ def _as_index(manifold, node):
     return idx
 
 
-def _spectral_axis_derivative(manifold, f, axis, order):
+def _axis_derivative(manifold, f, axis, order=1):
+    """Spectral derivative of ``order`` along one axis."""
     k = manifold.wavenumbers(axis)
     n = manifold.grid_sizes[axis]
     sym = (1j * k) ** order
     if order % 2 == 1:
         sym = sym.copy()
-        sym[n // 2] = 0.0  # odd derivative of the unpaired Nyquist mode
+        sym[n // 2] = 0.0  # unpaired Nyquist mode has no odd derivative
     shape = [1] * f.ndim
     shape[axis] = n
-    fh = np.fft.fft(f, axis=axis)
-    return np.real(np.fft.ifft(sym.reshape(shape) * fh, axis=axis))
+    return np.real(np.fft.ifft(sym.reshape(shape) * np.fft.fft(f, axis=axis), axis=axis))
+
+
+def _constant_potential(manifold):
+    """True when phi is constant up to rounding relative to its size."""
+    phi = manifold.potential
+    return float(np.ptp(phi)) <= 1e-13 * (1.0 + float(np.abs(phi).max()))
 
 
 def bakry_emery_tensor(manifold, m):
@@ -314,15 +315,15 @@ def bakry_emery_tensor(manifold, m):
     n = manifold.dim_n
     phi = manifold.potential
     grad = np.stack(
-        [_spectral_axis_derivative(manifold, phi, a, 1) for a in range(n)]
+        [_axis_derivative(manifold, phi, a, 1) for a in range(n)]
     )
     hess = np.empty((n, n) + manifold.shape)
     for a in range(n):
         for b in range(a, n):
             if a == b:
-                hess[a, a] = _spectral_axis_derivative(manifold, phi, a, 2)
+                hess[a, a] = _axis_derivative(manifold, phi, a, 2)
             else:
-                hess[a, b] = _spectral_axis_derivative(manifold, grad[a], b, 1)
+                hess[a, b] = _axis_derivative(manifold, grad[a], b, 1)
                 hess[b, a] = hess[a, b]
 
     if math.isinf(m):
@@ -331,7 +332,7 @@ def bakry_emery_tensor(manifold, m):
     if m < n - M_EQUALS_N_TOL:
         raise ValueError(f"dimension parameter m={m} below topological dimension n={n}")
     if m - n < M_EQUALS_N_TOL:
-        if np.ptp(phi) > 1e-13 * (1.0 + np.abs(phi).max()):
+        if not _constant_potential(manifold):
             raise ValueError("m == n requires a constant potential")
         return hess  # gradient vanishes, rank-one term is zero
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .geometry import WeightedManifold
+from .geometry import WeightedManifold, _constant_potential
 from .operators import (
     _zero_nyquist_planes,
     dealias_nyquist,
@@ -261,6 +261,8 @@ def _adaptive_evolve(
     1e-12 with the error estimate still above ``local_error``.
     """
     times = _snapshot_times(state, times)
+    if not times:
+        return []
 
     out = []
     current = state
@@ -386,11 +388,6 @@ def _fejer_bump(manifold, x0):
         shape[axis] = n
         u = u * fej.reshape(shape)
     return u / integrate_mu(manifold, u)
-
-
-def _constant_potential(manifold):
-    phi = manifold.potential
-    return float(np.ptp(phi)) <= 1e-13 * (1.0 + float(np.abs(phi).max()))
 
 
 def kernel_state(manifold, x0, t):

@@ -1,6 +1,6 @@
 """Closed-form heat kernels for the flat periodic models.
 
-The circle kernel is the wrapped Gaussian.  Its log, log-gradient and
+The circle kernel is the wrapped Gaussian.  Its log-gradient and
 log-time-derivative are evaluated from the image sum in a numerically
 stable way: weights over images are formed by softmax, so the results
 stay meaningful at nodes where the kernel value itself underflows double
@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "wrapped_gaussian",
-    "wrapped_gaussian_log",
     "wrapped_gaussian_log_dx",
     "wrapped_gaussian_log_dt",
     "eigen_sum_circle",
@@ -39,7 +38,7 @@ def _image_weights(d, t):
     e = -(d * d) / (4.0 * t)
     emax = e.max(axis=-1, keepdims=True)
     w = np.exp(e - emax)
-    return w / w.sum(axis=-1, keepdims=True), emax[..., 0], w.sum(axis=-1)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def wrapped_gaussian(theta, t, L):
@@ -55,28 +54,17 @@ def wrapped_gaussian(theta, t, L):
     return np.maximum(vals, TINY)
 
 
-def wrapped_gaussian_log(theta, t, L):
-    """log of the wrapped Gaussian via logsumexp over images."""
-    if t <= 0.0:
-        raise ValueError("kernel time must be positive")
-    d = _image_displacements(theta, t, L)
-    e = -(d * d) / (4.0 * t)
-    emax = e.max(axis=-1)
-    s = np.exp(e - emax[..., None]).sum(axis=-1)
-    return emax + np.log(s) - 0.5 * math.log(4.0 * math.pi * t)
-
-
 def wrapped_gaussian_log_dx(theta, t, L):
     """Spatial derivative of log kernel: image average of -d/(2t)."""
     d = _image_displacements(theta, t, L)
-    w, _, _ = _image_weights(d, t)
+    w = _image_weights(d, t)
     return -(w * d).sum(axis=-1) / (2.0 * t)
 
 
 def wrapped_gaussian_log_dt(theta, t, L):
     """Time derivative of log kernel: -1/(2t) + image average of d^2/(4t^2)."""
     d = _image_displacements(theta, t, L)
-    w, _, _ = _image_weights(d, t)
+    w = _image_weights(d, t)
     return -0.5 / t + (w * d * d).sum(axis=-1) / (4.0 * t * t)
 
 

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .geometry import bakry_emery_tensor
+from .geometry import _axis_derivative, bakry_emery_tensor
 
 __all__ = [
     "gradient",
@@ -42,18 +42,6 @@ def _check_field(manifold, f):
     if not np.all(np.isfinite(f)):
         raise ValueError("field contains non-finite values")
     return f
-
-
-def _axis_derivative(manifold, f, axis, order=1):
-    k = manifold.wavenumbers(axis)
-    n = manifold.grid_sizes[axis]
-    sym = (1j * k) ** order
-    if order % 2 == 1:
-        sym = sym.copy()
-        sym[n // 2] = 0.0  # unpaired Nyquist mode has no odd derivative
-    shape = [1] * f.ndim
-    shape[axis] = n
-    return np.real(np.fft.ifft(sym.reshape(shape) * np.fft.fft(f, axis=axis), axis=axis))
 
 
 def dealias_nyquist(manifold, f):

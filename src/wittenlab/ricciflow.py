@@ -4,13 +4,14 @@ Supported flows scale the flat base metric by a space-constant factor
 e^{2 lam(t)} and move the potential by phi(t) = phi0 + n (lam(t) - lam(0)),
 which is exactly the coupling that freezes the weighted measure.  Within
 this family every tensor stays diagonal: the time-dependent operator is
-e^{-2 lam(t)} times the base operator, and curvature quadratics pick up
-explicit powers of the conformal factor.
+e^{-2 lam(t)} times the base operator, and the Bakry-Emery tensor is the
+base tensor at every t, because phi moves only by a constant.
 
-The margin field of the super-flow condition, the heat flow of the
-time-dependent operator, the flow version of the dW/dt decomposition and
-the entropy dissipation identities all live here; with a static flow each
-reduces to its fixed-metric counterpart.
+The margin field of the super-flow condition and the heat flow of the
+time-dependent operator live here.  The flow W-entropy, its dW/dt
+decomposition and the entropy dissipation identities are adapters over
+the entropy core of :mod:`wittenlab.entropy`, called with
+scale = e^{-2 lam(t)} and rate = lam'(t) on the base manifold.
 """
 
 from __future__ import annotations
@@ -21,15 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import (
-    M_EQUALS_N_TOL,
-    WDecomposition,
-    monotonicity_bound,
-    phi_mK,
-    phi_mK_prime,
+    _entropy_H,
+    _entropy_second_derivative,
+    _w_decomposition,
+    _w_entropy,
 )
-from .geometry import WeightedManifold, bakry_emery_tensor, ricci_bakry_emery
+from .geometry import WeightedManifold, ricci_bakry_emery
 from .heatflow import _adaptive_evolve, _advance
-from .operators import gradient, hessian, integrate_mu, witten_laplacian
 
 __all__ = [
     "FlowSpec",
@@ -133,33 +132,26 @@ def make_flow(base, family="static", params=None, horizon=1.0):
     return flow
 
 
-def _flow_manifold_at(flow, t):
-    """Fixed-metric snapshot of the flow geometry at time t.
+def _margin_fields(flow, m, K, times):
+    """Eigenvalue fields of (1/2) dg/dt + Ric_mn + K g in g(t), one per time.
 
-    Coordinates are unchanged; the metric scale enters only through the
-    explicit conformal factors in the formulas below, so the snapshot
-    manifold carries the flow potential and the t-invariant weights.
+    For space-constant conformal factors the endomorphism is
+    lam'(t) + K + e^{-2 lam(t)} times the base-tensor eigenvalue, so the
+    base curvature is computed once for all times.
     """
-    return WeightedManifold(
-        model=flow.base.model,
-        grid_sizes=flow.base.grid_sizes,
-        circumferences=flow.base.circumferences,
-        metric_factor=flow.base.metric_factor * math.exp(2.0 * flow.log_factor(t)),
-        potential=flow.potential(t),
-        measure_weights=flow.measure_weights(0.0),
-        dim_n=flow.base.dim_n,
-    )
+    base_eigs = ricci_bakry_emery(flow.base, m).values
+    return [
+        flow.log_factor_rate(t) + K + flow.operator_scale(t) * base_eigs
+        for t in times
+    ]
 
 
 def super_ricci_flow_margin(flow, m, K, t, tol=1e-10):
     """Smallest eigenvalue field of (1/2) dg/dt + Ric_mn + K g at time t.
 
-    Eigenvalues are taken with respect to g(t); for space-constant
-    conformal factors the endomorphism is lam'(t) + K + e^{-2 lam} times
-    the base-tensor eigenvalue.
+    Eigenvalues are taken with respect to g(t).
     """
-    base_eigs = ricci_bakry_emery(_flow_manifold_at(flow, t), m).values
-    field = flow.log_factor_rate(t) + K + flow.operator_scale(t) * base_eigs
+    (field,) = _margin_fields(flow, m, K, [t])
     min_value = float(field.min())
     return FlowMarginReport(
         t=float(t),
@@ -176,12 +168,8 @@ def fit_super_flow_constant(flow, m, t_samples=None):
     """Smallest K >= 0 for which the super-flow margin is nonnegative."""
     if t_samples is None:
         t_samples = np.linspace(0.0, flow.horizon, 33)
-    worst = math.inf
-    for t in t_samples:
-        base_eigs = ricci_bakry_emery(_flow_manifold_at(flow, float(t)), m).values
-        field = flow.log_factor_rate(float(t)) + flow.operator_scale(float(t)) * base_eigs
-        worst = min(worst, float(field.min()))
-    return max(0.0, -worst)
+    fields = _margin_fields(flow, m, 0.0, [float(t) for t in t_samples])
+    return max(0.0, -min(float(f.min()) for f in fields))
 
 
 def evolve_heat_on_flow(
@@ -214,24 +202,9 @@ def evolve_heat_on_flow(
     )
 
 
-def dt_log_on_flow(flow, state):
-    """Lu/u for the time-dependent operator at the state's time."""
-    manifold = _flow_manifold_at(flow, state.t)
-    return flow.operator_scale(state.t) * witten_laplacian(manifold, state.u) / state.u
-
-
 def w_entropy_on_flow(flow, state, m, K):
     """H_mK and W_mK along the flow; gradients taken in g(t)."""
-    t = state.t
-    manifold = flow.base
-    u = state.u
-    H = -integrate_mu(manifold, u * np.log(u))
-    G = gradient(manifold, np.log(u))
-    sq = np.einsum("a...,a...->...", G, G)
-    dH = flow.operator_scale(t) * integrate_mu(manifold, sq * u)
-    H_mK = H - phi_mK(t, m, K)
-    W_mK = H_mK + t * (dH - phi_mK_prime(t, m, K))
-    return {"H": H, "dH_dt": dH, "H_mK": H_mK, "W_mK": W_mK}
+    return _w_entropy(flow.base, state, m, K, flow.operator_scale(state.t))
 
 
 def w_decomposition_on_flow(flow, state, m, K):
@@ -240,52 +213,10 @@ def w_decomposition_on_flow(flow, state, m, K):
     Identical to the fixed-metric decomposition except that the curvature
     quadratic uses (1/2) dg/dt + Ric_mn + K g.
     """
-    manifold = flow.base
-    n = manifold.dim_n
-    if m < n - M_EQUALS_N_TOL:
-        raise ValueError(f"need m >= n, got m={m}, n={n}")
     t = state.t
-    if t <= 0.0:
-        raise ValueError("state time must be positive")
-    lam = flow.log_factor(t)
-    lam_rate = flow.log_factor_rate(t)
-    e2 = math.exp(-2.0 * lam)
-    e4 = e2 * e2
-    u = state.u
-    logu = np.log(u)
-    Hs = hessian(manifold, logu)
-    G = gradient(manifold, logu)
-    sq = np.einsum("a...,a...->...", G, G)
-    c = 0.5 * K + 0.5 / t
-
-    # |hess log u + c g(t)|^2 in g(t): components pick up c e^{2 lam} delta
-    shift = c * math.exp(2.0 * lam)
-    completed = Hs + shift * np.eye(n).reshape((n, n) + (1,) * n)
-    T1 = -2.0 * t * e4 * integrate_mu(
-        manifold, np.einsum("ab...,ab...->...", completed, completed) * u
+    return _w_decomposition(
+        flow.base, state, m, K, flow.operator_scale(t), flow.log_factor_rate(t)
     )
-
-    manifold_t = _flow_manifold_at(flow, t)
-    ric = bakry_emery_tensor(manifold_t, m if m - n > M_EQUALS_N_TOL else math.inf)
-    quad = (
-        e4 * np.einsum("ab...,a...,b...->...", ric, G, G)
-        + (lam_rate + K) * e2 * sq
-    )
-    T2 = -2.0 * t * integrate_mu(manifold, quad * u)
-
-    if m - n > M_EQUALS_N_TOL:
-        grad_phi = gradient(manifold, manifold_t.potential)
-        align = e2 * np.einsum("a...,a...->...", grad_phi, G) - (m - n) * (
-            1.0 + K * t
-        ) / (2.0 * t)
-        T3 = -(2.0 * t / (m - n)) * integrate_mu(manifold, align * align * u)
-    else:
-        if np.ptp(manifold.potential) > 1e-13 * (1.0 + np.abs(manifold.potential).max()):
-            raise ValueError("m == n requires a constant potential")
-        T3 = 0.0
-
-    T4 = monotonicity_bound(t, m, K)
-    return WDecomposition(T1=float(T1), T2=float(T2), T3=float(T3), T4=float(T4))
 
 
 def entropy_dissipation_on_flow(flow, snapshots):
@@ -303,26 +234,11 @@ def entropy_dissipation_on_flow(flow, snapshots):
     rows = []
     H_values = []
     for s in snapshots:
-        t = s.t
-        e2 = flow.operator_scale(t)
-        e4 = e2 * e2
-        lam_rate = flow.log_factor_rate(t)
-        u = s.u
-        logu = np.log(u)
-        G = gradient(manifold, logu)
-        sq = np.einsum("a...,a...->...", G, G)
-        Hs = hessian(manifold, logu)
-        manifold_t = _flow_manifold_at(flow, t)
-        ric_inf = bakry_emery_tensor(manifold_t, math.inf)
-        dH = e2 * integrate_mu(manifold, sq * u)
-        quad = (
-            e4 * np.einsum("ab...,ab...->...", Hs, Hs)
-            + e4 * np.einsum("ab...,a...,b...->...", ric_inf, G, G)
-            + lam_rate * e2 * sq
-        )
-        d2H = -2.0 * integrate_mu(manifold, quad * u)
-        H_values.append(-integrate_mu(manifold, u * np.log(u)))
-        rows.append({"t": t, "dH_dt": dH, "d2H_dt2": d2H})
+        scale = flow.operator_scale(s.t)
+        H, dH = _entropy_H(manifold, s, scale)
+        d2H = _entropy_second_derivative(manifold, s, scale, flow.log_factor_rate(s.t))
+        H_values.append(H)
+        rows.append({"t": s.t, "dH_dt": dH, "d2H_dt2": d2H})
     if len(rows) >= 3:
         times = np.array([r["t"] for r in rows])
         H_arr = np.array(H_values)

@@ -74,6 +74,34 @@ TORUS_32 = {"model": "flat_torus_2d", "grid": [32, 32], "potential": {"family": 
             lambda d: d.update(checks=[{"name": "hamilton", "m": "abc", "K": 0.5}]),
             id="m_is_a_string",
         ),
+        pytest.param(lambda d: d["solver"].update(t0="abc"), id="t0_is_a_string"),
+        pytest.param(lambda d: d["solver"].update(t0=["x"]), id="t0_is_a_list"),
+        pytest.param(
+            lambda d: d["solver"].update(local_error="abc"), id="local_error_is_a_string"
+        ),
+        pytest.param(
+            lambda d: d["solver"].update(local_error=["x"]), id="local_error_is_a_list"
+        ),
+        pytest.param(lambda d: d["solver"].update(times="abc"), id="times_is_a_string"),
+        pytest.param(lambda d: d["solver"].update(times=["x"]), id="times_entry_is_a_string"),
+        pytest.param(lambda d: d.update(manifold=5), id="manifold_not_a_mapping"),
+        pytest.param(lambda d: d.update(solver=5), id="solver_not_a_mapping"),
+        pytest.param(lambda d: d.update(flow=5), id="flow_not_a_mapping"),
+        pytest.param(lambda d: d.update(checks=5), id="checks_not_a_list"),
+        pytest.param(
+            lambda d: (
+                d["solver"].update(times=[0.1]),
+                d.update(checks=[{"name": "entropy", "m": [2], "K": 0.0}]),
+            ),
+            id="entropy_with_one_snapshot",
+        ),
+        pytest.param(
+            lambda d: d.update(
+                flow={"family": "static", "horizon": 0.2},
+                checks=[{"name": "flow_entropy", "m": [2], "K": 0.0}],
+            ),
+            id="flow_entropy_with_one_snapshot_in_horizon",
+        ),
     ],
 )
 def test_invalid_input_exits_2_without_traceback(tmp_path, capsys, mutate):

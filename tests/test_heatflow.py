@@ -9,8 +9,10 @@ from wittenlab import (
     PositivityError,
     dt_log_u,
     evolve,
+    evolve_heat_on_flow,
     initial_delta,
     kernel_state,
+    make_flow,
     make_state,
     step,
     uniform_state,
@@ -337,3 +339,12 @@ def test_adaptive_evolve_raises_when_step_size_collapses(circle_flat):
         _adaptive_evolve(
             circle_flat, s0, [0.1], advance_fn, 1e-8, None, 0.25, None, label="test"
         )
+
+
+def test_no_snapshot_times_give_no_snapshots(circle_cos):
+    s0 = initial_delta(circle_cos, 0, t0=0.05)
+    flow = make_flow(circle_cos, "constant_rate", {"rate": -0.4}, horizon=1.0)
+    manifest = []
+    assert evolve(circle_cos, s0, [], manifest=manifest) == []
+    assert evolve_heat_on_flow(flow, s0, [], manifest=manifest) == []
+    assert manifest == []

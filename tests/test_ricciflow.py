@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wittenlab import (
+    build_series,
     entropy_dissipation_on_flow,
     entropy_H,
     entropy_second_derivative,
@@ -208,3 +209,31 @@ def test_entropy_dissipation_reports_residuals(circle_flat):
     mid = rows[1]
     assert abs(mid["residual_dH"]) <= 1e-4 * abs(mid["dH_dt"])
     assert abs(mid["residual_d2H"]) <= 1e-3 * abs(mid["d2H_dt2"])
+
+
+def test_static_flow_series_equals_fixed_metric_series(circle_cos):
+    s0 = initial_delta(circle_cos, 0, t0=0.05)
+    snaps = evolve(circle_cos, s0, [0.1, 0.3, 0.6])
+    m = 3.0
+    K = ricci_bakry_emery(circle_cos, m).admissible_K
+    fixed = build_series(circle_cos, snaps, m, K)
+    on_flow = build_series(
+        circle_cos, snaps, m, K, flow=make_flow(circle_cos, "static", horizon=1.0)
+    )
+    for name in fixed.__dataclass_fields__:
+        assert np.array_equal(getattr(on_flow, name), getattr(fixed, name)), name
+
+
+def test_entropy_dissipation_rows_carry_residuals(circle_cos, rng):
+    flow = make_flow(circle_cos, "static", horizon=1.0)
+    snaps = [positive_test_state(circle_cos, rng, t=t) for t in (0.2, 0.3, 0.5)]
+    rows = entropy_dissipation_on_flow(flow, snaps)
+    assert [r["t"] for r in rows] == [0.2, 0.3, 0.5]
+    for r, s in zip(rows, snaps):
+        assert r["dH_dt"] == entropy_H(circle_cos, s)[1]
+        assert r["d2H_dt2"] == entropy_second_derivative(circle_cos, s)
+        assert math.isfinite(r["residual_dH"])
+    # the second difference of H exists at interior snapshots only
+    assert math.isnan(rows[0]["residual_d2H"]) and math.isnan(rows[2]["residual_d2H"])
+    assert math.isfinite(rows[1]["residual_d2H"])
+    assert all("residual_dH" not in r for r in entropy_dissipation_on_flow(flow, snaps[:2]))
