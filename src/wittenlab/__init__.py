@@ -69,6 +69,7 @@ from .ricciflow import (
     fit_super_flow_constant,
     make_flow,
     super_ricci_flow_margin,
+    super_ricci_flow_margins,
     w_decomposition_on_flow,
     w_entropy_on_flow,
 )

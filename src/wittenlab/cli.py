@@ -22,12 +22,7 @@ from . import harnack as harnack_mod
 from . import reports
 from .config import ConfigError, load_config, validate_experiment
 from .geometry import build_manifold, ricci_bakry_emery, ball_volume_ratio_check
-from .heatflow import (
-    PositivityError,
-    SolverConvergenceError,
-    evolve,
-    initial_delta,
-)
+from .heatflow import evolve, initial_delta
 from .operators import (
     bochner_residual,
     mu_inner,
@@ -38,7 +33,7 @@ from .ricciflow import (
     evolve_heat_on_flow,
     fit_super_flow_constant,
     make_flow,
-    super_ricci_flow_margin,
+    super_ricci_flow_margins,
 )
 
 SUBCOMMAND_CHECKS = {
@@ -66,23 +61,21 @@ def _resolve_K(check, m, manifold, flow):
         return check.K_value
     if check.K_mode == "admissible":
         return ricci_bakry_emery(manifold, m).admissible_K
-    if flow is None:
-        raise ConfigError(f"check {check.name}: K mode 'fitted' needs a flow")
     return fit_super_flow_constant(flow, m)
 
 
-def _source_node(x0, manifold):
-    """The configured source node checked against the grid; origin if unset."""
-    if x0 is None:
+def _node(index, manifold, key):
+    """A configured node checked against the grid; the origin if unset."""
+    if index is None:
         return (0,) * manifold.dim_n
-    if len(x0) != manifold.dim_n:
+    if len(index) != manifold.dim_n:
         raise ConfigError(
-            f"solver.x0 needs {manifold.dim_n} node index(es) on model "
-            f"{manifold.model}, got {list(x0)}"
+            f"{key} needs {manifold.dim_n} node index(es) on model "
+            f"{manifold.model}, got {list(index)}"
         )
-    if not all(0 <= i < n for i, n in zip(x0, manifold.shape)):
-        raise ConfigError(f"solver.x0 {list(x0)} lies outside the grid {manifold.shape}")
-    return x0
+    if not all(0 <= i < n for i, n in zip(index, manifold.shape)):
+        raise ConfigError(f"{key} {list(index)} lies outside the grid {manifold.shape}")
+    return index
 
 
 class _Runner:
@@ -101,9 +94,13 @@ class _Runner:
                     config.flow.get("params"),
                     config.flow.get("horizon", config.solver.times[-1]),
                 )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
-        self.x0 = _source_node(config.solver.x0, self.manifold)
+        self.x0 = _node(config.solver.x0, self.manifold, "solver.x0")
+        n = self.manifold.dim_n
+        for check in config.checks:  # tilde_identity is a closed form, no model
+            if check.name != "tilde_identity" and any(m < n for m in check.m_values):
+                raise ConfigError(f"checks.{check.name}.m is below the dimension {n}")
         self._snapshots = None
         self._manifest = None
 
@@ -151,9 +148,9 @@ class _Runner:
 
     def check_ball_ratio(self, check):
         opts = check.options
-        r = float(opts.get("r", 0.5))
-        R = float(opts.get("R", 1.0))
-        y = opts.get("center", 0)
+        r = opts.get("r", 0.5)
+        R = opts.get("R", 1.0)
+        y = _node(opts.get("center"), self.manifold, "checks.ball_ratio.center")
         for m in check.m_values or (2.0,):
             K = _resolve_K(check, m, self.manifold, self.flow)
             rep = ball_volume_ratio_check(self.manifold, m, K, y, r, R)
@@ -162,7 +159,7 @@ class _Runner:
             )
 
     def check_operators_selftest(self, check):
-        count = int(check.options.get("count", 20))
+        count = check.options.get("count", 20)
         rng = np.random.default_rng(self.seed)
         worst_res = 0.0
         worst_adj = 0.0
@@ -201,7 +198,8 @@ class _Runner:
         snaps = self.snapshots()
         out_reports = []
         all_ok = True
-        dump_fields = bool(check.options.get("dump_defects", False))
+        dump_fields = check.options.get("dump_defects", False)
+        A = max(float(s.u.max()) for s in snaps) * (1.0 + 1e-12)  # sup over the run
         for m in check.m_values:
             K = _resolve_K(check, m, self.manifold, self.flow)
             for s in snaps:
@@ -210,7 +208,6 @@ class _Runner:
                 elif fn_name == "hamilton":
                     rep = harnack_mod.hamilton_harnack_defect(self.manifold, s, m, K)
                 else:
-                    A = max(float(x.u.max()) for x in snaps) * (1.0 + 1e-12)
                     rep = harnack_mod.sup_bound_defect(self.manifold, s, m, K, A)
                 out_reports.append(rep)
                 all_ok = all_ok and rep.ok
@@ -237,7 +234,7 @@ class _Runner:
     def check_integrated(self, check):
         snaps = self.snapshots()
         opts = check.options
-        n_nodes = int(opts.get("nodes", 4))
+        n_nodes = opts.get("nodes", 4)
         pairs = opts.get("pairs")
         if pairs is None:
             ts = [s.t for s in snaps]
@@ -322,8 +319,8 @@ class _Runner:
             all_ok = True
             K = _resolve_K(check, m, self.manifold, flow)
             worst = None
-            for t in np.linspace(0.0, flow.horizon, 9):
-                rep = super_ricci_flow_margin(flow, m, K, float(t))
+            times = [float(t) for t in np.linspace(0.0, flow.horizon, 9)]
+            for rep in super_ricci_flow_margins(flow, m, K, times):
                 margin_reports.append(rep)
                 all_ok = all_ok and rep.ok
                 if worst is None or rep.min_value < worst.min_value:
@@ -349,7 +346,8 @@ class _Runner:
             K = _resolve_K(check, m, self.manifold, flow)
             series = entropy_mod.build_series(self.manifold, snaps, m, K, flow=flow)
             margins = [
-                super_ricci_flow_margin(flow, m, K, s.t).min_value for s in snaps
+                r.min_value
+                for r in super_ricci_flow_margins(flow, m, K, [s.t for s in snaps])
             ]
             worst_gap = float((series.dW_dt_formula - series.monotonicity_bound).max())
             reports.atomic_write(
@@ -435,7 +433,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (PositivityError, SolverConvergenceError, RuntimeError, ValueError) as exc:
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

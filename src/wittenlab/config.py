@@ -96,9 +96,12 @@ def load_config(path):
 
 def _number(raw, key):
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return value
 
 
 def _parse_K(raw, check_name):
@@ -111,7 +114,7 @@ def _parse_K(raw, check_name):
             )
         return raw, None
     value = _number(raw, f"checks.{check_name}.K")
-    if value < 0.0 or not math.isfinite(value):
+    if value < 0.0:
         raise ConfigError(f"checks.{check_name}.K must be finite and nonnegative")
     return "explicit", value
 
@@ -131,17 +134,44 @@ def _mapping(data, key):
     return dict(raw)
 
 
-def _parse_x0(raw):
+def _is_integer(raw):
+    return isinstance(raw, numbers.Integral) and not isinstance(raw, bool)
+
+
+def _parse_node(raw, key):
+    """A node index or list of node indices as a tuple; None stays None."""
     if raw is None:
         return None
     items = _as_list(raw)
-    if not items or not all(
-        isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in items
-    ):
+    if not items or not all(_is_integer(i) for i in items):
         raise ConfigError(
-            f"solver.x0 must be a node index or a list of node indices, got {raw!r}"
+            f"{key} must be a node index or a list of node indices, got {raw!r}"
         )
     return tuple(int(i) for i in items)
+
+
+def _parse_options(item, name):
+    """Check options with their types checked; keys no check reads pass through."""
+    options = {k: v for k, v in item.items() if k not in ("name", "m", "K")}
+    where = f"checks.{name}"
+    for key in ("count", "nodes"):
+        if key in options and not (_is_integer(options[key]) and options[key] > 0):
+            raise ConfigError(f"{where}.{key} must be a positive integer")
+    for key in ("r", "R"):
+        if key in options:
+            options[key] = _number(options[key], f"{where}.{key}")
+    if "center" in options:
+        options["center"] = _parse_node(options["center"], f"{where}.center")
+    if not isinstance(options.get("dump_defects", False), bool):
+        raise ConfigError(f"{where}.dump_defects must be true or false")
+    pairs = options.get("pairs")
+    if pairs is not None:
+        if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 for p in pairs
+        ):
+            raise ConfigError(f"{where}.pairs must be a list of [tau, T] pairs")
+        options["pairs"] = [[_number(t, f"{where}.pairs") for t in p] for p in pairs]
+    return options
 
 
 def _parse_m(raw, check_name):
@@ -175,7 +205,7 @@ def validate_experiment(data, out_override=None, grid_scale=1):
     t0 = _number(solver_raw.get("t0", 0.05), "solver.t0")
     if t0 <= 0:
         raise ConfigError("solver.t0 must be positive")
-    x0 = _parse_x0(solver_raw.get("x0"))
+    x0 = _parse_node(solver_raw.get("x0"), "solver.x0")
     times_raw = solver_raw.get("times", (0.1, 0.5, 1.0))
     if not isinstance(times_raw, (list, tuple)):
         raise ConfigError(f"solver.times must be a list of numbers, got {times_raw!r}")
@@ -207,9 +237,7 @@ def validate_experiment(data, out_override=None, grid_scale=1):
             raise ConfigError(f"unknown check name: {name!r}")
         m_values = _parse_m(item.get("m"), name)
         K_mode, K_value = _parse_K(item.get("K"), name)
-        options = {
-            k: v for k, v in item.items() if k not in ("name", "m", "K")
-        }
+        options = _parse_options(item, name)
         checks.append(
             CheckSpec(
                 name=name,
@@ -229,6 +257,8 @@ def validate_experiment(data, out_override=None, grid_scale=1):
     needs_flow = {"flow_margin", "flow_entropy"}
     if flow is None and any(c.name in needs_flow for c in checks):
         raise ConfigError("flow checks selected but no flow section given")
+    if flow is None and any(c.K_mode == "fitted" for c in checks):
+        raise ConfigError("K mode 'fitted' needs a flow section")
 
     # the entropy series differentiate W across snapshots
     names = {c.name for c in checks}

@@ -148,6 +148,8 @@ def _periodic_diff(x, L):
 
 
 def _potential_from_spec(model, shape, coords, spec):
+    if not isinstance(spec, dict) or not isinstance(spec.get("params") or {}, dict):
+        raise ValueError("potential and its params must be mappings")
     family = spec.get("family", "zero")
     params = spec.get("params", {}) or {}
     if family == "zero":

@@ -9,11 +9,11 @@ grow like 1/t for small times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import geodesic_distance
+from .geometry import _as_index, geodesic_distance
 from .heatflow import dt_log_u, grad_log_u
 
 __all__ = [
@@ -117,17 +117,7 @@ def hamilton_harnack_defect(manifold, state, m, K, tol_rel=1e-6):
 def li_yau_defect(manifold, state, m, tol_rel=1e-6):
     """Sharp-constant gradient bound; the K = 0 case of the Hamilton defect."""
     report = hamilton_harnack_defect(manifold, state, m, 0.0, tol_rel=tol_rel)
-    return HarnackReport(
-        inequality="li_yau",
-        t=report.t,
-        m=report.m,
-        K=0.0,
-        defect=report.defect,
-        min_defect=report.min_defect,
-        argmin_node=report.argmin_node,
-        tol=report.tol,
-        ok=report.ok,
-    )
+    return replace(report, inequality="li_yau")
 
 
 def _snapshot_at(snapshots, t):
@@ -150,8 +140,8 @@ def integrated_harnack_check(snapshots, x, y, tau, T, m, K, tol=1e-6):
     s_T = _snapshot_at(snapshots, T)
     manifold = s_tau.manifold
     _validate_mk(manifold, m, K)
-    x = tuple(int(i) for i in (x if not isinstance(x, (int, np.integer)) else (x,)))
-    y = tuple(int(i) for i in (y if not isinstance(y, (int, np.integer)) else (y,)))
+    x = _as_index(manifold, x)
+    y = _as_index(manifold, y)
     d = float(geodesic_distance(manifold, x)[y])
     lhs = float(s_tau.u[x] / s_T.u[y])
     exponent = (

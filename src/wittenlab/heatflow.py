@@ -19,12 +19,13 @@ overshoot from an oversized step) raise :class:`PositivityError` instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
-from .geometry import WeightedManifold, _constant_potential
+from .geometry import WeightedManifold, _as_index, _constant_potential
 from .operators import (
     _zero_nyquist_planes,
     dealias_nyquist,
@@ -50,6 +51,9 @@ __all__ = [
 
 CG_TOL = 1e-13
 CG_MAXITER = 600
+
+# largest adaptive step of :func:`evolve`
+DT_MAX = 0.25
 
 # Negative values larger than this fraction of max(u) are scheme errors,
 # not rounding debris.  Kernel starts near the resolution limit shed
@@ -168,7 +172,9 @@ def _helmholtz_solve(manifold, gamma, b, x0, tol=CG_TOL):
 
     The system is conjugated by exp(-phi/2) to a symmetric one and
     preconditioned with the constant-potential inverse (I + gamma |k|^2)^-1
-    applied in Fourier space.
+    applied in Fourier space.  Raises :class:`SolverConvergenceError` on a
+    non-finite residual, on a search direction with p.Ap <= 0 (the system
+    is not positive definite) and after ``CG_MAXITER`` iterations.
     """
     s_half = np.exp(-0.5 * manifold.potential)
     pre = 1.0 / (1.0 + gamma * _wavenumber_square(manifold))
@@ -188,11 +194,23 @@ def _helmholtz_solve(manifold, gamma, b, x0, tol=CG_TOL):
     z = precondition(r)
     p = z.copy()
     rz = float(np.vdot(r, z).real)
-    for _ in range(CG_MAXITER):
-        if np.linalg.norm(r) <= tol * bnorm:
+    for it in range(CG_MAXITER):
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= tol * bnorm:
             return v / s_half
+        if not (math.isfinite(rnorm) and math.isfinite(rz)):
+            raise SolverConvergenceError(
+                f"conjugate gradients broke down: non-finite residual (|r| = {rnorm}, "
+                f"r.z = {rz}) at iteration {it}"
+            )
         Ap = apply_sym(p)
-        alpha = rz / float(np.vdot(p, Ap).real)
+        pAp = float(np.vdot(p, Ap).real)
+        if not pAp > 0.0:
+            raise SolverConvergenceError(
+                f"conjugate gradients broke down: p.Ap = {pAp:.3g} <= 0 at iteration "
+                f"{it}: I - gamma L with gamma = {gamma:g} is not positive definite"
+            )
+        alpha = rz / pAp
         v = v + alpha * p
         r = r - alpha * Ap
         z = precondition(r)
@@ -204,13 +222,13 @@ def _helmholtz_solve(manifold, gamma, b, x0, tol=CG_TOL):
     )
 
 
-def _advance(manifold, u, dt, scheme, gamma_scale=1.0):
-    """One implicit step of du/dt = gamma_scale * L u on raw values."""
+def _advance(manifold, u, dt, scheme):
+    """One implicit step of du/dt = L u on raw values."""
     if scheme == "crank_nicolson":
-        g = 0.5 * dt * gamma_scale
+        g = 0.5 * dt
         rhs = u + g * witten_laplacian(manifold, u)
     elif scheme == "implicit_euler":
-        g = dt * gamma_scale
+        g = dt
         rhs = u
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -237,6 +255,8 @@ def step(manifold, state, dt, scheme="crank_nicolson"):
 def _snapshot_times(state, times):
     """Snapshot times as floats, strictly ascending and not before the state."""
     times = [float(t) for t in times]
+    if not all(math.isfinite(t) for t in times):
+        raise ValueError("snapshot times must be finite")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("snapshot times must be strictly ascending")
     if times and times[0] < state.t - 1e-12:
@@ -244,18 +264,8 @@ def _snapshot_times(state, times):
     return times
 
 
-def _adaptive_evolve(
-    manifold,
-    state,
-    times,
-    advance_fn,
-    local_error,
-    dt_init,
-    dt_max,
-    manifest,
-    label,
-):
-    """Shared step-doubling loop; ``advance_fn(u, t, dt)`` takes one step.
+def _adaptive_evolve(manifold, state, times, scheme, local_error, manifest):
+    """Step-doubling loop of implicit ``scheme`` steps up to each time.
 
     Raises :class:`SolverConvergenceError` when the step size falls to
     1e-12 with the error estimate still above ``local_error``.
@@ -267,22 +277,20 @@ def _adaptive_evolve(
     out = []
     current = state
     mass0 = state.mass  # project every accepted step back to the run's mass
-    dt = dt_init if dt_init is not None else min(
-        dt_max, 0.05 * max(times[0] - state.t, 1e-3) + 1e-4
-    )
+    dt = min(DT_MAX, 0.05 * max(times[0] - state.t, 1e-3) + 1e-4)
     for target in times:
         while current.t < target - 1e-13:
-            dt = min(dt, dt_max, target - current.t)
+            dt = min(dt, DT_MAX, target - current.t)
             # one full step against two half steps
-            coarse = advance_fn(current.u, current.t, dt)
-            half = advance_fn(current.u, current.t, 0.5 * dt)
-            fine = advance_fn(half, current.t + 0.5 * dt, 0.5 * dt)
+            coarse = _advance(manifold, current.u, dt, scheme)
+            half = _advance(manifold, current.u, 0.5 * dt, scheme)
+            fine = _advance(manifold, half, 0.5 * dt, scheme)
             scale = float(np.abs(fine).max())
             err = float(np.abs(coarse - fine).max()) / (3.0 * max(scale, 1e-300))
             if err <= local_error:
                 current = _accept(
                     manifold, fine, current.t + dt, mass0, current.kernel,
-                    where=f"{label} at t={current.t + dt:.6g}",
+                    where=f"evolve at t={current.t + dt:.6g}",
                 )
                 if manifest is not None:
                     manifest.append({"t": current.t, "dt": dt, "error_estimate": err})
@@ -290,7 +298,7 @@ def _adaptive_evolve(
                 dt = dt * min(5.0, max(0.2, grow))
             elif dt <= 1e-12:
                 raise SolverConvergenceError(
-                    f"{label} at t={current.t:.6g}: local error estimate {err:.3g} "
+                    f"evolve at t={current.t:.6g}: local error estimate {err:.3g} "
                     f"still above {local_error:g} at step size {dt:.3g}"
                 )
             else:
@@ -301,42 +309,28 @@ def _adaptive_evolve(
     return out
 
 
-def evolve(
-    manifold,
-    state,
-    times,
-    local_error=1e-8,
-    dt_init=None,
-    dt_max=0.25,
-    scheme=None,
-    manifest=None,
-):
+def evolve(manifold, state, times, local_error=1e-8, scheme=None, manifest=None):
     """Snapshots of the heat flow at the requested times.
 
     With ``scheme=None`` a constant-potential model is propagated exactly
-    (see :func:`_exact_evolve`); ``local_error``, ``dt_init`` and ``dt_max``
-    do not apply there.  Any other model, or an explicit
-    ``"crank_nicolson"`` or ``"implicit_euler"``, is time stepped with
-    adaptive substeps: the local error per step is estimated by step
+    (see :func:`_exact_evolve`) and ``local_error`` does not apply.  Any
+    other model, or an explicit ``"crank_nicolson"`` or
+    ``"implicit_euler"``, is time stepped with adaptive substeps of at
+    most ``DT_MAX``: the local error per step is estimated by step
     doubling and held below ``local_error`` relative to max(u).
 
     Either way every snapshot keeps the start state's mass and is
     positive.  A time equal to the state time returns the state itself.
     Pass a list as ``manifest`` to collect (t, dt, error_estimate) rows,
-    one per accepted step or exact propagation.
+    one per accepted step or exact propagation.  The heat flow along a
+    conformal flow runs through here on the base clock (see
+    :func:`wittenlab.ricciflow.evolve_heat_on_flow`).
     """
     if scheme is None:
         if _constant_potential(manifold):
             return _exact_evolve(manifold, state, times, manifest)
         scheme = "crank_nicolson"
-
-    def advance_fn(u, t, h):
-        return _advance(manifold, u, h, scheme)
-
-    return _adaptive_evolve(
-        manifold, state, times, advance_fn, local_error, dt_init, dt_max, manifest,
-        label="evolve",
-    )
+    return _adaptive_evolve(manifold, state, times, scheme, local_error, manifest)
 
 
 def _exact_evolve(manifold, state, times, manifest):
@@ -396,7 +390,7 @@ def kernel_state(manifold, x0, t):
         raise ValueError("closed-form kernels need a constant potential")
     if t <= 0.0:
         raise ValueError("kernel time must be positive")
-    x0 = tuple(int(i) for i in (x0 if not isinstance(x0, (int, np.integer)) else (x0,)))
+    x0 = _as_index(manifold, x0)
     u = np.ones(manifold.shape)
     for axis in range(manifold.dim_n):
         L = manifold.circumferences[axis]
@@ -419,11 +413,7 @@ def initial_delta(manifold, x0, t0=None):
     damped implicit Euler ramp of geometrically growing substeps up to
     ``t0``.  Either way the result has unit mass.
     """
-    if isinstance(x0, (int, np.integer)):
-        x0 = (int(x0),)
-    x0 = tuple(int(i) for i in x0)
-    if len(x0) != manifold.dim_n:
-        raise ValueError(f"node index {x0} does not match dimension {manifold.dim_n}")
+    x0 = _as_index(manifold, x0)
     if t0 is None:
         t0 = max(manifold.spacings) ** 2
     if t0 <= 0.0:

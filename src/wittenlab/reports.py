@@ -52,10 +52,22 @@ def _fmt(value):
     return str(value)
 
 
-def _node_rows(manifold):
+def _table(kind, cols, rows):
+    """Versioned comment line, column header and one line per row."""
+    lines = [f"# wittenlab {kind} {CSV_VERSION}: " + ",".join(cols), ",".join(cols)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _node(index):
+    return "/".join(str(i) for i in index)
+
+
+def _node_rows(manifold, values):
+    """(node_index, coordinates..., value) per grid node."""
     coords = manifold.coordinates()
     for flat, idx in enumerate(np.ndindex(*manifold.shape)):
-        yield flat, idx, [coords[a][idx] for a in range(manifold.dim_n)]
+        yield (flat, *(coords[a][idx] for a in range(manifold.dim_n)), values[idx])
 
 
 def _coord_names(manifold):
@@ -64,149 +76,63 @@ def _coord_names(manifold):
 
 def curvature_csv(manifold, curvature):
     cols = ["node_index", *_coord_names(manifold), "ric_mn_value"]
-    lines = [f"# wittenlab curvature {CSV_VERSION}: " + ",".join(cols)]
-    lines.append(",".join(cols))
-    for flat, idx, xyz in _node_rows(manifold):
-        lines.append(
-            ",".join([str(flat), *(_fmt(c) for c in xyz), _fmt(curvature.values[idx])])
-        )
-    return "\n".join(lines) + "\n"
+    return _table("curvature", cols, _node_rows(manifold, curvature.values))
 
 
 def field_csv(manifold, values, name="value"):
     cols = ["node_index", *_coord_names(manifold), name]
-    lines = [f"# wittenlab field {CSV_VERSION}: " + ",".join(cols)]
-    lines.append(",".join(cols))
-    for flat, idx, xyz in _node_rows(manifold):
-        lines.append(",".join([str(flat), *(_fmt(c) for c in xyz), _fmt(values[idx])]))
-    return "\n".join(lines) + "\n"
+    return _table("field", cols, _node_rows(manifold, values))
 
 
 def snapshots_csv(manifold, snapshots):
     cols = ["t", "node_index", *_coord_names(manifold), "u"]
-    lines = [f"# wittenlab snapshots {CSV_VERSION}: " + ",".join(cols)]
-    lines.append(",".join(cols))
-    for s in snapshots:
-        for flat, idx, xyz in _node_rows(manifold):
-            lines.append(
-                ",".join(
-                    [_fmt(s.t), str(flat), *(_fmt(c) for c in xyz), _fmt(s.u[idx])]
-                )
-            )
-    return "\n".join(lines) + "\n"
+    rows = ((s.t, *row) for s in snapshots for row in _node_rows(manifold, s.u))
+    return _table("snapshots", cols, rows)
 
 
 def harnack_csv(reports):
     cols = ["inequality", "t", "m", "K", "min_defect", "argmin_node", "tol", "ok"]
-    lines = [f"# wittenlab harnack {CSV_VERSION}: " + ",".join(cols)]
-    lines.append(",".join(cols))
-    for r in reports:
-        node = "/".join(str(i) for i in r.argmin_node)
-        lines.append(
-            ",".join(
-                [
-                    r.inequality,
-                    _fmt(r.t),
-                    _fmt(r.m),
-                    _fmt(r.K),
-                    _fmt(r.min_defect),
-                    node,
-                    _fmt(r.tol),
-                    _fmt(r.ok),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        (r.inequality, r.t, r.m, r.K, r.min_defect, _node(r.argmin_node), r.tol, r.ok)
+        for r in reports
+    )
+    return _table("harnack", cols, rows)
 
 
 def integrated_csv(reports):
     cols = ["x", "y", "tau", "T", "m", "K", "distance", "lhs", "rhs", "ok"]
-    lines = [f"# wittenlab integrated-harnack {CSV_VERSION}: " + ",".join(cols)]
-    lines.append(",".join(cols))
-    for r in reports:
-        lines.append(
-            ",".join(
-                [
-                    "/".join(str(i) for i in r.x),
-                    "/".join(str(i) for i in r.y),
-                    _fmt(r.tau),
-                    _fmt(r.T),
-                    _fmt(r.m),
-                    _fmt(r.K),
-                    _fmt(r.distance),
-                    _fmt(r.lhs),
-                    _fmt(r.rhs),
-                    _fmt(r.ok),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        (_node(r.x), _node(r.y), r.tau, r.T, r.m, r.K, r.distance, r.lhs, r.rhs, r.ok)
+        for r in reports
+    )
+    return _table("integrated-harnack", cols, rows)
+
+
+# EntropySeries fields in column order, after the time column
+SERIES_COLUMNS = (
+    "H", "dH_dt", "d2H_dt2", "Phi", "H_mK", "W_mK", "dW_dt_numeric",
+    "T1", "T2", "T3", "T4", "dW_dt_formula", "residual", "monotonicity_bound",
+)
 
 
 def entropy_series_csv(series, flow_margin=None):
-    cols = [
-        "t",
-        "H",
-        "dH_dt",
-        "d2H_dt2",
-        "Phi",
-        "H_mK",
-        "W_mK",
-        "dW_dt_numeric",
-        "T1",
-        "T2",
-        "T3",
-        "T4",
-        "dW_dt_formula",
-        "residual",
-        "monotonicity_bound",
-    ]
+    cols = ["t", *SERIES_COLUMNS]
+    columns = [series.times, *(getattr(series, c) for c in SERIES_COLUMNS)]
     if flow_margin is not None:
         cols.append("flow_margin")
-    lines = [f"# wittenlab entropy-series {CSV_VERSION}: " + ",".join(cols)]
-    lines.append(",".join(cols))
-    for i, t in enumerate(series.times):
-        row = [
-            _fmt(t),
-            _fmt(series.H[i]),
-            _fmt(series.dH_dt[i]),
-            _fmt(series.d2H_dt2[i]),
-            _fmt(series.Phi[i]),
-            _fmt(series.H_mK[i]),
-            _fmt(series.W_mK[i]),
-            _fmt(series.dW_dt_numeric[i]),
-            _fmt(series.T1[i]),
-            _fmt(series.T2[i]),
-            _fmt(series.T3[i]),
-            _fmt(series.T4[i]),
-            _fmt(series.dW_dt_formula[i]),
-            _fmt(series.residual[i]),
-            _fmt(series.monotonicity_bound[i]),
-        ]
-        if flow_margin is not None:
-            row.append(_fmt(flow_margin[i]))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        columns.append(flow_margin)
+    return _table("entropy-series", cols, zip(*columns))
 
 
 def flow_margin_csv(reports):
     cols = ["t", "m", "K", "min_margin", "ok"]
-    lines = [f"# wittenlab flow-margin {CSV_VERSION}: " + ",".join(cols)]
-    lines.append(",".join(cols))
-    for r in reports:
-        lines.append(
-            ",".join([_fmt(r.t), _fmt(r.m), _fmt(r.K), _fmt(r.min_value), _fmt(r.ok)])
-        )
-    return "\n".join(lines) + "\n"
+    rows = ((r.t, r.m, r.K, r.min_value, r.ok) for r in reports)
+    return _table("flow-margin", cols, rows)
 
 
 def manifest_csv(rows):
     cols = ["t", "dt", "error_estimate"]
-    lines = [f"# wittenlab evolution-manifest {CSV_VERSION}: " + ",".join(cols)]
-    lines.append(",".join(cols))
-    for r in rows:
-        lines.append(",".join([_fmt(r["t"]), _fmt(r["dt"]), _fmt(r["error_estimate"])]))
-    return "\n".join(lines) + "\n"
+    return _table("evolution-manifest", cols, ((r[c] for c in cols) for r in rows))
 
 
 def write_summary(path_base, summary):

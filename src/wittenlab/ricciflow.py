@@ -7,17 +7,21 @@ this family every tensor stays diagonal: the time-dependent operator is
 e^{-2 lam(t)} times the base operator, and the Bakry-Emery tensor is the
 base tensor at every t, because phi moves only by a constant.
 
-The margin field of the super-flow condition and the heat flow of the
-time-dependent operator live here.  The flow W-entropy, its dW/dt
-decomposition and the entropy dissipation identities are adapters over
-the entropy core of :mod:`wittenlab.entropy`, called with
-scale = e^{-2 lam(t)} and rate = lam'(t) on the base manifold.
+The margin field of the super-flow condition lives here.  The heat flow
+of the time-dependent operator is the base heat flow under the time
+change tau(t) = integral of e^{-2 lam} (:meth:`FlowSpec.base_time`), so
+:func:`evolve_heat_on_flow` is :func:`wittenlab.heatflow.evolve` at the
+times tau, with no stepping of its own; constant potentials propagate
+exactly.  The flow W-entropy, its dW/dt decomposition and the entropy
+dissipation identities are adapters over the entropy core of
+:mod:`wittenlab.entropy`, called with scale = e^{-2 lam(t)} and
+rate = lam'(t) on the base manifold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,13 +32,14 @@ from .entropy import (
     _w_entropy,
 )
 from .geometry import WeightedManifold, ricci_bakry_emery
-from .heatflow import _adaptive_evolve, _advance
+from .heatflow import evolve
 
 __all__ = [
     "FlowSpec",
     "FlowMarginReport",
     "make_flow",
     "super_ricci_flow_margin",
+    "super_ricci_flow_margins",
     "fit_super_flow_constant",
     "evolve_heat_on_flow",
     "w_decomposition_on_flow",
@@ -89,6 +94,46 @@ class FlowSpec:
         """L(t) = operator_scale(t) * L_base for space-constant factors."""
         return math.exp(-2.0 * self.log_factor(t))
 
+    def base_time(self, a, b):
+        """Base-clock time from t = a to t = b, the integral of e^{-2 lam}.
+
+        Closed forms for the static and constant-rate families.  The
+        sinusoidal integrand repeats every 2 pi/|w|, so whole periods take
+        the quadrature of one period and the rest its own.
+        """
+        p = self.params
+        if self.family == "static":
+            return b - a
+        if self.family == "constant_rate":
+            r = p["rate"]
+            if r == 0.0:
+                return self.operator_scale(a) * (b - a)
+            return -self.operator_scale(a) * math.expm1(-2.0 * r * (b - a)) / (2.0 * r)
+        if self.family == "sinusoidal":
+            w = abs(p["frequency"])
+            whole = math.floor((b - a) * w / (2.0 * math.pi))
+            period = 2.0 * math.pi / w if whole else 0.0
+            return (
+                whole * self._sinusoidal_quadrature(a, a + period)
+                + self._sinusoidal_quadrature(a + whole * period, b)
+            )
+        raise ValueError(f"unknown flow family {self.family!r}")
+
+    def _sinusoidal_quadrature(self, a, b):
+        """Composite 32-node Gauss-Legendre for the sinusoidal integrand.
+
+        Panels are short against both the period and the width of the
+        peaks of e^{-2 lam}.
+        """
+        p = self.params
+        amp, freq = p["amplitude"], p["frequency"]
+        panels = max(1, math.ceil((b - a) * abs(freq) * (1.0 + 2.0 * abs(amp))))
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        h = (b - a) / panels
+        mid = a + h * (np.arange(panels)[:, None] + 0.5)
+        lam = p["lambda0"] + amp * np.sin(freq * (mid + 0.5 * h * nodes[None, :]))
+        return float(0.5 * h * np.sum(weights * np.exp(-2.0 * lam)))
+
 
 @dataclass(frozen=True)
 class FlowMarginReport:
@@ -106,8 +151,8 @@ class FlowMarginReport:
 
 def make_flow(base, family="static", params=None, horizon=1.0):
     """Build a :class:`FlowSpec` and verify measure invariance numerically."""
-    if horizon <= 0.0:
-        raise ValueError("flow horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("flow horizon must be positive and finite")
     params = dict(params or {})
     if family == "static":
         params = {}
@@ -124,11 +169,13 @@ def make_flow(base, family="static", params=None, horizon=1.0):
         if not math.isfinite(float(val)):
             raise ValueError(f"flow parameter {key} must be finite")
     flow = FlowSpec(base=base, family=family, params=params, horizon=float(horizon))
+    # a conformal factor out of double range overflows here or breaks invariance
     w0 = flow.measure_weights(0.0)
     for t in np.linspace(0.0, horizon, 7):
+        flow.operator_scale(float(t))
         wt = flow.measure_weights(float(t))
         if np.abs(wt - w0).max() > 1e-14 * np.abs(w0).max():
-            raise RuntimeError("measure invariance violated by flow construction")
+            raise ValueError(f"flow breaks measure invariance at t={t:g}")
     return flow
 
 
@@ -146,22 +193,30 @@ def _margin_fields(flow, m, K, times):
     ]
 
 
+def super_ricci_flow_margins(flow, m, K, times, tol=1e-10):
+    """Margin reports at each of ``times``, on one base curvature."""
+    out = []
+    for t, field in zip(times, _margin_fields(flow, m, K, times)):
+        min_value = float(field.min())
+        out.append(FlowMarginReport(
+            t=float(t),
+            m=float(m),
+            K=float(K),
+            min_eigenvalue_field=field,
+            min_value=min_value,
+            tol=float(tol),
+            ok=bool(min_value >= -tol),
+        ))
+    return out
+
+
 def super_ricci_flow_margin(flow, m, K, t, tol=1e-10):
     """Smallest eigenvalue field of (1/2) dg/dt + Ric_mn + K g at time t.
 
     Eigenvalues are taken with respect to g(t).
     """
-    (field,) = _margin_fields(flow, m, K, [t])
-    min_value = float(field.min())
-    return FlowMarginReport(
-        t=float(t),
-        m=float(m),
-        K=float(K),
-        min_eigenvalue_field=field,
-        min_value=min_value,
-        tol=float(tol),
-        ok=bool(min_value >= -tol),
-    )
+    (report,) = super_ricci_flow_margins(flow, m, K, [t], tol)
+    return report
 
 
 def fit_super_flow_constant(flow, m, t_samples=None):
@@ -172,34 +227,22 @@ def fit_super_flow_constant(flow, m, t_samples=None):
     return max(0.0, -min(float(f.min()) for f in fields))
 
 
-def evolve_heat_on_flow(
-    flow,
-    state,
-    times,
-    local_error=1e-8,
-    dt_init=None,
-    dt_max=0.25,
-    manifest=None,
-):
-    """Heat flow of the time-dependent operator, adaptive as in the base flow.
+def evolve_heat_on_flow(flow, state, times, local_error=1e-8, manifest=None):
+    """Heat flow of the time-dependent operator e^{-2 lam(t)} L_base.
 
-    The operator is e^{-2 lam(t)} L_base; each implicit midpoint step
-    evaluates the conformal factor at the step midpoint, retaining second
-    order in time.
+    Since the factor is constant in space, this is the base heat flow
+    under the time change tau(t) = state.t + base_time(state.t, t): the
+    snapshots are :func:`wittenlab.heatflow.evolve` on ``flow.base`` at
+    the times tau, relabeled with the flow times.  Constant potentials
+    thus propagate exactly, other potentials by the adaptive stepping of
+    ``evolve``.  Rows collected in ``manifest`` are on the base clock.
     """
     times = [float(t) for t in times]
     if times and times[-1] > flow.horizon + 1e-12:
         raise ValueError("snapshot beyond the flow horizon")
-    manifold = flow.base
-
-    def advance_fn(u, t, h):
-        scale = flow.operator_scale(t + 0.5 * h)
-        return _advance(manifold, u, h, "crank_nicolson", gamma_scale=scale)
-
-    return _adaptive_evolve(
-        manifold, state, times, advance_fn, local_error, dt_init, dt_max, manifest,
-        label="flow evolve",
-    )
+    taus = [state.t + flow.base_time(state.t, t) for t in times]
+    snaps = evolve(flow.base, state, taus, local_error=local_error, manifest=manifest)
+    return [replace(s, t=t) for s, t in zip(snaps, times)]
 
 
 def w_entropy_on_flow(flow, state, m, K):

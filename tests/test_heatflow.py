@@ -17,7 +17,8 @@ from wittenlab import (
     step,
     uniform_state,
 )
-from wittenlab.heatflow import SolverConvergenceError, _adaptive_evolve, grad_log_u
+from wittenlab import heatflow
+from wittenlab.heatflow import SolverConvergenceError, _helmholtz_solve, grad_log_u
 from wittenlab.kernels import eigen_sum_circle, wrapped_gaussian
 from wittenlab.operators import witten_laplacian
 
@@ -149,7 +150,7 @@ def test_evolve_rejects_bad_times(circle_flat):
 
 def test_equilibration_to_uniform(circle_flat):
     s0 = mode_state(circle_flat, 0.0)
-    (final,) = evolve(circle_flat, s0, [20.0], local_error=1e-9, dt_max=0.5)
+    (final,) = evolve(circle_flat, s0, [20.0], local_error=1e-9)
     assert np.abs(final.u - 1.0 / circle_flat.mu_total).max() < 1e-8
 
 
@@ -327,18 +328,17 @@ def test_weighted_model_still_steps(circle_cos):
     assert len(manifest) > len(snaps)
 
 
-def test_adaptive_evolve_raises_when_step_size_collapses(circle_flat):
+def test_adaptive_evolve_raises_when_step_size_collapses(circle_flat, monkeypatch):
     s0 = uniform_state(circle_flat)
     shift = 1.0 / circle_flat.mu_total
 
-    def advance_fn(u, t, h):
+    def advance(manifold, u, dt, scheme):
         # one step and two half steps never agree, whatever the step size
         return u + shift
 
+    monkeypatch.setattr(heatflow, "_advance", advance)
     with pytest.raises(SolverConvergenceError, match="local error estimate"):
-        _adaptive_evolve(
-            circle_flat, s0, [0.1], advance_fn, 1e-8, None, 0.25, None, label="test"
-        )
+        evolve(circle_flat, s0, [0.1], scheme="crank_nicolson")
 
 
 def test_no_snapshot_times_give_no_snapshots(circle_cos):
@@ -348,3 +348,22 @@ def test_no_snapshot_times_give_no_snapshots(circle_cos):
     assert evolve(circle_cos, s0, [], manifest=manifest) == []
     assert evolve_heat_on_flow(flow, s0, [], manifest=manifest) == []
     assert manifest == []
+
+
+def test_kernel_state_rejects_integer_node_on_torus(torus_flat):
+    with pytest.raises(ValueError, match="index pairs"):
+        kernel_state(torus_flat, 3, 0.1)
+
+
+def test_pcg_names_an_indefinite_system(circle_cos):
+    b = 1.0 + 0.5 * np.cos(3.0 * circle_cos.axis_coordinates(0))
+    with pytest.raises(SolverConvergenceError, match=r"p\.Ap = .* <= 0"):
+        _helmholtz_solve(circle_cos, -0.3, b, b)
+
+
+def test_pcg_names_a_non_finite_residual(circle_cos):
+    b = np.full(circle_cos.shape, 1.0)
+    rhs = b.copy()
+    rhs[5] = np.nan
+    with pytest.raises(SolverConvergenceError, match="non-finite residual"):
+        _helmholtz_solve(circle_cos, 0.1, rhs, b)

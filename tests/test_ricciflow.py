@@ -237,3 +237,46 @@ def test_entropy_dissipation_rows_carry_residuals(circle_cos, rng):
     assert math.isnan(rows[0]["residual_d2H"]) and math.isnan(rows[2]["residual_d2H"])
     assert math.isfinite(rows[1]["residual_d2H"])
     assert all("residual_dH" not in r for r in entropy_dissipation_on_flow(flow, snaps[:2]))
+
+
+def test_flat_flow_matches_time_changed_closed_form(circle_flat):
+    # constant potential: the flow takes the exact propagator on the base clock
+    flow = make_flow(circle_flat, "constant_rate", {"rate": -0.5}, horizon=1.0)
+    s0 = mode_state(circle_flat, 0.0)
+    x = circle_flat.axis_coordinates(0)
+    times = [0.3, 0.8]
+    for T, snap in zip(times, evolve_heat_on_flow(flow, s0, times)):
+        exact = (1.0 + 0.9 * math.exp(-math.expm1(T)) * np.cos(x)) / circle_flat.mu_total
+        assert snap.t == T
+        assert np.abs(snap.u - exact).max() <= 1e-13 * exact.max()
+
+
+def test_flow_manifest_rows_are_on_the_base_clock(circle_cos):
+    flow = make_flow(circle_cos, "constant_rate", {"rate": -0.5}, horizon=1.0)
+    s0 = initial_delta(circle_cos, 0, t0=0.05)
+    manifest = []
+    (snap,) = evolve_heat_on_flow(flow, s0, [0.6], manifest=manifest)
+    assert snap.t == 0.6
+    assert manifest[-1]["t"] == pytest.approx(0.05 + flow.base_time(0.05, 0.6), abs=1e-13)
+
+
+@pytest.mark.parametrize(
+    "amplitude,frequency", [(0.0, 1.0), (1.0, 1.0), (10.0, 0.5), (2.0, 50.0), (3.0, -2.0)]
+)
+def test_sinusoidal_base_time_matches_bessel_closed_form(circle_flat, amplitude, frequency):
+    # over k full periods the integral of e^{-2 lam} is 2 pi k/w e^{-2 lam0} I0(2A)
+    params = {"lambda0": 0.3, "amplitude": amplitude, "frequency": frequency}
+    flow = make_flow(circle_flat, "sinusoidal", params, horizon=1.0)
+    for k in (1, 3):
+        period = 2.0 * math.pi * k / abs(frequency)
+        exact = period * math.exp(-0.6) * float(np.i0(2.0 * amplitude))
+        assert flow.base_time(0.37, 0.37 + period) == pytest.approx(exact, rel=1e-14)
+
+
+def test_constant_rate_base_time_closed_form(circle_flat):
+    moving = make_flow(circle_flat, "constant_rate", {"lambda0": 0.2, "rate": 0.7})
+    exact = (math.exp(-0.4 - 1.4 * 0.1) - math.exp(-0.4 - 1.4 * 0.9)) / 1.4
+    assert moving.base_time(0.1, 0.9) == pytest.approx(exact, rel=1e-14)
+    frozen = make_flow(circle_flat, "constant_rate", {"lambda0": 0.2, "rate": 0.0})
+    assert frozen.base_time(0.1, 0.9) == pytest.approx(0.8 * math.exp(-0.4), rel=1e-15)
+    assert make_flow(circle_flat, "static").base_time(0.1, 0.9) == 0.9 - 0.1
