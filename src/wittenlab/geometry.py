@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -61,6 +62,11 @@ class WeightedManifold:
         Per-node weight ``exp(-phi) * cell_volume`` realizing the measure.
     dim_n : int
         Topological dimension (1 or 2).
+
+    Data derived from the potential and the grid (``density``,
+    ``sqrt_density`` and the real-FFT spectral symbols) is computed on
+    first use and cached on the instance as read-only arrays, so operator
+    applies and implicit solves do not recompute it.
     """
 
     model: str
@@ -110,6 +116,45 @@ class WeightedManifold:
 
     def injectivity_scale(self):
         return min(self.circumferences) / 2.0
+
+    @cached_property
+    def density(self):
+        """exp(-phi) per node, the weight of the divergence-form operator."""
+        return _read_only(np.exp(-self.potential))
+
+    @cached_property
+    def sqrt_density(self):
+        """exp(-phi/2) per node, the similarity that symmetrizes the operator."""
+        return _read_only(np.exp(-0.5 * self.potential))
+
+    @cached_property
+    def _derivative_symbols(self):
+        """Per axis, the first and second derivative symbols on the half
+        spectrum of a 1-D ``rfft`` along that axis, shaped to broadcast."""
+        symbols = []
+        for a in range(self.dim_n):
+            n = self.grid_sizes[a]
+            k = self.wavenumbers(a)[: n // 2 + 1]
+            first = 1j * k
+            first[n // 2] = 0.0  # unpaired Nyquist mode has no odd derivative
+            shape = [1] * self.dim_n
+            shape[a] = n // 2 + 1
+            symbols.append(
+                (_read_only(first.reshape(shape)), _read_only(-(k * k).reshape(shape)))
+            )
+        return tuple(symbols)
+
+    @cached_property
+    def _rfftn_wavenumber_square(self):
+        """|k|^2 on the half spectrum of ``rfftn``: the full grid's last
+        axis up to its Nyquist index, where |k| is the same at +-N/2."""
+        half = self.grid_sizes[-1] // 2 + 1
+        return _read_only(_wavenumber_square(self)[..., :half].copy())
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -289,16 +334,23 @@ def _as_index(manifold, node):
 
 
 def _axis_derivative(manifold, f, axis, order=1):
-    """Spectral derivative of ``order`` along one axis."""
-    k = manifold.wavenumbers(axis)
+    """Spectral derivative of ``order`` (1 or 2) along one axis, by real FFT."""
+    if order not in (1, 2):
+        raise ValueError(f"spectral derivative order must be 1 or 2, got {order}")
+    sym = manifold._derivative_symbols[axis][order - 1]
     n = manifold.grid_sizes[axis]
-    sym = (1j * k) ** order
-    if order % 2 == 1:
-        sym = sym.copy()
-        sym[n // 2] = 0.0  # unpaired Nyquist mode has no odd derivative
-    shape = [1] * f.ndim
-    shape[axis] = n
-    return np.real(np.fft.ifft(sym.reshape(shape) * np.fft.fft(f, axis=axis), axis=axis))
+    return np.fft.irfft(sym * np.fft.rfft(f, axis=axis), n, axis=axis)
+
+
+def _wavenumber_square(manifold):
+    """|k|^2 on the full Fourier grid."""
+    sym = np.zeros(manifold.shape)
+    for a in range(manifold.dim_n):
+        k = manifold.wavenumbers(a)
+        shape = [1] * manifold.dim_n
+        shape[a] = manifold.grid_sizes[a]
+        sym = sym + (k ** 2).reshape(shape)
+    return sym
 
 
 def _constant_potential(manifold):
@@ -373,9 +425,8 @@ def ricci_bakry_emery(manifold, m):
 
 def _refined_density(manifold, refine=8):
     """exp(-phi) Fourier-interpolated onto a ``refine`` x finer grid."""
-    density = np.exp(-manifold.potential)
     shape = manifold.shape
-    fh_shift = np.fft.fftshift(np.fft.fftn(density))
+    fh_shift = np.fft.fftshift(np.fft.fftn(manifold.density))
     pads = tuple(((refine - 1) * s // 2,) * 2 for s in shape)
     fh_fine = np.fft.ifftshift(np.pad(fh_shift, pads))
     scale = refine ** manifold.dim_n

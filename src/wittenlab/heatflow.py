@@ -7,8 +7,18 @@ pair per snapshot and no time stepping.  Other potentials are stepped by
 Crank-Nicolson (implicit midpoint) on the divergence form operator, with
 an implicit Euler option for strongly damped starts.  The implicit solves
 run conjugate gradients on the similarity-transformed symmetric operator
-with an FFT Helmholtz preconditioner, to a residual of 1e-13, so
-conservation statements are meaningful.
+with a real-FFT Helmholtz preconditioner on the manifold's cached
+half-spectrum ``|k|^2``, to a residual of 1e-13, so conservation
+statements are meaningful.
+
+Operator applies dominate the cost of a step, so none is repeated.  The
+step-doubling control applies ``L`` once to each start state: the full
+step and the first half step take their right-hand sides
+``u + (dt/2) L u`` from that one apply, a retry after a rejected step
+reuses it, and each solve takes its initial residual
+``b - (I - gamma L) u`` from the apply that built ``b`` instead of
+applying ``L`` again.  An attempted step therefore costs two
+right-hand-side applies (one on a retry) plus one per PCG iteration.
 
 Positivity bookkeeping: solver and FFT rounding can leave values of
 order 1e-16 * max(u) with either sign at nodes where the true solution is
@@ -25,7 +35,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .geometry import WeightedManifold, _as_index, _constant_potential
+from .geometry import (
+    WeightedManifold,
+    _as_index,
+    _constant_potential,
+    _wavenumber_square,
+)
 from .operators import (
     _zero_nyquist_planes,
     dealias_nyquist,
@@ -60,6 +75,9 @@ DT_MAX = 0.25
 # spectral-truncation transients around 1e-9 relative; genuine overshoot
 # from an oversized step is orders of magnitude larger.
 POSITIVITY_REL_TOL = 1e-8
+
+# what a PositivityError of a time step suggests
+_STEP_REMEDY = "reduce dt or refine the grid"
 
 
 class PositivityError(RuntimeError):
@@ -126,7 +144,7 @@ def uniform_state(manifold, t=0.0):
     return make_state(manifold, u, t)
 
 
-def _clamp_rounding_negatives(manifold, u, where="state"):
+def _clamp_rounding_negatives(manifold, u, where="state", remedy=_STEP_REMEDY):
     umax = float(u.max())
     if umax <= 0.0:
         raise PositivityError(f"{where}: state collapsed to non-positive values")
@@ -136,58 +154,53 @@ def _clamp_rounding_negatives(manifold, u, where="state"):
         node = np.unravel_index(int(np.argmin(u)), manifold.shape)
         raise PositivityError(
             f"{where}: negative value {umin:.3e} at node {node} "
-            f"(beyond rounding tolerance; reduce dt or refine the grid)",
+            f"(beyond rounding tolerance; {remedy})",
             node=node,
         )
     return np.maximum(u, kernels.TINY)
 
 
-def _accept(manifold, u, t, mass, kernel, where):
+def _accept(manifold, u, t, mass, kernel, where, remedy=_STEP_REMEDY):
     """State at time t from raw solver values u.
 
     Projects u back to ``mass``, clamps rounding debris and drops the
     closed-form marker of kernel states, which no longer holds after a
-    numerical propagation.
+    numerical propagation.  ``remedy`` ends the message of a
+    :class:`PositivityError`.
     """
     u = u + (mass - integrate_mu(manifold, u)) / manifold.mu_total
-    u = _clamp_rounding_negatives(manifold, u, where=where)
+    u = _clamp_rounding_negatives(manifold, u, where=where, remedy=remedy)
     if kernel is not None and kernel.analytic:
         kernel = replace(kernel, analytic=False)
     return make_state(manifold, u, t, kernel=kernel)
 
 
-def _wavenumber_square(manifold):
-    """|k|^2 on the full Fourier grid."""
-    sym = np.zeros(manifold.shape)
-    for a in range(manifold.dim_n):
-        k = manifold.wavenumbers(a)
-        shape = [1] * manifold.dim_n
-        shape[a] = manifold.grid_sizes[a]
-        sym = sym + (k ** 2).reshape(shape)
-    return sym
-
-
-def _helmholtz_solve(manifold, gamma, b, x0, tol=CG_TOL):
+def _helmholtz_solve(manifold, gamma, b, x0, Lx0=None, tol=CG_TOL):
     """Solve (I - gamma L) u = b by preconditioned conjugate gradients.
 
     The system is conjugated by exp(-phi/2) to a symmetric one and
     preconditioned with the constant-potential inverse (I + gamma |k|^2)^-1
-    applied in Fourier space.  Raises :class:`SolverConvergenceError` on a
-    non-finite residual, on a search direction with p.Ap <= 0 (the system
-    is not positive definite) and after ``CG_MAXITER`` iterations.
+    applied on the real-FFT half spectrum.  ``Lx0`` is L x0 when the
+    caller has it; the initial residual is then built from it without an
+    apply.  Raises :class:`SolverConvergenceError` on a non-finite
+    residual, on a search direction with p.Ap <= 0 (the system is not
+    positive definite) and after ``CG_MAXITER`` iterations.
     """
-    s_half = np.exp(-0.5 * manifold.potential)
-    pre = 1.0 / (1.0 + gamma * _wavenumber_square(manifold))
+    s_half = manifold.sqrt_density
+    pre = 1.0 / (1.0 + gamma * manifold._rfftn_wavenumber_square)
+    axes = tuple(range(manifold.dim_n))
 
     def apply_sym(v):
         return v - gamma * s_half * witten_laplacian(manifold, v / s_half)
 
     def precondition(v):
-        return np.real(np.fft.ifftn(pre * np.fft.fftn(v)))
+        return np.fft.irfftn(pre * np.fft.rfftn(v), s=manifold.shape, axes=axes)
 
+    if Lx0 is None:
+        Lx0 = witten_laplacian(manifold, x0)
     bs = s_half * b
     v = s_half * x0
-    r = bs - apply_sym(v)
+    r = s_half * (b - x0 + gamma * Lx0)
     bnorm = float(np.linalg.norm(bs))
     if bnorm == 0.0:
         return np.zeros_like(b)
@@ -222,17 +235,23 @@ def _helmholtz_solve(manifold, gamma, b, x0, tol=CG_TOL):
     )
 
 
-def _advance(manifold, u, dt, scheme):
-    """One implicit step of du/dt = L u on raw values."""
+def _advance(manifold, u, dt, scheme, Lu=None):
+    """One implicit step of du/dt = L u on raw values.
+
+    ``Lu`` is L u when the caller has it; it serves the Crank-Nicolson
+    right-hand side and the solver's initial residual.
+    """
     if scheme == "crank_nicolson":
         g = 0.5 * dt
-        rhs = u + g * witten_laplacian(manifold, u)
+        if Lu is None:
+            Lu = witten_laplacian(manifold, u)
+        rhs = u + g * Lu
     elif scheme == "implicit_euler":
         g = dt
         rhs = u
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    out = _helmholtz_solve(manifold, g, rhs, u)
+    out = _helmholtz_solve(manifold, g, rhs, u, Lu)
     return dealias_nyquist(manifold, out)
 
 
@@ -276,14 +295,17 @@ def _adaptive_evolve(manifold, state, times, scheme, local_error, manifest):
 
     out = []
     current = state
+    Lu = None  # L current.u, shared by every attempt from the current state
     mass0 = state.mass  # project every accepted step back to the run's mass
     dt = min(DT_MAX, 0.05 * max(times[0] - state.t, 1e-3) + 1e-4)
     for target in times:
         while current.t < target - 1e-13:
             dt = min(dt, DT_MAX, target - current.t)
+            if Lu is None:
+                Lu = witten_laplacian(manifold, current.u)
             # one full step against two half steps
-            coarse = _advance(manifold, current.u, dt, scheme)
-            half = _advance(manifold, current.u, 0.5 * dt, scheme)
+            coarse = _advance(manifold, current.u, dt, scheme, Lu)
+            half = _advance(manifold, current.u, 0.5 * dt, scheme, Lu)
             fine = _advance(manifold, half, 0.5 * dt, scheme)
             scale = float(np.abs(fine).max())
             err = float(np.abs(coarse - fine).max()) / (3.0 * max(scale, 1e-300))
@@ -292,6 +314,7 @@ def _adaptive_evolve(manifold, state, times, scheme, local_error, manifest):
                     manifold, fine, current.t + dt, mass0, current.kernel,
                     where=f"evolve at t={current.t + dt:.6g}",
                 )
+                Lu = None
                 if manifest is not None:
                     manifest.append({"t": current.t, "dt": dt, "error_estimate": err})
                 grow = 0.9 * (local_error / max(err, 1e-16)) ** (1.0 / 3.0)
@@ -340,9 +363,20 @@ def _exact_evolve(manifold, state, times, manifest):
     blind to the per-axis Nyquist planes, which are zeroed as every
     implicit step zeroes them.  Each snapshot comes straight from the
     start state; its manifest row has the time since the previous
-    snapshot as ``dt`` and ``error_estimate`` 0.
+    snapshot as ``dt`` and ``error_estimate`` 0.  No step size is
+    involved, so a snapshot that loses positivity comes from a start state
+    the grid does not resolve, typically a kernel sampled at a time below
+    the squared grid spacing; the error names that time.
     """
     times = _snapshot_times(state, times)
+    h2 = max(manifold.spacings) ** 2
+    remedy = (
+        f"the start state at t={state.t:.6g} (solver.t0) is below the squared "
+        f"grid spacing {h2:.6g} and not resolved on the grid; raise solver.t0 "
+        f"or refine the grid"
+        if state.t < h2
+        else "the start state is not resolved on the grid; refine the grid"
+    )
     ksq = _wavenumber_square(manifold)
     uh = _zero_nyquist_planes(manifold, np.fft.fftn(state.u))
     out = []
@@ -353,7 +387,7 @@ def _exact_evolve(manifold, state, times, manifest):
             u = np.real(np.fft.ifftn(np.exp(-(target - state.t) * ksq) * uh))
             current = _accept(
                 manifold, u, target, state.mass, state.kernel,
-                where=f"exact propagation to t={target:.6g}",
+                where=f"exact propagation to t={target:.6g}", remedy=remedy,
             )
             if manifest is not None:
                 manifest.append({"t": current.t, "dt": dt, "error_estimate": 0.0})

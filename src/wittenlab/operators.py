@@ -10,6 +10,16 @@ divergence form is self-adjoint in the weighted inner product and
 annihilates constants up to rounding, which is what the conservation and
 integration-by-parts checks downstream rely on.  The expanded form
 ``lap f - grad(phi).grad(f)`` is kept as a cross-check only.
+
+Every field is real, so all transforms are real FFTs on the half
+spectrum: one spectral derivative (``geometry._axis_derivative``, a 1-D
+``rfft``/``irfft`` pair per axis) serves the gradient, the Hessian, the
+Laplacians and the Bakry-Emery tensor, and the Nyquist projection uses
+``rfftn``/``irfftn``.  The weight ``exp(-phi)`` and the derivative
+symbols are cached on the manifold (see
+:class:`wittenlab.geometry.WeightedManifold`), so an apply of
+:func:`witten_laplacian` is four 1-D real FFTs per axis and a few
+pointwise products.
 """
 
 from __future__ import annotations
@@ -51,11 +61,16 @@ def dealias_nyquist(manifold, f):
     is invisible to the divergence-form operator; removing it keeps time
     stepping from accumulating frozen sawtooth components.
     """
-    return np.real(np.fft.ifftn(_zero_nyquist_planes(manifold, np.fft.fftn(f))))
+    fh = _zero_nyquist_planes(manifold, np.fft.rfftn(f))
+    return np.fft.irfftn(fh, s=manifold.shape, axes=tuple(range(manifold.dim_n)))
 
 
 def _zero_nyquist_planes(manifold, fh):
-    """Zero the per-axis Nyquist planes of Fourier coefficients, in place."""
+    """Zero the per-axis Nyquist planes of Fourier coefficients, in place.
+
+    Works on the full spectrum of ``fftn`` and on the half spectrum of
+    ``rfftn``, whose last entry along the halved axis is the Nyquist mode.
+    """
     for axis in range(manifold.dim_n):
         idx = [slice(None)] * manifold.dim_n
         idx[axis] = manifold.grid_sizes[axis] // 2
@@ -102,7 +117,7 @@ def witten_laplacian(manifold, f):
     derivative is antisymmetric on the uniform grid.
     """
     f = _check_field(manifold, f)
-    density = np.exp(-manifold.potential)
+    density = manifold.density
     out = np.zeros(manifold.shape)
     for a in range(manifold.dim_n):
         flux = density * _axis_derivative(manifold, f, a, 1)

@@ -25,6 +25,15 @@ def torus_cos():
 
 
 @pytest.fixture(scope="session")
+def torus_32x48():
+    """Non-square weighted torus: the real-FFT half axis differs per transform."""
+    return flat_torus(
+        (32, 48),
+        potential={"family": "cosine_sine", "params": {"a": 0.5, "k": 1, "b": 0.3, "l": 2}},
+    )
+
+
+@pytest.fixture(scope="session")
 def circle_cos_03():
     return circle(256, potential={"family": "cosine", "params": {"a": 0.3, "k": 1}})
 

@@ -122,6 +122,21 @@ def test_missing_x0_starts_at_the_origin(tmp_path):
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
+def test_unresolved_start_kernel_names_t0(tmp_path, capsys):
+    # t0 = 0.02 is below the squared spacing (2 pi / 16)^2 of a 16-node
+    # circle: the sampled kernel is not resolved and the exact propagation
+    # loses positivity, with no step size involved.
+    data = copy.deepcopy(BASE)
+    data["manifold"]["grid"] = 16
+    data["solver"]["t0"] = 0.02
+    path = write_config(tmp_path, data)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "negative value" in err
+    assert "t=0.02 (solver.t0) is below the squared grid spacing 0.154213" in err
+    assert "reduce dt" not in err
+
+
 def test_negative_K_exits_2(tmp_path):
     data = {
         **BASE,

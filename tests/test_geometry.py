@@ -193,3 +193,19 @@ def test_determinism():
     b = build_manifold(cfg)
     assert np.array_equal(a.measure_weights, b.measure_weights)
     assert np.array_equal(a.potential, b.potential)
+
+
+def test_derived_data_is_cached_and_read_only():
+    M = flat_torus((32, 48), potential={"family": "cosine", "params": {"a": 0.5}})
+    assert M.density is M.density
+    assert M.sqrt_density is M.sqrt_density
+    assert M._derivative_symbols is M._derivative_symbols
+    assert M._rfftn_wavenumber_square is M._rfftn_wavenumber_square
+    assert np.array_equal(M.density, np.exp(-M.potential))
+    assert np.array_equal(M.sqrt_density, np.exp(-0.5 * M.potential))
+    arrays = [M.density, M.sqrt_density, M._rfftn_wavenumber_square]
+    arrays += [sym for axis in M._derivative_symbols for sym in axis]
+    for a in arrays:
+        assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        M.density[0, 0] = 1.0

@@ -20,7 +20,7 @@ from wittenlab import (
 from wittenlab import heatflow
 from wittenlab.heatflow import SolverConvergenceError, _helmholtz_solve, grad_log_u
 from wittenlab.kernels import eigen_sum_circle, wrapped_gaussian
-from wittenlab.operators import witten_laplacian
+from wittenlab.operators import random_band_limited, witten_laplacian
 
 
 def mode_state(M, t, amplitude=0.9, k=1):
@@ -332,7 +332,7 @@ def test_adaptive_evolve_raises_when_step_size_collapses(circle_flat, monkeypatc
     s0 = uniform_state(circle_flat)
     shift = 1.0 / circle_flat.mu_total
 
-    def advance(manifold, u, dt, scheme):
+    def advance(manifold, u, dt, scheme, Lu=None):
         # one step and two half steps never agree, whatever the step size
         return u + shift
 
@@ -367,3 +367,61 @@ def test_pcg_names_a_non_finite_residual(circle_cos):
     rhs[5] = np.nan
     with pytest.raises(SolverConvergenceError, match="non-finite residual"):
         _helmholtz_solve(circle_cos, 0.1, rhs, b)
+
+
+def test_helmholtz_solve_matches_dense_solve(torus_32x48):
+    M = torus_32x48
+    size = M.density.size
+    basis = np.eye(size)
+    dense = np.stack(
+        [witten_laplacian(M, basis[j].reshape(M.shape)).ravel() for j in range(size)],
+        axis=1,
+    )
+    u = 1.0 + 0.5 * random_band_limited(M, np.random.default_rng(5))
+    Lu = witten_laplacian(M, u)
+    gamma = 0.05
+    b = u + gamma * Lu  # a Crank-Nicolson right-hand side, started from u
+    exact = np.linalg.solve(np.eye(size) - gamma * dense, b.ravel()).reshape(M.shape)
+    for Lx0 in (Lu, None):
+        got = _helmholtz_solve(M, gamma, b, u, Lx0)
+        assert np.abs(got - exact).max() <= 1e-11 * np.abs(exact).max()
+
+
+def test_crank_nicolson_applies_L_once_per_start_state(circle_cos, monkeypatch):
+    # Outside PCG, an attempted step applies L for the second half step's
+    # right-hand side, plus once per start state for the full and first
+    # half steps, shared with the retries after a rejection.
+    counts = {"outside": 0, "advance": 0}
+    in_solve = []
+    apply, solve, advance = (
+        heatflow.witten_laplacian, heatflow._helmholtz_solve, heatflow._advance
+    )
+
+    def counting_apply(manifold, f):
+        if not in_solve:
+            counts["outside"] += 1
+        return apply(manifold, f)
+
+    def marked_solve(*args, **kwargs):
+        in_solve.append(True)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            in_solve.pop()
+
+    def counting_advance(*args, **kwargs):
+        counts["advance"] += 1
+        return advance(*args, **kwargs)
+
+    s0 = initial_delta(circle_cos, 0, t0=0.05)
+    monkeypatch.setattr(heatflow, "witten_laplacian", counting_apply)
+    monkeypatch.setattr(heatflow, "_helmholtz_solve", marked_solve)
+    monkeypatch.setattr(heatflow, "_advance", counting_advance)
+    manifest = []
+    evolve(circle_cos, s0, [0.1, 0.3], local_error=1e-10, manifest=manifest)
+    assert counts["advance"] % 3 == 0
+    attempts = counts["advance"] // 3
+    accepted = len(manifest)
+    rejected = attempts - accepted
+    assert rejected > 0
+    assert counts["outside"] == 2 * accepted + rejected

@@ -13,7 +13,52 @@ from wittenlab import (
     mu_inner,
     witten_laplacian,
 )
-from wittenlab.operators import random_band_limited, witten_laplacian_drift_form
+from wittenlab.geometry import _axis_derivative
+from wittenlab.operators import (
+    dealias_nyquist,
+    random_band_limited,
+    witten_laplacian_drift_form,
+)
+
+
+def complex_fft_derivative(manifold, f, axis, order):
+    """Reference spectral derivative on the full complex FFT spectrum."""
+    n = manifold.grid_sizes[axis]
+    sym = (1j * manifold.wavenumbers(axis)) ** order
+    if order % 2 == 1:
+        sym[n // 2] = 0.0
+    shape = [1] * f.ndim
+    shape[axis] = n
+    return np.real(np.fft.ifft(sym.reshape(shape) * np.fft.fft(f, axis=axis), axis=axis))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("model", ["circle_cos", "torus_32x48"])
+def test_real_fft_derivative_matches_complex_reference(request, rng, model, order):
+    M = request.getfixturevalue(model)
+    for f in (random_band_limited(M, rng), rng.standard_normal(M.shape)):
+        for axis in range(M.dim_n):
+            ref = complex_fft_derivative(M, f, axis, order)
+            got = _axis_derivative(M, f, axis, order)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_axis_derivative_rejects_other_orders(circle_cos):
+    with pytest.raises(ValueError, match="order"):
+        _axis_derivative(circle_cos, np.zeros(circle_cos.shape), 0, 3)
+
+
+def test_dealias_zeroes_exactly_the_nyquist_planes(torus_32x48, rng):
+    M = torus_32x48
+    f = rng.standard_normal(M.shape)
+    fh = np.fft.fftn(f)
+    gh = np.fft.fftn(dealias_nyquist(M, f))
+    nyquist = np.zeros(M.shape, dtype=bool)
+    nyquist[16, :] = True
+    nyquist[:, 24] = True
+    scale = np.abs(fh).max()
+    assert np.abs(gh[nyquist]).max() <= 1e-13 * scale
+    assert np.abs(gh[~nyquist] - fh[~nyquist]).max() <= 1e-13 * scale
 
 
 def test_gradient_constant(circle_flat):
