@@ -5,6 +5,12 @@ run: ``curvature``, ``simulate``, ``harnack``, ``entropy``, ``flow``, or
 ``all``.  Exit code 0 means every asserted check passed, 1 means at
 least one failed or a numerical error occurred, 2 means the
 configuration was invalid.
+
+Beside ``summary.json`` the runner writes ``timing.json``: per check its
+wall seconds split into compute and CSV output (formatting and
+writing), and the seconds of the heat flow the checks share.  Timings
+differ from run to run, so they stay out of the summary files, which
+are byte-identical across runs of one configuration.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import argparse
 import math
 import os
 import sys
+import time
 from importlib import resources
 
 import numpy as np
@@ -103,13 +110,22 @@ class _Runner:
                 raise ConfigError(f"checks.{check.name}.m is below the dimension {n}")
         self._snapshots = None
         self._manifest = None
+        self._heat_flow_s = 0.0
+        self._output_s = 0.0
 
     # ------------------------------------------------------------ helpers
     def out(self, filename):
         return os.path.join(self.config.out_dir, filename)
 
+    def write_csv(self, filename, build, *args, **kwargs):
+        """Write the CSV text ``build(*args, **kwargs)``; timed as output."""
+        start = time.perf_counter()
+        reports.atomic_write(self.out(filename), build(*args, **kwargs))
+        self._output_s += time.perf_counter() - start
+
     def snapshots(self):
         if self._snapshots is None:
+            start = time.perf_counter()
             solver = self.config.solver
             s0 = initial_delta(self.manifold, self.x0, t0=solver.t0)
             self._manifest = []
@@ -120,6 +136,7 @@ class _Runner:
                 local_error=solver.local_error,
                 manifest=self._manifest,
             )
+            self._heat_flow_s = time.perf_counter() - start
         return self._snapshots
 
     def record(self, name, ok, **detail):
@@ -135,9 +152,8 @@ class _Runner:
     def check_curvature(self, check):
         for m in check.m_values or (self.manifold.dim_n + 1.0,):
             cf = ricci_bakry_emery(self.manifold, m)
-            reports.atomic_write(
-                self.out(f"curvature_m{m:g}.csv"),
-                reports.curvature_csv(self.manifold, cf),
+            self.write_csv(
+                f"curvature_m{m:g}.csv", reports.curvature_csv, self.manifold, cf
             )
             self.record(
                 f"curvature_m{m:g}",
@@ -186,12 +202,8 @@ class _Runner:
         snaps = self.snapshots()
         drift = max(abs(s.mass - 1.0) for s in snaps)
         ok = drift <= 1e-10
-        reports.atomic_write(
-            self.out("snapshots.csv"), reports.snapshots_csv(self.manifold, snaps)
-        )
-        reports.atomic_write(
-            self.out("evolution_manifest.csv"), reports.manifest_csv(self._manifest)
-        )
+        self.write_csv("snapshots.csv", reports.snapshots_csv, self.manifold, snaps)
+        self.write_csv("evolution_manifest.csv", reports.manifest_csv, self._manifest)
         self.record("mass_conservation", ok, max_drift=drift, snapshots=len(snaps))
 
     def _pointwise_harnack(self, check, fn_name):
@@ -212,13 +224,11 @@ class _Runner:
                 out_reports.append(rep)
                 all_ok = all_ok and rep.ok
                 if dump_fields:
-                    reports.atomic_write(
-                        self.out(f"defect_{fn_name}_m{m:g}_t{s.t:g}.csv"),
-                        reports.field_csv(self.manifold, rep.defect, name="defect"),
+                    self.write_csv(
+                        f"defect_{fn_name}_m{m:g}_t{s.t:g}.csv",
+                        reports.field_csv, self.manifold, rep.defect, name="defect",
                     )
-        reports.atomic_write(
-            self.out(f"harnack_{fn_name}.csv"), reports.harnack_csv(out_reports)
-        )
+        self.write_csv(f"harnack_{fn_name}.csv", reports.harnack_csv, out_reports)
         worst = min(r.min_defect for r in out_reports)
         self.record(f"harnack_{fn_name}", all_ok, worst_defect=worst)
 
@@ -261,9 +271,7 @@ class _Runner:
                         )
                         out_reports.append(rep)
                         all_ok = all_ok and rep.ok
-        reports.atomic_write(
-            self.out("harnack_integrated.csv"), reports.integrated_csv(out_reports)
-        )
+        self.write_csv("harnack_integrated.csv", reports.integrated_csv, out_reports)
         self.record("harnack_integrated", all_ok, pairs=len(out_reports))
 
     def check_kernel_bounds(self, check):
@@ -289,9 +297,8 @@ class _Runner:
             series = entropy_mod.build_series(self.manifold, snaps, m, K)
             ok = entropy_mod.w_monotonicity_check(series)
             dH_ok = bool(np.all(series.dH_dt >= -1e-12))
-            reports.atomic_write(
-                self.out(f"entropy_series_m{m:g}.csv"),
-                reports.entropy_series_csv(series),
+            self.write_csv(
+                f"entropy_series_m{m:g}.csv", reports.entropy_series_csv, series
             )
             self.record(
                 f"entropy_m{m:g}",
@@ -325,16 +332,15 @@ class _Runner:
                 all_ok = all_ok and rep.ok
                 if worst is None or rep.min_value < worst.min_value:
                     worst = rep
-            reports.atomic_write(
-                self.out(f"flow_margin_field_m{m:g}.csv"),
-                reports.field_csv(
-                    self.manifold, worst.min_eigenvalue_field, name="margin"
-                ),
+            self.write_csv(
+                f"flow_margin_field_m{m:g}.csv",
+                reports.field_csv,
+                self.manifold,
+                worst.min_eigenvalue_field,
+                name="margin",
             )
             self.record(f"flow_margin_m{m:g}", all_ok, K=K, worst_margin=worst.min_value)
-        reports.atomic_write(
-            self.out("flow_margin.csv"), reports.flow_margin_csv(margin_reports)
-        )
+        self.write_csv("flow_margin.csv", reports.flow_margin_csv, margin_reports)
 
     def check_flow_entropy(self, check):
         flow = self.flow
@@ -350,9 +356,9 @@ class _Runner:
                 for r in super_ricci_flow_margins(flow, m, K, [s.t for s in snaps])
             ]
             worst_gap = float((series.dW_dt_formula - series.monotonicity_bound).max())
-            reports.atomic_write(
-                self.out(f"flow_entropy_series_m{m:g}.csv"),
-                reports.entropy_series_csv(series, flow_margin=margins),
+            self.write_csv(
+                f"flow_entropy_series_m{m:g}.csv",
+                reports.entropy_series_csv, series, flow_margin=margins,
             )
             self.record(
                 f"flow_entropy_m{m:g}",
@@ -363,17 +369,34 @@ class _Runner:
 
     # -------------------------------------------------------------- entry
     def run(self):
-        ran_any = False
+        start = time.perf_counter()
+        checks = {}
         for check in self.config.checks:
             if check.name not in self.selected:
                 continue
-            ran_any = True
+            self._output_s = 0.0
+            check_start = time.perf_counter()
             self.run_check(check)
-        if not ran_any:
+            wall = time.perf_counter() - check_start
+            entry = checks.setdefault(
+                check.name, {"wall_s": 0.0, "compute_s": 0.0, "output_s": 0.0}
+            )
+            entry["wall_s"] += wall
+            entry["compute_s"] += wall - self._output_s
+            entry["output_s"] += self._output_s
+        if not checks:
             raise ConfigError(
                 "no configured check matches the requested subcommand/selection"
             )
         reports.write_summary(self.out("summary"), self.summary)
+        reports.write_timing(
+            self.out("timing.json"),
+            {
+                "checks": checks,
+                "heat_flow_s": self._heat_flow_s,
+                "total_s": time.perf_counter() - start,
+            },
+        )
         return 0 if all(entry["ok"] for entry in self.summary.values()) else 1
 
 

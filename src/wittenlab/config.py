@@ -174,6 +174,18 @@ def _parse_options(item, name):
     return options
 
 
+def _name_clash(values):
+    """Two of ``values`` with the same ``{:g}`` text, the one output file
+    names and summary keys carry; None if there are none."""
+    seen = {}
+    for v in values:
+        name = f"{v:g}"
+        if name in seen:
+            return seen[name], v
+        seen[name] = v
+    return None
+
+
 def _parse_m(raw, check_name):
     items = _as_list(raw)
     if not all(isinstance(m, numbers.Real) and not isinstance(m, bool) for m in items):
@@ -184,6 +196,13 @@ def _parse_m(raw, check_name):
             raise ConfigError(f"checks.{check_name}.m must be positive and finite")
     if not m_values and check_name in NEEDS_M:
         raise ConfigError(f"checks.{check_name} needs at least one m value")
+    clash = _name_clash(m_values)
+    if clash:
+        a, b = clash
+        raise ConfigError(
+            f"checks.{check_name}.m values {a!r} and {b!r} both name their outputs "
+            f"m{a:g}; give values that differ in 6 significant digits"
+        )
     return m_values
 
 
@@ -253,6 +272,14 @@ def validate_experiment(data, out_override=None, grid_scale=1):
         flow = _mapping(data, "flow")
         if "family" not in flow:
             raise ConfigError("flow.family is required when a flow is given")
+
+    clash = _name_clash(times)
+    if clash and any(c.options.get("dump_defects") for c in checks):
+        a, b = clash
+        raise ConfigError(
+            f"solver.times {a!r} and {b!r} both name their defect files t{a:g}; "
+            f"dump_defects needs times that differ in 6 significant digits"
+        )
 
     needs_flow = {"flow_margin", "flow_entropy"}
     if flow is None and any(c.name in needs_flow for c in checks):

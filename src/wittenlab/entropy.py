@@ -29,8 +29,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .geometry import M_EQUALS_N_TOL, bakry_emery_tensor
-from .heatflow import grad_log_u
-from .operators import gamma2, hessian, gradient, integrate_mu
+from .heatflow import _state_on
+from .operators import gradient, integrate_mu
 
 __all__ = [
     "EntropySeries",
@@ -105,10 +105,7 @@ def monotonicity_bound(t, m, K):
 
 
 def _entropy_H(manifold, state, scale):
-    u = state.u
-    H = -integrate_mu(manifold, u * np.log(u))
-    g = grad_log_u(manifold, state)
-    dH = integrate_mu(manifold, np.einsum("a...,a...->...", g, g) * u)
+    H, dH = _state_on(manifold, state).entropy_pair
     return H, scale * dH
 
 
@@ -122,9 +119,9 @@ def entropy_H(manifold, state):
 
 
 def _entropy_second_derivative(manifold, state, scale, rate):
-    logu = np.log(state.u)
-    G = gradient(manifold, logu)
-    quad = scale * scale * gamma2(manifold, logu) + rate * scale * np.einsum(
+    fields = _state_on(manifold, state)
+    G = fields.log_u_gradient
+    quad = scale * scale * fields.log_u_gamma2 + rate * scale * np.einsum(
         "a...,a...->...", G, G
     )
     return -2.0 * integrate_mu(manifold, quad * state.u)
@@ -191,22 +188,35 @@ class WDecomposition:
         return self.T1 + self.T2 + self.T3 + self.T4
 
 
-def _w_decomposition(manifold, state, m, K, scale, rate):
+def _m_terms(manifold, m):
+    """Bakry-Emery tensor and grad phi (None when m == n) of the dW/dt
+    split; neither depends on t, so a series computes them once."""
+    n = manifold.dim_n
+    if m < n - M_EQUALS_N_TOL:
+        raise ValueError(f"need m >= n, got m={m}, n={n}")
+    ric = bakry_emery_tensor(manifold, m)
+    grad_phi = None
+    if m - n > M_EQUALS_N_TOL:
+        grad_phi = gradient(manifold, manifold.potential)
+    return ric, grad_phi
+
+
+def _w_decomposition(manifold, state, m, K, scale, rate, m_terms=None):
     """Four terms of dW/dt with norms taken in the metric g = g_base / scale.
 
     The Hessian of log u is completed by c g, whose base components are
     c / scale; the curvature quadratic carries rate + K in front of g.
+    ``m_terms`` is :func:`_m_terms` of (manifold, m) when the caller has it.
     """
+    ric, grad_phi = _m_terms(manifold, m) if m_terms is None else m_terms
     n = manifold.dim_n
-    if m < n - M_EQUALS_N_TOL:
-        raise ValueError(f"need m >= n, got m={m}, n={n}")
     t = state.t
     if t <= 0.0:
         raise ValueError("state time must be positive")
     u = state.u
-    logu = np.log(u)
-    H = hessian(manifold, logu)
-    G = gradient(manifold, logu)
+    fields = _state_on(manifold, state)
+    H = fields.log_u_hessian
+    G = fields.log_u_gradient
     c = 0.5 * K + 0.5 / t
 
     completed = H + (c / scale) * np.eye(n).reshape((n, n) + (1,) * n)
@@ -214,14 +224,12 @@ def _w_decomposition(manifold, state, m, K, scale, rate):
         manifold, np.einsum("ab...,ab...->...", completed, completed) * u
     )
 
-    ric = bakry_emery_tensor(manifold, m)
     quad = scale * scale * np.einsum("ab...,a...,b...->...", ric, G, G) + (
         rate + K
     ) * scale * np.einsum("a...,a...->...", G, G)
     T2 = -2.0 * t * integrate_mu(manifold, quad * u)
 
-    if m - n > M_EQUALS_N_TOL:
-        grad_phi = gradient(manifold, manifold.potential)
+    if grad_phi is not None:
         align = scale * np.einsum("a...,a...->...", grad_phi, G) - (m - n) * (
             1.0 + K * t
         ) / (2.0 * t)
@@ -277,10 +285,12 @@ def build_series(manifold, snapshots, m, K, flow=None):
 
     The numeric dW/dt column is the centered (nonuniform) finite
     difference of W across neighboring snapshots; endpoints use one-sided
-    differences.
+    differences.  The fields of each snapshot are shared with every other
+    series and check through the cache of its :class:`HeatState`.
     """
     if len(snapshots) < 2:
         raise ValueError("need at least two snapshots")
+    m_terms = _m_terms(manifold, m)
     times = np.array([s.t for s in snapshots])
     H = np.empty_like(times)
     dH = np.empty_like(times)
@@ -300,7 +310,7 @@ def build_series(manifold, snapshots, m, K, flow=None):
         H_mK[i], W[i] = vals["H_mK"], vals["W_mK"]
         Phi[i] = phi_mK(s.t, m, K)
         d2H[i] = _entropy_second_derivative(manifold, s, scale, rate)
-        dec = _w_decomposition(manifold, s, m, K, scale, rate)
+        dec = _w_decomposition(manifold, s, m, K, scale, rate, m_terms)
         T[:, i] = (dec.T1, dec.T2, dec.T3, dec.T4)
     dW_num = np.gradient(W, times)
     formula = T.sum(axis=0)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -39,12 +40,15 @@ from .geometry import (
     WeightedManifold,
     _as_index,
     _constant_potential,
+    _read_only,
     _wavenumber_square,
 )
 from .operators import (
     _zero_nyquist_planes,
     dealias_nyquist,
+    gamma2,
     gradient,
+    hessian,
     integrate_mu,
     witten_laplacian,
 )
@@ -108,7 +112,23 @@ class KernelInfo:
 
 @dataclass(frozen=True)
 class HeatState:
-    """Positive density sampled on the grid at a fixed time."""
+    """Positive density sampled on the grid at a fixed time.
+
+    The fields that the Harnack and entropy checks derive from ``u`` are
+    computed on first use, on ``manifold``, and cached on the instance as
+    read-only arrays, so every check and every dimension parameter m of
+    a snapshot shares one evaluation:
+
+    * ``dt_log_u`` and ``grad_log_u`` (see the functions of those names);
+    * ``log_u`` and its spectral ``log_u_gradient``, ``log_u_hessian``
+      and ``log_u_gamma2``;
+    * ``entropy_pair``, the Boltzmann entropy and its dissipation rate
+      (see :func:`wittenlab.entropy.entropy_H`).
+
+    ``dataclasses.replace`` builds a new state whose cache starts empty,
+    which matters for analytic kernel states: their derivatives depend
+    on ``t``.
+    """
 
     manifold: WeightedManifold
     t: float
@@ -119,6 +139,60 @@ class HeatState:
     def __post_init__(self):
         self.u.setflags(write=False)
 
+    @property
+    def _analytic(self):
+        return self.kernel is not None and self.kernel.analytic
+
+    @cached_property
+    def dt_log_u(self):
+        if self._analytic:
+            return _read_only(_analytic_dt_log(self.manifold, self))
+        return _read_only(witten_laplacian(self.manifold, self.u) / self.u)
+
+    @cached_property
+    def grad_log_u(self):
+        if self._analytic:
+            return _read_only(_analytic_grad_log(self.manifold, self))
+        return _read_only(gradient(self.manifold, self.u) / self.u)
+
+    @cached_property
+    def log_u(self):
+        return _read_only(np.log(self.u))
+
+    @cached_property
+    def log_u_gradient(self):
+        return _read_only(gradient(self.manifold, self.log_u))
+
+    @cached_property
+    def log_u_hessian(self):
+        return _read_only(hessian(self.manifold, self.log_u))
+
+    @cached_property
+    def log_u_gamma2(self):
+        return _read_only(gamma2(self.manifold, self.log_u))
+
+    @cached_property
+    def entropy_pair(self):
+        H = -integrate_mu(self.manifold, self.u * self.log_u)
+        g = self.grad_log_u
+        dH = integrate_mu(self.manifold, np.einsum("a...,a...->...", g, g) * self.u)
+        return H, dH
+
+
+def _state_on(manifold, state):
+    """``state`` if it lives on ``manifold``, else a copy of it on ``manifold``.
+
+    The public ``(manifold, state)`` functions take the derived fields of
+    the result: the state's own cache, or for another manifold fields
+    computed on that manifold by a throwaway copy, which leaves the
+    state's cache untouched.
+    """
+    return state if manifold is state.manifold else replace(state, manifold=manifold)
+
+
+def _argmin_node(manifold, u):
+    return tuple(int(i) for i in np.unravel_index(int(np.argmin(u)), manifold.shape))
+
 
 def make_state(manifold, u, t, kernel=None):
     u = np.asarray(u, dtype=float)
@@ -127,7 +201,7 @@ def make_state(manifold, u, t, kernel=None):
     if not np.all(np.isfinite(u)):
         raise ValueError("state contains non-finite values")
     if u.min() <= 0.0:
-        node = np.unravel_index(int(np.argmin(u)), manifold.shape)
+        node = _argmin_node(manifold, u)
         raise PositivityError(f"state not positive at node {node}", node=node)
     return HeatState(
         manifold=manifold,
@@ -151,7 +225,7 @@ def _clamp_rounding_negatives(manifold, u, where="state", remedy=_STEP_REMEDY):
     floor = -POSITIVITY_REL_TOL * umax
     umin = float(u.min())
     if umin < floor:
-        node = np.unravel_index(int(np.argmin(u)), manifold.shape)
+        node = _argmin_node(manifold, u)
         raise PositivityError(
             f"{where}: negative value {umin:.3e} at node {node} "
             f"(beyond rounding tolerance; {remedy})",
@@ -476,18 +550,19 @@ def dt_log_u(manifold, state):
 
     Analytic kernel states use the closed form, which stays accurate in
     the far tail where the sampled values sit at the representability
-    floor.
+    floor.  The result is read-only and cached on the state (see
+    :class:`HeatState`); a manifold other than ``state.manifold`` gets
+    it computed on that manifold, uncached.
     """
-    if state.kernel is not None and state.kernel.analytic:
-        return _analytic_dt_log(manifold, state)
-    return witten_laplacian(manifold, state.u) / state.u
+    return _state_on(manifold, state).dt_log_u
 
 
 def grad_log_u(manifold, state):
-    """Gradient of log u, shape (n, *grid); closed form for analytic kernels."""
-    if state.kernel is not None and state.kernel.analytic:
-        return _analytic_grad_log(manifold, state)
-    return gradient(manifold, state.u) / state.u
+    """Gradient of log u, shape (n, *grid); closed form for analytic kernels.
+
+    Read-only and cached on the state, like :func:`dt_log_u`.
+    """
+    return _state_on(manifold, state).grad_log_u
 
 
 def _axis_displacement(manifold, axis, x0):

@@ -1,6 +1,7 @@
 """Config validation and the command-line runner's contract."""
 
 import copy
+import json
 import os
 
 import pytest
@@ -101,6 +102,20 @@ TORUS_32 = {"model": "flat_torus_2d", "grid": [32, 32], "potential": {"family": 
                 checks=[{"name": "flow_entropy", "m": [2], "K": 0.0}],
             ),
             id="flow_entropy_with_one_snapshot_in_horizon",
+        ),
+        pytest.param(
+            lambda d: d.update(
+                checks=[{"name": "curvature", "m": [1.0000001, 1.0000002]}]
+            ),
+            id="m_values_with_one_output_name",
+        ),
+        pytest.param(
+            lambda d: (
+                d["solver"].update(times=[0.1, 0.1000001]),
+                d.update(checks=[{"name": "hamilton", "m": [2], "K": 0.0,
+                                  "dump_defects": True}]),
+            ),
+            id="dumped_times_with_one_file_name",
         ),
     ],
 )
@@ -235,6 +250,43 @@ def test_byte_identical_outputs(tmp_path):
         a = open(os.path.join(outs[0], fname), "rb").read()
         b = open(os.path.join(outs[1], fname), "rb").read()
         assert a == b, fname
+
+
+def test_timing_file_beside_an_unchanged_summary(tmp_path):
+    data = {
+        **BASE,
+        "manifold": {
+            "model": "circle",
+            "grid": 64,
+            "potential": {"family": "cosine", "params": {"a": 0.5, "k": 1}},
+        },
+        "checks": [
+            {"name": "hamilton", "m": [2], "K": "admissible"},
+            {"name": "entropy", "m": [2, 3], "K": "admissible"},
+            {"name": "curvature", "m": [2]},
+            {"name": "mass"},
+        ],
+    }
+    path = write_config(tmp_path, data)
+    outs = [str(tmp_path / tag) for tag in ("a", "b")]
+    for out in outs:
+        assert main(["all", "--config", path, "--out", out]) == 0
+    summaries = [open(os.path.join(out, "summary.json"), "rb").read() for out in outs]
+    assert summaries[0] == summaries[1]
+    assert set(json.loads(summaries[0])) == {
+        "harnack_hamilton",
+        "entropy_m2",
+        "entropy_m3",
+        "curvature_m2",
+        "mass_conservation",
+    }
+    timing = json.load(open(os.path.join(outs[0], "timing.json")))
+    assert set(timing["checks"]) == {c["name"] for c in data["checks"]}
+    for name, entry in timing["checks"].items():
+        assert entry["wall_s"] == pytest.approx(entry["compute_s"] + entry["output_s"])
+        assert entry["compute_s"] >= 0.0 and entry["output_s"] >= 0.0, name
+    assert timing["checks"]["mass"]["output_s"] > 0.0
+    assert 0.0 < timing["heat_flow_s"] <= timing["total_s"]
 
 
 def test_load_config_reads_yaml(tmp_path):

@@ -1,6 +1,7 @@
 """Entropy functionals, W-entropy decomposition, and normalization identities."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,3 +314,18 @@ def test_tilde_w_dual_path(circle_cos, rng):
 def test_monotonicity_bound_value():
     m, K, t = 2.0, 1.0, 1.0
     assert monotonicity_bound(t, m, K) == pytest.approx(-(5 * math.exp(4.0) - 4.0), rel=1e-12)
+
+
+def test_series_on_shared_snapshot_fields_equals_fresh_states(torus_32x48, rng):
+    # the second m reuses the fields the first cached on each snapshot
+    snaps = [positive_test_state(torus_32x48, rng, t=t) for t in (0.2, 0.3, 0.5)]
+    for m in (3.0, 4.5):
+        K = ricci_bakry_emery(torus_32x48, m).admissible_K
+        shared = build_series(torus_32x48, snaps, m, K)
+        fresh = build_series(torus_32x48, [replace(s) for s in snaps], m, K)
+        for name in shared.__dataclass_fields__:
+            assert np.array_equal(getattr(shared, name), getattr(fresh, name)), name
+        for i, s in enumerate(snaps):
+            dec = w_derivative_decomposition(torus_32x48, replace(s), m, K)
+            terms = (shared.T1[i], shared.T2[i], shared.T3[i], shared.T4[i])
+            assert (dec.T1, dec.T2, dec.T3, dec.T4) == terms

@@ -1,6 +1,7 @@
 """Heat flow: kernels, conservation, positivity, convergence order."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,14 @@ from wittenlab import (
 from wittenlab import heatflow
 from wittenlab.heatflow import SolverConvergenceError, _helmholtz_solve, grad_log_u
 from wittenlab.kernels import eigen_sum_circle, wrapped_gaussian
-from wittenlab.operators import random_band_limited, witten_laplacian
+from wittenlab.operators import (
+    gamma2,
+    gradient,
+    hessian,
+    integrate_mu,
+    random_band_limited,
+    witten_laplacian,
+)
 
 
 def mode_state(M, t, amplitude=0.9, k=1):
@@ -230,6 +238,17 @@ def test_positivity_guard_raises_on_gross_negativity(circle_flat):
         make_state(circle_flat, np.cos(x), 0.1)
 
 
+def test_positivity_error_names_the_node_as_ints(circle_flat):
+    u = np.ones(circle_flat.shape)
+    u[6] = -1.0
+    with pytest.raises(PositivityError, match=r"at node \(6,\)$") as err:
+        make_state(circle_flat, u, 0.1)
+    assert err.value.node == (6,) and type(err.value.node[0]) is int
+    with pytest.raises(PositivityError, match=r"at node \(6,\) \(beyond") as err:
+        heatflow._clamp_rounding_negatives(circle_flat, u)
+    assert err.value.node == (6,) and type(err.value.node[0]) is int
+
+
 def test_oversized_step_reports_positivity_violation(circle_flat):
     # implicit midpoint overshoots on a sharply peaked state with a huge dt
     s = initial_delta(circle_flat, 0, t0=2e-3)
@@ -425,3 +444,74 @@ def test_crank_nicolson_applies_L_once_per_start_state(circle_cos, monkeypatch):
     rejected = attempts - accepted
     assert rejected > 0
     assert counts["outside"] == 2 * accepted + rejected
+
+
+DERIVED_FIELDS = (
+    "dt_log_u",
+    "grad_log_u",
+    "log_u",
+    "log_u_gradient",
+    "log_u_hessian",
+    "log_u_gamma2",
+    "entropy_pair",
+)
+
+
+def uncached_fields(M, s):
+    """The derived fields of a numerical state, computed from scratch on M."""
+    log_u = np.log(s.u)
+    g = gradient(M, s.u) / s.u
+    return {
+        "dt_log_u": witten_laplacian(M, s.u) / s.u,
+        "grad_log_u": g,
+        "log_u": log_u,
+        "log_u_gradient": gradient(M, log_u),
+        "log_u_hessian": hessian(M, log_u),
+        "log_u_gamma2": gamma2(M, log_u),
+        "entropy_pair": (
+            -integrate_mu(M, s.u * log_u),
+            integrate_mu(M, np.einsum("a...,a...->...", g, g) * s.u),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["circle_cos", "torus_32x48"])
+def test_derived_fields_are_cached_read_only_and_exact(request, name):
+    M = request.getfixturevalue(name)
+    x0 = (0,) * M.dim_n
+    (s,) = evolve(M, initial_delta(M, x0, t0=0.05), [0.2])
+    expected = uncached_fields(M, s)
+    for field in DERIVED_FIELDS:
+        value = getattr(s, field)
+        assert getattr(s, field) is value, field
+        if field == "entropy_pair":
+            assert value == expected[field]
+        else:
+            assert not value.flags.writeable, field
+            assert np.array_equal(value, expected[field]), field
+    assert dt_log_u(M, s) is s.dt_log_u
+    assert grad_log_u(M, s) is s.grad_log_u
+
+
+def test_replace_starts_an_empty_cache(circle_flat):
+    # closed-form kernel states take their log-derivatives from t
+    s = kernel_state(circle_flat, (0,), 0.1)
+    before = s.dt_log_u
+    later = replace(s, t=0.2)
+    assert "dt_log_u" not in vars(later)
+    assert np.array_equal(later.dt_log_u, kernel_state(circle_flat, (0,), 0.2).dt_log_u)
+    assert not np.array_equal(later.dt_log_u, before)
+    assert s.dt_log_u is before
+
+
+def test_fields_on_another_manifold_bypass_the_cache(circle_flat, circle_cos):
+    # the (manifold, state) functions compute on the manifold they are given
+    s = mode_state(circle_flat, 0.3)
+    rate = dt_log_u(circle_cos, s)
+    assert "dt_log_u" not in vars(s)
+    assert np.array_equal(rate, uncached_fields(circle_cos, s)["dt_log_u"])
+    assert not np.array_equal(rate, s.dt_log_u)
+    expected = uncached_fields(circle_cos, s)["grad_log_u"]
+    assert np.array_equal(grad_log_u(circle_cos, s), expected)
+    assert dt_log_u(circle_cos, s) is not rate
+    assert np.array_equal(s.dt_log_u, uncached_fields(circle_flat, s)["dt_log_u"])
