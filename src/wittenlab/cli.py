@@ -1,8 +1,8 @@
 """Config-driven experiment runner.
 
 Subcommands select which families of checks from the configuration are
-run: ``curvature``, ``simulate``, ``harnack``, ``entropy``, ``flow``, or
-``all``.  Exit code 0 means every asserted check passed, 1 means at
+run: ``curvature``, ``simulate``, ``harnack``, ``entropy``, ``flow`` (the
+families of :data:`wittenlab.config.CHECKS`), or ``all``.  Exit code 0 means every asserted check passed, 1 means at
 least one failed or a numerical error occurred, 2 means the
 configuration was invalid.
 
@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from . import entropy as entropy_mod
 from . import harnack as harnack_mod
 from . import reports
-from .config import ConfigError, load_config, validate_experiment
+from .config import CHECKS, ConfigError, load_config, validate_experiment
 from .geometry import build_manifold, ricci_bakry_emery, ball_volume_ratio_check
 from .heatflow import evolve, initial_delta
 from .operators import (
@@ -44,15 +45,10 @@ from .ricciflow import (
 )
 
 SUBCOMMAND_CHECKS = {
-    "curvature": ("curvature", "ball_ratio", "operators_selftest"),
-    "simulate": ("mass",),
-    "harnack": ("li_yau", "hamilton", "sup_bound", "integrated", "kernel_bounds"),
-    "entropy": ("entropy", "tilde_identity"),
-    "flow": ("flow_margin", "flow_entropy"),
+    sub: tuple(name for name, kind in CHECKS.items() if kind.subcommand == sub)
+    for sub in dict.fromkeys(kind.subcommand for kind in CHECKS.values())
 }
-SUBCOMMAND_CHECKS["all"] = tuple(
-    name for group in SUBCOMMAND_CHECKS.values() for name in group
-)
+SUBCOMMAND_CHECKS["all"] = tuple(CHECKS)
 
 
 def bundled_config_path(name):
@@ -105,9 +101,15 @@ class _Runner:
             raise ConfigError(str(exc)) from exc
         self.x0 = _node(config.solver.x0, self.manifold, "solver.x0")
         n = self.manifold.dim_n
+        injectivity = self.manifold.injectivity_scale()
         for check in config.checks:  # tilde_identity is a closed form, no model
             if check.name != "tilde_identity" and any(m < n for m in check.m_values):
                 raise ConfigError(f"checks.{check.name}.m is below the dimension {n}")
+            if check.name == "ball_ratio" and check.options["R"] > injectivity + 1e-12:
+                raise ConfigError(
+                    f"checks.ball_ratio.R={check.options['R']:g} exceeds the "
+                    f"injectivity scale {injectivity:g} of the model"
+                )
         self._snapshots = None
         self._manifest = None
         self._heat_flow_s = 0.0
@@ -123,15 +125,19 @@ class _Runner:
         reports.atomic_write(self.out(filename), build(*args, **kwargs))
         self._output_s += time.perf_counter() - start
 
+    @cached_property
+    def start_state(self):
+        """The approximate fundamental solution at ``solver.t0`` at x0."""
+        return initial_delta(self.manifold, self.x0, t0=self.config.solver.t0)
+
     def snapshots(self):
         if self._snapshots is None:
             start = time.perf_counter()
             solver = self.config.solver
-            s0 = initial_delta(self.manifold, self.x0, t0=solver.t0)
             self._manifest = []
             self._snapshots = evolve(
                 self.manifold,
-                s0,
+                self.start_state,
                 solver.times,
                 local_error=solver.local_error,
                 manifest=self._manifest,
@@ -164,12 +170,10 @@ class _Runner:
 
     def check_ball_ratio(self, check):
         opts = check.options
-        r = opts.get("r", 0.5)
-        R = opts.get("R", 1.0)
         y = _node(opts.get("center"), self.manifold, "checks.ball_ratio.center")
         for m in check.m_values or (2.0,):
             K = _resolve_K(check, m, self.manifold, self.flow)
-            rep = ball_volume_ratio_check(self.manifold, m, K, y, r, R)
+            rep = ball_volume_ratio_check(self.manifold, m, K, y, opts["r"], opts["R"])
             self.record(
                 f"ball_ratio_m{m:g}", rep.ok, ratio=rep.ratio, bound=rep.bound
             )
@@ -247,8 +251,7 @@ class _Runner:
         n_nodes = opts.get("nodes", 4)
         pairs = opts.get("pairs")
         if pairs is None:
-            ts = [s.t for s in snaps]
-            pairs = [[ts[0], ts[-1]]] if len(ts) >= 2 else []
+            pairs = [[snaps[0].t, snaps[-1].t]]
         shape = self.manifold.shape
         sample = []
         if self.manifold.dim_n == 1:
@@ -345,9 +348,10 @@ class _Runner:
     def check_flow_entropy(self, check):
         flow = self.flow
         solver = self.config.solver
-        s0 = initial_delta(self.manifold, self.x0, t0=solver.t0)
         times = [t for t in solver.times if t <= flow.horizon + 1e-12]
-        snaps = evolve_heat_on_flow(flow, s0, times, local_error=solver.local_error)
+        snaps = evolve_heat_on_flow(
+            flow, self.start_state, times, local_error=solver.local_error
+        )
         for m in check.m_values:
             K = _resolve_K(check, m, self.manifold, flow)
             series = entropy_mod.build_series(self.manifold, snaps, m, K, flow=flow)

@@ -4,9 +4,10 @@ Top-level keys of an experiment file:
 
     manifold:  model, grid, period, potential.{family,params,samples}
     solver:    t0, x0 (default: the origin node), times, local_error
-    checks:    list of {name, m, K, ...}; m is a number or a list of
-               numbers (required by the checks in NEEDS_M); K is a
-               number, "admissible", or "fitted" (flow checks only)
+    checks:    list of {name, m, K, ...}, each name at most once (see
+               CHECKS); m is a number or a list of numbers (required by
+               the checks marked needs_m); K is a number, "admissible",
+               or "fitted" (flow checks only)
     flow:      family, params, horizon (optional section)
     out:       output directory (optional; CLI flag overrides)
 
@@ -18,37 +19,31 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import yaml
 
-CHECK_NAMES = (
-    "curvature",
-    "ball_ratio",
-    "operators_selftest",
-    "mass",
-    "li_yau",
-    "hamilton",
-    "sup_bound",
-    "integrated",
-    "kernel_bounds",
-    "entropy",
-    "tilde_identity",
-    "flow_margin",
-    "flow_entropy",
-)
+class _CheckKind(NamedTuple):
+    subcommand: str  # the CLI subcommand that runs the check
+    needs_m: bool  # loops over its m values and has no default for them
+    needs_flow: bool  # runs on the flow section
 
 
-# checks that loop over their m values and have no default for them
-NEEDS_M = (
-    "li_yau",
-    "hamilton",
-    "sup_bound",
-    "integrated",
-    "kernel_bounds",
-    "entropy",
-    "flow_margin",
-    "flow_entropy",
-)
+CHECKS = {
+    "curvature": _CheckKind("curvature", needs_m=False, needs_flow=False),
+    "ball_ratio": _CheckKind("curvature", needs_m=False, needs_flow=False),
+    "operators_selftest": _CheckKind("curvature", needs_m=False, needs_flow=False),
+    "mass": _CheckKind("simulate", needs_m=False, needs_flow=False),
+    "li_yau": _CheckKind("harnack", needs_m=True, needs_flow=False),
+    "hamilton": _CheckKind("harnack", needs_m=True, needs_flow=False),
+    "sup_bound": _CheckKind("harnack", needs_m=True, needs_flow=False),
+    "integrated": _CheckKind("harnack", needs_m=True, needs_flow=False),
+    "kernel_bounds": _CheckKind("harnack", needs_m=True, needs_flow=False),
+    "entropy": _CheckKind("entropy", needs_m=True, needs_flow=False),
+    "tilde_identity": _CheckKind("entropy", needs_m=False, needs_flow=False),
+    "flow_margin": _CheckKind("flow", needs_m=True, needs_flow=True),
+    "flow_entropy": _CheckKind("flow", needs_m=True, needs_flow=True),
+}
 
 
 class ConfigError(ValueError):
@@ -150,8 +145,9 @@ def _parse_node(raw, key):
     return tuple(int(i) for i in items)
 
 
-def _parse_options(item, name):
-    """Check options with their types checked; keys no check reads pass through."""
+def _parse_options(item, name, times):
+    """Check options with their types and the values a check reads
+    checked (pair times against ``times``); keys no check reads pass through."""
     options = {k: v for k, v in item.items() if k not in ("name", "m", "K")}
     where = f"checks.{name}"
     for key in ("count", "nodes"):
@@ -166,11 +162,26 @@ def _parse_options(item, name):
         raise ConfigError(f"{where}.dump_defects must be true or false")
     pairs = options.get("pairs")
     if pairs is not None:
-        if not isinstance(pairs, list) or not all(
+        if not isinstance(pairs, list) or not pairs or not all(
             isinstance(p, list) and len(p) == 2 for p in pairs
         ):
-            raise ConfigError(f"{where}.pairs must be a list of [tau, T] pairs")
-        options["pairs"] = [[_number(t, f"{where}.pairs") for t in p] for p in pairs]
+            raise ConfigError(f"{where}.pairs must be a non-empty list of [tau, T] pairs")
+        pairs = options["pairs"] = [
+            [_number(t, f"{where}.pairs") for t in p] for p in pairs
+        ]
+    if name == "ball_ratio":
+        r, R = options.setdefault("r", 0.5), options.setdefault("R", 1.0)
+        if not 0.0 < r < R:
+            raise ConfigError(f"{where} needs 0 < r < R, got r={r:g}, R={R:g}")
+    if name == "integrated":
+        if pairs is None and len(times) < 2:
+            raise ConfigError(f"{where} needs a pairs option or two solver.times")
+        for tau, T in pairs or []:
+            if not 0.0 < tau < T:
+                raise ConfigError(f"{where}.pairs needs 0 < tau < T, got [{tau:g}, {T:g}]")
+            for t in (tau, T):
+                if t not in times:
+                    raise ConfigError(f"{where}.pairs time {t:g} is not in solver.times")
     return options
 
 
@@ -194,7 +205,7 @@ def _parse_m(raw, check_name):
     for m in m_values:
         if m <= 0 or not math.isfinite(m):
             raise ConfigError(f"checks.{check_name}.m must be positive and finite")
-    if not m_values and check_name in NEEDS_M:
+    if not m_values and CHECKS[check_name].needs_m:
         raise ConfigError(f"checks.{check_name} needs at least one m value")
     clash = _name_clash(m_values)
     if clash:
@@ -252,11 +263,16 @@ def validate_experiment(data, out_override=None, grid_scale=1):
         if not isinstance(item, dict):
             raise ConfigError(f"a check must be a name or a mapping, got {item!r}")
         name = item.get("name")
-        if name not in CHECK_NAMES:
+        if not isinstance(name, str) or name not in CHECKS:
             raise ConfigError(f"unknown check name: {name!r}")
+        if any(c.name == name for c in checks):
+            raise ConfigError(
+                f"check {name!r} is listed twice; its outputs and summary keys "
+                f"carry the check name, so give it one entry"
+            )
         m_values = _parse_m(item.get("m"), name)
         K_mode, K_value = _parse_K(item.get("K"), name)
-        options = _parse_options(item, name)
+        options = _parse_options(item, name, times)
         checks.append(
             CheckSpec(
                 name=name,
@@ -281,8 +297,7 @@ def validate_experiment(data, out_override=None, grid_scale=1):
             f"dump_defects needs times that differ in 6 significant digits"
         )
 
-    needs_flow = {"flow_margin", "flow_entropy"}
-    if flow is None and any(c.name in needs_flow for c in checks):
+    if flow is None and any(CHECKS[c.name].needs_flow for c in checks):
         raise ConfigError("flow checks selected but no flow section given")
     if flow is None and any(c.K_mode == "fitted" for c in checks):
         raise ConfigError("K mode 'fitted' needs a flow section")

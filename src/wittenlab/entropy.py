@@ -28,9 +28,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import M_EQUALS_N_TOL, bakry_emery_tensor
+from .geometry import _m_equals_n, bakry_emery_tensor
 from .heatflow import _state_on
-from .operators import gradient, integrate_mu
+from .operators import integrate_mu
 
 __all__ = [
     "EntropySeries",
@@ -188,27 +188,13 @@ class WDecomposition:
         return self.T1 + self.T2 + self.T3 + self.T4
 
 
-def _m_terms(manifold, m):
-    """Bakry-Emery tensor and grad phi (None when m == n) of the dW/dt
-    split; neither depends on t, so a series computes them once."""
-    n = manifold.dim_n
-    if m < n - M_EQUALS_N_TOL:
-        raise ValueError(f"need m >= n, got m={m}, n={n}")
-    ric = bakry_emery_tensor(manifold, m)
-    grad_phi = None
-    if m - n > M_EQUALS_N_TOL:
-        grad_phi = gradient(manifold, manifold.potential)
-    return ric, grad_phi
-
-
-def _w_decomposition(manifold, state, m, K, scale, rate, m_terms=None):
+def _w_decomposition(manifold, state, m, K, scale, rate):
     """Four terms of dW/dt with norms taken in the metric g = g_base / scale.
 
     The Hessian of log u is completed by c g, whose base components are
     c / scale; the curvature quadratic carries rate + K in front of g.
-    ``m_terms`` is :func:`_m_terms` of (manifold, m) when the caller has it.
     """
-    ric, grad_phi = _m_terms(manifold, m) if m_terms is None else m_terms
+    ric = bakry_emery_tensor(manifold, m)
     n = manifold.dim_n
     t = state.t
     if t <= 0.0:
@@ -229,13 +215,12 @@ def _w_decomposition(manifold, state, m, K, scale, rate, m_terms=None):
     ) * scale * np.einsum("a...,a...->...", G, G)
     T2 = -2.0 * t * integrate_mu(manifold, quad * u)
 
-    if grad_phi is not None:
-        align = scale * np.einsum("a...,a...->...", grad_phi, G) - (m - n) * (
-            1.0 + K * t
-        ) / (2.0 * t)
-        T3 = -(2.0 * t / (m - n)) * integrate_mu(manifold, align * align * u)
-    else:
+    if _m_equals_n(manifold, m):
         T3 = 0.0  # bakry_emery_tensor has checked that phi is constant
+    else:
+        drift = np.einsum("a...,a...->...", manifold.potential_gradient, G)
+        align = scale * drift - (m - n) * (1.0 + K * t) / (2.0 * t)
+        T3 = -(2.0 * t / (m - n)) * integrate_mu(manifold, align * align * u)
 
     T4 = monotonicity_bound(t, m, K)
     return WDecomposition(T1=float(T1), T2=float(T2), T3=float(T3), T4=float(T4))
@@ -290,7 +275,6 @@ def build_series(manifold, snapshots, m, K, flow=None):
     """
     if len(snapshots) < 2:
         raise ValueError("need at least two snapshots")
-    m_terms = _m_terms(manifold, m)
     times = np.array([s.t for s in snapshots])
     H = np.empty_like(times)
     dH = np.empty_like(times)
@@ -310,7 +294,7 @@ def build_series(manifold, snapshots, m, K, flow=None):
         H_mK[i], W[i] = vals["H_mK"], vals["W_mK"]
         Phi[i] = phi_mK(s.t, m, K)
         d2H[i] = _entropy_second_derivative(manifold, s, scale, rate)
-        dec = _w_decomposition(manifold, s, m, K, scale, rate, m_terms)
+        dec = _w_decomposition(manifold, s, m, K, scale, rate)
         T[:, i] = (dec.T1, dec.T2, dec.T3, dec.T4)
     dW_num = np.gradient(W, times)
     formula = T.sum(axis=0)

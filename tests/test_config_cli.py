@@ -7,8 +7,8 @@ import os
 import pytest
 import yaml
 
-from wittenlab.cli import bundled_config_path, main
-from wittenlab.config import ConfigError, load_config, validate_experiment
+from wittenlab.cli import _Runner, bundled_config_path, main
+from wittenlab.config import CHECKS, ConfigError, load_config, validate_experiment
 
 
 BASE = {
@@ -117,6 +117,41 @@ TORUS_32 = {"model": "flat_torus_2d", "grid": [32, 32], "potential": {"family": 
             ),
             id="dumped_times_with_one_file_name",
         ),
+        pytest.param(
+            lambda d: d.update(checks=[{"name": "hamilton", "m": [2], "K": 5.0},
+                                       {"name": "hamilton", "m": [2], "K": 0.0}]),
+            id="check_listed_twice",
+        ),
+        pytest.param(
+            lambda d: d.update(checks=[{"name": "integrated", "m": [2], "K": 0.0,
+                                        "pairs": [[0.15, 0.3]]}]),
+            id="integrated_pair_time_not_in_times",
+        ),
+        pytest.param(
+            lambda d: d.update(checks=[{"name": "integrated", "m": [2], "K": 0.0,
+                                        "pairs": [[0.3, 0.1]]}]),
+            id="integrated_pair_tau_after_T",
+        ),
+        pytest.param(
+            lambda d: d.update(checks=[{"name": "integrated", "m": [2], "K": 0.0,
+                                        "pairs": []}]),
+            id="integrated_empty_pairs",
+        ),
+        pytest.param(
+            lambda d: (
+                d["solver"].update(times=[0.1]),
+                d.update(checks=[{"name": "integrated", "m": [2], "K": 0.0}]),
+            ),
+            id="integrated_without_pairs_with_one_snapshot",
+        ),
+        pytest.param(
+            lambda d: d.update(checks=[{"name": "ball_ratio", "r": 2.0, "R": 1.0}]),
+            id="ball_ratio_r_not_below_R",
+        ),
+        pytest.param(
+            lambda d: d.update(checks=[{"name": "ball_ratio", "R": 10.0}]),
+            id="ball_ratio_R_beyond_injectivity_scale",
+        ),
     ],
 )
 def test_invalid_input_exits_2_without_traceback(tmp_path, capsys, mutate):
@@ -126,6 +161,11 @@ def test_invalid_input_exits_2_without_traceback(tmp_path, capsys, mutate):
     assert main(["all", "--config", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_every_check_has_one_handler():
+    handlers = {name[len("check_"):] for name in dir(_Runner) if name.startswith("check_")}
+    assert handlers == set(CHECKS)
 
 
 def test_missing_x0_starts_at_the_origin(tmp_path):

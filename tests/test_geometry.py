@@ -13,7 +13,11 @@ from wittenlab import (
     geodesic_distance,
     ricci_bakry_emery,
 )
+from wittenlab.entropy import w_derivative_decomposition
 from wittenlab.geometry import bakry_emery_tensor
+from wittenlab.harnack import hamilton_harnack_defect
+from wittenlab.heatflow import kernel_state
+from wittenlab.operators import gradient, hessian
 
 
 def bessel_i0(a, terms=60):
@@ -196,16 +200,52 @@ def test_determinism():
 
 
 def test_derived_data_is_cached_and_read_only():
-    M = flat_torus((32, 48), potential={"family": "cosine", "params": {"a": 0.5}})
+    # non-separable, so the off-diagonal Hessian of phi is nonzero
+    shape = (32, 48)
+    x, y = np.meshgrid(
+        *(np.arange(n) * (2.0 * np.pi / n) for n in shape), indexing="ij"
+    )
+    phi = 0.5 * np.cos(x) + 0.3 * np.sin(y) + 0.2 * np.cos(x + y)
+    M = flat_torus(shape, potential={"family": "samples", "samples": phi.tolist()})
     assert M.density is M.density
     assert M.sqrt_density is M.sqrt_density
     assert M._derivative_symbols is M._derivative_symbols
     assert M._rfftn_wavenumber_square is M._rfftn_wavenumber_square
+    assert M.potential_gradient is M.potential_gradient
+    assert M.potential_hessian is M.potential_hessian
     assert np.array_equal(M.density, np.exp(-M.potential))
     assert np.array_equal(M.sqrt_density, np.exp(-0.5 * M.potential))
+    assert np.array_equal(M.potential_gradient, gradient(M, M.potential))
+    assert np.array_equal(M.potential_hessian, hessian(M, M.potential))
+    assert np.abs(M.potential_hessian[0, 1]).max() > 0.1
     arrays = [M.density, M.sqrt_density, M._rfftn_wavenumber_square]
     arrays += [sym for axis in M._derivative_symbols for sym in axis]
+    arrays += [M.potential_gradient, M.potential_hessian]
     for a in arrays:
         assert not a.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         M.density[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        M.potential_hessian[0, 1, 0, 0] = 1.0
+
+
+M_BELOW_N_CHECKS = {
+    "bakry_emery_tensor": lambda M, s, m: bakry_emery_tensor(M, m),
+    "w_derivative_decomposition": lambda M, s, m: w_derivative_decomposition(M, s, m, 0.0),
+    "hamilton_harnack_defect": lambda M, s, m: hamilton_harnack_defect(M, s, m, 0.0),
+    "ball_volume_ratio_check": lambda M, s, m: ball_volume_ratio_check(
+        M, m, 0.0, (0, 0), 0.5, 1.0
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(M_BELOW_N_CHECKS))
+def test_m_below_n_rejected_alike_and_m_equal_n_accepted(name):
+    """One m test: the same message below n, and m == n on a constant potential."""
+    M = flat_torus(32)
+    state = kernel_state(M, (3, 5), 0.1)
+    check = M_BELOW_N_CHECKS[name]
+    with pytest.raises(ValueError) as info:
+        check(M, state, 1.5)
+    assert str(info.value) == "dimension parameter m=1.5 below topological dimension n=2"
+    check(M, state, 2.0)
