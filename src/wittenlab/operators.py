@@ -137,8 +137,12 @@ def mu_inner(manifold, f, g):
 def gamma2(manifold, f):
     """Iterated carre-du-champ |hess f|^2 + (Ric + hess phi)(grad f, grad f)."""
     f = _check_field(manifold, f)
-    H = hessian(manifold, f)
-    G = gradient(manifold, f)
+    G = _gradient(manifold, f)
+    return _gamma2(manifold, G, _hessian(manifold, f, G))
+
+
+def _gamma2(manifold, G, H):
+    """Gamma2 of a field from its gradient G and Hessian H; no transforms."""
     return np.einsum("ab...,ab...->...", H, H) + np.einsum(
         "ab...,a...,b...->...", manifold.potential_hessian, G, G
     )
@@ -152,7 +156,7 @@ def bochner_residual(manifold, f):
     fields up to spectral truncation.
     """
     f = _check_field(manifold, f)
-    G = gradient(manifold, f)
+    G = _gradient(manifold, f)
     sq = np.einsum("a...,a...->...", G, G)
     Lf = witten_laplacian(manifold, f)
     grad_Lf = gradient(manifold, Lf)
@@ -160,7 +164,7 @@ def bochner_residual(manifold, f):
     return (
         witten_laplacian(manifold, sq)
         - 2.0 * term_cross
-        - 2.0 * (gamma2(manifold, f))
+        - 2.0 * _gamma2(manifold, G, _hessian(manifold, f, G))
     )
 
 

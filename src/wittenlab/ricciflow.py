@@ -11,9 +11,10 @@ The margin field of the super-flow condition lives here.  The heat flow
 of the time-dependent operator is the base heat flow under the time
 change tau(t) = integral of e^{-2 lam} (:meth:`FlowSpec.base_time`), so
 :func:`evolve_heat_on_flow` is :func:`wittenlab.heatflow.evolve` at the
-times tau, with no stepping of its own; constant potentials propagate
-exactly.  The flow W-entropy, its dW/dt decomposition and the entropy
-dissipation identities are adapters over the entropy core of
+times tau, with no stepping of its own; constant potentials and
+separable potentials on the torus propagate exactly.  The flow
+W-entropy, its dW/dt decomposition and the entropy dissipation
+identities are adapters over the entropy core of
 :mod:`wittenlab.entropy`, called with scale = e^{-2 lam(t)} and
 rate = lam'(t) on the base manifold.
 """
@@ -234,8 +235,9 @@ def evolve_heat_on_flow(flow, state, times, local_error=1e-8, manifest=None):
     under the time change tau(t) = state.t + base_time(state.t, t): the
     snapshots are :func:`wittenlab.heatflow.evolve` on ``flow.base`` at
     the times tau, relabeled with the flow times.  Constant potentials
-    thus propagate exactly, other potentials by the adaptive stepping of
-    ``evolve``.  Rows collected in ``manifest`` are on the base clock.
+    and separable potentials on the torus thus propagate exactly, other
+    potentials by the adaptive stepping of ``evolve``.  Rows collected
+    in ``manifest`` are on the base clock.
     """
     times = [float(t) for t in times]
     if times and times[-1] > flow.horizon + 1e-12:

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -41,3 +43,18 @@ def circle_cos_03():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def fft_calls(monkeypatch):
+    """Counter of ``numpy.fft`` transform calls, by function name."""
+    counts = collections.Counter()
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+        original = getattr(np.fft, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return counts

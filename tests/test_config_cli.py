@@ -3,10 +3,14 @@
 import copy
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import wittenlab
 from wittenlab.cli import _Runner, bundled_config_path, main
 from wittenlab.config import CHECKS, ConfigError, load_config, validate_experiment
 
@@ -290,6 +294,23 @@ def test_byte_identical_outputs(tmp_path):
         a = open(os.path.join(outs[0], fname), "rb").read()
         b = open(os.path.join(outs[1], fname), "rb").read()
         assert a == b, fname
+
+
+def test_bundled_torus_run_does_not_import_scipy_linalg(tmp_path):
+    # importing scipy.linalg alone adds megabytes of resident memory; the
+    # exact torus propagator is built with numpy's eigh
+    code = (
+        "import sys\n"
+        "from wittenlab.cli import main\n"
+        f"code = main(['all', '--config', 'torus_hamilton', '--out', {str(tmp_path)!r}])\n"
+        "print(code, 'scipy.linalg' in sys.modules)\n"
+    )
+    src = str(Path(wittenlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.split()[-2:] == ["0", "False"]
 
 
 def test_timing_file_beside_an_unchanged_summary(tmp_path):

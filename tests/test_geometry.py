@@ -249,3 +249,23 @@ def test_m_below_n_rejected_alike_and_m_equal_n_accepted(name):
         check(M, state, 1.5)
     assert str(info.value) == "dimension parameter m=1.5 below topological dimension n=2"
     check(M, state, 2.0)
+
+
+def test_axis_eigensystems_need_a_separable_potential():
+    xs, ys = flat_torus((16, 24)).coordinates()
+    mixed = flat_torus((16, 24), potential={"family": "samples", "samples": np.cos(xs + ys)})
+    assert mixed.axis_eigensystems is None
+    M = flat_torus(
+        (16, 24),
+        potential={"family": "samples", "samples": np.cos(xs) + 0.5 * np.sin(2 * ys)},
+    )
+    systems = M.axis_eigensystems
+    assert M.axis_eigensystems is systems
+    for (left, lam, right), n in zip(systems, M.shape):
+        assert (left.shape, lam.shape, right.shape) == ((n, n - 1), (n - 1,), (n - 1, n))
+        assert not any(a.flags.writeable for a in (left, lam, right))
+        assert lam.max() <= 1e-12 < -lam.min()  # dissipative, constants kept
+        # at tau = 0 the factor is the Nyquist projection
+        v = (-1.0) ** np.arange(n)
+        assert np.abs(left @ right - (np.eye(n) - np.outer(v, v) / n)).max() <= 1e-12
+

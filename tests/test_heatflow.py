@@ -18,7 +18,9 @@ from wittenlab import (
     step,
     uniform_state,
 )
-from wittenlab import heatflow
+from wittenlab import build_manifold, circle, flat_torus, heatflow
+from wittenlab.cli import bundled_config_path
+from wittenlab.config import load_config
 from wittenlab.heatflow import SolverConvergenceError, _helmholtz_solve, grad_log_u
 from wittenlab.kernels import eigen_sum_circle, wrapped_gaussian
 from wittenlab.operators import (
@@ -347,6 +349,107 @@ def test_weighted_model_still_steps(circle_cos):
     assert len(manifest) > len(snaps)
 
 
+def dense_operator(M):
+    """L as a dense matrix on the C-ordered grid, one apply per basis vector."""
+    basis = np.eye(M.density.size)
+    return np.stack(
+        [witten_laplacian(M, e.reshape(M.shape)).ravel() for e in basis], axis=1
+    )
+
+
+def nyquist_projection(M):
+    """P, which zeroes the per-axis Nyquist planes, as a dense matrix."""
+    P = np.ones((1, 1))
+    for n in M.shape:
+        v = (-1.0) ** np.arange(n)
+        P = np.kron(P, np.eye(n) - np.outer(v, v) / n)
+    return P
+
+
+def smooth_state(M, t, max_mode=4):
+    u = 1.0 + 0.2 * random_band_limited(M, np.random.default_rng(5), max_mode=max_mode)
+    return make_state(M, u / M.mu_total, t)
+
+
+def test_separable_torus_propagator_matches_dense_expm(torus_32x48):
+    from scipy.linalg import expm
+
+    M = torus_32x48
+    tau = 0.45
+    P = nyquist_projection(M)
+    exact = expm(tau * (P @ dense_operator(M) @ P)) @ P
+    factors = [(left * np.exp(tau * lam)) @ right for left, lam, right in M.axis_eigensystems]
+    assert np.abs(np.kron(*factors) - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    s0 = smooth_state(M, 0.1)
+    manifest = []
+    (s,) = evolve(M, s0, [0.1 + tau], manifest=manifest)
+    expected = (exact @ s0.u.ravel()).reshape(M.shape)
+    assert np.abs(s.u - expected).max() <= 1e-12 * expected.max()
+    assert manifest == [{"t": 0.1 + tau, "dt": pytest.approx(tau), "error_estimate": 0.0}]
+
+
+def test_circle_factors_match_dense_expm():
+    # circles are still stepped, but their per-axis factors are exact too
+    from scipy.linalg import expm
+
+    M = circle(32, potential={"family": "cosine", "params": {"a": 1.0, "k": 2}})
+    P = nyquist_projection(M)
+    PLP = P @ dense_operator(M) @ P
+    ((left, lam, right),) = M.axis_eigensystems
+    for tau in (0.1, 1.0):
+        exact = expm(tau * PLP) @ P
+        got = (left * np.exp(tau * lam)) @ right
+        assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+def test_separable_torus_agrees_with_crank_nicolson(torus_32x48):
+    # Crank-Nicolson's error at local_error 1e-10 is measured against a
+    # run at 1e-11; the exact snapshots lie within it, closer to the finer run
+    M = torus_32x48
+    s0 = smooth_state(M, 0.0, max_mode=2)
+    times = [0.05, 0.2]
+    exact = evolve(M, s0, times)
+    manifest = []
+    cn = evolve(
+        M, s0, times, local_error=1e-10, scheme="crank_nicolson", manifest=manifest
+    )
+    finer = evolve(M, s0, times, local_error=1e-11, scheme="crank_nicolson")
+    assert len(manifest) > len(times)
+    for a, b, c in zip(exact, cn, finer):
+        measured = np.abs(b.u - c.u).max()
+        assert np.abs(a.u - b.u).max() <= 2.0 * measured
+        assert np.abs(a.u - c.u).max() < np.abs(a.u - b.u).max()
+
+
+def test_bundled_torus_is_propagated_exactly_with_mass_and_positivity():
+    raw = load_config(bundled_config_path("torus_hamilton"))
+    M = build_manifold(raw["manifold"])
+    solver = raw["solver"]
+    s0 = initial_delta(M, tuple(solver["x0"]), t0=solver["t0"])
+    manifest = []
+    snaps = evolve(
+        M, s0, solver["times"], local_error=solver["local_error"], manifest=manifest
+    )
+    assert [r["error_estimate"] for r in manifest] == [0.0] * len(solver["times"])
+    for s in snaps:
+        assert abs(s.mass - s0.mass) <= 1e-10
+        assert s.u.min() > 0.0
+
+
+def test_non_separable_and_forced_torus_runs_still_step(torus_32x48):
+    xs, ys = torus_32x48.coordinates()
+    mixed = flat_torus(
+        (32, 48), potential={"family": "samples", "samples": 0.3 * np.cos(xs + ys)}
+    )
+    assert mixed.axis_eigensystems is None
+    for M, scheme in ((mixed, None), (torus_32x48, "crank_nicolson")):
+        manifest = []
+        evolve(M, initial_delta(M, (0, 0), t0=0.05), [0.06], scheme=scheme, manifest=manifest)
+        assert len(manifest) > 1
+        assert all(r["error_estimate"] > 0.0 for r in manifest)
+
+
 def test_adaptive_evolve_raises_when_step_size_collapses(circle_flat, monkeypatch):
     s0 = uniform_state(circle_flat)
     shift = 1.0 / circle_flat.mu_total
@@ -391,11 +494,7 @@ def test_pcg_names_a_non_finite_residual(circle_cos):
 def test_helmholtz_solve_matches_dense_solve(torus_32x48):
     M = torus_32x48
     size = M.density.size
-    basis = np.eye(size)
-    dense = np.stack(
-        [witten_laplacian(M, basis[j].reshape(M.shape)).ravel() for j in range(size)],
-        axis=1,
-    )
+    dense = dense_operator(M)
     u = 1.0 + 0.5 * random_band_limited(M, np.random.default_rng(5))
     Lu = witten_laplacian(M, u)
     gamma = 0.05
@@ -515,3 +614,19 @@ def test_fields_on_another_manifold_bypass_the_cache(circle_flat, circle_cos):
     assert np.array_equal(grad_log_u(circle_cos, s), expected)
     assert dt_log_u(circle_cos, s) is not rate
     assert np.array_equal(s.dt_log_u, uncached_fields(circle_flat, s)["dt_log_u"])
+
+
+def test_log_u_gamma2_reuses_the_cached_gradient_and_hessian(torus_32x48, fft_calls):
+    M = torus_32x48
+    s = smooth_state(M, 0.0)
+    assert M.potential_hessian is not None  # cached before counting
+    gradient_of_log = s.log_u_gradient
+    fft_calls.clear()
+    assert s.log_u_hessian is not None
+    # two second derivatives and one mixed derivative of the cached gradient
+    assert sum(fft_calls.values()) == 6
+    fft_calls.clear()
+    value = s.log_u_gamma2
+    assert sum(fft_calls.values()) == 0
+    assert s.log_u_gradient is gradient_of_log
+    assert np.array_equal(value, gamma2(M, s.log_u))

@@ -210,3 +210,15 @@ def test_field_validation(circle_flat):
     bad[3] = np.nan
     with pytest.raises(ValueError, match="finite"):
         witten_laplacian(circle_flat, bad)
+
+
+@pytest.mark.parametrize("name,transforms", [("circle_cos", 4), ("torus_32x48", 10)])
+def test_gamma2_takes_the_hessian_from_its_own_gradient(request, rng, fft_calls, name, transforms):
+    # one rfft/irfft pair per axis for the gradient and per axis for the
+    # second derivatives, plus one pair for the mixed derivative on a torus
+    M = request.getfixturevalue(name)
+    f = random_band_limited(M, rng)
+    assert M.potential_hessian is not None  # cached before counting
+    fft_calls.clear()
+    gamma2(M, f)
+    assert sum(fft_calls.values()) == transforms
