@@ -16,6 +16,7 @@ are byte-identical across runs of one configuration.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -29,7 +30,8 @@ from . import entropy as entropy_mod
 from . import harnack as harnack_mod
 from . import reports
 from .config import CHECKS, ConfigError, load_config, validate_experiment
-from .geometry import build_manifold, ricci_bakry_emery, ball_volume_ratio_check
+from .geometry import _as_index, _constant_potential, _m_equals_n
+from .geometry import ball_volume_ratio_check, build_manifold, ricci_bakry_emery
 from .heatflow import evolve, initial_delta
 from .operators import (
     bochner_residual,
@@ -71,14 +73,10 @@ def _node(index, manifold, key):
     """A configured node checked against the grid; the origin if unset."""
     if index is None:
         return (0,) * manifold.dim_n
-    if len(index) != manifold.dim_n:
-        raise ConfigError(
-            f"{key} needs {manifold.dim_n} node index(es) on model "
-            f"{manifold.model}, got {list(index)}"
-        )
-    if not all(0 <= i < n for i, n in zip(index, manifold.shape)):
-        raise ConfigError(f"{key} {list(index)} lies outside the grid {manifold.shape}")
-    return index
+    try:
+        return _as_index(manifold, index)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 class _Runner:
@@ -102,20 +100,41 @@ class _Runner:
         self.x0 = _node(config.solver.x0, self.manifold, "solver.x0")
         n = self.manifold.dim_n
         injectivity = self.manifold.injectivity_scale()
-        for check in config.checks:  # tilde_identity is a closed form, no model
-            if check.name != "tilde_identity" and any(m < n for m in check.m_values):
-                raise ConfigError(f"checks.{check.name}.m is below the dimension {n}")
-            if check.name == "ball_ratio" and check.options["R"] > injectivity + 1e-12:
-                raise ConfigError(
-                    f"checks.ball_ratio.R={check.options['R']:g} exceeds the "
-                    f"injectivity scale {injectivity:g} of the model"
-                )
+        for check in config.checks:
+            # tilde_identity is a closed form, with no model
+            for m in self.m_values(check) if check.name != "tilde_identity" else ():
+                try:
+                    m_equals_n = _m_equals_n(self.manifold, m)
+                except ValueError as exc:
+                    raise ConfigError(f"checks.{check.name}.m: {exc}") from None
+                if m_equals_n and not _constant_potential(self.manifold):
+                    raise ConfigError(
+                        f"checks.{check.name}.m={m:g} equals the dimension {n}, "
+                        f"which needs a constant potential"
+                    )
+            if check.name == "ball_ratio":
+                key = "checks.ball_ratio.center"
+                self.center = _node(check.options.get("center"), self.manifold, key)
+                if check.options["R"] > injectivity + 1e-12:
+                    raise ConfigError(
+                        f"checks.ball_ratio.R={check.options['R']:g} exceeds the "
+                        f"injectivity scale {injectivity:g} of the model"
+                    )
+            nodes = check.options.get("nodes", 4)
+            if check.name == "integrated" and n == 2 and math.isqrt(nodes) ** 2 != nodes:
+                raise ConfigError(f"checks.integrated.nodes={nodes} is not a perfect square")
         self._snapshots = None
         self._manifest = None
         self._heat_flow_s = 0.0
         self._output_s = 0.0
 
     # ------------------------------------------------------------ helpers
+    def m_values(self, check):
+        """The check's m values, or its default when it sets none."""
+        n = self.manifold.dim_n
+        defaults = {"curvature": (n + 1.0,), "ball_ratio": (2.0,), "tilde_identity": (2.0,)}
+        return check.m_values or defaults.get(check.name, ())
+
     def out(self, filename):
         return os.path.join(self.config.out_dir, filename)
 
@@ -156,7 +175,7 @@ class _Runner:
         handler(check)
 
     def check_curvature(self, check):
-        for m in check.m_values or (self.manifold.dim_n + 1.0,):
+        for m in self.m_values(check):
             cf = ricci_bakry_emery(self.manifold, m)
             self.write_csv(
                 f"curvature_m{m:g}.csv", reports.curvature_csv, self.manifold, cf
@@ -170,10 +189,11 @@ class _Runner:
 
     def check_ball_ratio(self, check):
         opts = check.options
-        y = _node(opts.get("center"), self.manifold, "checks.ball_ratio.center")
-        for m in check.m_values or (2.0,):
+        for m in self.m_values(check):
             K = _resolve_K(check, m, self.manifold, self.flow)
-            rep = ball_volume_ratio_check(self.manifold, m, K, y, opts["r"], opts["R"])
+            rep = ball_volume_ratio_check(
+                self.manifold, m, K, self.center, opts["r"], opts["R"]
+            )
             self.record(
                 f"ball_ratio_m{m:g}", rep.ok, ratio=rep.ratio, bound=rep.bound
             )
@@ -249,19 +269,11 @@ class _Runner:
         snaps = self.snapshots()
         opts = check.options
         n_nodes = opts.get("nodes", 4)
-        pairs = opts.get("pairs")
-        if pairs is None:
-            pairs = [[snaps[0].t, snaps[-1].t]]
-        shape = self.manifold.shape
-        sample = []
-        if self.manifold.dim_n == 1:
-            for i in range(n_nodes):
-                sample.append((i * shape[0] // n_nodes,))
-        else:
-            side = max(1, int(round(math.sqrt(n_nodes))))
-            for i in range(side):
-                for j in range(side):
-                    sample.append((i * shape[0] // side, j * shape[1] // side))
+        pairs = opts.get("pairs") or [[snaps[0].t, snaps[-1].t]]
+        # a square of nodes on a torus, where __init__ checks n_nodes is one
+        side = n_nodes if self.manifold.dim_n == 1 else math.isqrt(n_nodes)
+        axes = ([i * n // side for i in range(side)] for n in self.manifold.shape)
+        sample = list(itertools.product(*axes))
         out_reports = []
         all_ok = True
         for m in check.m_values:
@@ -314,7 +326,7 @@ class _Runner:
 
     def check_tilde_identity(self, check):
         worst = 0.0
-        for m in check.m_values or (2.0,):
+        for m in self.m_values(check):
             for K in (0.0, 0.5, 1.0):
                 for t in np.linspace(0.05, 1.2, 10):
                     out = entropy_mod.tilde_w_comparison(m, K, float(t))

@@ -296,21 +296,87 @@ def test_byte_identical_outputs(tmp_path):
         assert a == b, fname
 
 
-def test_bundled_torus_run_does_not_import_scipy_linalg(tmp_path):
-    # importing scipy.linalg alone adds megabytes of resident memory; the
-    # exact torus propagator is built with numpy's eigh
+@pytest.mark.parametrize(
+    "name", ["liyau_circle", "hamilton_cosine", "torus_hamilton", "shrinking_flow"]
+)
+def test_bundled_run_does_not_import_scipy(tmp_path, name):
+    # scipy is a test-only reference: importing scipy.ndimage or scipy.linalg
+    # costs a large share of start-up time and tens of megabytes of memory
     code = (
         "import sys\n"
         "from wittenlab.cli import main\n"
-        f"code = main(['all', '--config', 'torus_hamilton', '--out', {str(tmp_path)!r}])\n"
-        "print(code, 'scipy.linalg' in sys.modules)\n"
+        f"code = main(['all', '--config', {name!r}, '--out', {str(tmp_path)!r}])\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "print(code, loaded)\n"
     )
     src = str(Path(wittenlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout.split()[-2:] == ["0", "False"]
+    assert proc.stdout.split()[-2:] == ["0", "[]"]
+
+
+WEIGHTED_CIRCLE = {
+    "model": "circle",
+    "grid": 64,
+    "potential": {"family": "cosine", "params": {"a": 0.5, "k": 1}},
+}
+WEIGHTED_TORUS = {
+    "model": "flat_torus_2d",
+    "grid": [32, 32],
+    "potential": {"family": "cosine", "params": {"a": 0.5, "k": 1}},
+}
+
+
+@pytest.mark.parametrize(
+    "manifold,check",
+    [
+        pytest.param(
+            WEIGHTED_CIRCLE, {"name": "hamilton", "m": [1], "K": "admissible"}, id="hamilton"
+        ),
+        # the default m of ball_ratio, 2, is the torus dimension
+        pytest.param(WEIGHTED_TORUS, {"name": "ball_ratio"}, id="ball_ratio_default_m"),
+    ],
+)
+def test_m_equal_to_n_on_a_weighted_model_exits_2(tmp_path, capsys, manifold, check):
+    data = {**BASE, "manifold": manifold, "solver": {**BASE["solver"], "x0": None}}
+    data["checks"] = [check]
+    path = write_config(tmp_path, data)
+    assert main(["all", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"checks.{check['name']}.m=" in err and "needs a constant potential" in err
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 5])
+def test_integrated_nodes_on_a_torus_must_be_a_square(tmp_path, capsys, nodes):
+    data = {**BASE, "manifold": TORUS_32, "solver": {**BASE["solver"], "x0": None}}
+    data["checks"] = [{"name": "integrated", "m": [3], "K": 0.0, "nodes": nodes}]
+    path = write_config(tmp_path, data)
+    assert main(["harnack", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"checks.integrated.nodes={nodes} is not a perfect square" in capsys.readouterr().err
+    data["checks"][0]["nodes"] = 9
+    path = write_config(tmp_path, data)
+    assert main(["harnack", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "harnack_integrated.csv") as handle:
+        assert sum(1 for line in handle if line[0].isdigit()) == 9 * 9
+
+
+@pytest.mark.parametrize(
+    "solver_x0,center,message",
+    [
+        (-1, None, "solver.x0: node [-1] lies outside the grid (64,)"),
+        (0, [64], "checks.ball_ratio.center: node [64] lies outside the grid (64,)"),
+        (0, [0, 0], "checks.ball_ratio.center: node [0, 0] needs 1 index(es) on model"),
+    ],
+)
+def test_configured_nodes_outside_the_grid_exit_2(tmp_path, capsys, solver_x0, center, message):
+    data = {**BASE, "solver": {**BASE["solver"], "x0": solver_x0}}
+    data["checks"] = [{"name": "mass"}, {"name": "ball_ratio", "center": center}]
+    path = write_config(tmp_path, data)
+    assert main(["all", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before any check runs
 
 
 def test_timing_file_beside_an_unchanged_summary(tmp_path):

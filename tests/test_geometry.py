@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from wittenlab import (
     ball_volume_ratio_check,
@@ -14,9 +15,9 @@ from wittenlab import (
     ricci_bakry_emery,
 )
 from wittenlab.entropy import w_derivative_decomposition
-from wittenlab.geometry import bakry_emery_tensor
-from wittenlab.harnack import hamilton_harnack_defect
-from wittenlab.heatflow import kernel_state
+from wittenlab.geometry import _ball_measures, _disk_weights, bakry_emery_tensor
+from wittenlab.harnack import hamilton_harnack_defect, integrated_harnack_check
+from wittenlab.heatflow import initial_delta, kernel_state
 from wittenlab.operators import gradient, hessian
 
 
@@ -160,8 +161,45 @@ def test_ball_ratio_flat_circle(circle_flat):
 
 def test_ball_ratio_flat_torus_equality(torus_flat):
     rep = ball_volume_ratio_check(torus_flat, 2.0, 0.0, (0, 0), 0.5, 1.0)
-    assert rep.ratio == pytest.approx(4.0, rel=1e-8)
+    assert rep.ratio == pytest.approx(4.0, rel=1e-13)
     assert rep.ok
+
+
+def _gauss_legendre_ball(a, x0, r, dim):
+    """int of exp(-a cos x) over the ball of radius r centred at x = x0:
+    200 Gauss-Legendre nodes in the radius, 1024 trapezoid angles on a disk."""
+    s, w = np.polynomial.legendre.leggauss(200)
+    if dim == 1:
+        return float(np.exp(-a * np.cos(x0 + r * s)) @ w * r)
+    rho, rho_w = 0.5 * r * (s + 1.0), 0.5 * r * w
+    theta = np.arange(1024) * (2.0 * np.pi / 1024)
+    ring = np.exp(-a * np.cos(x0 + np.multiply.outer(rho, np.cos(theta)))).mean(axis=1)
+    return float(ring @ (2.0 * np.pi * rho * rho_w))
+
+
+@pytest.mark.parametrize("r", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize(
+    "build,n,a,center",
+    [
+        pytest.param(circle, 256, 1.0, (37,), id="circle_256"),
+        pytest.param(flat_torus, 64, 0.5, (11, 5), id="torus_hamilton"),  # the bundled model
+    ],
+)
+def test_ball_measures_are_exact(build, n, a, center, r):
+    M = build(n, potential={"family": "cosine", "params": {"a": a, "k": 1}})
+    (measure,) = _ball_measures(M, center, [r])
+    x0 = M.axis_coordinates(0)[center[0]]
+    assert measure == pytest.approx(_gauss_legendre_ball(a, x0, r, M.dim_n), rel=5e-14)
+
+
+@pytest.mark.parametrize("r", [0.3, 1.0, 2.5])
+def test_disk_weights_match_bessel_j1(torus_cos, r):
+    kx, ky = torus_cos.wavenumbers(0), torus_cos.wavenumbers(1)
+    grid_k = np.sqrt(np.add.outer(kx * kx, ky * ky)).ravel()
+    k = np.concatenate([grid_k, np.linspace(0.0, 300.0, 601) / r])  # |k| r <= 300
+    with np.errstate(invalid="ignore"):
+        reference = np.where(k > 0.0, 2.0 * np.pi * r * special.j1(k * r) / k, np.pi * r * r)
+    assert np.abs(_disk_weights(k, r) - reference).max() <= 1e-13 * np.pi * r * r
 
 
 def test_ball_ratio_cosine_under_hypothesis(circle_cos):
@@ -269,3 +307,31 @@ def test_axis_eigensystems_need_a_separable_potential():
         v = (-1.0) ** np.arange(n)
         assert np.abs(left @ right - (np.eye(n) - np.outer(v, v) / n)).max() <= 1e-12
 
+
+NODE_TAKERS = {
+    "geodesic_distance": lambda M, node: geodesic_distance(M, node),
+    "kernel_state": lambda M, node: kernel_state(M, node, 0.1),
+    "initial_delta": lambda M, node: initial_delta(M, node, t0=0.1),
+    "ball_volume_ratio_check": lambda M, node: ball_volume_ratio_check(
+        M, 2.0, 0.0, node, 0.5, 1.0
+    ),
+    "integrated_harnack_check": lambda M, node: integrated_harnack_check(
+        [kernel_state(M, 0, 0.1), kernel_state(M, 0, 0.3)], 0, node, 0.1, 0.3, 2.0, 0.0
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "node,message",
+    [
+        (-1, r"node \[-1\] lies outside the grid \(64,\)"),  # no silent wrap-around
+        (64, r"node \[64\] lies outside the grid \(64,\)"),
+        ((3, 5), r"node \[3, 5\] needs 1 index\(es\) on model circle"),
+    ],
+)
+@pytest.mark.parametrize("name", sorted(NODE_TAKERS))
+def test_nodes_are_checked_against_the_grid(name, node, message):
+    M = circle(64)
+    with pytest.raises(ValueError, match=message):
+        NODE_TAKERS[name](M, node)
+    NODE_TAKERS[name](M, 63)
