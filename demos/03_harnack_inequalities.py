@@ -16,7 +16,7 @@ print(__doc__)
 # images, hence is nonnegative; its minimum sits on the diagonal.
 M = wl.circle(256)
 s = wl.kernel_state(M, (0,), 1e-3)
-rep = wl.li_yau_defect(M, s, 1.0)
+rep = wl.li_yau_defect(s, 1.0)
 print(f"sharp-constant defect at t=1e-3: min = {rep.min_defect:.3e} "
       f"(scale 1/(2t) = {1 / 2e-3:.0f}) -> near-equality")
 
@@ -26,9 +26,9 @@ m = 3.0
 K = wl.ricci_bakry_emery(Mc, m).admissible_K
 print(f"\ncosine circle, m={m}: admissible K = {K:.6f}")
 s0 = wl.initial_delta(Mc, 0, t0=0.05)
-snaps = wl.evolve(Mc, s0, [0.1, 0.5, 1.0, 2.0])
+snaps = wl.evolve(s0, [0.1, 0.5, 1.0, 2.0])
 for s in snaps:
-    rep = wl.hamilton_harnack_defect(Mc, s, m, K)
+    rep = wl.hamilton_harnack_defect(s, m, K)
     print(f"  t = {s.t:4.1f}: min defect = {rep.min_defect:10.4f}  ok = {rep.ok}")
 
 # Integrated two-point bound: u(x, tau)/u(y, T) against the explicit
@@ -39,13 +39,13 @@ print(f"\nintegrated bound x=0, y=antipode: lhs = {rep.lhs:.4f} <= rhs = {rep.rh
 # Sup-normalized bound for bounded solutions, plus its looser (K + 1/t)
 # variant, which dominates node-wise.
 A = max(float(x.u.max()) for x in snaps) * (1 + 1e-12)
-rep = wl.sup_bound_defect(Mc, snaps[1], m, 1.0, A)
+rep = wl.sup_bound_defect(snaps[1], m, 1.0, A)
 variant = rep.extra["defect_variant"]
 print(f"\nsup-normalized defect at t=0.5: min = {rep.min_defect:.4f}, "
       f"variant-minus-main >= {float((variant - rep.defect).min()):.3e} node-wise")
 
 # Kernel runs obey two-sided bounds on d/dt log u; the upper-shape
 # constant is a stable diagnostic under grid refinement.
-rep = wl.kernel_dt_log_bounds(Mc, snaps, m, K)
+rep = wl.kernel_dt_log_bounds(snaps, m, K)
 print(f"\nkernel d/dt log u: min margin above the lower bound = {rep.min_margin:.3f}, "
       f"fitted upper-shape constant = {rep.fitted_upper_constant:.4f}")

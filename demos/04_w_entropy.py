@@ -21,8 +21,8 @@ K = wl.ricci_bakry_emery(Mc, m).admissible_K
 print(f"cosine circle, m = {m}, admissible K = {K:.6f}\n")
 
 s0 = wl.initial_delta(Mc, 0, t0=0.05)
-snaps = wl.evolve(Mc, s0, [0.1, 0.3, 0.6, 1.0, 2.0])
-series = wl.build_series(Mc, snaps, m, K)
+snaps = wl.evolve(s0, [0.1, 0.3, 0.6, 1.0, 2.0])
+series = wl.build_series(snaps, m, K)
 
 print("   t        H        dH/dt      W_mK     dW/dt(formula)   bound")
 for i, t in enumerate(series.times):
@@ -41,7 +41,7 @@ print("term signs: T1 <= 0:", bool(np.all(series.T1 <= 0)),
 # wrapped Gaussian and W vanishes up to image terms.
 M = wl.circle(1024)
 s = wl.kernel_state(M, (0,), 1e-3)
-w0 = wl.w_entropy(M, s, 1.0, 0.0)["W_mK"]
+w0 = wl.w_entropy(s, 1.0, 0.0)["W_mK"]
 print(f"\nflat-circle kernel at t=1e-3: W = {w0:.2e} (Gaussian rigidity)")
 
 # The two W-entropy normalizations differ by the closed form d/dt(t Psi).

@@ -35,7 +35,7 @@ for t in (0.0, 1.0, 2.0):
 # Heat flow of the time-dependent operator and W-entropy monotonicity.
 s0 = wl.initial_delta(Mc, 0, t0=0.05)
 snaps = wl.evolve_heat_on_flow(flow, s0, [0.1, 0.5, 1.0, 1.8])
-series = wl.build_series(Mc, snaps, m, K, flow=flow)
+series = wl.build_series(snaps, m, K, flow=flow)
 print("\n   t     W_mK      dW/dt(formula)   decay bound")
 for i, t in enumerate(series.times):
     print(

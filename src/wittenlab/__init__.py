@@ -29,9 +29,7 @@ from .heatflow import (
     HeatState,
     PositivityError,
     SolverConvergenceError,
-    dt_log_u,
     evolve,
-    grad_log_u,
     initial_delta,
     kernel_state,
     make_state,

@@ -155,7 +155,6 @@ class _Runner:
             solver = self.config.solver
             self._manifest = []
             self._snapshots = evolve(
-                self.manifold,
                 self.start_state,
                 solver.times,
                 local_error=solver.local_error,
@@ -226,7 +225,7 @@ class _Runner:
         snaps = self.snapshots()
         drift = max(abs(s.mass - 1.0) for s in snaps)
         ok = drift <= 1e-10
-        self.write_csv("snapshots.csv", reports.snapshots_csv, self.manifold, snaps)
+        self.write_csv("snapshots.csv", reports.snapshots_csv, snaps)
         self.write_csv("evolution_manifest.csv", reports.manifest_csv, self._manifest)
         self.record("mass_conservation", ok, max_drift=drift, snapshots=len(snaps))
 
@@ -240,11 +239,11 @@ class _Runner:
             K = _resolve_K(check, m, self.manifold, self.flow)
             for s in snaps:
                 if fn_name == "li_yau":
-                    rep = harnack_mod.li_yau_defect(self.manifold, s, m)
+                    rep = harnack_mod.li_yau_defect(s, m)
                 elif fn_name == "hamilton":
-                    rep = harnack_mod.hamilton_harnack_defect(self.manifold, s, m, K)
+                    rep = harnack_mod.hamilton_harnack_defect(s, m, K)
                 else:
-                    rep = harnack_mod.sup_bound_defect(self.manifold, s, m, K, A)
+                    rep = harnack_mod.sup_bound_defect(s, m, K, A)
                 out_reports.append(rep)
                 all_ok = all_ok and rep.ok
                 if dump_fields:
@@ -294,7 +293,7 @@ class _Runner:
         all_ok = True
         for m in check.m_values:
             K = _resolve_K(check, m, self.manifold, self.flow)
-            rep = harnack_mod.kernel_dt_log_bounds(self.manifold, snaps, m, K)
+            rep = harnack_mod.kernel_dt_log_bounds(snaps, m, K)
             all_ok = all_ok and rep.ok
             self.record(
                 f"kernel_bounds_m{m:g}",
@@ -309,7 +308,7 @@ class _Runner:
         snaps = self.snapshots()
         for m in check.m_values:
             K = _resolve_K(check, m, self.manifold, self.flow)
-            series = entropy_mod.build_series(self.manifold, snaps, m, K)
+            series = entropy_mod.build_series(snaps, m, K)
             ok = entropy_mod.w_monotonicity_check(series)
             dH_ok = bool(np.all(series.dH_dt >= -1e-12))
             self.write_csv(
@@ -366,7 +365,7 @@ class _Runner:
         )
         for m in check.m_values:
             K = _resolve_K(check, m, self.manifold, flow)
-            series = entropy_mod.build_series(self.manifold, snaps, m, K, flow=flow)
+            series = entropy_mod.build_series(snaps, m, K, flow=flow)
             margins = [
                 r.min_value
                 for r in super_ricci_flow_margins(flow, m, K, [s.t for s in snaps])

@@ -222,14 +222,15 @@ def validate_experiment(data, out_override=None, grid_scale=1):
     if "manifold" not in data:
         raise ConfigError("missing section: manifold")
     manifold = _mapping(data, "manifold")
-    if grid_scale != 1:
-        grid = manifold.get("grid")
-        if isinstance(grid, int):
-            manifold["grid"] = grid * grid_scale
-        elif isinstance(grid, (list, tuple)):
-            manifold["grid"] = [g * grid_scale for g in grid]
-        else:
-            raise ConfigError("manifold.grid must be an int or a list")
+    grid = manifold.get("grid")
+    if _is_integer(grid):
+        manifold["grid"] = grid * grid_scale
+    elif isinstance(grid, (list, tuple)) and all(_is_integer(g) for g in grid):
+        manifold["grid"] = [g * grid_scale for g in grid]
+    else:
+        raise ConfigError(
+            f"manifold.grid must be an integer or a list of integers, got {grid!r}"
+        )
 
     solver_raw = _mapping(data, "solver")
     t0 = _number(solver_raw.get("t0", 0.05), "solver.t0")

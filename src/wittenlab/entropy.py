@@ -13,12 +13,14 @@ The additive constant of Phi_mK is fixed so that K = 0 reproduces the
 classical normalization (m/2)(log(4 pi t) + 1); reports carry this
 convention explicitly.
 
-One private core evaluates these functionals on a fixed metric and along
-the space-constant conformal flows of :mod:`wittenlab.ricciflow`.  Along
-such a flow L(t) = scale * L_base with scale = e^{-2 lam(t)}, and the
-curvature term (1/2) dg/dt adds rate = lam'(t) times the metric; the
-Bakry-Emery tensor of the base does not depend on t.  A fixed metric is
-scale = 1, rate = 0, and the public functions below are that case.
+Each functional takes heat-flow states and reads their manifold and
+cached fields.  One private core evaluates them on a fixed metric and
+along the space-constant conformal flows of :mod:`wittenlab.ricciflow`,
+on states of the flow's base.  Along such a flow L(t) = scale * L_base
+with scale = e^{-2 lam(t)}, and the curvature term (1/2) dg/dt adds
+rate = lam'(t) times the metric; the Bakry-Emery tensor of the base does
+not depend on t.  A fixed metric is scale = 1, rate = 0, and the public
+functions below are that case.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .geometry import _m_equals_n, bakry_emery_tensor
-from .heatflow import _state_on
 from .operators import integrate_mu
 
 __all__ = [
@@ -48,9 +49,12 @@ __all__ = [
     "monotonicity_bound",
 ]
 
+SERIES_RTOL = 1e-17  # remainder bound of the normalization series
+MONOTONICITY_SLACK_REL = 1e-9
 
-def _exp_series(x, rtol=1e-17):
-    """sum_{j>=1} x^j / (j * j!) with a remainder bound below rtol.
+
+def _exp_series(x):
+    """sum_{j>=1} x^j / (j * j!) with a remainder bound below ``SERIES_RTOL``.
 
     All terms are nonnegative for x >= 0, so plain accumulation is
     accurate; termination requires both a small next term and j > x so
@@ -66,7 +70,7 @@ def _exp_series(x, rtol=1e-17):
         term *= x / j
         add = term / j
         s += add
-        if j > x and add <= rtol * (1.0 + s):
+        if j > x and add <= SERIES_RTOL * (1.0 + s):
             break
         if j > 10000:
             raise RuntimeError("entropy normalization series failed to converge")
@@ -104,49 +108,48 @@ def monotonicity_bound(t, m, K):
     )
 
 
-def _entropy_H(manifold, state, scale):
-    H, dH = _state_on(manifold, state).entropy_pair
+def _entropy_H(state, scale):
+    H, dH = state.entropy_pair
     return H, scale * dH
 
 
-def entropy_H(manifold, state):
+def entropy_H(state):
     """Boltzmann entropy and its dissipation rate.
 
     Returns (H, dH_dt) with H = -int u log u dmu and
     dH_dt = int |grad log u|^2 u dmu, both by grid quadrature.
     """
-    return _entropy_H(manifold, state, 1.0)
+    return _entropy_H(state, 1.0)
 
 
-def _entropy_second_derivative(manifold, state, scale, rate):
-    fields = _state_on(manifold, state)
-    G = fields.log_u_gradient
-    quad = scale * scale * fields.log_u_gamma2 + rate * scale * np.einsum(
+def _entropy_second_derivative(state, scale, rate):
+    G = state.log_u_gradient
+    quad = scale * scale * state.log_u_gamma2 + rate * scale * np.einsum(
         "a...,a...->...", G, G
     )
-    return -2.0 * integrate_mu(manifold, quad * state.u)
+    return -2.0 * integrate_mu(state.manifold, quad * state.u)
 
 
-def entropy_second_derivative(manifold, state):
+def entropy_second_derivative(state):
     """-2 int Gamma2(grad log u, grad log u) u dmu."""
-    return _entropy_second_derivative(manifold, state, 1.0, 0.0)
+    return _entropy_second_derivative(state, 1.0, 0.0)
 
 
-def _w_entropy(manifold, state, m, K, scale):
+def _w_entropy(state, m, K, scale):
     t = state.t
-    H, dH = _entropy_H(manifold, state, scale)
+    H, dH = _entropy_H(state, scale)
     H_mK = H - phi_mK(t, m, K)
     W_mK = H_mK + t * (dH - phi_mK_prime(t, m, K))
     return {"H": H, "dH_dt": dH, "H_mK": H_mK, "W_mK": W_mK}
 
 
-def w_entropy(manifold, state, m, K):
+def w_entropy(state, m, K):
     """Corrected entropy H_mK and the W-entropy at the state's time.
 
     W is computed by the product rule, W = H_mK + t (dH/dt - Phi'),
     with the dissipation-rate quadrature supplying dH/dt.
     """
-    return _w_entropy(manifold, state, m, K, 1.0)
+    return _w_entropy(state, m, K, 1.0)
 
 
 def _tilde_normalization(t, m, K):
@@ -159,10 +162,10 @@ def _tilde_normalization_prime(t, m, K):
     return 0.5 * m / t + 0.5 * m * K * (1.0 + K * t / 3.0)
 
 
-def tilde_w_entropy(manifold, state, m, K):
+def tilde_w_entropy(state, m, K):
     """W-entropy under the polynomial-in-t normalization (the older form)."""
     t = state.t
-    H, dH = entropy_H(manifold, state)
+    H, dH = entropy_H(state)
     H_t = H - _tilde_normalization(t, m, K)
     W_t = H_t + t * (dH - _tilde_normalization_prime(t, m, K))
     return {"H": H, "dH_dt": dH, "H_tilde": H_t, "W_tilde": W_t}
@@ -188,21 +191,21 @@ class WDecomposition:
         return self.T1 + self.T2 + self.T3 + self.T4
 
 
-def _w_decomposition(manifold, state, m, K, scale, rate):
+def _w_decomposition(state, m, K, scale, rate):
     """Four terms of dW/dt with norms taken in the metric g = g_base / scale.
 
     The Hessian of log u is completed by c g, whose base components are
     c / scale; the curvature quadratic carries rate + K in front of g.
     """
+    manifold = state.manifold
     ric = bakry_emery_tensor(manifold, m)
     n = manifold.dim_n
     t = state.t
     if t <= 0.0:
         raise ValueError("state time must be positive")
     u = state.u
-    fields = _state_on(manifold, state)
-    H = fields.log_u_hessian
-    G = fields.log_u_gradient
+    H = state.log_u_hessian
+    G = state.log_u_gradient
     c = 0.5 * K + 0.5 / t
 
     completed = H + (c / scale) * np.eye(n).reshape((n, n) + (1,) * n)
@@ -226,9 +229,9 @@ def _w_decomposition(manifold, state, m, K, scale, rate):
     return WDecomposition(T1=float(T1), T2=float(T2), T3=float(T3), T4=float(T4))
 
 
-def w_derivative_decomposition(manifold, state, m, K):
+def w_derivative_decomposition(state, m, K):
     """Evaluate the four terms of the dW/dt identity at a state."""
-    return _w_decomposition(manifold, state, m, K, 1.0, 0.0)
+    return _w_decomposition(state, m, K, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -260,10 +263,10 @@ class EntropySeries:
                 value.setflags(write=False)
 
 
-def build_series(manifold, snapshots, m, K, flow=None):
+def build_series(snapshots, m, K, flow=None):
     """Assemble an :class:`EntropySeries` from heat-flow snapshots.
 
-    With ``flow`` (a conformal flow over ``manifold``, such as
+    With ``flow`` (a conformal flow over the snapshots' manifold, such as
     :func:`wittenlab.ricciflow.make_flow` returns) every functional is
     taken in the flow metric at the snapshot's time; a static flow gives
     the fixed-metric series.
@@ -289,12 +292,12 @@ def build_series(manifold, snapshots, m, K, flow=None):
             if flow is None
             else (flow.operator_scale(s.t), flow.log_factor_rate(s.t))
         )
-        vals = _w_entropy(manifold, s, m, K, scale)
+        vals = _w_entropy(s, m, K, scale)
         H[i], dH[i] = vals["H"], vals["dH_dt"]
         H_mK[i], W[i] = vals["H_mK"], vals["W_mK"]
         Phi[i] = phi_mK(s.t, m, K)
-        d2H[i] = _entropy_second_derivative(manifold, s, scale, rate)
-        dec = _w_decomposition(manifold, s, m, K, scale, rate)
+        d2H[i] = _entropy_second_derivative(s, scale, rate)
+        dec = _w_decomposition(s, m, K, scale, rate)
         T[:, i] = (dec.T1, dec.T2, dec.T3, dec.T4)
     dW_num = np.gradient(W, times)
     formula = T.sum(axis=0)
@@ -320,9 +323,9 @@ def build_series(manifold, snapshots, m, K, flow=None):
     )
 
 
-def w_monotonicity_check(series, slack_rel=1e-9):
+def w_monotonicity_check(series):
     """dW/dt (from the decomposition) <= bound + slack at every snapshot."""
-    slack = slack_rel * (1.0 + np.abs(series.monotonicity_bound))
+    slack = MONOTONICITY_SLACK_REL * (1.0 + np.abs(series.monotonicity_bound))
     return bool(np.all(series.dW_dt_formula <= series.monotonicity_bound + slack))
 
 

@@ -20,6 +20,7 @@ of the inequality checks built on top.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,6 +44,9 @@ MIN_GRID = 16
 # m values closer to n than this are treated as m == n, where the
 # rank-one term is only defined for constant potentials.
 M_EQUALS_N_TOL = 1e-12
+
+BALL_RATIO_TOL = 1e-6
+_DISK_BLOCK_ELEMENTS = 1 << 18  # 2 MB of doubles per block of the _disk_weights table
 
 
 @dataclass(frozen=True)
@@ -235,6 +239,10 @@ def _potential_from_spec(model, shape, coords, spec):
         raise ValueError("potential and its params must be mappings")
     family = spec.get("family", "zero")
     params = spec.get("params", {}) or {}
+    for key in ("k", "l"):
+        value = params.get(key, 1)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"potential parameter {key} must be an integer, got {value!r}")
     if family == "zero":
         return np.zeros(shape)
     if family == "cosine":
@@ -527,11 +535,17 @@ def _disk_weights(k, r):
     """``int_{|s| < r} exp(i k.s) ds = 2 pi r J1(|k| r) / |k|`` for each |k| in
     ``k``: ``r^2 int_0^{2 pi} cos(|k| r cos a) sin^2 a da``, whose integrand is
     periodic and analytic, by the trapezoid rule on ``2 ceil(max |k| r) + 64``
-    nodes, which gives it to rounding."""
+    nodes, which gives it to rounding.  The cosine table is filled in blocks
+    of |k| rows."""
     nodes = 2 * math.ceil(float(np.max(k)) * r) + 64
     a = np.arange(nodes) * (2.0 * np.pi / nodes)
     rule = np.sin(a) ** 2 * (2.0 * np.pi * r * r / nodes)
-    return np.cos(np.multiply.outer(k * r, np.cos(a))) @ rule
+    kr, cos_a = k * r, np.cos(a)
+    rows = max(1, _DISK_BLOCK_ELEMENTS // nodes)
+    return np.concatenate([
+        np.cos(np.multiply.outer(kr[i:i + rows], cos_a)) @ rule
+        for i in range(0, kr.size, rows)
+    ])
 
 
 def _ball_measures(manifold, y, radii):
@@ -551,7 +565,7 @@ def _ball_measures(manifold, y, radii):
     return [float(centred @ _disk_weights(k, r)[inverse]) for r in radii]
 
 
-def ball_volume_ratio_check(manifold, m, K, y, r, R, tol=1e-6):
+def ball_volume_ratio_check(manifold, m, K, y, r, R):
     """Weighted volume-doubling check against the comparison bound.
 
     The ratio mu(B(y, R)) / mu(B(y, r)) of exact ball measures (see
@@ -577,6 +591,6 @@ def ball_volume_ratio_check(manifold, m, K, y, r, R, tol=1e-6):
         K=float(K),
         ratio=float(ratio),
         bound=float(bound),
-        tol=float(tol),
-        ok=bool(ratio <= bound * (1.0 + tol)),
+        tol=BALL_RATIO_TOL,
+        ok=bool(ratio <= bound * (1.0 + BALL_RATIO_TOL)),
     )

@@ -1,9 +1,10 @@
 """Pointwise differential Harnack inequalities as defect fields.
 
-Every check reports the defect RHS - LHS per node, so nonnegative
-defect certifies the inequality on the grid.  Tolerances are relative to
-the natural scale of each inequality (its constant term), since defects
-grow like 1/t for small times.
+Every check takes heat-flow states, reads their manifold and cached
+``dt_log_u`` and ``grad_log_u``, and reports the defect RHS - LHS per
+node, so nonnegative defect certifies the inequality on the grid.
+Tolerances are relative to the natural scale of each inequality (its
+constant term), since defects grow like 1/t for small times.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import _as_index, _m_equals_n, geodesic_distance
-from .heatflow import dt_log_u, grad_log_u
 
 __all__ = [
     "HarnackReport",
@@ -26,6 +26,8 @@ __all__ = [
     "sup_bound_defect",
     "kernel_dt_log_bounds",
 ]
+
+KERNEL_BOUND_TOL_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,8 @@ def _validate_mk(manifold, m, K, t=None):
         raise ValueError("state time must be positive")
 
 
-def _sq_grad_log(manifold, state):
-    g = grad_log_u(manifold, state)
+def _sq_grad_log(state):
+    g = state.grad_log_u
     return np.einsum("a...,a...->...", g, g)
 
 
@@ -101,7 +103,7 @@ def _report(inequality, state, m, K, defect, tol, extra=None):
     )
 
 
-def hamilton_harnack_defect(manifold, state, m, K, tol_rel=1e-6):
+def hamilton_harnack_defect(state, m, K, tol_rel=1e-6):
     """Defect of the dimension-full gradient bound with curvature factor.
 
     defect = (m/2t) e^{4Kt} + e^{2Kt} (Lu/u) - |grad u / u|^2, which is
@@ -109,17 +111,15 @@ def hamilton_harnack_defect(manifold, state, m, K, tol_rel=1e-6):
     bounded below by -K.
     """
     t = state.t
-    _validate_mk(manifold, m, K, t)
+    _validate_mk(state.manifold, m, K, t)
     rhs_const = (m / (2.0 * t)) * math.exp(4.0 * K * t)
-    defect = rhs_const + math.exp(2.0 * K * t) * dt_log_u(manifold, state) - _sq_grad_log(
-        manifold, state
-    )
+    defect = rhs_const + math.exp(2.0 * K * t) * state.dt_log_u - _sq_grad_log(state)
     return _report("hamilton", state, m, K, defect, tol_rel * rhs_const)
 
 
-def li_yau_defect(manifold, state, m, tol_rel=1e-6):
+def li_yau_defect(state, m):
     """Sharp-constant gradient bound; the K = 0 case of the Hamilton defect."""
-    report = hamilton_harnack_defect(manifold, state, m, 0.0, tol_rel=tol_rel)
+    report = hamilton_harnack_defect(state, m, 0.0)
     return replace(report, inequality="li_yau")
 
 
@@ -167,7 +167,7 @@ def integrated_harnack_check(snapshots, x, y, tau, T, m, K, tol=1e-6):
     )
 
 
-def sup_bound_defect(manifold, state, m, K, A, tol_rel=1e-6):
+def sup_bound_defect(state, m, K, A, tol_rel=1e-6):
     """Sup-normalized bound on (Lu/u + |grad u/u|^2) for bounded solutions.
 
     The main defect uses the prefactor K/(1 - e^{-Kt}); the report also
@@ -175,7 +175,7 @@ def sup_bound_defect(manifold, state, m, K, A, tol_rel=1e-6):
     1/(1 - e^{-x}) <= 1 + 1/x.  ``A`` must dominate max(u) over the run.
     """
     t = state.t
-    _validate_mk(manifold, m, K, t)
+    _validate_mk(state.manifold, m, K, t)
     umax = float(state.u.max())
     if A < umax:
         raise ValueError(f"A={A} is below max u = {umax}; log(A/u) must be nonnegative")
@@ -184,7 +184,7 @@ def sup_bound_defect(manifold, state, m, K, A, tol_rel=1e-6):
     else:
         prefactor = K / (-math.expm1(-K * t))
     bracket = m + 4.0 * np.log(A / state.u)
-    lhs = dt_log_u(manifold, state) + _sq_grad_log(manifold, state)
+    lhs = state.dt_log_u + _sq_grad_log(state)
     defect = prefactor * bracket - lhs
     variant = (K + 1.0 / t) * bracket - lhs
     return _report(
@@ -193,7 +193,7 @@ def sup_bound_defect(manifold, state, m, K, A, tol_rel=1e-6):
     )
 
 
-def kernel_dt_log_bounds(manifold, snapshots, m, K, tol_rel=1e-9):
+def kernel_dt_log_bounds(snapshots, m, K):
     """Lower bound -(m/2t) e^{2Kt} on d/dt log u for kernel runs.
 
     Also fits the smallest constant C with
@@ -201,9 +201,10 @@ def kernel_dt_log_bounds(manifold, snapshots, m, K, tol_rel=1e-9):
     constant is a shape diagnostic whose stability under grid refinement
     is checked by the callers, not an asserted bound.
     """
-    _validate_mk(manifold, m, K)
     if not snapshots:
         raise ValueError("no snapshots given")
+    manifold = snapshots[0].manifold
+    _validate_mk(manifold, m, K)
     src = snapshots[0].kernel
     if src is None:
         raise ValueError("snapshots must come from a kernel-initialized run")
@@ -216,10 +217,10 @@ def kernel_dt_log_bounds(manifold, snapshots, m, K, tol_rel=1e-9):
         t = s.t
         times.append(t)
         lower = -(m / (2.0 * t)) * math.exp(2.0 * K * t)
-        rate = dt_log_u(manifold, s)
+        rate = s.dt_log_u
         margin = float((rate - lower).min())
         min_margin = min(min_margin, margin)
-        if margin < -tol_rel * abs(lower):
+        if margin < -KERNEL_BOUND_TOL_REL * abs(lower):
             ok = False
         shape = (1.0 + 1.0 / math.sqrt(t) + dist / t) ** 2
         fitted = max(fitted, float((rate / shape).max()))

@@ -78,8 +78,6 @@ __all__ = [
     "kernel_state",
     "step",
     "evolve",
-    "dt_log_u",
-    "grad_log_u",
 ]
 
 CG_TOL = 1e-13
@@ -128,12 +126,14 @@ class KernelInfo:
 class HeatState:
     """Positive density sampled on the grid at a fixed time.
 
-    The fields that the Harnack and entropy checks derive from ``u`` are
-    computed on first use, on ``manifold``, and cached on the instance as
-    read-only arrays, so every check and every dimension parameter m of
-    a snapshot shares one evaluation:
+    Every function of a state reads the manifold from ``manifold``.  The
+    fields that the Harnack and entropy checks derive from ``u`` are
+    computed on first use and cached on the instance as read-only
+    arrays, so every check and every dimension parameter m of a snapshot
+    shares one evaluation:
 
-    * ``dt_log_u`` and ``grad_log_u`` (see the functions of those names);
+    * ``dt_log_u`` = Lu/u and ``grad_log_u``, of shape (n, *grid), from
+      the closed form for analytic kernels, accurate in the far tail;
     * ``log_u`` and its spectral ``log_u_gradient``, ``log_u_hessian``
       and ``log_u_gamma2``;
     * ``entropy_pair``, the Boltzmann entropy and its dissipation rate
@@ -153,20 +153,24 @@ class HeatState:
     def __post_init__(self):
         self.u.setflags(write=False)
 
-    @property
-    def _analytic(self):
-        return self.kernel is not None and self.kernel.analytic
+    def _kernel_profiles(self, fn):
+        """Per axis, ``fn`` of the closed-form kernel; None unless analytic."""
+        if self.kernel is not None and self.kernel.analytic:
+            return _axis_profiles(self.manifold, self.kernel.x0, fn, self.t)
+        return None
 
     @cached_property
     def dt_log_u(self):
-        if self._analytic:
-            return _read_only(_analytic_dt_log(self.manifold, self))
+        parts = self._kernel_profiles(kernels.wrapped_gaussian_log_dt)
+        if parts is not None:
+            return _read_only(sum(parts, np.zeros(self.manifold.shape)))
         return _read_only(witten_laplacian(self.manifold, self.u) / self.u)
 
     @cached_property
     def grad_log_u(self):
-        if self._analytic:
-            return _read_only(_analytic_grad_log(self.manifold, self))
+        parts = self._kernel_profiles(kernels.wrapped_gaussian_log_dx)
+        if parts is not None:
+            return _read_only(np.stack(np.broadcast_arrays(*parts)))
         return _read_only(gradient(self.manifold, self.u) / self.u)
 
     @cached_property
@@ -191,17 +195,6 @@ class HeatState:
         g = self.grad_log_u
         dH = integrate_mu(self.manifold, np.einsum("a...,a...->...", g, g) * self.u)
         return H, dH
-
-
-def _state_on(manifold, state):
-    """``state`` if it lives on ``manifold``, else a copy of it on ``manifold``.
-
-    The public ``(manifold, state)`` functions take the derived fields of
-    the result: the state's own cache, or for another manifold fields
-    computed on that manifold by a throwaway copy, which leaves the
-    state's cache untouched.
-    """
-    return state if manifold is state.manifold else replace(state, manifold=manifold)
 
 
 def _argmin_node(manifold, u):
@@ -263,16 +256,17 @@ def _accept(manifold, u, t, mass, kernel, where, remedy=_STEP_REMEDY):
     return make_state(manifold, u, t, kernel=kernel)
 
 
-def _helmholtz_solve(manifold, gamma, b, x0, Lx0=None, tol=CG_TOL):
+def _helmholtz_solve(manifold, gamma, b, x0, Lx0=None):
     """Solve (I - gamma L) u = b by preconditioned conjugate gradients.
 
     The system is conjugated by exp(-phi/2) to a symmetric one and
     preconditioned with the constant-potential inverse (I + gamma |k|^2)^-1
     applied on the real-FFT half spectrum.  ``Lx0`` is L x0 when the
     caller has it; the initial residual is then built from it without an
-    apply.  Raises :class:`SolverConvergenceError` on a non-finite
-    residual, on a search direction with p.Ap <= 0 (the system is not
-    positive definite) and after ``CG_MAXITER`` iterations.
+    apply.  The residual target is ``CG_TOL`` relative to b.  Raises
+    :class:`SolverConvergenceError` on a non-finite residual, on a search
+    direction with p.Ap <= 0 (the system is not positive definite) and
+    after ``CG_MAXITER`` iterations.
     """
     s_half = manifold.sqrt_density
     pre = 1.0 / (1.0 + gamma * manifold._rfftn_wavenumber_square)
@@ -297,7 +291,7 @@ def _helmholtz_solve(manifold, gamma, b, x0, Lx0=None, tol=CG_TOL):
     rz = float(np.vdot(r, z).real)
     for it in range(CG_MAXITER):
         rnorm = float(np.linalg.norm(r))
-        if rnorm <= tol * bnorm:
+        if rnorm <= CG_TOL * bnorm:
             return v / s_half
         if not (math.isfinite(rnorm) and math.isfinite(rz)):
             raise SolverConvergenceError(
@@ -319,7 +313,7 @@ def _helmholtz_solve(manifold, gamma, b, x0, Lx0=None, tol=CG_TOL):
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise SolverConvergenceError(
-        f"conjugate gradients missed residual {tol:g} within {CG_MAXITER} iterations"
+        f"conjugate gradients missed residual {CG_TOL:g} within {CG_MAXITER} iterations"
     )
 
 
@@ -343,7 +337,7 @@ def _advance(manifold, u, dt, scheme, Lu=None):
     return dealias_nyquist(manifold, out)
 
 
-def step(manifold, state, dt, scheme="crank_nicolson"):
+def step(state, dt, scheme="crank_nicolson"):
     """Advance a state by dt with exact mass bookkeeping.
 
     The scheme conserves mass in exact arithmetic; the leftover solver
@@ -352,9 +346,9 @@ def step(manifold, state, dt, scheme="crank_nicolson"):
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    u = _advance(manifold, state.u, dt, scheme)
+    u = _advance(state.manifold, state.u, dt, scheme)
     return _accept(
-        manifold, u, state.t + dt, state.mass, state.kernel,
+        state.manifold, u, state.t + dt, state.mass, state.kernel,
         where=f"step to t={state.t + dt:.6g}",
     )
 
@@ -371,7 +365,7 @@ def _snapshot_times(state, times):
     return times
 
 
-def _adaptive_evolve(manifold, state, times, scheme, local_error, manifest):
+def _adaptive_evolve(state, times, scheme, local_error, manifest):
     """Step-doubling loop of implicit ``scheme`` steps up to each time.
 
     Raises :class:`SolverConvergenceError` when the step size falls to
@@ -381,6 +375,7 @@ def _adaptive_evolve(manifold, state, times, scheme, local_error, manifest):
     if not times:
         return []
 
+    manifold = state.manifold
     out = []
     current = state
     Lu = None  # L current.u, shared by every attempt from the current state
@@ -420,8 +415,9 @@ def _adaptive_evolve(manifold, state, times, scheme, local_error, manifest):
     return out
 
 
-def evolve(manifold, state, times, local_error=1e-8, scheme=None, manifest=None):
-    """Snapshots of the heat flow at the requested times.
+def evolve(state, times, local_error=1e-8, scheme=None, manifest=None):
+    """Snapshots of the heat flow from ``state`` on its manifold at the
+    requested times.
 
     With ``scheme=None``, a constant potential and a 2-D torus with an
     additively separable potential are propagated exactly (see
@@ -446,11 +442,11 @@ def evolve(manifold, state, times, local_error=1e-8, scheme=None, manifest=None)
     :func:`wittenlab.ricciflow.evolve_heat_on_flow`).
     """
     if scheme is None:
-        propagate = _exact_propagator(manifold, state.u)
+        propagate = _exact_propagator(state.manifold, state.u)
         if propagate is not None:
-            return _exact_evolve(manifold, state, times, propagate, manifest)
+            return _exact_evolve(state, times, propagate, manifest)
         scheme = "crank_nicolson"
-    return _adaptive_evolve(manifold, state, times, scheme, local_error, manifest)
+    return _adaptive_evolve(state, times, scheme, local_error, manifest)
 
 
 def _exact_propagator(manifold, u):
@@ -482,7 +478,7 @@ def _exact_propagator(manifold, u):
     return propagate
 
 
-def _exact_evolve(manifold, state, times, propagate, manifest):
+def _exact_evolve(state, times, propagate, manifest):
     """Snapshots by an exact propagator ``tau -> u(state.t + tau)``.
 
     Each snapshot comes straight from the start state; its manifest row
@@ -493,6 +489,7 @@ def _exact_evolve(manifold, state, times, propagate, manifest):
     the error names that time.
     """
     times = _snapshot_times(state, times)
+    manifold = state.manifold
     h2 = max(manifold.spacings) ** 2
     remedy = (
         f"the start state at t={state.t:.6g} (solver.t0) is below the squared "
@@ -590,35 +587,3 @@ def initial_delta(manifold, x0, t0=None):
         u = u + (1.0 - integrate_mu(manifold, u)) / manifold.mu_total
         u = _clamp_rounding_negatives(manifold, u, where="delta warm-up")
     return make_state(manifold, u, t0, kernel=KernelInfo(x0=x0, analytic=False))
-
-
-def dt_log_u(manifold, state):
-    """Time derivative of log u, computed through the equation as Lu/u.
-
-    Analytic kernel states use the closed form, which stays accurate in
-    the far tail where the sampled values sit at the representability
-    floor.  The result is read-only and cached on the state (see
-    :class:`HeatState`); a manifold other than ``state.manifold`` gets
-    it computed on that manifold, uncached.
-    """
-    return _state_on(manifold, state).dt_log_u
-
-
-def grad_log_u(manifold, state):
-    """Gradient of log u, shape (n, *grid); closed form for analytic kernels.
-
-    Read-only and cached on the state, like :func:`dt_log_u`.
-    """
-    return _state_on(manifold, state).grad_log_u
-
-
-def _analytic_dt_log(manifold, state):
-    x0 = state.kernel.x0
-    parts = _axis_profiles(manifold, x0, kernels.wrapped_gaussian_log_dt, state.t)
-    return sum(parts, np.zeros(manifold.shape))
-
-
-def _analytic_grad_log(manifold, state):
-    x0 = state.kernel.x0
-    parts = _axis_profiles(manifold, x0, kernels.wrapped_gaussian_log_dx, state.t)
-    return np.stack(np.broadcast_arrays(*parts))

@@ -24,6 +24,8 @@ __all__ = [
 # whose true magnitude underflows double precision.
 TINY = np.finfo(float).tiny
 
+EIGEN_TRUNCATE = 1e-16  # eigen_sum_circle drops modes with exp(-lam t) below it
+
 
 def _image_displacements(theta, t, L):
     """Displacements theta - j*L over enough images for full precision."""
@@ -68,8 +70,8 @@ def wrapped_gaussian_log_dt(theta, t, L):
     return -0.5 / t + (w * d * d).sum(axis=-1) / (4.0 * t * t)
 
 
-def eigen_sum_circle(theta, t, L, truncate=1e-16):
-    """Circle kernel by Fourier eigen-expansion, modes cut below ``truncate``.
+def eigen_sum_circle(theta, t, L):
+    """Circle kernel by Fourier eigen-expansion, modes cut below ``EIGEN_TRUNCATE``.
 
     Independent of the image-sum route; used as an oracle against it.
     """
@@ -82,7 +84,7 @@ def eigen_sum_circle(theta, t, L, truncate=1e-16):
         k += 1
         lam = (2.0 * math.pi * k / L) ** 2
         amp = math.exp(-lam * t)
-        if amp < truncate:
+        if amp < EIGEN_TRUNCATE:
             break
         out = out + 2.0 * amp * np.cos(2.0 * math.pi * k * theta / L)
         if k > 100000:

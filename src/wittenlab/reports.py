@@ -147,7 +147,11 @@ def field_csv(manifold, values, name="value"):
     return _node_table("field", manifold, name, values)
 
 
-def snapshots_csv(manifold, snapshots):
+def snapshots_csv(snapshots):
+    """One row (t, node_index, coordinates..., u) per node of each snapshot."""
+    if not snapshots:
+        raise ValueError("no snapshots given")
+    manifold = snapshots[0].manifold
     cols = ["t", "node_index", *_coord_names(manifold), "u"]
     prefixes = _node_prefixes(manifold)
     blocks = [_header("snapshots", cols)]

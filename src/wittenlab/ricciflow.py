@@ -16,7 +16,7 @@ separable potentials on the torus propagate exactly.  The flow
 W-entropy, its dW/dt decomposition and the entropy dissipation
 identities are adapters over the entropy core of
 :mod:`wittenlab.entropy`, called with scale = e^{-2 lam(t)} and
-rate = lam'(t) on the base manifold.
+rate = lam'(t) on states of the base manifold.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ __all__ = [
     "entropy_dissipation_on_flow",
     "w_entropy_on_flow",
 ]
+
+FLOW_MARGIN_TOL = 1e-10
+FIT_SAMPLES = 33  # times at which fit_super_flow_constant samples the margin
 
 
 @dataclass(frozen=True)
@@ -194,7 +197,7 @@ def _margin_fields(flow, m, K, times):
     ]
 
 
-def super_ricci_flow_margins(flow, m, K, times, tol=1e-10):
+def super_ricci_flow_margins(flow, m, K, times):
     """Margin reports at each of ``times``, on one base curvature."""
     out = []
     for t, field in zip(times, _margin_fields(flow, m, K, times)):
@@ -205,25 +208,24 @@ def super_ricci_flow_margins(flow, m, K, times, tol=1e-10):
             K=float(K),
             min_eigenvalue_field=field,
             min_value=min_value,
-            tol=float(tol),
-            ok=bool(min_value >= -tol),
+            tol=FLOW_MARGIN_TOL,
+            ok=bool(min_value >= -FLOW_MARGIN_TOL),
         ))
     return out
 
 
-def super_ricci_flow_margin(flow, m, K, t, tol=1e-10):
+def super_ricci_flow_margin(flow, m, K, t):
     """Smallest eigenvalue field of (1/2) dg/dt + Ric_mn + K g at time t.
 
     Eigenvalues are taken with respect to g(t).
     """
-    (report,) = super_ricci_flow_margins(flow, m, K, [t], tol)
+    (report,) = super_ricci_flow_margins(flow, m, K, [t])
     return report
 
 
-def fit_super_flow_constant(flow, m, t_samples=None):
+def fit_super_flow_constant(flow, m):
     """Smallest K >= 0 for which the super-flow margin is nonnegative."""
-    if t_samples is None:
-        t_samples = np.linspace(0.0, flow.horizon, 33)
+    t_samples = np.linspace(0.0, flow.horizon, FIT_SAMPLES)
     fields = _margin_fields(flow, m, 0.0, [float(t) for t in t_samples])
     return max(0.0, -min(float(f.min()) for f in fields))
 
@@ -233,8 +235,9 @@ def evolve_heat_on_flow(flow, state, times, local_error=1e-8, manifest=None):
 
     Since the factor is constant in space, this is the base heat flow
     under the time change tau(t) = state.t + base_time(state.t, t): the
-    snapshots are :func:`wittenlab.heatflow.evolve` on ``flow.base`` at
-    the times tau, relabeled with the flow times.  Constant potentials
+    snapshots are :func:`wittenlab.heatflow.evolve` of ``state``, a state
+    on ``flow.base``, at the times tau, relabeled with the flow times.
+    Constant potentials
     and separable potentials on the torus thus propagate exactly, other
     potentials by the adaptive stepping of ``evolve``.  Rows collected
     in ``manifest`` are on the base clock.
@@ -243,13 +246,13 @@ def evolve_heat_on_flow(flow, state, times, local_error=1e-8, manifest=None):
     if times and times[-1] > flow.horizon + 1e-12:
         raise ValueError("snapshot beyond the flow horizon")
     taus = [state.t + flow.base_time(state.t, t) for t in times]
-    snaps = evolve(flow.base, state, taus, local_error=local_error, manifest=manifest)
+    snaps = evolve(state, taus, local_error=local_error, manifest=manifest)
     return [replace(s, t=t) for s, t in zip(snaps, times)]
 
 
 def w_entropy_on_flow(flow, state, m, K):
     """H_mK and W_mK along the flow; gradients taken in g(t)."""
-    return _w_entropy(flow.base, state, m, K, flow.operator_scale(state.t))
+    return _w_entropy(state, m, K, flow.operator_scale(state.t))
 
 
 def w_decomposition_on_flow(flow, state, m, K):
@@ -259,9 +262,7 @@ def w_decomposition_on_flow(flow, state, m, K):
     quadratic uses (1/2) dg/dt + Ric_mn + K g.
     """
     t = state.t
-    return _w_decomposition(
-        flow.base, state, m, K, flow.operator_scale(t), flow.log_factor_rate(t)
-    )
+    return _w_decomposition(state, m, K, flow.operator_scale(t), flow.log_factor_rate(t))
 
 
 def entropy_dissipation_on_flow(flow, snapshots):
@@ -275,13 +276,12 @@ def entropy_dissipation_on_flow(flow, snapshots):
     these quadratures against temporal finite differences of H, which
     shrink at the scheme/spacing order.
     """
-    manifold = flow.base
     rows = []
     H_values = []
     for s in snapshots:
         scale = flow.operator_scale(s.t)
-        H, dH = _entropy_H(manifold, s, scale)
-        d2H = _entropy_second_derivative(manifold, s, scale, flow.log_factor_rate(s.t))
+        H, dH = _entropy_H(s, scale)
+        d2H = _entropy_second_derivative(s, scale, flow.log_factor_rate(s.t))
         H_values.append(H)
         rows.append({"t": s.t, "dH_dt": dH, "d2H_dt2": d2H})
     if len(rows) >= 3:

@@ -99,7 +99,7 @@ def test_criterion_02_self_adjointness_and_mass():
             worst_gap = max(worst_gap, abs(a - b) / max(1.0, abs(a)))
     M = wl.circle(256)
     s = wl.initial_delta(M, 0, t0=1e-3)
-    snaps = wl.evolve(M, s, [0.01, 0.1, 0.5, 1.0, 2.0])
+    snaps = wl.evolve(s, [0.01, 0.1, 0.5, 1.0, 2.0])
     drift = max(abs(x.mass - 1.0) for x in snaps)
     elapsed = time.perf_counter() - t0
     ok = worst_gap <= 1e-10 and drift <= 1e-10
@@ -110,7 +110,7 @@ def test_criterion_03_li_yau_near_equality():
     t0 = time.perf_counter()
     M = wl.circle(256)
     s = wl.kernel_state(M, (0,), 1e-3)
-    rep = wl.li_yau_defect(M, s, 1.0)
+    rep = wl.li_yau_defect(s, 1.0)
     hi = 1e-3 * (1.0 / (2.0 * 1e-3))
     ok = -1e-8 <= rep.min_defect <= hi
     elapsed = time.perf_counter() - t0
@@ -122,11 +122,11 @@ def test_criterion_04_hamilton_soundness_matrix():
     worst_rel = math.inf
     times = [0.05, 0.1, 0.5, 1.0, 2.0]
     for seed, M in enumerate(_matrix()):
-        snaps = wl.evolve(M, well_ranged_state(M, 100 + seed), times)
+        snaps = wl.evolve(well_ranged_state(M, 100 + seed), times)
         for m in _m_values(M):
             K = wl.ricci_bakry_emery(M, m).admissible_K
             for s in snaps:
-                rep = wl.hamilton_harnack_defect(M, s, m, K, tol_rel=1e-6)
+                rep = wl.hamilton_harnack_defect(s, m, K, tol_rel=1e-6)
                 scale = (m / (2 * s.t)) * math.exp(4 * K * s.t)
                 worst_rel = min(worst_rel, rep.min_defect / scale)
                 assert rep.ok, (M.model, m, K, s.t, rep.min_defect)
@@ -150,7 +150,7 @@ def test_criterion_05_integrated_harnack():
     for M, m in configs:
         K = wl.ricci_bakry_emery(M, m).admissible_K
         s = wl.initial_delta(M, 0, t0=0.01)
-        snaps = wl.evolve(M, s, sorted({t for w in windows for t in w}), local_error=1e-10)
+        snaps = wl.evolve(s, sorted({t for w in windows for t in w}), local_error=1e-10)
         nodes = [(i * M.shape[0] // 8,) for i in range(8)]
         for tau, T in windows:
             for x in nodes:
@@ -189,10 +189,10 @@ def test_criterion_06_sup_bound():
             s0 = wl.initial_delta(M, (0,) * M.dim_n, t0=0.05)
         else:
             s0 = well_ranged_state(M, 3)
-        snaps = wl.evolve(M, s0, [0.1, 0.25, 0.5])
+        snaps = wl.evolve(s0, [0.1, 0.25, 0.5])
         A = max(float(s.u.max()) for s in snaps) * (1 + 1e-12)
         for s in snaps:
-            rep = wl.sup_bound_defect(M, s, m, K, A, tol_rel=1e-6)
+            rep = wl.sup_bound_defect(s, m, K, A, tol_rel=1e-6)
             all_ok = all_ok and rep.ok
             scale = (K / -math.expm1(-K * s.t)) * m
             worst_rel = min(worst_rel, rep.min_defect / scale)
@@ -215,14 +215,14 @@ def test_criterion_07_kernel_dt_log_bounds():
     for n in (256, 512):
         M = wl.circle(n)
         s = wl.initial_delta(M, 0, t0=0.1)
-        snaps = wl.evolve(M, s, times)
-        rep = wl.kernel_dt_log_bounds(M, snaps, 2.0, 0.0)
+        snaps = wl.evolve(s, times)
+        rep = wl.kernel_dt_log_bounds(snaps, 2.0, 0.0)
         all_ok = all_ok and rep.ok
         fitted[n] = rep.fitted_upper_constant
     Mc = wl.circle(256, potential={"family": "cosine", "params": {"a": 1.0, "k": 1}})
     K = wl.ricci_bakry_emery(Mc, 3.0).admissible_K
     s = wl.initial_delta(Mc, 0, t0=0.1)
-    rep = wl.kernel_dt_log_bounds(Mc, wl.evolve(Mc, s, times), 3.0, K)
+    rep = wl.kernel_dt_log_bounds(wl.evolve(s, times), 3.0, K)
     all_ok = all_ok and rep.ok
     stability = abs(fitted[512] - fitted[256]) / abs(fitted[256])
     ok = all_ok and stability <= 0.05
@@ -246,21 +246,21 @@ def test_criterion_08_entropy_dissipation():
         return wl.make_state(M, u, t)
 
     tc = 0.5
-    H = {dt: wl.entropy_H(M, mode(tc + dt))[0] for dt in (-d, 0.0, d)}
+    H = {dt: wl.entropy_H(mode(tc + dt))[0] for dt in (-d, 0.0, d)}
     fd1 = (H[d] - H[-d]) / (2 * d)
-    _, dH = wl.entropy_H(M, mode(tc))
+    _, dH = wl.entropy_H(mode(tc))
     err1 = abs(fd1 - dH) / abs(dH)
     fd2 = (H[d] - 2 * H[0.0] + H[-d]) / d**2
-    d2H = wl.entropy_second_derivative(M, mode(tc))
+    d2H = wl.entropy_second_derivative(mode(tc))
     err2 = abs(fd2 - d2H) / abs(d2H)
 
     # solver-evolved states with a potential
     Mc = wl.circle(256, potential={"family": "cosine", "params": {"a": 1.0, "k": 1}})
-    snaps = wl.evolve(Mc, well_ranged_state(Mc, 5), [tc - d, tc, tc + d], local_error=1e-11)
-    Hs = [wl.entropy_H(Mc, s)[0] for s in snaps]
-    _, dHs = wl.entropy_H(Mc, snaps[1])
+    snaps = wl.evolve(well_ranged_state(Mc, 5), [tc - d, tc, tc + d], local_error=1e-11)
+    Hs = [wl.entropy_H(s)[0] for s in snaps]
+    _, dHs = wl.entropy_H(snaps[1])
     err1s = abs((Hs[2] - Hs[0]) / (2 * d) - dHs) / abs(dHs)
-    d2Hs = wl.entropy_second_derivative(Mc, snaps[1])
+    d2Hs = wl.entropy_second_derivative(snaps[1])
     err2s = abs((Hs[2] - 2 * Hs[1] + Hs[0]) / d**2 - d2Hs) / abs(d2Hs)
 
     ok = err1 <= 1e-4 and err2 <= 1e-3 and err1s <= 1e-4 and err2s <= 1e-3
@@ -281,8 +281,8 @@ def test_criterion_09_w_entropy_formula():
     for seed, M in enumerate(_matrix()):
         m = M.dim_n + 2.0
         K = wl.ricci_bakry_emery(M, m).admissible_K
-        snaps = wl.evolve(M, well_ranged_state(M, 200 + seed), targets, local_error=1e-9)
-        series = wl.build_series(M, snaps, m, K)
+        snaps = wl.evolve(well_ranged_state(M, 200 + seed), targets, local_error=1e-9)
+        series = wl.build_series(snaps, m, K)
         idx = [int(np.argmin(np.abs(series.times - t))) for t in centers]
         for i in idx:
             rel = abs(series.residual[i]) / (1.0 + abs(series.dW_dt_formula[i]))
@@ -296,7 +296,7 @@ def test_criterion_09_w_entropy_formula():
     M = wl.circle(256, potential={"family": "cosine", "params": {"a": 1.0, "k": 1}})
     s = well_ranged_state(M, 77, t=0.6)
     m = 3.0
-    dec = wl.w_derivative_decomposition(M, s, m, 0.0)
+    dec = wl.w_derivative_decomposition(s, m, 0.0)
     logu = np.log(s.u)
     Hl = hessian(M, logu)[0, 0]
     G = gradient(M, logu)[0]
@@ -344,7 +344,7 @@ def test_criterion_11_flow_reduction_and_monotonicity():
     # static reduction
     static = wl.make_flow(Mc, "static", horizon=1.0)
     s = well_ranged_state(Mc, 4)
-    base = wl.evolve(Mc, s, [0.2, 0.6])
+    base = wl.evolve(s, [0.2, 0.6])
     on_flow = wl.evolve_heat_on_flow(static, s, [0.2, 0.6])
     reduction_gap = max(
         float(np.abs(a.u - b.u).max()) for a, b in zip(base, on_flow)
@@ -352,7 +352,7 @@ def test_criterion_11_flow_reduction_and_monotonicity():
     s_mid = base[0]
     dec_gap = 0.0
     a = wl.w_decomposition_on_flow(static, s_mid, 3.0, 0.5)
-    b = wl.w_derivative_decomposition(Mc, s_mid, 3.0, 0.5)
+    b = wl.w_derivative_decomposition(s_mid, 3.0, 0.5)
     dec_gap = max(abs(a.T1 - b.T1), abs(a.T2 - b.T2), abs(a.T3 - b.T3), abs(a.T4 - b.T4))
 
     # measure invariance and monotonicity on a shrinking flow at fitted K
@@ -407,7 +407,7 @@ def test_criterion_12_convergence_order_and_grid_stability():
         u = (1.0 + 0.9 * np.cos(x)) / M.mu_total
         s = wl.make_state(M, u, 0.0)
         for _ in range(n_steps):
-            s = wl.step(M, s, T / n_steps)
+            s = wl.step(s, T / n_steps)
         exact = (1.0 + 0.9 * math.exp(-T) * np.cos(x)) / M.mu_total
         return float(np.abs(s.u - exact).max())
 
@@ -425,12 +425,12 @@ def test_criterion_12_convergence_order_and_grid_stability():
             m = 3.0
             K = wl.ricci_bakry_emery(Mn, m).admissible_K
             s0 = wl.initial_delta(Mn, 0, t0=0.05) if a else well_ranged_state(Mn, 9)
-            snaps = wl.evolve(Mn, s0, [0.1, 0.5])
+            snaps = wl.evolve(s0, [0.1, 0.5])
             A = max(float(s.u.max()) for s in snaps) * (1 + 1e-12)
             for s in snaps:
-                out.append(wl.hamilton_harnack_defect(Mn, s, m, K).ok)
-                out.append(wl.sup_bound_defect(Mn, s, m, max(K, 0.1), A).ok)
-            series = wl.build_series(Mn, snaps, m, K)
+                out.append(wl.hamilton_harnack_defect(s, m, K).ok)
+                out.append(wl.sup_bound_defect(s, m, max(K, 0.1), A).ok)
+            series = wl.build_series(snaps, m, K)
             out.append(wl.w_monotonicity_check(series))
             out.append(
                 wl.integrated_harnack_check(snaps, (0,), (n // 2,), 0.1, 0.5, m, K).ok

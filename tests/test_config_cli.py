@@ -274,6 +274,15 @@ def test_grid_scale(tmp_path):
     assert len(rows) == 2 + 128  # comment, header, 64 * 2 nodes
 
 
+@pytest.mark.parametrize("grid", [["16"], "16", [32.7], True])
+def test_grid_sizes_must_be_integers_before_scaling(grid):
+    # a string grid times 2 would be "1616", a float one truncated
+    data = copy.deepcopy(BASE)
+    data["manifold"]["grid"] = grid
+    with pytest.raises(ConfigError, match="manifold.grid must be an integer"):
+        validate_experiment(data, grid_scale=2)
+
+
 def test_byte_identical_outputs(tmp_path):
     data = {
         "manifold": {

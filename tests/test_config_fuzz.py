@@ -117,6 +117,14 @@ def _checks(*checks):
     return _set(["checks"], list(checks))
 
 
+def _grid_of(value):
+    """Every grid size replaced by ``value``, one per axis of the model."""
+    def mutate(data):
+        axes = 2 if data["manifold"]["model"] == "flat_torus_2d" else 1
+        data["manifold"]["grid"] = [value] * axes
+    return mutate
+
+
 def _drop_flow(*checks):
     def mutate(data):
         data.pop("flow", None)
@@ -133,6 +141,13 @@ SCHEMA_VIOLATIONS = {
     "grid_below_minimum": _set(["manifold", "grid"], 8),
     "grid_is_a_string": _set(["manifold", "grid"], "abc"),
     "grid_is_missing": _set(["manifold", "grid"], None),
+    "grid_of_floats": _grid_of(32.7),
+    "grid_of_strings": _grid_of("16"),
+    "grid_of_bools": _grid_of(True),
+    "potential_k_is_a_float": _set(["manifold", "potential"],
+                                   {"family": "cosine", "params": {"a": 0.5, "k": 1.5}}),
+    "potential_l_is_a_float": _set(["manifold", "potential"],
+                                   {"family": "cosine_sine", "params": {"l": 1.5}}),
     "negative_period": _set(["manifold", "period"], -1.0),
     "unknown_potential": _set(["manifold", "potential"], {"family": "nope"}),
     "nan_potential": _set(["manifold", "potential"],

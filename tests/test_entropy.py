@@ -85,20 +85,20 @@ def test_phi_rejects_bad_arguments():
 
 def test_entropy_uniform(circle_cos):
     s = uniform_state(circle_cos, t=1.0)
-    H, dH = entropy_H(circle_cos, s)
+    H, dH = entropy_H(s)
     assert H == pytest.approx(math.log(circle_cos.mu_total), rel=1e-13)
     assert abs(dH) < 1e-12
-    assert abs(entropy_second_derivative(circle_cos, s)) < 1e-12
+    assert abs(entropy_second_derivative(s)) < 1e-12
 
 
 def test_entropy_against_fine_grid_oracle(circle_flat):
     from wittenlab import circle
 
     s = mode_state(circle_flat, 0.0, amplitude=0.5)
-    H, dH = entropy_H(circle_flat, s)
+    H, dH = entropy_H(s)
     fine = circle(4096)
     s_fine = mode_state(fine, 0.0, amplitude=0.5)
-    H_ref, dH_ref = entropy_H(fine, s_fine)
+    H_ref, dH_ref = entropy_H(s_fine)
     assert H == pytest.approx(H_ref, rel=1e-12)
     assert dH == pytest.approx(dH_ref, rel=1e-12)
 
@@ -107,26 +107,26 @@ def test_entropy_production_nonnegative(circle_cos, torus_cos, rng):
     for M in (circle_cos, torus_cos):
         for t in (0.1, 0.7):
             s = positive_test_state(M, rng, t)
-            _, dH = entropy_H(M, s)
+            _, dH = entropy_H(s)
             assert dH >= 0.0
 
 
 def test_entropy_increases_along_flow(circle_cos, rng):
     s0 = positive_test_state(circle_cos, rng)
-    snaps = evolve(circle_cos, s0, [0.1, 0.3, 0.8, 2.0])
-    H_vals = [entropy_H(circle_cos, s)[0] for s in snaps]
+    snaps = evolve(s0, [0.1, 0.3, 0.8, 2.0])
+    H_vals = [entropy_H(s)[0] for s in snaps]
     assert all(b > a for a, b in zip(H_vals, H_vals[1:]))
 
 
 def test_entropy_derivative_matches_finite_difference(circle_flat):
     # exact single-mode states; quadrature versus centered differences
     t0, d = 0.5, 1e-3
-    H = {dt: entropy_H(circle_flat, mode_state(circle_flat, t0 + dt))[0] for dt in (-d, 0.0, d)}
+    H = {dt: entropy_H(mode_state(circle_flat, t0 + dt))[0] for dt in (-d, 0.0, d)}
     fd1 = (H[d] - H[-d]) / (2 * d)
-    _, dH = entropy_H(circle_flat, mode_state(circle_flat, t0))
+    _, dH = entropy_H(mode_state(circle_flat, t0))
     assert abs(fd1 - dH) <= 1e-4 * abs(dH)
     fd2 = (H[d] - 2 * H[0.0] + H[-d]) / d**2
-    d2H = entropy_second_derivative(circle_flat, mode_state(circle_flat, t0))
+    d2H = entropy_second_derivative(mode_state(circle_flat, t0))
     assert abs(fd2 - d2H) <= 1e-3 * abs(d2H)
 
 
@@ -134,7 +134,7 @@ def test_second_derivative_sign_flat(circle_flat, rng):
     # nonnegative curvature of the flat model makes H concave
     for t in (0.2, 1.0):
         s = positive_test_state(circle_flat, rng, t)
-        assert entropy_second_derivative(circle_flat, s) <= 0.0
+        assert entropy_second_derivative(s) <= 0.0
 
 
 # ---------------------------------------------------------------- W entropy
@@ -143,7 +143,7 @@ def test_second_derivative_sign_flat(circle_flat, rng):
 def test_w_uniform_closed_form(circle_cos):
     m, K, t = 3.0, 1.0, 0.8
     s = uniform_state(circle_cos, t=t)
-    out = w_entropy(circle_cos, s, m, K)
+    out = w_entropy(s, m, K)
     expected = math.log(circle_cos.mu_total) - phi_mK(t, m, K) - t * phi_mK_prime(t, m, K)
     assert out["W_mK"] == pytest.approx(expected, rel=1e-12)
 
@@ -153,7 +153,7 @@ def test_w_gaussian_rigidity_small_t():
 
     M = circle(1024)
     s = kernel_state(M, (0,), 1e-3)
-    out = w_entropy(M, s, 1.0, 0.0)
+    out = w_entropy(s, 1.0, 0.0)
     assert abs(out["W_mK"]) < 1e-7
 
 
@@ -163,9 +163,9 @@ def test_corrected_entropy_decreases_under_hypothesis(circle_cos):
     from wittenlab import initial_delta
 
     s = initial_delta(circle_cos, 0, t0=0.05)
-    snaps = evolve(circle_cos, s, [0.1, 0.4, 1.0, 2.0])
+    snaps = evolve(s, [0.1, 0.4, 1.0, 2.0])
     for s in snaps:
-        out = w_entropy(circle_cos, s, m, K)
+        out = w_entropy(s, m, K)
         assert out["dH_dt"] - phi_mK_prime(s.t, m, K) <= 0.0
 
 
@@ -174,7 +174,7 @@ def test_decomposition_uniform_closed_form(circle_flat):
     m, K, t = 3.0, 0.7, 0.9
     n = 1
     s = uniform_state(circle_flat, t=t)
-    dec = w_derivative_decomposition(circle_flat, s, m, K)
+    dec = w_derivative_decomposition(s, m, K)
     assert dec.T1 == pytest.approx(-2 * t * n * (K / 2 + 1 / (2 * t)) ** 2, rel=1e-12)
     assert dec.T2 == pytest.approx(0.0, abs=1e-14)
     assert dec.T3 == pytest.approx(-(m - n) * (1 + K * t) ** 2 / (2 * t), rel=1e-12)
@@ -185,21 +185,21 @@ def test_decomposition_uniform_closed_form(circle_flat):
 
 def test_decomposition_t3_zero_when_m_equals_n(circle_flat, rng):
     s = positive_test_state(circle_flat, rng, t=0.5)
-    dec = w_derivative_decomposition(circle_flat, s, 1.0, 0.3)
+    dec = w_derivative_decomposition(s, 1.0, 0.3)
     assert dec.T3 == 0.0
 
 
 def test_decomposition_rejects_m_equals_n_nonconstant(circle_cos, rng):
     s = positive_test_state(circle_cos, rng, t=0.5)
     with pytest.raises(ValueError, match="constant"):
-        w_derivative_decomposition(circle_cos, s, 1.0, 0.3)
+        w_derivative_decomposition(s, 1.0, 0.3)
 
 
 def test_t1_t3_always_nonpositive(circle_cos, torus_cos, rng):
     for M in (circle_cos, torus_cos):
         for t in (0.1, 0.6):
             s = positive_test_state(M, rng, t)
-            dec = w_derivative_decomposition(M, s, M.dim_n + 2.0, 0.4)
+            dec = w_derivative_decomposition(s, M.dim_n + 2.0, 0.4)
             assert dec.T1 <= 0.0
             assert dec.T3 <= 0.0
 
@@ -209,7 +209,7 @@ def test_t2_nonpositive_under_admissible_K(circle_cos, rng):
     K = ricci_bakry_emery(circle_cos, m).admissible_K
     for t in (0.1, 0.5, 1.5):
         s = positive_test_state(circle_cos, rng, t)
-        dec = w_derivative_decomposition(circle_cos, s, m, K)
+        dec = w_derivative_decomposition(s, m, K)
         assert dec.T2 <= 1e-10
 
 
@@ -217,7 +217,7 @@ def test_decomposition_zero_K_matches_independent_terms(circle_cos, rng):
     """K = 0 reduction equals an independently coded three-term identity."""
     m = 3.0
     s = positive_test_state(circle_cos, rng, t=0.6)
-    dec = w_derivative_decomposition(circle_cos, s, m, 0.0)
+    dec = w_derivative_decomposition(s, m, 0.0)
     assert dec.T4 == 0.0
 
     M, t, u = circle_cos, s.t, s.u
@@ -242,8 +242,8 @@ def test_series_formula_matches_finite_difference(circle_cos, rng):
     d = 1e-3
     centers = [0.1, 0.5]
     times = sorted({t + dt for t in centers for dt in (-d, 0.0, d)})
-    snaps = evolve(circle_cos, s0, times, local_error=1e-11)
-    series = build_series(circle_cos, snaps, m, K)
+    snaps = evolve(s0, times, local_error=1e-11)
+    series = build_series(snaps, m, K)
     for t in centers:
         i = int(np.argmin(np.abs(series.times - t)))
         res = abs(series.residual[i])
@@ -256,8 +256,8 @@ def test_series_monotonicity_under_hypothesis(circle_cos):
     from wittenlab import initial_delta
 
     s = initial_delta(circle_cos, 0, t0=0.05)
-    snaps = evolve(circle_cos, s, [0.05, 0.1, 0.5, 1.0, 2.0])
-    series = build_series(circle_cos, snaps, m, K)
+    snaps = evolve(s, [0.05, 0.1, 0.5, 1.0, 2.0])
+    series = build_series(snaps, m, K)
     assert w_monotonicity_check(series)
     assert np.all(series.T1 <= 0)
     assert np.all(series.T3 <= 0)
@@ -268,7 +268,7 @@ def test_monotonicity_bound_uniform_structure(circle_flat):
     # uniform state: T2 = 0 and dW/dt <= T4 comes from the signs of T1, T3
     m, K, t = 2.5, 0.4, 0.7
     s = uniform_state(circle_flat, t=t)
-    dec = w_derivative_decomposition(circle_flat, s, m, K)
+    dec = w_derivative_decomposition(s, m, K)
     assert dec.T2 == pytest.approx(0.0, abs=1e-14)
     assert dec.dW_dt_formula <= dec.T4
 
@@ -304,9 +304,9 @@ def test_tilde_comparison_lattice():
 def test_tilde_w_dual_path(circle_cos, rng):
     """W-tilde minus W equals d/dt(t Psi), computed two independent ways."""
     m, K = 3.0, 0.8
-    (s,) = evolve(circle_cos, positive_test_state(circle_cos, rng), [0.6])
-    w = w_entropy(circle_cos, s, m, K)["W_mK"]
-    wt = tilde_w_entropy(circle_cos, s, m, K)["W_tilde"]
+    (s,) = evolve(positive_test_state(circle_cos, rng), [0.6])
+    w = w_entropy(s, m, K)["W_mK"]
+    wt = tilde_w_entropy(s, m, K)["W_tilde"]
     offset = tilde_w_comparison(m, K, s.t)["d_dt_tPsi"]
     assert wt - w == pytest.approx(offset, abs=1e-6)
 
@@ -321,11 +321,11 @@ def test_series_on_shared_snapshot_fields_equals_fresh_states(torus_32x48, rng):
     snaps = [positive_test_state(torus_32x48, rng, t=t) for t in (0.2, 0.3, 0.5)]
     for m in (3.0, 4.5):
         K = ricci_bakry_emery(torus_32x48, m).admissible_K
-        shared = build_series(torus_32x48, snaps, m, K)
-        fresh = build_series(torus_32x48, [replace(s) for s in snaps], m, K)
+        shared = build_series(snaps, m, K)
+        fresh = build_series([replace(s) for s in snaps], m, K)
         for name in shared.__dataclass_fields__:
             assert np.array_equal(getattr(shared, name), getattr(fresh, name)), name
         for i, s in enumerate(snaps):
-            dec = w_derivative_decomposition(torus_32x48, replace(s), m, K)
+            dec = w_derivative_decomposition(replace(s), m, K)
             terms = (shared.T1[i], shared.T2[i], shared.T3[i], shared.T4[i])
             assert (dec.T1, dec.T2, dec.T3, dec.T4) == terms

@@ -71,6 +71,16 @@ def test_torus_cosine_sine_measure():
             },
             "shape",
         ),
+        (
+            {"model": "circle", "grid": 64,
+             "potential": {"family": "cosine", "params": {"k": 1.5}}},
+            "parameter k must be an integer",
+        ),
+        (
+            {"model": "flat_torus_2d", "grid": 32,
+             "potential": {"family": "cosine_sine", "params": {"l": "2"}}},
+            "parameter l must be an integer",
+        ),
     ],
 )
 def test_build_rejections(config, message):
@@ -192,10 +202,20 @@ def test_ball_measures_are_exact(build, n, a, center, r):
     assert measure == pytest.approx(_gauss_legendre_ball(a, x0, r, M.dim_n), rel=5e-14)
 
 
-@pytest.mark.parametrize("r", [0.3, 1.0, 2.5])
-def test_disk_weights_match_bessel_j1(torus_cos, r):
-    kx, ky = torus_cos.wavenumbers(0), torus_cos.wavenumbers(1)
-    grid_k = np.sqrt(np.add.outer(kx * kx, ky * ky)).ravel()
+@pytest.mark.parametrize(
+    "n,r",
+    [
+        pytest.param(64, 0.3, id="0.3"),
+        pytest.param(64, 1.0, id="1.0"),
+        pytest.param(64, 2.5, id="2.5"),
+        # 6,801 distinct |k| by 1,152 nodes: the cosine table takes several blocks
+        pytest.param(256, 3.0, id="256x256-3.0"),
+    ],
+)
+def test_disk_weights_match_bessel_j1(n, r):
+    M = flat_torus(n)
+    kx, ky = M.wavenumbers(0), M.wavenumbers(1)
+    grid_k = np.unique(np.sqrt(np.add.outer(kx * kx, ky * ky)))
     k = np.concatenate([grid_k, np.linspace(0.0, 300.0, 601) / r])  # |k| r <= 300
     with np.errstate(invalid="ignore"):
         reference = np.where(k > 0.0, 2.0 * np.pi * r * special.j1(k * r) / k, np.pi * r * r)
@@ -269,8 +289,8 @@ def test_derived_data_is_cached_and_read_only():
 
 M_BELOW_N_CHECKS = {
     "bakry_emery_tensor": lambda M, s, m: bakry_emery_tensor(M, m),
-    "w_derivative_decomposition": lambda M, s, m: w_derivative_decomposition(M, s, m, 0.0),
-    "hamilton_harnack_defect": lambda M, s, m: hamilton_harnack_defect(M, s, m, 0.0),
+    "w_derivative_decomposition": lambda M, s, m: w_derivative_decomposition(s, m, 0.0),
+    "hamilton_harnack_defect": lambda M, s, m: hamilton_harnack_defect(s, m, 0.0),
     "ball_volume_ratio_check": lambda M, s, m: ball_volume_ratio_check(
         M, m, 0.0, (0, 0), 0.5, 1.0
     ),

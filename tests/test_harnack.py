@@ -32,7 +32,7 @@ def positive_test_state(M, rng, t=0.0):
 
 def test_hamilton_defect_stationary(circle_cos):
     s = uniform_state(circle_cos, t=0.5)
-    rep = hamilton_harnack_defect(circle_cos, s, 3.0, 1.0)
+    rep = hamilton_harnack_defect(s, 3.0, 1.0)
     expected = (3.0 / (2 * 0.5)) * math.exp(4 * 1.0 * 0.5)
     assert np.abs(rep.defect - expected).max() < 1e-9
     assert rep.ok
@@ -40,17 +40,17 @@ def test_hamilton_defect_stationary(circle_cos):
 
 def test_hamilton_reduces_to_li_yau_at_zero_K(circle_cos, rng):
     s = positive_test_state(circle_cos, rng, t=0.8)
-    a = hamilton_harnack_defect(circle_cos, s, 2.0, 0.0)
-    b = li_yau_defect(circle_cos, s, 2.0)
+    a = hamilton_harnack_defect(s, 2.0, 0.0)
+    b = li_yau_defect(s, 2.0)
     assert np.array_equal(a.defect, b.defect)
 
 
 def test_rejects_bad_parameters(circle_cos, rng):
     s = positive_test_state(circle_cos, rng, t=0.5)
     with pytest.raises(ValueError):
-        hamilton_harnack_defect(circle_cos, s, 0.5, 0.0)
+        hamilton_harnack_defect(s, 0.5, 0.0)
     with pytest.raises(ValueError):
-        hamilton_harnack_defect(circle_cos, s, 2.0, -1.0)
+        hamilton_harnack_defect(s, 2.0, -1.0)
 
 
 def test_li_yau_kernel_near_equality_small_t():
@@ -63,7 +63,7 @@ def test_li_yau_kernel_near_equality_small_t():
 
     M = circle(256)
     s = kernel_state(M, (0,), 1e-3)
-    rep = li_yau_defect(M, s, 1.0)
+    rep = li_yau_defect(s, 1.0)
     assert rep.min_defect >= -1e-8
     assert rep.min_defect <= 1e-3 / (2 * 1e-3)
     assert rep.ok
@@ -71,11 +71,9 @@ def test_li_yau_kernel_near_equality_small_t():
 
 def test_defect_monotone_in_K_where_rate_nonnegative(circle_cos, rng):
     s = positive_test_state(circle_cos, rng, t=0.4)
-    from wittenlab import dt_log_u
-
-    rate = dt_log_u(circle_cos, s)
-    r1 = hamilton_harnack_defect(circle_cos, s, 2.0, 0.3)
-    r2 = hamilton_harnack_defect(circle_cos, s, 2.0, 0.9)
+    rate = s.dt_log_u
+    r1 = hamilton_harnack_defect(s, 2.0, 0.3)
+    r2 = hamilton_harnack_defect(s, 2.0, 0.9)
     mask = rate >= 0.0
     assert mask.any()
     assert np.all(r2.defect[mask] > r1.defect[mask])
@@ -87,18 +85,18 @@ def test_hamilton_soundness_model_matrix(circle_flat, circle_cos, torus_flat, to
     for M in (circle_flat, circle_cos, torus_flat, torus_cos):
         n = M.dim_n
         s0 = positive_test_state(M, rng)
-        snaps = evolve(M, s0, [0.05, 0.5, 2.0])
+        snaps = evolve(s0, [0.05, 0.5, 2.0])
         for dm in m_offsets:
             m = n + dm
             K = ricci_bakry_emery(M, m).admissible_K
             for s in snaps:
-                rep = hamilton_harnack_defect(M, s, m, K)
+                rep = hamilton_harnack_defect(s, m, K)
                 assert rep.ok, (M.model, m, K, s.t, rep.min_defect)
 
 
 def test_integrated_harnack_diagonal_flat_kernel(circle_flat):
     s = initial_delta(circle_flat, 0, t0=0.01)
-    snaps = evolve(circle_flat, s, [0.01, 0.04], local_error=1e-10)
+    snaps = evolve(s, [0.01, 0.04], local_error=1e-10)
     rep = integrated_harnack_check(snaps, 0, 0, 0.01, 0.04, 1.0, 0.0)
     assert rep.rhs == pytest.approx(2.0, rel=1e-12)  # (T/tau)^{1/2}
     assert rep.lhs == pytest.approx(2.0, rel=1e-2)
@@ -108,7 +106,7 @@ def test_integrated_harnack_diagonal_flat_kernel(circle_flat):
 def test_integrated_harnack_off_diagonal_with_potential(circle_cos):
     K = ricci_bakry_emery(circle_cos, 2.0).admissible_K
     s = initial_delta(circle_cos, 0, t0=0.05)
-    snaps = evolve(circle_cos, s, [0.1, 0.5])
+    snaps = evolve(s, [0.1, 0.5])
     rep = integrated_harnack_check(snaps, 0, 128, 0.1, 0.5, 2.0, K)
     assert rep.distance == pytest.approx(np.pi)
     assert rep.ok
@@ -116,7 +114,7 @@ def test_integrated_harnack_off_diagonal_with_potential(circle_cos):
 
 def test_integrated_harnack_rejects_bad_times(circle_flat):
     s = initial_delta(circle_flat, 0, t0=0.01)
-    snaps = evolve(circle_flat, s, [0.01, 0.04])
+    snaps = evolve(s, [0.01, 0.04])
     with pytest.raises(ValueError):
         integrated_harnack_check(snaps, 0, 0, 0.04, 0.01, 1.0, 0.0)
 
@@ -124,7 +122,7 @@ def test_integrated_harnack_rejects_bad_times(circle_flat):
 def test_integrated_harnack_pair_sweep(circle_cos):
     K = ricci_bakry_emery(circle_cos, 2.0).admissible_K
     s = initial_delta(circle_cos, 0, t0=0.05)
-    snaps = evolve(circle_cos, s, [0.05, 0.2])
+    snaps = evolve(s, [0.05, 0.2])
     nodes = range(0, 256, 32)
     for x in nodes:
         for y in nodes:
@@ -135,7 +133,7 @@ def test_integrated_harnack_pair_sweep(circle_cos):
 def test_sup_bound_stationary(circle_cos):
     s = uniform_state(circle_cos, t=0.5)
     A = float(s.u.max())
-    rep = sup_bound_defect(circle_cos, s, 3.0, 1.0, A)
+    rep = sup_bound_defect(s, 3.0, 1.0, A)
     expected = 1.0 / (1.0 - math.exp(-0.5)) * 3.0
     assert np.abs(rep.defect - expected).max() < 1e-9
     assert rep.ok
@@ -145,38 +143,38 @@ def test_sup_bound_variant_dominates(circle_cos, rng):
     s = positive_test_state(circle_cos, rng, t=0.3)
     A = float(s.u.max()) * (1 + 1e-12)
     for K in (0.2, 1.0, 3.0):
-        rep = sup_bound_defect(circle_cos, s, 3.0, K, A)
+        rep = sup_bound_defect(s, 3.0, K, A)
         assert np.all(rep.extra["defect_variant"] >= rep.defect)
 
 
 def test_sup_bound_prefactor_limit_at_zero_K(circle_cos, rng):
     s = positive_test_state(circle_cos, rng, t=0.3)
     A = float(s.u.max()) * (1 + 1e-12)
-    r0 = sup_bound_defect(circle_cos, s, 3.0, 0.0, A)
-    r_small = sup_bound_defect(circle_cos, s, 3.0, 1e-12, A)
+    r0 = sup_bound_defect(s, 3.0, 0.0, A)
+    r_small = sup_bound_defect(s, 3.0, 1e-12, A)
     assert np.abs(r0.defect - r_small.defect).max() < 1e-6
 
 
 def test_sup_bound_rejects_A_below_max(circle_cos, rng):
     s = positive_test_state(circle_cos, rng, t=0.3)
     with pytest.raises(ValueError, match="A="):
-        sup_bound_defect(circle_cos, s, 3.0, 1.0, 0.5 * float(s.u.max()))
+        sup_bound_defect(s, 3.0, 1.0, 0.5 * float(s.u.max()))
 
 
 def test_sup_bound_kernel_run_under_hypothesis(circle_cos):
     # admissible K for m=3 is exactly 1 on the cosine circle
     s = initial_delta(circle_cos, 0, t0=0.05)
-    snaps = evolve(circle_cos, s, [0.1, 0.25, 0.5])
+    snaps = evolve(s, [0.1, 0.25, 0.5])
     A = max(float(x.u.max()) for x in snaps) * (1 + 1e-12)
     for x in snaps:
-        rep = sup_bound_defect(circle_cos, x, 3.0, 1.0, A)
+        rep = sup_bound_defect(x, 3.0, 1.0, A)
         assert rep.ok, (x.t, rep.min_defect)
 
 
 def test_kernel_dt_log_lower_bound_flat(circle_flat):
     s = initial_delta(circle_flat, 0, t0=0.1)
-    snaps = evolve(circle_flat, s, [0.1, 0.3, 1.0, 2.0])
-    rep = kernel_dt_log_bounds(circle_flat, snaps, 2.0, 0.0)
+    snaps = evolve(s, [0.1, 0.3, 1.0, 2.0])
+    rep = kernel_dt_log_bounds(snaps, 2.0, 0.0)
     assert rep.ok
     assert rep.fitted_upper_constant > 0.0
 
@@ -184,8 +182,8 @@ def test_kernel_dt_log_lower_bound_flat(circle_flat):
 def test_kernel_dt_log_lower_bound_with_potential(circle_cos):
     K = ricci_bakry_emery(circle_cos, 3.0).admissible_K
     s = initial_delta(circle_cos, 0, t0=0.1)
-    snaps = evolve(circle_cos, s, [0.1, 0.5, 1.0])
-    rep = kernel_dt_log_bounds(circle_cos, snaps, 3.0, K)
+    snaps = evolve(s, [0.1, 0.5, 1.0])
+    rep = kernel_dt_log_bounds(snaps, 3.0, K)
     assert rep.ok
 
 
@@ -201,7 +199,7 @@ def test_kernel_dt_log_stationary_is_sound(circle_cos):
         mass=integrate_mu(circle_cos, u),
         kernel=KernelInfo(x0=(0,), analytic=False),
     )
-    rep = kernel_dt_log_bounds(circle_cos, [s], 2.0, 1.0)
+    rep = kernel_dt_log_bounds([s], 2.0, 1.0)
     assert rep.ok
     assert rep.min_margin == pytest.approx((2.0 / (2 * 0.7)) * math.exp(2 * 0.7), rel=1e-9)
 
@@ -213,7 +211,7 @@ def test_kernel_dt_log_fitted_constant_grid_stability():
     for n in (256, 512):
         M = circle(n)
         s = initial_delta(M, 0, t0=0.1)
-        snaps = evolve(M, s, [0.1, 0.2, 0.5, 1.0])
-        rep = kernel_dt_log_bounds(M, snaps, 2.0, 0.0)
+        snaps = evolve(s, [0.1, 0.2, 0.5, 1.0])
+        rep = kernel_dt_log_bounds(snaps, 2.0, 0.0)
         consts.append(rep.fitted_upper_constant)
     assert abs(consts[1] - consts[0]) <= 0.05 * abs(consts[0])

@@ -8,7 +8,6 @@ import pytest
 
 from wittenlab import (
     PositivityError,
-    dt_log_u,
     evolve,
     evolve_heat_on_flow,
     initial_delta,
@@ -21,7 +20,7 @@ from wittenlab import (
 from wittenlab import build_manifold, circle, flat_torus, heatflow
 from wittenlab.cli import bundled_config_path
 from wittenlab.config import load_config
-from wittenlab.heatflow import SolverConvergenceError, _helmholtz_solve, grad_log_u
+from wittenlab.heatflow import SolverConvergenceError, _helmholtz_solve
 from wittenlab.kernels import eigen_sum_circle, wrapped_gaussian
 from wittenlab.operators import (
     gamma2,
@@ -85,13 +84,13 @@ def test_kernel_symmetry(circle_flat):
 
 def test_uniform_state_is_stationary(circle_cos):
     s = uniform_state(circle_cos, t=0.3)
-    out = step(circle_cos, s, 0.05)
+    out = step(s, 0.05)
     assert np.abs(out.u - s.u).max() < 1e-13
 
 
 def test_step_conserves_mass(circle_cos):
     s = initial_delta(circle_cos, 0, t0=0.05)
-    out = step(circle_cos, s, 0.01)
+    out = step(s, 0.01)
     assert out.mass == pytest.approx(s.mass, abs=1e-12)
     assert out.t == pytest.approx(0.06)
 
@@ -101,7 +100,7 @@ def test_single_mode_decay_against_oracle(circle_flat):
     s = mode_state(circle_flat, 0.0)
     n_steps = 100
     for _ in range(n_steps):
-        s = step(circle_flat, s, T / n_steps)
+        s = step(s, T / n_steps)
     exact = mode_state(circle_flat, T)
     assert np.abs(s.u - exact.u).max() < 5e-7
 
@@ -113,7 +112,7 @@ def test_scheme_second_order(circle_flat):
     def error(n_steps):
         s = mode_state(circle_flat, 0.0)
         for _ in range(n_steps):
-            s = step(circle_flat, s, T / n_steps)
+            s = step(s, T / n_steps)
         return np.abs(s.u - mode_state(circle_flat, T).u).max()
 
     ratio = error(20) / error(40)
@@ -126,7 +125,7 @@ def test_implicit_euler_first_order(circle_flat):
     def error(n_steps):
         s = mode_state(circle_flat, 0.0)
         for _ in range(n_steps):
-            s = step(circle_flat, s, T / n_steps, scheme="implicit_euler")
+            s = step(s, T / n_steps, scheme="implicit_euler")
         return np.abs(s.u - mode_state(circle_flat, T).u).max()
 
     ratio = error(20) / error(40)
@@ -135,7 +134,7 @@ def test_implicit_euler_first_order(circle_flat):
 
 def test_evolve_hits_targets_and_matches_oracle(circle_flat):
     s0 = mode_state(circle_flat, 0.0)
-    snaps = evolve(circle_flat, s0, [0.25, 0.5, 1.0], local_error=1e-9)
+    snaps = evolve(s0, [0.25, 0.5, 1.0], local_error=1e-9)
     for s in snaps:
         exact = mode_state(circle_flat, s.t)
         assert np.abs(s.u - exact.u).max() < 1e-6
@@ -145,7 +144,7 @@ def test_evolve_hits_targets_and_matches_oracle(circle_flat):
 def test_evolve_manifest_records_steps(circle_flat):
     s0 = mode_state(circle_flat, 0.0)
     manifest = []
-    evolve(circle_flat, s0, [0.2], manifest=manifest)
+    evolve(s0, [0.2], manifest=manifest)
     assert manifest and all(r["dt"] > 0 for r in manifest)
     assert manifest[-1]["t"] == pytest.approx(0.2)
 
@@ -153,20 +152,20 @@ def test_evolve_manifest_records_steps(circle_flat):
 def test_evolve_rejects_bad_times(circle_flat):
     s0 = mode_state(circle_flat, 0.5)
     with pytest.raises(ValueError):
-        evolve(circle_flat, s0, [0.4])
+        evolve(s0, [0.4])
     with pytest.raises(ValueError):
-        evolve(circle_flat, s0, [0.6, 0.6])
+        evolve(s0, [0.6, 0.6])
 
 
 def test_equilibration_to_uniform(circle_flat):
     s0 = mode_state(circle_flat, 0.0)
-    (final,) = evolve(circle_flat, s0, [20.0], local_error=1e-9)
+    (final,) = evolve(s0, [20.0], local_error=1e-9)
     assert np.abs(final.u - 1.0 / circle_flat.mu_total).max() < 1e-8
 
 
 def test_monotone_equilibration_with_potential(circle_cos):
     s = initial_delta(circle_cos, 0, t0=0.05)
-    snaps = evolve(circle_cos, s, [0.2, 0.8, 2.0, 6.0])
+    snaps = evolve(s, [0.2, 0.8, 2.0, 6.0])
     uniform = 1.0 / circle_cos.mu_total
     sup_dist = [np.abs(s.u - uniform).max() for s in snaps]
     assert all(b < a for a, b in zip(sup_dist, sup_dist[1:]))
@@ -187,7 +186,7 @@ def test_decay_rate_matches_spectral_gap(circle_cos):
     lam1 = -eigs[eigs < -1e-8].max()
     s = initial_delta(M, 0, t0=0.05)
     t_grid = [3.0, 4.0, 5.0]
-    snaps = evolve(M, s, t_grid, local_error=1e-10)
+    snaps = evolve(s, t_grid, local_error=1e-10)
     uniform = 1.0 / M.mu_total
     sup = np.array([np.abs(s.u - uniform).max() for s in snaps])
     slope = (np.log(sup[0]) - np.log(sup[-1])) / (t_grid[-1] - t_grid[0])
@@ -196,7 +195,7 @@ def test_decay_rate_matches_spectral_gap(circle_cos):
 
 def test_dt_log_u_stationary(circle_cos):
     s = uniform_state(circle_cos, t=1.0)
-    assert np.abs(dt_log_u(circle_cos, s)).max() < 1e-10
+    assert np.abs(s.dt_log_u).max() < 1e-10
 
 
 def test_dt_log_u_mode_closed_form(circle_flat):
@@ -205,28 +204,28 @@ def test_dt_log_u_mode_closed_form(circle_flat):
     x = circle_flat.axis_coordinates(0)
     decayed = a * math.exp(-t) * np.cos(x)
     expected = -decayed / (1.0 + decayed)
-    assert np.abs(dt_log_u(circle_flat, s) - expected).max() < 1e-10
+    assert np.abs(s.dt_log_u - expected).max() < 1e-10
 
 
 def test_dt_log_u_matches_finite_differences(circle_cos):
     s = initial_delta(circle_cos, 0, t0=0.1)
     d = 1e-3
-    snaps = evolve(circle_cos, s, [0.3 - d, 0.3, 0.3 + d], local_error=1e-11)
+    snaps = evolve(s, [0.3 - d, 0.3, 0.3 + d], local_error=1e-11)
     fd = (np.log(snaps[2].u) - np.log(snaps[0].u)) / (2 * d)
-    rate = dt_log_u(circle_cos, snaps[1])
+    rate = snaps[1].dt_log_u
     # the gap is second order in the finite-difference spacing
     assert np.abs(rate - fd).max() < 2e-4
 
 
 def test_dt_log_u_kernel_on_diagonal_small_t(circle_flat):
     s = kernel_state(circle_flat, (0,), 1e-3)
-    rate = dt_log_u(circle_flat, s)
+    rate = s.dt_log_u
     assert rate[0] == pytest.approx(-0.5 / 1e-3, rel=1e-10)
 
 
 def test_grad_log_analytic_matches_spectral_at_moderate_t(circle_flat):
     s = kernel_state(circle_flat, (0,), 0.25)
-    g_analytic = grad_log_u(circle_flat, s)
+    g_analytic = s.grad_log_u
     g_spectral = np.stack([np.real(np.fft.ifft(
         1j * np.where(np.abs(np.fft.fftfreq(256, 1 / 256)) == 128, 0,
                       np.fft.fftfreq(256, 1 / 256)) * np.fft.fft(s.u)))]) / s.u
@@ -255,7 +254,7 @@ def test_oversized_step_reports_positivity_violation(circle_flat):
     # implicit midpoint overshoots on a sharply peaked state with a huge dt
     s = initial_delta(circle_flat, 0, t0=2e-3)
     with pytest.raises(PositivityError) as err:
-        step(circle_flat, s, 5.0)
+        step(s, 5.0)
     assert err.value.node is not None
 
 
@@ -265,7 +264,7 @@ def test_solver_convergence_error(circle_cos, monkeypatch):
     s = initial_delta(circle_cos, 0, t0=0.05)
     monkeypatch.setattr(hf, "CG_MAXITER", 1)
     with pytest.raises(hf.SolverConvergenceError):
-        step(circle_cos, s, 0.1)
+        step(s, 0.1)
 
 
 def test_kernel_state_rejects_nonconstant_potential(circle_cos):
@@ -275,14 +274,14 @@ def test_kernel_state_rejects_nonconstant_potential(circle_cos):
 
 def test_evolved_kernel_keeps_symmetry(circle_flat):
     s = initial_delta(circle_flat, 64, t0=0.01)
-    (out,) = evolve(circle_flat, s, [0.2])
+    (out,) = evolve(s, [0.2])
     u = np.roll(out.u, -64)
     assert np.abs(u[1:] - u[:0:-1]).max() < 1e-12
 
 
 def test_kernel_mass_drift_over_long_run(circle_flat):
     s = initial_delta(circle_flat, 0, t0=1e-3)
-    snaps = evolve(circle_flat, s, [0.01, 0.1, 0.5, 1.0, 2.0])
+    snaps = evolve(s, [0.01, 0.1, 0.5, 1.0, 2.0])
     for out in snaps:
         assert abs(out.mass - 1.0) <= 1e-10
         assert out.u.min() > 0.0
@@ -295,7 +294,7 @@ def test_exact_evolve_matches_closed_form_kernel(request, name, x0, t0):
     M = request.getfixturevalue(name)
     s0 = initial_delta(M, x0, t0=t0)
     manifest = []
-    snaps = evolve(M, s0, [t0, 0.03, 0.3, 1.0], manifest=manifest)
+    snaps = evolve(s0, [t0, 0.03, 0.3, 1.0], manifest=manifest)
     assert snaps[0] is s0
     assert [r["t"] for r in manifest] == [0.03, 0.3, 1.0]
     assert [r["dt"] for r in manifest] == pytest.approx([0.03 - t0, 0.27, 0.7])
@@ -311,10 +310,10 @@ def test_exact_evolve_matches_closed_form_kernel(request, name, x0, t0):
 def test_exact_evolve_agrees_with_crank_nicolson(circle_flat):
     s0 = initial_delta(circle_flat, 0, t0=0.05)
     times = [0.1, 0.5]
-    exact = evolve(circle_flat, s0, times)
+    exact = evolve(s0, times)
     manifest = []
     stepped = evolve(
-        circle_flat, s0, times, local_error=1e-10, scheme="crank_nicolson",
+        s0, times, local_error=1e-10, scheme="crank_nicolson",
         manifest=manifest,
     )
     assert len(manifest) > len(times)  # an explicit scheme forces time stepping
@@ -334,7 +333,7 @@ def test_exact_evolve_removes_nyquist_content(request, name):
         saw = saw * ((-1.0) ** np.arange(n)).reshape(shape)
     u = (1.0 + 0.5 * saw + 0.3 * np.cos(M.coordinates()[0])) / M.mu_total
     s0 = make_state(M, u, 0.0)
-    for s in evolve(M, s0, [1e-6, 1e-3, 1.0]):
+    for s in evolve(s0, [1e-6, 1e-3, 1.0]):
         uh = np.fft.fftn(s.u)
         for axis, n in enumerate(M.shape):
             assert np.abs(np.take(uh, n // 2, axis=axis)).max() <= 1e-13 * abs(uh.flat[0])
@@ -345,7 +344,7 @@ def test_exact_evolve_removes_nyquist_content(request, name):
 def test_weighted_model_still_steps(circle_cos):
     s0 = initial_delta(circle_cos, 0, t0=0.05)
     manifest = []
-    snaps = evolve(circle_cos, s0, [0.1, 0.2], manifest=manifest)
+    snaps = evolve(s0, [0.1, 0.2], manifest=manifest)
     assert len(manifest) > len(snaps)
 
 
@@ -383,7 +382,7 @@ def test_separable_torus_propagator_matches_dense_expm(torus_32x48):
 
     s0 = smooth_state(M, 0.1)
     manifest = []
-    (s,) = evolve(M, s0, [0.1 + tau], manifest=manifest)
+    (s,) = evolve(s0, [0.1 + tau], manifest=manifest)
     expected = (exact @ s0.u.ravel()).reshape(M.shape)
     assert np.abs(s.u - expected).max() <= 1e-12 * expected.max()
     assert manifest == [{"t": 0.1 + tau, "dt": pytest.approx(tau), "error_estimate": 0.0}]
@@ -409,12 +408,12 @@ def test_separable_torus_agrees_with_crank_nicolson(torus_32x48):
     M = torus_32x48
     s0 = smooth_state(M, 0.0, max_mode=2)
     times = [0.05, 0.2]
-    exact = evolve(M, s0, times)
+    exact = evolve(s0, times)
     manifest = []
     cn = evolve(
-        M, s0, times, local_error=1e-10, scheme="crank_nicolson", manifest=manifest
+        s0, times, local_error=1e-10, scheme="crank_nicolson", manifest=manifest
     )
-    finer = evolve(M, s0, times, local_error=1e-11, scheme="crank_nicolson")
+    finer = evolve(s0, times, local_error=1e-11, scheme="crank_nicolson")
     assert len(manifest) > len(times)
     for a, b, c in zip(exact, cn, finer):
         measured = np.abs(b.u - c.u).max()
@@ -429,7 +428,7 @@ def test_bundled_torus_is_propagated_exactly_with_mass_and_positivity():
     s0 = initial_delta(M, tuple(solver["x0"]), t0=solver["t0"])
     manifest = []
     snaps = evolve(
-        M, s0, solver["times"], local_error=solver["local_error"], manifest=manifest
+        s0, solver["times"], local_error=solver["local_error"], manifest=manifest
     )
     assert [r["error_estimate"] for r in manifest] == [0.0] * len(solver["times"])
     for s in snaps:
@@ -445,7 +444,7 @@ def test_non_separable_and_forced_torus_runs_still_step(torus_32x48):
     assert mixed.axis_eigensystems is None
     for M, scheme in ((mixed, None), (torus_32x48, "crank_nicolson")):
         manifest = []
-        evolve(M, initial_delta(M, (0, 0), t0=0.05), [0.06], scheme=scheme, manifest=manifest)
+        evolve(initial_delta(M, (0, 0), t0=0.05), [0.06], scheme=scheme, manifest=manifest)
         assert len(manifest) > 1
         assert all(r["error_estimate"] > 0.0 for r in manifest)
 
@@ -460,14 +459,14 @@ def test_adaptive_evolve_raises_when_step_size_collapses(circle_flat, monkeypatc
 
     monkeypatch.setattr(heatflow, "_advance", advance)
     with pytest.raises(SolverConvergenceError, match="local error estimate"):
-        evolve(circle_flat, s0, [0.1], scheme="crank_nicolson")
+        evolve(s0, [0.1], scheme="crank_nicolson")
 
 
 def test_no_snapshot_times_give_no_snapshots(circle_cos):
     s0 = initial_delta(circle_cos, 0, t0=0.05)
     flow = make_flow(circle_cos, "constant_rate", {"rate": -0.4}, horizon=1.0)
     manifest = []
-    assert evolve(circle_cos, s0, [], manifest=manifest) == []
+    assert evolve(s0, [], manifest=manifest) == []
     assert evolve_heat_on_flow(flow, s0, [], manifest=manifest) == []
     assert manifest == []
 
@@ -536,7 +535,7 @@ def test_crank_nicolson_applies_L_once_per_start_state(circle_cos, monkeypatch):
     monkeypatch.setattr(heatflow, "_helmholtz_solve", marked_solve)
     monkeypatch.setattr(heatflow, "_advance", counting_advance)
     manifest = []
-    evolve(circle_cos, s0, [0.1, 0.3], local_error=1e-10, manifest=manifest)
+    evolve(s0, [0.1, 0.3], local_error=1e-10, manifest=manifest)
     assert counts["advance"] % 3 == 0
     attempts = counts["advance"] // 3
     accepted = len(manifest)
@@ -578,7 +577,7 @@ def uncached_fields(M, s):
 def test_derived_fields_are_cached_read_only_and_exact(request, name):
     M = request.getfixturevalue(name)
     x0 = (0,) * M.dim_n
-    (s,) = evolve(M, initial_delta(M, x0, t0=0.05), [0.2])
+    (s,) = evolve(initial_delta(M, x0, t0=0.05), [0.2])
     expected = uncached_fields(M, s)
     for field in DERIVED_FIELDS:
         value = getattr(s, field)
@@ -588,8 +587,6 @@ def test_derived_fields_are_cached_read_only_and_exact(request, name):
         else:
             assert not value.flags.writeable, field
             assert np.array_equal(value, expected[field]), field
-    assert dt_log_u(M, s) is s.dt_log_u
-    assert grad_log_u(M, s) is s.grad_log_u
 
 
 def test_replace_starts_an_empty_cache(circle_flat):
@@ -601,19 +598,6 @@ def test_replace_starts_an_empty_cache(circle_flat):
     assert np.array_equal(later.dt_log_u, kernel_state(circle_flat, (0,), 0.2).dt_log_u)
     assert not np.array_equal(later.dt_log_u, before)
     assert s.dt_log_u is before
-
-
-def test_fields_on_another_manifold_bypass_the_cache(circle_flat, circle_cos):
-    # the (manifold, state) functions compute on the manifold they are given
-    s = mode_state(circle_flat, 0.3)
-    rate = dt_log_u(circle_cos, s)
-    assert "dt_log_u" not in vars(s)
-    assert np.array_equal(rate, uncached_fields(circle_cos, s)["dt_log_u"])
-    assert not np.array_equal(rate, s.dt_log_u)
-    expected = uncached_fields(circle_cos, s)["grad_log_u"]
-    assert np.array_equal(grad_log_u(circle_cos, s), expected)
-    assert dt_log_u(circle_cos, s) is not rate
-    assert np.array_equal(s.dt_log_u, uncached_fields(circle_flat, s)["dt_log_u"])
 
 
 def test_log_u_gamma2_reuses_the_cached_gradient_and_hessian(torus_32x48, fft_calls):

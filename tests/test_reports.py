@@ -34,8 +34,8 @@ def test_torus_field_csv_has_two_coords(torus_flat):
 def test_snapshot_and_manifest_csv(circle_cos, tmp_path):
     s = initial_delta(circle_cos, 0, t0=0.05)
     manifest = []
-    snaps = evolve(circle_cos, s, [0.1], manifest=manifest)
-    snap_text = reports.snapshots_csv(circle_cos, snaps)
+    snaps = evolve(s, [0.1], manifest=manifest)
+    snap_text = reports.snapshots_csv(snaps)
     assert snap_text.splitlines()[1] == "t,node_index,x,u"
     man_text = reports.manifest_csv(manifest)
     assert man_text.splitlines()[1] == "t,dt,error_estimate"
@@ -44,8 +44,8 @@ def test_snapshot_and_manifest_csv(circle_cos, tmp_path):
 
 def test_entropy_series_csv_with_margin(circle_cos):
     s = initial_delta(circle_cos, 0, t0=0.05)
-    snaps = evolve(circle_cos, s, [0.1, 0.5])
-    series = build_series(circle_cos, snaps, 3.0, 1.0)
+    snaps = evolve(s, [0.1, 0.5])
+    series = build_series(snaps, 3.0, 1.0)
     text = reports.entropy_series_csv(series, flow_margin=[0.0, 0.1])
     header = text.splitlines()[1].split(",")
     assert header[0] == "t"
@@ -201,10 +201,11 @@ def test_node_tables_match_the_row_formatter(request, name, rng):
         assert_same_text(reports.field_csv(M, values, name="v"), expected)
     cf = SimpleNamespace(values=fields[0])
     assert_same_text(reports.curvature_csv(M, cf), REFERENCE["curvature"](M, cf))
-    snaps = [SimpleNamespace(t=t, u=special_field(M.shape, rng))
+    snaps = [SimpleNamespace(manifold=M, t=t, u=special_field(M.shape, rng))
              for t in (0.1, 2, np.float64(1e-300), -0.0)]
-    assert_same_text(reports.snapshots_csv(M, snaps), REFERENCE["snapshots"](M, snaps))
-    assert_same_text(reports.snapshots_csv(M, []), REFERENCE["snapshots"](M, []))
+    assert_same_text(reports.snapshots_csv(snaps), REFERENCE["snapshots"](M, snaps))
+    with pytest.raises(ValueError, match="no snapshots"):
+        reports.snapshots_csv([])
 
 
 def test_report_tables_match_the_row_formatter(rng):

@@ -95,7 +95,7 @@ def test_fitted_constant_sinusoidal(circle_cos_03):
 def test_static_flow_heat_matches_base(circle_cos, rng):
     flow = make_flow(circle_cos, "static", horizon=1.0)
     s0 = positive_test_state(circle_cos, rng)
-    base = evolve(circle_cos, s0, [0.2, 0.7])
+    base = evolve(s0, [0.2, 0.7])
     on_flow = evolve_heat_on_flow(flow, s0, [0.2, 0.7])
     for a, b in zip(base, on_flow):
         assert np.abs(a.u - b.u).max() <= 1e-12
@@ -125,7 +125,7 @@ def test_flow_decomposition_static_reduction(circle_cos, rng):
     flow = make_flow(circle_cos, "static", horizon=1.0)
     s = positive_test_state(circle_cos, rng, t=0.5)
     a = w_decomposition_on_flow(flow, s, 3.0, 0.7)
-    b = w_derivative_decomposition(circle_cos, s, 3.0, 0.7)
+    b = w_derivative_decomposition(s, 3.0, 0.7)
     assert a.T1 == pytest.approx(b.T1, rel=1e-12)
     assert a.T2 == pytest.approx(b.T2, rel=1e-12)
     assert a.T3 == pytest.approx(b.T3, rel=1e-12)
@@ -136,7 +136,7 @@ def test_flow_w_entropy_static_reduction(circle_cos, rng):
     flow = make_flow(circle_cos, "static", horizon=1.0)
     s = positive_test_state(circle_cos, rng, t=0.5)
     a = w_entropy_on_flow(flow, s, 3.0, 0.7)
-    b = w_entropy(circle_cos, s, 3.0, 0.7)
+    b = w_entropy(s, 3.0, 0.7)
     for key in ("H", "dH_dt", "H_mK", "W_mK"):
         assert a[key] == pytest.approx(b[key], rel=1e-12)
 
@@ -171,10 +171,10 @@ def test_entropy_dissipation_static_reduction(circle_cos, rng):
     flow = make_flow(circle_cos, "static", horizon=1.0)
     s = positive_test_state(circle_cos, rng, t=0.4)
     rows = entropy_dissipation_on_flow(flow, [s])
-    _, dH = entropy_H(circle_cos, s)
+    _, dH = entropy_H(s)
     assert rows[0]["dH_dt"] == pytest.approx(dH, rel=1e-12)
     assert rows[0]["d2H_dt2"] == pytest.approx(
-        entropy_second_derivative(circle_cos, s), rel=1e-12
+        entropy_second_derivative(s), rel=1e-12
     )
 
 
@@ -192,7 +192,7 @@ def test_entropy_dissipation_matches_finite_difference(circle_flat):
     d = 1e-3
     t0 = 0.4
     snaps = evolve_heat_on_flow(flow, s0, [t0 - d, t0, t0 + d], local_error=1e-11)
-    H = [entropy_H(circle_flat, s)[0] for s in snaps]
+    H = [entropy_H(s)[0] for s in snaps]
     rows = entropy_dissipation_on_flow(flow, [snaps[1]])
     fd1 = (H[2] - H[0]) / (2 * d)
     fd2 = (H[2] - 2 * H[1] + H[0]) / d**2
@@ -213,12 +213,12 @@ def test_entropy_dissipation_reports_residuals(circle_flat):
 
 def test_static_flow_series_equals_fixed_metric_series(circle_cos):
     s0 = initial_delta(circle_cos, 0, t0=0.05)
-    snaps = evolve(circle_cos, s0, [0.1, 0.3, 0.6])
+    snaps = evolve(s0, [0.1, 0.3, 0.6])
     m = 3.0
     K = ricci_bakry_emery(circle_cos, m).admissible_K
-    fixed = build_series(circle_cos, snaps, m, K)
+    fixed = build_series(snaps, m, K)
     on_flow = build_series(
-        circle_cos, snaps, m, K, flow=make_flow(circle_cos, "static", horizon=1.0)
+        snaps, m, K, flow=make_flow(circle_cos, "static", horizon=1.0)
     )
     for name in fixed.__dataclass_fields__:
         assert np.array_equal(getattr(on_flow, name), getattr(fixed, name)), name
@@ -230,8 +230,8 @@ def test_entropy_dissipation_rows_carry_residuals(circle_cos, rng):
     rows = entropy_dissipation_on_flow(flow, snaps)
     assert [r["t"] for r in rows] == [0.2, 0.3, 0.5]
     for r, s in zip(rows, snaps):
-        assert r["dH_dt"] == entropy_H(circle_cos, s)[1]
-        assert r["d2H_dt2"] == entropy_second_derivative(circle_cos, s)
+        assert r["dH_dt"] == entropy_H(s)[1]
+        assert r["d2H_dt2"] == entropy_second_derivative(s)
         assert math.isfinite(r["residual_dH"])
     # the second difference of H exists at interior snapshots only
     assert math.isnan(rows[0]["residual_d2H"]) and math.isnan(rows[2]["residual_d2H"])
