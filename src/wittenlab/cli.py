@@ -30,7 +30,7 @@ from . import entropy as entropy_mod
 from . import harnack as harnack_mod
 from . import reports
 from .config import CHECKS, ConfigError, load_config, validate_experiment
-from .geometry import _as_index, _constant_potential, _m_equals_n
+from .geometry import _as_index, _check_ball_radii, _m_equals_n
 from .geometry import ball_volume_ratio_check, build_manifold, ricci_bakry_emery
 from .heatflow import evolve, initial_delta
 from .operators import (
@@ -69,14 +69,20 @@ def _resolve_K(check, m, manifold, flow):
     return fit_super_flow_constant(flow, m)
 
 
+def _checked(key, rule, *args):
+    """``rule(*args)``, its rejection of the arguments re-raised as a
+    ConfigError on ``key``."""
+    try:
+        return rule(*args)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _node(index, manifold, key):
     """A configured node checked against the grid; the origin if unset."""
     if index is None:
         return (0,) * manifold.dim_n
-    try:
-        return _as_index(manifold, index)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+    return _checked(key, _as_index, manifold, index)
 
 
 class _Runner:
@@ -85,41 +91,25 @@ class _Runner:
         self.selected = selected
         self.seed = seed
         self.summary = {}
-        try:
-            self.manifold = build_manifold(config.manifold)
-            self.flow = None
-            if config.flow is not None:
-                self.flow = make_flow(
-                    self.manifold,
-                    config.flow.get("family"),
-                    config.flow.get("params"),
-                    config.flow.get("horizon", config.solver.times[-1]),
-                )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(str(exc)) from exc
+        self.manifold = _checked("manifold", build_manifold, config.manifold)
+        self.flow = None
+        if config.flow is not None:
+            flow = config.flow
+            horizon = flow.get("horizon", config.solver.times[-1])
+            self.flow = _checked(
+                "flow", make_flow, self.manifold, flow.get("family"), flow.get("params"), horizon
+            )
         self.x0 = _node(config.solver.x0, self.manifold, "solver.x0")
         n = self.manifold.dim_n
-        injectivity = self.manifold.injectivity_scale()
         for check in config.checks:
             # tilde_identity is a closed form, with no model
             for m in self.m_values(check) if check.name != "tilde_identity" else ():
-                try:
-                    m_equals_n = _m_equals_n(self.manifold, m)
-                except ValueError as exc:
-                    raise ConfigError(f"checks.{check.name}.m: {exc}") from None
-                if m_equals_n and not _constant_potential(self.manifold):
-                    raise ConfigError(
-                        f"checks.{check.name}.m={m:g} equals the dimension {n}, "
-                        f"which needs a constant potential"
-                    )
+                _checked(f"checks.{check.name}.m={m:g}", _m_equals_n, self.manifold, m)
             if check.name == "ball_ratio":
-                key = "checks.ball_ratio.center"
-                self.center = _node(check.options.get("center"), self.manifold, key)
-                if check.options["R"] > injectivity + 1e-12:
-                    raise ConfigError(
-                        f"checks.ball_ratio.R={check.options['R']:g} exceeds the "
-                        f"injectivity scale {injectivity:g} of the model"
-                    )
+                opts = check.options
+                key = "checks.ball_ratio"
+                self.center = _node(opts.get("center"), self.manifold, f"{key}.center")
+                _checked(f"{key}.R", _check_ball_radii, self.manifold, opts["r"], opts["R"])
             nodes = check.options.get("nodes", 4)
             if check.name == "integrated" and n == 2 and math.isqrt(nodes) ** 2 != nodes:
                 raise ConfigError(f"checks.integrated.nodes={nodes} is not a perfect square")

@@ -17,11 +17,13 @@ Validation failures raise :class:`ConfigError` naming the offending key.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import yaml
+
+from .geometry import _grid_sizes, _is_integer, _is_real
+
 
 class _CheckKind(NamedTuple):
     subcommand: str  # the CLI subcommand that runs the check
@@ -129,10 +131,6 @@ def _mapping(data, key):
     return dict(raw)
 
 
-def _is_integer(raw):
-    return isinstance(raw, numbers.Integral) and not isinstance(raw, bool)
-
-
 def _parse_node(raw, key):
     """A node index or list of node indices as a tuple; None stays None."""
     if raw is None:
@@ -170,9 +168,8 @@ def _parse_options(item, name, times):
             [_number(t, f"{where}.pairs") for t in p] for p in pairs
         ]
     if name == "ball_ratio":
-        r, R = options.setdefault("r", 0.5), options.setdefault("R", 1.0)
-        if not 0.0 < r < R:
-            raise ConfigError(f"{where} needs 0 < r < R, got r={r:g}, R={R:g}")
+        options.setdefault("r", 0.5)
+        options.setdefault("R", 1.0)
     if name == "integrated":
         if pairs is None and len(times) < 2:
             raise ConfigError(f"{where} needs a pairs option or two solver.times")
@@ -199,7 +196,7 @@ def _name_clash(values):
 
 def _parse_m(raw, check_name):
     items = _as_list(raw)
-    if not all(isinstance(m, numbers.Real) and not isinstance(m, bool) for m in items):
+    if not all(_is_real(m) for m in items):
         raise ConfigError(f"checks.{check_name}.m must be a number or a list of numbers")
     m_values = tuple(float(m) for m in items)
     for m in m_values:
@@ -222,15 +219,10 @@ def validate_experiment(data, out_override=None, grid_scale=1):
     if "manifold" not in data:
         raise ConfigError("missing section: manifold")
     manifold = _mapping(data, "manifold")
-    grid = manifold.get("grid")
-    if _is_integer(grid):
-        manifold["grid"] = grid * grid_scale
-    elif isinstance(grid, (list, tuple)) and all(_is_integer(g) for g in grid):
-        manifold["grid"] = [g * grid_scale for g in grid]
-    else:
-        raise ConfigError(
-            f"manifold.grid must be an integer or a list of integers, got {grid!r}"
-        )
+    try:
+        manifold["grid"] = _grid_sizes(manifold.get("grid"), grid_scale)
+    except ValueError as exc:
+        raise ConfigError(f"manifold.{exc}") from None
 
     solver_raw = _mapping(data, "solver")
     t0 = _number(solver_raw.get("t0", 0.05), "solver.t0")

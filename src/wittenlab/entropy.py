@@ -77,16 +77,21 @@ def _exp_series(x):
     return s
 
 
+def _check_t_K(t, K):
+    """The domain of the normalizations: t > 0 and K >= 0."""
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    if K < 0.0:
+        raise ValueError("K must be nonnegative")
+
+
 def phi_mK(t, m, K):
     """Time normalization with derivative (m/2t) e^{4Kt}.
 
     Equals (m/2)(log(4 pi t) + 1) at K = 0; the K-dependence enters
     through the entire series sum_{j>=1} (4Kt)^j / (j * j!).
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    if K < 0.0:
-        raise ValueError("K must be nonnegative")
+    _check_t_K(t, K)
     base = 0.5 * m * (math.log(4.0 * math.pi * t) + 1.0)
     if K == 0.0:
         return base
@@ -94,10 +99,7 @@ def phi_mK(t, m, K):
 
 
 def phi_mK_prime(t, m, K):
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    if K < 0.0:
-        raise ValueError("K must be nonnegative")
+    _check_t_K(t, K)
     return (m / (2.0 * t)) * math.exp(4.0 * K * t)
 
 
@@ -135,11 +137,19 @@ def entropy_second_derivative(state):
     return _entropy_second_derivative(state, 1.0, 0.0)
 
 
-def _w_entropy(state, m, K, scale):
+def _normalized_entropy(state, m, K, scale, normalization, derivative):
+    """``(H, dH/dt, Phi, H - Phi, W)`` at the state's time t for the
+    normalization ``Phi = normalization(t, m, K)``, with
+    W = H - Phi + t (dH/dt - derivative(t, m, K)); m must pass the m rule."""
+    _m_equals_n(state.manifold, m)
     t = state.t
     H, dH = _entropy_H(state, scale)
-    H_mK = H - phi_mK(t, m, K)
-    W_mK = H_mK + t * (dH - phi_mK_prime(t, m, K))
+    Phi = normalization(t, m, K)
+    return H, dH, Phi, H - Phi, H - Phi + t * (dH - derivative(t, m, K))
+
+
+def _w_entropy(state, m, K, scale):
+    H, dH, _, H_mK, W_mK = _normalized_entropy(state, m, K, scale, phi_mK, phi_mK_prime)
     return {"H": H, "dH_dt": dH, "H_mK": H_mK, "W_mK": W_mK}
 
 
@@ -164,10 +174,9 @@ def _tilde_normalization_prime(t, m, K):
 
 def tilde_w_entropy(state, m, K):
     """W-entropy under the polynomial-in-t normalization (the older form)."""
-    t = state.t
-    H, dH = entropy_H(state)
-    H_t = H - _tilde_normalization(t, m, K)
-    W_t = H_t + t * (dH - _tilde_normalization_prime(t, m, K))
+    H, dH, _, H_t, W_t = _normalized_entropy(
+        state, m, K, 1.0, _tilde_normalization, _tilde_normalization_prime
+    )
     return {"H": H, "dH_dt": dH, "H_tilde": H_t, "W_tilde": W_t}
 
 
@@ -219,7 +228,7 @@ def _w_decomposition(state, m, K, scale, rate):
     T2 = -2.0 * t * integrate_mu(manifold, quad * u)
 
     if _m_equals_n(manifold, m):
-        T3 = 0.0  # bakry_emery_tensor has checked that phi is constant
+        T3 = 0.0  # phi is constant, so the drift vanishes
     else:
         drift = np.einsum("a...,a...->...", manifold.potential_gradient, G)
         align = scale * drift - (m - n) * (1.0 + K * t) / (2.0 * t)
@@ -292,16 +301,14 @@ def build_series(snapshots, m, K, flow=None):
             if flow is None
             else (flow.operator_scale(s.t), flow.log_factor_rate(s.t))
         )
-        vals = _w_entropy(s, m, K, scale)
-        H[i], dH[i] = vals["H"], vals["dH_dt"]
-        H_mK[i], W[i] = vals["H_mK"], vals["W_mK"]
-        Phi[i] = phi_mK(s.t, m, K)
+        H[i], dH[i], Phi[i], H_mK[i], W[i] = _normalized_entropy(
+            s, m, K, scale, phi_mK, phi_mK_prime
+        )
         d2H[i] = _entropy_second_derivative(s, scale, rate)
         dec = _w_decomposition(s, m, K, scale, rate)
         T[:, i] = (dec.T1, dec.T2, dec.T3, dec.T4)
     dW_num = np.gradient(W, times)
     formula = T.sum(axis=0)
-    bound = np.array([monotonicity_bound(t, m, K) for t in times])
     return EntropySeries(
         m=float(m),
         K=float(K),
@@ -319,7 +326,7 @@ def build_series(snapshots, m, K, flow=None):
         T4=T[3],
         dW_dt_formula=formula,
         residual=dW_num - formula,
-        monotonicity_bound=bound,
+        monotonicity_bound=T[3],  # T4 is the bound
     )
 
 
@@ -337,10 +344,7 @@ def tilde_w_comparison(m, K, t):
     reported residual is d^2/dt^2 (t Psi) minus the decay-bound constant,
     which vanishes identically.
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    if K < 0.0:
-        raise ValueError("K must be nonnegative")
+    _check_t_K(t, K)
     x = 4.0 * K * t
     E = _exp_series(x) if x > 0.0 else 0.0
     psi = 0.5 * m * E - 0.5 * m * K * t - m * K * K * t * t / 12.0

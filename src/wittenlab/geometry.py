@@ -121,9 +121,6 @@ class WeightedManifold:
         L = self.circumferences[axis]
         return 2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
 
-    def injectivity_scale(self):
-        return min(self.circumferences) / 2.0
-
     @cached_property
     def density(self):
         """exp(-phi) per node, the weight of the divergence-form operator."""
@@ -234,15 +231,35 @@ def _periodic_diff(x, L):
     return (x + L / 2.0) % L - L / 2.0
 
 
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _grid_sizes(grid, scale=1):
+    """``grid``, an integer or a list of integers, times ``scale``; floats,
+    bools and strings raise instead of being converted."""
+    if _is_integer(grid):
+        return int(grid) * scale
+    if isinstance(grid, (list, tuple)) and all(_is_integer(n) for n in grid):
+        return [int(n) * scale for n in grid]
+    raise ValueError(f"grid must be an integer or a list of integers, got {grid!r}")
+
+
 def _potential_from_spec(model, shape, coords, spec):
     if not isinstance(spec, dict) or not isinstance(spec.get("params") or {}, dict):
         raise ValueError("potential and its params must be mappings")
     family = spec.get("family", "zero")
     params = spec.get("params", {}) or {}
-    for key in ("k", "l"):
+    for key in ("a", "b", "k", "l"):
         value = params.get(key, 1)
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ValueError(f"potential parameter {key} must be an integer, got {value!r}")
+        integer = key in ("k", "l")
+        if not (_is_integer(value) if integer else _is_real(value)):
+            kind = "an integer" if integer else "a real number"
+            raise ValueError(f"potential parameter {key} must be {kind}, got {value!r}")
     if family == "zero":
         return np.zeros(shape)
     if family == "cosine":
@@ -279,11 +296,8 @@ def build_manifold(config):
         raise ValueError(f"unsupported model {model!r}")
     dim = 1 if model == "circle" else 2
 
-    grid = config.get("grid")
-    if isinstance(grid, (int, np.integer)):
-        grid = (int(grid),) * dim
-    else:
-        grid = tuple(int(g) for g in grid)
+    grid = _grid_sizes(config.get("grid"))
+    grid = (grid,) * dim if isinstance(grid, int) else tuple(grid)
     if len(grid) != dim:
         raise ValueError(f"model {model} needs {dim} grid size(s), got {grid}")
     for n in grid:
@@ -342,7 +356,7 @@ def flat_torus(n=64, periods=(2.0 * np.pi, 2.0 * np.pi), potential=None):
     return build_manifold(
         {
             "model": "flat_torus_2d",
-            "grid": (n, n) if isinstance(n, int) else n,
+            "grid": n,
             "period": periods,
             "potential": potential or {"family": "zero"},
         }
@@ -475,11 +489,28 @@ def _projected_axis_eigensystem(manifold, axis, phi):
 
 
 def _m_equals_n(manifold, m):
-    """Whether m == n within ``M_EQUALS_N_TOL``; raises for m below n."""
+    """Whether m == n within ``M_EQUALS_N_TOL``: the rule of every function
+    that takes m, which rejects m below n, and m == n unless phi is constant."""
     n = manifold.dim_n
     if m < n - M_EQUALS_N_TOL:
         raise ValueError(f"dimension parameter m={m} below topological dimension n={n}")
-    return m - n < M_EQUALS_N_TOL
+    if not m - n < M_EQUALS_N_TOL:
+        return False
+    if not _constant_potential(manifold):
+        raise ValueError(
+            f"dimension parameter m={m} equals topological dimension n={n}, "
+            f"which needs a constant potential"
+        )
+    return True
+
+
+def _check_ball_radii(manifold, r, R):
+    """Reject ball radii outside 0 < r < R <= the injectivity scale."""
+    if not (0.0 < r < R):
+        raise ValueError(f"need 0 < r < R, got r={r}, R={R}")
+    scale = min(manifold.circumferences) / 2.0  # the injectivity radius
+    if R > scale + 1e-12:
+        raise ValueError(f"R={R} exceeds the injectivity scale {scale} of the model")
 
 
 def bakry_emery_tensor(manifold, m):
@@ -487,15 +518,12 @@ def bakry_emery_tensor(manifold, m):
 
     For finite ``m > n`` this is hess(phi) - grad(phi) x grad(phi)/(m-n);
     ``m = inf`` drops the rank-one term.  The flat base metric contributes
-    no Ricci term.  For ``m = inf`` and ``m == n`` the result is the
-    manifold's read-only ``potential_hessian``.
+    no Ricci term.  For ``m = inf`` and ``m == n`` (constant phi, whose
+    gradient vanishes) the result is the manifold's read-only
+    ``potential_hessian``.
     """
     hess = manifold.potential_hessian
-    if _m_equals_n(manifold, m):
-        if not _constant_potential(manifold):
-            raise ValueError("m == n requires a constant potential")
-        return hess  # gradient vanishes, rank-one term is zero
-    if math.isinf(m):
+    if _m_equals_n(manifold, m) or math.isinf(m):
         return hess
     grad = manifold.potential_gradient
     rank_one = np.einsum("a...,b...->ab...", grad, grad) / (m - manifold.dim_n)
@@ -571,12 +599,7 @@ def ball_volume_ratio_check(manifold, m, K, y, r, R):
     The ratio mu(B(y, R)) / mu(B(y, r)) of exact ball measures (see
     :func:`_ball_measures`) is set against (R/r)^m * exp(sqrt((m-1) K) * R).
     """
-    if not (0.0 < r < R):
-        raise ValueError(f"need 0 < r < R, got r={r}, R={R}")
-    if R > manifold.injectivity_scale() + 1e-12:
-        raise ValueError(
-            f"R={R} exceeds the injectivity scale {manifold.injectivity_scale()}"
-        )
+    _check_ball_radii(manifold, r, R)
     if K < 0.0:
         raise ValueError("curvature constant K must be nonnegative")
     _m_equals_n(manifold, m)

@@ -73,7 +73,7 @@ class KernelDtLogReport:
 
 
 def _validate_mk(manifold, m, K, t=None):
-    """Reject m below n, negative K and, when given, a time t <= 0."""
+    """Reject m by the m rule, negative K and, when given, a time t <= 0."""
     _m_equals_n(manifold, m)
     if K < 0.0:
         raise ValueError("curvature constant K must be nonnegative")

@@ -32,7 +32,7 @@ from .entropy import (
     _w_decomposition,
     _w_entropy,
 )
-from .geometry import WeightedManifold, ricci_bakry_emery
+from .geometry import WeightedManifold, _is_real, ricci_bakry_emery
 from .heatflow import evolve
 
 __all__ = [
@@ -51,37 +51,38 @@ __all__ = [
 FLOW_MARGIN_TOL = 1e-10
 FIT_SAMPLES = 33  # times at which fit_super_flow_constant samples the margin
 
+_FLOW_DEFAULTS = {
+    "constant_rate": {"lambda0": 0.0, "rate": 0.0},
+    "sinusoidal": {"lambda0": 0.0, "amplitude": 0.0, "frequency": 1.0},
+}
+
 
 @dataclass(frozen=True)
 class FlowSpec:
     """Space-constant conformal flow over a fixed time horizon."""
 
     base: WeightedManifold
-    family: str
+    family: str  # "constant_rate" or "sinusoidal"
     params: dict
     horizon: float
+
+    def __post_init__(self):
+        if self.family not in _FLOW_DEFAULTS:
+            raise ValueError(f"unknown flow family {self.family!r}")
 
     def log_factor(self, t):
         """Conformal log-factor lam(t)."""
         p = self.params
-        if self.family == "static":
-            return 0.0
         if self.family == "constant_rate":
             return p["lambda0"] + p["rate"] * t
-        if self.family == "sinusoidal":
-            return p["lambda0"] + p["amplitude"] * math.sin(p["frequency"] * t)
-        raise ValueError(f"unknown flow family {self.family!r}")
+        return p["lambda0"] + p["amplitude"] * math.sin(p["frequency"] * t)
 
     def log_factor_rate(self, t):
         """d lam / dt."""
         p = self.params
-        if self.family == "static":
-            return 0.0
         if self.family == "constant_rate":
             return p["rate"]
-        if self.family == "sinusoidal":
-            return p["amplitude"] * p["frequency"] * math.cos(p["frequency"] * t)
-        raise ValueError(f"unknown flow family {self.family!r}")
+        return p["amplitude"] * p["frequency"] * math.cos(p["frequency"] * t)
 
     def potential(self, t):
         """phi(t) = phi0 + n (lam(t) - lam(0)); keeps the measure fixed."""
@@ -101,27 +102,23 @@ class FlowSpec:
     def base_time(self, a, b):
         """Base-clock time from t = a to t = b, the integral of e^{-2 lam}.
 
-        Closed forms for the static and constant-rate families.  The
-        sinusoidal integrand repeats every 2 pi/|w|, so whole periods take
-        the quadrature of one period and the rest its own.
+        Closed form for the constant-rate family.  The sinusoidal
+        integrand repeats every 2 pi/|w|, so whole periods take the
+        quadrature of one period and the rest its own.
         """
         p = self.params
-        if self.family == "static":
-            return b - a
         if self.family == "constant_rate":
             r = p["rate"]
             if r == 0.0:
                 return self.operator_scale(a) * (b - a)
             return -self.operator_scale(a) * math.expm1(-2.0 * r * (b - a)) / (2.0 * r)
-        if self.family == "sinusoidal":
-            w = abs(p["frequency"])
-            whole = math.floor((b - a) * w / (2.0 * math.pi))
-            period = 2.0 * math.pi / w if whole else 0.0
-            return (
-                whole * self._sinusoidal_quadrature(a, a + period)
-                + self._sinusoidal_quadrature(a + whole * period, b)
-            )
-        raise ValueError(f"unknown flow family {self.family!r}")
+        w = abs(p["frequency"])
+        whole = math.floor((b - a) * w / (2.0 * math.pi))
+        period = 2.0 * math.pi / w if whole else 0.0
+        return (
+            whole * self._sinusoidal_quadrature(a, a + period)
+            + self._sinusoidal_quadrature(a + whole * period, b)
+        )
 
     def _sinusoidal_quadrature(self, a, b):
         """Composite 32-node Gauss-Legendre for the sinusoidal integrand.
@@ -154,25 +151,17 @@ class FlowMarginReport:
 
 
 def make_flow(base, family="static", params=None, horizon=1.0):
-    """Build a :class:`FlowSpec` and verify measure invariance numerically."""
+    """Build a :class:`FlowSpec` and verify measure invariance numerically;
+    ``static`` is the ``constant_rate`` flow with zero parameters."""
     if not 0.0 < horizon < math.inf:
         raise ValueError("flow horizon must be positive and finite")
-    params = dict(params or {})
     if family == "static":
-        params = {}
-    elif family == "constant_rate":
-        params.setdefault("lambda0", 0.0)
-        params.setdefault("rate", 0.0)
-    elif family == "sinusoidal":
-        params.setdefault("lambda0", 0.0)
-        params.setdefault("amplitude", 0.0)
-        params.setdefault("frequency", 1.0)
-    else:
-        raise ValueError(f"unknown flow family {family!r}")
-    for key, val in params.items():
-        if not math.isfinite(float(val)):
-            raise ValueError(f"flow parameter {key} must be finite")
+        family, params = "constant_rate", None
+    params = {**_FLOW_DEFAULTS.get(family, {}), **(params or {})}
     flow = FlowSpec(base=base, family=family, params=params, horizon=float(horizon))
+    for key, val in params.items():
+        if not _is_real(val) or not math.isfinite(val):
+            raise ValueError(f"flow parameter {key} must be a finite number, got {val!r}")
     # a conformal factor out of double range overflows here or breaks invariance
     w0 = flow.measure_weights(0.0)
     for t in np.linspace(0.0, horizon, 7):

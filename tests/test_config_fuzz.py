@@ -148,6 +148,10 @@ SCHEMA_VIOLATIONS = {
                                    {"family": "cosine", "params": {"a": 0.5, "k": 1.5}}),
     "potential_l_is_a_float": _set(["manifold", "potential"],
                                    {"family": "cosine_sine", "params": {"l": 1.5}}),
+    "potential_a_is_a_bool": _set(["manifold", "potential"],
+                                  {"family": "cosine", "params": {"a": True}}),
+    "potential_b_is_a_string": _set(["manifold", "potential"],
+                                    {"family": "cosine", "params": {"b": "0.5"}}),
     "negative_period": _set(["manifold", "period"], -1.0),
     "unknown_potential": _set(["manifold", "potential"], {"family": "nope"}),
     "nan_potential": _set(["manifold", "potential"],
@@ -183,6 +187,18 @@ SCHEMA_VIOLATIONS = {
     "infinite_flow_horizon": _set(["flow"], {"family": "static", "horizon": math.inf}),
     "overflowing_flow": _set(
         ["flow"], {"family": "constant_rate", "params": {"rate": 5000.0}, "horizon": 0.3}
+    ),
+    "flow_rate_is_a_bool": _set(
+        ["flow"], {"family": "constant_rate", "params": {"rate": True}, "horizon": 0.3}
+    ),
+    "flow_lambda0_is_a_string": _set(
+        ["flow"], {"family": "constant_rate", "params": {"lambda0": "0.5"}, "horizon": 0.3}
+    ),
+    "flow_amplitude_is_a_bool": _set(
+        ["flow"], {"family": "sinusoidal", "params": {"amplitude": True}, "horizon": 0.3}
+    ),
+    "flow_frequency_is_a_string": _set(
+        ["flow"], {"family": "sinusoidal", "params": {"frequency": "2"}, "horizon": 0.3}
     ),
     "potential_not_a_mapping": _set(["manifold", "potential"], True),
     "potential_params_not_a_mapping": _set(

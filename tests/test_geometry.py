@@ -1,5 +1,6 @@
 """Construction, measures, curvature, distances, and ball ratios."""
 
+import functools
 import math
 
 import numpy as np
@@ -14,10 +15,16 @@ from wittenlab import (
     geodesic_distance,
     ricci_bakry_emery,
 )
-from wittenlab.entropy import w_derivative_decomposition
+from wittenlab.entropy import w_derivative_decomposition, w_entropy
 from wittenlab.geometry import _ball_measures, _disk_weights, bakry_emery_tensor
-from wittenlab.harnack import hamilton_harnack_defect, integrated_harnack_check
-from wittenlab.heatflow import initial_delta, kernel_state
+from wittenlab.harnack import (
+    hamilton_harnack_defect,
+    integrated_harnack_check,
+    kernel_dt_log_bounds,
+    li_yau_defect,
+    sup_bound_defect,
+)
+from wittenlab.heatflow import evolve, initial_delta, kernel_state
 from wittenlab.operators import gradient, hessian
 
 
@@ -80,6 +87,21 @@ def test_torus_cosine_sine_measure():
             {"model": "flat_torus_2d", "grid": 32,
              "potential": {"family": "cosine_sine", "params": {"l": "2"}}},
             "parameter l must be an integer",
+        ),
+        # grids are not truncated or parsed
+        ({"model": "flat_torus_2d", "grid": [32.7, 32.9]}, "grid must be an integer"),
+        ({"model": "circle", "grid": ["16"]}, "grid must be an integer"),
+        ({"model": "circle", "grid": 16.0}, "grid must be an integer"),
+        ({"model": "circle", "grid": True}, "grid must be an integer"),
+        (
+            {"model": "circle", "grid": 32,
+             "potential": {"family": "cosine", "params": {"a": True}}},
+            "parameter a must be a real number",
+        ),
+        (
+            {"model": "flat_torus_2d", "grid": 32,
+             "potential": {"family": "cosine_sine", "params": {"b": "0.5"}}},
+            "parameter b must be a real number",
         ),
     ],
 )
@@ -287,26 +309,48 @@ def test_derived_data_is_cached_and_read_only():
         M.potential_hessian[0, 1, 0, 0] = 1.0
 
 
-M_BELOW_N_CHECKS = {
-    "bakry_emery_tensor": lambda M, s, m: bakry_emery_tensor(M, m),
-    "w_derivative_decomposition": lambda M, s, m: w_derivative_decomposition(s, m, 0.0),
-    "hamilton_harnack_defect": lambda M, s, m: hamilton_harnack_defect(s, m, 0.0),
-    "ball_volume_ratio_check": lambda M, s, m: ball_volume_ratio_check(
+M_RULE_CHECKS = {
+    "bakry_emery_tensor": lambda M, snaps, m: bakry_emery_tensor(M, m),
+    "w_derivative_decomposition": lambda M, snaps, m: w_derivative_decomposition(
+        snaps[0], m, 0.0
+    ),
+    "w_entropy": lambda M, snaps, m: w_entropy(snaps[0], m, 0.0),
+    "hamilton_harnack_defect": lambda M, snaps, m: hamilton_harnack_defect(snaps[0], m, 0.0),
+    "li_yau_defect": lambda M, snaps, m: li_yau_defect(snaps[0], m),
+    "sup_bound_defect": lambda M, snaps, m: sup_bound_defect(
+        snaps[0], m, 0.0, 2.0 * float(snaps[0].u.max())
+    ),
+    "integrated_harnack_check": lambda M, snaps, m: integrated_harnack_check(
+        snaps, (0, 0), (3, 5), 0.1, 0.3, m, 0.0
+    ),
+    "kernel_dt_log_bounds": lambda M, snaps, m: kernel_dt_log_bounds(snaps, m, 0.0),
+    "ball_volume_ratio_check": lambda M, snaps, m: ball_volume_ratio_check(
         M, m, 0.0, (0, 0), 0.5, 1.0
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(M_BELOW_N_CHECKS))
+@functools.lru_cache
+def _torus_run(a):
+    """A 32x32 torus with potential a cos x, and a kernel run on it at t = 0.1, 0.3."""
+    M = flat_torus(32, potential={"family": "cosine", "params": {"a": a}})
+    return M, evolve(initial_delta(M, (3, 5), t0=0.1), [0.1, 0.3])
+
+
+@pytest.mark.parametrize("name", sorted(M_RULE_CHECKS))
 def test_m_below_n_rejected_alike_and_m_equal_n_accepted(name):
-    """One m test: the same message below n, and m == n on a constant potential."""
-    M = flat_torus(32)
-    state = kernel_state(M, (3, 5), 0.1)
-    check = M_BELOW_N_CHECKS[name]
-    with pytest.raises(ValueError) as info:
-        check(M, state, 1.5)
-    assert str(info.value) == "dimension parameter m=1.5 below topological dimension n=2"
-    check(M, state, 2.0)
+    """One m rule: every entry gives the same message below n, and at m == n
+    on a weighted model; m == n on a constant potential runs."""
+    check = M_RULE_CHECKS[name]
+    for a, m, message in (
+        (0.0, 1.5, "dimension parameter m=1.5 below topological dimension n=2"),
+        (0.5, 2.0, "dimension parameter m=2.0 equals topological dimension n=2, "
+                   "which needs a constant potential"),
+    ):
+        with pytest.raises(ValueError) as info:
+            check(*_torus_run(a), m)
+        assert str(info.value) == message
+    check(*_torus_run(0.0), 2.0)
 
 
 def test_axis_eigensystems_need_a_separable_potential():

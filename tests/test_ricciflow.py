@@ -66,6 +66,20 @@ def test_flow_rejects_bad_parameters(circle_flat):
         make_flow(circle_flat, "static", horizon=-2.0)
 
 
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("constant_rate", {"rate": True}),  # not lambda(t) = t
+        ("constant_rate", {"lambda0": "0.5"}),
+        ("sinusoidal", {"amplitude": True}),
+        ("sinusoidal", {"frequency": "2"}),
+    ],
+)
+def test_flow_parameters_must_be_numbers(circle_flat, family, params):
+    with pytest.raises(ValueError, match="must be a finite number"):
+        make_flow(circle_flat, family, params, horizon=1.0)
+
+
 def test_margin_static_flat(circle_flat):
     flow = make_flow(circle_flat, "static", horizon=1.0)
     rep = super_ricci_flow_margin(flow, 2.0, 0.0, 0.5)
