@@ -95,9 +95,9 @@ class _Runner:
         self.flow = None
         if config.flow is not None:
             flow = config.flow
-            horizon = flow.get("horizon", config.solver.times[-1])
             self.flow = _checked(
-                "flow", make_flow, self.manifold, flow.get("family"), flow.get("params"), horizon
+                "flow", make_flow, self.manifold, flow["family"], flow.get("params"),
+                flow["horizon"],
             )
         self.x0 = _node(config.solver.x0, self.manifold, "solver.x0")
         n = self.manifold.dim_n

@@ -17,6 +17,7 @@ Validation failures raise :class:`ConfigError` naming the offending key.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -78,10 +79,20 @@ class ExperimentConfig:
     out_dir: str
 
 
+# safe YAML loading that reads 1e-8 as a number, as YAML 1.2 and JSON do;
+# PyYAML alone reads a float without a dot as a string, which _number rejects
+_Loader = type("_Loader", (yaml.SafeLoader,), {})
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def load_config(path):
     try:
         with open(path) as handle:
-            data = yaml.safe_load(handle)
+            data = yaml.load(handle, Loader=_Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -92,28 +103,21 @@ def load_config(path):
 
 
 def _number(raw, key):
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {raw!r}")
-    return value
+    """``raw`` as a float; strings, bools and non-finite values raise."""
+    if not (_is_real(raw) and math.isfinite(raw)):
+        raise ConfigError(f"{key} must be a finite number, got {raw!r}")
+    return float(raw)
 
 
 def _parse_K(raw, check_name):
     if raw is None:
         return "admissible", None
-    if isinstance(raw, str):
-        if raw not in ("admissible", "fitted"):
-            raise ConfigError(
-                f"checks.{check_name}.K must be a number, 'admissible' or 'fitted'"
-            )
+    if raw in ("admissible", "fitted"):
         return raw, None
-    value = _number(raw, f"checks.{check_name}.K")
-    if value < 0.0:
-        raise ConfigError(f"checks.{check_name}.K must be finite and nonnegative")
-    return "explicit", value
+    key = f"checks.{check_name}.K"
+    if isinstance(raw, str) or _number(raw, key) < 0.0:
+        raise ConfigError(f"{key} must be a nonnegative number, 'admissible' or 'fitted'")
+    return "explicit", float(raw)
 
 
 def _as_list(raw):
@@ -195,13 +199,9 @@ def _name_clash(values):
 
 
 def _parse_m(raw, check_name):
-    items = _as_list(raw)
-    if not all(_is_real(m) for m in items):
-        raise ConfigError(f"checks.{check_name}.m must be a number or a list of numbers")
-    m_values = tuple(float(m) for m in items)
-    for m in m_values:
-        if m <= 0 or not math.isfinite(m):
-            raise ConfigError(f"checks.{check_name}.m must be positive and finite")
+    m_values = tuple(_number(m, f"checks.{check_name}.m") for m in _as_list(raw))
+    if not all(m > 0 for m in m_values):
+        raise ConfigError(f"checks.{check_name}.m must be positive")
     if not m_values and CHECKS[check_name].needs_m:
         raise ConfigError(f"checks.{check_name} needs at least one m value")
     clash = _name_clash(m_values)
@@ -281,6 +281,7 @@ def validate_experiment(data, out_override=None, grid_scale=1):
         flow = _mapping(data, "flow")
         if "family" not in flow:
             raise ConfigError("flow.family is required when a flow is given")
+        flow["horizon"] = _number(flow.get("horizon", times[-1]), "flow.horizon")
 
     clash = _name_clash(times)
     if clash and any(c.options.get("dump_defects") for c in checks):
@@ -300,8 +301,7 @@ def validate_experiment(data, out_override=None, grid_scale=1):
     if "entropy" in names and len(times) < 2:
         raise ConfigError("checks.entropy needs at least two solver.times")
     if "flow_entropy" in names:
-        horizon = _number(flow.get("horizon", times[-1]), "flow.horizon")
-        if sum(t <= horizon + 1e-12 for t in times) < 2:
+        if sum(t <= flow["horizon"] + 1e-12 for t in times) < 2:
             raise ConfigError(
                 "checks.flow_entropy needs at least two solver.times within flow.horizon"
             )

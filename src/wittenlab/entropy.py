@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import _m_equals_n, bakry_emery_tensor
+from .geometry import _check_K, _m_equals_n, bakry_emery_tensor
 from .operators import integrate_mu
 
 __all__ = [
@@ -78,11 +78,10 @@ def _exp_series(x):
 
 
 def _check_t_K(t, K):
-    """The domain of the normalizations: t > 0 and K >= 0."""
+    """The domain of the normalizations and of dW/dt: t > 0 and K >= 0."""
     if t <= 0.0:
         raise ValueError("t must be positive")
-    if K < 0.0:
-        raise ValueError("K must be nonnegative")
+    _check_K(K)
 
 
 def phi_mK(t, m, K):
@@ -140,8 +139,9 @@ def entropy_second_derivative(state):
 def _normalized_entropy(state, m, K, scale, normalization, derivative):
     """``(H, dH/dt, Phi, H - Phi, W)`` at the state's time t for the
     normalization ``Phi = normalization(t, m, K)``, with
-    W = H - Phi + t (dH/dt - derivative(t, m, K)); m must pass the m rule."""
+    W = H - Phi + t (dH/dt - derivative(t, m, K)); m and K must pass their rules."""
     _m_equals_n(state.manifold, m)
+    _check_K(K)
     t = state.t
     H, dH = _entropy_H(state, scale)
     Phi = normalization(t, m, K)
@@ -210,8 +210,7 @@ def _w_decomposition(state, m, K, scale, rate):
     ric = bakry_emery_tensor(manifold, m)
     n = manifold.dim_n
     t = state.t
-    if t <= 0.0:
-        raise ValueError("state time must be positive")
+    _check_t_K(t, K)
     u = state.u
     H = state.log_u_hessian
     G = state.log_u_gradient

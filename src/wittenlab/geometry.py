@@ -145,21 +145,15 @@ class WeightedManifold:
     def axis_eigensystems(self):
         """Per axis, ``(left, lam, right)`` with
 
-            exp(tau P_a L_a P_a) P_a = left @ diag(exp(tau * lam)) @ right,
+            rho^-1/2 exp(tau P_a S_a P_a) P_a rho^1/2 = left @ diag(exp(tau lam)) @ right,
 
         or None when phi is not additively separable.
 
-        With ``phi = sum_a phi_a(x_a)`` the divergence-form operator is the
-        Kronecker sum of the per-axis operators ``L_a = rho^-1 D rho D``
-        (``rho = exp(-phi_a)``, D the spectral first derivative) and the
-        Nyquist projection is ``P = P_x (x) P_y``, so
-        ``P exp(tau PLP) P`` is the Kronecker product of these factors.
-        D's symbol vanishes at Nyquist, so ``D = DP = PD`` and
-        ``P L_a P = R K`` with ``K = D rho D`` symmetric and
-        ``R = P rho^-1 P`` symmetric positive semi-definite of rank n - 1.
-        On range(P), spanned by R's eigenvectors Q with eigenvalues s^2 > 0,
-        R K is similar to the symmetric ``s Q^T K Q s``: two ``eigh`` calls
-        per axis, ``lam <= 0``.
+        With ``phi = sum_a phi_a(x_a)``, ``S = rho^1/2 L rho^-1/2`` is the
+        Kronecker sum of the per-axis ``S_a`` (``rho = exp(-phi_a)``) and
+        ``P = P_x (x) P_y``, so the heat flow's target
+        ``rho^-1/2 P exp(tau PSP) P rho^1/2`` is the Kronecker product of
+        these factors, each from one ``eigh`` with ``lam <= 0``.
         """
         parts = _axis_potentials(self)
         if parts is None:
@@ -249,39 +243,48 @@ def _grid_sizes(grid, scale=1):
     raise ValueError(f"grid must be an integer or a list of integers, got {grid!r}")
 
 
+def _check_params(what, family, params, defaults):
+    """Reject parameters that ``family`` of ``what`` does not read."""
+    unknown = [key for key in params if key not in defaults]
+    if unknown:
+        raise ValueError(f"{what} family {family!r} has no parameter(s) {unknown}")
+
+
+# each potential family with the defaults of the parameters it reads
+_POTENTIAL_DEFAULTS = {
+    "zero": {},
+    "cosine": {"a": 1.0, "k": 1},
+    "cosine_sine": {"a": 1.0, "k": 1, "b": 1.0, "l": 1},
+    "samples": {},
+}
+
+
 def _potential_from_spec(model, shape, coords, spec):
     if not isinstance(spec, dict) or not isinstance(spec.get("params") or {}, dict):
         raise ValueError("potential and its params must be mappings")
     family = spec.get("family", "zero")
+    if not isinstance(family, str) or family not in _POTENTIAL_DEFAULTS:
+        raise ValueError(f"unknown potential family {family!r}")
     params = spec.get("params", {}) or {}
-    for key in ("a", "b", "k", "l"):
-        value = params.get(key, 1)
+    _check_params("potential", family, params, _POTENTIAL_DEFAULTS[family])
+    for key, value in params.items():
         integer = key in ("k", "l")
         if not (_is_integer(value) if integer else _is_real(value)):
             kind = "an integer" if integer else "a real number"
             raise ValueError(f"potential parameter {key} must be {kind}, got {value!r}")
+    p = {**_POTENTIAL_DEFAULTS[family], **params}
     if family == "zero":
         return np.zeros(shape)
     if family == "cosine":
-        a = float(params.get("a", 1.0))
-        k = int(params.get("k", 1))
-        return a * np.cos(k * coords[0])
+        return p["a"] * np.cos(p["k"] * coords[0])
     if family == "cosine_sine":
         if model != "flat_torus_2d":
             raise ValueError("potential family 'cosine_sine' needs a 2-d model")
-        a = float(params.get("a", 1.0))
-        k = int(params.get("k", 1))
-        b = float(params.get("b", 1.0))
-        l = int(params.get("l", 1))
-        return a * np.cos(k * coords[0]) + b * np.sin(l * coords[1])
-    if family == "samples":
-        samples = np.asarray(spec.get("samples"), dtype=float)
-        if samples.shape != shape:
-            raise ValueError(
-                f"sampled potential has shape {samples.shape}, grid is {shape}"
-            )
-        return samples.copy()
-    raise ValueError(f"unknown potential family {family!r}")
+        return p["a"] * np.cos(p["k"] * coords[0]) + p["b"] * np.sin(p["l"] * coords[1])
+    samples = np.asarray(spec.get("samples"), dtype=float)
+    if samples.shape != shape:
+        raise ValueError(f"sampled potential has shape {samples.shape}, grid is {shape}")
+    return samples.copy()
 
 
 def build_manifold(config):
@@ -469,23 +472,23 @@ def _axis_potentials(manifold):
 
 
 def _projected_axis_eigensystem(manifold, axis, phi):
-    """``(left, lam, right)`` of ``exp(tau P L P) P`` for the 1-D operator of
-    potential ``phi`` along ``axis`` (see ``WeightedManifold.axis_eigensystems``)."""
+    """``(left, lam, right)`` of ``rho^-1/2 exp(tau P S P) P rho^1/2`` for the 1-D
+    operator of potential ``phi`` along ``axis`` (see ``axis_eigensystems``)."""
     n = manifold.grid_sizes[axis]
     first = manifold._derivative_symbols[axis][0].ravel()
     D = np.fft.irfft(first[:, None] * np.fft.rfft(np.eye(n), axis=0), n, axis=0)
-    rho = np.exp(-phi)
-    nyquist = (-1.0) ** np.arange(n)
-    P = np.eye(n) - np.outer(nyquist, nyquist) / n
-    mu, V = np.linalg.eigh(P @ (P / rho[:, None]))
-    # drop R's null direction, the Nyquist mode; the rest is >= min(1/rho)
-    Q, s = V[:, 1:], np.sqrt(mu[1:])
-    # K = D rho D = -(sqrt(rho) D)^T (sqrt(rho) D), since D^T = -D
-    C = (np.sqrt(rho)[:, None] * D) @ (Q * s)
-    lam, W = np.linalg.eigh(-(C.T @ C))
-    left = (Q * s) @ W
-    right = W.T @ (Q / s).T
-    return _read_only(left), _read_only(lam), _read_only(right)
+    half = np.exp(-0.5 * phi)  # rho^1/2
+    # the Householder reflection taking e_0 to the unit Nyquist vector; its
+    # other columns are an orthonormal basis Q of range(P)
+    w = (-1.0) ** np.arange(n) / math.sqrt(n)
+    w[0] -= 1.0
+    Q = (np.eye(n) - np.outer(w, w) / (0.5 * (w @ w)))[:, 1:]
+    # S = -B^T B with B = rho^1/2 D rho^-1/2, since D^T = -D; then
+    # P S P = Q W diag(lam) (Q W)^T for the eigenpairs of -(BQ)^T (BQ)
+    BQ = (half[:, None] * D) @ (Q / half[:, None])
+    lam, W = np.linalg.eigh(-(BQ.T @ BQ))
+    QW = Q @ W
+    return _read_only(QW / half[:, None]), _read_only(lam), _read_only(QW.T * half)
 
 
 def _m_equals_n(manifold, m):
@@ -502,6 +505,12 @@ def _m_equals_n(manifold, m):
             f"which needs a constant potential"
         )
     return True
+
+
+def _check_K(K):
+    """Reject K < 0: the rule of every function that takes K (Ric_mn >= -K)."""
+    if K < 0.0:
+        raise ValueError(f"curvature constant K={K} must be nonnegative")
 
 
 def _check_ball_radii(manifold, r, R):
@@ -600,8 +609,7 @@ def ball_volume_ratio_check(manifold, m, K, y, r, R):
     :func:`_ball_measures`) is set against (R/r)^m * exp(sqrt((m-1) K) * R).
     """
     _check_ball_radii(manifold, r, R)
-    if K < 0.0:
-        raise ValueError("curvature constant K must be nonnegative")
+    _check_K(K)
     _m_equals_n(manifold, m)
     big, small = _ball_measures(manifold, y, (R, r))
     ratio = big / small

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import _as_index, _m_equals_n, geodesic_distance
+from .geometry import _as_index, _check_K, _m_equals_n, geodesic_distance
 
 __all__ = [
     "HarnackReport",
@@ -27,6 +27,7 @@ __all__ = [
     "kernel_dt_log_bounds",
 ]
 
+HARNACK_TOL_REL = 1e-6  # of each bound's constant term, or of its right-hand side
 KERNEL_BOUND_TOL_REL = 1e-9
 
 
@@ -75,8 +76,7 @@ class KernelDtLogReport:
 def _validate_mk(manifold, m, K, t=None):
     """Reject m by the m rule, negative K and, when given, a time t <= 0."""
     _m_equals_n(manifold, m)
-    if K < 0.0:
-        raise ValueError("curvature constant K must be nonnegative")
+    _check_K(K)
     if t is not None and t <= 0.0:
         raise ValueError("state time must be positive")
 
@@ -103,7 +103,7 @@ def _report(inequality, state, m, K, defect, tol, extra=None):
     )
 
 
-def hamilton_harnack_defect(state, m, K, tol_rel=1e-6):
+def hamilton_harnack_defect(state, m, K):
     """Defect of the dimension-full gradient bound with curvature factor.
 
     defect = (m/2t) e^{4Kt} + e^{2Kt} (Lu/u) - |grad u / u|^2, which is
@@ -114,7 +114,7 @@ def hamilton_harnack_defect(state, m, K, tol_rel=1e-6):
     _validate_mk(state.manifold, m, K, t)
     rhs_const = (m / (2.0 * t)) * math.exp(4.0 * K * t)
     defect = rhs_const + math.exp(2.0 * K * t) * state.dt_log_u - _sq_grad_log(state)
-    return _report("hamilton", state, m, K, defect, tol_rel * rhs_const)
+    return _report("hamilton", state, m, K, defect, HARNACK_TOL_REL * rhs_const)
 
 
 def li_yau_defect(state, m):
@@ -130,7 +130,7 @@ def _snapshot_at(snapshots, t):
     raise ValueError(f"no snapshot at t={t}")
 
 
-def integrated_harnack_check(snapshots, x, y, tau, T, m, K, tol=1e-6):
+def integrated_harnack_check(snapshots, x, y, tau, T, m, K):
     """Two-point comparison obtained by integrating the gradient bound.
 
     lhs = u(x, tau) / u(y, T);
@@ -162,12 +162,12 @@ def integrated_harnack_check(snapshots, x, y, tau, T, m, K, tol=1e-6):
         distance=d,
         lhs=lhs,
         rhs=float(rhs),
-        tol=float(tol),
-        ok=bool(lhs <= rhs * (1.0 + tol)),
+        tol=HARNACK_TOL_REL,
+        ok=bool(lhs <= rhs * (1.0 + HARNACK_TOL_REL)),
     )
 
 
-def sup_bound_defect(state, m, K, A, tol_rel=1e-6):
+def sup_bound_defect(state, m, K, A):
     """Sup-normalized bound on (Lu/u + |grad u/u|^2) for bounded solutions.
 
     The main defect uses the prefactor K/(1 - e^{-Kt}); the report also
@@ -188,7 +188,7 @@ def sup_bound_defect(state, m, K, A, tol_rel=1e-6):
     defect = prefactor * bracket - lhs
     variant = (K + 1.0 / t) * bracket - lhs
     return _report(
-        "sup_bound", state, m, K, defect, tol_rel * (prefactor * m),
+        "sup_bound", state, m, K, defect, HARNACK_TOL_REL * (prefactor * m),
         extra={"A": float(A), "defect_variant": variant},
     )
 

@@ -1,25 +1,22 @@
 """Heat flow of the drift Laplacian with mass conservation and positivity.
 
-Two model classes are propagated exactly, with no time stepping: every
-snapshot is ``P exp(tau PLP) P`` applied to the start state, where P
-zeroes the per-axis Nyquist planes and tau is the time since the start.
-That is the operator Crank-Nicolson converges to, since every implicit
-step ends with the same projection.  On a constant potential the
-operator is diagonal in Fourier space (symbol ``-|k|^2``), so
-:func:`evolve` applies ``exp(-|k|^2 tau)`` with one FFT pair per
-snapshot.  On a 2-D torus with an additively separable potential it is
-the Kronecker product of per-axis factors cached on the manifold
-(``WeightedManifold.axis_eigensystems``), two small matrix products per
-snapshot.  The projection matters little: on the 64x64 ``torus_hamilton``
-model the snapshots differ from the unprojected ``exp(tau L)`` by 9e-9
-relative.
+Every path targets the symmetric propagator
+``T(tau) = rho^-1/2 P exp(tau PSP) P rho^1/2`` on the start state,
+where rho = exp(-phi), ``S = rho^1/2 L rho^-1/2`` is symmetric, P
+zeroes the per-axis Nyquist planes and tau is the time since the
+start.  Two model classes are propagated exactly, with no time
+stepping.  On a constant potential T is diagonal in Fourier space
+(symbol ``-|k|^2``), so :func:`evolve` applies ``exp(-|k|^2 tau)`` with
+one FFT pair per snapshot.  On a 2-D torus with an additively separable
+potential T is the Kronecker product of per-axis factors cached on the
+manifold (``WeightedManifold.axis_eigensystems``), two small matrix
+products per snapshot.  On the 64x64 ``torus_hamilton`` model T is 9e-9
+relative from the unprojected ``exp(tau L)``.
 
-Weighted circles and non-separable tori are stepped by Crank-Nicolson
-(implicit midpoint) on the divergence form operator, with an implicit
-Euler option for strongly damped starts.  Circles have per-axis factors
-too, but they stay on the stepping path for now: the benchmark's
-weighted-circle workload is the one whose counters certify that the
-implicit solver still runs.  The implicit solves run conjugate gradients
+Weighted circles (see :func:`_exact_propagator`) and non-separable tori
+are stepped by Crank-Nicolson (implicit midpoint) on the divergence form
+operator, and each step ends with the projection ``rho^-1/2 P rho^1/2``,
+so the steps converge to T.  The implicit solves run conjugate gradients
 on the similarity-transformed symmetric operator with a real-FFT
 Helmholtz preconditioner on the manifold's cached half-spectrum
 ``|k|^2``, to a residual of 1e-13, so conservation statements are
@@ -317,36 +314,27 @@ def _helmholtz_solve(manifold, gamma, b, x0, Lx0=None):
     )
 
 
-def _advance(manifold, u, dt, scheme, Lu=None):
-    """One implicit step of du/dt = L u on raw values.
-
-    ``Lu`` is L u when the caller has it; it serves the Crank-Nicolson
-    right-hand side and the solver's initial residual.
-    """
-    if scheme == "crank_nicolson":
-        g = 0.5 * dt
-        if Lu is None:
-            Lu = witten_laplacian(manifold, u)
-        rhs = u + g * Lu
-    elif scheme == "implicit_euler":
-        g = dt
-        rhs = u
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    out = _helmholtz_solve(manifold, g, rhs, u, Lu)
-    return dealias_nyquist(manifold, out)
+def _advance(manifold, u, dt, Lu=None):
+    """One Crank-Nicolson step of du/dt = L u on raw values, ending with the
+    projection ``rho^-1/2 P rho^1/2``.  ``Lu`` is L u when the caller has
+    it; it serves the right-hand side and the solver's initial residual."""
+    g = 0.5 * dt
+    if Lu is None:
+        Lu = witten_laplacian(manifold, u)
+    out = _helmholtz_solve(manifold, g, u + g * Lu, u, Lu)
+    s = manifold.sqrt_density
+    return dealias_nyquist(manifold, out * s) / s
 
 
-def step(state, dt, scheme="crank_nicolson"):
-    """Advance a state by dt with exact mass bookkeeping.
+def step(state, dt):
+    """Advance a state by one Crank-Nicolson step dt.
 
-    The scheme conserves mass in exact arithmetic; the leftover solver
-    residual in the constant mode is projected out explicitly so that
-    long runs do not accumulate drift.
+    The mass that the solver residual and the projection move is put back
+    explicitly, so that long runs do not accumulate drift.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    u = _advance(state.manifold, state.u, dt, scheme)
+    u = _advance(state.manifold, state.u, dt)
     return _accept(
         state.manifold, u, state.t + dt, state.mass, state.kernel,
         where=f"step to t={state.t + dt:.6g}",
@@ -365,8 +353,8 @@ def _snapshot_times(state, times):
     return times
 
 
-def _adaptive_evolve(state, times, scheme, local_error, manifest):
-    """Step-doubling loop of implicit ``scheme`` steps up to each time.
+def _adaptive_evolve(state, times, local_error, manifest):
+    """Step-doubling loop of Crank-Nicolson steps up to each time.
 
     Raises :class:`SolverConvergenceError` when the step size falls to
     1e-12 with the error estimate still above ``local_error``.
@@ -387,9 +375,9 @@ def _adaptive_evolve(state, times, scheme, local_error, manifest):
             if Lu is None:
                 Lu = witten_laplacian(manifold, current.u)
             # one full step against two half steps
-            coarse = _advance(manifold, current.u, dt, scheme, Lu)
-            half = _advance(manifold, current.u, 0.5 * dt, scheme, Lu)
-            fine = _advance(manifold, half, 0.5 * dt, scheme)
+            coarse = _advance(manifold, current.u, dt, Lu)
+            half = _advance(manifold, current.u, 0.5 * dt, Lu)
+            fine = _advance(manifold, half, 0.5 * dt)
             scale = float(np.abs(fine).max())
             err = float(np.abs(coarse - fine).max()) / (3.0 * max(scale, 1e-300))
             if err <= local_error:
@@ -423,16 +411,11 @@ def evolve(state, times, local_error=1e-8, scheme=None, manifest=None):
     additively separable potential are propagated exactly (see
     :func:`_exact_propagator`) and ``local_error`` does not apply.  Any
     other model (a weighted circle, a torus with a non-separable
-    potential), or an explicit ``"crank_nicolson"`` or
-    ``"implicit_euler"``, is time stepped with adaptive substeps of at
-    most ``DT_MAX``: the local error per step is estimated by step
-    doubling and held below ``local_error`` relative to max(u).  The
-    exact paths propagate ``P exp(tau PLP) P`` (P zeroes the per-axis
-    Nyquist planes), the operator that Crank-Nicolson with its per-step
-    Nyquist projection converges to; on the 64x64 ``torus_hamilton``
-    model it is 9e-9 relative from the unprojected ``exp(tau L)``.
-    Weighted circles stay on Crank-Nicolson for now (see the module
-    docstring).
+    potential), or ``scheme="crank_nicolson"``, is time stepped by
+    Crank-Nicolson with adaptive substeps of at most ``DT_MAX``: the
+    local error per step is estimated by step doubling and held below
+    ``local_error`` relative to max(u).  Both target the symmetric
+    propagator ``T(tau)`` of the module docstring.
 
     Either way every snapshot keeps the start state's mass and is
     positive.  A time equal to the state time returns the state itself.
@@ -445,17 +428,18 @@ def evolve(state, times, local_error=1e-8, scheme=None, manifest=None):
         propagate = _exact_propagator(state.manifold, state.u)
         if propagate is not None:
             return _exact_evolve(state, times, propagate, manifest)
-        scheme = "crank_nicolson"
-    return _adaptive_evolve(state, times, scheme, local_error, manifest)
+    elif scheme != "crank_nicolson":
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return _adaptive_evolve(state, times, local_error, manifest)
 
 
 def _exact_propagator(manifold, u):
-    """``tau -> P exp(tau PLP) P u`` where it has a closed form, else None.
+    """``tau -> T(tau) u`` where it has a closed form, else None.
 
-    On a constant potential the operator is diagonal in Fourier space
-    with symbol -|k|^2 and blind to the per-axis Nyquist planes: one FFT
-    pair.  On a torus with an additively separable potential it is the
-    Kronecker product of the manifold's per-axis factors
+    On a constant potential T is diagonal in Fourier space with symbol
+    -|k|^2 and blind to the per-axis Nyquist planes: one FFT pair.  On a
+    torus with an additively separable potential it is the Kronecker
+    product of the manifold's per-axis factors
     (``WeightedManifold.axis_eigensystems``): two small matrix products.
     Weighted circles stay on Crank-Nicolson for now, although their
     factors exist: the benchmark's ``checks_dense`` workload, a weighted
@@ -561,6 +545,11 @@ def kernel_state(manifold, x0, t):
     return make_state(manifold, u, t, kernel=KernelInfo(x0=x0, analytic=True))
 
 
+def _implicit_euler_substep(manifold, u, dt):
+    """One implicit Euler step of the warm-up ramp, projected by P."""
+    return dealias_nyquist(manifold, _helmholtz_solve(manifold, dt, u, u))
+
+
 def initial_delta(manifold, x0, t0=None):
     """Approximate fundamental solution at a small positive time.
 
@@ -583,7 +572,7 @@ def initial_delta(manifold, x0, t0=None):
     dts = t0 * (ratio - 1.0) / (ratio ** n_sub - 1.0) * ratio ** np.arange(n_sub)
     u = _fejer_bump(manifold, x0)
     for dt in dts:
-        u = _advance(manifold, u, dt, "implicit_euler")
+        u = _implicit_euler_substep(manifold, u, dt)
         u = u + (1.0 - integrate_mu(manifold, u)) / manifold.mu_total
         u = _clamp_rounding_negatives(manifold, u, where="delta warm-up")
     return make_state(manifold, u, t0, kernel=KernelInfo(x0=x0, analytic=False))

@@ -32,7 +32,7 @@ from .entropy import (
     _w_decomposition,
     _w_entropy,
 )
-from .geometry import WeightedManifold, _is_real, ricci_bakry_emery
+from .geometry import WeightedManifold, _check_K, _check_params, _is_real, ricci_bakry_emery
 from .heatflow import evolve
 
 __all__ = [
@@ -69,6 +69,7 @@ class FlowSpec:
     def __post_init__(self):
         if self.family not in _FLOW_DEFAULTS:
             raise ValueError(f"unknown flow family {self.family!r}")
+        _check_params("flow", self.family, self.params, _FLOW_DEFAULTS[self.family])
 
     def log_factor(self, t):
         """Conformal log-factor lam(t)."""
@@ -156,7 +157,8 @@ def make_flow(base, family="static", params=None, horizon=1.0):
     if not 0.0 < horizon < math.inf:
         raise ValueError("flow horizon must be positive and finite")
     if family == "static":
-        family, params = "constant_rate", None
+        _check_params("flow", family, params or {}, {})
+        family = "constant_rate"
     params = {**_FLOW_DEFAULTS.get(family, {}), **(params or {})}
     flow = FlowSpec(base=base, family=family, params=params, horizon=float(horizon))
     for key, val in params.items():
@@ -188,6 +190,7 @@ def _margin_fields(flow, m, K, times):
 
 def super_ricci_flow_margins(flow, m, K, times):
     """Margin reports at each of ``times``, on one base curvature."""
+    _check_K(K)
     out = []
     for t, field in zip(times, _margin_fields(flow, m, K, times)):
         min_value = float(field.min())

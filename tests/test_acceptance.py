@@ -126,7 +126,7 @@ def test_criterion_04_hamilton_soundness_matrix():
         for m in _m_values(M):
             K = wl.ricci_bakry_emery(M, m).admissible_K
             for s in snaps:
-                rep = wl.hamilton_harnack_defect(s, m, K, tol_rel=1e-6)
+                rep = wl.hamilton_harnack_defect(s, m, K)
                 scale = (m / (2 * s.t)) * math.exp(4 * K * s.t)
                 worst_rel = min(worst_rel, rep.min_defect / scale)
                 assert rep.ok, (M.model, m, K, s.t, rep.min_defect)
@@ -155,7 +155,7 @@ def test_criterion_05_integrated_harnack():
         for tau, T in windows:
             for x in nodes:
                 for y in nodes:
-                    rep = wl.integrated_harnack_check(snaps, x, y, tau, T, m, K, tol=1e-6)
+                    rep = wl.integrated_harnack_check(snaps, x, y, tau, T, m, K)
                     pairs_checked += 1
                     all_ok = all_ok and rep.ok
         if K == 0.0:
@@ -192,7 +192,7 @@ def test_criterion_06_sup_bound():
         snaps = wl.evolve(s0, [0.1, 0.25, 0.5])
         A = max(float(s.u.max()) for s in snaps) * (1 + 1e-12)
         for s in snaps:
-            rep = wl.sup_bound_defect(s, m, K, A, tol_rel=1e-6)
+            rep = wl.sup_bound_defect(s, m, K, A)
             all_ok = all_ok and rep.ok
             scale = (K / -math.expm1(-K * s.t)) * m
             worst_rel = min(worst_rel, rep.min_defect / scale)

@@ -53,6 +53,18 @@ def test_validate_rejections(mutate, match):
         validate_experiment(data)
 
 
+def test_exponent_floats_without_a_dot_are_numbers(tmp_path):
+    # JSON writes 1e-06, which PyYAML's safe loader alone reads as a string
+    data = copy.deepcopy(BASE)
+    data["solver"]["local_error"] = 1e-6
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(data))
+    assert validate_experiment(load_config(str(path))).solver.local_error == 1e-6
+    path.write_text(json.dumps(data).replace("1e-06", '"1e-06"'))
+    with pytest.raises(ConfigError, match="local_error must be a finite number"):
+        validate_experiment(load_config(str(path)))
+
+
 TORUS_32 = {"model": "flat_torus_2d", "grid": [32, 32], "potential": {"family": "zero"}}
 
 

@@ -43,6 +43,12 @@ PLAIN_CHECKS = (
     "tilde_identity",
 )
 FLOW_CHECKS = ("flow_margin", "flow_entropy")
+# each flow family with parameters of its own
+FLOW_PARAMS = {
+    "static": {},
+    "constant_rate": {"rate": -0.4},
+    "sinusoidal": {"amplitude": 0.3, "frequency": 2.0},
+}
 
 
 def run_cli(data):
@@ -84,11 +90,8 @@ def valid_configs(draw):
     data = {"manifold": manifold, "solver": solver}
     names = list(PLAIN_CHECKS)
     if draw(st.booleans()):
-        data["flow"] = {
-            "family": draw(st.sampled_from(["static", "constant_rate", "sinusoidal"])),
-            "params": {"rate": -0.4, "amplitude": 0.3, "frequency": 2.0},
-            "horizon": 0.3,
-        }
+        family = draw(st.sampled_from(sorted(FLOW_PARAMS)))
+        data["flow"] = {"family": family, "params": FLOW_PARAMS[family], "horizon": 0.3}
         names += FLOW_CHECKS
     chosen = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
     K_choices = [0.0, 0.5, "admissible"] + (["fitted"] if "flow" in data else [])
@@ -125,6 +128,14 @@ def _grid_of(value):
     return mutate
 
 
+def _integrated_pair(pair):
+    """Solver times 0.5 and 1.0, and an integrated check on ``pair`` alone."""
+    def mutate(data):
+        data["solver"]["times"] = [0.5, 1.0]
+        data["checks"] = [{"name": "integrated", "m": [3.0], "K": 0.0, "pairs": [pair]}]
+    return mutate
+
+
 def _drop_flow(*checks):
     def mutate(data):
         data.pop("flow", None)
@@ -151,7 +162,7 @@ SCHEMA_VIOLATIONS = {
     "potential_a_is_a_bool": _set(["manifold", "potential"],
                                   {"family": "cosine", "params": {"a": True}}),
     "potential_b_is_a_string": _set(["manifold", "potential"],
-                                    {"family": "cosine", "params": {"b": "0.5"}}),
+                                    {"family": "cosine_sine", "params": {"b": "0.5"}}),
     "negative_period": _set(["manifold", "period"], -1.0),
     "unknown_potential": _set(["manifold", "potential"], {"family": "nope"}),
     "nan_potential": _set(["manifold", "potential"],
@@ -212,6 +223,29 @@ SCHEMA_VIOLATIONS = {
     "center_is_a_string": _checks({"name": "ball_ratio", "center": "abc"}),
     "dump_defects_is_a_string": _checks(
         {"name": "hamilton", "m": [3.0], "K": 0.0, "dump_defects": "yes"}
+    ),
+    # numbers are not parsed from strings or bools
+    "t0_is_a_numeric_string": _set(["solver", "t0"], "0.05"),
+    "t0_is_a_bool": lambda d: d["solver"].update(t0=True, times=[1.0, 1.5]),
+    "times_entry_is_a_numeric_string": _set(["solver", "times"], ["0.5", 0.7]),
+    "times_entry_is_a_bool": _set(["solver", "times"], [0.5, True]),
+    "local_error_is_a_numeric_string": _set(["solver", "local_error"], "0.001"),
+    "K_is_a_bool": _checks({"name": "hamilton", "m": [3.0], "K": True}),
+    "r_is_a_bool": _checks({"name": "ball_ratio", "r": True, "R": 2.0}),
+    "R_is_a_numeric_string": _checks({"name": "ball_ratio", "r": 0.5, "R": "2.0"}),
+    "pair_time_is_a_numeric_string": _integrated_pair(["0.5", 1.0]),
+    "pair_time_is_a_bool": _integrated_pair([0.5, True]),
+    "flow_horizon_is_a_bool": _set(["flow"], {"family": "static", "horizon": True}),
+    "flow_horizon_is_a_numeric_string": _set(["flow"], {"family": "static", "horizon": "1"}),
+    # parameters of another family are not ignored
+    "flow_parameter_of_another_family": _set(
+        ["flow"], {"family": "constant_rate", "params": {"amplitude": 0.3}, "horizon": 0.3}
+    ),
+    "static_flow_with_parameters": _set(
+        ["flow"], {"family": "static", "params": {"rate": -0.4}, "horizon": 0.3}
+    ),
+    "potential_parameter_misspelled": _set(
+        ["manifold", "potential"], {"family": "cosine", "params": {"amp": 0.5}}
     ),
 }
 

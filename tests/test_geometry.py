@@ -15,7 +15,7 @@ from wittenlab import (
     geodesic_distance,
     ricci_bakry_emery,
 )
-from wittenlab.entropy import w_derivative_decomposition, w_entropy
+from wittenlab.entropy import tilde_w_entropy, w_derivative_decomposition, w_entropy
 from wittenlab.geometry import _ball_measures, _disk_weights, bakry_emery_tensor
 from wittenlab.harnack import (
     hamilton_harnack_defect,
@@ -26,6 +26,12 @@ from wittenlab.harnack import (
 )
 from wittenlab.heatflow import evolve, initial_delta, kernel_state
 from wittenlab.operators import gradient, hessian
+from wittenlab.ricciflow import (
+    make_flow,
+    super_ricci_flow_margins,
+    w_decomposition_on_flow,
+    w_entropy_on_flow,
+)
 
 
 def bessel_i0(a, terms=60):
@@ -102,6 +108,17 @@ def test_torus_cosine_sine_measure():
             {"model": "flat_torus_2d", "grid": 32,
              "potential": {"family": "cosine_sine", "params": {"b": "0.5"}}},
             "parameter b must be a real number",
+        ),
+        # not a = 1.0
+        (
+            {"model": "circle", "grid": 32,
+             "potential": {"family": "cosine", "params": {"amp": 0.5}}},
+            r"'cosine' has no parameter\(s\) \['amp'\]",
+        ),
+        (
+            {"model": "circle", "grid": 32,
+             "potential": {"family": "cosine", "params": {"a": 0.5, "b": 0.5}}},
+            r"'cosine' has no parameter\(s\) \['b'\]",
         ),
     ],
 )
@@ -309,25 +326,39 @@ def test_derived_data_is_cached_and_read_only():
         M.potential_hessian[0, 1, 0, 0] = 1.0
 
 
+# every entry that takes m, called with m and, where it takes one, K
 M_RULE_CHECKS = {
-    "bakry_emery_tensor": lambda M, snaps, m: bakry_emery_tensor(M, m),
-    "w_derivative_decomposition": lambda M, snaps, m: w_derivative_decomposition(
-        snaps[0], m, 0.0
+    "bakry_emery_tensor": lambda M, snaps, m, K: bakry_emery_tensor(M, m),
+    "w_derivative_decomposition": lambda M, snaps, m, K: w_derivative_decomposition(
+        snaps[0], m, K
     ),
-    "w_entropy": lambda M, snaps, m: w_entropy(snaps[0], m, 0.0),
-    "hamilton_harnack_defect": lambda M, snaps, m: hamilton_harnack_defect(snaps[0], m, 0.0),
-    "li_yau_defect": lambda M, snaps, m: li_yau_defect(snaps[0], m),
-    "sup_bound_defect": lambda M, snaps, m: sup_bound_defect(
-        snaps[0], m, 0.0, 2.0 * float(snaps[0].u.max())
+    "w_entropy": lambda M, snaps, m, K: w_entropy(snaps[0], m, K),
+    "tilde_w_entropy": lambda M, snaps, m, K: tilde_w_entropy(snaps[0], m, K),
+    "hamilton_harnack_defect": lambda M, snaps, m, K: hamilton_harnack_defect(
+        snaps[0], m, K
     ),
-    "integrated_harnack_check": lambda M, snaps, m: integrated_harnack_check(
-        snaps, (0, 0), (3, 5), 0.1, 0.3, m, 0.0
+    "li_yau_defect": lambda M, snaps, m, K: li_yau_defect(snaps[0], m),
+    "sup_bound_defect": lambda M, snaps, m, K: sup_bound_defect(
+        snaps[0], m, K, 2.0 * float(snaps[0].u.max())
     ),
-    "kernel_dt_log_bounds": lambda M, snaps, m: kernel_dt_log_bounds(snaps, m, 0.0),
-    "ball_volume_ratio_check": lambda M, snaps, m: ball_volume_ratio_check(
-        M, m, 0.0, (0, 0), 0.5, 1.0
+    "integrated_harnack_check": lambda M, snaps, m, K: integrated_harnack_check(
+        snaps, (0, 0), (3, 5), 0.1, 0.3, m, K
+    ),
+    "kernel_dt_log_bounds": lambda M, snaps, m, K: kernel_dt_log_bounds(snaps, m, K),
+    "ball_volume_ratio_check": lambda M, snaps, m, K: ball_volume_ratio_check(
+        M, m, K, (0, 0), 0.5, 1.0
+    ),
+    "super_ricci_flow_margins": lambda M, snaps, m, K: super_ricci_flow_margins(
+        make_flow(M, "static"), m, K, [0.1, 0.3]
+    ),
+    "w_decomposition_on_flow": lambda M, snaps, m, K: w_decomposition_on_flow(
+        make_flow(M, "static"), snaps[0], m, K
+    ),
+    "w_entropy_on_flow": lambda M, snaps, m, K: w_entropy_on_flow(
+        make_flow(M, "static"), snaps[0], m, K
     ),
 }
+K_RULE_CHECKS = sorted(set(M_RULE_CHECKS) - {"bakry_emery_tensor", "li_yau_defect"})
 
 
 @functools.lru_cache
@@ -348,9 +379,19 @@ def test_m_below_n_rejected_alike_and_m_equal_n_accepted(name):
                    "which needs a constant potential"),
     ):
         with pytest.raises(ValueError) as info:
-            check(*_torus_run(a), m)
+            check(*_torus_run(a), m, 0.0)
         assert str(info.value) == message
-    check(*_torus_run(0.0), 2.0)
+    check(*_torus_run(0.0), 2.0, 0.0)
+
+
+@pytest.mark.parametrize("name", K_RULE_CHECKS)
+def test_negative_K_rejected_alike(name):
+    """One K rule: every entry that takes K rejects K < 0 with one message."""
+    M, snaps = _torus_run(0.5)
+    with pytest.raises(ValueError) as info:
+        M_RULE_CHECKS[name](M, snaps, 3.0, -1.0)
+    assert str(info.value) == "curvature constant K=-1.0 must be nonnegative"
+    M_RULE_CHECKS[name](M, snaps, 3.0, 0.5)
 
 
 def test_axis_eigensystems_need_a_separable_potential():
@@ -363,13 +404,24 @@ def test_axis_eigensystems_need_a_separable_potential():
     )
     systems = M.axis_eigensystems
     assert M.axis_eigensystems is systems
-    for (left, lam, right), n in zip(systems, M.shape):
+    for axis, ((left, lam, right), n) in enumerate(zip(systems, M.shape)):
         assert (left.shape, lam.shape, right.shape) == ((n, n - 1), (n - 1,), (n - 1, n))
         assert not any(a.flags.writeable for a in (left, lam, right))
         assert lam.max() <= 1e-12 < -lam.min()  # dissipative, constants kept
-        # at tau = 0 the factor is the Nyquist projection
+        # at tau = 0 the factor is the conjugated Nyquist projection
         v = (-1.0) ** np.arange(n)
-        assert np.abs(left @ right - (np.eye(n) - np.outer(v, v) / n)).max() <= 1e-12
+        s = np.exp(-0.5 * M.potential.mean(axis=1 - axis))
+        P = np.eye(n) - np.outer(v, v) / n
+        assert np.abs(left @ right - P / s[:, None] * s[None, :]).max() <= 1e-12
+
+
+def test_axis_eigensystems_take_one_eigh_per_axis(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    M = flat_torus((16, 24), potential={"family": "cosine_sine", "params": {"a": 0.5}})
+    assert M.axis_eigensystems is not None
+    assert shapes == [(15, 15), (23, 23)]
 
 
 NODE_TAKERS = {

@@ -120,13 +120,14 @@ def test_scheme_second_order(circle_flat):
 
 
 def test_implicit_euler_first_order(circle_flat):
+    # the substep of the warm-up ramp of initial_delta
     T = 0.4
 
     def error(n_steps):
-        s = mode_state(circle_flat, 0.0)
+        u = mode_state(circle_flat, 0.0).u
         for _ in range(n_steps):
-            s = step(s, T / n_steps, scheme="implicit_euler")
-        return np.abs(s.u - mode_state(circle_flat, T).u).max()
+            u = heatflow._implicit_euler_substep(circle_flat, u, T / n_steps)
+        return np.abs(u - mode_state(circle_flat, T).u).max()
 
     ratio = error(20) / error(40)
     assert 1.7 < ratio < 2.3
@@ -365,18 +366,26 @@ def nyquist_projection(M):
     return P
 
 
+def symmetric_target(M, tau):
+    """T(tau) = rho^-1/2 P exp(tau PSP) P rho^1/2 with S = rho^1/2 L rho^-1/2,
+    as a dense matrix, from scipy's expm."""
+    from scipy.linalg import expm
+
+    s = M.sqrt_density.ravel()
+    S = s[:, None] * dense_operator(M) / s[None, :]
+    P = nyquist_projection(M)
+    return (expm(tau * (P @ S @ P)) @ P) / s[:, None] * s[None, :]
+
+
 def smooth_state(M, t, max_mode=4):
     u = 1.0 + 0.2 * random_band_limited(M, np.random.default_rng(5), max_mode=max_mode)
     return make_state(M, u / M.mu_total, t)
 
 
 def test_separable_torus_propagator_matches_dense_expm(torus_32x48):
-    from scipy.linalg import expm
-
     M = torus_32x48
     tau = 0.45
-    P = nyquist_projection(M)
-    exact = expm(tau * (P @ dense_operator(M) @ P)) @ P
+    exact = symmetric_target(M, tau)
     factors = [(left * np.exp(tau * lam)) @ right for left, lam, right in M.axis_eigensystems]
     assert np.abs(np.kron(*factors) - exact).max() <= 1e-12 * np.abs(exact).max()
 
@@ -390,14 +399,10 @@ def test_separable_torus_propagator_matches_dense_expm(torus_32x48):
 
 def test_circle_factors_match_dense_expm():
     # circles are still stepped, but their per-axis factors are exact too
-    from scipy.linalg import expm
-
     M = circle(32, potential={"family": "cosine", "params": {"a": 1.0, "k": 2}})
-    P = nyquist_projection(M)
-    PLP = P @ dense_operator(M) @ P
     ((left, lam, right),) = M.axis_eigensystems
     for tau in (0.1, 1.0):
-        exact = expm(tau * PLP) @ P
+        exact = symmetric_target(M, tau)
         got = (left * np.exp(tau * lam)) @ right
         assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
 
@@ -419,6 +424,23 @@ def test_separable_torus_agrees_with_crank_nicolson(torus_32x48):
         measured = np.abs(b.u - c.u).max()
         assert np.abs(a.u - b.u).max() <= 2.0 * measured
         assert np.abs(a.u - c.u).max() < np.abs(a.u - b.u).max()
+
+
+def test_non_separable_crank_nicolson_converges_to_the_symmetric_target():
+    # no per-axis factors exist here; Crank-Nicolson's error at local_error
+    # 1e-10, measured against a run at 1e-11, bounds its distance to T
+    xs, ys = flat_torus((16, 24)).coordinates()
+    M = flat_torus((16, 24), potential={"family": "samples", "samples": np.cos(xs + ys)})
+    assert M.axis_eigensystems is None
+    s0 = smooth_state(M, 0.0, max_mode=2)
+    times = [0.05, 0.2]
+    cn = evolve(s0, times, local_error=1e-10, scheme="crank_nicolson")
+    finer = evolve(s0, times, local_error=1e-11, scheme="crank_nicolson")
+    for t, b, c in zip(times, cn, finer):
+        exact = (symmetric_target(M, t) @ s0.u.ravel()).reshape(M.shape)
+        measured = np.abs(b.u - c.u).max()
+        assert np.abs(exact - b.u).max() <= 2.0 * measured
+        assert np.abs(exact - c.u).max() < np.abs(exact - b.u).max()
 
 
 def test_bundled_torus_is_propagated_exactly_with_mass_and_positivity():
@@ -449,11 +471,16 @@ def test_non_separable_and_forced_torus_runs_still_step(torus_32x48):
         assert all(r["error_estimate"] > 0.0 for r in manifest)
 
 
+def test_crank_nicolson_is_the_only_forced_scheme(circle_cos):
+    with pytest.raises(ValueError, match="unknown scheme 'implicit_euler'"):
+        evolve(uniform_state(circle_cos), [0.1], scheme="implicit_euler")
+
+
 def test_adaptive_evolve_raises_when_step_size_collapses(circle_flat, monkeypatch):
     s0 = uniform_state(circle_flat)
     shift = 1.0 / circle_flat.mu_total
 
-    def advance(manifold, u, dt, scheme, Lu=None):
+    def advance(manifold, u, dt, Lu=None):
         # one step and two half steps never agree, whatever the step size
         return u + shift
 

@@ -73,10 +73,20 @@ def test_flow_rejects_bad_parameters(circle_flat):
         ("constant_rate", {"lambda0": "0.5"}),
         ("sinusoidal", {"amplitude": True}),
         ("sinusoidal", {"frequency": "2"}),
+        ("constant_rate", {"rat": -0.4}),  # not a static flow
+        ("sinusoidal", {"rate": -0.4}),
+        ("static", {"rate": -0.4}),
     ],
 )
 def test_flow_parameters_must_be_numbers(circle_flat, family, params):
-    with pytest.raises(ValueError, match="must be a finite number"):
+    # a value that is no number is named so; a number under a key the
+    # family does not read is named as an unknown parameter
+    ((key, value),) = params.items()
+    if isinstance(value, (bool, str)):
+        message = "must be a finite number"
+    else:
+        message = rf"family '{family}' has no parameter\(s\) \['{key}'\]"
+    with pytest.raises(ValueError, match=message):
         make_flow(circle_flat, family, params, horizon=1.0)
 
 
