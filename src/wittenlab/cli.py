@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from functools import cached_property
 from importlib import resources
 
@@ -29,7 +30,8 @@ import numpy as np
 from . import entropy as entropy_mod
 from . import harnack as harnack_mod
 from . import reports
-from .config import CHECKS, ConfigError, load_config, validate_experiment
+from .config import CHECKS, M_N_PLUS_1, ConfigError, _checked
+from .config import load_config, validate_experiment
 from .geometry import _as_index, _check_ball_radii, _m_equals_n
 from .geometry import ball_volume_ratio_check, build_manifold, ricci_bakry_emery
 from .heatflow import evolve, initial_delta
@@ -62,20 +64,12 @@ def bundled_config_path(name):
 
 
 def _resolve_K(check, m, manifold, flow):
-    if check.K_mode == "explicit":
-        return check.K_value
-    if check.K_mode == "admissible":
+    K = check.options["K"]
+    if K == "admissible":
         return ricci_bakry_emery(manifold, m).admissible_K
-    return fit_super_flow_constant(flow, m)
-
-
-def _checked(key, rule, *args):
-    """``rule(*args)``, its rejection of the arguments re-raised as a
-    ConfigError on ``key``."""
-    try:
-        return rule(*args)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+    if K == "fitted":
+        return fit_super_flow_constant(flow, m)
+    return K
 
 
 def _node(index, manifold, key):
@@ -101,30 +95,29 @@ class _Runner:
             )
         self.x0 = _node(config.solver.x0, self.manifold, "solver.x0")
         n = self.manifold.dim_n
-        for check in config.checks:
+        self.checks = [
+            replace(c, m_values=(n + 1.0,)) if c.m_values == M_N_PLUS_1 else c
+            for c in config.checks
+        ]
+        for check in self.checks:
             # tilde_identity is a closed form, with no model
-            for m in self.m_values(check) if check.name != "tilde_identity" else ():
+            for m in check.m_values if check.name != "tilde_identity" else ():
                 _checked(f"checks.{check.name}.m={m:g}", _m_equals_n, self.manifold, m)
+            opts = check.options
             if check.name == "ball_ratio":
-                opts = check.options
                 key = "checks.ball_ratio"
-                self.center = _node(opts.get("center"), self.manifold, f"{key}.center")
+                self.center = _node(opts["center"], self.manifold, f"{key}.center")
                 _checked(f"{key}.R", _check_ball_radii, self.manifold, opts["r"], opts["R"])
-            nodes = check.options.get("nodes", 4)
-            if check.name == "integrated" and n == 2 and math.isqrt(nodes) ** 2 != nodes:
-                raise ConfigError(f"checks.integrated.nodes={nodes} is not a perfect square")
+            if check.name == "integrated" and n == 2:
+                nodes = opts["nodes"]
+                if math.isqrt(nodes) ** 2 != nodes:
+                    raise ConfigError(f"checks.integrated.nodes={nodes} is not a perfect square")
         self._snapshots = None
         self._manifest = None
         self._heat_flow_s = 0.0
         self._output_s = 0.0
 
     # ------------------------------------------------------------ helpers
-    def m_values(self, check):
-        """The check's m values, or its default when it sets none."""
-        n = self.manifold.dim_n
-        defaults = {"curvature": (n + 1.0,), "ball_ratio": (2.0,), "tilde_identity": (2.0,)}
-        return check.m_values or defaults.get(check.name, ())
-
     def out(self, filename):
         return os.path.join(self.config.out_dir, filename)
 
@@ -164,7 +157,7 @@ class _Runner:
         handler(check)
 
     def check_curvature(self, check):
-        for m in self.m_values(check):
+        for m in check.m_values:
             cf = ricci_bakry_emery(self.manifold, m)
             self.write_csv(
                 f"curvature_m{m:g}.csv", reports.curvature_csv, self.manifold, cf
@@ -178,7 +171,7 @@ class _Runner:
 
     def check_ball_ratio(self, check):
         opts = check.options
-        for m in self.m_values(check):
+        for m in check.m_values:
             K = _resolve_K(check, m, self.manifold, self.flow)
             rep = ball_volume_ratio_check(
                 self.manifold, m, K, self.center, opts["r"], opts["R"]
@@ -188,7 +181,7 @@ class _Runner:
             )
 
     def check_operators_selftest(self, check):
-        count = check.options.get("count", 20)
+        count = check.options["count"]
         rng = np.random.default_rng(self.seed)
         worst_res = 0.0
         worst_adj = 0.0
@@ -223,10 +216,11 @@ class _Runner:
         snaps = self.snapshots()
         out_reports = []
         all_ok = True
-        dump_fields = check.options.get("dump_defects", False)
+        dump_fields = check.options["dump_defects"]
         A = max(float(s.u.max()) for s in snaps) * (1.0 + 1e-12)  # sup over the run
         for m in check.m_values:
-            K = _resolve_K(check, m, self.manifold, self.flow)
+            if fn_name != "li_yau":  # the Li-Yau bound has no K
+                K = _resolve_K(check, m, self.manifold, self.flow)
             for s in snaps:
                 if fn_name == "li_yau":
                     rep = harnack_mod.li_yau_defect(s, m)
@@ -257,8 +251,8 @@ class _Runner:
     def check_integrated(self, check):
         snaps = self.snapshots()
         opts = check.options
-        n_nodes = opts.get("nodes", 4)
-        pairs = opts.get("pairs") or [[snaps[0].t, snaps[-1].t]]
+        n_nodes = opts["nodes"]
+        pairs = opts["pairs"] or [[snaps[0].t, snaps[-1].t]]
         # a square of nodes on a torus, where __init__ checks n_nodes is one
         side = n_nodes if self.manifold.dim_n == 1 else math.isqrt(n_nodes)
         axes = ([i * n // side for i in range(side)] for n in self.manifold.shape)
@@ -315,7 +309,7 @@ class _Runner:
 
     def check_tilde_identity(self, check):
         worst = 0.0
-        for m in self.m_values(check):
+        for m in check.m_values:
             for K in (0.0, 0.5, 1.0):
                 for t in np.linspace(0.05, 1.2, 10):
                     out = entropy_mod.tilde_w_comparison(m, K, float(t))
@@ -376,7 +370,7 @@ class _Runner:
     def run(self):
         start = time.perf_counter()
         checks = {}
-        for check in self.config.checks:
+        for check in self.checks:
             if check.name not in self.selected:
                 continue
             self._output_s = 0.0

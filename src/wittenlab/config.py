@@ -4,10 +4,10 @@ Top-level keys of an experiment file:
 
     manifold:  model, grid, period, potential.{family,params,samples}
     solver:    t0, x0 (default: the origin node), times, local_error
-    checks:    list of {name, m, K, ...}, each name at most once (see
-               CHECKS); m is a number or a list of numbers (required by
-               the checks marked needs_m); K is a number, "admissible",
-               or "fitted" (flow checks only)
+    checks:    list of {name, ...}, each name at most once; a check
+               accepts only the keys of its CHECKS row, which gives
+               their defaults; m is a number or a list of numbers; K is
+               a number, "admissible", or "fitted" (needs a flow)
     flow:      family, params, horizon (optional section)
     out:       output directory (optional; CLI flag overrides)
 
@@ -18,34 +18,41 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import yaml
 
 from .geometry import _grid_sizes, _is_integer, _is_real
+from .heatflow import _check_local_error
+
+REQUIRED = "required"  # a key with no default
+M_N_PLUS_1 = "n + 1"  # the model's dimension plus one, resolved by the runner
 
 
 class _CheckKind(NamedTuple):
-    subcommand: str  # the CLI subcommand that runs the check
-    needs_m: bool  # loops over its m values and has no default for them
-    needs_flow: bool  # runs on the flow section
+    subcommand: str  # the CLI subcommand that runs the check; "flow" needs a flow
+    keys: dict  # each key the check reads, with its default (None: set by the check)
 
 
 CHECKS = {
-    "curvature": _CheckKind("curvature", needs_m=False, needs_flow=False),
-    "ball_ratio": _CheckKind("curvature", needs_m=False, needs_flow=False),
-    "operators_selftest": _CheckKind("curvature", needs_m=False, needs_flow=False),
-    "mass": _CheckKind("simulate", needs_m=False, needs_flow=False),
-    "li_yau": _CheckKind("harnack", needs_m=True, needs_flow=False),
-    "hamilton": _CheckKind("harnack", needs_m=True, needs_flow=False),
-    "sup_bound": _CheckKind("harnack", needs_m=True, needs_flow=False),
-    "integrated": _CheckKind("harnack", needs_m=True, needs_flow=False),
-    "kernel_bounds": _CheckKind("harnack", needs_m=True, needs_flow=False),
-    "entropy": _CheckKind("entropy", needs_m=True, needs_flow=False),
-    "tilde_identity": _CheckKind("entropy", needs_m=False, needs_flow=False),
-    "flow_margin": _CheckKind("flow", needs_m=True, needs_flow=True),
-    "flow_entropy": _CheckKind("flow", needs_m=True, needs_flow=True),
+    "curvature": _CheckKind("curvature", {"m": M_N_PLUS_1}),
+    "ball_ratio": _CheckKind(
+        "curvature", {"m": (2.0,), "K": "admissible", "r": 0.5, "R": 1.0, "center": None}
+    ),
+    "operators_selftest": _CheckKind("curvature", {"count": 20}),
+    "mass": _CheckKind("simulate", {}),
+    "li_yau": _CheckKind("harnack", {"m": REQUIRED, "dump_defects": False}),
+    "hamilton": _CheckKind("harnack", {"m": REQUIRED, "K": "admissible", "dump_defects": False}),
+    "sup_bound": _CheckKind("harnack", {"m": REQUIRED, "K": "admissible", "dump_defects": False}),
+    "integrated": _CheckKind(
+        "harnack", {"m": REQUIRED, "K": "admissible", "nodes": 4, "pairs": None}
+    ),
+    "kernel_bounds": _CheckKind("harnack", {"m": REQUIRED, "K": "admissible"}),
+    "entropy": _CheckKind("entropy", {"m": REQUIRED, "K": "admissible"}),
+    "tilde_identity": _CheckKind("entropy", {"m": (2.0,)}),
+    "flow_margin": _CheckKind("flow", {"m": REQUIRED, "K": "admissible"}),
+    "flow_entropy": _CheckKind("flow", {"m": REQUIRED, "K": "admissible"}),
 }
 
 
@@ -53,13 +60,19 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _checked(key, rule, *args):
+    """``rule(*args)``; its rejection of the arguments raises ConfigError on ``key``."""
+    try:
+        return rule(*args)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 @dataclass
 class CheckSpec:
     name: str
-    m_values: tuple
-    K_mode: str  # "explicit" | "admissible" | "fitted"
-    K_value: float | None
-    options: dict = field(default_factory=dict)
+    m_values: tuple | str  # M_N_PLUS_1 until the runner resolves it
+    options: dict  # every other key of the CHECKS row
 
 
 @dataclass
@@ -109,15 +122,15 @@ def _number(raw, key):
     return float(raw)
 
 
-def _parse_K(raw, check_name):
+def _parse_K(raw, key):
+    """``raw`` as a float, or the mode "admissible" (also for None) or "fitted"."""
     if raw is None:
-        return "admissible", None
+        return "admissible"
     if raw in ("admissible", "fitted"):
-        return raw, None
-    key = f"checks.{check_name}.K"
+        return raw
     if isinstance(raw, str) or _number(raw, key) < 0.0:
         raise ConfigError(f"{key} must be a nonnegative number, 'admissible' or 'fitted'")
-    return "explicit", float(raw)
+    return float(raw)
 
 
 def _as_list(raw):
@@ -147,11 +160,19 @@ def _parse_node(raw, key):
     return tuple(int(i) for i in items)
 
 
-def _parse_options(item, name, times):
-    """Check options with their types and the values a check reads
-    checked (pair times against ``times``); keys no check reads pass through."""
-    options = {k: v for k, v in item.items() if k not in ("name", "m", "K")}
+def _parse_check(item, name, times):
+    """Check entry ``item`` as a :class:`CheckSpec`: each key of the check's
+    CHECKS row from ``item`` or its default, with its type and value checked
+    (pair times against ``times``); a key the row does not list raises."""
+    keys = CHECKS[name].keys
     where = f"checks.{name}"
+    unknown = [key for key in item if key not in keys and key != "name"]
+    if unknown:
+        raise ConfigError(f"{where} has no key(s) {unknown}; its keys are {['name', *keys]}")
+    m_values = _parse_m(item.get("m"), name, keys["m"]) if "m" in keys else ()
+    options = {key: item.get(key, keys[key]) for key in keys if key != "m"}
+    if "K" in options:
+        options["K"] = _parse_K(options["K"], f"{where}.K")
     for key in ("count", "nodes"):
         if key in options and not (_is_integer(options[key]) and options[key] > 0):
             raise ConfigError(f"{where}.{key} must be a positive integer")
@@ -171,9 +192,6 @@ def _parse_options(item, name, times):
         pairs = options["pairs"] = [
             [_number(t, f"{where}.pairs") for t in p] for p in pairs
         ]
-    if name == "ball_ratio":
-        options.setdefault("r", 0.5)
-        options.setdefault("R", 1.0)
     if name == "integrated":
         if pairs is None and len(times) < 2:
             raise ConfigError(f"{where} needs a pairs option or two solver.times")
@@ -183,7 +201,7 @@ def _parse_options(item, name, times):
             for t in (tau, T):
                 if t not in times:
                     raise ConfigError(f"{where}.pairs time {t:g} is not in solver.times")
-    return options
+    return CheckSpec(name=name, m_values=m_values, options=options)
 
 
 def _name_clash(values):
@@ -198,11 +216,12 @@ def _name_clash(values):
     return None
 
 
-def _parse_m(raw, check_name):
+def _parse_m(raw, check_name, default):
+    """The m values of ``raw``, or ``default`` (from the check's row) if none."""
     m_values = tuple(_number(m, f"checks.{check_name}.m") for m in _as_list(raw))
     if not all(m > 0 for m in m_values):
         raise ConfigError(f"checks.{check_name}.m must be positive")
-    if not m_values and CHECKS[check_name].needs_m:
+    if not m_values and default == REQUIRED:
         raise ConfigError(f"checks.{check_name} needs at least one m value")
     clash = _name_clash(m_values)
     if clash:
@@ -211,7 +230,7 @@ def _parse_m(raw, check_name):
             f"checks.{check_name}.m values {a!r} and {b!r} both name their outputs "
             f"m{a:g}; give values that differ in 6 significant digits"
         )
-    return m_values
+    return m_values or default
 
 
 def validate_experiment(data, out_override=None, grid_scale=1):
@@ -239,9 +258,8 @@ def validate_experiment(data, out_override=None, grid_scale=1):
         raise ConfigError("solver.times must be strictly ascending")
     if times[0] < t0 - 1e-15:
         raise ConfigError("solver.times must start at or after solver.t0")
-    local_error = _number(solver_raw.get("local_error", 1e-8), "solver.local_error")
-    if not (0 < local_error < 1):
-        raise ConfigError("solver.local_error must be in (0, 1)")
+    local_error = solver_raw.get("local_error", 1e-8)
+    _checked("solver.local_error", _check_local_error, local_error)
     solver = SolverParams(t0=t0, x0=x0, times=times, local_error=local_error)
 
     checks_raw = data.get("checks")
@@ -263,18 +281,7 @@ def validate_experiment(data, out_override=None, grid_scale=1):
                 f"check {name!r} is listed twice; its outputs and summary keys "
                 f"carry the check name, so give it one entry"
             )
-        m_values = _parse_m(item.get("m"), name)
-        K_mode, K_value = _parse_K(item.get("K"), name)
-        options = _parse_options(item, name, times)
-        checks.append(
-            CheckSpec(
-                name=name,
-                m_values=m_values,
-                K_mode=K_mode,
-                K_value=K_value,
-                options=options,
-            )
-        )
+        checks.append(_parse_check(item, name, times))
 
     flow = None
     if data.get("flow") is not None:
@@ -291,9 +298,9 @@ def validate_experiment(data, out_override=None, grid_scale=1):
             f"dump_defects needs times that differ in 6 significant digits"
         )
 
-    if flow is None and any(CHECKS[c.name].needs_flow for c in checks):
+    if flow is None and any(CHECKS[c.name].subcommand == "flow" for c in checks):
         raise ConfigError("flow checks selected but no flow section given")
-    if flow is None and any(c.K_mode == "fitted" for c in checks):
+    if flow is None and any(c.options.get("K") == "fitted" for c in checks):
         raise ConfigError("K mode 'fitted' needs a flow section")
 
     # the entropy series differentiate W across snapshots

@@ -308,15 +308,15 @@ def build_manifold(config):
             raise ValueError(f"grid sizes must be even and >= {MIN_GRID}, got {n}")
 
     period = config.get("period", 2.0 * np.pi)
-    if isinstance(period, (int, float, np.floating)):
-        period = (float(period),) * dim
-    else:
-        period = tuple(float(p) for p in period)
+    if _is_real(period):
+        period = (period,) * dim
+    if not isinstance(period, (list, tuple)) or not all(
+        _is_real(L) and 0.0 < L < math.inf for L in period
+    ):
+        raise ValueError(f"period must be a positive real number per axis, got {period!r}")
+    period = tuple(float(L) for L in period)
     if len(period) != dim:
         raise ValueError(f"model {model} needs {dim} period(s), got {period}")
-    for L in period:
-        if not (L > 0.0) or not math.isfinite(L):
-            raise ValueError(f"circumferences must be positive, got {L}")
 
     shape = grid
     # coordinates broadcast to grid shape

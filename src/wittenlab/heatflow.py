@@ -52,6 +52,7 @@ from .geometry import (
     _as_index,
     _constant_potential,
     _hessian,
+    _is_real,
     _read_only,
     _wavenumber_square,
 )
@@ -353,6 +354,12 @@ def _snapshot_times(state, times):
     return times
 
 
+def _check_local_error(local_error):
+    """Reject a ``local_error`` outside (0, 1): the rule of every :func:`evolve`."""
+    if not (_is_real(local_error) and 0.0 < local_error < 1.0):
+        raise ValueError(f"local_error must be a finite number in (0, 1), got {local_error!r}")
+
+
 def _adaptive_evolve(state, times, local_error, manifest):
     """Step-doubling loop of Crank-Nicolson steps up to each time.
 
@@ -422,8 +429,10 @@ def evolve(state, times, local_error=1e-8, scheme=None, manifest=None):
     Pass a list as ``manifest`` to collect (t, dt, error_estimate) rows,
     one per accepted step or exact propagation.  The heat flow along a
     conformal flow runs through here on the base clock (see
-    :func:`wittenlab.ricciflow.evolve_heat_on_flow`).
+    :func:`wittenlab.ricciflow.evolve_heat_on_flow`).  A ``local_error``
+    outside (0, 1) raises ``ValueError`` on every path.
     """
+    _check_local_error(local_error)
     if scheme is None:
         propagate = _exact_propagator(state.manifold, state.u)
         if propagate is not None:

@@ -17,14 +17,11 @@ __all__ = [
     "wrapped_gaussian",
     "wrapped_gaussian_log_dx",
     "wrapped_gaussian_log_dt",
-    "eigen_sum_circle",
 ]
 
 # Smallest value stored for kernel samples; positive stand-in for values
 # whose true magnitude underflows double precision.
 TINY = np.finfo(float).tiny
-
-EIGEN_TRUNCATE = 1e-16  # eigen_sum_circle drops modes with exp(-lam t) below it
 
 
 def _image_displacements(theta, t, L):
@@ -68,25 +65,3 @@ def wrapped_gaussian_log_dt(theta, t, L):
     d = _image_displacements(theta, t, L)
     w = _image_weights(d, t)
     return -0.5 / t + (w * d * d).sum(axis=-1) / (4.0 * t * t)
-
-
-def eigen_sum_circle(theta, t, L):
-    """Circle kernel by Fourier eigen-expansion, modes cut below ``EIGEN_TRUNCATE``.
-
-    Independent of the image-sum route; used as an oracle against it.
-    """
-    if t <= 0.0:
-        raise ValueError("kernel time must be positive")
-    theta = np.asarray(theta, dtype=float)
-    out = np.ones_like(theta)
-    k = 0
-    while True:
-        k += 1
-        lam = (2.0 * math.pi * k / L) ** 2
-        amp = math.exp(-lam * t)
-        if amp < EIGEN_TRUNCATE:
-            break
-        out = out + 2.0 * amp * np.cos(2.0 * math.pi * k * theta / L)
-        if k > 100000:
-            break
-    return out / L

@@ -8,8 +8,7 @@ with Fourier differentiation for grad and div.  Because the first
 derivative matrix is antisymmetric on the uniform periodic grid, the
 divergence form is self-adjoint in the weighted inner product and
 annihilates constants up to rounding, which is what the conservation and
-integration-by-parts checks downstream rely on.  The expanded form
-``lap f - grad(phi).grad(f)`` is kept as a cross-check only.
+integration-by-parts checks downstream rely on.
 
 Every field is real, so all transforms are real FFTs on the half
 spectrum: one spectral derivative (``geometry._axis_derivative``, a 1-D
@@ -36,7 +35,6 @@ __all__ = [
     "hessian",
     "laplacian",
     "witten_laplacian",
-    "witten_laplacian_drift_form",
     "gamma2",
     "integrate_mu",
     "mu_inner",
@@ -112,14 +110,6 @@ def witten_laplacian(manifold, f):
         flux = density * _axis_derivative(manifold, f, a, 1)
         out += _axis_derivative(manifold, flux, a, 1)
     return out / density
-
-
-def witten_laplacian_drift_form(manifold, f):
-    """Expanded form lap f - grad(phi).grad(f); cross-check only."""
-    f = _check_field(manifold, f)
-    return laplacian(manifold, f) - np.einsum(
-        "a...,a...->...", manifold.potential_gradient, gradient(manifold, f)
-    )
 
 
 def integrate_mu(manifold, f):

@@ -154,8 +154,8 @@ class FlowMarginReport:
 def make_flow(base, family="static", params=None, horizon=1.0):
     """Build a :class:`FlowSpec` and verify measure invariance numerically;
     ``static`` is the ``constant_rate`` flow with zero parameters."""
-    if not 0.0 < horizon < math.inf:
-        raise ValueError("flow horizon must be positive and finite")
+    if not (_is_real(horizon) and 0.0 < horizon < math.inf):
+        raise ValueError(f"flow horizon must be a positive finite number, got {horizon!r}")
     if family == "static":
         _check_params("flow", family, params or {}, {})
         family = "constant_rate"

@@ -39,7 +39,13 @@ def test_validate_happy_path():
     [
         (lambda d: d.pop("manifold"), "manifold"),
         (lambda d: d.update(checks=[]), "at least one"),
-        (lambda d: d.update(checks=[{"name": "li_yau", "K": -2.0, "m": [1]}]), "nonnegative"),
+        (lambda d: d.update(checks=[{"name": "hamilton", "K": -2.0, "m": [1]}]), "nonnegative"),
+        # a key the check does not read is named, not ignored
+        (
+            lambda d: d.update(checks=[{"name": "hamilton", "m": [2], "dump_defect": True}]),
+            r"checks.hamilton has no key\(s\) \['dump_defect'\]",
+        ),
+        (lambda d: d.update(checks=[{"name": "mass", "m": [0.5]}]), r"checks.mass has no key"),
         (lambda d: d.update(checks=[{"name": "nope"}]), "unknown check"),
         (lambda d: d["solver"].update(times=[0.3, 0.1]), "ascending"),
         (lambda d: d["solver"].update(t0=-1.0), "positive"),

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wittenlab.cli import main
+from wittenlab.config import CHECKS
 
 FUZZ = settings(
     derandomize=True,
@@ -97,9 +98,14 @@ def valid_configs(draw):
     K_choices = [0.0, 0.5, "admissible"] + (["fitted"] if "flow" in data else [])
     checks = []
     for name in chosen:
-        m = draw(st.lists(st.sampled_from([n + 0.5, n + 1.0, n + 2.0]), min_size=1,
-                          max_size=2, unique=True))
-        check = {"name": name, "m": m, "K": draw(st.sampled_from(K_choices))}
+        # only the keys of the check's CHECKS row
+        keys = CHECKS[name].keys
+        check = {"name": name}
+        if "m" in keys:
+            check["m"] = draw(st.lists(st.sampled_from([n + 0.5, n + 1.0, n + 2.0]),
+                                       min_size=1, max_size=2, unique=True))
+        if "K" in keys:
+            check["K"] = draw(st.sampled_from(K_choices))
         if name == "operators_selftest":
             check["count"] = 2
         checks.append(check)
@@ -120,11 +126,11 @@ def _checks(*checks):
     return _set(["checks"], list(checks))
 
 
-def _grid_of(value):
-    """Every grid size replaced by ``value``, one per axis of the model."""
+def _per_axis(key, value):
+    """Manifold ``key`` set to ``value`` on each axis of the model."""
     def mutate(data):
         axes = 2 if data["manifold"]["model"] == "flat_torus_2d" else 1
-        data["manifold"]["grid"] = [value] * axes
+        data["manifold"][key] = [value] * axes
     return mutate
 
 
@@ -152,9 +158,9 @@ SCHEMA_VIOLATIONS = {
     "grid_below_minimum": _set(["manifold", "grid"], 8),
     "grid_is_a_string": _set(["manifold", "grid"], "abc"),
     "grid_is_missing": _set(["manifold", "grid"], None),
-    "grid_of_floats": _grid_of(32.7),
-    "grid_of_strings": _grid_of("16"),
-    "grid_of_bools": _grid_of(True),
+    "grid_of_floats": _per_axis("grid", 32.7),
+    "grid_of_strings": _per_axis("grid", "16"),
+    "grid_of_bools": _per_axis("grid", True),
     "potential_k_is_a_float": _set(["manifold", "potential"],
                                    {"family": "cosine", "params": {"a": 0.5, "k": 1.5}}),
     "potential_l_is_a_float": _set(["manifold", "potential"],
@@ -164,6 +170,8 @@ SCHEMA_VIOLATIONS = {
     "potential_b_is_a_string": _set(["manifold", "potential"],
                                     {"family": "cosine_sine", "params": {"b": "0.5"}}),
     "negative_period": _set(["manifold", "period"], -1.0),
+    "period_is_a_bool": _set(["manifold", "period"], True),
+    "period_entry_is_a_numeric_string": _per_axis("period", "6.5"),
     "unknown_potential": _set(["manifold", "potential"], {"family": "nope"}),
     "nan_potential": _set(["manifold", "potential"],
                           {"family": "cosine", "params": {"a": math.nan}}),
@@ -224,6 +232,16 @@ SCHEMA_VIOLATIONS = {
     "dump_defects_is_a_string": _checks(
         {"name": "hamilton", "m": [3.0], "K": 0.0, "dump_defects": "yes"}
     ),
+    # a check accepts only the keys of its CHECKS row
+    "hamilton_key_misspelled": _checks(
+        {"name": "hamilton", "m": [3.0], "K": 0.0, "dump_defect": True}
+    ),
+    "integrated_key_misspelled": _checks(
+        {"name": "integrated", "m": [3.0], "K": 0.0, "node": 9}
+    ),
+    "li_yau_with_K": _checks({"name": "li_yau", "m": [3.0], "K": 5.0}),
+    "mass_with_m": _checks({"name": "mass", "m": [3.0]}),
+    "hamilton_with_nodes": _checks({"name": "hamilton", "m": [3.0], "K": 0.0, "nodes": 4}),
     # numbers are not parsed from strings or bools
     "t0_is_a_numeric_string": _set(["solver", "t0"], "0.05"),
     "t0_is_a_bool": lambda d: d["solver"].update(t0=True, times=[1.0, 1.5]),

@@ -120,6 +120,9 @@ def test_torus_cosine_sine_measure():
              "potential": {"family": "cosine", "params": {"a": 0.5, "b": 0.5}}},
             r"'cosine' has no parameter\(s\) \['b'\]",
         ),
+        # periods are not converted: not a circumference of 1.0 or 6.5
+        ({"model": "circle", "grid": 64, "period": True}, "period must be a positive real"),
+        ({"model": "circle", "grid": 64, "period": ["6.5"]}, "period must be a positive real"),
     ],
 )
 def test_build_rejections(config, message):

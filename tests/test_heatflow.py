@@ -21,7 +21,7 @@ from wittenlab import build_manifold, circle, flat_torus, heatflow
 from wittenlab.cli import bundled_config_path
 from wittenlab.config import load_config
 from wittenlab.heatflow import SolverConvergenceError, _helmholtz_solve
-from wittenlab.kernels import eigen_sum_circle, wrapped_gaussian
+from wittenlab.kernels import wrapped_gaussian
 from wittenlab.operators import (
     gamma2,
     gradient,
@@ -30,6 +30,8 @@ from wittenlab.operators import (
     random_band_limited,
     witten_laplacian,
 )
+
+from references import eigen_sum_circle
 
 
 def mode_state(M, t, amplitude=0.9, k=1):
@@ -474,6 +476,13 @@ def test_non_separable_and_forced_torus_runs_still_step(torus_32x48):
 def test_crank_nicolson_is_the_only_forced_scheme(circle_cos):
     with pytest.raises(ValueError, match="unknown scheme 'implicit_euler'"):
         evolve(uniform_state(circle_cos), [0.1], scheme="implicit_euler")
+
+
+@pytest.mark.parametrize("local_error", [-1.0, 0.0, math.nan, 2.0])
+def test_local_error_outside_zero_one_is_rejected(circle_flat, circle_cos, local_error):
+    for M in (circle_flat, circle_cos):  # the exact path and Crank-Nicolson alike
+        with pytest.raises(ValueError, match=r"local_error must be a finite number in \(0, 1\)"):
+            evolve(uniform_state(M), [0.2], local_error=local_error)
 
 
 def test_adaptive_evolve_raises_when_step_size_collapses(circle_flat, monkeypatch):

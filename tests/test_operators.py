@@ -14,11 +14,9 @@ from wittenlab import (
     witten_laplacian,
 )
 from wittenlab.geometry import _axis_derivative
-from wittenlab.operators import (
-    dealias_nyquist,
-    random_band_limited,
-    witten_laplacian_drift_form,
-)
+from wittenlab.operators import dealias_nyquist, random_band_limited
+
+from references import witten_laplacian_drift_form
 
 
 def complex_fft_derivative(manifold, f, axis, order):
