@@ -210,7 +210,10 @@ class _Runner:
         ok = drift <= 1e-10
         self.write_csv("snapshots.csv", reports.snapshots_csv, snaps)
         self.write_csv("evolution_manifest.csv", reports.manifest_csv, self._manifest)
-        self.record("mass_conservation", ok, max_drift=drift, snapshots=len(snaps))
+        self.record(
+            "mass_conservation", ok, max_drift=drift, snapshots=len(snaps),
+            min_over_max=min(float(s.u.min() / s.u.max()) for s in snaps),
+        )
 
     def _pointwise_harnack(self, check, fn_name):
         snaps = self.snapshots()

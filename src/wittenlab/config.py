@@ -24,7 +24,7 @@ from typing import NamedTuple
 import yaml
 
 from .geometry import _grid_sizes, _is_integer, _is_real
-from .heatflow import _check_local_error
+from .heatflow import _check_local_error, _snapshot_times
 
 REQUIRED = "required"  # a key with no default
 M_N_PLUS_1 = "n + 1"  # the model's dimension plus one, resolved by the runner
@@ -123,9 +123,7 @@ def _number(raw, key):
 
 
 def _parse_K(raw, key):
-    """``raw`` as a float, or the mode "admissible" (also for None) or "fitted"."""
-    if raw is None:
-        return "admissible"
+    """``raw`` as a float, or the mode "admissible" or "fitted"."""
     if raw in ("admissible", "fitted"):
         return raw
     if isinstance(raw, str) or _number(raw, key) < 0.0:
@@ -169,6 +167,12 @@ def _parse_check(item, name, times):
     unknown = [key for key in item if key not in keys and key != "name"]
     if unknown:
         raise ConfigError(f"{where} has no key(s) {unknown}; its keys are {['name', *keys]}")
+    for key in keys:
+        if key in item and item[key] is None:
+            raise ConfigError(
+                f"{where}.{key} is null; its config.CHECKS default, {keys[key]!r}, "
+                f"holds only when the key is left out"
+            )
     m_values = _parse_m(item.get("m"), name, keys["m"]) if "m" in keys else ()
     options = {key: item.get(key, keys[key]) for key in keys if key != "m"}
     if "K" in options:
@@ -249,15 +253,9 @@ def validate_experiment(data, out_override=None, grid_scale=1):
         raise ConfigError("solver.t0 must be positive")
     x0 = _parse_node(solver_raw.get("x0"), "solver.x0")
     times_raw = solver_raw.get("times", (0.1, 0.5, 1.0))
-    if not isinstance(times_raw, (list, tuple)):
-        raise ConfigError(f"solver.times must be a list of numbers, got {times_raw!r}")
-    times = tuple(_number(t, "solver.times") for t in times_raw)
-    if not times:
-        raise ConfigError("solver.times must not be empty")
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ConfigError("solver.times must be strictly ascending")
-    if times[0] < t0 - 1e-15:
-        raise ConfigError("solver.times must start at or after solver.t0")
+    if not isinstance(times_raw, (list, tuple)) or not times_raw:
+        raise ConfigError(f"solver.times must be a non-empty list of numbers, got {times_raw!r}")
+    times = tuple(_checked("solver.times", _snapshot_times, times_raw, t0))
     local_error = solver_raw.get("local_error", 1e-8)
     _checked("solver.local_error", _check_local_error, local_error)
     solver = SolverParams(t0=t0, x0=x0, times=times, local_error=local_error)

@@ -10,8 +10,13 @@ stepping.  On a constant potential T is diagonal in Fourier space
 one FFT pair per snapshot.  On a 2-D torus with an additively separable
 potential T is the Kronecker product of per-axis factors cached on the
 manifold (``WeightedManifold.axis_eigensystems``), two small matrix
-products per snapshot.  On the 64x64 ``torus_hamilton`` model T is 9e-9
-relative from the unprojected ``exp(tau L)``.
+products per snapshot.
+
+Start states (:func:`initial_delta`) follow the same split.  A constant
+potential samples the closed-form kernel, a separable torus applies
+``T(t0)`` to the weighted node delta, so that its runs are exact from
+the start, and every other model warms a positive bump up to ``t0`` with
+an implicit Euler ramp.
 
 Weighted circles (see :func:`_exact_propagator`) and non-separable tori
 are stepped by Crank-Nicolson (implicit midpoint) on the divergence form
@@ -84,10 +89,12 @@ CG_MAXITER = 600
 # largest adaptive step of :func:`evolve`
 DT_MAX = 0.25
 
-# Negative values larger than this fraction of max(u) are scheme errors,
-# not rounding debris.  Kernel starts near the resolution limit shed
-# spectral-truncation transients around 1e-9 relative; genuine overshoot
-# from an oversized step is orders of magnitude larger.
+# Negative values larger than this fraction of max(u) are scheme errors or
+# unresolved start states, not rounding debris.  Exact start kernels dip
+# below zero where the grid barely resolves t0: on the 32x48 cosine_sine
+# torus min/max is -1.3e-9 at t0 = 0.08 (clamped) and -2.9e-7 at 0.05
+# (raised); genuine overshoot from an oversized step is orders of
+# magnitude larger.
 POSITIVITY_REL_TOL = 1e-8
 
 # what a PositivityError of a time step suggests
@@ -342,15 +349,18 @@ def step(state, dt):
     )
 
 
-def _snapshot_times(state, times):
-    """Snapshot times as floats, strictly ascending and not before the state."""
+def _snapshot_times(times, start):
+    """``times`` as floats: finite real numbers, strictly ascending and none
+    before ``start`` (within 1e-12).  The rule of every :func:`evolve`, from
+    its start state, and of ``solver.times``, from ``solver.t0``."""
+    times = list(times)
+    if not all(_is_real(t) and math.isfinite(t) for t in times):
+        raise ValueError(f"snapshot times must be finite numbers, got {times!r}")
     times = [float(t) for t in times]
-    if not all(math.isfinite(t) for t in times):
-        raise ValueError("snapshot times must be finite")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("snapshot times must be strictly ascending")
-    if times and times[0] < state.t - 1e-12:
-        raise ValueError(f"first snapshot {times[0]} is before state time {state.t}")
+    if times and times[0] < start - 1e-12:
+        raise ValueError(f"first snapshot {times[0]:g} is before the start time {start:g}")
     return times
 
 
@@ -366,7 +376,7 @@ def _adaptive_evolve(state, times, local_error, manifest):
     Raises :class:`SolverConvergenceError` when the step size falls to
     1e-12 with the error estimate still above ``local_error``.
     """
-    times = _snapshot_times(state, times)
+    times = _snapshot_times(times, state.t)
     if not times:
         return []
 
@@ -450,9 +460,12 @@ def _exact_propagator(manifold, u):
     torus with an additively separable potential it is the Kronecker
     product of the manifold's per-axis factors
     (``WeightedManifold.axis_eigensystems``): two small matrix products.
-    Weighted circles stay on Crank-Nicolson for now, although their
-    factors exist: the benchmark's ``checks_dense`` workload, a weighted
-    circle, is the one whose counters certify the implicit solver.
+    :func:`evolve` propagates its snapshots with it, and
+    :func:`initial_delta` its start states from the weighted node delta.
+    Weighted circles stay on Crank-Nicolson and on the warm-up ramp for
+    now, although their factors exist: the benchmark's ``checks_dense``
+    workload, a weighted circle, is the one whose counters certify the
+    implicit solver.
     """
     if _constant_potential(manifold):
         ksq = _wavenumber_square(manifold)
@@ -477,20 +490,12 @@ def _exact_evolve(state, times, propagate, manifest):
     Each snapshot comes straight from the start state; its manifest row
     has the time since the previous snapshot as ``dt`` and
     ``error_estimate`` 0.  No step size is involved, so a snapshot that
-    loses positivity comes from a start state the grid does not resolve,
-    typically a kernel sampled at a time below the squared grid spacing;
-    the error names that time.
+    loses positivity comes from a start state the grid does not resolve;
+    the error names its time (see :func:`_unresolved_start_remedy`).
     """
-    times = _snapshot_times(state, times)
+    times = _snapshot_times(times, state.t)
     manifold = state.manifold
-    h2 = max(manifold.spacings) ** 2
-    remedy = (
-        f"the start state at t={state.t:.6g} (solver.t0) is below the squared "
-        f"grid spacing {h2:.6g} and not resolved on the grid; raise solver.t0 "
-        f"or refine the grid"
-        if state.t < h2
-        else "the start state is not resolved on the grid; refine the grid"
-    )
+    remedy = _unresolved_start_remedy(manifold, state.t)
     out = []
     current = state
     for target in times:
@@ -504,6 +509,21 @@ def _exact_evolve(state, times, propagate, manifest):
                 manifest.append({"t": current.t, "dt": dt, "error_estimate": 0.0})
         out.append(current)
     return out
+
+
+def _unresolved_start_remedy(manifold, t):
+    """What a :class:`PositivityError` of an exact propagation suggests.
+
+    No step size is involved there, so negative values come from a start
+    state at time ``t`` that the grid does not resolve: a kernel whose
+    width sqrt(t) is not large against the grid spacing.
+    """
+    h2 = max(manifold.spacings) ** 2
+    return (
+        f"the start state at t={t:.6g} (solver.t0) is "
+        f"{'below' if t < h2 else 'at or above'} the squared grid spacing "
+        f"{h2:.6g} and not resolved on the grid; raise solver.t0 or refine the grid"
+    )
 
 
 def _axis_profiles(manifold, x0, fn, *args):
@@ -560,12 +580,19 @@ def _implicit_euler_substep(manifold, u, dt):
 
 
 def initial_delta(manifold, x0, t0=None):
-    """Approximate fundamental solution at a small positive time.
+    """Fundamental solution from node x0 at a small positive time ``t0``.
 
-    Constant-potential flat models sample the closed-form kernel; other
-    potentials start from a positive band-limited bump and run a strongly
-    damped implicit Euler ramp of geometrically growing substeps up to
-    ``t0``.  Either way the result has unit mass.
+    Constant-potential flat models sample the closed-form kernel.  On the
+    models that :func:`evolve` propagates exactly (2-D tori with a
+    separable potential) the start state is ``T(t0)`` applied to the
+    weighted node delta ``e_x0 / w(x0)`` (w = ``measure_weights``, so the
+    delta has unit mass): the discrete kernel itself.  Its values dip
+    below zero where the grid does not resolve ``t0``; beyond
+    ``POSITIVITY_REL_TOL`` that raises :class:`PositivityError`, which
+    names ``solver.t0``.  Weighted circles and non-separable tori start
+    from a positive band-limited bump and run a strongly damped implicit
+    Euler ramp of geometrically growing substeps up to ``t0``, an
+    approximate kernel.  Every start state has unit mass.
     """
     x0 = _as_index(manifold, x0)
     if t0 is None:
@@ -576,6 +603,16 @@ def initial_delta(manifold, x0, t0=None):
     if _constant_potential(manifold):
         return kernel_state(manifold, x0, t0)
 
+    kernel = KernelInfo(x0=x0, analytic=False)
+    delta = np.zeros(manifold.shape)
+    delta[x0] = 1.0 / manifold.measure_weights[x0]
+    propagate = _exact_propagator(manifold, delta)
+    if propagate is not None:
+        return _accept(
+            manifold, propagate(t0), t0, 1.0, kernel, where=f"exact start at t0={t0:.6g}",
+            remedy=_unresolved_start_remedy(manifold, t0),
+        )
+
     n_sub = 24
     ratio = 2.0
     dts = t0 * (ratio - 1.0) / (ratio ** n_sub - 1.0) * ratio ** np.arange(n_sub)
@@ -584,4 +621,4 @@ def initial_delta(manifold, x0, t0=None):
         u = _implicit_euler_substep(manifold, u, dt)
         u = u + (1.0 - integrate_mu(manifold, u)) / manifold.mu_total
         u = _clamp_rounding_negatives(manifold, u, where="delta warm-up")
-    return make_state(manifold, u, t0, kernel=KernelInfo(x0=x0, analytic=False))
+    return make_state(manifold, u, t0, kernel=kernel)

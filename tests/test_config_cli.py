@@ -12,7 +12,7 @@ import yaml
 
 import wittenlab
 from wittenlab.cli import _Runner, bundled_config_path, main
-from wittenlab.config import CHECKS, ConfigError, load_config, validate_experiment
+from wittenlab.config import CHECKS, REQUIRED, ConfigError, load_config, validate_experiment
 
 
 BASE = {
@@ -193,6 +193,8 @@ def test_every_check_has_one_handler():
 def test_missing_x0_starts_at_the_origin(tmp_path):
     data = copy.deepcopy(BASE)
     data.update(manifold=TORUS_32)
+    data["solver"]["x0"] = None  # an explicit null is the origin too
+    assert validate_experiment(data).solver.x0 is None
     del data["solver"]["x0"]
     assert validate_experiment(data).solver.x0 is None
     path = write_config(tmp_path, data)
@@ -212,6 +214,75 @@ def test_unresolved_start_kernel_names_t0(tmp_path, capsys):
     assert "negative value" in err
     assert "t=0.02 (solver.t0) is below the squared grid spacing 0.154213" in err
     assert "reduce dt" not in err
+
+
+def test_unresolved_exact_start_on_a_weighted_torus_exits_1(tmp_path, capsys):
+    # the exact start kernel of the 32x48 torus at t0 = 0.05 is not positive
+    data = copy.deepcopy(BASE)
+    data["manifold"] = {
+        "model": "flat_torus_2d",
+        "grid": [32, 48],
+        "potential": {
+            "family": "cosine_sine", "params": {"a": 0.5, "k": 1, "b": 0.3, "l": 2}
+        },
+    }
+    data["solver"]["x0"] = [0, 0]
+    path = write_config(tmp_path, data)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: exact start at t0=0.05: negative value")
+    assert "t=0.05 (solver.t0) is at or above the squared grid spacing 0.0385531" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name,key", [(name, key) for name, kind in CHECKS.items() for key in kind.keys]
+)
+def test_null_check_keys_are_rejected_and_absent_ones_take_the_default(name, key):
+    data = copy.deepcopy(BASE)
+    data["flow"] = {"family": "static"}
+    check = {"name": name, key: None}
+    if key != "m" and "m" in CHECKS[name].keys:
+        check["m"] = [3.0]
+    data["checks"] = [check]
+    default = CHECKS[name].keys[key]
+    with pytest.raises(ConfigError) as info:
+        validate_experiment(data)
+    assert str(info.value) == (
+        f"checks.{name}.{key} is null; its config.CHECKS default, {default!r}, "
+        f"holds only when the key is left out"
+    )
+    del check[key]
+    if key == "m":
+        if default == REQUIRED:
+            with pytest.raises(ConfigError, match="needs at least one m value"):
+                validate_experiment(data)
+        else:
+            assert validate_experiment(data).checks[0].m_values == default
+    else:
+        assert validate_experiment(data).checks[0].options[key] == default
+
+
+def test_snapshot_times_have_one_rule(circle_cos):
+    # solver.times against solver.t0 and evolve's times against its state
+    data = copy.deepcopy(BASE)
+    state = wittenlab.uniform_state(circle_cos, t=0.05)
+    for times, message in [
+        ([0.01, 0.3], "first snapshot 0.01 is before the start time 0.05"),
+        ([0.3, 0.1], "snapshot times must be strictly ascending"),
+        ([0.1, "0.3"], "snapshot times must be finite numbers"),
+        ([0.1, True], "snapshot times must be finite numbers"),
+        ([0.1, float("inf")], "snapshot times must be finite numbers"),
+    ]:
+        data["solver"]["times"] = times
+        with pytest.raises(ConfigError, match=f"^solver.times: {message}"):
+            validate_experiment(data)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            wittenlab.evolve(state, times)
+    # within 1e-12 of the start time counts as the start time, on both paths
+    data["solver"]["times"] = [0.05 - 5e-13, 0.3]
+    assert validate_experiment(data).solver.times == (0.05 - 5e-13, 0.3)
+    assert wittenlab.evolve(state, [0.05 - 5e-13])[0] is state
 
 
 def test_negative_K_exits_2(tmp_path):
@@ -399,7 +470,10 @@ def test_integrated_nodes_on_a_torus_must_be_a_square(tmp_path, capsys, nodes):
 )
 def test_configured_nodes_outside_the_grid_exit_2(tmp_path, capsys, solver_x0, center, message):
     data = {**BASE, "solver": {**BASE["solver"], "x0": solver_x0}}
-    data["checks"] = [{"name": "mass"}, {"name": "ball_ratio", "center": center}]
+    ball = {"name": "ball_ratio", "center": center}
+    if center is None:  # an explicit null center exits 2 by itself
+        del ball["center"]
+    data["checks"] = [{"name": "mass"}, ball]
     path = write_config(tmp_path, data)
     assert main(["all", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err

@@ -225,6 +225,10 @@ SCHEMA_VIOLATIONS = {
     ),
     "nan_t0": _set(["solver", "t0"], math.nan),
     "count_is_null": _checks({"name": "operators_selftest", "count": None}),
+    "K_is_null": _checks({"name": "hamilton", "m": [3.0], "K": None}),
+    "m_is_null": _checks({"name": "curvature", "m": None}),
+    "center_is_null": _checks({"name": "ball_ratio", "center": None}),
+    "pairs_is_null": _checks({"name": "integrated", "m": [3.0], "pairs": None}),
     "nodes_is_a_string": _checks({"name": "integrated", "m": [3.0], "nodes": "abc"}),
     "pairs_is_a_number": _checks({"name": "integrated", "m": [3.0], "pairs": 5}),
     "radius_is_a_list": _checks({"name": "ball_ratio", "r": [1]}),

@@ -460,6 +460,49 @@ def test_bundled_torus_is_propagated_exactly_with_mass_and_positivity():
         assert s.u.min() > 0.0
 
 
+def test_exact_start_is_the_symmetric_target_on_the_weighted_delta(torus_32x48):
+    M = torus_32x48
+    x0, t0 = (3, 7), 0.2
+    delta = np.zeros(M.shape)
+    delta[x0] = 1.0 / M.measure_weights[x0]  # unit weighted mass
+    T = symmetric_target(M, t0)
+    expected = (T @ delta.ravel()).reshape(M.shape)
+    s0 = initial_delta(M, x0, t0=t0)
+    assert np.abs(s0.u - expected).max() <= 1e-12 * expected.max()
+    assert abs(s0.mass - 1.0) <= 1e-14
+    assert expected.min() > 0.0 and s0.u.min() > 0.0
+    # from the exact start, evolve gives T(t) delta / w: T(2 t0) = T(t0) T(t0)
+    (s,) = evolve(s0, [2 * t0])
+    later = (T @ expected.ravel()).reshape(M.shape)
+    assert np.abs(s.u - later).max() <= 1e-12 * later.max()
+
+
+def test_only_stepped_models_start_with_helmholtz_solves(torus_32x48, circle_cos, monkeypatch):
+    calls = []
+    solve = heatflow._helmholtz_solve
+    monkeypatch.setattr(
+        heatflow, "_helmholtz_solve", lambda *args: calls.append(1) or solve(*args)
+    )
+    initial_delta(torus_32x48, (0, 0), t0=0.1)
+    assert calls == []
+    xs, ys = flat_torus((16, 24)).coordinates()
+    mixed = flat_torus((16, 24), potential={"family": "samples", "samples": np.cos(xs + ys)})
+    for M in (circle_cos, mixed):
+        calls.clear()
+        initial_delta(M, (0,) * M.dim_n, t0=0.1)
+        assert calls, M.shape
+
+
+def test_unresolved_exact_start_raises_and_names_t0(torus_32x48):
+    # the kernel at t0 = 0.05 dips to -2.9e-7 of its maximum on this grid
+    h2 = max(torus_32x48.spacings) ** 2
+    with pytest.raises(PositivityError, match="negative value") as info:
+        initial_delta(torus_32x48, (0, 0), t0=0.05)
+    message = str(info.value)
+    assert "raise solver.t0 or refine the grid" in message
+    assert f"squared grid spacing {h2:.6g}" in message
+
+
 def test_non_separable_and_forced_torus_runs_still_step(torus_32x48):
     xs, ys = torus_32x48.coordinates()
     mixed = flat_torus(
@@ -468,7 +511,7 @@ def test_non_separable_and_forced_torus_runs_still_step(torus_32x48):
     assert mixed.axis_eigensystems is None
     for M, scheme in ((mixed, None), (torus_32x48, "crank_nicolson")):
         manifest = []
-        evolve(initial_delta(M, (0, 0), t0=0.05), [0.06], scheme=scheme, manifest=manifest)
+        evolve(initial_delta(M, (0, 0), t0=0.1), [0.11], scheme=scheme, manifest=manifest)
         assert len(manifest) > 1
         assert all(r["error_estimate"] > 0.0 for r in manifest)
 
@@ -613,7 +656,7 @@ def uncached_fields(M, s):
 def test_derived_fields_are_cached_read_only_and_exact(request, name):
     M = request.getfixturevalue(name)
     x0 = (0,) * M.dim_n
-    (s,) = evolve(initial_delta(M, x0, t0=0.05), [0.2])
+    (s,) = evolve(initial_delta(M, x0, t0=0.1), [0.2])
     expected = uncached_fields(M, s)
     for field in DERIVED_FIELDS:
         value = getattr(s, field)
