@@ -38,9 +38,12 @@ right-hand-side applies (one on a retry) plus one per PCG iteration.
 
 Positivity bookkeeping: solver and FFT rounding can leave values of
 order 1e-16 * max(u) with either sign at nodes where the true solution is
-far below double precision resolution.  Such values are clamped to the
-smallest positive normal double; genuinely negative values (scheme
-overshoot from an oversized step) raise :class:`PositivityError` instead.
+far below double precision resolution.  Such values are raised to the
+state's rounding floor ``eps * max(u)``, not to the smallest normal
+double, at which the log-derivative fields ``grad u / u`` overflow, and a
+state with raised nodes is rescaled to its mass; genuinely negative
+values (scheme overshoot from an oversized step) raise
+:class:`PositivityError` instead.
 """
 
 from __future__ import annotations
@@ -231,6 +234,11 @@ def uniform_state(manifold, t=0.0):
 
 
 def _clamp_rounding_negatives(manifold, u, where="state", remedy=_STEP_REMEDY):
+    """u with values below ``eps * max(u)`` raised to it.
+
+    Raises :class:`PositivityError` where a value lies below
+    ``-POSITIVITY_REL_TOL * max(u)``, beyond rounding.
+    """
     umax = float(u.max())
     if umax <= 0.0:
         raise PositivityError(f"{where}: state collapsed to non-positive values")
@@ -243,19 +251,34 @@ def _clamp_rounding_negatives(manifold, u, where="state", remedy=_STEP_REMEDY):
             f"(beyond rounding tolerance; {remedy})",
             node=node,
         )
-    return np.maximum(u, kernels.TINY)
+    return np.maximum(u, np.finfo(float).eps * umax)
+
+
+def _project_mass(manifold, u, mass, where, remedy=_STEP_REMEDY):
+    """Raw values u moved to weighted mass ``mass`` and made positive.
+
+    A constant shift restores the mass, then rounding debris is raised
+    to the rounding floor (see :func:`_clamp_rounding_negatives`).  That
+    adds mass (up to ``POSITIVITY_REL_TOL`` of max(u) per node), so a
+    state the clamp changed is rescaled to ``mass``; a multiplication
+    keeps the raised nodes positive, where a second shift would not.
+    """
+    u = u + (mass - integrate_mu(manifold, u)) / manifold.mu_total
+    clamped = _clamp_rounding_negatives(manifold, u, where=where, remedy=remedy)
+    if (clamped != u).any():
+        clamped *= mass / integrate_mu(manifold, clamped)
+    return clamped
 
 
 def _accept(manifold, u, t, mass, kernel, where, remedy=_STEP_REMEDY):
     """State at time t from raw solver values u.
 
-    Projects u back to ``mass``, clamps rounding debris and drops the
-    closed-form marker of kernel states, which no longer holds after a
-    numerical propagation.  ``remedy`` ends the message of a
-    :class:`PositivityError`.
+    Projects u back to ``mass`` with positive values (see
+    :func:`_project_mass`) and drops the closed-form marker of kernel
+    states, which no longer holds after a numerical propagation.
+    ``remedy`` ends the message of a :class:`PositivityError`.
     """
-    u = u + (mass - integrate_mu(manifold, u)) / manifold.mu_total
-    u = _clamp_rounding_negatives(manifold, u, where=where, remedy=remedy)
+    u = _project_mass(manifold, u, mass, where=where, remedy=remedy)
     if kernel is not None and kernel.analytic:
         kernel = replace(kernel, analytic=False)
     return make_state(manifold, u, t, kernel=kernel)
@@ -619,6 +642,5 @@ def initial_delta(manifold, x0, t0=None):
     u = _fejer_bump(manifold, x0)
     for dt in dts:
         u = _implicit_euler_substep(manifold, u, dt)
-        u = u + (1.0 - integrate_mu(manifold, u)) / manifold.mu_total
-        u = _clamp_rounding_negatives(manifold, u, where="delta warm-up")
+        u = _project_mass(manifold, u, 1.0, where="delta warm-up")
     return make_state(manifold, u, t0, kernel=kernel)

@@ -216,16 +216,17 @@ def test_unresolved_start_kernel_names_t0(tmp_path, capsys):
     assert "reduce dt" not in err
 
 
+TORUS_32x48 = {
+    "model": "flat_torus_2d",
+    "grid": [32, 48],
+    "potential": {"family": "cosine_sine", "params": {"a": 0.5, "k": 1, "b": 0.3, "l": 2}},
+}
+
+
 def test_unresolved_exact_start_on_a_weighted_torus_exits_1(tmp_path, capsys):
     # the exact start kernel of the 32x48 torus at t0 = 0.05 is not positive
     data = copy.deepcopy(BASE)
-    data["manifold"] = {
-        "model": "flat_torus_2d",
-        "grid": [32, 48],
-        "potential": {
-            "family": "cosine_sine", "params": {"a": 0.5, "k": 1, "b": 0.3, "l": 2}
-        },
-    }
+    data["manifold"] = TORUS_32x48
     data["solver"]["x0"] = [0, 0]
     path = write_config(tmp_path, data)
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
@@ -233,6 +234,35 @@ def test_unresolved_exact_start_on_a_weighted_torus_exits_1(tmp_path, capsys):
     assert err.startswith("numerical failure: exact start at t0=0.05: negative value")
     assert "t=0.05 (solver.t0) is at or above the squared grid spacing 0.0385531" in err
     assert "Traceback" not in err
+
+
+def test_clamped_exact_start_on_a_weighted_torus_conserves_mass(tmp_path):
+    # at t0 = 0.08 the start dips to -1.3e-9 of its maximum, within rounding
+    # tolerance: the clamped nodes must not add mass
+    data = copy.deepcopy(BASE)
+    data["manifold"] = TORUS_32x48
+    data["solver"].update(x0=[0, 0], t0=0.08)
+    path = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    entry = json.loads((out / "summary.json").read_text())["mass_conservation"]
+    assert entry["ok"] and entry["max_drift"] <= 1e-14
+
+
+def test_bundled_torus_source_shifted_along_y_passes_like_the_origin(tmp_path):
+    # the torus_hamilton potential is constant in y, so a source at y-node 32
+    # is a translate of the one at the origin; there the exact start's
+    # rounding-level tail is negative and raised to the rounding floor
+    data = load_config(bundled_config_path("torus_hamilton"))
+    worst = []
+    for y in (0, 32):
+        data["solver"]["x0"] = [0, y]
+        path = write_config(tmp_path, data)
+        out = tmp_path / f"out{y}"
+        assert main(["all", "--config", path, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        worst.append(summary["harnack_hamilton"]["worst_defect"])
+    assert worst[1] == pytest.approx(worst[0], rel=1e-9)
 
 
 @pytest.mark.parametrize(

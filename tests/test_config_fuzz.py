@@ -80,11 +80,15 @@ def valid_configs(draw):
     manifold = {"model": "flat_torus_2d" if torus else "circle", "grid": grid}
     manifold["potential"] = potential
 
-    t0 = draw(st.sampled_from([0.02, 0.05]))
+    # a weighted torus starts from its exact kernel, which these grids
+    # (squared spacing 0.154) resolve from t0 = 0.3 on: its times move by 0.3
+    offset = 0.3 if torus and family != "zero" else 0.0
+    t0 = round(offset + draw(st.sampled_from([0.02, 0.05])), 3)
     times = draw(
         st.lists(st.sampled_from([0.1, 0.2, 0.3]), min_size=2, max_size=3, unique=True)
     )
-    solver = {"t0": t0, "times": sorted(times), "local_error": 1e-6}
+    times = [round(offset + t, 3) for t in sorted(times)]
+    solver = {"t0": t0, "times": times, "local_error": 1e-6}
     if draw(st.booleans()):
         solver["x0"] = [draw(st.integers(0, 15)) for _ in range(n)]
 
@@ -92,7 +96,9 @@ def valid_configs(draw):
     names = list(PLAIN_CHECKS)
     if draw(st.booleans()):
         family = draw(st.sampled_from(sorted(FLOW_PARAMS)))
-        data["flow"] = {"family": family, "params": FLOW_PARAMS[family], "horizon": 0.3}
+        data["flow"] = {
+            "family": family, "params": FLOW_PARAMS[family], "horizon": round(offset + 0.3, 3)
+        }
         names += FLOW_CHECKS
     chosen = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
     K_choices = [0.0, 0.5, "admissible"] + (["fitted"] if "flow" in data else [])
