@@ -259,7 +259,18 @@ _POTENTIAL_DEFAULTS = {
 }
 
 
-def _potential_from_spec(model, shape, coords, spec):
+def _check_commensurate(key, k, L):
+    """Reject a cosine mode ``k`` that does not fit a whole number of times
+    in the period ``L``: the potential would jump at the wrap."""
+    turns = k * (L / (2.0 * math.pi))
+    if not (math.isfinite(turns) and abs(turns - round(turns)) <= 1e-12):
+        raise ValueError(
+            f"potential parameter {key}={k} is not periodic on period {L!r}: "
+            f"{key} * period / (2 pi) = {turns!r} must be an integer"
+        )
+
+
+def _potential_from_spec(model, shape, coords, periods, spec):
     if not isinstance(spec, dict) or not isinstance(spec.get("params") or {}, dict):
         raise ValueError("potential and its params must be mappings")
     family = spec.get("family", "zero")
@@ -275,11 +286,14 @@ def _potential_from_spec(model, shape, coords, spec):
     p = {**_POTENTIAL_DEFAULTS[family], **params}
     if family == "zero":
         return np.zeros(shape)
+    if family == "cosine_sine" and model != "flat_torus_2d":
+        raise ValueError("potential family 'cosine_sine' needs a 2-d model")
+    for axis, key in enumerate(("k", "l")):
+        if key in p:
+            _check_commensurate(key, p[key], periods[axis])
     if family == "cosine":
         return p["a"] * np.cos(p["k"] * coords[0])
     if family == "cosine_sine":
-        if model != "flat_torus_2d":
-            raise ValueError("potential family 'cosine_sine' needs a 2-d model")
         return p["a"] * np.cos(p["k"] * coords[0]) + p["b"] * np.sin(p["l"] * coords[1])
     samples = np.asarray(spec.get("samples"), dtype=float)
     if samples.shape != shape:
@@ -323,7 +337,9 @@ def build_manifold(config):
     axes = [np.arange(n) * (L / n) for n, L in zip(grid, period)]
     coords = (axes[0],) if dim == 1 else tuple(np.meshgrid(*axes, indexing="ij"))
 
-    phi = _potential_from_spec(model, shape, coords, config.get("potential", {}) or {})
+    phi = _potential_from_spec(
+        model, shape, coords, period, config.get("potential", {}) or {}
+    )
     if not np.all(np.isfinite(phi)):
         raise ValueError("potential contains non-finite values")
 

@@ -161,29 +161,29 @@ def bochner_residual(manifold, f):
 def random_band_limited(manifold, rng, max_mode=None, scale=1.0):
     """Random real field with Fourier support in |k| <= max_mode per axis.
 
-    Mode amplitudes decay like 1/(1+|k|) so that products of derivatives
-    stay resolvable on the grid.  Used by the property tests and the
-    seeded self-test of the command line runner.
+    Each mode ``k`` (a grid mode index, so the field is periodic and
+    band-limited on every period) gets ``(a cos + b sin)(2 pi k.x / L) /
+    (1 + |k|)`` with standard normal ``a``, ``b``; the decay keeps products
+    of derivatives resolvable on the grid.  A circle takes every mode
+    ``1..max_mode``; a torus ``3 max_mode`` random modes, repeats summed
+    and ``(0, 0)`` skipped.  The coefficients are drawn in bulk, in the
+    order of one draw per mode, placed at ``k`` and ``-k`` of one Fourier
+    array and summed by one inverse FFT.  Used by the property tests and
+    the seeded self-test of the command line runner.
     """
     if max_mode is None:
         max_mode = max(2, min(manifold.grid_sizes) // 8)
-    out = np.zeros(manifold.shape)
-    coords = manifold.coordinates()
     if manifold.dim_n == 1:
-        x = coords[0]
-        for k in range(1, max_mode + 1):
-            a, b = rng.standard_normal(2)
-            out += (a * np.cos(k * x) + b * np.sin(k * x)) / (1.0 + k)
+        modes = np.arange(1, max_mode + 1)[:, None]
     else:
-        xs, ys = coords
         n_terms = 3 * max_mode
         kx = rng.integers(-max_mode, max_mode + 1, size=n_terms)
         ky = rng.integers(-max_mode, max_mode + 1, size=n_terms)
-        for i in range(n_terms):
-            if kx[i] == 0 and ky[i] == 0:
-                continue
-            a, b = rng.standard_normal(2)
-            norm = 1.0 + math.hypot(kx[i], ky[i])
-            phase = kx[i] * xs + ky[i] * ys
-            out += (a * np.cos(phase) + b * np.sin(phase)) / norm
-    return scale * out
+        modes = np.stack([kx, ky], axis=1)[(kx != 0) | (ky != 0)]
+    a, b = rng.standard_normal((len(modes), 2)).T
+    norm = 1.0 + np.sqrt(np.sum(modes * modes, axis=1))
+    coef = (0.5 * math.prod(manifold.shape)) * (a - 1j * b) / norm
+    spectrum = np.zeros(manifold.shape, dtype=complex)
+    np.add.at(spectrum, tuple((modes % manifold.shape).T), coef)
+    np.add.at(spectrum, tuple((-modes % manifold.shape).T), coef.conj())
+    return scale * np.fft.ifftn(spectrum).real

@@ -38,3 +38,34 @@ def witten_laplacian_drift_form(manifold, f):
     return laplacian(manifold, f) - np.einsum(
         "a...,a...->...", manifold.potential_gradient, gradient(manifold, f)
     )
+
+
+def random_band_limited_loop(manifold, rng, max_mode=None, scale=1.0):
+    """Mode-by-mode trigonometric sum that ``wittenlab.operators.random_band_limited``
+    builds by one inverse FFT, with the same draws in the same order.
+
+    Evaluates ``cos(k x)`` on the raw coordinates, so it agrees with the
+    package only at period 2 pi; used as an oracle there.
+    """
+    if max_mode is None:
+        max_mode = max(2, min(manifold.grid_sizes) // 8)
+    out = np.zeros(manifold.shape)
+    coords = manifold.coordinates()
+    if manifold.dim_n == 1:
+        x = coords[0]
+        for k in range(1, max_mode + 1):
+            a, b = rng.standard_normal(2)
+            out += (a * np.cos(k * x) + b * np.sin(k * x)) / (1.0 + k)
+    else:
+        xs, ys = coords
+        n_terms = 3 * max_mode
+        kx = rng.integers(-max_mode, max_mode + 1, size=n_terms)
+        ky = rng.integers(-max_mode, max_mode + 1, size=n_terms)
+        for i in range(n_terms):
+            if kx[i] == 0 and ky[i] == 0:
+                continue
+            a, b = rng.standard_normal(2)
+            norm = 1.0 + math.hypot(kx[i], ky[i])
+            phase = kx[i] * xs + ky[i] * ys
+            out += (a * np.cos(phase) + b * np.sin(phase)) / norm
+    return scale * out

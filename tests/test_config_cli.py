@@ -364,6 +364,22 @@ def test_small_run_exit_zero_and_outputs(tmp_path):
     assert first.startswith("# wittenlab harnack v1:")
 
 
+@pytest.mark.parametrize(
+    "manifold",
+    [{"model": "circle", "grid": 256, "period": 5.0},
+     {"model": "flat_torus_2d", "grid": [32, 48], "period": [5.0, 7.0]}],
+    ids=["circle_period_5", "torus_periods_5_7"],
+)
+def test_operators_selftest_passes_on_periods_other_than_2pi(tmp_path, manifold):
+    data = {
+        "manifold": manifold,
+        "solver": {"t0": 0.05, "times": [0.1, 0.3]},
+        "checks": [{"name": "operators_selftest"}],
+    }
+    out = str(tmp_path / "out")
+    assert main(["all", "--config", write_config(tmp_path, data), "--out", out]) == 0
+
+
 def test_check_filter_and_subcommands(tmp_path):
     data = {
         **BASE,

@@ -29,6 +29,8 @@ FUZZ = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
+TWO_PI = 2.0 * math.pi
+
 # checks that work on a weighted model without a flow section
 PLAIN_CHECKS = (
     "curvature",
@@ -77,12 +79,15 @@ def valid_configs(draw):
     elif family == "cosine_sine":
         potential["params"] = {"a": draw(small), "b": draw(small), "k": 1, "l": 1}
     grid = draw(st.sampled_from([16, [16, 32]] if torus else [16, 32, 64]))
-    manifold = {"model": "flat_torus_2d" if torus else "circle", "grid": grid}
+    # a cosine mode must fit the period a whole number of times
+    period = draw(st.sampled_from([TWO_PI, 5.0] if family == "zero" else [TWO_PI, 2 * TWO_PI]))
+    manifold = {"model": "flat_torus_2d" if torus else "circle", "grid": grid, "period": period}
     manifold["potential"] = potential
 
     # a weighted torus starts from its exact kernel, which these grids
-    # (squared spacing 0.154) resolve from t0 = 0.3 on: its times move by 0.3
-    offset = 0.3 if torus and family != "zero" else 0.0
+    # (squared spacing 0.154 at period 2 pi) resolve from t0 = 0.3 on: its
+    # times move by 0.3 times the squared period ratio
+    offset = 0.3 * (period / TWO_PI) ** 2 if torus and family != "zero" else 0.0
     t0 = round(offset + draw(st.sampled_from([0.02, 0.05])), 3)
     times = draw(
         st.lists(st.sampled_from([0.1, 0.2, 0.3]), min_size=2, max_size=3, unique=True)
@@ -148,6 +153,17 @@ def _integrated_pair(pair):
     return mutate
 
 
+def _l_off_the_period(data):
+    """A torus whose ``cosine_sine`` mode l = 1 does not fit its y period 5."""
+    data.pop("flow", None)
+    data["solver"].pop("x0", None)
+    data["manifold"] = {
+        "model": "flat_torus_2d", "grid": 16, "period": [TWO_PI, 5.0],
+        "potential": {"family": "cosine_sine", "params": {"l": 1}},
+    }
+    data["checks"] = [{"name": "operators_selftest", "count": 2}]
+
+
 def _drop_flow(*checks):
     def mutate(data):
         data.pop("flow", None)
@@ -175,6 +191,10 @@ SCHEMA_VIOLATIONS = {
                                   {"family": "cosine", "params": {"a": True}}),
     "potential_b_is_a_string": _set(["manifold", "potential"],
                                     {"family": "cosine_sine", "params": {"b": "0.5"}}),
+    "potential_k_off_the_period": lambda d: d["manifold"].update(
+        period=5.0, potential={"family": "cosine", "params": {"k": 1}}
+    ),
+    "potential_l_off_the_period": _l_off_the_period,
     "negative_period": _set(["manifold", "period"], -1.0),
     "period_is_a_bool": _set(["manifold", "period"], True),
     "period_entry_is_a_numeric_string": _per_axis("period", "6.5"),
@@ -302,6 +322,23 @@ def test_valid_configs_exit_0_or_1(data):
     code, err = run_cli(data)
     assert code in (0, 1), err
     assert "Traceback" not in err
+
+
+@FUZZ
+@given(valid_configs())
+def test_operators_selftest_passes_on_every_drawn_model(data):
+    """The self-test's fields are periodic on every drawn period, so its
+    Bochner and adjointness checks hold there.
+
+    The drawn grid, model and period are kept and the potential is set to
+    zero: the drawn cosine potentials leave the 1e-7 Bochner bound unmet on
+    these coarse grids alike for every period (aliasing of products with
+    exp(-phi), up to 0.4 on the 16x16 torus with a = 0.5, k = 2).
+    """
+    data["manifold"]["potential"] = {"family": "zero"}
+    data["checks"] = [{"name": "operators_selftest", "count": 2}]
+    code, err = run_cli(data)
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("violation", sorted(SCHEMA_VIOLATIONS))

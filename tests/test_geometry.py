@@ -123,11 +123,33 @@ def test_torus_cosine_sine_measure():
         # periods are not converted: not a circumference of 1.0 or 6.5
         ({"model": "circle", "grid": 64, "period": True}, "period must be a positive real"),
         ({"model": "circle", "grid": 64, "period": ["6.5"]}, "period must be a positive real"),
+        # a cosine mode that does not fit the period would jump at the wrap
+        (
+            {"model": "circle", "grid": 64, "period": 5.0,
+             "potential": {"family": "cosine", "params": {"k": 1}}},
+            r"k=1 is not periodic on period 5.0",
+        ),
+        (
+            {"model": "flat_torus_2d", "grid": 32, "period": [2 * np.pi, 7.0],
+             "potential": {"family": "cosine_sine", "params": {"l": 2}}},
+            r"l=2 is not periodic on period 7.0",
+        ),
     ],
 )
 def test_build_rejections(config, message):
     with pytest.raises(ValueError, match=message):
         build_manifold(config)
+
+
+@pytest.mark.parametrize("k,period", [(1, 4 * np.pi), (2, 3 * np.pi), (3, 2 * np.pi)])
+def test_cosine_potentials_on_commensurate_periods_are_periodic(k, period):
+    """k * period / (2 pi) whole: the potential's spectrum is one grid mode."""
+    M = circle(64, period, {"family": "cosine", "params": {"a": 0.5, "k": k}})
+    spectrum = np.abs(np.fft.rfft(M.potential))
+    mode = round(k * period / (2 * np.pi))
+    assert spectrum[mode] == pytest.approx(0.5 * 32)
+    spectrum[mode] = 0.0
+    assert spectrum.max() <= 1e-12 * 32
 
 
 def test_sampled_potential_roundtrip():

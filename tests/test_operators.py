@@ -5,6 +5,8 @@ import pytest
 
 from wittenlab import (
     bochner_residual,
+    circle,
+    flat_torus,
     gamma2,
     gradient,
     hessian,
@@ -16,7 +18,7 @@ from wittenlab import (
 from wittenlab.geometry import _axis_derivative
 from wittenlab.operators import dealias_nyquist, random_band_limited
 
-from references import witten_laplacian_drift_form
+from references import random_band_limited_loop, witten_laplacian_drift_form
 
 
 def complex_fft_derivative(manifold, f, axis, order):
@@ -220,3 +222,36 @@ def test_gamma2_takes_the_hessian_from_its_own_gradient(request, rng, fft_calls,
     fft_calls.clear()
     gamma2(M, f)
     assert sum(fft_calls.values()) == transforms
+
+
+@pytest.mark.parametrize(
+    "grid,max_mode,seed",
+    [(grid, None, seed) for grid in (256, (32, 48), (64, 64)) for seed in range(5)]
+    # the three max_mode = 1 modes of seeds 6 and 7 include (0, 0), which takes no draw
+    + [((32, 48), 1, 6), ((32, 48), 1, 7)],
+)
+def test_random_fields_match_the_mode_loop_from_the_same_draws(grid, max_mode, seed):
+    """At period 2 pi the inverse FFT sums the loop's terms; the generator
+    is left at the same point of its stream."""
+    M = circle(grid) if isinstance(grid, int) else flat_torus(grid)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    f = random_band_limited(M, ours, max_mode)
+    g = random_band_limited_loop(M, theirs, max_mode)
+    assert np.abs(f - g).max() <= 1e-13 * np.abs(g).max()
+    assert ours.standard_normal() == theirs.standard_normal()
+
+
+@pytest.mark.parametrize("M", [circle(256, 5.0), flat_torus((32, 48), (5.0, 7.0))],
+                         ids=["circle_period_5", "torus_periods_5_7"])
+def test_random_fields_are_band_limited_on_every_period(M, rng):
+    max_mode = max(2, min(M.grid_sizes) // 8)
+    fh = np.abs(np.fft.rfftn(random_band_limited(M, rng)))
+    kept = np.ones(fh.shape, dtype=bool)
+    for axis, n in enumerate(fh.shape):
+        k = np.arange(n) if axis == M.dim_n - 1 else np.abs(np.fft.fftfreq(n, 1.0 / n))
+        shape = [1] * M.dim_n
+        shape[axis] = n
+        kept &= (k <= max_mode).reshape(shape)
+    assert fh[~kept].max() <= 1e-12 * fh.max()
+    assert fh[kept].max() > 0.0
+
