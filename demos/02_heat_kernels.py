@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Heat flow of the drift Laplacian: kernels, conservation, equilibration.
 
-Starts a unit-mass near-delta state, evolves it (exactly in Fourier
-space on a flat model, with the conservative implicit scheme otherwise),
-and compares against closed forms where they exist.
+Starts a unit-mass near-delta state, evolves it (by an exact propagator
+on a constant potential or a separable torus, by conservative
+Crank-Nicolson on a weighted circle or a non-separable torus), and
+compares against closed forms where they exist.
 """
 
 import math

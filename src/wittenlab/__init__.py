@@ -1,9 +1,11 @@
 """Numerical laboratory for drift Laplacians on flat periodic models.
 
 Builds weighted circles and tori, evolves the heat flow of the drift
-Laplacian with conservative implicit schemes, and checks differential
-Harnack inequalities, W-entropy identities, and super-Ricci-flow
-monotonicity quantitatively on the grid.
+Laplacian with exact propagators (constant potentials and separable
+tori) or, on weighted circles and non-separable tori, a conservative
+Crank-Nicolson scheme, and checks differential Harnack inequalities,
+W-entropy identities, and super-Ricci-flow monotonicity quantitatively
+on the grid.
 """
 
 from .geometry import (

@@ -55,37 +55,43 @@ class WeightedManifold:
 
     Attributes
     ----------
-    model : str
-        ``"circle"`` or ``"flat_torus_2d"``.
     grid_sizes : tuple of int
         Nodes per dimension; even and at least 16 (Fourier differentiation).
     circumferences : tuple of float
         Coordinate period per dimension.
     potential : ndarray
         Per-node potential ``phi``.
-    measure_weights : ndarray
-        Per-node weight ``exp(-phi) * cell_volume`` realizing the measure.
-    dim_n : int
-        Topological dimension (1 or 2).
 
-    Data derived from the potential and the grid (``density``,
-    ``sqrt_density``, ``potential_gradient``, ``potential_hessian``,
-    ``axis_eigensystems`` and the real-FFT spectral symbols) is computed
-    on first use and cached on the instance as read-only arrays, so
-    operator applies, implicit solves, exact propagators and curvature
-    tensors do not recompute it.
+    Everything else is derived from these three inputs, computed on first
+    use and cached on the instance, read-only where it is an array, so
+    that a later read costs what a plain attribute does:
+
+    * ``dim_n``, the topological dimension ``len(grid_sizes)`` (1 or 2),
+      and ``model``, ``"circle"`` or ``"flat_torus_2d"`` after it;
+    * ``density`` = exp(-phi), ``measure_weights`` = ``density *
+      cell_volume`` (the per-node weights that realize the measure) and
+      their total ``mu_total``;
+    * ``sqrt_density``, ``potential_gradient``, ``potential_hessian``,
+      ``axis_eigensystems`` and the spectral symbols (``|k|^2`` on the
+      full and the real-FFT half spectrum, per-axis derivative symbols),
+      so operator applies, implicit solves, exact propagators and
+      curvature tensors do not recompute them.
     """
 
-    model: str
     grid_sizes: tuple
     circumferences: tuple
     potential: np.ndarray
-    measure_weights: np.ndarray
-    dim_n: int
 
     def __post_init__(self):
-        for a in (self.potential, self.measure_weights):
-            a.setflags(write=False)
+        self.potential.setflags(write=False)
+
+    @cached_property
+    def dim_n(self):
+        return len(self.grid_sizes)
+
+    @cached_property
+    def model(self):
+        return "circle" if self.dim_n == 1 else "flat_torus_2d"
 
     @property
     def shape(self):
@@ -99,21 +105,24 @@ class WeightedManifold:
     def cell_volume(self):
         return math.prod(self.spacings)
 
-    @property
+    @cached_property
+    def measure_weights(self):
+        """Per-node weight ``exp(-phi) * cell_volume`` realizing the measure."""
+        return _read_only(self.density * self.cell_volume)
+
+    @cached_property
     def mu_total(self):
         """Total measure of the model."""
         return float(self.measure_weights.sum())
 
     def axis_coordinates(self, axis):
-        n = self.grid_sizes[axis]
-        return np.arange(n) * (self.circumferences[axis] / n)
+        """Node coordinates along one axis."""
+        (x,) = _grid_coordinates((self.grid_sizes[axis],), (self.circumferences[axis],))
+        return x
 
     def coordinates(self):
         """Per-axis coordinate arrays broadcast to the grid shape."""
-        axes = [self.axis_coordinates(a) for a in range(self.dim_n)]
-        if self.dim_n == 1:
-            return (axes[0],)
-        return tuple(np.meshgrid(*axes, indexing="ij"))
+        return _grid_coordinates(self.grid_sizes, self.circumferences)
 
     def wavenumbers(self, axis):
         """Physical Fourier wavenumbers along one axis."""
@@ -178,11 +187,28 @@ class WeightedManifold:
         return tuple(symbols)
 
     @cached_property
+    def _wavenumber_square(self):
+        """|k|^2 on the full Fourier grid."""
+        sym = np.zeros(self.shape)
+        for a in range(self.dim_n):
+            shape = [1] * self.dim_n
+            shape[a] = self.grid_sizes[a]
+            sym = sym + (self.wavenumbers(a) ** 2).reshape(shape)
+        return _read_only(sym)
+
+    @cached_property
     def _rfftn_wavenumber_square(self):
         """|k|^2 on the half spectrum of ``rfftn``: the full grid's last
         axis up to its Nyquist index, where |k| is the same at +-N/2."""
         half = self.grid_sizes[-1] // 2 + 1
-        return _read_only(_wavenumber_square(self)[..., :half].copy())
+        return _read_only(self._wavenumber_square[..., :half].copy())
+
+
+def _grid_coordinates(grid_sizes, periods):
+    """Node coordinates ``i * L / n`` per axis of n nodes and period L,
+    broadcast to the grid shape: the one coordinate rule of every model."""
+    axes = [np.arange(n) * (L / n) for n, L in zip(grid_sizes, periods)]
+    return tuple(np.meshgrid(*axes, indexing="ij"))
 
 
 def _read_only(a):
@@ -270,7 +296,7 @@ def _check_commensurate(key, k, L):
         )
 
 
-def _potential_from_spec(model, shape, coords, periods, spec):
+def _potential_from_spec(shape, coords, periods, spec):
     if not isinstance(spec, dict) or not isinstance(spec.get("params") or {}, dict):
         raise ValueError("potential and its params must be mappings")
     family = spec.get("family", "zero")
@@ -286,7 +312,7 @@ def _potential_from_spec(model, shape, coords, periods, spec):
     p = {**_POTENTIAL_DEFAULTS[family], **params}
     if family == "zero":
         return np.zeros(shape)
-    if family == "cosine_sine" and model != "flat_torus_2d":
+    if family == "cosine_sine" and len(shape) != 2:
         raise ValueError("potential family 'cosine_sine' needs a 2-d model")
     for axis, key in enumerate(("k", "l")):
         if key in p:
@@ -332,30 +358,15 @@ def build_manifold(config):
     if len(period) != dim:
         raise ValueError(f"model {model} needs {dim} period(s), got {period}")
 
-    shape = grid
-    # coordinates broadcast to grid shape
-    axes = [np.arange(n) * (L / n) for n, L in zip(grid, period)]
-    coords = (axes[0],) if dim == 1 else tuple(np.meshgrid(*axes, indexing="ij"))
-
     phi = _potential_from_spec(
-        model, shape, coords, period, config.get("potential", {}) or {}
+        grid, _grid_coordinates(grid, period), period, config.get("potential", {}) or {}
     )
     if not np.all(np.isfinite(phi)):
         raise ValueError("potential contains non-finite values")
-
-    cell = math.prod(L / n for n, L in zip(grid, period))
-    weights = np.exp(-phi) * cell
-    if not np.all(weights > 0.0):
+    manifold = WeightedManifold(grid_sizes=grid, circumferences=period, potential=phi)
+    if not np.all(manifold.measure_weights > 0.0):
         raise ValueError("measure weights must be positive")
-
-    return WeightedManifold(
-        model=model,
-        grid_sizes=grid,
-        circumferences=period,
-        potential=phi,
-        measure_weights=weights,
-        dim_n=dim,
-    )
+    return manifold
 
 
 def circle(n=256, circumference=2.0 * np.pi, potential=None):
@@ -446,17 +457,6 @@ def _hessian(manifold, f, grad=None):
             out[a, b] = _axis_derivative(manifold, grad[a], b, 1)
             out[b, a] = out[a, b]
     return out
-
-
-def _wavenumber_square(manifold):
-    """|k|^2 on the full Fourier grid."""
-    sym = np.zeros(manifold.shape)
-    for a in range(manifold.dim_n):
-        k = manifold.wavenumbers(a)
-        shape = [1] * manifold.dim_n
-        shape[a] = manifold.grid_sizes[a]
-        sym = sym + (k ** 2).reshape(shape)
-    return sym
 
 
 def _rounding_level(phi):
@@ -611,7 +611,7 @@ def _ball_measures(manifold, y, radii):
     y = _as_index(manifold, y)
     rolled = np.roll(manifold.density, [-i for i in y], axis=tuple(range(manifold.dim_n)))
     centred = np.fft.fftn(rolled).real.ravel() / rolled.size
-    k = np.sqrt(_wavenumber_square(manifold)).ravel()
+    k = np.sqrt(manifold._wavenumber_square).ravel()
     if manifold.dim_n == 1:
         return [float(centred @ (2.0 * r * np.sinc(k * r / np.pi))) for r in radii]
     k, inverse = np.unique(k, return_inverse=True)

@@ -62,7 +62,6 @@ from .geometry import (
     _hessian,
     _is_real,
     _read_only,
-    _wavenumber_square,
 )
 from .operators import (
     _gamma2,
@@ -135,10 +134,10 @@ class HeatState:
     """Positive density sampled on the grid at a fixed time.
 
     Every function of a state reads the manifold from ``manifold``.  The
-    fields that the Harnack and entropy checks derive from ``u`` are
-    computed on first use and cached on the instance as read-only
-    arrays, so every check and every dimension parameter m of a snapshot
-    shares one evaluation:
+    weighted ``mass`` of ``u`` and the fields that the Harnack and entropy
+    checks derive from ``u`` are computed on first use and cached on the
+    instance, the arrays read-only, so every check and every dimension
+    parameter m of a snapshot shares one evaluation:
 
     * ``dt_log_u`` = Lu/u and ``grad_log_u``, of shape (n, *grid), from
       the closed form for analytic kernels, accurate in the far tail;
@@ -155,11 +154,14 @@ class HeatState:
     manifold: WeightedManifold
     t: float
     u: np.ndarray
-    mass: float
     kernel: KernelInfo | None = None
 
     def __post_init__(self):
         self.u.setflags(write=False)
+
+    @cached_property
+    def mass(self):
+        return integrate_mu(self.manifold, self.u)
 
     def _kernel_profiles(self, fn):
         """Per axis, ``fn`` of the closed-form kernel; None unless analytic."""
@@ -218,13 +220,7 @@ def make_state(manifold, u, t, kernel=None):
     if u.min() <= 0.0:
         node = _argmin_node(manifold, u)
         raise PositivityError(f"state not positive at node {node}", node=node)
-    return HeatState(
-        manifold=manifold,
-        t=float(t),
-        u=u.copy(),
-        mass=integrate_mu(manifold, u),
-        kernel=kernel,
-    )
+    return HeatState(manifold=manifold, t=float(t), u=u.copy(), kernel=kernel)
 
 
 def uniform_state(manifold, t=0.0):
@@ -233,38 +229,30 @@ def uniform_state(manifold, t=0.0):
     return make_state(manifold, u, t)
 
 
-def _clamp_rounding_negatives(manifold, u, where="state", remedy=_STEP_REMEDY):
-    """u with values below ``eps * max(u)`` raised to it.
+def _project_mass(manifold, u, mass, where, remedy=_STEP_REMEDY):
+    """Raw values u moved to weighted mass ``mass`` and made positive.
 
-    Raises :class:`PositivityError` where a value lies below
-    ``-POSITIVITY_REL_TOL * max(u)``, beyond rounding.
+    A constant shift restores the mass.  A value below
+    ``-POSITIVITY_REL_TOL * max(u)``, beyond rounding, then raises
+    :class:`PositivityError`, and rounding debris below ``eps * max(u)``
+    is raised to it.  That adds mass (up to ``POSITIVITY_REL_TOL`` of
+    max(u) per node), so a state the clamp changed is rescaled to
+    ``mass``; a multiplication keeps the raised nodes positive, where a
+    second shift would not.
     """
+    u = u + (mass - integrate_mu(manifold, u)) / manifold.mu_total
     umax = float(u.max())
     if umax <= 0.0:
         raise PositivityError(f"{where}: state collapsed to non-positive values")
-    floor = -POSITIVITY_REL_TOL * umax
     umin = float(u.min())
-    if umin < floor:
+    if umin < -POSITIVITY_REL_TOL * umax:
         node = _argmin_node(manifold, u)
         raise PositivityError(
             f"{where}: negative value {umin:.3e} at node {node} "
             f"(beyond rounding tolerance; {remedy})",
             node=node,
         )
-    return np.maximum(u, np.finfo(float).eps * umax)
-
-
-def _project_mass(manifold, u, mass, where, remedy=_STEP_REMEDY):
-    """Raw values u moved to weighted mass ``mass`` and made positive.
-
-    A constant shift restores the mass, then rounding debris is raised
-    to the rounding floor (see :func:`_clamp_rounding_negatives`).  That
-    adds mass (up to ``POSITIVITY_REL_TOL`` of max(u) per node), so a
-    state the clamp changed is rescaled to ``mass``; a multiplication
-    keeps the raised nodes positive, where a second shift would not.
-    """
-    u = u + (mass - integrate_mu(manifold, u)) / manifold.mu_total
-    clamped = _clamp_rounding_negatives(manifold, u, where=where, remedy=remedy)
+    clamped = np.maximum(u, np.finfo(float).eps * umax)
     if (clamped != u).any():
         clamped *= mass / integrate_mu(manifold, clamped)
     return clamped
@@ -443,19 +431,19 @@ def _adaptive_evolve(state, times, local_error, manifest):
     return out
 
 
-def evolve(state, times, local_error=1e-8, scheme=None, manifest=None):
+def evolve(state, times, local_error=1e-8, manifest=None):
     """Snapshots of the heat flow from ``state`` on its manifold at the
     requested times.
 
-    With ``scheme=None``, a constant potential and a 2-D torus with an
-    additively separable potential are propagated exactly (see
-    :func:`_exact_propagator`) and ``local_error`` does not apply.  Any
-    other model (a weighted circle, a torus with a non-separable
-    potential), or ``scheme="crank_nicolson"``, is time stepped by
-    Crank-Nicolson with adaptive substeps of at most ``DT_MAX``: the
-    local error per step is estimated by step doubling and held below
-    ``local_error`` relative to max(u).  Both target the symmetric
-    propagator ``T(tau)`` of the module docstring.
+    A constant potential and a 2-D torus with an additively separable
+    potential are propagated exactly (see :func:`_exact_propagator`) and
+    ``local_error`` does not apply.  Every other model (a weighted
+    circle, a torus with a non-separable potential) is time stepped by
+    Crank-Nicolson with adaptive substeps of at most ``DT_MAX`` (see
+    :func:`_adaptive_evolve`): the local error per step is estimated by
+    step doubling and held below ``local_error`` relative to max(u).
+    Both target the symmetric propagator ``T(tau)`` of the module
+    docstring.
 
     Either way every snapshot keeps the start state's mass and is
     positive.  A time equal to the state time returns the state itself.
@@ -466,12 +454,9 @@ def evolve(state, times, local_error=1e-8, scheme=None, manifest=None):
     outside (0, 1) raises ``ValueError`` on every path.
     """
     _check_local_error(local_error)
-    if scheme is None:
-        propagate = _exact_propagator(state.manifold, state.u)
-        if propagate is not None:
-            return _exact_evolve(state, times, propagate, manifest)
-    elif scheme != "crank_nicolson":
-        raise ValueError(f"unknown scheme {scheme!r}")
+    propagate = _exact_propagator(state.manifold, state.u)
+    if propagate is not None:
+        return _exact_evolve(state, times, propagate, manifest)
     return _adaptive_evolve(state, times, local_error, manifest)
 
 
@@ -491,7 +476,7 @@ def _exact_propagator(manifold, u):
     implicit solver.
     """
     if _constant_potential(manifold):
-        ksq = _wavenumber_square(manifold)
+        ksq = manifold._wavenumber_square
         uh = _zero_nyquist_planes(manifold, np.fft.fftn(u))
         return lambda tau: np.real(np.fft.ifftn(np.exp(-tau * ksq) * uh))
     if manifold.dim_n == 1 or manifold.axis_eigensystems is None:
@@ -602,7 +587,7 @@ def _implicit_euler_substep(manifold, u, dt):
     return dealias_nyquist(manifold, _helmholtz_solve(manifold, dt, u, u))
 
 
-def initial_delta(manifold, x0, t0=None):
+def initial_delta(manifold, x0, t0):
     """Fundamental solution from node x0 at a small positive time ``t0``.
 
     Constant-potential flat models sample the closed-form kernel.  On the
@@ -618,8 +603,6 @@ def initial_delta(manifold, x0, t0=None):
     approximate kernel.  Every start state has unit mass.
     """
     x0 = _as_index(manifold, x0)
-    if t0 is None:
-        t0 = max(manifold.spacings) ** 2
     if t0 <= 0.0:
         raise ValueError("t0 must be positive")
 

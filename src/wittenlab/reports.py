@@ -20,8 +20,11 @@ import json
 import math
 import os
 import tempfile
+from functools import lru_cache
 
 import numpy as np
+
+from .geometry import _grid_coordinates
 
 CSV_VERSION = "v1"
 
@@ -105,22 +108,12 @@ def _coord_names(manifold):
     return ["x", "y"][: manifold.dim_n]
 
 
-# (grid sizes, periods) -> "node_index,coordinates...," per node in C order;
-# the coordinates are a function of these two tuples alone
-_NODE_PREFIXES = {}
-
-
-def _node_prefixes(manifold):
-    key = (manifold.grid_sizes, manifold.circumferences)
-    prefixes = _NODE_PREFIXES.get(key)
-    if prefixes is None:
-        columns = [_column(np.arange(math.prod(manifold.shape)))]
-        columns.extend(_column(c) for c in manifold.coordinates())
-        prefixes = [",".join(parts) + "," for parts in zip(*columns)]
-        if len(_NODE_PREFIXES) >= 16:
-            _NODE_PREFIXES.clear()
-        _NODE_PREFIXES[key] = prefixes
-    return prefixes
+@lru_cache(maxsize=16)
+def _node_prefixes(grid_sizes, periods):
+    """``"node_index,coordinates...,"`` per node of the grid in C order."""
+    columns = [_column(np.arange(math.prod(grid_sizes)))]
+    columns.extend(_column(c) for c in _grid_coordinates(grid_sizes, periods))
+    return tuple(",".join(parts) + "," for parts in zip(*columns))
 
 
 def _grid_column(manifold, values):
@@ -135,7 +128,8 @@ def _grid_column(manifold, values):
 def _node_table(kind, manifold, name, values):
     """One row (node_index, coordinates..., value) per grid node."""
     cols = ["node_index", *_coord_names(manifold), name]
-    lines = map(str.__add__, _node_prefixes(manifold), _grid_column(manifold, values))
+    prefixes = _node_prefixes(manifold.grid_sizes, manifold.circumferences)
+    lines = map(str.__add__, prefixes, _grid_column(manifold, values))
     return _header(kind, cols) + _body(lines)
 
 
@@ -153,7 +147,7 @@ def snapshots_csv(snapshots):
         raise ValueError("no snapshots given")
     manifold = snapshots[0].manifold
     cols = ["t", "node_index", *_coord_names(manifold), "u"]
-    prefixes = _node_prefixes(manifold)
+    prefixes = _node_prefixes(manifold.grid_sizes, manifold.circumferences)
     blocks = [_header("snapshots", cols)]
     for s in snapshots:
         t = _fmt(s.t) + ","

@@ -1,9 +1,16 @@
 import collections
+import os
 
-import numpy as np
-import pytest
+# One BLAS thread: on small dense matrices (the per-axis eigh of the exact
+# propagators) thread start-up costs far more than the arithmetic.  The
+# thread pools are sized when numpy is first imported, which is below.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
-from wittenlab import circle, flat_torus
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from wittenlab import circle, flat_torus  # noqa: E402
 
 
 @pytest.fixture(scope="session")

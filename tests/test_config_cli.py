@@ -174,6 +174,18 @@ TORUS_32 = {"model": "flat_torus_2d", "grid": [32, 32], "potential": {"family": 
             lambda d: d.update(checks=[{"name": "ball_ratio", "R": 10.0}]),
             id="ball_ratio_R_beyond_injectivity_scale",
         ),
+        pytest.param(
+            lambda d: d["manifold"].update(
+                potential={"family": "samples", "samples": [0.0] * 63 + [float("nan")]}
+            ),
+            id="sampled_potential_with_nan",
+        ),
+        pytest.param(
+            lambda d: d["manifold"].update(
+                potential={"family": "samples", "samples": [0.0] * 63 + [800.0]}
+            ),
+            id="sampled_potential_whose_weight_underflows",
+        ),
     ],
 )
 def test_invalid_input_exits_2_without_traceback(tmp_path, capsys, mutate):

@@ -134,6 +134,17 @@ def test_torus_cosine_sine_measure():
              "potential": {"family": "cosine_sine", "params": {"l": 2}}},
             r"l=2 is not periodic on period 7.0",
         ),
+        # sampled potentials are checked before and after exp(-phi)
+        (
+            {"model": "circle", "grid": 16,
+             "potential": {"family": "samples", "samples": [0.0] * 15 + [math.nan]}},
+            "potential contains non-finite values",
+        ),
+        (
+            {"model": "circle", "grid": 16,
+             "potential": {"family": "samples", "samples": [0.0] * 15 + [800.0]}},
+            "measure weights must be positive",
+        ),
     ],
 )
 def test_build_rejections(config, message):
@@ -332,15 +343,19 @@ def test_derived_data_is_cached_and_read_only():
     assert M.density is M.density
     assert M.sqrt_density is M.sqrt_density
     assert M._derivative_symbols is M._derivative_symbols
+    assert M._wavenumber_square is M._wavenumber_square
     assert M._rfftn_wavenumber_square is M._rfftn_wavenumber_square
+    assert M.measure_weights is M.measure_weights
     assert M.potential_gradient is M.potential_gradient
     assert M.potential_hessian is M.potential_hessian
     assert np.array_equal(M.density, np.exp(-M.potential))
     assert np.array_equal(M.sqrt_density, np.exp(-0.5 * M.potential))
+    assert np.array_equal(M.measure_weights, np.exp(-M.potential) * M.cell_volume)
     assert np.array_equal(M.potential_gradient, gradient(M, M.potential))
     assert np.array_equal(M.potential_hessian, hessian(M, M.potential))
     assert np.abs(M.potential_hessian[0, 1]).max() > 0.1
-    arrays = [M.density, M.sqrt_density, M._rfftn_wavenumber_square]
+    arrays = [M.potential, M.density, M.sqrt_density, M.measure_weights]
+    arrays += [M._wavenumber_square, M._rfftn_wavenumber_square]
     arrays += [sym for axis in M._derivative_symbols for sym in axis]
     arrays += [M.potential_gradient, M.potential_hessian]
     for a in arrays:

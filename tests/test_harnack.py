@@ -189,14 +189,12 @@ def test_kernel_dt_log_lower_bound_with_potential(circle_cos):
 
 def test_kernel_dt_log_stationary_is_sound(circle_cos):
     from wittenlab.heatflow import KernelInfo, HeatState
-    from wittenlab.operators import integrate_mu
 
     u = np.full(circle_cos.shape, 1.0 / circle_cos.mu_total)
     s = HeatState(
         manifold=circle_cos,
         t=0.7,
         u=u,
-        mass=integrate_mu(circle_cos, u),
         kernel=KernelInfo(x0=(0,), analytic=False),
     )
     rep = kernel_dt_log_bounds([s], 2.0, 1.0)

@@ -67,8 +67,8 @@ def test_initial_delta_torus_separates(torus_flat):
 
 
 def test_initial_delta_default_t0_and_mass(circle_cos):
-    s = initial_delta(circle_cos, 5)
-    assert s.t == pytest.approx(max(circle_cos.spacings) ** 2)
+    s = initial_delta(circle_cos, 5, t0=0.05)  # the solver.t0 default of config
+    assert s.t == 0.05
     assert s.mass == pytest.approx(1.0, abs=1e-12)
     assert s.u.min() > 0.0
 
@@ -249,7 +249,7 @@ def test_positivity_error_names_the_node_as_ints(circle_flat):
         make_state(circle_flat, u, 0.1)
     assert err.value.node == (6,) and type(err.value.node[0]) is int
     with pytest.raises(PositivityError, match=r"at node \(6,\) \(beyond") as err:
-        heatflow._clamp_rounding_negatives(circle_flat, u)
+        heatflow._project_mass(circle_flat, u, integrate_mu(circle_flat, u), where="state")
     assert err.value.node == (6,) and type(err.value.node[0]) is int
 
 
@@ -315,11 +315,8 @@ def test_exact_evolve_agrees_with_crank_nicolson(circle_flat):
     times = [0.1, 0.5]
     exact = evolve(s0, times)
     manifest = []
-    stepped = evolve(
-        s0, times, local_error=1e-10, scheme="crank_nicolson",
-        manifest=manifest,
-    )
-    assert len(manifest) > len(times)  # an explicit scheme forces time stepping
+    stepped = heatflow._adaptive_evolve(s0, times, 1e-10, manifest)
+    assert len(manifest) > len(times)
     for a, b in zip(exact, stepped):
         assert np.abs(a.u - b.u).max() <= 1e-7 * a.u.max()
 
@@ -417,10 +414,8 @@ def test_separable_torus_agrees_with_crank_nicolson(torus_32x48):
     times = [0.05, 0.2]
     exact = evolve(s0, times)
     manifest = []
-    cn = evolve(
-        s0, times, local_error=1e-10, scheme="crank_nicolson", manifest=manifest
-    )
-    finer = evolve(s0, times, local_error=1e-11, scheme="crank_nicolson")
+    cn = heatflow._adaptive_evolve(s0, times, 1e-10, manifest)
+    finer = heatflow._adaptive_evolve(s0, times, 1e-11, None)
     assert len(manifest) > len(times)
     for a, b, c in zip(exact, cn, finer):
         measured = np.abs(b.u - c.u).max()
@@ -436,8 +431,8 @@ def test_non_separable_crank_nicolson_converges_to_the_symmetric_target():
     assert M.axis_eigensystems is None
     s0 = smooth_state(M, 0.0, max_mode=2)
     times = [0.05, 0.2]
-    cn = evolve(s0, times, local_error=1e-10, scheme="crank_nicolson")
-    finer = evolve(s0, times, local_error=1e-11, scheme="crank_nicolson")
+    cn = evolve(s0, times, local_error=1e-10)
+    finer = evolve(s0, times, local_error=1e-11)
     for t, b, c in zip(times, cn, finer):
         exact = (symmetric_target(M, t) @ s0.u.ravel()).reshape(M.shape)
         measured = np.abs(b.u - c.u).max()
@@ -519,16 +514,11 @@ def test_non_separable_and_forced_torus_runs_still_step(torus_32x48):
         (32, 48), potential={"family": "samples", "samples": 0.3 * np.cos(xs + ys)}
     )
     assert mixed.axis_eigensystems is None
-    for M, scheme in ((mixed, None), (torus_32x48, "crank_nicolson")):
+    for M, run in ((mixed, evolve), (torus_32x48, heatflow._adaptive_evolve)):
         manifest = []
-        evolve(initial_delta(M, (0, 0), t0=0.1), [0.11], scheme=scheme, manifest=manifest)
+        run(initial_delta(M, (0, 0), t0=0.1), [0.11], 1e-8, manifest)
         assert len(manifest) > 1
         assert all(r["error_estimate"] > 0.0 for r in manifest)
-
-
-def test_crank_nicolson_is_the_only_forced_scheme(circle_cos):
-    with pytest.raises(ValueError, match="unknown scheme 'implicit_euler'"):
-        evolve(uniform_state(circle_cos), [0.1], scheme="implicit_euler")
 
 
 @pytest.mark.parametrize("local_error", [-1.0, 0.0, math.nan, 2.0])
@@ -548,7 +538,7 @@ def test_adaptive_evolve_raises_when_step_size_collapses(circle_flat, monkeypatc
 
     monkeypatch.setattr(heatflow, "_advance", advance)
     with pytest.raises(SolverConvergenceError, match="local error estimate"):
-        evolve(s0, [0.1], scheme="crank_nicolson")
+        heatflow._adaptive_evolve(s0, [0.1], 1e-8, None)
 
 
 def test_no_snapshot_times_give_no_snapshots(circle_cos):
