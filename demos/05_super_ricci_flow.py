@@ -30,7 +30,7 @@ K = wl.fit_super_flow_constant(flow, m)
 print(f"fitted super-flow constant at m={m}: K = {K:.6f}")
 for t in (0.0, 1.0, 2.0):
     rep = wl.super_ricci_flow_margin(flow, m, K, t)
-    print(f"  margin at t={t:3.1f}: min eigenvalue {rep.min_value:+.3e}  ok={rep.ok}")
+    print(f"  margin at t={t:3.1f}: min eigenvalue {rep.min_defect:+.3e}  ok={rep.ok}")
 
 # Heat flow of the time-dependent operator and W-entropy monotonicity.
 s0 = wl.initial_delta(Mc, 0, t0=0.05)

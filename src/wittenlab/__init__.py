@@ -6,9 +6,20 @@ tori) or, on weighted circles and non-separable tori, a conservative
 Crank-Nicolson scheme, and checks differential Harnack inequalities,
 W-entropy identities, and super-Ricci-flow monotonicity quantitatively
 on the grid.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+and ``MKL_NUM_THREADS`` to 1 where the environment leaves them unset.
 """
 
-from .geometry import (
+import os
+
+# One BLAS thread: on the small per-axis eigh of the exact propagators thread
+# start-up costs more than the arithmetic.  numpy, imported below, reads these.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
+from .geometry import (  # noqa: E402
     BallRatioReport,
     CurvatureField,
     WeightedManifold,
@@ -19,15 +30,15 @@ from .geometry import (
     geodesic_distance,
     ricci_bakry_emery,
 )
-from .harnack import (
-    HarnackReport,
+from .harnack import (  # noqa: E402
+    DefectReport,
     hamilton_harnack_defect,
     integrated_harnack_check,
     kernel_dt_log_bounds,
     li_yau_defect,
     sup_bound_defect,
 )
-from .heatflow import (
+from .heatflow import (  # noqa: E402
     HeatState,
     PositivityError,
     SolverConvergenceError,
@@ -38,7 +49,7 @@ from .heatflow import (
     step,
     uniform_state,
 )
-from .entropy import (
+from .entropy import (  # noqa: E402
     EntropySeries,
     WDecomposition,
     build_series,
@@ -52,7 +63,7 @@ from .entropy import (
     w_entropy,
     w_monotonicity_check,
 )
-from .operators import (
+from .operators import (  # noqa: E402
     bochner_residual,
     gamma2,
     gradient,
@@ -62,7 +73,7 @@ from .operators import (
     mu_inner,
     witten_laplacian,
 )
-from .ricciflow import (
+from .ricciflow import (  # noqa: E402
     FlowSpec,
     entropy_dissipation_on_flow,
     evolve_heat_on_flow,

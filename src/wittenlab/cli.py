@@ -4,7 +4,7 @@ Subcommands select which families of checks from the configuration are
 run: ``curvature``, ``simulate``, ``harnack``, ``entropy``, ``flow`` (the
 families of :data:`wittenlab.config.CHECKS`), or ``all``.  Exit code 0 means every asserted check passed, 1 means at
 least one failed or a numerical error occurred, 2 means the
-configuration was invalid.
+configuration was invalid or the output directory cannot be created.
 
 Beside ``summary.json`` the runner writes ``timing.json``: per check its
 wall seconds split into compute and CSV output (formatting and
@@ -218,7 +218,6 @@ class _Runner:
     def _pointwise_harnack(self, check, fn_name):
         snaps = self.snapshots()
         out_reports = []
-        all_ok = True
         dump_fields = check.options["dump_defects"]
         A = max(float(s.u.max()) for s in snaps) * (1.0 + 1e-12)  # sup over the run
         for m in check.m_values:
@@ -232,7 +231,6 @@ class _Runner:
                 else:
                     rep = harnack_mod.sup_bound_defect(s, m, K, A)
                 out_reports.append(rep)
-                all_ok = all_ok and rep.ok
                 if dump_fields:
                     self.write_csv(
                         f"defect_{fn_name}_m{m:g}_t{s.t:g}.csv",
@@ -240,7 +238,7 @@ class _Runner:
                     )
         self.write_csv(f"harnack_{fn_name}.csv", reports.harnack_csv, out_reports)
         worst = min(r.min_defect for r in out_reports)
-        self.record(f"harnack_{fn_name}", all_ok, worst_defect=worst)
+        self.record(f"harnack_{fn_name}", all(r.ok for r in out_reports), worst_defect=worst)
 
     def check_li_yau(self, check):
         self._pointwise_harnack(check, "li_yau")
@@ -261,7 +259,6 @@ class _Runner:
         axes = ([i * n // side for i in range(side)] for n in self.manifold.shape)
         sample = list(itertools.product(*axes))
         out_reports = []
-        all_ok = True
         for m in check.m_values:
             K = _resolve_K(check, m, self.manifold, self.flow)
             for tau, T in pairs:
@@ -271,25 +268,21 @@ class _Runner:
                             snaps, x, y, float(tau), float(T), m, K
                         )
                         out_reports.append(rep)
-                        all_ok = all_ok and rep.ok
+        ok = all(r.ok for r in out_reports)
         self.write_csv("harnack_integrated.csv", reports.integrated_csv, out_reports)
-        self.record("harnack_integrated", all_ok, pairs=len(out_reports))
+        self.record("harnack_integrated", ok, pairs=len(out_reports))
 
     def check_kernel_bounds(self, check):
         snaps = self.snapshots()
-        all_ok = True
         for m in check.m_values:
             K = _resolve_K(check, m, self.manifold, self.flow)
             rep = harnack_mod.kernel_dt_log_bounds(snaps, m, K)
-            all_ok = all_ok and rep.ok
             self.record(
                 f"kernel_bounds_m{m:g}",
                 rep.ok,
                 min_margin=rep.min_margin,
                 fitted_upper_constant=rep.fitted_upper_constant,
             )
-        if not all_ok:
-            self.record("kernel_bounds", False)
 
     def check_entropy(self, check):
         snaps = self.snapshots()
@@ -324,23 +317,20 @@ class _Runner:
         flow = self.flow
         margin_reports = []
         for m in check.m_values:
-            all_ok = True
             K = _resolve_K(check, m, self.manifold, flow)
-            worst = None
             times = [float(t) for t in np.linspace(0.0, flow.horizon, 9)]
-            for rep in super_ricci_flow_margins(flow, m, K, times):
-                margin_reports.append(rep)
-                all_ok = all_ok and rep.ok
-                if worst is None or rep.min_value < worst.min_value:
-                    worst = rep
+            reps = super_ricci_flow_margins(flow, m, K, times)
+            margin_reports.extend(reps)
+            worst = min(reps, key=lambda r: r.min_defect)  # the first, on ties
             self.write_csv(
                 f"flow_margin_field_m{m:g}.csv",
                 reports.field_csv,
                 self.manifold,
-                worst.min_eigenvalue_field,
+                worst.defect,
                 name="margin",
             )
-            self.record(f"flow_margin_m{m:g}", all_ok, K=K, worst_margin=worst.min_value)
+            ok = all(r.ok for r in reps)
+            self.record(f"flow_margin_m{m:g}", ok, K=K, worst_margin=worst.min_defect)
         self.write_csv("flow_margin.csv", reports.flow_margin_csv, margin_reports)
 
     def check_flow_entropy(self, check):
@@ -354,7 +344,7 @@ class _Runner:
             K = _resolve_K(check, m, self.manifold, flow)
             series = entropy_mod.build_series(snaps, m, K, flow=flow)
             margins = [
-                r.min_value
+                r.min_defect
                 for r in super_ricci_flow_margins(flow, m, K, [s.t for s in snaps])
             ]
             worst_gap = float((series.dW_dt_formula - series.monotonicity_bound).max())
@@ -372,24 +362,24 @@ class _Runner:
     # -------------------------------------------------------------- entry
     def run(self):
         start = time.perf_counter()
+        selected = [c for c in self.checks if c.name in self.selected]
+        if not selected:
+            raise ConfigError(
+                "no configured check matches the requested subcommand/selection"
+            )
+        try:
+            os.makedirs(self.config.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"out: cannot create output directory: {exc}") from None
         checks = {}
-        for check in self.checks:
-            if check.name not in self.selected:
-                continue
+        for check in selected:
             self._output_s = 0.0
             check_start = time.perf_counter()
             self.run_check(check)
             wall = time.perf_counter() - check_start
-            entry = checks.setdefault(
-                check.name, {"wall_s": 0.0, "compute_s": 0.0, "output_s": 0.0}
-            )
-            entry["wall_s"] += wall
-            entry["compute_s"] += wall - self._output_s
-            entry["output_s"] += self._output_s
-        if not checks:
-            raise ConfigError(
-                "no configured check matches the requested subcommand/selection"
-            )
+            checks[check.name] = {
+                "wall_s": wall, "compute_s": wall - self._output_s, "output_s": self._output_s,
+            }
         reports.write_summary(self.out("summary"), self.summary)
         reports.write_timing(
             self.out("timing.json"),

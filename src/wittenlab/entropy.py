@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import _check_K, _m_equals_n, bakry_emery_tensor
+from .geometry import _check_K, _m_equals_n, _read_only, bakry_emery_tensor
 from .operators import integrate_mu
 
 __all__ = [
@@ -244,7 +245,9 @@ def w_derivative_decomposition(state, m, K):
 
 @dataclass(frozen=True)
 class EntropySeries:
-    """Entropy functionals tabulated along a run of snapshots."""
+    """Entropy functionals tabulated along a run of snapshots, read-only.
+    ``H_mK``, ``dW_dt_formula``, ``residual`` and ``monotonicity_bound``
+    (which is ``T4``) are derived from the stored columns."""
 
     m: float
     K: float
@@ -253,22 +256,34 @@ class EntropySeries:
     dH_dt: np.ndarray
     d2H_dt2: np.ndarray
     Phi: np.ndarray
-    H_mK: np.ndarray
     W_mK: np.ndarray
     dW_dt_numeric: np.ndarray
     T1: np.ndarray
     T2: np.ndarray
     T3: np.ndarray
     T4: np.ndarray
-    dW_dt_formula: np.ndarray
-    residual: np.ndarray
-    monotonicity_bound: np.ndarray
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
+
+    @cached_property
+    def H_mK(self):
+        return _read_only(self.H - self.Phi)
+
+    @cached_property
+    def dW_dt_formula(self):
+        return _read_only(self.T1 + self.T2 + self.T3 + self.T4)
+
+    @cached_property
+    def residual(self):
+        return _read_only(self.dW_dt_numeric - self.dW_dt_formula)
+
+    @property
+    def monotonicity_bound(self):
+        return self.T4
 
 
 def build_series(snapshots, m, K, flow=None):
@@ -287,45 +302,21 @@ def build_series(snapshots, m, K, flow=None):
     if len(snapshots) < 2:
         raise ValueError("need at least two snapshots")
     times = np.array([s.t for s in snapshots])
-    H = np.empty_like(times)
-    dH = np.empty_like(times)
-    d2H = np.empty_like(times)
-    W = np.empty_like(times)
-    H_mK = np.empty_like(times)
-    Phi = np.empty_like(times)
-    T = np.empty((4, times.size))
+    rows = np.empty((9, times.size))  # H, dH/dt, d2H/dt2, Phi, W, T1..T4
     for i, s in enumerate(snapshots):
         scale, rate = (
             (1.0, 0.0)
             if flow is None
             else (flow.operator_scale(s.t), flow.log_factor_rate(s.t))
         )
-        H[i], dH[i], Phi[i], H_mK[i], W[i] = _normalized_entropy(
-            s, m, K, scale, phi_mK, phi_mK_prime
-        )
-        d2H[i] = _entropy_second_derivative(s, scale, rate)
+        H, dH, Phi, _, W = _normalized_entropy(s, m, K, scale, phi_mK, phi_mK_prime)
+        d2H = _entropy_second_derivative(s, scale, rate)
         dec = _w_decomposition(s, m, K, scale, rate)
-        T[:, i] = (dec.T1, dec.T2, dec.T3, dec.T4)
-    dW_num = np.gradient(W, times)
-    formula = T.sum(axis=0)
+        rows[:, i] = (H, dH, d2H, Phi, W, dec.T1, dec.T2, dec.T3, dec.T4)
+    H, dH, d2H, Phi, W, T1, T2, T3, T4 = rows
     return EntropySeries(
-        m=float(m),
-        K=float(K),
-        times=times,
-        H=H,
-        dH_dt=dH,
-        d2H_dt2=d2H,
-        Phi=Phi,
-        H_mK=H_mK,
-        W_mK=W,
-        dW_dt_numeric=dW_num,
-        T1=T[0],
-        T2=T[1],
-        T3=T[2],
-        T4=T[3],
-        dW_dt_formula=formula,
-        residual=dW_num - formula,
-        monotonicity_bound=T[3],  # T4 is the bound
+        m=float(m), K=float(K), times=times, H=H, dH_dt=dH, d2H_dt2=d2H, Phi=Phi, W_mK=W,
+        dW_dt_numeric=np.gradient(W, times), T1=T1, T2=T2, T3=T3, T4=T4,
     )
 
 

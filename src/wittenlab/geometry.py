@@ -218,32 +218,49 @@ def _read_only(a):
 
 @dataclass(frozen=True)
 class CurvatureField:
-    """Pointwise smallest eigenvalue of the Bakry-Emery tensor.
+    """Pointwise smallest eigenvalue of the Bakry-Emery tensor, read-only.
 
-    ``admissible_K`` is the smallest constant K >= 0 with
-    Ric_mn >= -K everywhere on the grid.
+    Derived are ``min_value`` and ``admissible_K``, the smallest constant
+    K >= 0 with Ric_mn >= -K everywhere on the grid.
     """
 
     m: float
     values: np.ndarray
-    min_value: float
-    admissible_K: float
 
     def __post_init__(self):
         self.values.setflags(write=False)
 
+    @cached_property
+    def min_value(self):
+        return float(self.values.min())
+
+    @property
+    def admissible_K(self):
+        return max(0.0, -self.min_value)
+
 
 @dataclass(frozen=True)
 class BallRatioReport:
+    """Ball ratio mu(B(center, R)) / mu(B(center, r)) against the derived
+    ``bound`` (R/r)^m exp(sqrt((m-1) K) R); ``ok`` allows ``tol``, relative."""
+
     center: tuple
     r: float
     R: float
     m: float
     K: float
     ratio: float
-    bound: float
-    tol: float
-    ok: bool
+
+    tol = BALL_RATIO_TOL
+
+    @property
+    def bound(self):
+        R, m = self.R, self.m
+        return (R / self.r) ** m * math.exp(math.sqrt((m - 1.0) * self.K) * R)
+
+    @property
+    def ok(self):
+        return bool(self.ratio <= self.bound * (1.0 + self.tol))
 
 
 def _periodic_diff(x, L):
@@ -574,14 +591,7 @@ def ricci_bakry_emery(manifold, m):
     curvature constant used by the Harnack and entropy checks.
     """
     tensor = bakry_emery_tensor(manifold, m)
-    values = _smallest_eigenvalue_field(tensor, manifold.dim_n)
-    min_value = float(values.min())
-    return CurvatureField(
-        m=float(m),
-        values=values,
-        min_value=min_value,
-        admissible_K=max(0.0, -min_value),
-    )
+    return CurvatureField(m=float(m), values=_smallest_eigenvalue_field(tensor, manifold.dim_n))
 
 
 def _disk_weights(k, r):
@@ -628,16 +638,11 @@ def ball_volume_ratio_check(manifold, m, K, y, r, R):
     _check_K(K)
     _m_equals_n(manifold, m)
     big, small = _ball_measures(manifold, y, (R, r))
-    ratio = big / small
-    bound = (R / r) ** m * math.exp(math.sqrt((m - 1.0) * K) * R)
     return BallRatioReport(
         center=_as_index(manifold, y),
         r=float(r),
         R=float(R),
         m=float(m),
         K=float(K),
-        ratio=float(ratio),
-        bound=float(bound),
-        tol=BALL_RATIO_TOL,
-        ok=bool(ratio <= bound * (1.0 + BALL_RATIO_TOL)),
+        ratio=float(big / small),
     )

@@ -5,19 +5,25 @@ Every check takes heat-flow states, reads their manifold and cached
 node, so nonnegative defect certifies the inequality on the grid.
 Tolerances are relative to the natural scale of each inequality (its
 constant term), since defects grow like 1/t for small times.
+
+Pointwise defects, and the super-Ricci-flow margins of
+:mod:`wittenlab.ricciflow`, are :class:`DefectReport` records: they store
+the ``defect`` field and its inputs, and derive ``min_defect``,
+``argmin_node`` and the verdict ``ok`` (``min_defect >= -tol``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import _as_index, _check_K, _m_equals_n, geodesic_distance
 
 __all__ = [
-    "HarnackReport",
+    "DefectReport",
     "IntegratedHarnackReport",
     "KernelDtLogReport",
     "hamilton_harnack_defect",
@@ -32,24 +38,39 @@ KERNEL_BOUND_TOL_REL = 1e-9
 
 
 @dataclass(frozen=True)
-class HarnackReport:
+class DefectReport:
+    """Read-only per-node ``defect`` of a pointwise inequality, which holds
+    where it is nonnegative; ``argmin_node`` is the first minimum's node."""
+
     inequality: str
     t: float
     m: float
     K: float
     defect: np.ndarray
-    min_defect: float
-    argmin_node: tuple
     tol: float
-    ok: bool
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.defect.setflags(write=False)
 
+    @cached_property
+    def min_defect(self):
+        return float(self.defect.min())
+
+    @cached_property
+    def argmin_node(self):
+        return np.unravel_index(int(np.argmin(self.defect)), self.defect.shape)
+
+    @property
+    def ok(self):
+        return bool(self.min_defect >= -self.tol)
+
 
 @dataclass(frozen=True)
 class IntegratedHarnackReport:
+    """Two-point bound u(x, tau) / u(y, T) = ``lhs`` <= ``rhs``, relative
+    tolerance ``tol``; ``rhs`` and ``ok`` are derived."""
+
     x: tuple
     y: tuple
     tau: float
@@ -58,13 +79,30 @@ class IntegratedHarnackReport:
     K: float
     distance: float
     lhs: float
-    rhs: float
-    tol: float
-    ok: bool
+
+    tol = HARNACK_TOL_REL
+
+    @cached_property
+    def rhs(self):
+        """(T/tau)^{m/2} exp( e^{2K tau} (1 + 2K(T-tau)) d^2 / (4(T-tau))
+        + (m/2)(e^{2KT} - e^{2K tau}) )."""
+        tau, T, m, K, d = self.tau, self.T, self.m, self.K, self.distance
+        exponent = (
+            0.25 * math.exp(2.0 * K * tau) * (1.0 + 2.0 * K * (T - tau)) * d * d / (T - tau)
+            + 0.5 * m * (math.exp(2.0 * K * T) - math.exp(2.0 * K * tau))
+        )
+        return (T / tau) ** (0.5 * m) * math.exp(exponent)
+
+    @property
+    def ok(self):
+        return bool(self.lhs <= self.rhs * (1.0 + self.tol))
 
 
 @dataclass(frozen=True)
 class KernelDtLogReport:
+    """Lower bound on d/dt log u over a kernel run.  ``ok`` is stored: its
+    tolerance differs per snapshot, so ``min_margin`` alone does not decide it."""
+
     m: float
     K: float
     times: tuple
@@ -86,23 +124,6 @@ def _sq_grad_log(state):
     return np.einsum("a...,a...->...", g, g)
 
 
-def _report(inequality, state, m, K, defect, tol, extra=None):
-    """Report of a defect field, passing when its minimum is >= -tol."""
-    min_defect = float(defect.min())
-    return HarnackReport(
-        inequality=inequality,
-        t=state.t,
-        m=float(m),
-        K=float(K),
-        defect=defect,
-        min_defect=min_defect,
-        argmin_node=np.unravel_index(int(np.argmin(defect)), defect.shape),
-        tol=tol,
-        ok=bool(min_defect >= -tol),
-        extra=extra or {},
-    )
-
-
 def hamilton_harnack_defect(state, m, K):
     """Defect of the dimension-full gradient bound with curvature factor.
 
@@ -114,7 +135,7 @@ def hamilton_harnack_defect(state, m, K):
     _validate_mk(state.manifold, m, K, t)
     rhs_const = (m / (2.0 * t)) * math.exp(4.0 * K * t)
     defect = rhs_const + math.exp(2.0 * K * t) * state.dt_log_u - _sq_grad_log(state)
-    return _report("hamilton", state, m, K, defect, HARNACK_TOL_REL * rhs_const)
+    return DefectReport("hamilton", t, float(m), float(K), defect, HARNACK_TOL_REL * rhs_const)
 
 
 def li_yau_defect(state, m):
@@ -133,9 +154,8 @@ def _snapshot_at(snapshots, t):
 def integrated_harnack_check(snapshots, x, y, tau, T, m, K):
     """Two-point comparison obtained by integrating the gradient bound.
 
-    lhs = u(x, tau) / u(y, T);
-    rhs = (T/tau)^{m/2} exp( e^{2K tau} (1 + 2K(T-tau)) d(x,y)^2 / (4(T-tau))
-          + (m/2)(e^{2KT} - e^{2K tau}) ).
+    lhs = u(x, tau) / u(y, T), against the ``rhs`` of
+    :class:`IntegratedHarnackReport` at d = d(x, y).
     """
     if not (0.0 < tau < T):
         raise ValueError(f"need 0 < tau < T, got tau={tau}, T={T}")
@@ -145,13 +165,6 @@ def integrated_harnack_check(snapshots, x, y, tau, T, m, K):
     _validate_mk(manifold, m, K)
     x = _as_index(manifold, x)
     y = _as_index(manifold, y)
-    d = float(geodesic_distance(manifold, x)[y])
-    lhs = float(s_tau.u[x] / s_T.u[y])
-    exponent = (
-        0.25 * math.exp(2.0 * K * tau) * (1.0 + 2.0 * K * (T - tau)) * d * d / (T - tau)
-        + 0.5 * m * (math.exp(2.0 * K * T) - math.exp(2.0 * K * tau))
-    )
-    rhs = (T / tau) ** (0.5 * m) * math.exp(exponent)
     return IntegratedHarnackReport(
         x=x,
         y=y,
@@ -159,11 +172,8 @@ def integrated_harnack_check(snapshots, x, y, tau, T, m, K):
         T=float(T),
         m=float(m),
         K=float(K),
-        distance=d,
-        lhs=lhs,
-        rhs=float(rhs),
-        tol=HARNACK_TOL_REL,
-        ok=bool(lhs <= rhs * (1.0 + HARNACK_TOL_REL)),
+        distance=float(geodesic_distance(manifold, x)[y]),
+        lhs=float(s_tau.u[x] / s_T.u[y]),
     )
 
 
@@ -187,8 +197,8 @@ def sup_bound_defect(state, m, K, A):
     lhs = state.dt_log_u + _sq_grad_log(state)
     defect = prefactor * bracket - lhs
     variant = (K + 1.0 / t) * bracket - lhs
-    return _report(
-        "sup_bound", state, m, K, defect, HARNACK_TOL_REL * (prefactor * m),
+    return DefectReport(
+        "sup_bound", t, float(m), float(K), defect, HARNACK_TOL_REL * (prefactor * m),
         extra={"A": float(A), "defect_variant": variant},
     )
 

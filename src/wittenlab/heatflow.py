@@ -576,7 +576,8 @@ def kernel_state(manifold, x0, t):
         raise ValueError("kernel time must be positive")
     x0 = _as_index(manifold, x0)
     profiles = _axis_profiles(manifold, x0, kernels.wrapped_gaussian, t)
-    u = math.prod(profiles, start=np.ones(manifold.shape))
+    # each profile is clamped at TINY, and so is their product, which underflows
+    u = np.maximum(math.prod(profiles, start=np.ones(manifold.shape)), kernels.TINY)
     # lift the Lebesgue-normalized product to unit weighted mass
     u = u / integrate_mu(manifold, u)
     return make_state(manifold, u, t, kernel=KernelInfo(x0=x0, analytic=True))

@@ -174,7 +174,7 @@ def integrated_csv(reports):
     return _table("integrated-harnack", cols, rows)
 
 
-# EntropySeries fields in column order, after the time column
+# EntropySeries columns, stored or derived, in order after the time column
 SERIES_COLUMNS = (
     "H", "dH_dt", "d2H_dt2", "Phi", "H_mK", "W_mK", "dW_dt_numeric",
     "T1", "T2", "T3", "T4", "dW_dt_formula", "residual", "monotonicity_bound",
@@ -193,7 +193,7 @@ def entropy_series_csv(series, flow_margin=None):
 
 def flow_margin_csv(reports):
     cols = ["t", "m", "K", "min_margin", "ok"]
-    rows = ((r.t, r.m, r.K, r.min_value, r.ok) for r in reports)
+    rows = ((r.t, r.m, r.K, r.min_defect, r.ok) for r in reports)
     return _table("flow-margin", cols, rows)
 
 

@@ -7,7 +7,10 @@ this family every tensor stays diagonal: the time-dependent operator is
 e^{-2 lam(t)} times the base operator, and the Bakry-Emery tensor is the
 base tensor at every t, because phi moves only by a constant.
 
-The margin field of the super-flow condition lives here.  The heat flow
+The margin field of the super-flow condition lives here, as the ``defect``
+of a :class:`wittenlab.harnack.DefectReport` (``inequality`` is
+``"super_ricci_flow"``), which derives ``min_defect``, ``argmin_node`` and
+``ok`` from it with ``tol = FLOW_MARGIN_TOL``.  The heat flow
 of the time-dependent operator is the base heat flow under the time
 change tau(t) = integral of e^{-2 lam} (:meth:`FlowSpec.base_time`), so
 :func:`evolve_heat_on_flow` is :func:`wittenlab.heatflow.evolve` at the
@@ -33,11 +36,11 @@ from .entropy import (
     _w_entropy,
 )
 from .geometry import WeightedManifold, _check_K, _check_params, _is_real, ricci_bakry_emery
+from .harnack import DefectReport
 from .heatflow import evolve
 
 __all__ = [
     "FlowSpec",
-    "FlowMarginReport",
     "make_flow",
     "super_ricci_flow_margin",
     "super_ricci_flow_margins",
@@ -137,20 +140,6 @@ class FlowSpec:
         return float(0.5 * h * np.sum(weights * np.exp(-2.0 * lam)))
 
 
-@dataclass(frozen=True)
-class FlowMarginReport:
-    t: float
-    m: float
-    K: float
-    min_eigenvalue_field: np.ndarray
-    min_value: float
-    tol: float
-    ok: bool
-
-    def __post_init__(self):
-        self.min_eigenvalue_field.setflags(write=False)
-
-
 def make_flow(base, family="static", params=None, horizon=1.0):
     """Build a :class:`FlowSpec` and verify measure invariance numerically;
     ``static`` is the ``constant_rate`` flow with zero parameters."""
@@ -191,23 +180,15 @@ def _margin_fields(flow, m, K, times):
 def super_ricci_flow_margins(flow, m, K, times):
     """Margin reports at each of ``times``, on one base curvature."""
     _check_K(K)
-    out = []
-    for t, field in zip(times, _margin_fields(flow, m, K, times)):
-        min_value = float(field.min())
-        out.append(FlowMarginReport(
-            t=float(t),
-            m=float(m),
-            K=float(K),
-            min_eigenvalue_field=field,
-            min_value=min_value,
-            tol=FLOW_MARGIN_TOL,
-            ok=bool(min_value >= -FLOW_MARGIN_TOL),
-        ))
-    return out
+    return [
+        DefectReport("super_ricci_flow", float(t), float(m), float(K), field, FLOW_MARGIN_TOL)
+        for t, field in zip(times, _margin_fields(flow, m, K, times))
+    ]
 
 
 def super_ricci_flow_margin(flow, m, K, t):
-    """Smallest eigenvalue field of (1/2) dg/dt + Ric_mn + K g at time t.
+    """Margin report whose defect is the smallest eigenvalue field of
+    (1/2) dg/dt + Ric_mn + K g at time t.
 
     Eigenvalues are taken with respect to g(t).
     """

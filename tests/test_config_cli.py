@@ -186,6 +186,11 @@ TORUS_32 = {"model": "flat_torus_2d", "grid": [32, 32], "potential": {"family": 
             ),
             id="sampled_potential_whose_weight_underflows",
         ),
+        pytest.param(
+            lambda d: d["manifold"].update(potential={"family": "cosine_sine"}),
+            id="cosine_sine_on_a_circle",
+        ),
+        pytest.param(lambda d: d["manifold"].update(grid=[64, 64]), id="two_grid_sizes_on_a_circle"),
     ],
 )
 def test_invalid_input_exits_2_without_traceback(tmp_path, capsys, mutate):
@@ -195,6 +200,50 @@ def test_invalid_input_exits_2_without_traceback(tmp_path, capsys, mutate):
     assert main(["all", "--config", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+def regular_file(tmp_path):
+    path = tmp_path / "a_file"
+    path.write_text("")
+    return path
+
+
+@pytest.mark.parametrize(
+    "config,out",
+    [
+        pytest.param(
+            lambda p: write_config(p, [BASE]), lambda p: p / "out", id="yaml_root_is_a_list"
+        ),
+        pytest.param(lambda p: p, lambda p: p / "out", id="config_is_a_directory"),
+        pytest.param(
+            lambda p: "liyau_circle", lambda p: regular_file(p) / "sub",
+            id="out_below_a_regular_file",
+        ),
+    ],
+)
+def test_unusable_paths_exit_2_without_traceback(tmp_path, capsys, config, out):
+    argv = ["all", "--config", str(config(tmp_path)), "--out", str(out(tmp_path))]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "checks,options",
+    [
+        pytest.param(["mass"], [], id="bare_check_name"),
+        pytest.param(
+            [{"name": "mass"}, {"name": "curvature", "m": [2]}], ["--check", "mass"],
+            id="check_option_selects_one_of_two",
+        ),
+    ],
+)
+def test_runs_of_the_mass_check_alone(tmp_path, checks, options):
+    path = write_config(tmp_path, {**BASE, "checks": checks})
+    out = tmp_path / "out"
+    assert main(["all", "--config", path, "--out", str(out), *options]) == 0
+    assert list(json.loads((out / "summary.json").read_text())) == ["mass_conservation"]
+    assert not (out / "curvature_m2.csv").exists()
 
 
 def test_every_check_has_one_handler():

@@ -250,6 +250,20 @@ def test_series_formula_matches_finite_difference(circle_cos, rng):
         assert res <= 1e-3 * (1 + abs(series.dW_dt_formula[i]))
 
 
+def test_series_derives_its_formula_columns_read_only(circle_cos, rng):
+    snaps = [positive_test_state(circle_cos, rng, t=t) for t in (0.2, 0.3, 0.5)]
+    series = build_series(snaps, 3.0, 1.0)
+    T = np.stack([series.T1, series.T2, series.T3, series.T4])
+    assert np.array_equal(series.dW_dt_formula, T.sum(axis=0))
+    assert np.array_equal(series.residual, series.dW_dt_numeric - T.sum(axis=0))
+    assert np.array_equal(series.H_mK, series.H - series.Phi)
+    assert series.monotonicity_bound is series.T4
+    for name in ("H_mK", "dW_dt_formula", "residual"):
+        value = getattr(series, name)
+        assert value is getattr(series, name), name  # computed once
+        assert not value.flags.writeable, name
+
+
 def test_series_monotonicity_under_hypothesis(circle_cos):
     m = 3.0
     K = ricci_bakry_emery(circle_cos, m).admissible_K

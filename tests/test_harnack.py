@@ -1,11 +1,13 @@
 """Harnack defect fields: soundness under hypothesis and sharp regimes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wittenlab import (
+    DefectReport,
     evolve,
     hamilton_harnack_defect,
     initial_delta,
@@ -51,6 +53,14 @@ def test_rejects_bad_parameters(circle_cos, rng):
         hamilton_harnack_defect(s, 0.5, 0.0)
     with pytest.raises(ValueError):
         hamilton_harnack_defect(s, 2.0, -1.0)
+
+
+def test_defect_report_derives_minimum_node_and_verdict():
+    defect = np.array([[0.5, -2e-7], [-2e-7, 3.0]])
+    rep = DefectReport("hamilton", 0.1, 3.0, 0.5, defect, tol=1e-7)
+    assert (rep.min_defect, rep.argmin_node, rep.ok) == (-2e-7, (0, 1), False)
+    assert replace(rep, tol=1e-6).ok
+    assert not rep.defect.flags.writeable
 
 
 def test_li_yau_kernel_near_equality_small_t():

@@ -66,6 +66,23 @@ def test_initial_delta_torus_separates(torus_flat):
     assert np.abs(s.u - product).max() < 1e-12
 
 
+def test_torus_start_whose_profile_product_underflows_stays_positive():
+    # t0 = 2.1 h^2 is resolved, but far from the source the product of two
+    # profiles, each clamped at the smallest normal double, underflows to 0
+    M = flat_torus(128)
+    s = initial_delta(M, (0, 0), t0=0.005)
+    assert s.u.min() > 0.0
+    assert s.mass == pytest.approx(1.0, abs=1e-12)
+    x = M.axis_coordinates(0)
+    k1 = wrapped_gaussian(x, 0.005, 2 * np.pi)
+    product = np.outer(k1, k1)
+    representable = product >= np.finfo(float).tiny
+    assert 0 < representable.sum() < product.size
+    np.testing.assert_allclose(
+        s.u[representable], product[representable] / integrate_mu(M, product), rtol=1e-14
+    )
+
+
 def test_initial_delta_default_t0_and_mass(circle_cos):
     s = initial_delta(circle_cos, 5, t0=0.05)  # the solver.t0 default of config
     assert s.t == 0.05

@@ -136,7 +136,7 @@ REFERENCE = {
     "flow_margin": lambda reps: reference_table(
         "flow-margin",
         ["t", "m", "K", "min_margin", "ok"],
-        ((r.t, r.m, r.K, r.min_value, r.ok) for r in reps),
+        ((r.t, r.m, r.K, r.min_defect, r.ok) for r in reps),
     ),
     "manifest": lambda rows: reference_table(
         "evolution-manifest",
@@ -217,7 +217,7 @@ def test_report_tables_match_the_row_formatter(rng):
                for x in SPECIAL]
     integrated = [report(x=(1,), y=(np.int64(2),), tau=x, T=2, distance=x, lhs=-x,
                          rhs=True) for x in SPECIAL]
-    margins = [report(min_value=x) for x in SPECIAL]
+    margins = [report(min_defect=x) for x in SPECIAL]
     keys = ("t", "dt", "error_estimate")
     manifest = [dict(zip(keys, scalars(rng))) for _ in range(20)]
     for kind, build, rows in (

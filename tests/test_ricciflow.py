@@ -95,7 +95,7 @@ def test_flow_parameters_must_be_numbers(circle_flat, family, params):
 def test_margin_static_flat(circle_flat):
     flow = make_flow(circle_flat, "static", horizon=1.0)
     rep = super_ricci_flow_margin(flow, 2.0, 0.0, 0.5)
-    assert np.abs(rep.min_eigenvalue_field).max() < 1e-12
+    assert np.abs(rep.defect).max() < 1e-12
     assert rep.ok
 
 
@@ -115,7 +115,7 @@ def test_fitted_constant_sinusoidal(circle_cos_03):
     K = fit_super_flow_constant(flow, m)
     for t in np.linspace(0.0, 2.0, 9):
         rep = super_ricci_flow_margin(flow, m, K, float(t))
-        assert rep.min_value >= -1e-10
+        assert rep.min_defect >= -1e-10
 
 
 def test_static_flow_heat_matches_base(circle_cos, rng):
