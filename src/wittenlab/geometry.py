@@ -445,27 +445,32 @@ def _as_index(manifold, node):
 
 
 def _axis_derivative(manifold, f, axis, order=1):
-    """Spectral derivative of ``order`` (1 or 2) along one axis, by real FFT."""
+    """Spectral derivative of ``order`` (1 or 2) along one grid axis, by real FFT.
+
+    ``axis`` counts grid axes; any leading axes of ``f`` hold a stack of
+    fields, and the symbols broadcast over them.
+    """
     if order not in (1, 2):
         raise ValueError(f"spectral derivative order must be 1 or 2, got {order}")
     sym = manifold._derivative_symbols[axis][order - 1]
     n = manifold.grid_sizes[axis]
+    axis -= manifold.dim_n
     return np.fft.irfft(sym * np.fft.rfft(f, axis=axis), n, axis=axis)
 
 
 def _gradient(manifold, f):
-    """Spectral gradient, shape (n, *grid)."""
+    """Spectral gradient, shape (n, *stack, *grid)."""
     return np.stack([_axis_derivative(manifold, f, a, 1) for a in range(manifold.dim_n)])
 
 
 def _hessian(manifold, f, grad=None):
-    """Spectral Hessian, shape (n, n, *grid); symmetric by construction.
+    """Spectral Hessian, shape (n, n, *stack, *grid); symmetric by construction.
 
     The mixed entries differentiate the gradient, ``grad`` when the caller
     has it (else it is computed, on tori only).
     """
     n = manifold.dim_n
-    out = np.empty((n, n) + manifold.shape)
+    out = np.empty((n, n) + f.shape)
     if grad is None and n > 1:
         grad = _gradient(manifold, f)
     for a in range(n):

@@ -20,6 +20,15 @@ derivative symbols and the derivatives of phi are cached on the manifold
 (see :class:`wittenlab.geometry.WeightedManifold`), so an apply of
 :func:`witten_laplacian` is four 1-D real FFTs per axis and a few
 pointwise products.
+
+Every function here also takes a stack of fields: any leading axes in
+front of the grid axes index independent fields, and each field of the
+stack gets exactly the values it gets alone (pocketfft transforms each
+line of a stacked call as it transforms that line alone).  Derivative
+indices come first, so :func:`gradient` returns ``(n, *stack, *grid)``
+and :func:`hessian` ``(n, n, *stack, *grid)``; :func:`integrate_mu` and
+:func:`mu_inner` sum over the grid axes and return a float for one field
+and an array of the stack's shape for a stack.
 """
 
 from __future__ import annotations
@@ -44,10 +53,19 @@ __all__ = [
 ]
 
 
-def _check_field(manifold, f):
+def _grid_axes(manifold):
+    return tuple(range(-manifold.dim_n, 0))
+
+
+def _check_shape(manifold, f):
     f = np.asarray(f, dtype=float)
-    if f.shape != manifold.shape:
-        raise ValueError(f"field shape {f.shape} does not match grid {manifold.shape}")
+    if f.shape[f.ndim - manifold.dim_n:] != manifold.shape:
+        raise ValueError(f"field shape {f.shape} does not end in grid {manifold.shape}")
+    return f
+
+
+def _check_field(manifold, f):
+    f = _check_shape(manifold, f)
     if not np.all(np.isfinite(f)):
         raise ValueError("field contains non-finite values")
     return f
@@ -60,8 +78,9 @@ def dealias_nyquist(manifold, f):
     is invisible to the divergence-form operator; removing it keeps time
     stepping from accumulating frozen sawtooth components.
     """
-    fh = _zero_nyquist_planes(manifold, np.fft.rfftn(f))
-    return np.fft.irfftn(fh, s=manifold.shape, axes=tuple(range(manifold.dim_n)))
+    shape, axes = manifold.shape, _grid_axes(manifold)
+    fh = _zero_nyquist_planes(manifold, np.fft.rfftn(f, shape, axes))
+    return np.fft.irfftn(fh, shape, axes)
 
 
 def _zero_nyquist_planes(manifold, fh):
@@ -69,28 +88,29 @@ def _zero_nyquist_planes(manifold, fh):
 
     Works on the full spectrum of ``fftn`` and on the half spectrum of
     ``rfftn``, whose last entry along the halved axis is the Nyquist mode.
+    The planes are indexed from the end, so leading stack axes are kept.
     """
     for axis in range(manifold.dim_n):
         idx = [slice(None)] * manifold.dim_n
         idx[axis] = manifold.grid_sizes[axis] // 2
-        fh[tuple(idx)] = 0.0
+        fh[(Ellipsis, *idx)] = 0.0
     return fh
 
 
 def gradient(manifold, f):
-    """Spectral gradient, shape (n, *grid)."""
+    """Spectral gradient, shape (n, *stack, *grid)."""
     return _gradient(manifold, _check_field(manifold, f))
 
 
 def hessian(manifold, f):
-    """Spectral Hessian, shape (n, n, *grid); symmetric by construction."""
+    """Spectral Hessian, shape (n, n, *stack, *grid); symmetric by construction."""
     return _hessian(manifold, _check_field(manifold, f))
 
 
 def laplacian(manifold, f):
     """Flat Laplacian with the full second-derivative symbol."""
     f = _check_field(manifold, f)
-    out = np.zeros(manifold.shape)
+    out = np.zeros(f.shape)
     for a in range(manifold.dim_n):
         out += _axis_derivative(manifold, f, a, 2)
     return out
@@ -105,7 +125,7 @@ def witten_laplacian(manifold, f):
     """
     f = _check_field(manifold, f)
     density = manifold.density
-    out = np.zeros(manifold.shape)
+    out = np.zeros(f.shape)
     for a in range(manifold.dim_n):
         flux = density * _axis_derivative(manifold, f, a, 1)
         out += _axis_derivative(manifold, flux, a, 1)
@@ -113,11 +133,13 @@ def witten_laplacian(manifold, f):
 
 
 def integrate_mu(manifold, f):
-    """Integral against the weighted measure (trapezoid on the grid)."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != manifold.shape:
-        raise ValueError(f"field shape {f.shape} does not match grid {manifold.shape}")
-    return float(np.sum(f * manifold.measure_weights))
+    """Integral against the weighted measure (trapezoid on the grid).
+
+    A float for one field; for a stack, an array of the stack's shape.
+    """
+    f = _check_shape(manifold, f)
+    total = (f * manifold.measure_weights).sum(axis=_grid_axes(manifold))
+    return float(total) if f.ndim == manifold.dim_n else total
 
 
 def mu_inner(manifold, f, g):
@@ -158,7 +180,7 @@ def bochner_residual(manifold, f):
     )
 
 
-def random_band_limited(manifold, rng, max_mode=None, scale=1.0):
+def random_band_limited(manifold, rng, max_mode=None, scale=1.0, size=None):
     """Random real field with Fourier support in |k| <= max_mode per axis.
 
     Each mode ``k`` (a grid mode index, so the field is periodic and
@@ -170,20 +192,26 @@ def random_band_limited(manifold, rng, max_mode=None, scale=1.0):
     order of one draw per mode, placed at ``k`` and ``-k`` of one Fourier
     array and summed by one inverse FFT.  Used by the property tests and
     the seeded self-test of the command line runner.
+
+    ``size=None`` gives one field; ``size=k`` a stack of shape
+    ``(k, *grid)`` whose rows equal ``k`` successive single calls, drawn
+    in the same order and summed by one inverse FFT over the grid axes.
     """
     if max_mode is None:
         max_mode = max(2, min(manifold.grid_sizes) // 8)
-    if manifold.dim_n == 1:
-        modes = np.arange(1, max_mode + 1)[:, None]
-    else:
-        n_terms = 3 * max_mode
-        kx = rng.integers(-max_mode, max_mode + 1, size=n_terms)
-        ky = rng.integers(-max_mode, max_mode + 1, size=n_terms)
-        modes = np.stack([kx, ky], axis=1)[(kx != 0) | (ky != 0)]
-    a, b = rng.standard_normal((len(modes), 2)).T
-    norm = 1.0 + np.sqrt(np.sum(modes * modes, axis=1))
-    coef = (0.5 * math.prod(manifold.shape)) * (a - 1j * b) / norm
-    spectrum = np.zeros(manifold.shape, dtype=complex)
-    np.add.at(spectrum, tuple((modes % manifold.shape).T), coef)
-    np.add.at(spectrum, tuple((-modes % manifold.shape).T), coef.conj())
-    return scale * np.fft.ifftn(spectrum).real
+    stack = () if size is None else (size,)
+    spectrum = np.zeros(stack + manifold.shape, dtype=complex)
+    for row in spectrum.reshape((-1,) + manifold.shape):
+        if manifold.dim_n == 1:
+            modes = np.arange(1, max_mode + 1)[:, None]
+        else:
+            n_terms = 3 * max_mode
+            kx = rng.integers(-max_mode, max_mode + 1, size=n_terms)
+            ky = rng.integers(-max_mode, max_mode + 1, size=n_terms)
+            modes = np.stack([kx, ky], axis=1)[(kx != 0) | (ky != 0)]
+        a, b = rng.standard_normal((len(modes), 2)).T
+        norm = 1.0 + np.sqrt(np.sum(modes * modes, axis=1))
+        coef = (0.5 * math.prod(manifold.shape)) * (a - 1j * b) / norm
+        np.add.at(row, tuple((modes % manifold.shape).T), coef)
+        np.add.at(row, tuple((-modes % manifold.shape).T), coef.conj())
+    return scale * np.fft.ifftn(spectrum, axes=_grid_axes(manifold)).real

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,8 +12,11 @@ import pytest
 import yaml
 
 import wittenlab
-from wittenlab.cli import _Runner, bundled_config_path, main
+from wittenlab import cli
+from wittenlab.cli import _Runner, bundled_config_path, main, run_experiment
 from wittenlab.config import CHECKS, REQUIRED, ConfigError, load_config, validate_experiment
+
+from references import operators_selftest_loop
 
 
 BASE = {
@@ -439,6 +443,82 @@ def test_operators_selftest_passes_on_periods_other_than_2pi(tmp_path, manifold)
     }
     out = str(tmp_path / "out")
     assert main(["all", "--config", write_config(tmp_path, data), "--out", out]) == 0
+
+
+SELFTEST_MODELS = {
+    "circle_cos": {
+        "model": "circle", "grid": 256, "potential": {"family": "cosine", "params": {"a": 1.0, "k": 1}},
+    },
+    "torus_32x48": {
+        "model": "flat_torus_2d", "grid": [32, 48],
+        "potential": {"family": "cosine_sine", "params": {"a": 0.5, "k": 1, "b": 0.3, "l": 2}},
+    },
+}
+
+
+def selftest_runner(model, count, seed):
+    data = {
+        "manifold": SELFTEST_MODELS[model],
+        "solver": {"t0": 0.05, "times": [0.1]},
+        "checks": [{"name": "operators_selftest", "count": count}],
+    }
+    runner = _Runner(validate_experiment(data), {"operators_selftest"}, seed)
+    return runner, runner.checks[0]
+
+
+@pytest.mark.parametrize("block_pairs", [None, 3], ids=["module_blocks", "blocks_of_3_pairs"])
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("model", sorted(SELFTEST_MODELS))
+def test_blocked_selftest_equals_the_per_field_loop(monkeypatch, model, seed, block_pairs):
+    for count in (3, 7):  # with blocks of 3 pairs: one full block; three, the last partial
+        runner, check = selftest_runner(model, count, seed)
+        if block_pairs is not None:
+            block = 2 * block_pairs * math.prod(runner.manifold.shape)
+            monkeypatch.setattr(cli, "_SELFTEST_BLOCK_ELEMENTS", block)
+        runner.check_operators_selftest(check)
+        entry = runner.summary["operators_selftest"]
+        worst = (entry["worst_bochner_residual"], entry["worst_adjointness_gap"])
+        assert worst == operators_selftest_loop(runner.manifold, count, seed)
+        assert entry["fields"] == count
+
+
+def test_selftest_transforms_do_not_grow_with_count_within_a_block(fft_calls):
+    # a block of the 256-node circle holds at least 10 pairs
+    calls = []
+    for count in (5, 10):
+        runner, check = selftest_runner("circle_cos", count, 0)
+        runner.check_operators_selftest(check)  # fills the manifold's caches
+        fft_calls.clear()
+        runner.check_operators_selftest(check)
+        calls.append(sum(fft_calls.values()))
+    assert calls[0] == calls[1] > 0
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_negative_seed_exits_2_before_any_check(tmp_path, capsys, seed):
+    out = tmp_path / "out"
+    assert main(["all", "--config", "liyau_circle", "--out", str(out), "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --seed") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_run_experiment_rejects_seeds_other_than_non_negative_integers(tmp_path, seed):
+    config = validate_experiment(BASE, out_override=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match="--seed"):
+        run_experiment(config, seed=seed)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("names", ["", ",", " , "])
+def test_check_option_naming_no_check_exits_2(tmp_path, capsys, names):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, BASE)
+    assert main(["all", "--config", path, "--out", str(out), "--check", names]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --check") and "names no check" in err
+    assert not out.exists()
 
 
 def test_check_filter_and_subcommands(tmp_path):

@@ -255,3 +255,67 @@ def test_random_fields_are_band_limited_on_every_period(M, rng):
     assert fh[~kept].max() <= 1e-12 * fh.max()
     assert fh[kept].max() > 0.0
 
+
+
+STACKED = {
+    "gradient": gradient,
+    "hessian": hessian,
+    "laplacian": laplacian,
+    "witten_laplacian": witten_laplacian,
+    "gamma2": gamma2,
+    "bochner_residual": bochner_residual,
+    "dealias_nyquist": dealias_nyquist,
+    "integrate_mu": integrate_mu,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED))
+@pytest.mark.parametrize("model", ["circle_cos", "torus_32x48"])
+def test_each_field_of_a_stack_gets_its_own_values_exactly(request, rng, model, name):
+    """Leading axes hold independent fields; derivative indices come first."""
+    M = request.getfixturevalue(model)
+    op = STACKED[name]
+    F = random_band_limited(M, rng, size=5)
+    stacked = op(M, F)
+    lead = {"gradient": 1, "hessian": 2}.get(name, 0)
+    grid = () if name == "integrate_mu" else M.shape
+    assert stacked.shape == (M.dim_n,) * lead + (5,) + grid
+    for i, f in enumerate(F):
+        assert np.array_equal(stacked[(slice(None),) * lead + (i,)], op(M, f))
+
+
+@pytest.mark.parametrize("model", ["circle_cos", "torus_32x48"])
+def test_mu_inner_of_stacks_is_one_product_per_field(request, rng, model):
+    M = request.getfixturevalue(model)
+    F = random_band_limited(M, rng, size=5)
+    G = witten_laplacian(M, F[::-1])
+    products = mu_inner(M, F, G)
+    assert products.shape == (5,)
+    assert [mu_inner(M, f, g) for f, g in zip(F, G)] == products.tolist()
+    assert isinstance(mu_inner(M, F[0], G[0]), float)
+
+
+def test_stack_validation(torus_32x48):
+    M = torus_32x48
+    with pytest.raises(ValueError, match="shape"):
+        gradient(M, np.zeros((5, 48, 32)))
+    with pytest.raises(ValueError, match="shape"):
+        integrate_mu(M, np.zeros((5, 32)))
+    bad = np.zeros((5,) + M.shape)
+    bad[-1, 3, 4] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        witten_laplacian(M, bad)
+
+
+@pytest.mark.parametrize(
+    "grid,max_mode,seed",
+    [(256, None, 0), ((32, 48), None, 0), ((32, 48), 1, 6), ((32, 48), 1, 7)],
+)
+def test_a_stack_of_random_fields_equals_successive_single_draws(grid, max_mode, seed):
+    M = circle(grid) if isinstance(grid, int) else flat_torus(grid)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    F = random_band_limited(M, ours, max_mode, size=4)
+    assert F.shape == (4,) + M.shape
+    for f in F:
+        assert np.array_equal(f, random_band_limited(M, theirs, max_mode))
+    assert ours.standard_normal() == theirs.standard_normal()
