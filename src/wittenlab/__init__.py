@@ -34,6 +34,7 @@ from .harnack import (  # noqa: E402
     DefectReport,
     hamilton_harnack_defect,
     integrated_harnack_check,
+    integrated_harnack_checks,
     kernel_dt_log_bounds,
     li_yau_defect,
     sup_bound_defect,

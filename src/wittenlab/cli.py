@@ -84,6 +84,12 @@ def _node(index, manifold, key):
     return _checked(key, _as_index, manifold, index)
 
 
+def _sample_side(nodes, manifold):
+    """Nodes per axis of the integrated check's sample: all of ``nodes`` on
+    a circle, the side of their square on a torus."""
+    return nodes if manifold.dim_n == 1 else math.isqrt(nodes)
+
+
 class _Runner:
     def __init__(self, config, selected, seed):
         self.config = config
@@ -113,10 +119,17 @@ class _Runner:
                 key = "checks.ball_ratio"
                 self.center = _node(opts["center"], self.manifold, f"{key}.center")
                 _checked(f"{key}.R", _check_ball_radii, self.manifold, opts["r"], opts["R"])
-            if check.name == "integrated" and n == 2:
+            if check.name == "integrated":
                 nodes = opts["nodes"]
-                if math.isqrt(nodes) ** 2 != nodes:
+                if n == 2 and math.isqrt(nodes) ** 2 != nodes:
                     raise ConfigError(f"checks.integrated.nodes={nodes} is not a perfect square")
+                # a side longer than a grid axis would sample nodes, and pairs, twice
+                side = _sample_side(nodes, self.manifold)
+                if side > min(self.manifold.shape):
+                    raise ConfigError(
+                        f"checks.integrated.nodes={nodes} samples {side} nodes per axis, "
+                        f"more than the grid {self.manifold.shape} has"
+                    )
         self._snapshots = None
         self._manifest = None
         self._heat_flow_s = 0.0
@@ -268,20 +281,18 @@ class _Runner:
         opts = check.options
         n_nodes = opts["nodes"]
         pairs = opts["pairs"] or [[snaps[0].t, snaps[-1].t]]
-        # a square of nodes on a torus, where __init__ checks n_nodes is one
-        side = n_nodes if self.manifold.dim_n == 1 else math.isqrt(n_nodes)
+        side = _sample_side(n_nodes, self.manifold)
         axes = ([i * n // side for i in range(side)] for n in self.manifold.shape)
         sample = list(itertools.product(*axes))
+        xs = [x for x in sample for _ in sample]
+        ys = sample * len(sample)
         out_reports = []
         for m in check.m_values:
             K = _resolve_K(check, m, self.manifold, self.flow)
             for tau, T in pairs:
-                for x in sample:
-                    for y in sample:
-                        rep = harnack_mod.integrated_harnack_check(
-                            snaps, x, y, float(tau), float(T), m, K
-                        )
-                        out_reports.append(rep)
+                out_reports.extend(
+                    harnack_mod.integrated_harnack_checks(snaps, xs, ys, float(tau), float(T), m, K)
+                )
         ok = all(r.ok for r in out_reports)
         self.write_csv("harnack_integrated.csv", reports.integrated_csv, out_reports)
         self.record("harnack_integrated", ok, pairs=len(out_reports))

@@ -417,14 +417,24 @@ def geodesic_distance(manifold, y):
     lattice translates of the Euclidean distance.
     """
     y = _as_index(manifold, y)
+    return _node_distances(manifold, y, np.indices(manifold.shape, sparse=True))
+
+
+def _node_distances(manifold, source, target):
+    """Flat periodic distance from ``source`` to ``target`` nodes, each one
+    index (or index array) per axis, broadcast together.
+
+    Per axis the target coordinate minus the source coordinate is folded by
+    :func:`_periodic_diff`; the distance is its absolute value on the
+    circle and the Euclidean norm of the two displacements on the torus.
+    """
+    d = []
+    for axis, (s, t) in enumerate(zip(source, target)):
+        c = manifold.axis_coordinates(axis)
+        d.append(_periodic_diff(c[t] - c[s], manifold.circumferences[axis]))
     if manifold.dim_n == 1:
-        x = manifold.axis_coordinates(0)
-        L = manifold.circumferences[0]
-        return np.abs(_periodic_diff(x - x[y[0]], L))
-    xs, ys = manifold.coordinates()
-    Lx, Ly = manifold.circumferences
-    dx = _periodic_diff(xs - xs[y], Lx)
-    dy = _periodic_diff(ys - ys[y], Ly)
+        return np.abs(d[0])
+    dx, dy = d
     return np.sqrt(dx * dx + dy * dy)
 
 

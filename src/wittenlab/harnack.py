@@ -10,6 +10,12 @@ Pointwise defects, and the super-Ricci-flow margins of
 :mod:`wittenlab.ricciflow`, are :class:`DefectReport` records: they store
 the ``defect`` field and its inputs, and derive ``min_defect``,
 ``argmin_node`` and the verdict ``ok`` (``min_defect >= -tol``).
+
+The integrated two-point bound is checked by
+:func:`integrated_harnack_checks` over a list of node pairs in one pass:
+the pair distances come from the two nodes' coordinates, not from a
+distance field per pair.  :func:`integrated_harnack_check` is its
+one-pair wrapper.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import _as_index, _check_K, _m_equals_n, geodesic_distance
+from .geometry import _as_index, _check_K, _m_equals_n, _node_distances, geodesic_distance
 
 __all__ = [
     "DefectReport",
@@ -29,6 +35,7 @@ __all__ = [
     "hamilton_harnack_defect",
     "li_yau_defect",
     "integrated_harnack_check",
+    "integrated_harnack_checks",
     "sup_bound_defect",
     "kernel_dt_log_bounds",
 ]
@@ -85,13 +92,17 @@ class IntegratedHarnackReport:
     @cached_property
     def rhs(self):
         """(T/tau)^{m/2} exp( e^{2K tau} (1 + 2K(T-tau)) d^2 / (4(T-tau))
-        + (m/2)(e^{2KT} - e^{2K tau}) )."""
+        + (m/2)(e^{2KT} - e^{2K tau}) ), or ``math.inf`` where it overflows."""
         tau, T, m, K, d = self.tau, self.T, self.m, self.K, self.distance
-        exponent = (
-            0.25 * math.exp(2.0 * K * tau) * (1.0 + 2.0 * K * (T - tau)) * d * d / (T - tau)
-            + 0.5 * m * (math.exp(2.0 * K * T) - math.exp(2.0 * K * tau))
-        )
-        return (T / tau) ** (0.5 * m) * math.exp(exponent)
+        try:
+            exponent = (
+                0.25 * math.exp(2.0 * K * tau) * (1.0 + 2.0 * K * (T - tau)) * d * d / (T - tau)
+                + 0.5 * m * (math.exp(2.0 * K * T) - math.exp(2.0 * K * tau))
+            )
+            return (T / tau) ** (0.5 * m) * math.exp(exponent)
+        except OverflowError:
+            # K >= 0 and T > tau make every factor >= 1: the bound exceeds every float
+            return math.inf
 
     @property
     def ok(self):
@@ -151,30 +162,43 @@ def _snapshot_at(snapshots, t):
     raise ValueError(f"no snapshot at t={t}")
 
 
+def integrated_harnack_checks(snapshots, xs, ys, tau, T, m, K):
+    """Integrated comparison of each node pair ``(xs[i], ys[i])``, in order.
+
+    One :class:`IntegratedHarnackReport` per pair; the snapshots at ``tau``
+    and ``T`` are found once, and the pair distances and ratios
+    lhs = u(x, tau) / u(y, T) are taken together over the pairs.
+    """
+    if not (0.0 < tau < T):
+        raise ValueError(f"need 0 < tau < T, got tau={tau}, T={T}")
+    if len(xs) != len(ys):
+        raise ValueError(f"{len(xs)} x nodes against {len(ys)} y nodes")
+    s_tau = _snapshot_at(snapshots, tau)
+    s_T = _snapshot_at(snapshots, T)
+    manifold = s_tau.manifold
+    _validate_mk(manifold, m, K)
+    xs = [_as_index(manifold, x) for x in xs]
+    ys = [_as_index(manifold, y) for y in ys]
+    # one index array per axis; shape (dim_n, 0) when there are no pairs
+    x_axes = tuple(np.array(xs, dtype=np.intp).reshape(-1, manifold.dim_n).T)
+    y_axes = tuple(np.array(ys, dtype=np.intp).reshape(-1, manifold.dim_n).T)
+    distances = _node_distances(manifold, x_axes, y_axes).tolist()
+    ratios = (s_tau.u[x_axes] / s_T.u[y_axes]).tolist()
+    tau, T, m, K = float(tau), float(T), float(m), float(K)
+    return [
+        IntegratedHarnackReport(x=x, y=y, tau=tau, T=T, m=m, K=K, distance=d, lhs=r)
+        for x, y, d, r in zip(xs, ys, distances, ratios)
+    ]
+
+
 def integrated_harnack_check(snapshots, x, y, tau, T, m, K):
     """Two-point comparison obtained by integrating the gradient bound.
 
     lhs = u(x, tau) / u(y, T), against the ``rhs`` of
     :class:`IntegratedHarnackReport` at d = d(x, y).
     """
-    if not (0.0 < tau < T):
-        raise ValueError(f"need 0 < tau < T, got tau={tau}, T={T}")
-    s_tau = _snapshot_at(snapshots, tau)
-    s_T = _snapshot_at(snapshots, T)
-    manifold = s_tau.manifold
-    _validate_mk(manifold, m, K)
-    x = _as_index(manifold, x)
-    y = _as_index(manifold, y)
-    return IntegratedHarnackReport(
-        x=x,
-        y=y,
-        tau=float(tau),
-        T=float(T),
-        m=float(m),
-        K=float(K),
-        distance=float(geodesic_distance(manifold, x)[y]),
-        lhs=float(s_tau.u[x] / s_T.u[y]),
-    )
+    (report,) = integrated_harnack_checks(snapshots, [x], [y], tau, T, m, K)
+    return report
 
 
 def sup_bound_defect(state, m, K, A):

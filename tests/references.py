@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from wittenlab.geometry import geodesic_distance
+from wittenlab.harnack import IntegratedHarnackReport
 from wittenlab.operators import (
     bochner_residual,
     gradient,
@@ -95,3 +97,35 @@ def operators_selftest_loop(manifold, count, seed):
         b = mu_inner(manifold, h, witten_laplacian(manifold, f))
         worst_adj = max(worst_adj, abs(a - b) / max(1.0, abs(a)))
     return worst_res, worst_adj
+
+
+def geodesic_distance_meshgrid(manifold, y):
+    """Distance field from node ``y`` on the grid-shaped coordinates of
+    ``manifold.coordinates()``, each displacement folded into [-L/2, L/2):
+    the field ``wittenlab.geometry.geodesic_distance`` builds from per-axis
+    coordinates."""
+    if manifold.dim_n == 1:
+        x = manifold.axis_coordinates(0)
+        L = manifold.circumferences[0]
+        return np.abs((x - x[y[0]] + L / 2.0) % L - L / 2.0)
+    xs, ys = manifold.coordinates()
+    Lx, Ly = manifold.circumferences
+    dx = (xs - xs[y] + Lx / 2.0) % Lx - Lx / 2.0
+    dy = (ys - ys[y] + Ly / 2.0) % Ly - Ly / 2.0
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def integrated_loop(snapshots, pairs, tau, T, m, K):
+    """Integrated Harnack reports one node pair at a time, each distance
+    read off the whole distance field from x: the per-pair route that
+    ``wittenlab.harnack.integrated_harnack_checks`` takes in one pass."""
+    s_tau, s_T = (next(s for s in snapshots if s.t == t) for t in (tau, T))
+    M = s_tau.manifold
+    return [
+        IntegratedHarnackReport(
+            x=x, y=y, tau=float(tau), T=float(T), m=float(m), K=float(K),
+            distance=float(geodesic_distance(M, x)[y]),
+            lhs=float(s_tau.u[x] / s_T.u[y]),
+        )
+        for x, y in pairs
+    ]

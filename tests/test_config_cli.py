@@ -648,6 +648,46 @@ def test_integrated_nodes_on_a_torus_must_be_a_square(tmp_path, capsys, nodes):
 
 
 @pytest.mark.parametrize(
+    "model,grid,x0,nodes,fitting",
+    [
+        pytest.param("circle", 16, 0, 64, 16, id="circle"),
+        pytest.param("flat_torus_2d", [16, 24], [0, 0], 17 * 17, 16 * 16, id="torus"),
+    ],
+)
+def test_integrated_nodes_beyond_the_grid_exit_2(
+    tmp_path, capsys, model, grid, x0, nodes, fitting
+):
+    """A sample side longer than a grid axis would repeat nodes; at the
+    grid size every pair is distinct."""
+    data = {
+        "manifold": {"model": model, "grid": grid, "potential": {"family": "zero"}},
+        "solver": {"t0": 0.3, "x0": x0, "times": [0.5, 1.0], "local_error": 1e-8},
+        "checks": [{"name": "integrated", "m": [3], "K": 0.0, "nodes": nodes}],
+    }
+    out = tmp_path / "out"
+    assert main(["harnack", "--config", write_config(tmp_path, data), "--out", str(out)]) == 2
+    assert f"checks.integrated.nodes={nodes} samples" in capsys.readouterr().err
+    assert not out.exists()
+    data["checks"][0]["nodes"] = fitting
+    assert main(["harnack", "--config", write_config(tmp_path, data), "--out", str(out)]) == 0
+    with open(out / "harnack_integrated.csv") as handle:
+        pairs = [line.split(",")[:2] for line in handle if line[0].isdigit()]
+    assert len(pairs) == len(set(map(tuple, pairs))) == fitting * fitting
+
+
+def test_integrated_rhs_overflow_reads_inf(tmp_path):
+    """T - tau = 1e-7 overflows exp(d^2 / (4 (T - tau))): the bound is inf and holds."""
+    data = {**BASE, "solver": {**BASE["solver"], "t0": 0.3, "times": [0.5, 0.5000001, 1.0]}}
+    data["checks"] = [{"name": "integrated", "m": [2], "pairs": [[0.5, 0.5000001]]}]
+    out = tmp_path / "out"
+    assert main(["harnack", "--config", write_config(tmp_path, data), "--out", str(out)]) == 0
+    with open(out / "harnack_integrated.csv") as handle:
+        rows = [line.rstrip("\n").split(",") for line in handle if line[0].isdigit()]
+    assert [row[8] == "inf" for row in rows] == [row[6] != "0.0" for row in rows]
+    assert all(row[9] == "1" for row in rows)
+
+
+@pytest.mark.parametrize(
     "solver_x0,center,message",
     [
         (-1, None, "solver.x0: node [-1] lies outside the grid (64,)"),

@@ -20,6 +20,7 @@ from wittenlab.geometry import _ball_measures, _disk_weights, bakry_emery_tensor
 from wittenlab.harnack import (
     hamilton_harnack_defect,
     integrated_harnack_check,
+    integrated_harnack_checks,
     kernel_dt_log_bounds,
     li_yau_defect,
     sup_bound_defect,
@@ -32,6 +33,8 @@ from wittenlab.ricciflow import (
     w_decomposition_on_flow,
     w_entropy_on_flow,
 )
+
+from references import geodesic_distance_meshgrid
 
 
 def bessel_i0(a, terms=60):
@@ -235,6 +238,20 @@ def test_geodesic_distance_torus(torus_flat):
     assert d[0, 0] == 0.0
     assert d[32, 32] == pytest.approx(np.pi * math.sqrt(2.0), rel=1e-12)
     assert d[1, 0] == pytest.approx(2 * np.pi / 64, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "fixture,node",
+    [
+        ("circle_cos", (255,)),
+        ("circle_cos", (100,)),
+        ("torus_32x48", (31, 47)),
+        ("torus_32x48", (13, 29)),
+    ],
+)
+def test_geodesic_distance_equals_the_meshgrid_formula(request, fixture, node):
+    M = request.getfixturevalue(fixture)
+    assert np.array_equal(geodesic_distance(M, node), geodesic_distance_meshgrid(M, node))
 
 
 def test_ball_ratio_flat_circle(circle_flat):
@@ -473,6 +490,11 @@ NODE_TAKERS = {
     ),
     "integrated_harnack_check": lambda M, node: integrated_harnack_check(
         [kernel_state(M, 0, 0.1), kernel_state(M, 0, 0.3)], 0, node, 0.1, 0.3, 2.0, 0.0
+    ),
+    # the node is the second pair's y: every node of the lists is checked
+    "integrated_harnack_checks": lambda M, node: integrated_harnack_checks(
+        [kernel_state(M, 0, 0.1), kernel_state(M, 0, 0.3)], [0, 0], [0, node],
+        0.1, 0.3, 2.0, 0.0,
     ),
 }
 

@@ -12,6 +12,7 @@ from wittenlab import (
     hamilton_harnack_defect,
     initial_delta,
     integrated_harnack_check,
+    integrated_harnack_checks,
     kernel_dt_log_bounds,
     kernel_state,
     li_yau_defect,
@@ -20,7 +21,10 @@ from wittenlab import (
     sup_bound_defect,
     uniform_state,
 )
+from wittenlab.harnack import IntegratedHarnackReport
 from wittenlab.operators import random_band_limited
+
+from references import integrated_loop
 
 
 def positive_test_state(M, rng, t=0.0):
@@ -138,6 +142,49 @@ def test_integrated_harnack_pair_sweep(circle_cos):
         for y in nodes:
             rep = integrated_harnack_check(snaps, x, y, 0.05, 0.2, 2.0, K)
             assert rep.ok, (x, y, rep.lhs, rep.rhs)
+
+
+@pytest.mark.parametrize(
+    "fixture,m,sample",
+    [
+        ("circle_cos", 2.0, [(0,), (1,), (127,), (128,), (255,)]),
+        ("circle_cos", 2.0, "random"),
+        ("torus_32x48", 3.0, [(0, 0), (31, 47), (0, 47), (16, 24), (5, 17)]),
+        ("torus_32x48", 3.0, "random"),
+    ],
+)
+def test_integrated_checks_equal_the_per_pair_loop(request, rng, fixture, m, sample):
+    """Every pair of the sample, x == y included, matches bit for bit."""
+    M = request.getfixturevalue(fixture)
+    if sample == "random":
+        sample = [tuple(int(rng.integers(n)) for n in M.shape) for _ in range(6)]
+    pairs = [(x, y) for x in sample for y in sample]
+    snaps = [positive_test_state(M, rng, t=0.1), positive_test_state(M, rng, t=0.4)]
+    K = ricci_bakry_emery(M, m).admissible_K
+    xs, ys = zip(*pairs)
+    got = integrated_harnack_checks(snaps, xs, ys, 0.1, 0.4, m, K)
+    want = integrated_loop(snaps, pairs, 0.1, 0.4, m, K)
+    assert got == want
+    assert [(r.rhs, r.ok) for r in got] == [(r.rhs, r.ok) for r in want]
+    assert all(type(r.distance) is float and type(r.lhs) is float for r in got)
+    assert integrated_harnack_checks(snaps, [], [], 0.1, 0.4, m, K) == []
+    with pytest.raises(ValueError, match="x nodes against"):
+        integrated_harnack_checks(snaps, xs, ys[1:], 0.1, 0.4, m, K)
+
+
+@pytest.mark.parametrize(
+    "T,m,distance",
+    [
+        pytest.param(0.5000001, 2.0, math.pi, id="d2_over_T_minus_tau"),
+        pytest.param(1.0, 5000.0, 0.0, id="large_m"),
+    ],
+)
+def test_integrated_rhs_overflow_is_infinite(T, m, distance):
+    rep = IntegratedHarnackReport(
+        x=(0,), y=(0,), tau=0.5, T=T, m=m, K=0.0, distance=distance, lhs=1.0
+    )
+    assert rep.rhs == math.inf
+    assert rep.ok
 
 
 def test_sup_bound_stationary(circle_cos):
