@@ -75,7 +75,12 @@ class WeightedManifold:
       ``axis_eigensystems`` and the spectral symbols (``|k|^2`` on the
       full and the real-FFT half spectrum, per-axis derivative symbols),
       so operator applies, implicit solves, exact propagators and
-      curvature tensors do not recompute them.
+      curvature tensors do not recompute them;
+    * per dimension parameter ``float(m)``, the Bakry-Emery tensor of
+      :func:`bakry_emery_tensor` and the :class:`CurvatureField` of
+      :func:`ricci_bakry_emery`, kept on first use so that every check of
+      a run shares one of each per m.  Memory grows by one
+      ``(n, n, *grid)`` tensor and one grid field per distinct m.
     """
 
     grid_sizes: tuple
@@ -168,6 +173,17 @@ class WeightedManifold:
         if parts is None:
             return None
         return tuple(_projected_axis_eigensystem(self, a, p) for a, p in enumerate(parts))
+
+    @cached_property
+    def _bakry_emery_tensors(self):
+        """float(m) -> read-only Bakry-Emery tensor, filled by
+        :func:`bakry_emery_tensor`."""
+        return {}
+
+    @cached_property
+    def _curvature_fields(self):
+        """float(m) -> :class:`CurvatureField`, filled by :func:`ricci_bakry_emery`."""
+        return {}
 
     @cached_property
     def _derivative_symbols(self):
@@ -571,20 +587,29 @@ def _check_ball_radii(manifold, r, R):
 
 
 def bakry_emery_tensor(manifold, m):
-    """Per-node Bakry-Emery tensor as an (n, n, *grid) array.
+    """Per-node Bakry-Emery tensor as a read-only (n, n, *grid) array.
 
     For finite ``m > n`` this is hess(phi) - grad(phi) x grad(phi)/(m-n);
     ``m = inf`` drops the rank-one term.  The flat base metric contributes
     no Ricci term.  For ``m = inf`` and ``m == n`` (constant phi, whose
-    gradient vanishes) the result is the manifold's read-only
-    ``potential_hessian``.
+    gradient vanishes) the result is the manifold's ``potential_hessian``.
+    The tensor is built once per ``float(m)`` and kept on the manifold;
+    a later call with the same m returns the same array.
     """
+    cache = manifold._bakry_emery_tensors
+    tensor = cache.get(float(m))
+    if tensor is None:
+        tensor = cache[float(m)] = _bakry_emery_tensor(manifold, m)
+    return tensor
+
+
+def _bakry_emery_tensor(manifold, m):
     hess = manifold.potential_hessian
     if _m_equals_n(manifold, m) or math.isinf(m):
         return hess
     grad = manifold.potential_gradient
     rank_one = np.einsum("a...,b...->ab...", grad, grad) / (m - manifold.dim_n)
-    return hess - rank_one
+    return _read_only(hess - rank_one)
 
 
 def _smallest_eigenvalue_field(tensor, n):
@@ -603,23 +628,35 @@ def ricci_bakry_emery(manifold, m):
     """Pointwise smallest eigenvalue of the Bakry-Emery tensor.
 
     Returns a :class:`CurvatureField`; its ``admissible_K`` is the
-    curvature constant used by the Harnack and entropy checks.
+    curvature constant used by the Harnack and entropy checks.  Like the
+    tensor, the field is built once per ``float(m)`` and kept on the
+    manifold.
     """
-    tensor = bakry_emery_tensor(manifold, m)
-    return CurvatureField(m=float(m), values=_smallest_eigenvalue_field(tensor, manifold.dim_n))
+    cache = manifold._curvature_fields
+    field = cache.get(float(m))
+    if field is None:
+        tensor = bakry_emery_tensor(manifold, m)
+        field = cache[float(m)] = CurvatureField(
+            m=float(m), values=_smallest_eigenvalue_field(tensor, manifold.dim_n)
+        )
+    return field
 
 
 def _disk_weights(k, r):
     """``int_{|s| < r} exp(i k.s) ds = 2 pi r J1(|k| r) / |k|`` for each |k| in
     ``k``: ``r^2 int_0^{2 pi} cos(|k| r cos a) sin^2 a da``, whose integrand is
-    periodic and analytic, by the trapezoid rule on ``2 ceil(max |k| r) + 64``
-    nodes, which gives it to rounding.  The cosine table is filled in blocks
-    of |k| rows."""
-    nodes = 2 * math.ceil(float(np.max(k)) * r) + 64
-    a = np.arange(nodes) * (2.0 * np.pi / nodes)
-    rule = np.sin(a) ** 2 * (2.0 * np.pi * r * r / nodes)
+    periodic and analytic, by the trapezoid rule on ``4 q`` nodes with
+    ``q = ceil(max |k| r / 2) + 16``, which gives it to rounding.  The
+    integrand is even about ``a = 0`` and ``a = pi/2`` and vanishes at 0 and
+    pi, so the rule reads only the quarter nodes in (0, pi/2]: weight 4 each,
+    2 at pi/2, which alone stands for two nodes.  The cosine table is filled
+    in blocks of |k| rows."""
+    q = math.ceil(float(np.max(k)) * r / 2.0) + 16
+    a = np.arange(1, q + 1) * (0.5 * np.pi / q)
+    rule = np.sin(a) ** 2 * (2.0 * np.pi * r * r / q)
+    rule[-1] *= 0.5
     kr, cos_a = k * r, np.cos(a)
-    rows = max(1, _DISK_BLOCK_ELEMENTS // nodes)
+    rows = max(1, _DISK_BLOCK_ELEMENTS // q)
     return np.concatenate([
         np.cos(np.multiply.outer(kr[i:i + rows], cos_a)) @ rule
         for i in range(0, kr.size, rows)

@@ -64,6 +64,7 @@ from .geometry import (
     _read_only,
 )
 from .operators import (
+    _divergence_form,
     _gamma2,
     _zero_nyquist_planes,
     dealias_nyquist,
@@ -140,7 +141,9 @@ class HeatState:
     parameter m of a snapshot shares one evaluation:
 
     * ``dt_log_u`` = Lu/u and ``grad_log_u``, of shape (n, *grid), from
-      the closed form for analytic kernels, accurate in the far tail;
+      the closed form for analytic kernels, accurate in the far tail, and
+      otherwise from one spectral grad u that the divergence form of L
+      reuses;
     * ``log_u`` and its spectral ``log_u_gradient``, ``log_u_hessian``
       and ``log_u_gamma2``;
     * ``entropy_pair``, the Boltzmann entropy and its dissipation rate
@@ -170,18 +173,23 @@ class HeatState:
         return None
 
     @cached_property
+    def _u_gradient(self):
+        """Spectral grad u, shared by ``dt_log_u`` and ``grad_log_u``."""
+        return _read_only(gradient(self.manifold, self.u))
+
+    @cached_property
     def dt_log_u(self):
         parts = self._kernel_profiles(kernels.wrapped_gaussian_log_dt)
         if parts is not None:
             return _read_only(sum(parts, np.zeros(self.manifold.shape)))
-        return _read_only(witten_laplacian(self.manifold, self.u) / self.u)
+        return _read_only(_divergence_form(self.manifold, self.u, self._u_gradient) / self.u)
 
     @cached_property
     def grad_log_u(self):
         parts = self._kernel_profiles(kernels.wrapped_gaussian_log_dx)
         if parts is not None:
             return _read_only(np.stack(np.broadcast_arrays(*parts)))
-        return _read_only(gradient(self.manifold, self.u) / self.u)
+        return _read_only(self._u_gradient / self.u)
 
     @cached_property
     def log_u(self):

@@ -123,12 +123,18 @@ def witten_laplacian(manifold, f):
     both hold exactly in exact arithmetic because the spectral first
     derivative is antisymmetric on the uniform grid.
     """
-    f = _check_field(manifold, f)
+    return _divergence_form(manifold, _check_field(manifold, f))
+
+
+def _divergence_form(manifold, f, grad=None):
+    """``exp(phi) div(exp(-phi) grad f)``, the one assembly of the drift
+    Laplacian.  The first derivatives of f come from ``grad`` when the
+    caller has the gradient, else one axis at a time as the sum needs them."""
     density = manifold.density
     out = np.zeros(f.shape)
     for a in range(manifold.dim_n):
-        flux = density * _axis_derivative(manifold, f, a, 1)
-        out += _axis_derivative(manifold, flux, a, 1)
+        df = _axis_derivative(manifold, f, a, 1) if grad is None else grad[a]
+        out += _axis_derivative(manifold, density * df, a, 1)
     return out / density
 
 
@@ -196,22 +202,35 @@ def random_band_limited(manifold, rng, max_mode=None, scale=1.0, size=None):
     ``size=None`` gives one field; ``size=k`` a stack of shape
     ``(k, *grid)`` whose rows equal ``k`` successive single calls, drawn
     in the same order and summed by one inverse FFT over the grid axes.
+    A circle draws the coefficients of all rows at once, a torus its
+    modes and coefficients row by row; either way every row's modes are
+    placed by one ``np.add.at`` per sign.
     """
     if max_mode is None:
         max_mode = max(2, min(manifold.grid_sizes) // 8)
-    stack = () if size is None else (size,)
-    spectrum = np.zeros(stack + manifold.shape, dtype=complex)
-    for row in spectrum.reshape((-1,) + manifold.shape):
-        if manifold.dim_n == 1:
-            modes = np.arange(1, max_mode + 1)[:, None]
-        else:
-            n_terms = 3 * max_mode
-            kx = rng.integers(-max_mode, max_mode + 1, size=n_terms)
-            ky = rng.integers(-max_mode, max_mode + 1, size=n_terms)
-            modes = np.stack([kx, ky], axis=1)[(kx != 0) | (ky != 0)]
-        a, b = rng.standard_normal((len(modes), 2)).T
-        norm = 1.0 + np.sqrt(np.sum(modes * modes, axis=1))
-        coef = (0.5 * math.prod(manifold.shape)) * (a - 1j * b) / norm
-        np.add.at(row, tuple((modes % manifold.shape).T), coef)
-        np.add.at(row, tuple((-modes % manifold.shape).T), coef.conj())
-    return scale * np.fft.ifftn(spectrum, axes=_grid_axes(manifold)).real
+    shape = manifold.shape
+    rows = 1 if size is None else size
+    if manifold.dim_n == 1:
+        # one draw for all rows: the stream of one (max_mode, 2) draw per row
+        modes = np.broadcast_to(np.arange(1, max_mode + 1)[:, None], (rows, max_mode, 1))
+        ab = rng.standard_normal((rows, max_mode, 2))
+    else:
+        # kx, ky and the coefficients of a row are drawn in turn, row by row
+        n_terms = 3 * max_mode
+        modes = np.empty((rows, n_terms, 2), dtype=int)
+        ab = np.empty((rows, n_terms, 2))
+        for i in range(rows):
+            modes[i, :, 0] = rng.integers(-max_mode, max_mode + 1, size=n_terms)
+            modes[i, :, 1] = rng.integers(-max_mode, max_mode + 1, size=n_terms)
+            nonzero = modes[i].any(axis=1)  # (0, 0) takes no draw
+            ab[i, nonzero] = rng.standard_normal((int(nonzero.sum()), 2))
+    kept = modes.any(axis=2)
+    row = np.nonzero(kept)[0]
+    modes, (a, b) = modes[kept], ab[kept].T
+    norm = 1.0 + np.sqrt(np.sum(modes * modes, axis=1))
+    coef = (0.5 * math.prod(shape)) * (a - 1j * b) / norm
+    spectrum = np.zeros((rows,) + shape, dtype=complex)
+    np.add.at(spectrum, (row, *(modes % shape).T), coef)
+    np.add.at(spectrum, (row, *(-modes % shape).T), coef.conj())
+    out = scale * np.fft.ifftn(spectrum, axes=_grid_axes(manifold)).real
+    return out[0] if size is None else out

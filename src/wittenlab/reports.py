@@ -11,7 +11,14 @@ integer column one ``str`` per value, and the node index and coordinate
 text of a grid is built once and reused by every table on that grid.
 The text is the same, byte for byte, as formatting each value with
 :func:`_fmt`, which still formats the small tables of mixed per-report
-rows.  :func:`snapshots_csv` formats one snapshot at a time.
+rows.  :func:`snapshots_csv` formats one snapshot at a time and joins
+each snapshot's rows in one ``str.join``, every row from its four pieces
+(time, node prefix, value, newline), with no per-row concatenation.
+
+A failed write (an ``OSError`` from creating, writing or renaming a
+file) raises :class:`wittenlab.config.ConfigError` naming the output
+path, and leaves no temporary file behind.  Files get mode 0o666 less
+the umask, what ``open(path, "w")`` gives.
 """
 
 from __future__ import annotations
@@ -19,11 +26,12 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
+from .config import ConfigError
 from .geometry import _grid_coordinates
 
 CSV_VERSION = "v1"
@@ -44,22 +52,40 @@ __all__ = [
 
 
 def atomic_write(path, text):
-    """Write ``text`` to ``path`` through a temporary file and a rename."""
+    """Write ``text`` to ``path`` through a temporary file and a rename.
+
+    Raises :class:`wittenlab.config.ConfigError` when the file cannot be
+    written."""
     _replace_file(path, text)
 
 
 def _replace_file(path, text):
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = _create_temp(directory)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        tmp = None
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        if tmp is not None:
             os.unlink(tmp)
-        raise
+
+
+def _create_temp(directory):
+    """``(fd, path)`` of a new file ``.tmp_*`` in ``directory``, open for
+    writing, with mode 0o666 less the umask (``tempfile.mkstemp`` makes
+    0o600, which the rename would keep)."""
+    while True:
+        tmp = os.path.join(directory, f".tmp_{os.urandom(8).hex()}")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
 
 
 def _fmt(value):
@@ -150,9 +176,9 @@ def snapshots_csv(snapshots):
     prefixes = _node_prefixes(manifold.grid_sizes, manifold.circumferences)
     blocks = [_header("snapshots", cols)]
     for s in snapshots:
-        t = _fmt(s.t) + ","
         u_text = _grid_column(manifold, s.u)
-        blocks.append(_body(t + p + u for p, u in zip(prefixes, u_text)))
+        rows = zip(repeat(_fmt(s.t) + ","), prefixes, u_text, repeat("\n"))
+        blocks.append("".join(map("".join, rows)))
     return "".join(blocks)
 
 

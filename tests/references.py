@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 
-from wittenlab.geometry import geodesic_distance
+from wittenlab.geometry import _m_equals_n, _smallest_eigenvalue_field, geodesic_distance
 from wittenlab.harnack import IntegratedHarnackReport
 from wittenlab.operators import (
+    _grid_axes,
     bochner_residual,
     gradient,
     laplacian,
@@ -14,6 +15,7 @@ from wittenlab.operators import (
     random_band_limited,
     witten_laplacian,
 )
+from wittenlab.reports import _fmt, _grid_column, _header, _node_prefixes
 
 EIGEN_TRUNCATE = 1e-16  # eigen_sum_circle drops modes with exp(-lam t) below it
 
@@ -129,3 +131,72 @@ def integrated_loop(snapshots, pairs, tau, T, m, K):
         )
         for x, y in pairs
     ]
+
+
+def random_band_limited_rows(manifold, rng, max_mode=None, scale=1.0, size=None):
+    """``wittenlab.operators.random_band_limited`` with one draw and one pair
+    of ``np.add.at`` per row, where the package places all rows at once; the
+    two must agree bit for bit and leave the generator at the same point."""
+    if max_mode is None:
+        max_mode = max(2, min(manifold.grid_sizes) // 8)
+    stack = () if size is None else (size,)
+    spectrum = np.zeros(stack + manifold.shape, dtype=complex)
+    for row in spectrum.reshape((-1,) + manifold.shape):
+        if manifold.dim_n == 1:
+            modes = np.arange(1, max_mode + 1)[:, None]
+        else:
+            n_terms = 3 * max_mode
+            kx = rng.integers(-max_mode, max_mode + 1, size=n_terms)
+            ky = rng.integers(-max_mode, max_mode + 1, size=n_terms)
+            modes = np.stack([kx, ky], axis=1)[(kx != 0) | (ky != 0)]
+        a, b = rng.standard_normal((len(modes), 2)).T
+        norm = 1.0 + np.sqrt(np.sum(modes * modes, axis=1))
+        coef = (0.5 * math.prod(manifold.shape)) * (a - 1j * b) / norm
+        np.add.at(row, tuple((modes % manifold.shape).T), coef)
+        np.add.at(row, tuple((-modes % manifold.shape).T), coef.conj())
+    return scale * np.fft.ifftn(spectrum, axes=_grid_axes(manifold)).real
+
+
+def disk_weights_full_period(k, r):
+    """``2 pi r J1(|k| r) / |k|`` by the trapezoid rule over the whole period
+    on ``2 ceil(max |k| r) + 64`` nodes, one cosine per node: the rule that
+    ``wittenlab.geometry._disk_weights`` takes on the symmetric quarter."""
+    nodes = 2 * math.ceil(float(np.max(k)) * r) + 64
+    a = np.arange(nodes) * (2.0 * np.pi / nodes)
+    rule = np.sin(a) ** 2 * (2.0 * np.pi * r * r / nodes)
+    return np.cos(np.multiply.outer(k * r, np.cos(a))) @ rule
+
+
+def bakry_emery_uncached(manifold, m):
+    """``(tensor, smallest eigenvalue field)`` of the Bakry-Emery tensor,
+    built afresh on every call: what ``wittenlab.geometry`` keeps per m."""
+    hess = manifold.potential_hessian
+    if _m_equals_n(manifold, m) or math.isinf(m):
+        tensor = hess
+    else:
+        grad = manifold.potential_gradient
+        tensor = hess - np.einsum("a...,b...->ab...", grad, grad) / (m - manifold.dim_n)
+    return tensor, _smallest_eigenvalue_field(tensor, manifold.dim_n)
+
+
+def snapshots_csv_per_row(snapshots):
+    """Snapshot CSV text joined row by row, each row ``t + prefix + u``: the
+    assembly that ``wittenlab.reports.snapshots_csv`` does in one join per
+    snapshot."""
+    manifold = snapshots[0].manifold
+    cols = ["t", "node_index", *["x", "y"][: manifold.dim_n], "u"]
+    prefixes = _node_prefixes(manifold.grid_sizes, manifold.circumferences)
+    blocks = [_header("snapshots", cols)]
+    for s in snapshots:
+        t = _fmt(s.t) + ","
+        u_text = _grid_column(manifold, s.u)
+        blocks.append("\n".join(t + p + u for p, u in zip(prefixes, u_text)) + "\n")
+    return "".join(blocks)
+
+
+def log_u_derivatives(state):
+    """``(L u / u, grad u / u)`` from one ``witten_laplacian`` and one
+    ``gradient`` call, each differentiating u on its own: the fields that
+    ``HeatState.dt_log_u`` and ``grad_log_u`` build from one grad u."""
+    M = state.manifold
+    return witten_laplacian(M, state.u) / state.u, gradient(M, state.u) / state.u

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 import wittenlab
-from wittenlab import cli
+from wittenlab import cli, geometry
 from wittenlab.cli import _Runner, bundled_config_path, main, run_experiment
 from wittenlab.config import CHECKS, REQUIRED, ConfigError, load_config, validate_experiment
 
@@ -230,6 +230,31 @@ def test_unusable_paths_exit_2_without_traceback(tmp_path, capsys, config, out):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("blocked", ["snapshots.csv", "summary.json", "timing.json"])
+def test_an_output_that_cannot_be_written_exits_2_without_traceback(tmp_path, capsys, blocked):
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)  # a directory where the file goes
+    assert main(["all", "--config", "liyau_circle", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: out: cannot write {out / blocked}: ")
+    assert "Traceback" not in err
+    assert not [f for f in os.listdir(out) if f.startswith(".tmp_")]
+
+
+def test_a_run_builds_each_curvature_tensor_once_per_m(tmp_path, monkeypatch):
+    """torus_hamilton resolves K for m = 3 and 4 in three checks."""
+    built = []
+    build = geometry._bakry_emery_tensor
+
+    def counting(manifold, m):
+        built.append(float(m))
+        return build(manifold, m)
+
+    monkeypatch.setattr(geometry, "_bakry_emery_tensor", counting)
+    assert main(["all", "--config", "torus_hamilton", "--out", str(tmp_path)]) == 0
+    assert sorted(built) == [3.0, 4.0]
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,11 @@ from wittenlab.ricciflow import (
     w_entropy_on_flow,
 )
 
-from references import geodesic_distance_meshgrid
+from references import (
+    bakry_emery_uncached,
+    disk_weights_full_period,
+    geodesic_distance_meshgrid,
+)
 
 
 def bessel_i0(a, terms=60):
@@ -226,6 +230,28 @@ def test_infinite_m_tensor(circle_cos):
     assert np.allclose(tensor[0, 0], -np.cos(x), atol=1e-11)
 
 
+@pytest.mark.parametrize("build,n,potential,ms", [
+    pytest.param(circle, 256, {"family": "cosine", "params": {"a": 1.0, "k": 1}},
+                 (2.0, 3, 5.5, math.inf), id="circle_cos"),
+    pytest.param(flat_torus, (32, 48), {"family": "cosine_sine", "params": {"b": 0.3, "l": 2}},
+                 (3.0, 4, math.inf), id="torus_cosine_sine"),
+    pytest.param(circle, 64, None, (1, 2.0), id="circle_flat"),
+    pytest.param(flat_torus, 32, None, (2, 3.0), id="torus_flat"),
+])
+def test_curvature_is_built_once_per_m_and_equals_a_fresh_build(build, n, potential, ms):
+    M = build(n, potential=potential)  # a new manifold: an empty cache
+    for m in ms:
+        tensor, values = bakry_emery_uncached(M, m)
+        cached, cf = bakry_emery_tensor(M, m), ricci_bakry_emery(M, m)
+        assert np.array_equal(cached, tensor)
+        assert np.array_equal(cf.values, values)
+        assert not cached.flags.writeable and not cf.values.flags.writeable
+        assert bakry_emery_tensor(M, float(m)) is cached
+        assert ricci_bakry_emery(M, float(m)) is cf
+    assert sorted(M._bakry_emery_tensors) == sorted(map(float, ms))
+    assert sorted(M._curvature_fields) == sorted(map(float, ms))
+
+
 def test_geodesic_distance_circle(circle_flat):
     d = geodesic_distance(circle_flat, 0)
     assert d[0] == 0.0
@@ -311,7 +337,11 @@ def test_disk_weights_match_bessel_j1(n, r):
     k = np.concatenate([grid_k, np.linspace(0.0, 300.0, 601) / r])  # |k| r <= 300
     with np.errstate(invalid="ignore"):
         reference = np.where(k > 0.0, 2.0 * np.pi * r * special.j1(k * r) / k, np.pi * r * r)
-    assert np.abs(_disk_weights(k, r) - reference).max() <= 1e-13 * np.pi * r * r
+    weights = _disk_weights(k, r)
+    assert np.abs(weights - reference).max() <= 1e-13 * np.pi * r * r
+    # the quarter-period rule against the whole period it folds; the whole
+    # period's own distance from j1 reaches 4.5e-15 of pi r^2 at |k| r ~ 150
+    assert np.abs(weights - disk_weights_full_period(k, r)).max() <= 5e-15 * np.pi * r * r
 
 
 def test_ball_ratio_cosine_under_hypothesis(circle_cos):

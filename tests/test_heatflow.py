@@ -31,7 +31,7 @@ from wittenlab.operators import (
     witten_laplacian,
 )
 
-from references import eigen_sum_circle
+from references import eigen_sum_circle, log_u_derivatives
 
 
 def mode_state(M, t, amplitude=0.9, k=1):
@@ -241,6 +241,18 @@ def test_dt_log_u_kernel_on_diagonal_small_t(circle_flat):
     s = kernel_state(circle_flat, (0,), 1e-3)
     rate = s.dt_log_u
     assert rate[0] == pytest.approx(-0.5 / 1e-3, rel=1e-10)
+
+
+@pytest.mark.parametrize("model", ["circle_cos", "torus_32x48", "torus_flat"])
+def test_log_derivatives_share_one_gradient_bit_for_bit(request, model):
+    """dt_log_u and grad_log_u from one grad u equal the separate applies."""
+    M = request.getfixturevalue(model)
+    x0 = (0,) * M.dim_n
+    for s in evolve(initial_delta(M, x0, t0=0.1), [0.2, 0.4]):
+        assert not s.kernel.analytic  # the spectral route, not the closed form
+        dt_ref, grad_ref = log_u_derivatives(s)
+        assert np.array_equal(s.dt_log_u, dt_ref)
+        assert np.array_equal(s.grad_log_u, grad_ref)
 
 
 def test_grad_log_analytic_matches_spectral_at_moderate_t(circle_flat):

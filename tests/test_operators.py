@@ -18,7 +18,11 @@ from wittenlab import (
 from wittenlab.geometry import _axis_derivative
 from wittenlab.operators import dealias_nyquist, random_band_limited
 
-from references import random_band_limited_loop, witten_laplacian_drift_form
+from references import (
+    random_band_limited_loop,
+    random_band_limited_rows,
+    witten_laplacian_drift_form,
+)
 
 
 def complex_fft_derivative(manifold, f, axis, order):
@@ -239,6 +243,21 @@ def test_random_fields_match_the_mode_loop_from_the_same_draws(grid, max_mode, s
     g = random_band_limited_loop(M, theirs, max_mode)
     assert np.abs(f - g).max() <= 1e-13 * np.abs(g).max()
     assert ours.standard_normal() == theirs.standard_normal()
+
+
+@pytest.mark.parametrize("size", [None, 0, 1, 3, 20])
+@pytest.mark.parametrize("grid", [256, (32, 48), (64, 64)])
+def test_random_fields_equal_the_per_row_draws_bit_for_bit(grid, size):
+    """All rows placed at once equal one draw and one placement per row,
+    and the generator ends in the same state."""
+    M = circle(grid) if isinstance(grid, int) else flat_torus(grid)
+    for max_mode in (None, 1, 5):
+        for seed in range(5):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            f = random_band_limited(M, ours, max_mode, size=size)
+            g = random_band_limited_rows(M, theirs, max_mode, size=size)
+            assert f.shape == g.shape and np.array_equal(f, g)
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 @pytest.mark.parametrize("M", [circle(256, 5.0), flat_torus((32, 48), (5.0, 7.0))],

@@ -10,6 +10,9 @@ import pytest
 
 from wittenlab import build_series, evolve, initial_delta, ricci_bakry_emery
 from wittenlab import reports
+from wittenlab.config import ConfigError
+
+from references import snapshots_csv_per_row
 
 
 def test_curvature_csv_columns(circle_cos, tmp_path):
@@ -64,6 +67,27 @@ def test_atomic_write_and_summary(tmp_path):
     reports.write_summary(base, {"alpha": {"ok": False}})
     assert "[FAIL] alpha" in open(base + ".txt").read()
     assert not [f for f in os.listdir(tmp_path / "sub") if f.startswith(".tmp_")]
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077], ids=["umask_022", "umask_077"])
+def test_written_files_take_the_mode_that_open_gives(tmp_path, mask):
+    previous = os.umask(mask)
+    try:
+        reports.atomic_write(str(tmp_path / "written.csv"), "a\n")
+        with open(tmp_path / "opened.csv", "w") as handle:
+            handle.write("a\n")
+    finally:
+        os.umask(previous)
+    modes = [os.stat(tmp_path / name).st_mode for name in ("written.csv", "opened.csv")]
+    assert modes[0] == modes[1] == 0o100666 & ~mask
+
+
+def test_a_failed_write_names_the_path_and_leaves_no_temporary_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(ConfigError, match=f"out: cannot write {target}: "):
+        reports.atomic_write(str(target), "text")
+    assert os.listdir(tmp_path) == ["taken"]
 
 
 # ------------------------------------------------------------------ oracle
@@ -204,6 +228,7 @@ def test_node_tables_match_the_row_formatter(request, name, rng):
     snaps = [SimpleNamespace(manifold=M, t=t, u=special_field(M.shape, rng))
              for t in (0.1, 2, np.float64(1e-300), -0.0)]
     assert_same_text(reports.snapshots_csv(snaps), REFERENCE["snapshots"](M, snaps))
+    assert_same_text(reports.snapshots_csv(snaps), snapshots_csv_per_row(snaps))
     with pytest.raises(ValueError, match="no snapshots"):
         reports.snapshots_csv([])
 
