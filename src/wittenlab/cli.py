@@ -139,10 +139,10 @@ class _Runner:
     def out(self, filename):
         return os.path.join(self.config.out_dir, filename)
 
-    def write_csv(self, filename, build, *args, **kwargs):
-        """Write the CSV text ``build(*args, **kwargs)``; timed as output."""
+    def write_csv(self, filename, blocks):
+        """Write the CSV ``blocks``, formatted as they are drawn; timed as output."""
         start = time.perf_counter()
-        reports.atomic_write(self.out(filename), build(*args, **kwargs))
+        reports.write_blocks(self.out(filename), blocks)
         self._output_s += time.perf_counter() - start
 
     @cached_property
@@ -175,11 +175,9 @@ class _Runner:
         handler(check)
 
     def check_curvature(self, check):
-        for m in check.m_values:
-            cf = ricci_bakry_emery(self.manifold, m)
-            self.write_csv(
-                f"curvature_m{m:g}.csv", reports.curvature_csv, self.manifold, cf
-            )
+        fields = [ricci_bakry_emery(self.manifold, m) for m in check.m_values]
+        self.write_csv("curvature.csv", reports.curvature_csv(self.manifold, fields))
+        for m, cf in zip(check.m_values, fields):
             self.record(
                 f"curvature_m{m:g}",
                 True,
@@ -235,8 +233,8 @@ class _Runner:
         snaps = self.snapshots()
         drift = max(abs(s.mass - 1.0) for s in snaps)
         ok = drift <= 1e-10
-        self.write_csv("snapshots.csv", reports.snapshots_csv, snaps)
-        self.write_csv("evolution_manifest.csv", reports.manifest_csv, self._manifest)
+        self.write_csv("snapshots.csv", reports.snapshots_csv(snaps))
+        self.write_csv("evolution_manifest.csv", reports.manifest_csv(self._manifest))
         self.record(
             "mass_conservation", ok, max_drift=drift, snapshots=len(snaps),
             min_over_max=min(float(s.u.min() / s.u.max()) for s in snaps),
@@ -245,7 +243,6 @@ class _Runner:
     def _pointwise_harnack(self, check, fn_name):
         snaps = self.snapshots()
         out_reports = []
-        dump_fields = check.options["dump_defects"]
         A = max(float(s.u.max()) for s in snaps) * (1.0 + 1e-12)  # sup over the run
         for m in check.m_values:
             if fn_name != "li_yau":  # the Li-Yau bound has no K
@@ -258,12 +255,10 @@ class _Runner:
                 else:
                     rep = harnack_mod.sup_bound_defect(s, m, K, A)
                 out_reports.append(rep)
-                if dump_fields:
-                    self.write_csv(
-                        f"defect_{fn_name}_m{m:g}_t{s.t:g}.csv",
-                        reports.field_csv, self.manifold, rep.defect, name="defect",
-                    )
-        self.write_csv(f"harnack_{fn_name}.csv", reports.harnack_csv, out_reports)
+        if check.options["dump_defects"]:
+            fields = reports.field_csv(self.manifold, out_reports, "defect")
+            self.write_csv(f"defect_{fn_name}.csv", fields)
+        self.write_csv(f"harnack_{fn_name}.csv", reports.harnack_csv(out_reports))
         worst = min(r.min_defect for r in out_reports)
         self.record(f"harnack_{fn_name}", all(r.ok for r in out_reports), worst_defect=worst)
 
@@ -294,7 +289,7 @@ class _Runner:
                     harnack_mod.integrated_harnack_checks(snaps, xs, ys, float(tau), float(T), m, K)
                 )
         ok = all(r.ok for r in out_reports)
-        self.write_csv("harnack_integrated.csv", reports.integrated_csv, out_reports)
+        self.write_csv("harnack_integrated.csv", reports.integrated_csv(out_reports))
         self.record("harnack_integrated", ok, pairs=len(out_reports))
 
     def check_kernel_bounds(self, check):
@@ -311,14 +306,13 @@ class _Runner:
 
     def check_entropy(self, check):
         snaps = self.snapshots()
+        all_series = []
         for m in check.m_values:
             K = _resolve_K(check, m, self.manifold, self.flow)
             series = entropy_mod.build_series(snaps, m, K)
             ok = entropy_mod.w_monotonicity_check(series)
             dH_ok = bool(np.all(series.dH_dt >= -1e-12))
-            self.write_csv(
-                f"entropy_series_m{m:g}.csv", reports.entropy_series_csv, series
-            )
+            all_series.append(series)
             self.record(
                 f"entropy_m{m:g}",
                 ok and dH_ok,
@@ -327,6 +321,7 @@ class _Runner:
                 ),
                 K=K,
             )
+        self.write_csv("entropy_series.csv", reports.entropy_series_csv(all_series))
 
     def check_tilde_identity(self, check):
         worst = 0.0
@@ -341,22 +336,19 @@ class _Runner:
     def check_flow_margin(self, check):
         flow = self.flow
         margin_reports = []
+        worst_fields = []
         for m in check.m_values:
             K = _resolve_K(check, m, self.manifold, flow)
             times = [float(t) for t in np.linspace(0.0, flow.horizon, 9)]
             reps = super_ricci_flow_margins(flow, m, K, times)
             margin_reports.extend(reps)
             worst = min(reps, key=lambda r: r.min_defect)  # the first, on ties
-            self.write_csv(
-                f"flow_margin_field_m{m:g}.csv",
-                reports.field_csv,
-                self.manifold,
-                worst.defect,
-                name="margin",
-            )
+            worst_fields.append(worst)
             ok = all(r.ok for r in reps)
             self.record(f"flow_margin_m{m:g}", ok, K=K, worst_margin=worst.min_defect)
-        self.write_csv("flow_margin.csv", reports.flow_margin_csv, margin_reports)
+        fields = reports.field_csv(self.manifold, worst_fields, "margin")
+        self.write_csv("flow_margin_field.csv", fields)
+        self.write_csv("flow_margin.csv", reports.flow_margin_csv(margin_reports))
 
     def check_flow_entropy(self, check):
         flow = self.flow
@@ -365,6 +357,8 @@ class _Runner:
         snaps = evolve_heat_on_flow(
             flow, self.start_state, times, local_error=solver.local_error
         )
+        all_series = []
+        all_margins = []
         for m in check.m_values:
             K = _resolve_K(check, m, self.manifold, flow)
             series = entropy_mod.build_series(snaps, m, K, flow=flow)
@@ -373,16 +367,16 @@ class _Runner:
                 for r in super_ricci_flow_margins(flow, m, K, [s.t for s in snaps])
             ]
             worst_gap = float((series.dW_dt_formula - series.monotonicity_bound).max())
-            self.write_csv(
-                f"flow_entropy_series_m{m:g}.csv",
-                reports.entropy_series_csv, series, flow_margin=margins,
-            )
+            all_series.append(series)
+            all_margins.append(margins)
             self.record(
                 f"flow_entropy_m{m:g}",
                 entropy_mod.w_monotonicity_check(series),
                 worst_gap=worst_gap,
                 K=K,
             )
+        tables = reports.entropy_series_csv(all_series, all_margins)
+        self.write_csv("flow_entropy_series.csv", tables)
 
     # -------------------------------------------------------------- entry
     def run(self):

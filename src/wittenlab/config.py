@@ -9,7 +9,8 @@ Top-level keys of an experiment file:
                their defaults; m is a number or a list of numbers; K is
                a number, "admissible", or "fitted" (needs a flow)
     flow:      family, params, horizon (optional section)
-    out:       output directory (optional; CLI flag overrides)
+    out:       output directory, a non-empty string (optional; CLI flag
+               overrides)
 
 Validation failures raise :class:`ConfigError` naming the offending key.
 """
@@ -208,18 +209,6 @@ def _parse_check(item, name, times):
     return CheckSpec(name=name, m_values=m_values, options=options)
 
 
-def _name_clash(values):
-    """Two of ``values`` with the same ``{:g}`` text, the one output file
-    names and summary keys carry; None if there are none."""
-    seen = {}
-    for v in values:
-        name = f"{v:g}"
-        if name in seen:
-            return seen[name], v
-        seen[name] = v
-    return None
-
-
 def _parse_m(raw, check_name, default):
     """The m values of ``raw``, or ``default`` (from the check's row) if none."""
     m_values = tuple(_number(m, f"checks.{check_name}.m") for m in _as_list(raw))
@@ -227,18 +216,25 @@ def _parse_m(raw, check_name, default):
         raise ConfigError(f"checks.{check_name}.m must be positive")
     if not m_values and default == REQUIRED:
         raise ConfigError(f"checks.{check_name} needs at least one m value")
-    clash = _name_clash(m_values)
-    if clash:
-        a, b = clash
-        raise ConfigError(
-            f"checks.{check_name}.m values {a!r} and {b!r} both name their outputs "
-            f"m{a:g}; give values that differ in 6 significant digits"
-        )
+    names = {}  # each m by its {:g} text, the one summary keys carry
+    for m in m_values:
+        name = f"m{m:g}"
+        if name in names:
+            raise ConfigError(
+                f"checks.{check_name}.m values {names[name]!r} and {m!r} both name "
+                f"their summary keys {name}; give values that differ in 6 significant digits"
+            )
+        names[name] = m
     return m_values or default
 
 
 def validate_experiment(data, out_override=None, grid_scale=1):
-    """Turn a raw config mapping into an :class:`ExperimentConfig`."""
+    """Turn a raw config mapping into an :class:`ExperimentConfig`.
+
+    ``out_override`` and ``grid_scale`` come from the command line's
+    ``--out`` and ``--grid-scale``."""
+    if not (_is_integer(grid_scale) and grid_scale >= 1):
+        raise ConfigError(f"--grid-scale must be an integer >= 1, got {grid_scale!r}")
     if "manifold" not in data:
         raise ConfigError("missing section: manifold")
     manifold = _mapping(data, "manifold")
@@ -288,14 +284,6 @@ def validate_experiment(data, out_override=None, grid_scale=1):
             raise ConfigError("flow.family is required when a flow is given")
         flow["horizon"] = _number(flow.get("horizon", times[-1]), "flow.horizon")
 
-    clash = _name_clash(times)
-    if clash and any(c.options.get("dump_defects") for c in checks):
-        a, b = clash
-        raise ConfigError(
-            f"solver.times {a!r} and {b!r} both name their defect files t{a:g}; "
-            f"dump_defects needs times that differ in 6 significant digits"
-        )
-
     if flow is None and any(CHECKS[c.name].subcommand == "flow" for c in checks):
         raise ConfigError("flow checks selected but no flow section given")
     if flow is None and any(c.options.get("K") == "fitted" for c in checks):
@@ -311,7 +299,10 @@ def validate_experiment(data, out_override=None, grid_scale=1):
                 "checks.flow_entropy needs at least two solver.times within flow.horizon"
             )
 
-    out_dir = out_override or data.get("out", "wittenlab_out")
+    out_dir = data.get("out", "wittenlab_out")
+    if not (isinstance(out_dir, str) and out_dir):
+        raise ConfigError(f"out must be a non-empty string, got {out_dir!r}")
     return ExperimentConfig(
-        manifold=manifold, solver=solver, checks=checks, flow=flow, out_dir=str(out_dir)
+        manifold=manifold, solver=solver, checks=checks, flow=flow,
+        out_dir=str(out_override or out_dir),
     )

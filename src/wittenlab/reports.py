@@ -1,24 +1,27 @@
 """CSV and summary exports.
 
 Every CSV starts with a versioned comment line naming its columns, so
-downstream plotting stays stable; files are written atomically (temp
-file plus rename) and floats use shortest round-trip formatting, which
-makes outputs byte-identical across runs of the same configuration.
+downstream plotting stays stable, and floats use shortest round-trip
+formatting, which makes outputs byte-identical across runs of the same
+configuration.  Each check writes one file per table, built as text
+blocks (the header, then a block per field or series) that
+:func:`write_blocks` writes one at a time to a temporary file renamed
+over the target, so no table is ever joined in memory.
 
-Tables over grid nodes and the entropy series are formatted a column at
-a time: a float column is one ``tolist`` and one ``repr`` per value, an
+:func:`_keyed_csv` formats the per-node tables and the entropy series a
+column at a time, each row led by its block's key columns (``t``,
+``m``): a float column is one ``tolist`` and one ``repr`` per value, an
 integer column one ``str`` per value, and the node index and coordinate
 text of a grid is built once and reused by every table on that grid.
 The text is the same, byte for byte, as formatting each value with
 :func:`_fmt`, which still formats the small tables of mixed per-report
-rows.  :func:`snapshots_csv` formats one snapshot at a time and joins
-each snapshot's rows in one ``str.join``, every row from its four pieces
-(time, node prefix, value, newline), with no per-row concatenation.
+rows.
 
 A failed write (an ``OSError`` from creating, writing or renaming a
 file) raises :class:`wittenlab.config.ConfigError` naming the output
-path, and leaves no temporary file behind.  Files get mode 0o666 less
-the umask, what ``open(path, "w")`` gives.
+path.  A failed write, or a block that raises, leaves the target as it
+was and no temporary file behind.  Files get mode 0o666 less the umask,
+what ``open(path, "w")`` gives.
 """
 
 from __future__ import annotations
@@ -46,27 +49,30 @@ __all__ = [
     "entropy_series_csv",
     "flow_margin_csv",
     "manifest_csv",
+    "write_blocks",
     "write_summary",
     "write_timing",
 ]
 
 
 def atomic_write(path, text):
-    """Write ``text`` to ``path`` through a temporary file and a rename.
+    """Write ``text`` to ``path``, as :func:`write_blocks` writes one block."""
+    write_blocks(path, (text,))
+
+
+def write_blocks(path, blocks):
+    """Write the text ``blocks`` to ``path`` one at a time, through a
+    temporary file and a rename.
 
     Raises :class:`wittenlab.config.ConfigError` when the file cannot be
     written."""
-    _replace_file(path, text)
-
-
-def _replace_file(path, text):
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = _create_temp(directory)
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(blocks)
         os.replace(tmp, path)
         tmp = None
     except OSError as exc:
@@ -101,15 +107,23 @@ def _header(kind, cols):
     return f"# wittenlab {kind} {CSV_VERSION}: {names}\n{names}\n"
 
 
-def _body(lines):
-    """Lines of text, each ending in a newline."""
-    lines = list(lines)
-    return "\n".join(lines) + "\n" if lines else ""
-
-
 def _table(kind, cols, rows):
     """Versioned comment line, column header and one line per row."""
-    return _header(kind, cols) + _body(",".join(map(_fmt, row)) for row in rows)
+    yield _header(kind, cols)
+    for row in rows:
+        yield ",".join(map(_fmt, row)) + "\n"
+
+
+def _keyed_csv(kind, keys, cols, blocks):
+    """The header, then per ``(key, columns)`` of ``blocks`` a block with a
+    row per entry of the text ``columns``, led by the values of ``key``."""
+    yield _header(kind, [*keys, *cols])
+    for key, columns in blocks:
+        parts = [repeat("".join(_fmt(k) + "," for k in key))]
+        for column in columns:
+            parts += (column, repeat(","))
+        parts[-1] = repeat("\n")
+        yield "".join(map("".join, zip(*parts)))
 
 
 def _column(values):
@@ -136,10 +150,10 @@ def _coord_names(manifold):
 
 @lru_cache(maxsize=16)
 def _node_prefixes(grid_sizes, periods):
-    """``"node_index,coordinates...,"`` per node of the grid in C order."""
+    """``"node_index,coordinates..."`` per node of the grid in C order."""
     columns = [_column(np.arange(math.prod(grid_sizes)))]
     columns.extend(_column(c) for c in _grid_coordinates(grid_sizes, periods))
-    return tuple(",".join(parts) + "," for parts in zip(*columns))
+    return tuple(map(",".join, zip(*columns)))
 
 
 def _grid_column(manifold, values):
@@ -151,35 +165,34 @@ def _grid_column(manifold, values):
     return _column(values)
 
 
-def _node_table(kind, manifold, name, values):
-    """One row (node_index, coordinates..., value) per grid node."""
+def _node_csv(kind, manifold, keys, name, fields):
+    """Per ``(key, values)`` of ``fields`` a row (key..., node_index,
+    coordinates..., value) per grid node."""
     cols = ["node_index", *_coord_names(manifold), name]
     prefixes = _node_prefixes(manifold.grid_sizes, manifold.circumferences)
-    lines = map(str.__add__, prefixes, _grid_column(manifold, values))
-    return _header(kind, cols) + _body(lines)
+    blocks = ((key, (prefixes, _grid_column(manifold, v))) for key, v in fields)
+    yield from _keyed_csv(kind, keys, cols, blocks)
 
 
-def curvature_csv(manifold, curvature):
-    return _node_table("curvature", manifold, "ric_mn_value", curvature.values)
+def curvature_csv(manifold, curvatures):
+    """Each curvature field, keyed by its ``m``."""
+    fields = (((cf.m,), cf.values) for cf in curvatures)
+    return _node_csv("curvature", manifold, ["m"], "ric_mn_value", fields)
 
 
-def field_csv(manifold, values, name="value"):
-    return _node_table("field", manifold, name, values)
+def field_csv(manifold, reports, name):
+    """The ``defect`` field of each report as column ``name``, keyed by its
+    ``t`` and ``m``."""
+    fields = (((r.t, r.m), r.defect) for r in reports)
+    return _node_csv("field", manifold, ["t", "m"], name, fields)
 
 
 def snapshots_csv(snapshots):
-    """One row (t, node_index, coordinates..., u) per node of each snapshot."""
+    """The field ``u`` of each snapshot, keyed by its ``t``."""
     if not snapshots:
         raise ValueError("no snapshots given")
-    manifold = snapshots[0].manifold
-    cols = ["t", "node_index", *_coord_names(manifold), "u"]
-    prefixes = _node_prefixes(manifold.grid_sizes, manifold.circumferences)
-    blocks = [_header("snapshots", cols)]
-    for s in snapshots:
-        u_text = _grid_column(manifold, s.u)
-        rows = zip(repeat(_fmt(s.t) + ","), prefixes, u_text, repeat("\n"))
-        blocks.append("".join(map("".join, rows)))
-    return "".join(blocks)
+    fields = (((s.t,), s.u) for s in snapshots)
+    return _node_csv("snapshots", snapshots[0].manifold, ["t"], "u", fields)
 
 
 def harnack_csv(reports):
@@ -207,14 +220,17 @@ SERIES_COLUMNS = (
 )
 
 
-def entropy_series_csv(series, flow_margin=None):
+def entropy_series_csv(series, flow_margins=None):
+    """A row per time of each series, keyed by its ``m``; ``flow_margins``,
+    one sequence per series, adds the column ``flow_margin``."""
     cols = ["t", *SERIES_COLUMNS]
-    columns = [series.times, *(getattr(series, c) for c in SERIES_COLUMNS)]
-    if flow_margin is not None:
+    tables = [[s.times, *(getattr(s, c) for c in SERIES_COLUMNS)] for s in series]
+    if flow_margins is not None:
         cols.append("flow_margin")
-        columns.append(flow_margin)
-    lines = map(",".join, zip(*(_column(c) for c in columns)))
-    return _header("entropy-series", cols) + _body(lines)
+        for columns, margin in zip(tables, flow_margins):
+            columns.append(margin)
+    blocks = (((s.m,), map(_column, columns)) for s, columns in zip(series, tables))
+    return _keyed_csv("entropy-series", ["m"], cols, blocks)
 
 
 def flow_margin_csv(reports):
@@ -252,8 +268,9 @@ def write_summary(path_base, summary):
 def write_timing(path, timing):
     """Write wall-clock timings as JSON.
 
-    Timings differ from run to run, so they go to their own file, and
-    they bypass :func:`atomic_write`, whose calls and bytes the benchmark
-    tracer counts as deterministic output.
+    Timings differ from run to run, so they go to their own file, written
+    by :func:`write_blocks` like the CSV tables and not by
+    :func:`atomic_write`, whose calls and bytes the benchmark tracer counts
+    as deterministic output.
     """
-    _replace_file(path, json.dumps(timing, indent=2, sort_keys=True) + "\n")
+    write_blocks(path, (json.dumps(timing, indent=2, sort_keys=True) + "\n",))

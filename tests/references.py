@@ -15,7 +15,7 @@ from wittenlab.operators import (
     random_band_limited,
     witten_laplacian,
 )
-from wittenlab.reports import _fmt, _grid_column, _header, _node_prefixes
+from wittenlab.reports import SERIES_COLUMNS, _fmt, _grid_column, _header, _node_prefixes
 
 EIGEN_TRUNCATE = 1e-16  # eigen_sum_circle drops modes with exp(-lam t) below it
 
@@ -180,7 +180,7 @@ def bakry_emery_uncached(manifold, m):
 
 
 def snapshots_csv_per_row(snapshots):
-    """Snapshot CSV text joined row by row, each row ``t + prefix + u``: the
+    """Snapshot CSV text joined row by row, each row ``t + prefix + "," + u``: the
     assembly that ``wittenlab.reports.snapshots_csv`` does in one join per
     snapshot."""
     manifold = snapshots[0].manifold
@@ -190,7 +190,7 @@ def snapshots_csv_per_row(snapshots):
     for s in snapshots:
         t = _fmt(s.t) + ","
         u_text = _grid_column(manifold, s.u)
-        blocks.append("\n".join(t + p + u for p, u in zip(prefixes, u_text)) + "\n")
+        blocks.append("\n".join(t + p + "," + u for p, u in zip(prefixes, u_text)) + "\n")
     return "".join(blocks)
 
 
@@ -200,3 +200,109 @@ def log_u_derivatives(state):
     ``HeatState.dt_log_u`` and ``grad_log_u`` build from one grad u."""
     M = state.manifold
     return witten_laplacian(M, state.u) / state.u, gradient(M, state.u) / state.u
+
+
+# ------------------------------------------------------------ row formatter
+# The per-value row formatter that wittenlab.reports replaced, kept as the
+# reference for its text: every table must be exactly what it writes.
+
+
+def reference_fmt(value):
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def reference_lines(rows):
+    """One line of text per row, without its newline."""
+    return [",".join(reference_fmt(v) for v in row) for row in rows]
+
+
+def reference_table(kind, cols, rows):
+    lines = [f"# wittenlab {kind} v1: " + ",".join(cols), ",".join(cols)]
+    lines.extend(reference_lines(rows))
+    return "\n".join(lines) + "\n"
+
+
+def reference_node_rows(manifold, values):
+    coords = manifold.coordinates()
+    for flat, idx in enumerate(np.ndindex(*manifold.shape)):
+        yield (flat, *(coords[a][idx] for a in range(manifold.dim_n)), values[idx])
+
+
+def reference_names(manifold):
+    return ["x", "y"][: manifold.dim_n]
+
+
+def reference_node(index):
+    return "/".join(str(i) for i in index)
+
+
+def reference_series_rows(series, flow_margin=None):
+    """One row (t, series columns..., [flow_margin]) per time of ``series``."""
+    columns = [series.times, *(getattr(series, c) for c in SERIES_COLUMNS)]
+    if flow_margin is not None:
+        columns.append(flow_margin)
+    return zip(*columns)
+
+
+REFERENCE = {
+    "field": lambda M, reps, name: reference_table(
+        "field",
+        ["t", "m", "node_index", *reference_names(M), name],
+        ((r.t, r.m, *row) for r in reps for row in reference_node_rows(M, r.defect)),
+    ),
+    "curvature": lambda M, fields: reference_table(
+        "curvature",
+        ["m", "node_index", *reference_names(M), "ric_mn_value"],
+        ((cf.m, *row) for cf in fields for row in reference_node_rows(M, cf.values)),
+    ),
+    "snapshots": lambda M, snaps: reference_table(
+        "snapshots",
+        ["t", "node_index", *reference_names(M), "u"],
+        ((s.t, *row) for s in snaps for row in reference_node_rows(M, s.u)),
+    ),
+    "harnack": lambda reps: reference_table(
+        "harnack",
+        ["inequality", "t", "m", "K", "min_defect", "argmin_node", "tol", "ok"],
+        (
+            (r.inequality, r.t, r.m, r.K, r.min_defect, reference_node(r.argmin_node),
+             r.tol, r.ok)
+            for r in reps
+        ),
+    ),
+    "integrated": lambda reps: reference_table(
+        "integrated-harnack",
+        ["x", "y", "tau", "T", "m", "K", "distance", "lhs", "rhs", "ok"],
+        (
+            (reference_node(r.x), reference_node(r.y), r.tau, r.T, r.m, r.K,
+             r.distance, r.lhs, r.rhs, r.ok)
+            for r in reps
+        ),
+    ),
+    "flow_margin": lambda reps: reference_table(
+        "flow-margin",
+        ["t", "m", "K", "min_margin", "ok"],
+        ((r.t, r.m, r.K, r.min_defect, r.ok) for r in reps),
+    ),
+    "manifest": lambda rows: reference_table(
+        "evolution-manifest",
+        ["t", "dt", "error_estimate"],
+        ((r[c] for c in ("t", "dt", "error_estimate")) for r in rows),
+    ),
+}
+
+
+def reference_entropy_series(series, flow_margins=None):
+    cols = ["m", "t", *SERIES_COLUMNS]
+    if flow_margins is not None:
+        cols.append("flow_margin")
+    margins = flow_margins if flow_margins is not None else [None] * len(series)
+    rows = (
+        (s.m, *row)
+        for s, margin in zip(series, margins)
+        for row in reference_series_rows(s, margin)
+    )
+    return reference_table("entropy-series", cols, rows)

@@ -136,14 +136,6 @@ TORUS_32 = {"model": "flat_torus_2d", "grid": [32, 32], "potential": {"family": 
             id="m_values_with_one_output_name",
         ),
         pytest.param(
-            lambda d: (
-                d["solver"].update(times=[0.1, 0.1000001]),
-                d.update(checks=[{"name": "hamilton", "m": [2], "K": 0.0,
-                                  "dump_defects": True}]),
-            ),
-            id="dumped_times_with_one_file_name",
-        ),
-        pytest.param(
             lambda d: d.update(checks=[{"name": "hamilton", "m": [2], "K": 5.0},
                                        {"name": "hamilton", "m": [2], "K": 0.0}]),
             id="check_listed_twice",
@@ -272,7 +264,7 @@ def test_runs_of_the_mass_check_alone(tmp_path, checks, options):
     out = tmp_path / "out"
     assert main(["all", "--config", path, "--out", str(out), *options]) == 0
     assert list(json.loads((out / "summary.json").read_text())) == ["mass_conservation"]
-    assert not (out / "curvature_m2.csv").exists()
+    assert not (out / "curvature.csv").exists()
 
 
 def test_every_check_has_one_handler():
@@ -556,7 +548,7 @@ def test_check_filter_and_subcommands(tmp_path):
     # "simulate" runs only the mass check even though curvature is configured
     assert main(["simulate", "--config", path, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "snapshots.csv"))
-    assert not os.path.exists(os.path.join(out, "curvature_m2.csv"))
+    assert not os.path.exists(os.path.join(out, "curvature.csv"))
     # a selection with no overlap is a config error
     assert main(["harnack", "--config", path, "--out", out]) == 2
     # unknown --check name
@@ -571,8 +563,32 @@ def test_grid_scale(tmp_path):
     path = write_config(tmp_path, data)
     out = str(tmp_path / "out")
     assert main(["curvature", "--config", path, "--grid-scale", "2", "--out", out]) == 0
-    rows = open(os.path.join(out, "curvature_m2.csv")).readlines()
+    rows = open(os.path.join(out, "curvature.csv")).readlines()
     assert len(rows) == 2 + 128  # comment, header, 64 * 2 nodes
+
+
+@pytest.mark.parametrize("scale", [0, -2, 1.5, True, "2"])
+def test_grid_scale_below_one_or_not_an_integer_exits_2_naming_it(tmp_path, capsys, scale):
+    with pytest.raises(ConfigError, match="^--grid-scale must be an integer >= 1"):
+        validate_experiment(BASE, grid_scale=scale)
+    if isinstance(scale, int) and not isinstance(scale, bool):
+        path = write_config(tmp_path, BASE)
+        argv = ["all", "--config", path, "--out", str(tmp_path / "out")]
+        assert main([*argv, "--grid-scale", str(scale)]) == 2
+        assert capsys.readouterr().err.startswith("config error: --grid-scale must be")
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", [None, ["a", "b"], True, "", 5])
+def test_out_that_is_not_a_non_empty_string_exits_2_naming_it(tmp_path, monkeypatch, capsys, out):
+    data = {**BASE, "out": out}
+    with pytest.raises(ConfigError, match="^out must be a non-empty string"):
+        validate_experiment(data)
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, data)
+    assert main(["all", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("config error: out must be a non-empty string")
+    assert os.listdir(tmp_path) == ["exp.yaml"]
 
 
 @pytest.mark.parametrize("grid", [["16"], "16", [32.7], True])
@@ -783,7 +799,24 @@ def test_defect_field_dump(tmp_path):
     path = write_config(tmp_path, data)
     out = str(tmp_path / "out")
     assert main(["harnack", "--config", path, "--out", out]) == 0
-    dumps = [f for f in os.listdir(out) if f.startswith("defect_hamilton")]
-    assert len(dumps) == 2  # one per snapshot
-    header = open(os.path.join(out, dumps[0])).readlines()[1].strip()
-    assert header == "node_index,x,defect"
+    dumps = [f for f in os.listdir(out) if f.startswith("defect_")]
+    assert dumps == ["defect_hamilton.csv"]
+    lines = open(os.path.join(out, dumps[0])).read().splitlines()
+    assert lines[1] == "t,m,node_index,x,defect"
+    # one block of 64 nodes per snapshot, keyed by its t and m
+    assert [line.split(",", 2)[:2] for line in lines[2::64]] == [["0.1", "2.0"], ["0.3", "2.0"]]
+    assert len(lines) == 2 + 2 * 64
+
+
+def test_dumped_times_with_one_short_name_are_rows_of_one_file(tmp_path):
+    # 0.1 and 0.1000001 print alike with {:g}; as key columns they stay apart
+    data = copy.deepcopy(BASE)
+    data["solver"]["times"] = [0.1, 0.1000001]
+    data["checks"] = [{"name": "hamilton", "m": [2], "K": 0.0, "dump_defects": True}]
+    path = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["harnack", "--config", path, "--out", str(out)]) == 0
+    lines = (out / "defect_hamilton.csv").read_text().splitlines()[2:]
+    assert len(lines) == 2 * 64
+    assert {line.split(",", 1)[0] for line in lines[:64]} == {"0.1"}
+    assert {line.split(",", 1)[0] for line in lines[64:]} == {"0.1000001"}
