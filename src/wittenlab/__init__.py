@@ -47,6 +47,7 @@ from .heatflow import (  # noqa: E402
     initial_delta,
     kernel_state,
     make_state,
+    stack_states,
     step,
     uniform_state,
 )

@@ -34,8 +34,9 @@ from .config import CHECKS, M_N_PLUS_1, ConfigError, _checked
 from .config import load_config, validate_experiment
 from .geometry import _as_index, _check_ball_radii, _is_integer, _m_equals_n
 from .geometry import ball_volume_ratio_check, build_manifold, ricci_bakry_emery
-from .heatflow import evolve, initial_delta
+from .heatflow import evolve, initial_delta, stack_states
 from .operators import (
+    _row_blocks,
     bochner_residual,
     mu_inner,
     random_band_limited,
@@ -47,11 +48,6 @@ from .ricciflow import (
     make_flow,
     super_ricci_flow_margins,
 )
-
-# Grid values per block of operators_selftest fields: 128 kB of doubles per
-# stacked array.  A 256-node circle takes 32 field pairs per block, a
-# 64x64 torus 2.
-_SELFTEST_BLOCK_ELEMENTS = 1 << 14
 
 SUBCOMMAND_CHECKS = {
     sub: tuple(name for name, kind in CHECKS.items() if kind.subcommand == sub)
@@ -164,6 +160,11 @@ class _Runner:
             self._heat_flow_s = time.perf_counter() - start
         return self._snapshots
 
+    @cached_property
+    def stack(self):
+        """The snapshots as one stacked state, whose fields every check shares."""
+        return stack_states(self.snapshots())
+
     def record(self, name, ok, **detail):
         entry = {"ok": bool(ok)}
         entry.update(detail)
@@ -206,11 +207,10 @@ class _Runner:
         count = check.options["count"]
         M = self.manifold
         rng = np.random.default_rng(self.seed)
-        pairs = max(1, _SELFTEST_BLOCK_ELEMENTS // (2 * math.prod(M.shape)))
         worst_res = 0.0
         worst_adj = 0.0
-        for start in range(0, count, pairs):
-            rows = random_band_limited(M, rng, size=2 * min(pairs, count - start))
+        for block in _row_blocks(count, 2 * math.prod(M.shape)):
+            rows = random_band_limited(M, rng, size=2 * (block.stop - block.start))
             f, h = rows[0::2], rows[1::2]
             res = bochner_residual(M, f)
             a = mu_inner(M, f, witten_laplacian(M, h)).tolist()
@@ -241,20 +241,18 @@ class _Runner:
         )
 
     def _pointwise_harnack(self, check, fn_name):
-        snaps = self.snapshots()
+        stack = self.stack
         out_reports = []
-        A = max(float(s.u.max()) for s in snaps) * (1.0 + 1e-12)  # sup over the run
+        A = float(stack.u.max()) * (1.0 + 1e-12)  # sup over the run
         for m in check.m_values:
-            if fn_name != "li_yau":  # the Li-Yau bound has no K
-                K = _resolve_K(check, m, self.manifold, self.flow)
-            for s in snaps:
-                if fn_name == "li_yau":
-                    rep = harnack_mod.li_yau_defect(s, m)
-                elif fn_name == "hamilton":
-                    rep = harnack_mod.hamilton_harnack_defect(s, m, K)
-                else:
-                    rep = harnack_mod.sup_bound_defect(s, m, K, A)
-                out_reports.append(rep)
+            if fn_name == "li_yau":  # the Li-Yau bound has no K
+                out_reports.extend(harnack_mod.li_yau_defect(stack, m))
+                continue
+            K = _resolve_K(check, m, self.manifold, self.flow)
+            if fn_name == "hamilton":
+                out_reports.extend(harnack_mod.hamilton_harnack_defect(stack, m, K))
+            else:
+                out_reports.extend(harnack_mod.sup_bound_defect(stack, m, K, A))
         if check.options["dump_defects"]:
             fields = reports.field_csv(self.manifold, out_reports, "defect")
             self.write_csv(f"defect_{fn_name}.csv", fields)
@@ -293,10 +291,9 @@ class _Runner:
         self.record("harnack_integrated", ok, pairs=len(out_reports))
 
     def check_kernel_bounds(self, check):
-        snaps = self.snapshots()
         for m in check.m_values:
             K = _resolve_K(check, m, self.manifold, self.flow)
-            rep = harnack_mod.kernel_dt_log_bounds(snaps, m, K)
+            rep = harnack_mod.kernel_dt_log_bounds(self.stack, m, K)
             self.record(
                 f"kernel_bounds_m{m:g}",
                 rep.ok,
@@ -305,11 +302,10 @@ class _Runner:
             )
 
     def check_entropy(self, check):
-        snaps = self.snapshots()
         all_series = []
         for m in check.m_values:
             K = _resolve_K(check, m, self.manifold, self.flow)
-            series = entropy_mod.build_series(snaps, m, K)
+            series = entropy_mod.build_series(self.stack, m, K)
             ok = entropy_mod.w_monotonicity_check(series)
             dH_ok = bool(np.all(series.dH_dt >= -1e-12))
             all_series.append(series)
@@ -354,18 +350,15 @@ class _Runner:
         flow = self.flow
         solver = self.config.solver
         times = [t for t in solver.times if t <= flow.horizon + 1e-12]
-        snaps = evolve_heat_on_flow(
-            flow, self.start_state, times, local_error=solver.local_error
+        stack = stack_states(
+            evolve_heat_on_flow(flow, self.start_state, times, local_error=solver.local_error)
         )
         all_series = []
         all_margins = []
         for m in check.m_values:
             K = _resolve_K(check, m, self.manifold, flow)
-            series = entropy_mod.build_series(snaps, m, K, flow=flow)
-            margins = [
-                r.min_defect
-                for r in super_ricci_flow_margins(flow, m, K, [s.t for s in snaps])
-            ]
+            series = entropy_mod.build_series(stack, m, K, flow=flow)
+            margins = [r.min_defect for r in super_ricci_flow_margins(flow, m, K, stack.t)]
             worst_gap = float((series.dW_dt_formula - series.monotonicity_bound).max())
             all_series.append(series)
             all_margins.append(margins)

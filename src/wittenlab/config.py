@@ -302,7 +302,10 @@ def validate_experiment(data, out_override=None, grid_scale=1):
     out_dir = data.get("out", "wittenlab_out")
     if not (isinstance(out_dir, str) and out_dir):
         raise ConfigError(f"out must be a non-empty string, got {out_dir!r}")
+    if out_override is not None:
+        if not (isinstance(out_override, str) and out_override):
+            raise ConfigError(f"--out must be a non-empty string, got {out_override!r}")
+        out_dir = out_override
     return ExperimentConfig(
-        manifold=manifold, solver=solver, checks=checks, flow=flow,
-        out_dir=str(out_override or out_dir),
+        manifold=manifold, solver=solver, checks=checks, flow=flow, out_dir=out_dir,
     )

@@ -21,6 +21,17 @@ with scale = e^{-2 lam(t)}, and the curvature term (1/2) dg/dt adds
 rate = lam'(t) times the metric; the Bakry-Emery tensor of the base does
 not depend on t.  A fixed metric is scale = 1, rate = 0, and the public
 functions below are that case.
+
+The core takes one state or a stack of them (see
+:class:`wittenlab.heatflow.HeatState`) and returns one value per row:
+:func:`build_series` evaluates each m in one pass over a run's stacked
+snapshots, and one state is the one-row case, whose public functions
+return floats where a stack gets arrays over its rows.  The per-row
+scalars (Phi_mK and its derivative, the decay bound, the flow's scale
+and rate) are computed with ``math`` once per time and broadcast; the
+quadratic integrands are formed over blocks of rows under the
+operators' element budget (``operators._row_blocks``).  Every row's
+value equals that of its state alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,8 +42,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import _check_K, _m_equals_n, _read_only, bakry_emery_tensor
-from .operators import integrate_mu
+from .geometry import _check_K, _check_m, _m_equals_n, _read_only, bakry_emery_tensor
+from .heatflow import HeatState, _as_stack, _by_row, _column
+from .operators import _row_blocks, integrate_mu
 
 __all__ = [
     "EntropySeries",
@@ -78,10 +90,12 @@ def _exp_series(x):
     return s
 
 
-def _check_t_K(t, K):
-    """The domain of the normalizations and of dW/dt: t > 0 and K >= 0."""
+def _check_t_m_K(t, m, K):
+    """The domain of the normalizations and of dW/dt: t > 0, m a finite
+    number and K >= 0."""
     if t <= 0.0:
         raise ValueError("t must be positive")
+    _check_m(m)
     _check_K(K)
 
 
@@ -91,7 +105,11 @@ def phi_mK(t, m, K):
     Equals (m/2)(log(4 pi t) + 1) at K = 0; the K-dependence enters
     through the entire series sum_{j>=1} (4Kt)^j / (j * j!).
     """
-    _check_t_K(t, K)
+    _check_t_m_K(t, m, K)
+    return _phi_mK(t, m, K)
+
+
+def _phi_mK(t, m, K):
     base = 0.5 * m * (math.log(4.0 * math.pi * t) + 1.0)
     if K == 0.0:
         return base
@@ -99,20 +117,55 @@ def phi_mK(t, m, K):
 
 
 def phi_mK_prime(t, m, K):
-    _check_t_K(t, K)
+    _check_t_m_K(t, m, K)
+    return _phi_mK_prime(t, m, K)
+
+
+def _phi_mK_prime(t, m, K):
     return (m / (2.0 * t)) * math.exp(4.0 * K * t)
 
 
 def monotonicity_bound(t, m, K):
     """-(m/2t) [e^{4Kt}(1 + 4Kt) - (1 + Kt)^2], the W-entropy decay bound."""
+    _check_t_m_K(t, m, K)
+    return _monotonicity_bound(t, m, K)
+
+
+def _monotonicity_bound(t, m, K):
     return -(m / (2.0 * t)) * (
         math.exp(4.0 * K * t) * (1.0 + 4.0 * K * t) - (1.0 + K * t) ** 2
     )
 
 
-def _entropy_H(state, scale):
+def _check_state(state, m, K):
+    """Whether m == n, after the m and K rules and t > 0 on every row:
+    the domain of the entropy core, checked once per call so that its
+    per-row scalars use the unchecked formulas."""
+    m_equals_n = _m_equals_n(state.manifold, m)
+    _check_K(K)
+    if any(t <= 0.0 for t in state.times):
+        raise ValueError("t must be positive")
+    return m_equals_n
+
+
+def _metric(state, flow):
+    """Per row of ``state``, the flow's ``(scale, rate)`` at the row's time
+    as two lists of floats; scale 1 and rate 0 without a flow."""
+    times = state.times
+    if flow is None:
+        return [1.0] * len(times), [0.0] * len(times)
+    return [flow.operator_scale(t) for t in times], [flow.log_factor_rate(t) for t in times]
+
+
+def _one(state, values):
+    """Per-row ``values`` as they are for a stack, the one float for one state."""
+    return values if state.stacked else float(values[0])
+
+
+def _entropy_H(state, flow):
+    """Per row, H and dH/dt = scale * int |grad log u|^2 u dmu, as arrays."""
     H, dH = state.entropy_pair
-    return H, scale * dH
+    return np.reshape(H, -1), np.array(_metric(state, flow)[0]) * dH
 
 
 def entropy_H(state):
@@ -121,37 +174,54 @@ def entropy_H(state):
     Returns (H, dH_dt) with H = -int u log u dmu and
     dH_dt = int |grad log u|^2 u dmu, both by grid quadrature.
     """
-    return _entropy_H(state, 1.0)
+    return tuple(_one(state, v) for v in _entropy_H(state, None))
 
 
-def _entropy_second_derivative(state, scale, rate):
-    G = state.log_u_gradient
-    quad = scale * scale * state.log_u_gamma2 + rate * scale * np.einsum(
-        "a...,a...->...", G, G
-    )
-    return -2.0 * integrate_mu(state.manifold, quad * state.u)
+def _blocks(state, lead):
+    """Row blocks of ``state`` for integrands whose largest temporary has
+    ``lead`` derivative axes of length n."""
+    M = state.manifold
+    return _row_blocks(len(state.times), M.dim_n ** lead * math.prod(M.shape))
+
+
+def _entropy_second_derivative(state, flow):
+    """Per row, -2 int [scale^2 Gamma2 + rate * scale |grad log u|^2] u dmu."""
+    M = state.manifold
+    scales, rates = _metric(state, flow)
+    u = _by_row(state, state.u)
+    G = _by_row(state, state.log_u_gradient)
+    gamma2 = _by_row(state, state.log_u_gamma2)
+    out = np.empty(len(state.times))
+    for rows in _blocks(state, 0):
+        sc = scales[rows]
+        quad = _column([a * a for a in sc], state) * gamma2[rows] + _column(
+            [r * a for r, a in zip(rates[rows], sc)], state
+        ) * np.einsum("a...,a...->...", G[:, rows], G[:, rows])
+        out[rows] = -2.0 * integrate_mu(M, quad * u[rows])
+    return out
 
 
 def entropy_second_derivative(state):
     """-2 int Gamma2(grad log u, grad log u) u dmu."""
-    return _entropy_second_derivative(state, 1.0, 0.0)
+    return _one(state, _entropy_second_derivative(state, None))
 
 
-def _normalized_entropy(state, m, K, scale, normalization, derivative):
-    """``(H, dH/dt, Phi, H - Phi, W)`` at the state's time t for the
-    normalization ``Phi = normalization(t, m, K)``, with
+def _normalized_entropy(state, m, K, flow, normalization, derivative):
+    """Per row, ``(H, dH/dt, Phi, H - Phi, W)`` as arrays at the row's time t
+    for the normalization ``Phi = normalization(t, m, K)``, with
     W = H - Phi + t (dH/dt - derivative(t, m, K)); m and K must pass their rules."""
-    _m_equals_n(state.manifold, m)
-    _check_K(K)
-    t = state.t
-    H, dH = _entropy_H(state, scale)
-    Phi = normalization(t, m, K)
-    return H, dH, Phi, H - Phi, H - Phi + t * (dH - derivative(t, m, K))
+    _check_state(state, m, K)
+    times = state.times
+    H, dH = _entropy_H(state, flow)
+    Phi = np.array([normalization(t, m, K) for t in times])
+    rate = np.array([derivative(t, m, K) for t in times])
+    return H, dH, Phi, H - Phi, H - Phi + np.array(times) * (dH - rate)
 
 
-def _w_entropy(state, m, K, scale):
-    H, dH, _, H_mK, W_mK = _normalized_entropy(state, m, K, scale, phi_mK, phi_mK_prime)
-    return {"H": H, "dH_dt": dH, "H_mK": H_mK, "W_mK": W_mK}
+def _w_entropy(state, m, K, flow):
+    H, dH, _, H_mK, W_mK = _normalized_entropy(state, m, K, flow, _phi_mK, _phi_mK_prime)
+    values = {"H": H, "dH_dt": dH, "H_mK": H_mK, "W_mK": W_mK}
+    return {k: _one(state, v) for k, v in values.items()}
 
 
 def w_entropy(state, m, K):
@@ -160,7 +230,7 @@ def w_entropy(state, m, K):
     W is computed by the product rule, W = H_mK + t (dH/dt - Phi'),
     with the dissipation-rate quadrature supplying dH/dt.
     """
-    return _w_entropy(state, m, K, 1.0)
+    return _w_entropy(state, m, K, None)
 
 
 def _tilde_normalization(t, m, K):
@@ -176,9 +246,10 @@ def _tilde_normalization_prime(t, m, K):
 def tilde_w_entropy(state, m, K):
     """W-entropy under the polynomial-in-t normalization (the older form)."""
     H, dH, _, H_t, W_t = _normalized_entropy(
-        state, m, K, 1.0, _tilde_normalization, _tilde_normalization_prime
+        state, m, K, None, _tilde_normalization, _tilde_normalization_prime
     )
-    return {"H": H, "dH_dt": dH, "H_tilde": H_t, "W_tilde": W_t}
+    values = {"H": H, "dH_dt": dH, "H_tilde": H_t, "W_tilde": W_t}
+    return {k: _one(state, v) for k, v in values.items()}
 
 
 @dataclass(frozen=True)
@@ -201,46 +272,64 @@ class WDecomposition:
         return self.T1 + self.T2 + self.T3 + self.T4
 
 
-def _w_decomposition(state, m, K, scale, rate):
-    """Four terms of dW/dt with norms taken in the metric g = g_base / scale.
+def _w_decomposition(state, m, K, flow):
+    """Per row, the four terms ``(T1, T2, T3, T4)`` of dW/dt as arrays, with
+    norms taken in the metric g = g_base / scale.
 
     The Hessian of log u is completed by c g, whose base components are
     c / scale; the curvature quadratic carries rate + K in front of g.
     """
+    m_equals_n = _check_state(state, m, K)
     manifold = state.manifold
     ric = bakry_emery_tensor(manifold, m)
     n = manifold.dim_n
-    t = state.t
-    _check_t_K(t, K)
-    u = state.u
-    H = state.log_u_hessian
-    G = state.log_u_gradient
-    c = 0.5 * K + 0.5 / t
+    times = state.times
+    scales, rates = _metric(state, flow)
+    u = _by_row(state, state.u)
+    H = _by_row(state, state.log_u_hessian)
+    G = _by_row(state, state.log_u_gradient)
+    eye = np.eye(n).reshape((n, n) + (1,) * (n + 1))
+    T1, T2, T3 = np.empty((3, len(times)))
+    for rows in _blocks(state, 2):
+        t, sc, rt = times[rows], scales[rows], rates[rows]
+        G_rows, u_rows = G[:, rows], u[rows]
+        c = [(0.5 * K + 0.5 / ti) / a for ti, a in zip(t, sc)]
+        completed = H[:, :, rows] + _column(c, state) * eye
+        T1[rows] = np.array([-2.0 * ti * (a * a) for ti, a in zip(t, sc)]) * integrate_mu(
+            manifold, np.einsum("ab...,ab...->...", completed, completed) * u_rows
+        )
 
-    completed = H + (c / scale) * np.eye(n).reshape((n, n) + (1,) * n)
-    T1 = -2.0 * t * (scale * scale) * integrate_mu(
-        manifold, np.einsum("ab...,ab...->...", completed, completed) * u
-    )
+        quad = _column([a * a for a in sc], state) * np.einsum(
+            "ab...,a...,b...->...", ric, G_rows, G_rows
+        ) + _column([(r + K) * a for r, a in zip(rt, sc)], state) * np.einsum(
+            "a...,a...->...", G_rows, G_rows
+        )
+        T2[rows] = np.array([-2.0 * ti for ti in t]) * integrate_mu(manifold, quad * u_rows)
 
-    quad = scale * scale * np.einsum("ab...,a...,b...->...", ric, G, G) + (
-        rate + K
-    ) * scale * np.einsum("a...,a...->...", G, G)
-    T2 = -2.0 * t * integrate_mu(manifold, quad * u)
+        if m_equals_n:
+            T3[rows] = 0.0  # phi is constant, so the drift vanishes
+        else:
+            drift = np.einsum("a...,a...->...", manifold.potential_gradient, G_rows)
+            align = _column(sc, state) * drift - _column(
+                [(m - n) * (1.0 + K * ti) / (2.0 * ti) for ti in t], state
+            )
+            T3[rows] = np.array([-(2.0 * ti / (m - n)) for ti in t]) * integrate_mu(
+                manifold, align * align * u_rows
+            )
 
-    if _m_equals_n(manifold, m):
-        T3 = 0.0  # phi is constant, so the drift vanishes
-    else:
-        drift = np.einsum("a...,a...->...", manifold.potential_gradient, G)
-        align = scale * drift - (m - n) * (1.0 + K * t) / (2.0 * t)
-        T3 = -(2.0 * t / (m - n)) * integrate_mu(manifold, align * align * u)
+    T4 = np.array([_monotonicity_bound(t, m, K) for t in times])
+    return T1, T2, T3, T4
 
-    T4 = monotonicity_bound(t, m, K)
-    return WDecomposition(T1=float(T1), T2=float(T2), T3=float(T3), T4=float(T4))
+
+def _decomposition_record(state, m, K, flow):
+    """:class:`WDecomposition` of the core's terms: floats for one state,
+    arrays over the rows for a stack."""
+    return WDecomposition(*(_one(state, T) for T in _w_decomposition(state, m, K, flow)))
 
 
 def w_derivative_decomposition(state, m, K):
-    """Evaluate the four terms of the dW/dt identity at a state."""
-    return _w_decomposition(state, m, K, 1.0, 0.0)
+    """Evaluate the four terms of the dW/dt identity at a state (per row of a stack)."""
+    return _decomposition_record(state, m, K, None)
 
 
 @dataclass(frozen=True)
@@ -289,31 +378,24 @@ class EntropySeries:
 def build_series(snapshots, m, K, flow=None):
     """Assemble an :class:`EntropySeries` from heat-flow snapshots.
 
-    With ``flow`` (a conformal flow over the snapshots' manifold, such as
-    :func:`wittenlab.ricciflow.make_flow` returns) every functional is
-    taken in the flow metric at the snapshot's time; a static flow gives
-    the fixed-metric series.
+    ``snapshots`` is a list of states or a stack of them; a list is
+    stacked first.  With ``flow`` (a conformal flow over the snapshots'
+    manifold, such as :func:`wittenlab.ricciflow.make_flow` returns)
+    every functional is taken in the flow metric at the snapshot's time; a
+    static flow gives the fixed-metric series.
 
     The numeric dW/dt column is the centered (nonuniform) finite
     difference of W across neighboring snapshots; endpoints use one-sided
-    differences.  The fields of each snapshot are shared with every other
-    series and check through the cache of its :class:`HeatState`.
+    differences.  Each column is one pass over the stack, whose fields
+    every series and check of the stack shares through its cache.
     """
-    if len(snapshots) < 2:
+    if len(snapshots.times if isinstance(snapshots, HeatState) else snapshots) < 2:
         raise ValueError("need at least two snapshots")
-    times = np.array([s.t for s in snapshots])
-    rows = np.empty((9, times.size))  # H, dH/dt, d2H/dt2, Phi, W, T1..T4
-    for i, s in enumerate(snapshots):
-        scale, rate = (
-            (1.0, 0.0)
-            if flow is None
-            else (flow.operator_scale(s.t), flow.log_factor_rate(s.t))
-        )
-        H, dH, Phi, _, W = _normalized_entropy(s, m, K, scale, phi_mK, phi_mK_prime)
-        d2H = _entropy_second_derivative(s, scale, rate)
-        dec = _w_decomposition(s, m, K, scale, rate)
-        rows[:, i] = (H, dH, d2H, Phi, W, dec.T1, dec.T2, dec.T3, dec.T4)
-    H, dH, d2H, Phi, W, T1, T2, T3, T4 = rows
+    state = _as_stack(snapshots)
+    times = np.array(state.times)
+    H, dH, Phi, _, W = _normalized_entropy(state, m, K, flow, _phi_mK, _phi_mK_prime)
+    d2H = _entropy_second_derivative(state, flow)
+    T1, T2, T3, T4 = _w_decomposition(state, m, K, flow)
     return EntropySeries(
         m=float(m), K=float(K), times=times, H=H, dH_dt=dH, d2H_dt2=d2H, Phi=Phi, W_mK=W,
         dW_dt_numeric=np.gradient(W, times), T1=T1, T2=T2, T3=T3, T4=T4,
@@ -334,7 +416,7 @@ def tilde_w_comparison(m, K, t):
     reported residual is d^2/dt^2 (t Psi) minus the decay-bound constant,
     which vanishes identically.
     """
-    _check_t_K(t, K)
+    _check_t_m_K(t, m, K)
     x = 4.0 * K * t
     E = _exp_series(x) if x > 0.0 else 0.0
     psi = 0.5 * m * E - 0.5 * m * K * t - m * K * K * t * t / 12.0
@@ -344,5 +426,5 @@ def tilde_w_comparison(m, K, t):
         - m * K
         - 0.5 * m * K * K * t
     )
-    residual = d2_dt2_tpsi - (-monotonicity_bound(t, m, K))
+    residual = d2_dt2_tpsi - (-_monotonicity_bound(t, m, K))
     return {"Psi": psi, "d_dt_tPsi": d_dt_tpsi, "identity_residual": residual}

@@ -555,9 +555,18 @@ def _projected_axis_eigensystem(manifold, axis, phi):
     return _read_only(QW / half[:, None]), _read_only(lam), _read_only(QW.T * half)
 
 
-def _m_equals_n(manifold, m):
+def _check_m(m, infinite_ok=False):
+    """Reject an m that is not a real number (bools and strings included),
+    NaN, and +-inf unless ``infinite_ok`` (then m = +inf passes)."""
+    if not (_is_real(m) and (math.isfinite(m) or (infinite_ok and m == math.inf))):
+        raise ValueError(f"dimension parameter m must be a finite number, got {m!r}")
+
+
+def _m_equals_n(manifold, m, infinite_ok=False):
     """Whether m == n within ``M_EQUALS_N_TOL``: the rule of every function
-    that takes m, which rejects m below n, and m == n unless phi is constant."""
+    that takes m, which rejects m that is not a finite number (see
+    :func:`_check_m`), m below n, and m == n unless phi is constant."""
+    _check_m(m, infinite_ok)
     n = manifold.dim_n
     if m < n - M_EQUALS_N_TOL:
         raise ValueError(f"dimension parameter m={m} below topological dimension n={n}")
@@ -572,7 +581,10 @@ def _m_equals_n(manifold, m):
 
 
 def _check_K(K):
-    """Reject K < 0: the rule of every function that takes K (Ric_mn >= -K)."""
+    """Reject a K that is not a finite number, and K < 0: the rule of every
+    function that takes K (Ric_mn >= -K)."""
+    if not (_is_real(K) and math.isfinite(K)):
+        raise ValueError(f"curvature constant K must be a finite number, got {K!r}")
     if K < 0.0:
         raise ValueError(f"curvature constant K={K} must be nonnegative")
 
@@ -596,6 +608,7 @@ def bakry_emery_tensor(manifold, m):
     The tensor is built once per ``float(m)`` and kept on the manifold;
     a later call with the same m returns the same array.
     """
+    _check_m(m, infinite_ok=True)
     cache = manifold._bakry_emery_tensors
     tensor = cache.get(float(m))
     if tensor is None:
@@ -605,7 +618,7 @@ def bakry_emery_tensor(manifold, m):
 
 def _bakry_emery_tensor(manifold, m):
     hess = manifold.potential_hessian
-    if _m_equals_n(manifold, m) or math.isinf(m):
+    if _m_equals_n(manifold, m, infinite_ok=True) or math.isinf(m):
         return hess
     grad = manifold.potential_gradient
     rank_one = np.einsum("a...,b...->ab...", grad, grad) / (m - manifold.dim_n)
@@ -632,6 +645,7 @@ def ricci_bakry_emery(manifold, m):
     tensor, the field is built once per ``float(m)`` and kept on the
     manifold.
     """
+    _check_m(m, infinite_ok=True)
     cache = manifold._curvature_fields
     field = cache.get(float(m))
     if field is None:

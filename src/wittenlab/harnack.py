@@ -6,6 +6,16 @@ node, so nonnegative defect certifies the inequality on the grid.
 Tolerances are relative to the natural scale of each inequality (its
 constant term), since defects grow like 1/t for small times.
 
+The pointwise functions take one state or a stack of them (see
+:class:`wittenlab.heatflow.HeatState`), and :func:`kernel_dt_log_bounds`
+a stack or a list of snapshots.  One implementation serves both: it
+evaluates one m over every row of the stack in one pass (one state is
+the one-row case), taking the rows in blocks under the operators' element
+budget (``operators._row_blocks``).  The per-row constants such as
+(m/2t) e^{4Kt} are computed with ``math`` once per time and broadcast
+over the grid, so every row's defect equals the defect of its state
+alone, bit for bit.  A stack gives one report per row, in row order.
+
 Pointwise defects, and the super-Ricci-flow margins of
 :mod:`wittenlab.ricciflow`, are :class:`DefectReport` records: they store
 the ``defect`` field and its inputs, and derive ``min_defect``,
@@ -26,7 +36,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import _as_index, _check_K, _m_equals_n, _node_distances, geodesic_distance
+from .geometry import (
+    _as_index,
+    _check_K,
+    _is_real,
+    _m_equals_n,
+    _node_distances,
+    geodesic_distance,
+)
+from .heatflow import _as_stack, _by_row, _column
+from .operators import _row_blocks
 
 __all__ = [
     "DefectReport",
@@ -122,17 +141,22 @@ class KernelDtLogReport:
     fitted_upper_constant: float
 
 
-def _validate_mk(manifold, m, K, t=None):
-    """Reject m by the m rule, negative K and, when given, a time t <= 0."""
+def _validate_mk(manifold, m, K, times=()):
+    """Reject m by the m rule, K by the K rule and any of ``times`` <= 0."""
     _m_equals_n(manifold, m)
     _check_K(K)
-    if t is not None and t <= 0.0:
+    if any(t <= 0.0 for t in times):
         raise ValueError("state time must be positive")
 
 
-def _sq_grad_log(state):
-    g = state.grad_log_u
-    return np.einsum("a...,a...->...", g, g)
+def _pointwise(state, block_reports):
+    """Reports of a pointwise inequality over every row of ``state``:
+    ``block_reports(rows, times)`` for consecutive blocks of rows, chained;
+    the one report for one state."""
+    reports = []
+    for rows in _row_blocks(len(state.times), math.prod(state.manifold.shape)):
+        reports.extend(block_reports(rows, state.times[rows]))
+    return reports if state.stacked else reports[0]
 
 
 def hamilton_harnack_defect(state, m, K):
@@ -140,18 +164,31 @@ def hamilton_harnack_defect(state, m, K):
 
     defect = (m/2t) e^{4Kt} + e^{2Kt} (Lu/u) - |grad u / u|^2, which is
     nonnegative for positive solutions whenever the Bakry-Emery tensor is
-    bounded below by -K.
+    bounded below by -K.  One report, or a list of one per row of a stack.
     """
-    t = state.t
-    _validate_mk(state.manifold, m, K, t)
-    rhs_const = (m / (2.0 * t)) * math.exp(4.0 * K * t)
-    defect = rhs_const + math.exp(2.0 * K * t) * state.dt_log_u - _sq_grad_log(state)
-    return DefectReport("hamilton", t, float(m), float(K), defect, HARNACK_TOL_REL * rhs_const)
+    _validate_mk(state.manifold, m, K, state.times)
+    dt_log_u = _by_row(state, state.dt_log_u)
+    sq_grad = _by_row(state, state.grad_log_u_sq)
+
+    def block(rows, times):
+        rhs_const = [(m / (2.0 * t)) * math.exp(4.0 * K * t) for t in times]
+        growth = [math.exp(2.0 * K * t) for t in times]
+        defect = (
+            _column(rhs_const, state) + _column(growth, state) * dt_log_u[rows] - sq_grad[rows]
+        )
+        return [
+            DefectReport("hamilton", t, float(m), float(K), d, HARNACK_TOL_REL * c)
+            for t, d, c in zip(times, defect, rhs_const)
+        ]
+
+    return _pointwise(state, block)
 
 
 def li_yau_defect(state, m):
     """Sharp-constant gradient bound; the K = 0 case of the Hamilton defect."""
     report = hamilton_harnack_defect(state, m, 0.0)
+    if state.stacked:
+        return [replace(r, inequality="li_yau") for r in report]
     return replace(report, inequality="li_yau")
 
 
@@ -206,25 +243,38 @@ def sup_bound_defect(state, m, K, A):
 
     The main defect uses the prefactor K/(1 - e^{-Kt}); the report also
     carries the (K + 1/t) variant, which dominates it node-wise because
-    1/(1 - e^{-x}) <= 1 + 1/x.  ``A`` must dominate max(u) over the run.
+    1/(1 - e^{-x}) <= 1 + 1/x.  ``A``, a finite number, must dominate
+    max(u) over the run (over every row of a stack).  One report, or a
+    list of one per row of a stack.
     """
-    t = state.t
-    _validate_mk(state.manifold, m, K, t)
+    _validate_mk(state.manifold, m, K, state.times)
+    if not (_is_real(A) and math.isfinite(A)):
+        raise ValueError(f"A must be a finite number, got {A!r}")
     umax = float(state.u.max())
     if A < umax:
         raise ValueError(f"A={A} is below max u = {umax}; log(A/u) must be nonnegative")
-    if K == 0.0:
-        prefactor = 1.0 / t  # limit of K/(1-e^{-Kt})
-    else:
-        prefactor = K / (-math.expm1(-K * t))
-    bracket = m + 4.0 * np.log(A / state.u)
-    lhs = state.dt_log_u + _sq_grad_log(state)
-    defect = prefactor * bracket - lhs
-    variant = (K + 1.0 / t) * bracket - lhs
-    return DefectReport(
-        "sup_bound", t, float(m), float(K), defect, HARNACK_TOL_REL * (prefactor * m),
-        extra={"A": float(A), "defect_variant": variant},
-    )
+    u = _by_row(state, state.u)
+    dt_log_u = _by_row(state, state.dt_log_u)
+    sq_grad = _by_row(state, state.grad_log_u_sq)
+
+    def block(rows, times):
+        if K == 0.0:
+            prefactor = [1.0 / t for t in times]  # limit of K/(1-e^{-Kt})
+        else:
+            prefactor = [K / (-math.expm1(-K * t)) for t in times]
+        bracket = m + 4.0 * np.log(A / u[rows])
+        lhs = dt_log_u[rows] + sq_grad[rows]
+        defect = _column(prefactor, state) * bracket - lhs
+        variant = _column([K + 1.0 / t for t in times], state) * bracket - lhs
+        return [
+            DefectReport(
+                "sup_bound", t, float(m), float(K), d, HARNACK_TOL_REL * (p * m),
+                extra={"A": float(A), "defect_variant": v},
+            )
+            for t, d, v, p in zip(times, defect, variant, prefactor)
+        ]
+
+    return _pointwise(state, block)
 
 
 def kernel_dt_log_bounds(snapshots, m, K):
@@ -233,35 +283,40 @@ def kernel_dt_log_bounds(snapshots, m, K):
     Also fits the smallest constant C with
     d/dt log u <= C (1 + 1/sqrt(t) + d(x, x0)/t)^2 over the run; the
     constant is a shape diagnostic whose stability under grid refinement
-    is checked by the callers, not an asserted bound.
+    is checked by the callers, not an asserted bound.  ``snapshots`` is a
+    list of states or a stack, whose first row must come from a
+    kernel-initialized run.
     """
-    if not snapshots:
-        raise ValueError("no snapshots given")
-    manifold = snapshots[0].manifold
+    state = _as_stack(snapshots)
+    manifold = state.manifold
     _validate_mk(manifold, m, K)
-    src = snapshots[0].kernel
+    src = state.kernels[0]
     if src is None:
         raise ValueError("snapshots must come from a kernel-initialized run")
     dist = geodesic_distance(manifold, src.x0)
+    dt_log_u = _by_row(state, state.dt_log_u)
+    grid_axes = tuple(range(1, manifold.dim_n + 1))
     min_margin = math.inf
     fitted = 0.0
-    times = []
     ok = True
-    for s in snapshots:
-        t = s.t
-        times.append(t)
-        lower = -(m / (2.0 * t)) * math.exp(2.0 * K * t)
-        rate = s.dt_log_u
-        margin = float((rate - lower).min())
-        min_margin = min(min_margin, margin)
-        if margin < -KERNEL_BOUND_TOL_REL * abs(lower):
-            ok = False
-        shape = (1.0 + 1.0 / math.sqrt(t) + dist / t) ** 2
-        fitted = max(fitted, float((rate / shape).max()))
+    for rows in _row_blocks(len(state.times), math.prod(manifold.shape)):
+        times = state.times[rows]
+        lower = [-(m / (2.0 * t)) * math.exp(2.0 * K * t) for t in times]
+        rate = dt_log_u[rows]
+        margins = (rate - _column(lower, state)).min(axis=grid_axes).tolist()
+        shape = (
+            _column([1.0 + 1.0 / math.sqrt(t) for t in times], state)
+            + dist / _column(times, state)
+        ) ** 2
+        for margin, low, fit in zip(margins, lower, (rate / shape).max(axis=grid_axes).tolist()):
+            min_margin = min(min_margin, margin)
+            if margin < -KERNEL_BOUND_TOL_REL * abs(low):
+                ok = False
+            fitted = max(fitted, fit)
     return KernelDtLogReport(
         m=float(m),
         K=float(K),
-        times=tuple(times),
+        times=tuple(state.times),
         min_margin=float(min_margin),
         ok=bool(ok),
         fitted_upper_constant=float(fitted),

@@ -79,6 +79,7 @@ __all__ = [
     "PositivityError",
     "SolverConvergenceError",
     "make_state",
+    "stack_states",
     "uniform_state",
     "initial_delta",
     "kernel_state",
@@ -132,22 +133,35 @@ class KernelInfo:
 
 @dataclass(frozen=True)
 class HeatState:
-    """Positive density sampled on the grid at a fixed time.
+    """Positive density sampled on the grid at one time, or a stack of them.
 
-    Every function of a state reads the manifold from ``manifold``.  The
-    weighted ``mass`` of ``u`` and the fields that the Harnack and entropy
-    checks derive from ``u`` are computed on first use and cached on the
-    instance, the arrays read-only, so every check and every dimension
-    parameter m of a snapshot shares one evaluation:
+    One state has ``u`` of the grid's shape, a float ``t`` and a
+    :class:`KernelInfo` or None as ``kernel``.  A stack (see
+    :func:`stack_states`) follows the convention of
+    :mod:`wittenlab.operators`: ``u`` of shape ``(k, *grid)`` holds one
+    state per row, ``t`` is the tuple of the k row times and ``kernel``
+    the tuple of the k rows' kernels; ``times`` and ``kernels`` give
+    these tuples for either kind.  Every function of a state reads the
+    manifold from ``manifold``, and the Harnack and entropy functions take
+    either kind (a stack in one pass per m, see :mod:`wittenlab.harnack`).
 
-    * ``dt_log_u`` = Lu/u and ``grad_log_u``, of shape (n, *grid), from
-      the closed form for analytic kernels, accurate in the far tail, and
-      otherwise from one spectral grad u that the divergence form of L
-      reuses;
+    The weighted ``mass`` of ``u`` and the fields that the Harnack and
+    entropy checks derive from ``u`` are computed on first use, over all
+    rows at once, and cached on the instance, the arrays read-only, so
+    every check and every dimension parameter m shares one evaluation.
+    Each field has the stack axis where the operators put it, after its
+    derivative axes (``grad_log_u`` of a stack is ``(n, k, *grid)``), and
+    every row equals the field of that row's state alone:
+
+    * ``dt_log_u`` = Lu/u and ``grad_log_u``, from the closed form on the
+      rows that hold analytic kernels, accurate in the far tail, and on
+      the other rows from one spectral grad u that the divergence form of
+      L reuses, and ``grad_log_u_sq`` = |grad log u|^2;
     * ``log_u`` and its spectral ``log_u_gradient``, ``log_u_hessian``
       and ``log_u_gamma2``;
     * ``entropy_pair``, the Boltzmann entropy and its dissipation rate
-      (see :func:`wittenlab.entropy.entropy_H`).
+      (see :func:`wittenlab.entropy.entropy_H`), floats for one state and
+      arrays over the rows for a stack.
 
     ``dataclasses.replace`` builds a new state whose cache starts empty,
     which matters for analytic kernel states: their derivatives depend
@@ -155,41 +169,93 @@ class HeatState:
     """
 
     manifold: WeightedManifold
-    t: float
+    t: float | tuple
     u: np.ndarray
-    kernel: KernelInfo | None = None
+    kernel: KernelInfo | tuple | None = None
 
     def __post_init__(self):
         self.u.setflags(write=False)
+        if self.stacked and not (
+            isinstance(self.t, tuple)
+            and isinstance(self.kernel, tuple)
+            and len(self.t) == len(self.kernel) == len(self.u)
+        ):
+            raise ValueError("a stack of states needs a tuple of times and of kernels, one per row")
+
+    @property
+    def stacked(self):
+        """Whether ``u`` holds a stack of states, one per row."""
+        return self.u.ndim > self.manifold.dim_n
+
+    @property
+    def times(self):
+        """The time of each row: ``t``, or ``(t,)`` for one state."""
+        return self.t if self.stacked else (self.t,)
+
+    @property
+    def kernels(self):
+        """The kernel of each row: ``kernel``, or ``(kernel,)`` for one state."""
+        return self.kernel if self.stacked else (self.kernel,)
 
     @cached_property
     def mass(self):
         return integrate_mu(self.manifold, self.u)
 
-    def _kernel_profiles(self, fn):
-        """Per axis, ``fn`` of the closed-form kernel; None unless analytic."""
-        if self.kernel is not None and self.kernel.analytic:
-            return _axis_profiles(self.manifold, self.kernel.x0, fn, self.t)
-        return None
+    @cached_property
+    def _numeric_rows(self):
+        """``(rows, u, grad u)`` over the rows that are not closed-form kernel
+        states: their index (a slice when that is every row), their values
+        with a row axis, and the spectral grad u that ``dt_log_u`` and
+        ``grad_log_u`` share (None when there is no such row)."""
+        closed = {i for i, _ in self._closed_form_rows}
+        rows = slice(None)
+        if closed:
+            rows = [i for i in range(len(self.times)) if i not in closed]
+        u = _by_row(self, self.u)[rows]
+        return rows, u, (gradient(self.manifold, u) if len(u) else None)
 
     @cached_property
-    def _u_gradient(self):
-        """Spectral grad u, shared by ``dt_log_u`` and ``grad_log_u``."""
-        return _read_only(gradient(self.manifold, self.u))
+    def _closed_form_rows(self):
+        """``(row, kernel)`` of each row that holds an analytic kernel state."""
+        return [(i, k) for i, k in enumerate(self.kernels) if k is not None and k.analytic]
+
+    def _log_derivative(self, lead, numeric, fn, assemble):
+        """A field with ``lead`` derivative axes: ``numeric(u, grad u)`` on the
+        numeric rows and ``assemble`` of the closed form's per-axis ``fn``
+        profiles on each analytic row."""
+        rows, u, grad = self._numeric_rows
+        if not self._closed_form_rows:
+            out = numeric(u, grad)
+        else:
+            out = np.empty((self.manifold.dim_n,) * lead + _by_row(self, self.u).shape)
+            head = (slice(None),) * lead
+            if len(u):
+                out[head + (rows,)] = numeric(u, grad)
+            for i, kernel in self._closed_form_rows:
+                parts = _axis_profiles(self.manifold, kernel.x0, fn, self.times[i])
+                out[head + (i,)] = assemble(parts)
+        return _read_only(out.reshape(out.shape[:lead] + self.u.shape))
 
     @cached_property
     def dt_log_u(self):
-        parts = self._kernel_profiles(kernels.wrapped_gaussian_log_dt)
-        if parts is not None:
-            return _read_only(sum(parts, np.zeros(self.manifold.shape)))
-        return _read_only(_divergence_form(self.manifold, self.u, self._u_gradient) / self.u)
+        M = self.manifold
+        return self._log_derivative(
+            0, lambda u, grad: _divergence_form(M, u, grad) / u,
+            kernels.wrapped_gaussian_log_dt, lambda parts: sum(parts, np.zeros(M.shape)),
+        )
 
     @cached_property
     def grad_log_u(self):
-        parts = self._kernel_profiles(kernels.wrapped_gaussian_log_dx)
-        if parts is not None:
-            return _read_only(np.stack(np.broadcast_arrays(*parts)))
-        return _read_only(self._u_gradient / self.u)
+        return self._log_derivative(
+            1, lambda u, grad: grad / u,
+            kernels.wrapped_gaussian_log_dx, lambda parts: np.stack(np.broadcast_arrays(*parts)),
+        )
+
+    @cached_property
+    def grad_log_u_sq(self):
+        """|grad log u|^2, shared by the Harnack defects and ``entropy_pair``."""
+        g = self.grad_log_u
+        return _read_only(np.einsum("a...,a...->...", g, g))
 
     @cached_property
     def log_u(self):
@@ -210,9 +276,51 @@ class HeatState:
     @cached_property
     def entropy_pair(self):
         H = -integrate_mu(self.manifold, self.u * self.log_u)
-        g = self.grad_log_u
-        dH = integrate_mu(self.manifold, np.einsum("a...,a...->...", g, g) * self.u)
+        dH = integrate_mu(self.manifold, self.grad_log_u_sq * self.u)
         return H, dH
+
+
+def _by_row(state, a):
+    """``a``, ``u`` or a field of ``state``, with a row axis in front of the
+    grid axes: length 1 for one state.  A view; derivative axes stay first."""
+    lead = a.ndim - state.u.ndim
+    return a.reshape(a.shape[:lead] + (len(state.times),) + state.manifold.shape)
+
+
+def _column(values, state):
+    """Per-row floats, one per row of a block of ``state``'s rows, as an
+    array of shape (rows, 1, ..., 1) that broadcasts over the block's
+    fields: the row axis and the grid axes, after any derivative axes."""
+    return np.array(values).reshape((-1,) + (1,) * state.manifold.dim_n)
+
+
+def stack_states(states):
+    """One stacked :class:`HeatState` whose row i is ``states[i]``.
+
+    The states must be single states on one manifold (the same object).
+    The stack copies their values and starts an empty cache: its fields
+    are computed over all rows at once.
+    """
+    states = list(states)
+    if not states:
+        raise ValueError("no states given")
+    manifold = states[0].manifold
+    if any(s.manifold is not manifold or s.stacked for s in states):
+        raise ValueError("stack_states takes single states on one manifold")
+    return HeatState(
+        manifold=manifold,
+        t=tuple(s.t for s in states),
+        u=np.stack([s.u for s in states]),
+        kernel=tuple(s.kernel for s in states),
+    )
+
+
+def _as_stack(states):
+    """``states`` as a stacked :class:`HeatState`: a stack as it is, one
+    state as a one-row stack, a sequence of states by :func:`stack_states`."""
+    if isinstance(states, HeatState):
+        return states if states.stacked else stack_states([states])
+    return stack_states(states)
 
 
 def _argmin_node(manifold, u):

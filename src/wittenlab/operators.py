@@ -29,6 +29,11 @@ indices come first, so :func:`gradient` returns ``(n, *stack, *grid)``
 and :func:`hessian` ``(n, n, *stack, *grid)``; :func:`integrate_mu` and
 :func:`mu_inner` sum over the grid axes and return a float for one field
 and an array of the stack's shape for a stack.
+
+Computations over a stack whose temporaries grow with it (the
+per-``m`` Harnack defects and entropy terms over a run's snapshots, the
+self-test's random fields) take the stack in blocks of rows, at most
+``_BLOCK_ELEMENTS`` grid values per temporary (see :func:`_row_blocks`).
 """
 
 from __future__ import annotations
@@ -51,6 +56,20 @@ __all__ = [
     "dealias_nyquist",
     "random_band_limited",
 ]
+
+
+# Grid values per temporary of a blocked stack computation: 128 kB of
+# doubles.  A 256-node circle takes 64 rows per block, a 64x64 torus 4.
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def _row_blocks(rows, row_elements):
+    """Consecutive slices covering ``rows`` stack rows, each of at most
+    ``_BLOCK_ELEMENTS // row_elements`` rows and at least one, for a
+    computation whose largest temporary holds ``row_elements`` values per
+    row."""
+    step = max(1, _BLOCK_ELEMENTS // row_elements)
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
 def _grid_axes(manifold):

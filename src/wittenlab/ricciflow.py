@@ -30,14 +30,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .entropy import (
+    _decomposition_record,
     _entropy_H,
     _entropy_second_derivative,
-    _w_decomposition,
     _w_entropy,
 )
 from .geometry import WeightedManifold, _check_K, _check_params, _is_real, ricci_bakry_emery
 from .harnack import DefectReport
-from .heatflow import evolve
+from .heatflow import _as_stack, evolve
 
 __all__ = [
     "FlowSpec",
@@ -225,7 +225,7 @@ def evolve_heat_on_flow(flow, state, times, local_error=1e-8, manifest=None):
 
 def w_entropy_on_flow(flow, state, m, K):
     """H_mK and W_mK along the flow; gradients taken in g(t)."""
-    return _w_entropy(state, m, K, flow.operator_scale(state.t))
+    return _w_entropy(state, m, K, flow)
 
 
 def w_decomposition_on_flow(flow, state, m, K):
@@ -234,8 +234,7 @@ def w_decomposition_on_flow(flow, state, m, K):
     Identical to the fixed-metric decomposition except that the curvature
     quadratic uses (1/2) dg/dt + Ric_mn + K g.
     """
-    t = state.t
-    return _w_decomposition(state, m, K, flow.operator_scale(t), flow.log_factor_rate(t))
+    return _decomposition_record(state, m, K, flow)
 
 
 def entropy_dissipation_on_flow(flow, snapshots):
@@ -249,17 +248,17 @@ def entropy_dissipation_on_flow(flow, snapshots):
     these quadratures against temporal finite differences of H, which
     shrink at the scheme/spacing order.
     """
-    rows = []
-    H_values = []
-    for s in snapshots:
-        scale = flow.operator_scale(s.t)
-        H, dH = _entropy_H(s, scale)
-        d2H = _entropy_second_derivative(s, scale, flow.log_factor_rate(s.t))
-        H_values.append(H)
-        rows.append({"t": s.t, "dH_dt": dH, "d2H_dt2": d2H})
+    if not snapshots:
+        return []
+    state = _as_stack(snapshots)
+    H_arr, dH = _entropy_H(state, flow)
+    d2H = _entropy_second_derivative(state, flow)
+    rows = [
+        {"t": t, "dH_dt": a, "d2H_dt2": b}
+        for t, a, b in zip(state.times, dH.tolist(), d2H.tolist())
+    ]
     if len(rows) >= 3:
-        times = np.array([r["t"] for r in rows])
-        H_arr = np.array(H_values)
+        times = np.array(state.times)
         fd1 = np.gradient(H_arr, times)
         fd2 = np.full_like(H_arr, np.nan)
         h1 = times[1:-1] - times[:-2]

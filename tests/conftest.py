@@ -65,3 +65,28 @@ def fft_calls(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counting)
     return counts
+
+
+@pytest.fixture(scope="session")
+def check_runs():
+    """Four kernel runs the stacked checks are compared on, by name: ``(snapshots,
+    flow)``, flow None off a flow.  Five snapshots each, so blocks of two rows
+    end in a partial block."""
+    from wittenlab import evolve, initial_delta, make_flow
+    from wittenlab.ricciflow import evolve_heat_on_flow
+
+    times = [0.1, 0.12, 0.15, 0.2, 0.3]
+    weighted = circle(64, potential={"family": "cosine", "params": {"a": 0.5, "k": 1}})
+    torus = flat_torus(32, potential={"family": "cosine_sine", "params": {"a": 0.5, "b": 0.3}})
+    flat = circle(64)
+    flow = make_flow(weighted, "constant_rate", {"rate": -0.4}, horizon=1.0)
+    start = initial_delta(weighted, 0, t0=0.05)
+    return {
+        # Crank-Nicolson from the implicit Euler ramp
+        "weighted_circle": (evolve(start, times, local_error=1e-6), None),
+        # exact per-axis propagation
+        "separable_torus": (evolve(initial_delta(torus, (3, 5), t0=0.1), times), None),
+        # the first snapshot is the closed-form start, the others numerical
+        "flat_circle_kernel_start": (evolve(initial_delta(flat, 0, t0=0.1), times), None),
+        "conformal_flow": (evolve_heat_on_flow(flow, start, times, local_error=1e-6), flow),
+    }

@@ -4,12 +4,27 @@ import math
 
 import numpy as np
 
-from wittenlab.geometry import _m_equals_n, _smallest_eigenvalue_field, geodesic_distance
-from wittenlab.harnack import IntegratedHarnackReport
+from wittenlab import kernels
+from wittenlab.entropy import phi_mK, phi_mK_prime
+from wittenlab.geometry import (
+    _m_equals_n,
+    _smallest_eigenvalue_field,
+    bakry_emery_tensor,
+    geodesic_distance,
+)
+from wittenlab.harnack import (
+    HARNACK_TOL_REL,
+    KERNEL_BOUND_TOL_REL,
+    IntegratedHarnackReport,
+    KernelDtLogReport,
+)
 from wittenlab.operators import (
     _grid_axes,
     bochner_residual,
+    gamma2,
     gradient,
+    hessian,
+    integrate_mu,
     laplacian,
     mu_inner,
     random_band_limited,
@@ -171,7 +186,7 @@ def bakry_emery_uncached(manifold, m):
     """``(tensor, smallest eigenvalue field)`` of the Bakry-Emery tensor,
     built afresh on every call: what ``wittenlab.geometry`` keeps per m."""
     hess = manifold.potential_hessian
-    if _m_equals_n(manifold, m) or math.isinf(m):
+    if _m_equals_n(manifold, m, infinite_ok=True) or math.isinf(m):
         tensor = hess
     else:
         grad = manifold.potential_gradient
@@ -200,6 +215,139 @@ def log_u_derivatives(state):
     ``HeatState.dt_log_u`` and ``grad_log_u`` build from one grad u."""
     M = state.manifold
     return witten_laplacian(M, state.u) / state.u, gradient(M, state.u) / state.u
+
+
+# ------------------------------------------------- per-snapshot check formulas
+# The Harnack defects, kernel bounds and entropy terms of one snapshot at a
+# time, as wittenlab evaluated them before it took a run's snapshots as one
+# stack, on fields taken straight from the operators (no HeatState cache).
+
+
+def reference_log_derivatives(state):
+    """``(Lu/u, grad u/u)`` of one state: the closed form of an analytic
+    kernel (a sum and a stack of per-axis image averages), else
+    :func:`log_u_derivatives`."""
+    kernel = state.kernel
+    if kernel is None or not kernel.analytic:
+        return log_u_derivatives(state)
+    M, t = state.manifold, state.t
+    dt = np.zeros(M.shape)
+    grad = []
+    for axis in range(M.dim_n):
+        x = M.axis_coordinates(axis)
+        theta = x - x[kernel.x0[axis]]
+        shape = [1] * M.dim_n
+        shape[axis] = M.grid_sizes[axis]
+        L = M.circumferences[axis]
+        dt = dt + kernels.wrapped_gaussian_log_dt(theta, t, L).reshape(shape)
+        grad.append(kernels.wrapped_gaussian_log_dx(theta, t, L).reshape(shape))
+    return dt, np.stack(np.broadcast_arrays(*grad))
+
+
+def _sq(g):
+    return np.einsum("a...,a...->...", g, g)
+
+
+def reference_hamilton(state, m, K):
+    """``(defect, tol)`` of the Hamilton bound at one state."""
+    dt, g = reference_log_derivatives(state)
+    t = state.t
+    rhs_const = (m / (2.0 * t)) * math.exp(4.0 * K * t)
+    return rhs_const + math.exp(2.0 * K * t) * dt - _sq(g), HARNACK_TOL_REL * rhs_const
+
+
+def reference_sup_bound(state, m, K, A):
+    """``(defect, tol, defect_variant)`` of the sup-normalized bound at one state."""
+    dt, g = reference_log_derivatives(state)
+    t = state.t
+    if K == 0.0:
+        prefactor = 1.0 / t
+    else:
+        prefactor = K / (-math.expm1(-K * t))
+    bracket = m + 4.0 * np.log(A / state.u)
+    lhs = dt + _sq(g)
+    return (
+        prefactor * bracket - lhs, HARNACK_TOL_REL * (prefactor * m),
+        (K + 1.0 / t) * bracket - lhs,
+    )
+
+
+def reference_kernel_bounds(snapshots, m, K):
+    """The kernel d/dt log u report, one snapshot at a time."""
+    manifold = snapshots[0].manifold
+    dist = geodesic_distance(manifold, snapshots[0].kernel.x0)
+    min_margin, fitted, ok = math.inf, 0.0, True
+    for s in snapshots:
+        t = s.t
+        lower = -(m / (2.0 * t)) * math.exp(2.0 * K * t)
+        rate = reference_log_derivatives(s)[0]
+        margin = float((rate - lower).min())
+        min_margin = min(min_margin, margin)
+        if margin < -KERNEL_BOUND_TOL_REL * abs(lower):
+            ok = False
+        shape = (1.0 + 1.0 / math.sqrt(t) + dist / t) ** 2
+        fitted = max(fitted, float((rate / shape).max()))
+    return KernelDtLogReport(
+        m=float(m), K=float(K), times=tuple(s.t for s in snapshots),
+        min_margin=float(min_margin), ok=bool(ok), fitted_upper_constant=float(fitted),
+    )
+
+
+def _monotonicity_bound(t, m, K):
+    return -(m / (2.0 * t)) * (
+        math.exp(4.0 * K * t) * (1.0 + 4.0 * K * t) - (1.0 + K * t) ** 2
+    )
+
+
+def reference_decomposition(state, m, K, scale=1.0, rate=0.0):
+    """``(T1, T2, T3, T4)`` of dW/dt at one state in the metric g_base / scale."""
+    manifold, t, u = state.manifold, state.t, state.u
+    n = manifold.dim_n
+    log_u = np.log(u)
+    G = gradient(manifold, log_u)
+    H = hessian(manifold, log_u)
+    c = 0.5 * K + 0.5 / t
+    completed = H + (c / scale) * np.eye(n).reshape((n, n) + (1,) * n)
+    T1 = -2.0 * t * (scale * scale) * integrate_mu(
+        manifold, np.einsum("ab...,ab...->...", completed, completed) * u
+    )
+    ric = bakry_emery_tensor(manifold, m)
+    quad = scale * scale * np.einsum("ab...,a...,b...->...", ric, G, G) + (
+        rate + K
+    ) * scale * _sq(G)
+    T2 = -2.0 * t * integrate_mu(manifold, quad * u)
+    if _m_equals_n(manifold, m):
+        T3 = 0.0
+    else:
+        drift = np.einsum("a...,a...->...", manifold.potential_gradient, G)
+        align = scale * drift - (m - n) * (1.0 + K * t) / (2.0 * t)
+        T3 = -(2.0 * t / (m - n)) * integrate_mu(manifold, align * align * u)
+    return float(T1), float(T2), float(T3), _monotonicity_bound(t, m, K)
+
+
+def reference_series_columns(snapshots, m, K, flow=None):
+    """The entropy series' stored columns by name, one snapshot at a time."""
+    rows = []
+    for s in snapshots:
+        scale, rate = (1.0, 0.0) if flow is None else (
+            flow.operator_scale(s.t), flow.log_factor_rate(s.t)
+        )
+        M, t, u = s.manifold, s.t, s.u
+        log_u = np.log(u)
+        H = -integrate_mu(M, u * log_u)
+        dH = scale * integrate_mu(M, _sq(reference_log_derivatives(s)[1]) * u)
+        Phi = phi_mK(t, m, K)
+        W = H - Phi + t * (dH - phi_mK_prime(t, m, K))
+        G = gradient(M, log_u)
+        d2H = -2.0 * integrate_mu(
+            M, (scale * scale * gamma2(M, log_u) + rate * scale * _sq(G)) * u
+        )
+        rows.append((H, dH, d2H, Phi, W, *reference_decomposition(s, m, K, scale, rate)))
+    names = ("H", "dH_dt", "d2H_dt2", "Phi", "W_mK", "T1", "T2", "T3", "T4")
+    columns = dict(zip(names, np.array(rows).T))
+    columns["times"] = np.array([s.t for s in snapshots])
+    columns["dW_dt_numeric"] = np.gradient(columns["W_mK"], columns["times"])
+    return columns
 
 
 # ------------------------------------------------------------ row formatter

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 import wittenlab
-from wittenlab import cli, geometry
+from wittenlab import geometry, operators
 from wittenlab.cli import _Runner, bundled_config_path, main, run_experiment
 from wittenlab.config import CHECKS, REQUIRED, ConfigError, load_config, validate_experiment
 
@@ -491,7 +491,7 @@ def test_blocked_selftest_equals_the_per_field_loop(monkeypatch, model, seed, bl
         runner, check = selftest_runner(model, count, seed)
         if block_pairs is not None:
             block = 2 * block_pairs * math.prod(runner.manifold.shape)
-            monkeypatch.setattr(cli, "_SELFTEST_BLOCK_ELEMENTS", block)
+            monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", block)
         runner.check_operators_selftest(check)
         entry = runner.summary["operators_selftest"]
         worst = (entry["worst_bochner_residual"], entry["worst_adjointness_gap"])
@@ -588,6 +588,19 @@ def test_out_that_is_not_a_non_empty_string_exits_2_naming_it(tmp_path, monkeypa
     path = write_config(tmp_path, data)
     assert main(["all", "--config", path]) == 2
     assert capsys.readouterr().err.startswith("config error: out must be a non-empty string")
+    assert os.listdir(tmp_path) == ["exp.yaml"]
+
+
+def test_empty_out_flag_exits_2_naming_it(tmp_path, monkeypatch, capsys):
+    # an empty --out used to fall back to the config's out, or ./wittenlab_out
+    for override in ("", 5, ["a"]):
+        with pytest.raises(ConfigError, match="^--out must be a non-empty string"):
+            validate_experiment(BASE, out_override=override)
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, {**BASE, "out": "from_config"})
+    assert main(["all", "--config", path, "--out", ""]) == 2
+    assert capsys.readouterr().err.startswith("config error: --out must be a non-empty string")
+    assert main(["curvature", "--config", "liyau_circle", "--out", ""]) == 2
     assert os.listdir(tmp_path) == ["exp.yaml"]
 
 

@@ -15,7 +15,16 @@ from wittenlab import (
     geodesic_distance,
     ricci_bakry_emery,
 )
-from wittenlab.entropy import tilde_w_entropy, w_derivative_decomposition, w_entropy
+from wittenlab.entropy import (
+    build_series,
+    monotonicity_bound,
+    phi_mK,
+    phi_mK_prime,
+    tilde_w_comparison,
+    tilde_w_entropy,
+    w_derivative_decomposition,
+    w_entropy,
+)
 from wittenlab.geometry import _ball_measures, _disk_weights, bakry_emery_tensor
 from wittenlab.harnack import (
     hamilton_harnack_defect,
@@ -28,7 +37,9 @@ from wittenlab.harnack import (
 from wittenlab.heatflow import evolve, initial_delta, kernel_state
 from wittenlab.operators import gradient, hessian
 from wittenlab.ricciflow import (
+    fit_super_flow_constant,
     make_flow,
+    super_ricci_flow_margin,
     super_ricci_flow_margins,
     w_decomposition_on_flow,
     w_entropy_on_flow,
@@ -431,12 +442,23 @@ M_RULE_CHECKS = {
     "integrated_harnack_check": lambda M, snaps, m, K: integrated_harnack_check(
         snaps, (0, 0), (3, 5), 0.1, 0.3, m, K
     ),
+    "integrated_harnack_checks": lambda M, snaps, m, K: integrated_harnack_checks(
+        snaps, [(0, 0)], [(3, 5)], 0.1, 0.3, m, K
+    ),
     "kernel_dt_log_bounds": lambda M, snaps, m, K: kernel_dt_log_bounds(snaps, m, K),
+    "build_series": lambda M, snaps, m, K: build_series(snaps, m, K),
+    "ricci_bakry_emery": lambda M, snaps, m, K: ricci_bakry_emery(M, m),
     "ball_volume_ratio_check": lambda M, snaps, m, K: ball_volume_ratio_check(
         M, m, K, (0, 0), 0.5, 1.0
     ),
     "super_ricci_flow_margins": lambda M, snaps, m, K: super_ricci_flow_margins(
         make_flow(M, "static"), m, K, [0.1, 0.3]
+    ),
+    "super_ricci_flow_margin": lambda M, snaps, m, K: super_ricci_flow_margin(
+        make_flow(M, "static"), m, K, 0.1
+    ),
+    "fit_super_flow_constant": lambda M, snaps, m, K: fit_super_flow_constant(
+        make_flow(M, "static"), m
     ),
     "w_decomposition_on_flow": lambda M, snaps, m, K: w_decomposition_on_flow(
         make_flow(M, "static"), snaps[0], m, K
@@ -445,7 +467,21 @@ M_RULE_CHECKS = {
         make_flow(M, "static"), snaps[0], m, K
     ),
 }
-K_RULE_CHECKS = sorted(set(M_RULE_CHECKS) - {"bakry_emery_tensor", "li_yau_defect"})
+WITHOUT_K = {"bakry_emery_tensor", "ricci_bakry_emery", "fit_super_flow_constant", "li_yau_defect"}
+K_RULE_CHECKS = sorted(set(M_RULE_CHECKS) - WITHOUT_K)
+# the closed forms that take m and K but no model
+SCALAR_RULE_CHECKS = {
+    "phi_mK": lambda M, snaps, m, K: phi_mK(0.5, m, K),
+    "phi_mK_prime": lambda M, snaps, m, K: phi_mK_prime(0.5, m, K),
+    "monotonicity_bound": lambda M, snaps, m, K: monotonicity_bound(0.5, m, K),
+    "tilde_w_comparison": lambda M, snaps, m, K: tilde_w_comparison(m, K, 0.5),
+}
+# the Bakry-Emery tensor and what is built on it take m = inf (CD(-K, inf))
+INFINITE_M_OK = {
+    "bakry_emery_tensor", "ricci_bakry_emery", "fit_super_flow_constant",
+    "super_ricci_flow_margin", "super_ricci_flow_margins",
+}
+NOT_A_FINITE_NUMBER = [True, "3", math.nan, math.inf, -math.inf]
 
 
 @functools.lru_cache
@@ -479,6 +515,32 @@ def test_negative_K_rejected_alike(name):
         M_RULE_CHECKS[name](M, snaps, 3.0, -1.0)
     assert str(info.value) == "curvature constant K=-1.0 must be nonnegative"
     M_RULE_CHECKS[name](M, snaps, 3.0, 0.5)
+
+
+@pytest.mark.parametrize("name", sorted({**M_RULE_CHECKS, **SCALAR_RULE_CHECKS}))
+def test_m_and_K_that_are_not_finite_numbers_are_rejected_naming_them(name):
+    """Bools, strings, NaN and inf raise ValueError naming m or K, from every
+    public entry that takes them, as the config rejects them."""
+    check = {**M_RULE_CHECKS, **SCALAR_RULE_CHECKS}[name]
+    M, snaps = _torus_run(0.5)
+    for m in NOT_A_FINITE_NUMBER:
+        if m == math.inf and name in INFINITE_M_OK:
+            check(M, snaps, m, 0.5)
+            continue
+        with pytest.raises(ValueError, match="^dimension parameter m must be a finite number"):
+            check(M, snaps, m, 0.5)
+    if name in WITHOUT_K:
+        return
+    for K in NOT_A_FINITE_NUMBER:
+        with pytest.raises(ValueError, match="^curvature constant K must be a finite number"):
+            check(M, snaps, 3.0, K)
+
+
+@pytest.mark.parametrize("A", NOT_A_FINITE_NUMBER)
+def test_sup_bound_A_that_is_not_a_finite_number_is_rejected_naming_it(A):
+    M, snaps = _torus_run(0.5)
+    with pytest.raises(ValueError, match="^A must be a finite number"):
+        sup_bound_defect(snaps[0], 3.0, 0.5, A)
 
 
 def test_axis_eigensystems_need_a_separable_potential():

@@ -1,0 +1,177 @@
+"""Checks over a run's stacked snapshots against the per-snapshot formulas.
+
+Every Harnack defect, kernel bound and entropy term of a stack must equal,
+bit for bit, the same formula evaluated one snapshot at a time
+(``references``), whatever the blocks the rows are taken in; a one-row
+stack must equal the one-state call.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from wittenlab import (
+    HeatState,
+    build_series,
+    hamilton_harnack_defect,
+    kernel_dt_log_bounds,
+    li_yau_defect,
+    ricci_bakry_emery,
+    stack_states,
+    sup_bound_defect,
+    w_derivative_decomposition,
+    w_entropy,
+)
+from wittenlab import operators
+
+from references import (
+    reference_decomposition,
+    reference_hamilton,
+    reference_kernel_bounds,
+    reference_series_columns,
+    reference_sup_bound,
+)
+
+RUNS = ["weighted_circle", "separable_torus", "flat_circle_kernel_start", "conformal_flow"]
+SERIES_FIELDS = (
+    "times", "H", "dH_dt", "d2H_dt2", "Phi", "W_mK", "dW_dt_numeric", "T1", "T2", "T3", "T4",
+)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def mk_cases(M):
+    """(m, K): m = n on a constant potential (T3 = 0), m above n at the
+    admissible K and, for the sup bound's limit branch, at K = 0."""
+    n = M.dim_n
+    cases = [(n + 1.0, ricci_bakry_emery(M, n + 1.0).admissible_K), (n + 2.5, 0.0)]
+    if np.ptp(M.potential) == 0.0:
+        cases.append((float(n), 0.3))
+    return cases
+
+
+def all_results(stack, flow):
+    """Every stacked check's output on ``stack``, per (m, K)."""
+    A = float(stack.u.max()) * (1.0 + 1e-12)
+    out = []
+    for m, K in mk_cases(stack.manifold):
+        out.append((
+            hamilton_harnack_defect(stack, m, K),
+            li_yau_defect(stack, m),
+            sup_bound_defect(stack, m, K, A),
+            kernel_dt_log_bounds(stack, m, K),
+            build_series(stack, m, K, flow=flow),
+        ))
+    return out
+
+
+def assert_same_report(a, b):
+    assert (a.inequality, a.t, a.m, a.K, a.tol) == (b.inequality, b.t, b.m, b.K, b.tol)
+    assert same_bits(a.defect, b.defect)
+    assert a.extra.keys() == b.extra.keys()
+    for key in a.extra:
+        assert same_bits(a.extra[key], b.extra[key]), key
+
+
+def assert_same_results(got, want):
+    for (*reports_got, kb_got, series_got), (*reports_want, kb_want, series_want) in zip(
+        got, want, strict=True
+    ):
+        for a_list, b_list in zip(reports_got, reports_want, strict=True):
+            for a, b in zip(a_list, b_list, strict=True):
+                assert_same_report(a, b)
+        assert kb_got == kb_want
+        for name in SERIES_FIELDS:
+            assert same_bits(getattr(series_got, name), getattr(series_want, name)), name
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_stacked_checks_equal_the_per_snapshot_formulas(check_runs, run):
+    snaps, flow = check_runs[run]
+    stack = stack_states(snaps)
+    A = float(stack.u.max()) * (1.0 + 1e-12)
+    for m, K in mk_cases(stack.manifold):
+        hamilton = hamilton_harnack_defect(stack, m, K)
+        li_yau = li_yau_defect(stack, m)
+        sup = sup_bound_defect(stack, m, K, A)
+        for s, h, ly, sb in zip(snaps, hamilton, li_yau, sup, strict=True):
+            defect, tol = reference_hamilton(s, m, K)
+            assert (h.inequality, h.t, h.m, h.K) == ("hamilton", s.t, m, K)
+            assert same_bits(h.defect, defect) and h.tol == tol
+            defect, tol = reference_hamilton(s, m, 0.0)
+            assert (ly.inequality, ly.K) == ("li_yau", 0.0)
+            assert same_bits(ly.defect, defect) and ly.tol == tol
+            defect, tol, variant = reference_sup_bound(s, m, K, A)
+            assert same_bits(sb.defect, defect) and sb.tol == tol
+            assert same_bits(sb.extra["defect_variant"], variant) and sb.extra["A"] == A
+        assert kernel_dt_log_bounds(stack, m, K) == reference_kernel_bounds(snaps, m, K)
+        series = build_series(stack, m, K, flow=flow)
+        columns = reference_series_columns(snaps, m, K, flow)
+        for name in SERIES_FIELDS:
+            assert same_bits(getattr(series, name), columns[name]), name
+        dec = w_derivative_decomposition(stack, m, K)
+        terms = np.array([reference_decomposition(s, m, K) for s in snaps]).T
+        assert same_bits(np.array([dec.T1, dec.T2, dec.T3, dec.T4]), terms)
+        if m == stack.manifold.dim_n:
+            assert not series.T3.any()  # the drift term vanishes at m == n
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_blocks_of_rows_equal_one_block(check_runs, run, monkeypatch):
+    snaps, flow = check_runs[run]
+    M = snaps[0].manifold
+    monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", 1 << 30)
+    one_block = all_results(stack_states(snaps), flow)
+    # two rows of a scalar field per block: 2, 2, 1 rows, and single rows
+    # for the (n, n) temporaries of the torus's entropy terms
+    monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", 2 * math.prod(M.shape))
+    assert len(operators._row_blocks(len(snaps), math.prod(M.shape))) == 3
+    assert_same_results(all_results(stack_states(snaps), flow), one_block)
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_a_one_row_stack_equals_the_one_state_call(check_runs, run):
+    snaps, flow = check_runs[run]
+    for s in (snaps[0], snaps[-1]):
+        row = stack_states([s])
+        A = 2.0 * float(s.u.max())
+        for m, K in mk_cases(s.manifold):
+            for fn, args in (
+                (hamilton_harnack_defect, (m, K)),
+                (li_yau_defect, (m,)),
+                (sup_bound_defect, (m, K, A)),
+            ):
+                (got,) = fn(row, *args)
+                assert_same_report(got, fn(s, *args))
+            dec, one = w_derivative_decomposition(row, m, K), w_derivative_decomposition(s, m, K)
+            assert [float(dec.T1[0]), float(dec.T2[0]), float(dec.T3[0]), float(dec.T4[0])] == [
+                one.T1, one.T2, one.T3, one.T4
+            ]
+            assert {k: float(v[0]) for k, v in w_entropy(row, m, K).items()} == w_entropy(s, m, K)
+            assert kernel_dt_log_bounds(row, m, K) == kernel_dt_log_bounds([s], m, K)
+
+
+def test_stacked_fields_are_the_rows_of_each_state(check_runs):
+    snaps, _ = check_runs["flat_circle_kernel_start"]
+    stack = stack_states(snaps)
+    assert stack.stacked and stack.t == tuple(s.t for s in snaps)
+    assert stack.kernels[0].analytic and not any(k.analytic for k in stack.kernels[1:])
+    for name in ("dt_log_u", "grad_log_u", "log_u_gradient", "log_u_hessian", "log_u_gamma2"):
+        field = getattr(stack, name)
+        assert not field.flags.writeable
+        lead = field.ndim - stack.u.ndim
+        for i, s in enumerate(snaps):
+            assert same_bits(field[(slice(None),) * lead + (i,)], getattr(s, name)), name
+    H, dH = stack.entropy_pair
+    assert [(a, b) for a, b in zip(H.tolist(), dH.tolist())] == [s.entropy_pair for s in snaps]
+    assert same_bits(stack.mass, [s.mass for s in snaps])
+    with pytest.raises(ValueError, match="single states on one manifold"):
+        stack_states([stack])
+    with pytest.raises(ValueError, match="no states given"):
+        stack_states([])
+    with pytest.raises(ValueError, match="one per row"):
+        HeatState(stack.manifold, stack.t, stack.u)  # no kernel per row
