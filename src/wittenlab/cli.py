@@ -8,7 +8,8 @@ configuration was invalid or the output directory cannot be created.
 
 Beside ``summary.json`` the runner writes ``timing.json``: per check its
 wall seconds split into compute and CSV output (formatting and
-writing), and the seconds of the heat flow the checks share.  Timings
+writing), and the seconds of the run's one heat flow, which the
+fixed-metric and flow checks share.  Timings
 differ from run to run, so they stay out of the summary files, which
 are byte-identical across runs of one configuration.
 """
@@ -16,6 +17,7 @@ are byte-identical across runs of one configuration.
 from __future__ import annotations
 
 import argparse
+import bisect
 import itertools
 import math
 import os
@@ -34,7 +36,7 @@ from .config import CHECKS, M_N_PLUS_1, ConfigError, _checked
 from .config import load_config, validate_experiment
 from .geometry import _as_index, _check_ball_radii, _is_integer, _m_equals_n
 from .geometry import ball_volume_ratio_check, build_manifold, ricci_bakry_emery
-from .heatflow import evolve, initial_delta, stack_states
+from .heatflow import _SAME_TIME, _within_horizon, evolve, initial_delta, stack_states
 from .operators import (
     _row_blocks,
     bochner_residual,
@@ -42,12 +44,7 @@ from .operators import (
     random_band_limited,
     witten_laplacian,
 )
-from .ricciflow import (
-    evolve_heat_on_flow,
-    fit_super_flow_constant,
-    make_flow,
-    super_ricci_flow_margins,
-)
+from .ricciflow import fit_super_flow_constant, make_flow, super_ricci_flow_margins
 
 SUBCOMMAND_CHECKS = {
     sub: tuple(name for name, kind in CHECKS.items() if kind.subcommand == sub)
@@ -78,6 +75,17 @@ def _node(index, manifold, key):
     if index is None:
         return (0,) * manifold.dim_n
     return _checked(key, _as_index, manifold, index)
+
+
+def _snap_times(times, onto):
+    """Each of ``times`` within ``_SAME_TIME`` of a time of the ascending
+    ``onto`` replaced by that time, where :func:`evolve` lands once anyway."""
+    out = []
+    for t in times:
+        i = bisect.bisect_left(onto, t)
+        near = min(onto[max(i - 1, 0):i + 1], key=lambda s: abs(s - t), default=t)
+        out.append(near if abs(near - t) <= _SAME_TIME else t)
+    return out
 
 
 def _sample_side(nodes, manifold):
@@ -126,7 +134,16 @@ class _Runner:
                         f"checks.integrated.nodes={nodes} samples {side} nodes per axis, "
                         f"more than the grid {self.manifold.shape} has"
                     )
-        self._snapshots = None
+        # the base-clock times of each clock the selected checks read
+        solver = config.solver
+        clocks = {CHECKS[c.name].clock for c in self.checks if c.name in selected}
+        self._clock_times = {}
+        if "base" in clocks:
+            self._clock_times["base"] = solver.times
+        if "flow" in clocks:
+            self._flow_times = [t for t in solver.times if _within_horizon(t, self.flow.horizon)]
+            taus = self.flow.base_clock(solver.t0, self._flow_times)
+            self._clock_times["flow"] = _snap_times(taus, self._clock_times.get("base", ()))
         self._manifest = None
         self._heat_flow_s = 0.0
         self._output_s = 0.0
@@ -146,19 +163,34 @@ class _Runner:
         """The approximate fundamental solution at ``solver.t0`` at x0."""
         return initial_delta(self.manifold, self.x0, t0=self.config.solver.t0)
 
-    def snapshots(self):
-        if self._snapshots is None:
-            start = time.perf_counter()
-            solver = self.config.solver
-            self._manifest = []
-            self._snapshots = evolve(
-                self.start_state,
-                solver.times,
-                local_error=solver.local_error,
-                manifest=self._manifest,
-            )
-            self._heat_flow_s = time.perf_counter() - start
-        return self._snapshots
+    def snapshots(self, clock="base"):
+        """The snapshots of ``clock``: "base" at ``solver.times``, "flow" at
+        the solver times within the flow horizon, labelled with those.
+
+        Both come from the run's one heat flow: one :func:`evolve` from the
+        start state over the sorted union of the base-clock times of the
+        clocks the selected checks read (:attr:`config.CHECKS` ``clock``),
+        the flow's being its :meth:`FlowSpec.base_clock` times.  A run
+        that reads one clock evolves over exactly its times.  The run is
+        timed as ``heat_flow_s`` and its steps are the manifest rows.
+        """
+        return self._heat_flow[clock]
+
+    @cached_property
+    def _heat_flow(self):
+        start = time.perf_counter()
+        solver = self.config.solver
+        merged = sorted(set().union(*self._clock_times.values()))
+        self._manifest = []
+        snaps = evolve(
+            self.start_state, merged, local_error=solver.local_error, manifest=self._manifest
+        )
+        at = dict(zip(merged, snaps))
+        runs = {clock: [at[t] for t in times] for clock, times in self._clock_times.items()}
+        if "flow" in runs:
+            runs["flow"] = [replace(s, t=t) for s, t in zip(runs["flow"], self._flow_times)]
+        self._heat_flow_s = time.perf_counter() - start
+        return runs
 
     @cached_property
     def stack(self):
@@ -348,11 +380,7 @@ class _Runner:
 
     def check_flow_entropy(self, check):
         flow = self.flow
-        solver = self.config.solver
-        times = [t for t in solver.times if t <= flow.horizon + 1e-12]
-        stack = stack_states(
-            evolve_heat_on_flow(flow, self.start_state, times, local_error=solver.local_error)
-        )
+        stack = stack_states(self.snapshots("flow"))
         all_series = []
         all_margins = []
         for m in check.m_values:

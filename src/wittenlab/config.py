@@ -25,7 +25,7 @@ from typing import NamedTuple
 import yaml
 
 from .geometry import _grid_sizes, _is_integer, _is_real
-from .heatflow import _check_local_error, _snapshot_times
+from .heatflow import _check_local_error, _snapshot_times, _within_horizon
 
 REQUIRED = "required"  # a key with no default
 M_N_PLUS_1 = "n + 1"  # the model's dimension plus one, resolved by the runner
@@ -33,27 +33,32 @@ M_N_PLUS_1 = "n + 1"  # the model's dimension plus one, resolved by the runner
 
 class _CheckKind(NamedTuple):
     subcommand: str  # the CLI subcommand that runs the check; "flow" needs a flow
+    clock: str | None  # the snapshots it reads: "base" (solver.times), "flow", or none
     keys: dict  # each key the check reads, with its default (None: set by the check)
 
 
 CHECKS = {
-    "curvature": _CheckKind("curvature", {"m": M_N_PLUS_1}),
+    "curvature": _CheckKind("curvature", None, {"m": M_N_PLUS_1}),
     "ball_ratio": _CheckKind(
-        "curvature", {"m": (2.0,), "K": "admissible", "r": 0.5, "R": 1.0, "center": None}
+        "curvature", None, {"m": (2.0,), "K": "admissible", "r": 0.5, "R": 1.0, "center": None}
     ),
-    "operators_selftest": _CheckKind("curvature", {"count": 20}),
-    "mass": _CheckKind("simulate", {}),
-    "li_yau": _CheckKind("harnack", {"m": REQUIRED, "dump_defects": False}),
-    "hamilton": _CheckKind("harnack", {"m": REQUIRED, "K": "admissible", "dump_defects": False}),
-    "sup_bound": _CheckKind("harnack", {"m": REQUIRED, "K": "admissible", "dump_defects": False}),
+    "operators_selftest": _CheckKind("curvature", None, {"count": 20}),
+    "mass": _CheckKind("simulate", "base", {}),
+    "li_yau": _CheckKind("harnack", "base", {"m": REQUIRED, "dump_defects": False}),
+    "hamilton": _CheckKind(
+        "harnack", "base", {"m": REQUIRED, "K": "admissible", "dump_defects": False}
+    ),
+    "sup_bound": _CheckKind(
+        "harnack", "base", {"m": REQUIRED, "K": "admissible", "dump_defects": False}
+    ),
     "integrated": _CheckKind(
-        "harnack", {"m": REQUIRED, "K": "admissible", "nodes": 4, "pairs": None}
+        "harnack", "base", {"m": REQUIRED, "K": "admissible", "nodes": 4, "pairs": None}
     ),
-    "kernel_bounds": _CheckKind("harnack", {"m": REQUIRED, "K": "admissible"}),
-    "entropy": _CheckKind("entropy", {"m": REQUIRED, "K": "admissible"}),
-    "tilde_identity": _CheckKind("entropy", {"m": (2.0,)}),
-    "flow_margin": _CheckKind("flow", {"m": REQUIRED, "K": "admissible"}),
-    "flow_entropy": _CheckKind("flow", {"m": REQUIRED, "K": "admissible"}),
+    "kernel_bounds": _CheckKind("harnack", "base", {"m": REQUIRED, "K": "admissible"}),
+    "entropy": _CheckKind("entropy", "base", {"m": REQUIRED, "K": "admissible"}),
+    "tilde_identity": _CheckKind("entropy", None, {"m": (2.0,)}),
+    "flow_margin": _CheckKind("flow", None, {"m": REQUIRED, "K": "admissible"}),
+    "flow_entropy": _CheckKind("flow", "flow", {"m": REQUIRED, "K": "admissible"}),
 }
 
 
@@ -294,7 +299,7 @@ def validate_experiment(data, out_override=None, grid_scale=1):
     if "entropy" in names and len(times) < 2:
         raise ConfigError("checks.entropy needs at least two solver.times")
     if "flow_entropy" in names:
-        if sum(t <= flow["horizon"] + 1e-12 for t in times) < 2:
+        if sum(_within_horizon(t, flow["horizon"]) for t in times) < 2:
             raise ConfigError(
                 "checks.flow_entropy needs at least two solver.times within flow.horizon"
             )

@@ -93,6 +93,9 @@ CG_MAXITER = 600
 # largest adaptive step of :func:`evolve`
 DT_MAX = 0.25
 
+# :func:`evolve` returns its current state for a target within this of it
+_SAME_TIME = 1e-13
+
 # Negative values larger than this fraction of max(u) are scheme errors or
 # unresolved start states, not rounding debris.  Exact start kernels dip
 # below zero where the grid barely resolves t0: on the 32x48 cosine_sine
@@ -491,6 +494,12 @@ def _snapshot_times(times, start):
     return times
 
 
+def _within_horizon(t, horizon):
+    """Whether snapshot time ``t`` lies at or before a flow's ``horizon``,
+    within 1e-12."""
+    return t <= horizon + 1e-12
+
+
 def _check_local_error(local_error):
     """Reject a ``local_error`` outside (0, 1): the rule of every :func:`evolve`."""
     if not (_is_real(local_error) and 0.0 < local_error < 1.0):
@@ -514,7 +523,7 @@ def _adaptive_evolve(state, times, local_error, manifest):
     mass0 = state.mass  # project every accepted step back to the run's mass
     dt = min(DT_MAX, 0.05 * max(times[0] - state.t, 1e-3) + 1e-4)
     for target in times:
-        while current.t < target - 1e-13:
+        while current.t < target - _SAME_TIME:
             dt = min(dt, DT_MAX, target - current.t)
             if Lu is None:
                 Lu = witten_laplacian(manifold, current.u)
@@ -623,7 +632,7 @@ def _exact_evolve(state, times, propagate, manifest):
     out = []
     current = state
     for target in times:
-        if current.t < target - 1e-13:
+        if current.t < target - _SAME_TIME:
             dt = target - current.t
             current = _accept(
                 manifold, propagate(target - state.t), target, state.mass, state.kernel,

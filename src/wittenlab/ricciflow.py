@@ -12,7 +12,7 @@ of a :class:`wittenlab.harnack.DefectReport` (``inequality`` is
 ``"super_ricci_flow"``), which derives ``min_defect``, ``argmin_node`` and
 ``ok`` from it with ``tol = FLOW_MARGIN_TOL``.  The heat flow
 of the time-dependent operator is the base heat flow under the time
-change tau(t) = integral of e^{-2 lam} (:meth:`FlowSpec.base_time`), so
+change tau(t) = integral of e^{-2 lam} (:meth:`FlowSpec.base_clock`), so
 :func:`evolve_heat_on_flow` is :func:`wittenlab.heatflow.evolve` at the
 times tau, with no stepping of its own; constant potentials and
 separable potentials on the torus propagate exactly.  The flow
@@ -37,7 +37,7 @@ from .entropy import (
 )
 from .geometry import WeightedManifold, _check_K, _check_params, _is_real, ricci_bakry_emery
 from .harnack import DefectReport
-from .heatflow import _as_stack, evolve
+from .heatflow import _as_stack, _within_horizon, evolve
 
 __all__ = [
     "FlowSpec",
@@ -124,6 +124,18 @@ class FlowSpec:
             + self._sinusoidal_quadrature(a + whole * period, b)
         )
 
+    def base_clock(self, start, times):
+        """The base-clock times ``start + base_time(start, t)`` of ``times``.
+
+        The heat flow of this flow from a state at ``start`` reaches time
+        t where the base heat flow reaches the returned time.  ``times``
+        must end within the horizon.
+        """
+        times = [float(t) for t in times]
+        if times and not _within_horizon(times[-1], self.horizon):
+            raise ValueError("snapshot beyond the flow horizon")
+        return [start + self.base_time(start, t) for t in times]
+
     def _sinusoidal_quadrature(self, a, b):
         """Composite 32-node Gauss-Legendre for the sinusoidal integrand.
 
@@ -206,19 +218,19 @@ def fit_super_flow_constant(flow, m):
 def evolve_heat_on_flow(flow, state, times, local_error=1e-8, manifest=None):
     """Heat flow of the time-dependent operator e^{-2 lam(t)} L_base.
 
-    Since the factor is constant in space, this is the base heat flow
-    under the time change tau(t) = state.t + base_time(state.t, t): the
-    snapshots are :func:`wittenlab.heatflow.evolve` of ``state``, a state
-    on ``flow.base``, at the times tau, relabeled with the flow times.
-    Constant potentials
-    and separable potentials on the torus thus propagate exactly, other
-    potentials by the adaptive stepping of ``evolve``.  Rows collected
-    in ``manifest`` are on the base clock.
+    Since the factor is constant in space, this is the base heat flow on
+    the clock of :meth:`FlowSpec.base_clock`: the snapshots are
+    :func:`wittenlab.heatflow.evolve` of ``state``, a state on
+    ``flow.base``, at the times tau(t) = state.t + base_time(state.t, t),
+    relabeled with the flow times.  Constant potentials and separable
+    potentials on the torus thus propagate exactly, other potentials by
+    the adaptive stepping of ``evolve``.  Rows collected in ``manifest``
+    are on the base clock.  The CLI takes its flow snapshots from the
+    same time change, in the one ``evolve`` it shares with the
+    fixed-metric checks (``wittenlab.cli._Runner.snapshots``).
     """
     times = [float(t) for t in times]
-    if times and times[-1] > flow.horizon + 1e-12:
-        raise ValueError("snapshot beyond the flow horizon")
-    taus = [state.t + flow.base_time(state.t, t) for t in times]
+    taus = flow.base_clock(state.t, times)
     snaps = evolve(state, taus, local_error=local_error, manifest=manifest)
     return [replace(s, t=t) for s, t in zip(snaps, times)]
 

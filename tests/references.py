@@ -1,10 +1,11 @@
 """Independent reference implementations the tests compare the package against."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from wittenlab import kernels
+from wittenlab import evolve, kernels
 from wittenlab.entropy import phi_mK, phi_mK_prime
 from wittenlab.geometry import (
     _m_equals_n,
@@ -146,6 +147,51 @@ def integrated_loop(snapshots, pairs, tau, T, m, K):
         )
         for x, y in pairs
     ]
+
+
+def one_heat_flow(start, times, flow, local_error):
+    """The base snapshots at ``times`` and the flow snapshots at the times
+    within the flow horizon of a run whose checks read both clocks.
+
+    One ``evolve`` from ``start`` over the sorted union of ``times`` and the
+    flow times' base-clock times ``start.t + base_time(start.t, t)``; a
+    base-clock time within 1e-13 of one of ``times`` is that time.  The
+    flow snapshots carry their flow times.
+    """
+    flow_times = [t for t in times if t <= flow.horizon + 1e-12]
+    taus = [start.t + flow.base_time(start.t, t) for t in flow_times]
+    taus = [next((t for t in times if abs(t - tau) <= 1e-13), tau) for tau in taus]
+    merged = sorted(set(times) | set(taus))
+    at = dict(zip(merged, evolve(start, merged, local_error=local_error)))
+    return [at[t] for t in times], [replace(at[tau], t=t) for tau, t in zip(taus, flow_times)]
+
+
+def dense_operator(M):
+    """L as a dense matrix on the C-ordered grid, one apply per basis vector."""
+    basis = np.eye(M.density.size)
+    return np.stack(
+        [witten_laplacian(M, e.reshape(M.shape)).ravel() for e in basis], axis=1
+    )
+
+
+def nyquist_projection(M):
+    """P, which zeroes the per-axis Nyquist planes, as a dense matrix."""
+    P = np.ones((1, 1))
+    for n in M.shape:
+        v = (-1.0) ** np.arange(n)
+        P = np.kron(P, np.eye(n) - np.outer(v, v) / n)
+    return P
+
+
+def symmetric_target(M, tau):
+    """T(tau) = rho^-1/2 P exp(tau PSP) P rho^1/2 with S = rho^1/2 L rho^-1/2,
+    as a dense matrix, from scipy's expm."""
+    from scipy.linalg import expm
+
+    s = M.sqrt_density.ravel()
+    S = s[:, None] * dense_operator(M) / s[None, :]
+    P = nyquist_projection(M)
+    return (expm(tau * (P @ S @ P)) @ P) / s[:, None] * s[None, :]
 
 
 def random_band_limited_rows(manifold, rng, max_mode=None, scale=1.0, size=None):

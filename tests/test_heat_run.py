@@ -1,0 +1,167 @@
+"""The runner's one heat flow: fixed-metric and flow checks share one ``evolve``."""
+
+import json
+
+import numpy as np
+import pytest
+
+import wittenlab.cli
+from wittenlab import build_manifold, evolve, evolve_heat_on_flow, initial_delta, make_flow
+from wittenlab.cli import _Runner, main
+from wittenlab.config import ConfigError, validate_experiment
+
+from references import symmetric_target
+
+WEIGHTED_CIRCLE = {
+    "model": "circle",
+    "grid": 32,
+    "potential": {"family": "cosine", "params": {"a": 0.5, "k": 1}},
+}
+SEPARABLE_TORUS = {
+    "model": "flat_torus_2d",
+    "grid": [32, 48],
+    "potential": {"family": "cosine_sine", "params": {"a": 0.5, "k": 1, "b": 0.3, "l": 2}},
+}
+SHRINKING = {"family": "constant_rate", "params": {"rate": -0.4}, "horizon": 0.3}
+
+
+def experiment(manifold, flow, times, checks, t0=0.05, local_error=1e-8):
+    return {
+        "manifold": manifold,
+        "solver": {"t0": t0, "times": times, "local_error": local_error},
+        "flow": flow,
+        "checks": checks,
+    }
+
+
+FLOW_ENTROPY = {"name": "flow_entropy", "m": [3], "K": 1.0}
+BOTH_CLOCKS = [{"name": "mass"}, {"name": "entropy", "m": [3]}, FLOW_ENTROPY]
+
+
+@pytest.fixture()
+def evolve_calls(monkeypatch):
+    """The target lists of every ``evolve`` call the runner makes."""
+    calls = []
+
+    def counting(state, times, **kwargs):
+        calls.append(list(times))
+        return evolve(state, times, **kwargs)
+
+    monkeypatch.setattr(wittenlab.cli, "evolve", counting)
+    return calls
+
+
+def runner(data, selected):
+    return _Runner(validate_experiment(data), set(selected), seed=0)
+
+
+def test_both_clocks_share_one_evolve(tmp_path, evolve_calls):
+    times = [0.1, 0.2, 0.3, 0.45]
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(experiment(WEIGHTED_CIRCLE, SHRINKING, times, BOTH_CLOCKS)))
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(path), "--out", str(out)]) == 0
+    assert len(evolve_calls) == 1
+    # every base time, and the flow's three times within the horizon on the base clock
+    (targets,) = evolve_calls
+    assert targets == sorted(targets) and len(targets) == 4 + 3
+    assert set(times) <= set(targets)
+    # the manifest lists the steps of that one run, up to its last target
+    rows = (out / "evolution_manifest.csv").read_text().splitlines()[2:]
+    assert float(rows[-1].split(",")[0]) == pytest.approx(targets[-1])
+
+
+def test_separable_torus_run_equals_separate_calls(tmp_path):
+    times = [0.15, 0.2, 0.3]
+    data = experiment(SEPARABLE_TORUS, SHRINKING, times, BOTH_CLOCKS, t0=0.1)
+    both = runner(data, ["mass", "flow_entropy"])
+    M = both.manifold
+    start = initial_delta(M, (0, 0), t0=0.1)
+    flow = make_flow(M, **{k: SHRINKING[k] for k in ("family", "params", "horizon")})
+    for got, want in [
+        (both.snapshots(), evolve(start, times)),
+        (both.snapshots("flow"), evolve_heat_on_flow(flow, start, times)),
+    ]:
+        assert [s.t for s in got] == [s.t for s in want]
+        assert all(np.array_equal(a.u, b.u) for a, b in zip(got, want))
+
+    # and so are the files: each clock's as from a run that reads it alone
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(data))
+    outs = {}
+    for tag, check in [("both", "mass,flow_entropy"), ("base", "mass"), ("flow", "flow_entropy")]:
+        outs[tag] = tmp_path / tag
+        assert main(["all", "--config", str(path), "--out", str(outs[tag]), "--check", check]) == 0
+    for tag, name in [("base", "snapshots.csv"), ("flow", "flow_entropy_series.csv")]:
+        assert (outs["both"] / name).read_bytes() == (outs[tag] / name).read_bytes(), name
+
+
+def test_crank_nicolson_run_matches_dense_propagator():
+    # the global error of the step-doubling control grows like
+    # local_error^(2/3) over a run: about 9 local_error at 1e-6, the
+    # checks_dense setting, for one clock's run or both clocks' merged run
+    local_error = 1e-6
+    times = [0.1, 0.2, 0.3, 0.45]
+    data = experiment(WEIGHTED_CIRCLE, SHRINKING, times, BOTH_CLOCKS, local_error=local_error)
+    both = runner(data, ["mass", "flow_entropy"])
+    start = both.start_state
+    flow = both.flow
+    clocks = {
+        "base": times,
+        "flow": [start.t + flow.base_time(start.t, t) for t in times[:3]],
+    }
+    assert len(both.snapshots("flow")) == 3
+    for clock, taus in clocks.items():
+        for snap, tau in zip(both.snapshots(clock), taus, strict=True):
+            exact = symmetric_target(both.manifold, tau - start.t) @ start.u.ravel()
+            exact = exact.reshape(start.u.shape)
+            assert np.abs(snap.u - exact).max() <= 20 * local_error * exact.max(), (clock, tau)
+
+
+def test_static_flow_lands_once_per_time(evolve_calls):
+    # t0 + (0.21 - t0) is one ulp below 0.21: the flow's base clock equals
+    # the base times only up to rounding
+    t0, times = 0.05, [0.1, 0.21, 0.22, 0.3]
+    static = {"family": "static", "horizon": 0.3}
+    data = experiment(WEIGHTED_CIRCLE, static, times, BOTH_CLOCKS, t0=t0)
+    both = runner(data, ["mass", "flow_entropy"])
+    taus = both.flow.base_clock(t0, times)
+    assert taus != times and np.allclose(taus, times, rtol=0.0, atol=1e-15)
+    base, on_flow = both.snapshots(), both.snapshots("flow")
+    assert evolve_calls == [times]
+    assert [s.t for s in base] == [s.t for s in on_flow] == times
+    assert all(a.u is b.u for a, b in zip(base, on_flow))
+
+
+def test_flow_only_run_times_its_heat_flow(tmp_path):
+    data = experiment(WEIGHTED_CIRCLE, SHRINKING, [0.1, 0.2], [FLOW_ENTROPY])
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["flow", "--config", str(path), "--out", str(out)]) == 0
+    timing = json.loads((out / "timing.json").read_text())
+    compute = timing["checks"]["flow_entropy"]["compute_s"]
+    assert 0.0 < timing["heat_flow_s"] <= compute
+
+
+def test_one_horizon_rule(tmp_path):
+    # a time 5e-13 past the horizon is within it for the config, the runner
+    # and evolve_heat_on_flow alike; 2e-12 past it is beyond it for all three
+    times = [0.1, 0.2, 0.3]
+    for excess, inside in [(5e-13, 3), (2e-12, 2)]:
+        flow = {**SHRINKING, "horizon": 0.3 - excess}
+        both = runner(experiment(WEIGHTED_CIRCLE, flow, times, BOTH_CLOCKS), ["flow_entropy"])
+        assert len(both.snapshots("flow")) == inside
+        M = build_manifold(WEIGHTED_CIRCLE)
+        spec = make_flow(M, **{k: flow[k] for k in ("family", "params", "horizon")})
+        start = initial_delta(M, 0, t0=0.05)
+        if inside == 3:
+            assert len(evolve_heat_on_flow(spec, start, times)) == 3
+        else:
+            with pytest.raises(ValueError, match="beyond the flow horizon"):
+                evolve_heat_on_flow(spec, start, times)
+    short = {**SHRINKING, "horizon": 0.2 - 2e-12}
+    with pytest.raises(ConfigError, match="within flow.horizon"):
+        validate_experiment(experiment(WEIGHTED_CIRCLE, short, times, BOTH_CLOCKS))
+    just_past = {**short, "horizon": 0.2 - 5e-13}
+    validate_experiment(experiment(WEIGHTED_CIRCLE, just_past, times, BOTH_CLOCKS))

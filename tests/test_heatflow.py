@@ -31,7 +31,12 @@ from wittenlab.operators import (
     witten_laplacian,
 )
 
-from references import eigen_sum_circle, log_u_derivatives
+from references import (
+    dense_operator,
+    eigen_sum_circle,
+    log_u_derivatives,
+    symmetric_target,
+)
 
 
 def mode_state(M, t, amplitude=0.9, k=1):
@@ -375,34 +380,6 @@ def test_weighted_model_still_steps(circle_cos):
     manifest = []
     snaps = evolve(s0, [0.1, 0.2], manifest=manifest)
     assert len(manifest) > len(snaps)
-
-
-def dense_operator(M):
-    """L as a dense matrix on the C-ordered grid, one apply per basis vector."""
-    basis = np.eye(M.density.size)
-    return np.stack(
-        [witten_laplacian(M, e.reshape(M.shape)).ravel() for e in basis], axis=1
-    )
-
-
-def nyquist_projection(M):
-    """P, which zeroes the per-axis Nyquist planes, as a dense matrix."""
-    P = np.ones((1, 1))
-    for n in M.shape:
-        v = (-1.0) ** np.arange(n)
-        P = np.kron(P, np.eye(n) - np.outer(v, v) / n)
-    return P
-
-
-def symmetric_target(M, tau):
-    """T(tau) = rho^-1/2 P exp(tau PSP) P rho^1/2 with S = rho^1/2 L rho^-1/2,
-    as a dense matrix, from scipy's expm."""
-    from scipy.linalg import expm
-
-    s = M.sqrt_density.ravel()
-    S = s[:, None] * dense_operator(M) / s[None, :]
-    P = nyquist_projection(M)
-    return (expm(tau * (P @ S @ P)) @ P) / s[:, None] * s[None, :]
 
 
 def smooth_state(M, t, max_mode=4):

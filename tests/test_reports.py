@@ -12,7 +12,6 @@ from wittenlab import (
     build_manifold,
     build_series,
     evolve,
-    evolve_heat_on_flow,
     hamilton_harnack_defect,
     initial_delta,
     li_yau_defect,
@@ -27,6 +26,7 @@ from wittenlab.config import ConfigError
 
 from references import (
     REFERENCE,
+    one_heat_flow,
     reference_entropy_series,
     reference_fmt,
     reference_lines,
@@ -298,7 +298,9 @@ def test_each_check_writes_one_table_whose_blocks_are_its_fields(tmp_path, model
 
     M = build_manifold(manifold)
     start = initial_delta(M, (0,) * M.dim_n, t0=0.1)
-    snaps = evolve(start, times, local_error=1e-8)
+    flow = make_flow(M, flow_spec["family"], flow_spec["params"], flow_spec["horizon"])
+    # the base and flow checks share one heat flow over both clocks' times
+    snaps, flow_snaps = one_heat_flow(start, times, flow, local_error=1e-8)
     K = {m: ricci_bakry_emery(M, m).admissible_K for m in ms}
     A = max(float(s.u.max()) for s in snaps) * (1.0 + 1e-12)
     defects = {
@@ -325,7 +327,6 @@ def test_each_check_writes_one_table_whose_blocks_are_its_fields(tmp_path, model
         for m in ms
     ]
 
-    flow = make_flow(M, flow_spec["family"], flow_spec["params"], flow_spec["horizon"])
     grid_times = [float(t) for t in np.linspace(0.0, flow.horizon, 9)]
     worst = [
         min(super_ricci_flow_margins(flow, m, K_flow, grid_times), key=lambda r: r.min_defect)
@@ -335,7 +336,6 @@ def test_each_check_writes_one_table_whose_blocks_are_its_fields(tmp_path, model
     assert header == ",".join(["t", "m", *node_cols, "margin"])
     assert blocks == [node_block(M, (r.t, r.m), r.defect) for r in worst]
 
-    flow_snaps = evolve_heat_on_flow(flow, start, times, local_error=1e-8)
     expected = []
     for m in ms:
         series = build_series(flow_snaps, m, K_flow, flow=flow)
