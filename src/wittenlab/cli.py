@@ -7,11 +7,11 @@ least one failed or a numerical error occurred, 2 means the
 configuration was invalid or the output directory cannot be created.
 
 Beside ``summary.json`` the runner writes ``timing.json``: per check its
-wall seconds split into compute and CSV output (formatting and
-writing), and the seconds of the run's one heat flow, which the
-fixed-metric and flow checks share.  Timings
-differ from run to run, so they stay out of the summary files, which
-are byte-identical across runs of one configuration.
+wall seconds split into compute and output (formatting and writing the
+CSV and ``.npy`` tables), and the seconds of the run's one heat flow,
+which the fixed-metric and flow checks share.  Timings differ from run
+to run, so they stay out of the summary files, which are byte-identical
+across runs of one configuration.
 """
 
 from __future__ import annotations
@@ -79,12 +79,19 @@ def _node(index, manifold, key):
 
 def _snap_times(times, onto):
     """Each of ``times`` within ``_SAME_TIME`` of a time of the ascending
-    ``onto`` replaced by that time, where :func:`evolve` lands once anyway."""
+    ``onto``, or of an earlier one of ``times`` kept as it is, replaced by
+    the nearest such time, where :func:`evolve` lands once anyway.  The
+    union of ``onto`` and the result then keeps every gap of ``onto``
+    above ``_SAME_TIME``, as :func:`evolve` requires of its times."""
+    kept = list(onto)
     out = []
     for t in times:
-        i = bisect.bisect_left(onto, t)
-        near = min(onto[max(i - 1, 0):i + 1], key=lambda s: abs(s - t), default=t)
-        out.append(near if abs(near - t) <= _SAME_TIME else t)
+        i = bisect.bisect_left(kept, t)
+        near = min(kept[max(i - 1, 0):i + 1], key=lambda s: abs(s - t), default=t)
+        if abs(near - t) > _SAME_TIME:
+            near = t
+            kept.insert(i, t)
+        out.append(near)
     return out
 
 
@@ -158,6 +165,15 @@ class _Runner:
         reports.write_blocks(self.out(filename), blocks)
         self._output_s += time.perf_counter() - start
 
+    def write_stack(self, name, fields, keys):
+        """Write the grid ``fields`` as ``<name>.npy``, stacked in order, and
+        their key table ``keys`` as ``<name>_rows.csv``; timed as output."""
+        start = time.perf_counter()
+        shape = (len(fields), *self.manifold.shape)
+        reports.write_npy(self.out(f"{name}.npy"), shape, fields)
+        self._output_s += time.perf_counter() - start
+        self.write_csv(f"{name}_rows.csv", keys)
+
     @cached_property
     def start_state(self):
         """The approximate fundamental solution at ``solver.t0`` at x0."""
@@ -209,7 +225,7 @@ class _Runner:
 
     def check_curvature(self, check):
         fields = [ricci_bakry_emery(self.manifold, m) for m in check.m_values]
-        self.write_csv("curvature.csv", reports.curvature_csv(self.manifold, fields))
+        self.write_stack("curvature", [cf.values for cf in fields], reports.curvature_csv(fields))
         for m, cf in zip(check.m_values, fields):
             self.record(
                 f"curvature_m{m:g}",
@@ -286,8 +302,8 @@ class _Runner:
             else:
                 out_reports.extend(harnack_mod.sup_bound_defect(stack, m, K, A))
         if check.options["dump_defects"]:
-            fields = reports.field_csv(self.manifold, out_reports, "defect")
-            self.write_csv(f"defect_{fn_name}.csv", fields)
+            fields = [r.defect for r in out_reports]
+            self.write_stack(f"defect_{fn_name}", fields, reports.field_csv(out_reports))
         self.write_csv(f"harnack_{fn_name}.csv", reports.harnack_csv(out_reports))
         worst = min(r.min_defect for r in out_reports)
         self.record(f"harnack_{fn_name}", all(r.ok for r in out_reports), worst_defect=worst)
@@ -374,8 +390,8 @@ class _Runner:
             worst_fields.append(worst)
             ok = all(r.ok for r in reps)
             self.record(f"flow_margin_m{m:g}", ok, K=K, worst_margin=worst.min_defect)
-        fields = reports.field_csv(self.manifold, worst_fields, "margin")
-        self.write_csv("flow_margin_field.csv", fields)
+        fields = [r.defect for r in worst_fields]
+        self.write_stack("flow_margin_field", fields, reports.field_csv(worst_fields))
         self.write_csv("flow_margin.csv", reports.flow_margin_csv(margin_reports))
 
     def check_flow_entropy(self, check):

@@ -93,7 +93,8 @@ CG_MAXITER = 600
 # largest adaptive step of :func:`evolve`
 DT_MAX = 0.25
 
-# :func:`evolve` returns its current state for a target within this of it
+# :func:`evolve` returns its current state for a target within this of it;
+# its snapshot times must lie further apart than this
 _SAME_TIME = 1e-13
 
 # Negative values larger than this fraction of max(u) are scheme errors or
@@ -480,15 +481,22 @@ def step(state, dt):
 
 
 def _snapshot_times(times, start):
-    """``times`` as floats: finite real numbers, strictly ascending and none
-    before ``start`` (within 1e-12).  The rule of every :func:`evolve`, from
-    its start state, and of ``solver.times``, from ``solver.t0``."""
+    """``times`` as floats: finite real numbers, strictly ascending, each
+    more than ``_SAME_TIME`` after the one before, and none before
+    ``start`` (within 1e-12).  The rule of every :func:`evolve`, from its
+    start state, and of ``solver.times``, from ``solver.t0``: a time
+    within ``_SAME_TIME`` of the one before would be a second snapshot of
+    the same state under another label."""
     times = list(times)
     if not all(_is_real(t) and math.isfinite(t) for t in times):
         raise ValueError(f"snapshot times must be finite numbers, got {times!r}")
     times = [float(t) for t in times]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("snapshot times must be strictly ascending")
+    for a, b in zip(times, times[1:]):
+        if b - a <= _SAME_TIME:
+            raise ValueError(
+                f"snapshot times must be strictly ascending, each more than "
+                f"{_SAME_TIME:g} after the one before; got {a!r} then {b!r}"
+            )
     if times and times[0] < start - 1e-12:
         raise ValueError(f"first snapshot {times[0]:g} is before the start time {start:g}")
     return times

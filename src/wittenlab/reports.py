@@ -1,21 +1,30 @@
-"""CSV and summary exports.
+"""CSV, ``.npy`` and summary exports.
 
 Every CSV starts with a versioned comment line naming its columns, so
 downstream plotting stays stable, and floats use shortest round-trip
 formatting, which makes outputs byte-identical across runs of the same
-configuration.  Each check writes one file per table, built as text
-blocks (the header, then a block per field or series) that
-:func:`write_blocks` writes one at a time to a temporary file renamed
-over the target, so no table is ever joined in memory.
+configuration.  Each check writes one file per table, built as blocks
+(the header, then a block per field or series) that :func:`write_blocks`
+writes one at a time to a temporary file renamed over the target, so no
+table is ever joined in memory.
 
-:func:`_keyed_csv` formats the per-node tables and the entropy series a
+A per-node field table (the defect, curvature and flow-margin fields)
+is binary: :func:`write_npy` streams ``<name>.npy``, a C-order ``<f8``
+array of shape ``(rows, *grid)``, header first and then one field at a
+time, the bytes ``np.save`` writes of the stacked fields.
+:func:`field_csv` and :func:`curvature_csv` build its key table
+``<name>_rows.csv`` (``t, m`` or ``m``), a row per array row.  Node
+coordinates follow :func:`wittenlab.geometry._grid_coordinates` and are
+not written.
+
+:func:`_keyed_csv` formats the snapshot table and the entropy series a
 column at a time, each row led by its block's key columns (``t``,
 ``m``): a float column is one ``tolist`` and one ``repr`` per value, an
 integer column one ``str`` per value, and the node index and coordinate
-text of a grid is built once and reused by every table on that grid.
-The text is the same, byte for byte, as formatting each value with
-:func:`_fmt`, which still formats the small tables of mixed per-report
-rows.
+text of a grid is built once and reused by every snapshot table on that
+grid.  The text is the same, byte for byte, as formatting each value
+with :func:`_fmt`, which still formats the small tables of mixed
+per-report rows.
 
 A failed write (an ``OSError`` from creating, writing or renaming a
 file) raises :class:`wittenlab.config.ConfigError` naming the output
@@ -26,8 +35,10 @@ what ``open(path, "w")`` gives.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import operator
 import os
 from functools import lru_cache
 from itertools import repeat
@@ -50,6 +61,7 @@ __all__ = [
     "flow_margin_csv",
     "manifest_csv",
     "write_blocks",
+    "write_npy",
     "write_summary",
     "write_timing",
 ]
@@ -61,8 +73,9 @@ def atomic_write(path, text):
 
 
 def write_blocks(path, blocks):
-    """Write the text ``blocks`` to ``path`` one at a time, through a
-    temporary file and a rename.
+    """Write the ``blocks``, text or bytes-like, to ``path`` one at a
+    time, through a temporary file and a rename.  Text is written as its
+    UTF-8 bytes (every CSV is ASCII).
 
     Raises :class:`wittenlab.config.ConfigError` when the file cannot be
     written."""
@@ -71,8 +84,9 @@ def write_blocks(path, blocks):
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = _create_temp(directory)
-        with os.fdopen(fd, "w") as handle:
-            handle.writelines(blocks)
+        with os.fdopen(fd, "wb") as handle:
+            for block in blocks:
+                handle.write(block.encode() if isinstance(block, str) else block)
         os.replace(tmp, path)
         tmp = None
     except OSError as exc:
@@ -165,34 +179,55 @@ def _grid_column(manifold, values):
     return _column(values)
 
 
-def _node_csv(kind, manifold, keys, name, fields):
-    """Per ``(key, values)`` of ``fields`` a row (key..., node_index,
-    coordinates..., value) per grid node."""
-    cols = ["node_index", *_coord_names(manifold), name]
-    prefixes = _node_prefixes(manifold.grid_sizes, manifold.circumferences)
-    blocks = ((key, (prefixes, _grid_column(manifold, v))) for key, v in fields)
-    yield from _keyed_csv(kind, keys, cols, blocks)
-
-
-def curvature_csv(manifold, curvatures):
-    """Each curvature field, keyed by its ``m``."""
-    fields = (((cf.m,), cf.values) for cf in curvatures)
-    return _node_csv("curvature", manifold, ["m"], "ric_mn_value", fields)
-
-
-def field_csv(manifold, reports, name):
-    """The ``defect`` field of each report as column ``name``, keyed by its
-    ``t`` and ``m``."""
-    fields = (((r.t, r.m), r.defect) for r in reports)
-    return _node_csv("field", manifold, ["t", "m"], name, fields)
-
-
 def snapshots_csv(snapshots):
-    """The field ``u`` of each snapshot, keyed by its ``t``."""
+    """The field ``u`` of each snapshot, keyed by its ``t``: a row (t,
+    node_index, coordinates..., u) per grid node."""
     if not snapshots:
         raise ValueError("no snapshots given")
-    fields = (((s.t,), s.u) for s in snapshots)
-    return _node_csv("snapshots", snapshots[0].manifold, ["t"], "u", fields)
+    manifold = snapshots[0].manifold
+    cols = ["node_index", *_coord_names(manifold), "u"]
+    prefixes = _node_prefixes(manifold.grid_sizes, manifold.circumferences)
+    blocks = (((s.t,), (prefixes, _grid_column(manifold, s.u))) for s in snapshots)
+    return _keyed_csv("snapshots", ["t"], cols, blocks)
+
+
+def write_npy(path, shape, fields):
+    """Write the ``fields``, each an array of shape ``shape[1:]``, to
+    ``path`` as one ``.npy`` array of shape ``shape``, dtype ``<f8``, in C
+    order: the header, then each field's bytes, one field at a time.
+
+    There must be exactly ``shape[0]`` fields; a field of another shape or
+    count raises :class:`ValueError` and leaves ``path`` as it was."""
+    shape = tuple(map(operator.index, shape))
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False, "shape": shape}
+    )
+
+    def blocks():
+        yield header.getvalue()
+        count = 0
+        for values in fields:
+            values = np.asarray(values)
+            if values.shape != shape[1:]:
+                raise ValueError(f"field shape {values.shape} does not match grid {shape[1:]}")
+            count += 1
+            yield np.ascontiguousarray(values, dtype="<f8")
+        if count != shape[0]:
+            raise ValueError(f"{count} fields for a stack of {shape[0]}")
+
+    write_blocks(path, blocks())
+
+
+def curvature_csv(curvatures):
+    """The key table of a stack of curvature fields: the ``m`` of each."""
+    return _table("curvature-rows", ["m"], ((cf.m,) for cf in curvatures))
+
+
+def field_csv(reports):
+    """The key table of a stack of the reports' ``defect`` fields: the
+    ``t`` and ``m`` of each."""
+    return _table("field-rows", ["t", "m"], ((r.t, r.m) for r in reports))
 
 
 def harnack_csv(reports):

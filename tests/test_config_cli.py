@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -224,7 +225,9 @@ def test_unusable_paths_exit_2_without_traceback(tmp_path, capsys, config, out):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("blocked", ["snapshots.csv", "summary.json", "timing.json"])
+@pytest.mark.parametrize(
+    "blocked", ["snapshots.csv", "curvature.npy", "summary.json", "timing.json"]
+)
 def test_an_output_that_cannot_be_written_exits_2_without_traceback(tmp_path, capsys, blocked):
     out = tmp_path / "o"
     (out / blocked).mkdir(parents=True)  # a directory where the file goes
@@ -264,7 +267,7 @@ def test_runs_of_the_mass_check_alone(tmp_path, checks, options):
     out = tmp_path / "out"
     assert main(["all", "--config", path, "--out", str(out), *options]) == 0
     assert list(json.loads((out / "summary.json").read_text())) == ["mass_conservation"]
-    assert not (out / "curvature.csv").exists()
+    assert not [f for f in os.listdir(out) if f.startswith("curvature")]
 
 
 def test_every_check_has_one_handler():
@@ -382,6 +385,9 @@ def test_snapshot_times_have_one_rule(circle_cos):
     for times, message in [
         ([0.01, 0.3], "first snapshot 0.01 is before the start time 0.05"),
         ([0.3, 0.1], "snapshot times must be strictly ascending"),
+        # two labels for one state: evolve lands once for targets this close
+        ([0.1, 0.2, 0.20000000000005, 0.3], "snapshot times must be strictly ascending, "
+         "each more than 1e-13 after the one before; got 0.2 then 0.20000000000005"),
         ([0.1, "0.3"], "snapshot times must be finite numbers"),
         ([0.1, True], "snapshot times must be finite numbers"),
         ([0.1, float("inf")], "snapshot times must be finite numbers"),
@@ -395,6 +401,23 @@ def test_snapshot_times_have_one_rule(circle_cos):
     data["solver"]["times"] = [0.05 - 5e-13, 0.3]
     assert validate_experiment(data).solver.times == (0.05 - 5e-13, 0.3)
     assert wittenlab.evolve(state, [0.05 - 5e-13])[0] is state
+
+
+def test_near_duplicate_solver_times_exit_2_naming_them(tmp_path, capsys):
+    # once a second row at t = 0.2 with a NaN dW_dt_numeric and exit 0
+    data = {
+        **BASE,
+        "manifold": {"model": "circle", "grid": 64,
+                     "potential": {"family": "cosine", "params": {"a": 0.5, "k": 1}}},
+        "solver": {**BASE["solver"], "times": [0.1, 0.2, 0.20000000000005, 0.3]},
+        "checks": [{"name": "entropy", "m": [2]}],
+    }
+    out = tmp_path / "out"
+    assert main(["all", "--config", write_config(tmp_path, data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: solver.times: snapshot times must be strictly ascending"
+    )
+    assert not out.exists()
 
 
 def test_negative_K_exits_2(tmp_path):
@@ -548,7 +571,7 @@ def test_check_filter_and_subcommands(tmp_path):
     # "simulate" runs only the mass check even though curvature is configured
     assert main(["simulate", "--config", path, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "snapshots.csv"))
-    assert not os.path.exists(os.path.join(out, "curvature.csv"))
+    assert not [f for f in os.listdir(out) if f.startswith("curvature")]
     # a selection with no overlap is a config error
     assert main(["harnack", "--config", path, "--out", out]) == 2
     # unknown --check name
@@ -563,8 +586,8 @@ def test_grid_scale(tmp_path):
     path = write_config(tmp_path, data)
     out = str(tmp_path / "out")
     assert main(["curvature", "--config", path, "--grid-scale", "2", "--out", out]) == 0
-    rows = open(os.path.join(out, "curvature.csv")).readlines()
-    assert len(rows) == 2 + 128  # comment, header, 64 * 2 nodes
+    assert np.load(os.path.join(out, "curvature.npy")).shape == (1, 128)  # 64 * 2 nodes
+    assert open(os.path.join(out, "curvature_rows.csv")).read().splitlines()[1:] == ["m", "2.0"]
 
 
 @pytest.mark.parametrize("scale", [0, -2, 1.5, True, "2"])
@@ -613,26 +636,37 @@ def test_grid_sizes_must_be_integers_before_scaling(grid):
         validate_experiment(data, grid_scale=2)
 
 
-def test_byte_identical_outputs(tmp_path):
+@pytest.mark.parametrize(
+    "model,grid,m", [("circle", 64, 2), ("flat_torus_2d", [32, 48], 3)], ids=["circle", "torus"]
+)
+def test_byte_identical_outputs(tmp_path, model, grid, m):
     data = {
         "manifold": {
-            "model": "circle",
-            "grid": 64,
+            "model": model,
+            "grid": grid,
             "potential": {"family": "cosine", "params": {"a": 0.5, "k": 1}},
         },
-        "solver": {"t0": 0.05, "x0": 0, "times": [0.1, 0.3], "local_error": 1e-8},
-        "checks": [{"name": "hamilton", "m": [2], "K": "admissible"}, {"name": "mass"}],
+        "solver": {"t0": 0.1, "times": [0.2, 0.3], "local_error": 1e-8},
+        "flow": {"family": "constant_rate", "params": {"rate": -0.4}, "horizon": 0.3},
+        "checks": [
+            {"name": "hamilton", "m": [m], "K": "admissible", "dump_defects": True},
+            {"name": "mass"},
+            {"name": "curvature", "m": [m, m + 1]},
+            {"name": "flow_margin", "m": [m], "K": "fitted"},
+        ],
     }
     path = write_config(tmp_path, data)
     outs = []
     for tag in ("a", "b"):
-        out = str(tmp_path / tag)
-        assert main(["all", "--config", path, "--out", out, "--seed", "7"]) == 0
+        out = tmp_path / tag
+        assert main(["all", "--config", path, "--out", str(out), "--seed", "7"]) == 0
         outs.append(out)
-    for fname in ("harnack_hamilton.csv", "snapshots.csv", "summary.json"):
-        a = open(os.path.join(outs[0], fname), "rb").read()
-        b = open(os.path.join(outs[1], fname), "rb").read()
-        assert a == b, fname
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    assert {"defect_hamilton.npy", "curvature.npy", "flow_margin_field.npy"} <= set(names)
+    for fname in names:
+        if fname != "timing.json":
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
 
 
 @pytest.mark.parametrize(
@@ -812,13 +846,17 @@ def test_defect_field_dump(tmp_path):
     path = write_config(tmp_path, data)
     out = str(tmp_path / "out")
     assert main(["harnack", "--config", path, "--out", out]) == 0
-    dumps = [f for f in os.listdir(out) if f.startswith("defect_")]
-    assert dumps == ["defect_hamilton.csv"]
-    lines = open(os.path.join(out, dumps[0])).read().splitlines()
-    assert lines[1] == "t,m,node_index,x,defect"
-    # one block of 64 nodes per snapshot, keyed by its t and m
-    assert [line.split(",", 2)[:2] for line in lines[2::64]] == [["0.1", "2.0"], ["0.3", "2.0"]]
-    assert len(lines) == 2 + 2 * 64
+    dumps = sorted(f for f in os.listdir(out) if f.startswith("defect_"))
+    assert dumps == ["defect_hamilton.npy", "defect_hamilton_rows.csv"]
+    # one field of 64 nodes per snapshot, keyed by its t and m
+    lines = open(os.path.join(out, dumps[1])).read().splitlines()
+    assert lines[1:] == ["t,m", "0.1,2.0", "0.3,2.0"]
+    M = wittenlab.build_manifold(BASE["manifold"])
+    snaps = wittenlab.evolve(wittenlab.initial_delta(M, 0, t0=0.05), [0.1, 0.3], local_error=1e-8)
+    expected = np.stack([wittenlab.hamilton_harnack_defect(s, 2.0, 0.5).defect for s in snaps])
+    stack = np.load(os.path.join(out, dumps[0]))
+    assert stack.shape == (2, 64)
+    assert np.array_equal(stack.view(np.int64), expected.view(np.int64))
 
 
 def test_dumped_times_with_one_short_name_are_rows_of_one_file(tmp_path):
@@ -829,7 +867,6 @@ def test_dumped_times_with_one_short_name_are_rows_of_one_file(tmp_path):
     path = write_config(tmp_path, data)
     out = tmp_path / "out"
     assert main(["harnack", "--config", path, "--out", str(out)]) == 0
-    lines = (out / "defect_hamilton.csv").read_text().splitlines()[2:]
-    assert len(lines) == 2 * 64
-    assert {line.split(",", 1)[0] for line in lines[:64]} == {"0.1"}
-    assert {line.split(",", 1)[0] for line in lines[64:]} == {"0.1000001"}
+    lines = (out / "defect_hamilton_rows.csv").read_text().splitlines()[2:]
+    assert lines == ["0.1,2.0", "0.1000001,2.0"]
+    assert np.load(out / "defect_hamilton.npy").shape == (2, 64)

@@ -7,8 +7,9 @@ import pytest
 
 import wittenlab.cli
 from wittenlab import build_manifold, evolve, evolve_heat_on_flow, initial_delta, make_flow
-from wittenlab.cli import _Runner, main
+from wittenlab.cli import _Runner, _snap_times, main
 from wittenlab.config import ConfigError, validate_experiment
+from wittenlab.heatflow import _snapshot_times
 
 from references import symmetric_target
 
@@ -131,6 +132,17 @@ def test_static_flow_lands_once_per_time(evolve_calls):
     assert evolve_calls == [times]
     assert [s.t for s in base] == [s.t for s in on_flow] == times
     assert all(a.u is b.u for a, b in zip(base, on_flow))
+
+
+def test_merged_times_keep_evolves_rule():
+    # a flow time within 1e-13 of a base time, or of an earlier flow time,
+    # lands on it; the merged times stay more than 1e-13 apart
+    base = [0.1, 0.2]
+    taus = [0.1 + 5e-14, 0.15, 0.15 + 5e-14, 0.15 + 2e-13, 0.2 - 9e-14]
+    snapped = _snap_times(taus, base)
+    assert snapped == [0.1, 0.15, 0.15, 0.15 + 2e-13, 0.2]
+    merged = sorted(set(base).union(snapped))
+    assert _snapshot_times(merged, 0.05) == merged
 
 
 def test_flow_only_run_times_its_heat_flow(tmp_path):

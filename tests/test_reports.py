@@ -30,8 +30,6 @@ from references import (
     reference_entropy_series,
     reference_fmt,
     reference_lines,
-    reference_names,
-    reference_node_rows,
     reference_series_rows,
     snapshots_csv_per_row,
 )
@@ -41,22 +39,23 @@ def text(blocks):
     return "".join(blocks)
 
 
-def test_curvature_csv_columns(circle_cos, tmp_path):
-    cf = ricci_bakry_emery(circle_cos, 2.0)
-    lines = text(reports.curvature_csv(circle_cos, [cf])).splitlines()
-    assert lines[0].startswith("# wittenlab curvature v1:")
-    assert lines[1] == "m,node_index,x,ric_mn_value"
-    assert len(lines) == 2 + 256
-    first = lines[2].split(",")
-    assert first[:2] == ["2.0", "0"]
-    assert float(first[3]) == cf.values[0]
+def test_curvature_csv_columns(circle_cos):
+    cfs = [ricci_bakry_emery(circle_cos, m) for m in (2.0, 3.5)]
+    lines = text(reports.curvature_csv(cfs)).splitlines()
+    assert lines[0] == "# wittenlab curvature-rows v1: m"
+    assert lines[1:] == ["m", "2.0", "3.5"]
 
 
-def test_torus_field_csv_has_two_coords(torus_flat):
-    rep = SimpleNamespace(t=0.5, m=3.0, defect=np.zeros(torus_flat.shape))
-    lines = text(reports.field_csv(torus_flat, [rep, rep], "v")).splitlines()
-    assert lines[1] == "t,m,node_index,x,y,v"
-    assert len(lines) == 2 + 2 * 64 * 64
+def test_torus_field_stack_has_the_grid_shape(torus_flat, tmp_path):
+    reps = [SimpleNamespace(t=0.5, m=m, defect=np.full(torus_flat.shape, m)) for m in (3, 4.0)]
+    lines = text(reports.field_csv(reps)).splitlines()
+    assert lines[0] == "# wittenlab field-rows v1: t,m"
+    assert lines[1:] == ["t,m", "0.5,3", "0.5,4.0"]
+    path = tmp_path / "field.npy"
+    reports.write_npy(str(path), (2, 64, 64), [r.defect for r in reps])
+    stack = np.load(path)
+    assert stack.dtype == np.dtype("<f8") and stack.shape == (2, 64, 64)
+    assert (stack[0] == 3.0).all() and (stack[1] == 4.0).all()
 
 
 def test_snapshot_and_manifest_csv(circle_cos, tmp_path):
@@ -127,11 +126,27 @@ def test_blocks_that_raise_partway_leave_no_file_behind(tmp_path, existing):
         yield "row\n" * 10000
         raise ValueError("field shape does not match")
 
-    with pytest.raises(ValueError, match="field shape"):
-        reports.write_blocks(str(target), blocks())
-    assert os.listdir(tmp_path) == ([] if existing is None else ["table.csv"])
-    if existing is not None:
-        assert target.read_text() == existing
+    def fields():
+        yield np.zeros(64)
+        raise ValueError("field shape does not match")
+
+    # text blocks, and the fields of a binary stack: one that raises, one of
+    # another shape, too few and too many
+    for write, message in [
+        (lambda: reports.write_blocks(str(target), blocks()), "field shape"),
+        (lambda: reports.write_npy(str(target), (2, 64), fields()), "field shape"),
+        (lambda: reports.write_npy(str(target), (2, 64), [np.zeros(64), np.zeros(63)]),
+         r"field shape \(63,\) does not match grid \(64,\)"),
+        (lambda: reports.write_npy(str(target), (2, 64), [np.zeros(64)]),
+         "1 fields for a stack of 2"),
+        (lambda: reports.write_npy(str(target), (2, 64), [np.zeros(64)] * 3),
+         "3 fields for a stack of 2"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            write()
+        assert os.listdir(tmp_path) == ([] if existing is None else ["table.csv"])
+        if existing is not None:
+            assert target.read_text() == existing
 
 
 def assert_same_text(blocks, expected):
@@ -165,8 +180,22 @@ def scalars(rng):
     return [pool[i] for i in rng.permutation(len(pool))]
 
 
+def bits(values):
+    """The float64 bit patterns of ``values``: equal only if every value is
+    the same float, the sign of zero and NaN included."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def old_node_table(text, keys):
+    """``(key texts per field, value texts)`` of a text table with a row per
+    grid node of each field, its ``keys`` key columns first and its value
+    last, as the field and curvature tables were written."""
+    rows = [line.split(",") for line in text.splitlines()[2:]]
+    return [tuple(r[:keys]) for r in rows], [r[-1] for r in rows]
+
+
 @pytest.mark.parametrize("name", ["circle_flat", "torus_32x48"])
-def test_node_tables_match_the_row_formatter(request, name, rng):
+def test_node_tables_match_the_row_formatter(request, name, rng, tmp_path):
     M = request.getfixturevalue(name)
     size = math.prod(M.shape)
     fields = [
@@ -178,18 +207,47 @@ def test_node_tables_match_the_row_formatter(request, name, rng):
     ]
     reps = [SimpleNamespace(t=t, m=m, defect=values)
             for t, m, values in zip(SPECIAL, scalars(rng), fields)]
-    assert_same_text(reports.field_csv(M, reps, "v"), REFERENCE["field"](M, reps, "v"))
     curvatures = [SimpleNamespace(m=m, values=values)
                   for m, values in zip(scalars(rng), fields)]
-    assert_same_text(
-        reports.curvature_csv(M, curvatures), REFERENCE["curvature"](M, curvatures)
-    )
+    # the field stacks hold, bit for bit, every value of the per-node text
+    # tables they replaced, and their key tables the key columns of its rows
+    path = tmp_path / "fields.npy"
+    reports.write_npy(str(path), (len(fields), *M.shape), fields)
+    stack = np.load(path)
+    for key_table, old_text, keys in [
+        (reports.field_csv(reps), REFERENCE["field"](M, reps, "v"), 2),
+        (reports.curvature_csv(curvatures), REFERENCE["curvature"](M, curvatures), 1),
+    ]:
+        old_keys, old_values = old_node_table(old_text, keys)
+        assert np.array_equal(bits(stack).ravel(), bits([float(v) for v in old_values]))
+        key_rows = text(key_table).splitlines()[2:]
+        assert [tuple(row.split(",")) for row in key_rows] == old_keys[::size]
     snaps = [SimpleNamespace(manifold=M, t=t, u=special_field(M.shape, rng))
              for t in (0.1, 2, np.float64(1e-300), -0.0)]
     assert_same_text(reports.snapshots_csv(snaps), REFERENCE["snapshots"](M, snaps))
     assert_same_text(reports.snapshots_csv(snaps), snapshots_csv_per_row(snaps))
     with pytest.raises(ValueError, match="no snapshots"):
         reports.snapshots_csv([])
+
+
+@pytest.mark.parametrize("name", ["circle_cos", "torus_32x48"])
+def test_a_field_stack_is_what_np_save_writes_of_the_stacked_fields(request, name, rng, tmp_path):
+    M = request.getfixturevalue(name)
+    # rows of a stack, a field in Fortran order and a float32 field
+    fields = [
+        *special_field((3, *M.shape), rng),
+        np.asfortranarray(special_field(M.shape, rng)),
+        rng.standard_normal(M.shape).astype(np.float32),
+    ]
+    shape = (len(fields), *M.shape)
+    paths = [tmp_path / "first.npy", tmp_path / "second.npy"]
+    for path in paths:
+        reports.write_npy(str(path), shape, iter(fields))
+    np.save(tmp_path / "saved.npy", np.stack(fields))
+    assert paths[0].read_bytes() == paths[1].read_bytes() == (tmp_path / "saved.npy").read_bytes()
+    loaded = np.load(paths[0])
+    assert loaded.dtype == np.dtype("<f8") and loaded.shape == shape
+    assert bits(loaded).tobytes() == bits(np.stack(fields)).tobytes()
 
 
 def test_report_tables_match_the_row_formatter(rng):
@@ -235,8 +293,9 @@ def test_entropy_series_csv_matches_the_row_formatter(rows, rng):
 
 # ------------------------------------------------------- one file per check
 # Each check writes one table whose blocks are its fields or series, told
-# apart by their t and m key columns.  Read without the keys, each block is
-# the text the row formatter gives the recomputed field or series.
+# apart by their t and m key columns.  Read without the keys, each block of
+# a series table is the text the row formatter gives the recomputed series;
+# a field table is a binary stack of the recomputed fields, its keys a CSV.
 
 
 def read_blocks(path, keys):
@@ -253,8 +312,17 @@ def read_blocks(path, keys):
     return lines[1], blocks
 
 
-def node_block(manifold, key, values):
-    return tuple(map(reference_fmt, key)), reference_lines(reference_node_rows(manifold, values))
+def assert_stack(out, name, keys, expected):
+    """The field stack ``name`` holds the ``(key, field)`` pairs of
+    ``expected`` in order: its key table the keys as the row formatter
+    writes them, its array each field bit for bit."""
+    lines = (out / f"{name}_rows.csv").read_text().splitlines()
+    assert lines[1] == ",".join(keys), name
+    assert lines[2:] == [",".join(map(reference_fmt, key)) for key, _ in expected], name
+    stack = np.load(out / f"{name}.npy")
+    fields = np.stack([field for _, field in expected])
+    assert stack.dtype == np.dtype("<f8") and stack.shape == fields.shape, name
+    assert np.array_equal(bits(stack), bits(fields)), name
 
 
 ONE_FILE_MODELS = {
@@ -288,11 +356,12 @@ def test_each_check_writes_one_table_whose_blocks_are_its_fields(tmp_path, model
     path.write_text(json.dumps(data))
     out = tmp_path / "out"
     assert main(["all", "--config", str(path), "--out", str(out)]) == 0
+    stacks = ["defect_li_yau", "defect_hamilton", "defect_sup_bound", "curvature",
+              "flow_margin_field"]
     assert sorted(os.listdir(out)) == sorted([
-        "defect_li_yau.csv", "defect_hamilton.csv", "defect_sup_bound.csv",
+        *(f"{name}{suffix}" for name in stacks for suffix in (".npy", "_rows.csv")),
         "harnack_li_yau.csv", "harnack_hamilton.csv", "harnack_sup_bound.csv",
-        "curvature.csv", "entropy_series.csv",
-        "flow_margin.csv", "flow_margin_field.csv", "flow_entropy_series.csv",
+        "entropy_series.csv", "flow_margin.csv", "flow_entropy_series.csv",
         "summary.json", "summary.txt", "timing.json",
     ])
 
@@ -308,17 +377,12 @@ def test_each_check_writes_one_table_whose_blocks_are_its_fields(tmp_path, model
         "hamilton": lambda s, m: hamilton_harnack_defect(s, m, K[m]),
         "sup_bound": lambda s, m: sup_bound_defect(s, m, K[m], A),
     }
-    node_cols = ["node_index", *reference_names(M)]
     for name, defect in defects.items():
-        header, blocks = read_blocks(out / f"defect_{name}.csv", 2)
-        assert header == ",".join(["t", "m", *node_cols, "defect"])
-        assert blocks == [
-            node_block(M, (s.t, m), defect(s, m).defect) for m in ms for s in snaps
-        ], name
+        expected = [((s.t, m), defect(s, m).defect) for m in ms for s in snaps]
+        assert_stack(out, f"defect_{name}", ["t", "m"], expected)
 
-    header, blocks = read_blocks(out / "curvature.csv", 1)
-    assert header == ",".join(["m", *node_cols, "ric_mn_value"])
-    assert blocks == [node_block(M, (m,), ricci_bakry_emery(M, m).values) for m in ms]
+    expected = [((m,), ricci_bakry_emery(M, m).values) for m in ms]
+    assert_stack(out, "curvature", ["m"], expected)
 
     header, blocks = read_blocks(out / "entropy_series.csv", 1)
     assert header == ",".join(["m", "t", *reports.SERIES_COLUMNS])
@@ -332,9 +396,7 @@ def test_each_check_writes_one_table_whose_blocks_are_its_fields(tmp_path, model
         min(super_ricci_flow_margins(flow, m, K_flow, grid_times), key=lambda r: r.min_defect)
         for m in ms
     ]
-    header, blocks = read_blocks(out / "flow_margin_field.csv", 2)
-    assert header == ",".join(["t", "m", *node_cols, "margin"])
-    assert blocks == [node_block(M, (r.t, r.m), r.defect) for r in worst]
+    assert_stack(out, "flow_margin_field", ["t", "m"], [((r.t, r.m), r.defect) for r in worst])
 
     expected = []
     for m in ms:
