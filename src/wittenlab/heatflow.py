@@ -25,7 +25,8 @@ so the steps converge to T.  The implicit solves run conjugate gradients
 on the similarity-transformed symmetric operator with a real-FFT
 Helmholtz preconditioner on the manifold's cached half-spectrum
 ``|k|^2``, to a residual of 1e-13, so conservation statements are
-meaningful.
+meaningful.  The residual is tested before it is preconditioned, so no
+preconditioner pass follows convergence.
 
 Operator applies dominate the cost of a step, so none is repeated.  The
 step-doubling control applies ``L`` once to each start state: the full
@@ -34,7 +35,9 @@ step and the first half step take their right-hand sides
 reuses it, and each solve takes its initial residual
 ``b - (I - gamma L) u`` from the apply that built ``b`` instead of
 applying ``L`` again.  An attempted step therefore costs two
-right-hand-side applies (one on a retry) plus one per PCG iteration.
+right-hand-side applies (one on a retry) plus, per PCG iteration, one
+apply and one preconditioner pass (a forward and an inverse FFT per
+axis).
 
 Positivity bookkeeping: solver and FFT rounding can leave values of
 order 1e-16 * max(u) with either sign at nodes where the true solution is
@@ -66,6 +69,7 @@ from .geometry import (
 from .operators import (
     _divergence_form,
     _gamma2,
+    _real_grid_fft,
     _zero_nyquist_planes,
     dealias_nyquist,
     gradient,
@@ -399,42 +403,40 @@ def _helmholtz_solve(manifold, gamma, b, x0, Lx0=None):
     preconditioned with the constant-potential inverse (I + gamma |k|^2)^-1
     applied on the real-FFT half spectrum.  ``Lx0`` is L x0 when the
     caller has it; the initial residual is then built from it without an
-    apply.  The residual target is ``CG_TOL`` relative to b.  Raises
+    apply.  The residual target is ``CG_TOL`` relative to b, tested before
+    each preconditioner pass (Saad, Alg. 9.1): an iteration is one apply
+    and one pass, and a converged residual, or a start that already meets
+    the target, is never preconditioned.  Raises
     :class:`SolverConvergenceError` on a non-finite residual, on a search
     direction with p.Ap <= 0 (the system is not positive definite) and
     after ``CG_MAXITER`` iterations.
     """
     s_half = manifold.sqrt_density
+    gs = gamma * s_half
     pre = 1.0 / (1.0 + gamma * manifold._rfftn_wavenumber_square)
-    axes = tuple(range(manifold.dim_n))
-
-    def apply_sym(v):
-        return v - gamma * s_half * witten_laplacian(manifold, v / s_half)
-
-    def precondition(v):
-        return np.fft.irfftn(pre * np.fft.rfftn(v), s=manifold.shape, axes=axes)
 
     if Lx0 is None:
         Lx0 = witten_laplacian(manifold, x0)
-    bs = s_half * b
     v = s_half * x0
     r = s_half * (b - x0 + gamma * Lx0)
-    bnorm = float(np.linalg.norm(bs))
+    bnorm = _norm(s_half * b)
     if bnorm == 0.0:
         return np.zeros_like(b)
-    z = precondition(r)
-    p = z.copy()
-    rz = float(np.vdot(r, z).real)
+    p = None
     for it in range(CG_MAXITER):
-        rnorm = float(np.linalg.norm(r))
+        rnorm = _norm(r)
         if rnorm <= CG_TOL * bnorm:
             return v / s_half
-        if not (math.isfinite(rnorm) and math.isfinite(rz)):
+        z = _real_grid_fft(manifold, pre * _real_grid_fft(manifold, r), inverse=True)
+        rz_new = float(np.vdot(r, z).real)
+        if not (math.isfinite(rnorm) and math.isfinite(rz_new)):
             raise SolverConvergenceError(
                 f"conjugate gradients broke down: non-finite residual (|r| = {rnorm}, "
-                f"r.z = {rz}) at iteration {it}"
+                f"r.z = {rz_new}) at iteration {it}"
             )
-        Ap = apply_sym(p)
+        p = z if p is None else z + (rz_new / rz) * p
+        rz = rz_new
+        Ap = p - gs * witten_laplacian(manifold, p / s_half)
         pAp = float(np.vdot(p, Ap).real)
         if not pAp > 0.0:
             raise SolverConvergenceError(
@@ -444,13 +446,16 @@ def _helmholtz_solve(manifold, gamma, b, x0, Lx0=None):
         alpha = rz / pAp
         v = v + alpha * p
         r = r - alpha * Ap
-        z = precondition(r)
-        rz_new = float(np.vdot(r, z).real)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
     raise SolverConvergenceError(
         f"conjugate gradients missed residual {CG_TOL:g} within {CG_MAXITER} iterations"
     )
+
+
+def _norm(a):
+    """The 2-norm of ``a`` as ``np.linalg.norm`` computes it, without its
+    argument handling."""
+    a = a.ravel(order="K")
+    return math.sqrt(a.dot(a))
 
 
 def _advance(manifold, u, dt, Lu=None):
@@ -471,8 +476,8 @@ def step(state, dt):
     The mass that the solver residual and the projection move is put back
     explicitly, so that long runs do not accumulate drift.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not (_is_real(dt) and math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be a finite positive number, got {dt!r}")
     u = _advance(state.manifold, state.u, dt)
     return _accept(
         state.manifold, u, state.t + dt, state.mass, state.kernel,

@@ -15,9 +15,11 @@ spectrum: one spectral derivative (``geometry._axis_derivative``, a 1-D
 ``rfft``/``irfft`` pair per axis) serves the Laplacians and the one
 gradient/Hessian pair (``geometry._gradient``/``_hessian``), which also
 builds the manifold's cached grad and hess of phi, and the Nyquist
-projection uses ``rfftn``/``irfftn``.  The weight ``exp(-phi)``, the
-derivative symbols and the derivatives of phi are cached on the manifold
-(see :class:`wittenlab.geometry.WeightedManifold`), so an apply of
+projection, like the implicit solver's preconditioner, makes the 1-D
+transforms of ``rfftn``/``irfftn`` through :func:`_real_grid_fft`.  The
+weight ``exp(-phi)``, the derivative symbols and the derivatives of phi
+are cached on the manifold (see
+:class:`wittenlab.geometry.WeightedManifold`), so an apply of
 :func:`witten_laplacian` is four 1-D real FFTs per axis and a few
 pointwise products.
 
@@ -85,7 +87,7 @@ def _check_shape(manifold, f):
 
 def _check_field(manifold, f):
     f = _check_shape(manifold, f)
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise ValueError("field contains non-finite values")
     return f
 
@@ -97,9 +99,24 @@ def dealias_nyquist(manifold, f):
     is invisible to the divergence-form operator; removing it keeps time
     stepping from accumulating frozen sawtooth components.
     """
-    shape, axes = manifold.shape, _grid_axes(manifold)
-    fh = _zero_nyquist_planes(manifold, np.fft.rfftn(f, shape, axes))
-    return np.fft.irfftn(fh, shape, axes)
+    f = _check_field(manifold, f)
+    fh = _zero_nyquist_planes(manifold, _real_grid_fft(manifold, f))
+    return _real_grid_fft(manifold, fh, inverse=True)
+
+
+def _real_grid_fft(manifold, a, inverse=False):
+    """``np.fft.rfftn`` of a field or stack over the grid axes, or with
+    ``inverse`` ``irfftn`` back to the grid, bit for bit: the 1-D calls
+    those make, in their order, without their argument handling."""
+    fft = np.fft  # looked up per call, so a patched transform is seen
+    if inverse:
+        for axis in range(-manifold.dim_n, -1):
+            a = fft.ifft(a, axis=axis)
+        return fft.irfft(a, manifold.grid_sizes[-1], axis=-1)
+    a = fft.rfft(a, axis=-1)
+    for axis in range(-2, -manifold.dim_n - 1, -1):
+        a = fft.fft(a, axis=axis)
+    return a
 
 
 def _zero_nyquist_planes(manifold, fh):
@@ -150,11 +167,10 @@ def _divergence_form(manifold, f, grad=None):
     Laplacian.  The first derivatives of f come from ``grad`` when the
     caller has the gradient, else one axis at a time as the sum needs them."""
     density = manifold.density
-    out = np.zeros(f.shape)
-    for a in range(manifold.dim_n):
-        df = _axis_derivative(manifold, f, a, 1) if grad is None else grad[a]
-        out += _axis_derivative(manifold, density * df, a, 1)
-    return out / density
+    if grad is None:
+        grad = (_axis_derivative(manifold, f, a, 1) for a in range(manifold.dim_n))
+    terms = [_axis_derivative(manifold, density * df, a, 1) for a, df in enumerate(grad)]
+    return sum(terms[1:], terms[0]) / density
 
 
 def integrate_mu(manifold, f):

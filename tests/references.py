@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from wittenlab import evolve, kernels
+from wittenlab import evolve, heatflow, kernels
 from wittenlab.entropy import phi_mK, phi_mK_prime
 from wittenlab.geometry import (
     _m_equals_n,
@@ -171,6 +171,63 @@ def dense_operator(M):
     basis = np.eye(M.density.size)
     return np.stack(
         [witten_laplacian(M, e.reshape(M.shape)).ravel() for e in basis], axis=1
+    )
+
+
+def helmholtz_solve_precondition_first(manifold, gamma, b, x0, Lx0=None):
+    """``wittenlab.heatflow._helmholtz_solve`` as it was before the residual
+    test moved ahead of the preconditioner: every iteration preconditions
+    the new residual before the next test, so each solve makes one pass
+    whose result it discards.  The same arithmetic in the same order, so
+    the two agree bit for bit; ``CG_TOL`` and ``CG_MAXITER`` are read from
+    the package at call time."""
+    s_half = manifold.sqrt_density
+    pre = 1.0 / (1.0 + gamma * manifold._rfftn_wavenumber_square)
+    axes = tuple(range(manifold.dim_n))
+
+    def apply_sym(v):
+        return v - gamma * s_half * witten_laplacian(manifold, v / s_half)
+
+    def precondition(v):
+        return np.fft.irfftn(pre * np.fft.rfftn(v), s=manifold.shape, axes=axes)
+
+    if Lx0 is None:
+        Lx0 = witten_laplacian(manifold, x0)
+    bs = s_half * b
+    v = s_half * x0
+    r = s_half * (b - x0 + gamma * Lx0)
+    bnorm = float(np.linalg.norm(bs))
+    if bnorm == 0.0:
+        return np.zeros_like(b)
+    z = precondition(r)
+    p = z.copy()
+    rz = float(np.vdot(r, z).real)
+    for it in range(heatflow.CG_MAXITER):
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= heatflow.CG_TOL * bnorm:
+            return v / s_half
+        if not (math.isfinite(rnorm) and math.isfinite(rz)):
+            raise heatflow.SolverConvergenceError(
+                f"conjugate gradients broke down: non-finite residual (|r| = {rnorm}, "
+                f"r.z = {rz}) at iteration {it}"
+            )
+        Ap = apply_sym(p)
+        pAp = float(np.vdot(p, Ap).real)
+        if not pAp > 0.0:
+            raise heatflow.SolverConvergenceError(
+                f"conjugate gradients broke down: p.Ap = {pAp:.3g} <= 0 at iteration "
+                f"{it}: I - gamma L with gamma = {gamma:g} is not positive definite"
+            )
+        alpha = rz / pAp
+        v = v + alpha * p
+        r = r - alpha * Ap
+        z = precondition(r)
+        rz_new = float(np.vdot(r, z).real)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise heatflow.SolverConvergenceError(
+        f"conjugate gradients missed residual {heatflow.CG_TOL:g} within "
+        f"{heatflow.CG_MAXITER} iterations"
     )
 
 

@@ -31,9 +31,11 @@ from wittenlab.operators import (
     witten_laplacian,
 )
 
+import references
 from references import (
     dense_operator,
     eigen_sum_circle,
+    helmholtz_solve_precondition_first,
     log_u_derivatives,
     symmetric_target,
 )
@@ -293,6 +295,13 @@ def test_oversized_step_reports_positivity_violation(circle_flat):
     with pytest.raises(PositivityError) as err:
         step(s, 5.0)
     assert err.value.node is not None
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.inf, -math.inf, math.nan, True, "0.1", None])
+def test_step_rejects_a_dt_that_is_not_a_finite_positive_number(circle_cos, dt):
+    s = initial_delta(circle_cos, 0, t0=0.05)
+    with pytest.raises(ValueError, match=r"^dt must be a finite positive number, got "):
+        step(s, dt)
 
 
 def test_solver_convergence_error(circle_cos, monkeypatch):
@@ -573,6 +582,156 @@ def test_pcg_names_a_non_finite_residual(circle_cos):
     rhs[5] = np.nan
     with pytest.raises(SolverConvergenceError, match="non-finite residual"):
         _helmholtz_solve(circle_cos, 0.1, rhs, b)
+
+
+def _solve_outcome(solve, *args):
+    """The solution of ``solve(*args)``, or the type and message it raises."""
+    try:
+        return solve(*args)
+    except (SolverConvergenceError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("model", ["circle_cos", "circle_cos_03", "torus_32x48"])
+def test_helmholtz_solve_equals_the_precondition_first_solve(request, model):
+    M = request.getfixturevalue(model)
+    u = 1.0 + 0.5 * random_band_limited(M, np.random.default_rng(3))
+    Lu = witten_laplacian(M, u)
+    for gamma in (1e-4, 0.01, 0.05, 0.3, 2.0):
+        b = u + gamma * Lu
+        for Lx0 in (Lu, None):
+            got = _helmholtz_solve(M, gamma, b, u, Lx0)
+            assert np.array_equal(got, helmholtz_solve_precondition_first(M, gamma, b, u, Lx0))
+    zero = np.zeros(M.shape)
+    assert np.array_equal(_helmholtz_solve(M, 0.1, zero, u), zero)
+
+
+@pytest.mark.parametrize("maxiter", [None, 1, 2])
+def test_helmholtz_solve_breaks_down_as_the_precondition_first_solve(
+    circle_cos, monkeypatch, maxiter
+):
+    M = circle_cos
+    if maxiter is not None:
+        monkeypatch.setattr(heatflow, "CG_MAXITER", maxiter)
+    u = 1.0 + 0.5 * np.cos(3.0 * M.axis_coordinates(0))
+    Lu = witten_laplacian(M, u)
+    nan_rhs, nan_start = u.copy(), u.copy()
+    nan_rhs[5] = np.nan
+    nan_start[7] = np.nan
+    cases = [
+        (0.1, u + 0.1 * Lu, u, Lu),  # converges unless CG_MAXITER is cut
+        (0.1, nan_rhs, u, None),  # non-finite residual
+        (-0.3, u, u, None),  # p.Ap <= 0
+        (0.1, u, nan_start, None),  # the start apply rejects the NaN
+        (0.1, u, nan_start, Lu),  # the NaN reaches the residual
+    ]
+    outcomes = []
+    for args in cases:
+        got = _solve_outcome(_helmholtz_solve, M, *args)
+        want = _solve_outcome(helmholtz_solve_precondition_first, M, *args)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+        outcomes.append(want if isinstance(want, tuple) else None)
+    if maxiter is None:
+        assert outcomes[0] is None
+    else:
+        assert "within" in outcomes[0][1]
+    assert "non-finite residual" in outcomes[1][1]
+    assert "p.Ap = -168 <= 0 at iteration 0" in outcomes[2][1]
+    assert outcomes[3] == (ValueError, "field contains non-finite values")
+    assert "non-finite residual" in outcomes[4][1]
+
+
+def _count_solve_transforms(fft_calls, monkeypatch, solve, *args):
+    """``(applies, preconditioner transforms)`` of one solve: the operator
+    applies it makes, and the FFT calls it makes outside them."""
+    from wittenlab import operators
+
+    divergence_form = operators._divergence_form
+    apply_transforms = []
+
+    def counting(manifold, f, grad=None):
+        before = sum(fft_calls.values())
+        out = divergence_form(manifold, f, grad)
+        apply_transforms.append(sum(fft_calls.values()) - before)
+        return out
+
+    monkeypatch.setattr(operators, "_divergence_form", counting)
+    fft_calls.clear()
+    solve(*args)
+    monkeypatch.setattr(operators, "_divergence_form", divergence_form)
+    return len(apply_transforms), sum(fft_calls.values()) - sum(apply_transforms)
+
+
+@pytest.mark.parametrize("model", ["circle_cos", "torus_32x48"])
+def test_a_solve_preconditions_once_per_iteration(request, fft_calls, monkeypatch, model):
+    """k iterations make k preconditioner passes, each a forward and an
+    inverse 1-D FFT per axis; the precondition-first solve made k + 1
+    passes of one ``rfftn`` and one ``irfftn``."""
+    M = request.getfixturevalue(model)
+    u = 1.0 + 0.5 * random_band_limited(M, np.random.default_rng(4))
+    Lu = witten_laplacian(M, u)
+    for gamma in (0.01, 0.3):
+        args = (M, gamma, u + gamma * Lu, u, Lu)
+        k, transforms = _count_solve_transforms(fft_calls, monkeypatch, _helmholtz_solve, *args)
+        assert k >= 2 and transforms == 2 * M.dim_n * k
+        assert _count_solve_transforms(
+            fft_calls, monkeypatch, helmholtz_solve_precondition_first, *args
+        ) == (k, 2 * k + 2)
+    # a start that already meets CG_TOL is neither applied nor preconditioned
+    gamma = 0.05
+    args = (M, gamma, u - gamma * Lu, u, Lu)
+    assert _count_solve_transforms(fft_calls, monkeypatch, _helmholtz_solve, *args) == (0, 0)
+    assert fft_calls == {}
+    assert _count_solve_transforms(
+        fft_calls, monkeypatch, helmholtz_solve_precondition_first, *args
+    ) == (0, 2)
+
+
+def test_benchmark_counters_see_three_dealias_calls_per_attempted_step(
+    circle_cos, monkeypatch
+):
+    """The benchmark tracer wraps ``dealias_nyquist`` and ``witten_laplacian``
+    where ``heatflow`` looks them up, counts a solve per dealias call inside
+    ``evolve`` and needs a multiple of 3 (step doubling).  Both counts equal
+    those of a run on the precondition-first solve."""
+    s0 = initial_delta(circle_cos, 0, t0=0.05)
+
+    def counted_run(solve):
+        counts = {"dealias": 0, "apply": 0, "advance": 0}
+
+        def wrap(module, name, key):
+            original = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+            return original
+
+        originals = [
+            (heatflow, "dealias_nyquist", wrap(heatflow, "dealias_nyquist", "dealias")),
+            (heatflow, "witten_laplacian", wrap(heatflow, "witten_laplacian", "apply")),
+            # the precondition-first solve looks the apply up in its own module
+            (references, "witten_laplacian", wrap(references, "witten_laplacian", "apply")),
+            (heatflow, "_advance", wrap(heatflow, "_advance", "advance")),
+            (heatflow, "_helmholtz_solve", heatflow._helmholtz_solve),
+        ]
+        monkeypatch.setattr(heatflow, "_helmholtz_solve", solve)
+        manifest = []
+        evolve(s0, [0.1, 0.3], local_error=1e-8, manifest=manifest)
+        for module, name, original in originals:
+            monkeypatch.setattr(module, name, original)
+        return counts, len(manifest)
+
+    counts, accepted = counted_run(_helmholtz_solve)
+    assert counts["dealias"] == counts["advance"] > 0
+    assert counts["dealias"] % 3 == 0 and counts["dealias"] // 3 >= accepted > 0
+    assert counts["apply"] > counts["dealias"]
+    assert counted_run(helmholtz_solve_precondition_first) == (counts, accepted)
 
 
 def test_helmholtz_solve_matches_dense_solve(torus_32x48):
