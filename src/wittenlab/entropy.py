@@ -28,7 +28,8 @@ The core takes one state or a stack of them (see
 snapshots, and one state is the one-row case, whose public functions
 return floats where a stack gets arrays over its rows.  The per-row
 scalars (Phi_mK and its derivative, the decay bound, the flow's scale
-and rate) are computed with ``math`` once per time and broadcast; the
+and rate) are computed once per time and broadcast: with ``math``, except
+the series of Phi_mK, which is summed over all the row times at once; the
 quadratic integrands are formed over blocks of rows under the
 operators' element budget (``operators._row_blocks``).  Every row's
 value equals that of its state alone, bit for bit.
@@ -63,31 +64,46 @@ __all__ = [
 ]
 
 SERIES_RTOL = 1e-17  # remainder bound of the normalization series
+_SERIES_CHUNK = 32  # series indices j per pass; x up to about 4 stops within one
 MONOTONICITY_SLACK_REL = 1e-9
 
 
 def _exp_series(x):
-    """sum_{j>=1} x^j / (j * j!) with a remainder bound below ``SERIES_RTOL``.
+    """sum_{j>=1} x^j / (j * j!) with a remainder bound below ``SERIES_RTOL``,
+    at each element of ``x``: a float for a number, an array for an array.
 
     All terms are nonnegative for x >= 0, so plain accumulation is
     accurate; termination requires both a small next term and j > x so
-    the tail is geometrically dominated.
+    the tail is geometrically dominated.  Each element stops at its own
+    j.  The terms are taken ``_SERIES_CHUNK`` indices j at a time for
+    every element still summing, by sequential ``accumulate`` along j, so
+    each element's terms and partial sums are formed in the order of the
+    term-by-term loop over that argument alone.
     """
-    if x < 0.0:
+    x = np.asarray(x, dtype=float)
+    if (x < 0.0).any():
         raise ValueError("series argument must be nonnegative")
-    s = 0.0
-    term = 1.0  # x^j / j!
-    j = 0
-    while True:
-        j += 1
-        term *= x / j
-        add = term / j
-        s += add
-        if j > x and add <= SERIES_RTOL * (1.0 + s):
-            break
-        if j > 10000:
+    flat = x.reshape(-1)
+    out = np.empty(flat.shape)
+    open_ = np.arange(flat.size)  # the elements still summing
+    term = np.ones(flat.shape)  # x^j / j! at the last j taken
+    s = np.zeros(flat.shape)  # the partial sum there
+    j0 = 1
+    while open_.size:
+        if j0 > 10000:
             raise RuntimeError("entropy normalization series failed to converge")
-    return s
+        j = np.arange(j0, j0 + _SERIES_CHUNK, dtype=float)[:, None]
+        xo = flat[open_]
+        terms = np.multiply.accumulate(np.vstack([term[open_], xo / j]), axis=0)[1:]
+        adds = terms / j
+        sums = np.add.accumulate(np.vstack([s[open_], adds]), axis=0)[1:]
+        stops = (j > xo) & (adds <= SERIES_RTOL * (1.0 + sums))
+        done = stops.any(axis=0)
+        out[open_[done]] = sums[stops.argmax(axis=0)[done], done]
+        term[open_], s[open_] = terms[-1], sums[-1]
+        open_ = open_[~done]
+        j0 += _SERIES_CHUNK
+    return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
 def _check_t_m_K(t, m, K):
@@ -106,14 +122,16 @@ def phi_mK(t, m, K):
     through the entire series sum_{j>=1} (4Kt)^j / (j * j!).
     """
     _check_t_m_K(t, m, K)
-    return _phi_mK(t, m, K)
+    return float(_phi_mK([t], m, K)[0])
 
 
-def _phi_mK(t, m, K):
-    base = 0.5 * m * (math.log(4.0 * math.pi * t) + 1.0)
+def _phi_mK(times, m, K):
+    """Phi_mK at each of ``times``, as an array: the logarithm per time,
+    the series in one pass over the times."""
+    base = np.array([0.5 * m * (math.log(4.0 * math.pi * t) + 1.0) for t in times])
     if K == 0.0:
         return base
-    return base + 0.5 * m * _exp_series(4.0 * K * t)
+    return base + 0.5 * m * _exp_series(4.0 * K * np.array(times))
 
 
 def phi_mK_prime(t, m, K):
@@ -208,12 +226,13 @@ def entropy_second_derivative(state):
 
 def _normalized_entropy(state, m, K, flow, normalization, derivative):
     """Per row, ``(H, dH/dt, Phi, H - Phi, W)`` as arrays at the row's time t
-    for the normalization ``Phi = normalization(t, m, K)``, with
+    for the normalization ``Phi``, taken over the row times as
+    ``normalization(times, m, K)``, with
     W = H - Phi + t (dH/dt - derivative(t, m, K)); m and K must pass their rules."""
     _check_state(state, m, K)
     times = state.times
     H, dH = _entropy_H(state, flow)
-    Phi = np.array([normalization(t, m, K) for t in times])
+    Phi = normalization(times, m, K)
     rate = np.array([derivative(t, m, K) for t in times])
     return H, dH, Phi, H - Phi, H - Phi + np.array(times) * (dH - rate)
 
@@ -233,10 +252,11 @@ def w_entropy(state, m, K):
     return _w_entropy(state, m, K, None)
 
 
-def _tilde_normalization(t, m, K):
-    return 0.5 * m * (1.0 + math.log(4.0 * math.pi * t)) + 0.5 * m * K * t * (
-        1.0 + K * t / 6.0
-    )
+def _tilde_normalization(times, m, K):
+    return np.array([
+        0.5 * m * (1.0 + math.log(4.0 * math.pi * t)) + 0.5 * m * K * t * (1.0 + K * t / 6.0)
+        for t in times
+    ])
 
 
 def _tilde_normalization_prime(t, m, K):

@@ -18,8 +18,13 @@ alone, bit for bit.  A stack gives one report per row, in row order.
 
 Pointwise defects, and the super-Ricci-flow margins of
 :mod:`wittenlab.ricciflow`, are :class:`DefectReport` records: they store
-the ``defect`` field and its inputs, and derive ``min_defect``,
-``argmin_node`` and the verdict ``ok`` (``min_defect >= -tol``).
+the ``defect`` field and its inputs with its ``min_defect`` and
+``argmin_node``, and derive the verdict ``ok`` (``min_defect >= -tol``).
+The checks build their reports a block of rows at a time
+(:func:`_block_reports`): the minima and first minimum nodes of a block
+come from one ``min`` and one ``argmin`` over its flattened grid axes,
+the values a reduction of each field alone gives.  A report built from
+one field derives its own.
 
 The integrated two-point bound is checked by
 :func:`integrated_harnack_checks` over a list of node pairs in one pass:
@@ -66,7 +71,9 @@ KERNEL_BOUND_TOL_REL = 1e-9
 @dataclass(frozen=True)
 class DefectReport:
     """Read-only per-node ``defect`` of a pointwise inequality, which holds
-    where it is nonnegative; ``argmin_node`` is the first minimum's node."""
+    where it is nonnegative.  ``min_defect`` is its minimum and
+    ``argmin_node`` the first minimum's node; either, when not given with
+    the defect, is derived from it."""
 
     inequality: str
     t: float
@@ -75,17 +82,16 @@ class DefectReport:
     defect: np.ndarray
     tol: float
     extra: dict = field(default_factory=dict)
+    min_defect: float = None
+    argmin_node: tuple = None
 
     def __post_init__(self):
         self.defect.setflags(write=False)
-
-    @cached_property
-    def min_defect(self):
-        return float(self.defect.min())
-
-    @cached_property
-    def argmin_node(self):
-        return np.unravel_index(int(np.argmin(self.defect)), self.defect.shape)
+        if self.min_defect is None:
+            object.__setattr__(self, "min_defect", float(self.defect.min()))
+        if self.argmin_node is None:
+            node = np.unravel_index(int(np.argmin(self.defect)), self.defect.shape)
+            object.__setattr__(self, "argmin_node", node)
 
     @property
     def ok(self):
@@ -149,13 +155,33 @@ def _validate_mk(manifold, m, K, times=()):
         raise ValueError("state time must be positive")
 
 
-def _pointwise(state, block_reports):
+def _block_reports(inequality, times, m, K, defect, tols, extras=None):
+    """A :class:`DefectReport` per row of ``defect``, a ``(rows, *grid)``
+    block of fields at ``times`` with tolerances ``tols`` (and ``extras``,
+    one dict per row), whose minima and first minimum nodes are one
+    ``min`` and one ``argmin`` over the block's flattened grid axes."""
+    flat = defect.reshape(len(defect), -1)
+    nodes = zip(*np.unravel_index(flat.argmin(axis=1), defect.shape[1:]))
+    if extras is None:
+        extras = [{} for _ in times]
+    m, K = float(m), float(K)
+    return [
+        DefectReport(inequality, t, m, K, d, tol, extra, min_defect=low, argmin_node=node)
+        for t, d, tol, extra, low, node in zip(
+            times, defect, tols, extras, flat.min(axis=1).tolist(), nodes
+        )
+    ]
+
+
+def _pointwise(state, inequality, m, K, block_defects):
     """Reports of a pointwise inequality over every row of ``state``:
-    ``block_reports(rows, times)`` for consecutive blocks of rows, chained;
-    the one report for one state."""
+    ``block_defects(rows, times)`` gives the ``(defect, tols, extras)`` of
+    consecutive blocks of rows, reported by :func:`_block_reports` and
+    chained; the one report for one state."""
     reports = []
     for rows in _row_blocks(len(state.times), math.prod(state.manifold.shape)):
-        reports.extend(block_reports(rows, state.times[rows]))
+        times = state.times[rows]
+        reports.extend(_block_reports(inequality, times, m, K, *block_defects(rows, times)))
     return reports if state.stacked else reports[0]
 
 
@@ -176,12 +202,9 @@ def hamilton_harnack_defect(state, m, K):
         defect = (
             _column(rhs_const, state) + _column(growth, state) * dt_log_u[rows] - sq_grad[rows]
         )
-        return [
-            DefectReport("hamilton", t, float(m), float(K), d, HARNACK_TOL_REL * c)
-            for t, d, c in zip(times, defect, rhs_const)
-        ]
+        return defect, [HARNACK_TOL_REL * c for c in rhs_const], None
 
-    return _pointwise(state, block)
+    return _pointwise(state, "hamilton", m, K, block)
 
 
 def li_yau_defect(state, m):
@@ -266,15 +289,10 @@ def sup_bound_defect(state, m, K, A):
         lhs = dt_log_u[rows] + sq_grad[rows]
         defect = _column(prefactor, state) * bracket - lhs
         variant = _column([K + 1.0 / t for t in times], state) * bracket - lhs
-        return [
-            DefectReport(
-                "sup_bound", t, float(m), float(K), d, HARNACK_TOL_REL * (p * m),
-                extra={"A": float(A), "defect_variant": v},
-            )
-            for t, d, v, p in zip(times, defect, variant, prefactor)
-        ]
+        tols = [HARNACK_TOL_REL * (p * m) for p in prefactor]
+        return defect, tols, [{"A": float(A), "defect_variant": v} for v in variant]
 
-    return _pointwise(state, block)
+    return _pointwise(state, "sup_bound", m, K, block)
 
 
 def kernel_dt_log_bounds(snapshots, m, K):

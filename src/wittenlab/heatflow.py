@@ -428,7 +428,7 @@ def _helmholtz_solve(manifold, gamma, b, x0, Lx0=None):
         if rnorm <= CG_TOL * bnorm:
             return v / s_half
         z = _real_grid_fft(manifold, pre * _real_grid_fft(manifold, r), inverse=True)
-        rz_new = float(np.vdot(r, z).real)
+        rz_new = float(r.ravel().dot(z.ravel()))
         if not (math.isfinite(rnorm) and math.isfinite(rz_new)):
             raise SolverConvergenceError(
                 f"conjugate gradients broke down: non-finite residual (|r| = {rnorm}, "
@@ -437,7 +437,7 @@ def _helmholtz_solve(manifold, gamma, b, x0, Lx0=None):
         p = z if p is None else z + (rz_new / rz) * p
         rz = rz_new
         Ap = p - gs * witten_laplacian(manifold, p / s_half)
-        pAp = float(np.vdot(p, Ap).real)
+        pAp = float(p.ravel().dot(Ap.ravel()))
         if not pAp > 0.0:
             raise SolverConvergenceError(
                 f"conjugate gradients broke down: p.Ap = {pAp:.3g} <= 0 at iteration "
@@ -470,14 +470,20 @@ def _advance(manifold, u, dt, Lu=None):
     return dealias_nyquist(manifold, out * s) / s
 
 
+def _check_time(name, value):
+    """Reject a time or time step ``value`` that is not a finite positive
+    real number (``True`` included), naming it ``name``."""
+    if not (_is_real(value) and math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+
+
 def step(state, dt):
     """Advance a state by one Crank-Nicolson step dt.
 
     The mass that the solver residual and the projection move is put back
     explicitly, so that long runs do not accumulate drift.
     """
-    if not (_is_real(dt) and math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be a finite positive number, got {dt!r}")
+    _check_time("dt", dt)
     u = _advance(state.manifold, state.u, dt)
     return _accept(
         state.manifold, u, state.t + dt, state.mass, state.kernel,
@@ -710,8 +716,7 @@ def kernel_state(manifold, x0, t):
     """Exact closed-form kernel state; constant-potential flat models only."""
     if not _constant_potential(manifold):
         raise ValueError("closed-form kernels need a constant potential")
-    if t <= 0.0:
-        raise ValueError("kernel time must be positive")
+    _check_time("t", t)
     x0 = _as_index(manifold, x0)
     profiles = _axis_profiles(manifold, x0, kernels.wrapped_gaussian, t)
     # each profile is clamped at TINY, and so is their product, which underflows
@@ -742,8 +747,7 @@ def initial_delta(manifold, x0, t0):
     approximate kernel.  Every start state has unit mass.
     """
     x0 = _as_index(manifold, x0)
-    if t0 <= 0.0:
-        raise ValueError("t0 must be positive")
+    _check_time("t0", t0)
 
     if _constant_potential(manifold):
         return kernel_state(manifold, x0, t0)

@@ -167,10 +167,16 @@ def _divergence_form(manifold, f, grad=None):
     Laplacian.  The first derivatives of f come from ``grad`` when the
     caller has the gradient, else one axis at a time as the sum needs them."""
     density = manifold.density
-    if grad is None:
-        grad = (_axis_derivative(manifold, f, a, 1) for a in range(manifold.dim_n))
-    terms = [_axis_derivative(manifold, density * df, a, 1) for a, df in enumerate(grad)]
-    return sum(terms[1:], terms[0]) / density
+    out = None
+    for a in range(manifold.dim_n):
+        df = _axis_derivative(manifold, f, a, 1) if grad is None else grad[a]
+        term = _axis_derivative(manifold, density * df, a, 1)
+        if out is None:
+            out = term
+        else:
+            out += term
+    out /= density
+    return out
 
 
 def integrate_mu(manifold, f):

@@ -4,9 +4,10 @@ Every CSV starts with a versioned comment line naming its columns, so
 downstream plotting stays stable, and floats use shortest round-trip
 formatting, which makes outputs byte-identical across runs of the same
 configuration.  Each check writes one file per table, built as blocks
-(the header, then a block per field or series) that :func:`write_blocks`
-writes one at a time to a temporary file renamed over the target, so no
-table is ever joined in memory.
+(the header, then a block per field or series, or per ``_TABLE_ROWS``
+rows of a per-report table) that :func:`write_blocks` writes one at a
+time to a temporary file renamed over the target, so no table is ever
+joined in memory.
 
 A per-node field table (the defect, curvature and flow-margin fields)
 is binary: :func:`write_npy` streams ``<name>.npy``, a C-order ``<f8``
@@ -17,14 +18,17 @@ time, the bytes ``np.save`` writes of the stacked fields.
 coordinates follow :func:`wittenlab.geometry._grid_coordinates` and are
 not written.
 
-:func:`_keyed_csv` formats the snapshot table and the entropy series a
-column at a time, each row led by its block's key columns (``t``,
-``m``): a float column is one ``tolist`` and one ``repr`` per value, an
-integer column one ``str`` per value, and the node index and coordinate
-text of a grid is built once and reused by every snapshot table on that
-grid.  The text is the same, byte for byte, as formatting each value
-with :func:`_fmt`, which still formats the small tables of mixed
-per-report rows.
+Every table is formatted a column at a time (:func:`_column`).
+:func:`_keyed_csv` writes the snapshot table and the entropy series, each
+row led by its block's key columns (``t``, ``m``): a float column is one
+``tolist`` and one ``repr`` per value, an integer column one ``str`` per
+value, and the node index and coordinate text of a grid is built once
+and reused by every snapshot table on that grid.  :func:`_table` writes
+the tables of per-report rows a block of rows at a time: in a block, a
+column whose values are all Python floats, strings, integers or booleans
+is one ``map`` of that type's formatter, and only a column of mixed or
+numpy scalars goes value by value through :func:`_fmt`.  The text is
+the same, byte for byte, as formatting each value with :func:`_fmt`.
 
 A failed write (an ``OSError`` from creating, writing or renaming a
 file) raises :class:`wittenlab.config.ConfigError` naming the output
@@ -41,7 +45,7 @@ import math
 import operator
 import os
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -49,6 +53,7 @@ from .config import ConfigError
 from .geometry import _grid_coordinates
 
 CSV_VERSION = "v1"
+_TABLE_ROWS = 128  # rows per block of a per-report table
 
 __all__ = [
     "atomic_write",
@@ -122,10 +127,12 @@ def _header(kind, cols):
 
 
 def _table(kind, cols, rows):
-    """Versioned comment line, column header and one line per row."""
+    """Versioned comment line, column header, then a block of a line per
+    row for every ``_TABLE_ROWS`` rows, formatted a column at a time."""
     yield _header(kind, cols)
-    for row in rows:
-        yield ",".join(map(_fmt, row)) + "\n"
+    rows = iter(rows)
+    while chunk := list(islice(rows, _TABLE_ROWS)):
+        yield _lines("", [_column(c) for c in zip(*chunk)])
 
 
 def _keyed_csv(kind, keys, cols, blocks):
@@ -133,17 +140,31 @@ def _keyed_csv(kind, keys, cols, blocks):
     row per entry of the text ``columns``, led by the values of ``key``."""
     yield _header(kind, [*keys, *cols])
     for key, columns in blocks:
-        parts = [repeat("".join(_fmt(k) + "," for k in key))]
-        for column in columns:
-            parts += (column, repeat(","))
-        parts[-1] = repeat("\n")
-        yield "".join(map("".join, zip(*parts)))
+        yield _lines("".join(_fmt(k) + "," for k in key), columns)
+
+
+def _lines(lead, columns):
+    """A line per entry of the text ``columns``, comma-separated and led
+    by ``lead``."""
+    parts = [repeat(lead)]
+    for column in columns:
+        parts += (column, repeat(","))
+    parts[-1] = repeat("\n")
+    return "".join(map("".join, zip(*parts)))
+
+
+# formatters of the Python scalar types, each as _fmt writes it
+_TEXT = {float: repr, int: str, str: str, bool: {True: "1", False: "0"}.__getitem__}
 
 
 def _column(values):
-    """Each value of a column as text, exactly as :func:`_fmt` writes it."""
+    """Each value of a column as text, exactly as :func:`_fmt` writes it:
+    an array, or a sequence of values of one Python scalar type, in one
+    ``map``; any other sequence value by value."""
     if not isinstance(values, np.ndarray):
-        return [_fmt(v) for v in values]
+        kinds = set(map(type, values))
+        text = _TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        return list(map(text or _fmt, values))
     kind = values.dtype.kind
     if kind == "f":
         return list(map(repr, values.astype(float, copy=False).ravel().tolist()))
@@ -155,7 +176,7 @@ def _column(values):
 
 
 def _node(index):
-    return "/".join(str(i) for i in index)
+    return "/".join(map(str, index))
 
 
 def _coord_names(manifold):
@@ -276,7 +297,7 @@ def flow_margin_csv(reports):
 
 def manifest_csv(rows):
     cols = ["t", "dt", "error_estimate"]
-    return _table("evolution-manifest", cols, ((r[c] for c in cols) for r in rows))
+    return _table("evolution-manifest", cols, map(operator.itemgetter(*cols), rows))
 
 
 def write_summary(path_base, summary):

@@ -9,8 +9,9 @@ base tensor at every t, because phi moves only by a constant.
 
 The margin field of the super-flow condition lives here, as the ``defect``
 of a :class:`wittenlab.harnack.DefectReport` (``inequality`` is
-``"super_ricci_flow"``), which derives ``min_defect``, ``argmin_node`` and
-``ok`` from it with ``tol = FLOW_MARGIN_TOL``.  The heat flow
+``"super_ricci_flow"``, ``tol`` is ``FLOW_MARGIN_TOL``).  The fields of all
+requested times are one ``(times, *grid)`` stack, whose per-time minima
+and first minimum nodes are taken in one pass.  The heat flow
 of the time-dependent operator is the base heat flow under the time
 change tau(t) = integral of e^{-2 lam} (:meth:`FlowSpec.base_clock`), so
 :func:`evolve_heat_on_flow` is :func:`wittenlab.heatflow.evolve` at the
@@ -36,7 +37,7 @@ from .entropy import (
     _w_entropy,
 )
 from .geometry import WeightedManifold, _check_K, _check_params, _is_real, ricci_bakry_emery
-from .harnack import DefectReport
+from .harnack import _block_reports
 from .heatflow import _as_stack, _within_horizon, evolve
 
 __all__ = [
@@ -176,26 +177,28 @@ def make_flow(base, family="static", params=None, horizon=1.0):
 
 
 def _margin_fields(flow, m, K, times):
-    """Eigenvalue fields of (1/2) dg/dt + Ric_mn + K g in g(t), one per time.
+    """Eigenvalue fields of (1/2) dg/dt + Ric_mn + K g in g(t), stacked:
+    an array of shape ``(len(times), *grid)``.
 
     For space-constant conformal factors the endomorphism is
     lam'(t) + K + e^{-2 lam(t)} times the base-tensor eigenvalue, so the
     base curvature is computed once for all times.
     """
     base_eigs = ricci_bakry_emery(flow.base, m).values
-    return [
-        flow.log_factor_rate(t) + K + flow.operator_scale(t) * base_eigs
-        for t in times
-    ]
+    column = (-1,) + (1,) * base_eigs.ndim
+    shift = np.array([flow.log_factor_rate(t) + K for t in times]).reshape(column)
+    scale = np.array([flow.operator_scale(t) for t in times]).reshape(column)
+    return shift + scale * base_eigs
 
 
 def super_ricci_flow_margins(flow, m, K, times):
     """Margin reports at each of ``times``, on one base curvature."""
     _check_K(K)
-    return [
-        DefectReport("super_ricci_flow", float(t), float(m), float(K), field, FLOW_MARGIN_TOL)
-        for t, field in zip(times, _margin_fields(flow, m, K, times))
-    ]
+    times = [float(t) for t in times]
+    fields = _margin_fields(flow, m, K, times)
+    return _block_reports(
+        "super_ricci_flow", times, m, K, fields, [FLOW_MARGIN_TOL] * len(times)
+    )
 
 
 def super_ricci_flow_margin(flow, m, K, t):
@@ -210,9 +213,8 @@ def super_ricci_flow_margin(flow, m, K, t):
 
 def fit_super_flow_constant(flow, m):
     """Smallest K >= 0 for which the super-flow margin is nonnegative."""
-    t_samples = np.linspace(0.0, flow.horizon, FIT_SAMPLES)
-    fields = _margin_fields(flow, m, 0.0, [float(t) for t in t_samples])
-    return max(0.0, -min(float(f.min()) for f in fields))
+    t_samples = np.linspace(0.0, flow.horizon, FIT_SAMPLES).tolist()
+    return max(0.0, -float(_margin_fields(flow, m, 0.0, t_samples).min()))
 
 
 def evolve_heat_on_flow(flow, state, times, local_error=1e-8, manifest=None):

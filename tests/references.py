@@ -6,12 +6,13 @@ from dataclasses import replace
 import numpy as np
 
 from wittenlab import evolve, heatflow, kernels
-from wittenlab.entropy import phi_mK, phi_mK_prime
+from wittenlab.entropy import SERIES_RTOL, phi_mK_prime
 from wittenlab.geometry import (
     _m_equals_n,
     _smallest_eigenvalue_field,
     bakry_emery_tensor,
     geodesic_distance,
+    ricci_bakry_emery,
 )
 from wittenlab.harnack import (
     HARNACK_TOL_REL,
@@ -32,6 +33,7 @@ from wittenlab.operators import (
     witten_laplacian,
 )
 from wittenlab.reports import SERIES_COLUMNS, _fmt, _grid_column, _header, _node_prefixes
+from wittenlab.ricciflow import FIT_SAMPLES
 
 EIGEN_TRUNCATE = 1e-16  # eigen_sum_circle drops modes with exp(-lam t) below it
 
@@ -439,7 +441,7 @@ def reference_series_columns(snapshots, m, K, flow=None):
         log_u = np.log(u)
         H = -integrate_mu(M, u * log_u)
         dH = scale * integrate_mu(M, _sq(reference_log_derivatives(s)[1]) * u)
-        Phi = phi_mK(t, m, K)
+        Phi = phi_mK_loop(t, m, K)
         W = H - Phi + t * (dH - phi_mK_prime(t, m, K))
         G = gradient(M, log_u)
         d2H = -2.0 * integrate_mu(
@@ -451,6 +453,57 @@ def reference_series_columns(snapshots, m, K, flow=None):
     columns["times"] = np.array([s.t for s in snapshots])
     columns["dW_dt_numeric"] = np.gradient(columns["W_mK"], columns["times"])
     return columns
+
+
+# ------------------------------------------------- derived checks, one by one
+# The per-report reductions, per-time margin fields and scalar series loop
+# that the derived checks replaced by one array pass per stack.
+
+
+def report_minimum(defect):
+    """``(min_defect, argmin_node)`` of one defect field, reduced alone."""
+    return float(defect.min()), np.unravel_index(np.argmin(defect), defect.shape)
+
+
+def margin_fields_per_time(flow, m, K, times):
+    """The super-flow margin field at each of ``times``, one at a time."""
+    base_eigs = ricci_bakry_emery(flow.base, m).values
+    return [flow.log_factor_rate(t) + K + flow.operator_scale(t) * base_eigs for t in times]
+
+
+def fit_super_flow_constant_loop(flow, m):
+    """Smallest K >= 0 with nonnegative margins: the least of the per-time
+    field minima at ``FIT_SAMPLES`` times."""
+    t_samples = np.linspace(0.0, flow.horizon, FIT_SAMPLES)
+    fields = margin_fields_per_time(flow, m, 0.0, [float(t) for t in t_samples])
+    return max(0.0, -min(float(f.min()) for f in fields))
+
+
+def exp_series_loop(x):
+    """sum_{j>=1} x^j / (j * j!) for one float x, term by term."""
+    if x < 0.0:
+        raise ValueError("series argument must be nonnegative")
+    s = 0.0
+    term = 1.0  # x^j / j!
+    j = 0
+    while True:
+        j += 1
+        term *= x / j
+        add = term / j
+        s += add
+        if j > x and add <= SERIES_RTOL * (1.0 + s):
+            break
+        if j > 10000:
+            raise RuntimeError("entropy normalization series failed to converge")
+    return s
+
+
+def phi_mK_loop(t, m, K):
+    """Phi_mK at one time, its series summed by :func:`exp_series_loop`."""
+    base = 0.5 * m * (math.log(4.0 * math.pi * t) + 1.0)
+    if K == 0.0:
+        return base
+    return base + 0.5 * m * exp_series_loop(4.0 * K * t)
 
 
 # ------------------------------------------------------------ row formatter

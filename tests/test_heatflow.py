@@ -297,11 +297,36 @@ def test_oversized_step_reports_positivity_violation(circle_flat):
     assert err.value.node is not None
 
 
-@pytest.mark.parametrize("dt", [0.0, -0.1, math.inf, -math.inf, math.nan, True, "0.1", None])
+NOT_FINITE_POSITIVE = [0.0, -0.1, math.inf, -math.inf, math.nan, True, "0.1", None]
+
+
+@pytest.mark.parametrize("dt", NOT_FINITE_POSITIVE)
 def test_step_rejects_a_dt_that_is_not_a_finite_positive_number(circle_cos, dt):
     s = initial_delta(circle_cos, 0, t0=0.05)
     with pytest.raises(ValueError, match=r"^dt must be a finite positive number, got "):
         step(s, dt)
+
+
+# one start path each: the closed-form kernel, the implicit Euler ramp and
+# the exact propagator of a separable torus
+@pytest.mark.parametrize("model, x0", [
+    ("circle_flat", 0), ("circle_cos", 0), ("torus_32x48", (3, 5)),
+])
+@pytest.mark.parametrize("t0", NOT_FINITE_POSITIVE)
+def test_initial_delta_rejects_a_t0_that_is_not_a_finite_positive_number(
+    request, model, x0, t0
+):
+    M = request.getfixturevalue(model)
+    with pytest.raises(ValueError, match=r"^t0 must be a finite positive number, got "):
+        initial_delta(M, x0, t0)
+
+
+@pytest.mark.parametrize("model, x0", [("circle_flat", 0), ("torus_flat", (3, 5))])
+@pytest.mark.parametrize("t", NOT_FINITE_POSITIVE)
+def test_kernel_state_rejects_a_t_that_is_not_a_finite_positive_number(request, model, x0, t):
+    M = request.getfixturevalue(model)
+    with pytest.raises(ValueError, match=r"^t must be a finite positive number, got "):
+        kernel_state(M, x0, t)
 
 
 def test_solver_convergence_error(circle_cos, monkeypatch):

@@ -272,6 +272,25 @@ def test_report_tables_match_the_row_formatter(rng):
         assert_same_text(build([]), REFERENCE[kind]([]))
 
 
+def test_report_tables_in_blocks_of_rows_match_the_row_formatter(rng, monkeypatch):
+    monkeypatch.setattr(reports, "_TABLE_ROWS", 3)  # every table splits, 20 rows end in 2
+    test_report_tables_match_the_row_formatter(rng)
+
+
+def test_a_column_of_one_python_type_is_formatted_as_the_row_formatter(rng):
+    for column in (
+        SPECIAL,
+        [0, -7, 2**70],
+        ["hamilton", "li_yau", ""],
+        [True, False, True],
+        [],
+        scalars(rng),
+        [1.0, 2],  # a float column that holds an integer keeps its text
+        [np.float64(0.3), 0.3],
+    ):
+        assert reports._column(tuple(column)) == [reference_fmt(v) for v in column]
+
+
 @pytest.mark.parametrize("rows", [0, 1, 40])
 def test_entropy_series_csv_matches_the_row_formatter(rows, rng):
     def series(m):

@@ -12,25 +12,40 @@ import numpy as np
 import pytest
 
 from wittenlab import (
+    DefectReport,
     HeatState,
     build_series,
+    circle,
+    evolve,
+    fit_super_flow_constant,
     hamilton_harnack_defect,
+    initial_delta,
     kernel_dt_log_bounds,
     li_yau_defect,
+    make_flow,
+    phi_mK,
     ricci_bakry_emery,
     stack_states,
     sup_bound_defect,
+    super_ricci_flow_margins,
     w_derivative_decomposition,
     w_entropy,
 )
 from wittenlab import operators
+from wittenlab.entropy import _exp_series
+from wittenlab.harnack import _block_reports
 
 from references import (
+    exp_series_loop,
+    fit_super_flow_constant_loop,
+    margin_fields_per_time,
+    phi_mK_loop,
     reference_decomposition,
     reference_hamilton,
     reference_kernel_bounds,
     reference_series_columns,
     reference_sup_bound,
+    report_minimum,
 )
 
 RUNS = ["weighted_circle", "separable_torus", "flat_circle_kernel_start", "conformal_flow"]
@@ -72,6 +87,7 @@ def all_results(stack, flow):
 def assert_same_report(a, b):
     assert (a.inequality, a.t, a.m, a.K, a.tol) == (b.inequality, b.t, b.m, b.K, b.tol)
     assert same_bits(a.defect, b.defect)
+    assert same_bits(a.min_defect, b.min_defect) and a.argmin_node == b.argmin_node
     assert a.extra.keys() == b.extra.keys()
     for key in a.extra:
         assert same_bits(a.extra[key], b.extra[key]), key
@@ -175,3 +191,118 @@ def test_stacked_fields_are_the_rows_of_each_state(check_runs):
         stack_states([])
     with pytest.raises(ValueError, match="one per row"):
         HeatState(stack.manifold, stack.t, stack.u)  # no kernel per row
+
+
+# ------------------------------------------- derived checks, one pass per stack
+# Report minima, flow margins and the normalization series are taken over a
+# block of rows at once; each must equal, bit for bit, the reduction of each
+# field alone and the scalar series loop (``references``).
+
+STACK_MODELS = ["circle_cos", "torus_32x48"]
+
+
+@pytest.fixture(scope="module")
+def model_stacks(circle_cos, torus_32x48):
+    times = [0.1, 0.15, 0.2, 0.3]
+    return {
+        "circle_cos": stack_states(
+            evolve(initial_delta(circle_cos, 0, t0=0.05), times, local_error=1e-6)
+        ),
+        "torus_32x48": stack_states(evolve(initial_delta(torus_32x48, (3, 5), t0=0.1), times)),
+    }
+
+
+def assert_minimum_of_its_field(report):
+    low, node = report_minimum(report.defect)
+    assert type(report.min_defect) is float and same_bits(report.min_defect, low)
+    assert report.argmin_node == node
+    assert all(type(i) is type(j) for i, j in zip(report.argmin_node, node))
+
+
+@pytest.mark.parametrize("model", STACK_MODELS)
+@pytest.mark.parametrize("rows_per_block", [None, 2])
+def test_report_minima_equal_each_fields_own(model_stacks, model, rows_per_block, monkeypatch):
+    stack = model_stacks[model]
+    if rows_per_block is not None:
+        monkeypatch.setattr(
+            operators, "_BLOCK_ELEMENTS", rows_per_block * math.prod(stack.manifold.shape)
+        )
+    A = float(stack.u.max()) * (1.0 + 1e-12)
+    for m, K in mk_cases(stack.manifold):
+        li_yau = li_yau_defect(stack, m)  # Hamilton reports at K = 0, renamed by replace
+        assert {r.inequality for r in li_yau} == {"li_yau"}
+        for r in [*hamilton_harnack_defect(stack, m, K), *li_yau, *sup_bound_defect(stack, m, K, A)]:
+            assert_minimum_of_its_field(r)
+
+
+def test_a_tied_minimum_reports_its_first_node(torus_32x48, rng):
+    block = rng.standard_normal((4, *torus_32x48.shape))
+    block[0, 20, 3] = block[0, 2, 40] = block[0, 2, 7] = -10.0
+    block[1] = 0.5  # every node ties
+    block[2] = np.abs(block[2]) + 1.0
+    block[2, 0, 9], block[2, 1, 0] = 0.0, -0.0  # zeros of both signs tie
+    block[3, 5, 5] = -np.inf
+    reports = _block_reports("hamilton", [0.1, 0.2, 0.3, 0.4], 3, 0.5, block, [1e-7] * 4)
+    assert [r.argmin_node for r in reports[:3]] == [(2, 7), (0, 0), (0, 9)]
+    assert [r.min_defect for r in reports[:2]] == [-10.0, 0.5]
+    assert reports[3].argmin_node == (5, 5) and reports[3].min_defect == -math.inf
+    for r in reports:
+        assert_minimum_of_its_field(r)
+        alone = DefectReport(r.inequality, r.t, r.m, r.K, r.defect.copy(), r.tol)
+        assert same_bits(alone.min_defect, r.min_defect) and alone.argmin_node == r.argmin_node
+
+
+@pytest.mark.parametrize("model", STACK_MODELS)
+@pytest.mark.parametrize(
+    "family, params",
+    # the least margin at the horizon, and at an interior sample time
+    [("constant_rate", {"rate": -0.4}), ("sinusoidal", {"amplitude": 0.5, "frequency": 3.0})],
+)
+def test_flow_margins_equal_the_per_time_fields(model_stacks, model, family, params):
+    stack = model_stacks[model]
+    M = stack.manifold
+    flow = make_flow(M, family, params, horizon=2.0)
+    times = [*stack.t, *np.linspace(0.0, 2.0, 9).tolist()]
+    for m in (M.dim_n + 1.0, M.dim_n + 2.5):
+        K = fit_super_flow_constant(flow, m)
+        assert same_bits(K, fit_super_flow_constant_loop(flow, m))
+        reports = super_ricci_flow_margins(flow, m, K, times)
+        fields = margin_fields_per_time(flow, m, K, times)
+        for t, r, field in zip(times, reports, fields, strict=True):
+            assert (r.inequality, r.t, r.m, r.K) == ("super_ricci_flow", t, m, K)
+            assert same_bits(r.defect, field)
+            assert_minimum_of_its_field(r)
+
+
+def test_a_constant_margin_field_reports_its_first_node():
+    flat = circle(64)
+    flow = make_flow(flat, "constant_rate", {"rate": -0.4}, horizon=1.0)
+    assert fit_super_flow_constant(flow, 2.0) == fit_super_flow_constant_loop(flow, 2.0) == 0.4
+    for r in super_ricci_flow_margins(flow, 2.0, 0.5, [0.0, 0.5, 1.0]):
+        assert np.ptp(r.defect) == 0.0 and r.argmin_node == (0,)
+        assert_minimum_of_its_field(r)
+
+
+def test_exp_series_equals_the_scalar_loop():
+    xs = [0.0, 1e-300, 5e-324, 1e-8, 0.5, 1.0, 3.7, 40.0, 123.4]
+    want = [exp_series_loop(x) for x in xs]
+    assert same_bits(_exp_series(np.array(xs)), want)
+    assert same_bits(_exp_series(np.array(xs[::-1]).reshape(3, 3)), np.reshape(want[::-1], (3, 3)))
+    for x, w in zip(xs, want):
+        got = _exp_series(x)
+        assert type(got) is float and same_bits(got, w)
+    assert _exp_series(np.array([])).shape == (0,)
+    for bad in (-1e-300, np.array([0.5, -1.0])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            _exp_series(bad)
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        _exp_series(np.array([0.5, math.inf]))
+
+
+@pytest.mark.parametrize("model", STACK_MODELS)
+def test_the_normalization_over_the_row_times_equals_the_scalar_loop(model_stacks, model):
+    stack = model_stacks[model]
+    for m, K in [*mk_cases(stack.manifold), (stack.manifold.dim_n + 1.0, 2.5)]:
+        want = [phi_mK_loop(t, m, K) for t in stack.t]
+        assert same_bits(build_series(stack, m, K).Phi, want)
+        assert [phi_mK(t, m, K) for t in stack.t] == want
