@@ -371,9 +371,8 @@ class _Runner:
         worst = 0.0
         for m in check.m_values:
             for K in (0.0, 0.5, 1.0):
-                for t in np.linspace(0.05, 1.2, 10):
-                    out = entropy_mod.tilde_w_comparison(m, K, float(t))
-                    worst = max(worst, abs(out["identity_residual"]))
+                out = entropy_mod.tilde_w_comparison(m, K, np.linspace(0.05, 1.2, 10))
+                worst = max(worst, *np.abs(out["identity_residual"]).tolist())
         ok = worst <= 1e-9
         self.record("tilde_identity", ok, worst_residual=worst)
 

@@ -435,10 +435,30 @@ def tilde_w_comparison(m, K, t):
     d/dt (t Psi) is the exact offset between the two W-entropies, and the
     reported residual is d^2/dt^2 (t Psi) minus the decay-bound constant,
     which vanishes identically.
+
+    ``t`` is one time, with a float per entry, or a sequence of times,
+    with an array over them per entry.  The series is one pass over the
+    times; the exponentials are ``math.expm1`` and ``math.exp`` per time,
+    so each time's values equal those of its one-time call bit for bit.
     """
-    _check_t_m_K(t, m, K)
-    x = 4.0 * K * t
-    E = _exp_series(x) if x > 0.0 else 0.0
+    keys = ("Psi", "d_dt_tPsi", "identity_residual")
+    if np.ndim(t) == 0:
+        _check_t_m_K(t, m, K)
+        x = 4.0 * K * t
+        return dict(zip(keys, _tilde_w_row(m, K, t, x, _exp_series(x) if x > 0.0 else 0.0)))
+    for s in t:
+        _check_t_m_K(s, m, K)
+    ts = np.array(t, dtype=float)
+    x = 4.0 * K * ts
+    E = np.zeros(x.shape)
+    E[x > 0.0] = _exp_series(x[x > 0.0])
+    rows = [_tilde_w_row(m, K, *args) for args in zip(ts.tolist(), x.tolist(), E.tolist())]
+    return dict(zip(keys, np.array(rows, dtype=float).reshape(len(rows), 3).T))
+
+
+def _tilde_w_row(m, K, t, x, E):
+    """Psi, d/dt (t Psi) and the identity residual at time t, with
+    ``x = 4 K t`` and ``E`` the series at x."""
     psi = 0.5 * m * E - 0.5 * m * K * t - m * K * K * t * t / 12.0
     d_dt_tpsi = 0.5 * m * (E + math.expm1(x)) - m * K * t - 0.25 * m * K * K * t * t
     d2_dt2_tpsi = (
@@ -447,4 +467,4 @@ def tilde_w_comparison(m, K, t):
         - 0.5 * m * K * K * t
     )
     residual = d2_dt2_tpsi - (-_monotonicity_bound(t, m, K))
-    return {"Psi": psi, "d_dt_tPsi": d_dt_tpsi, "identity_residual": residual}
+    return psi, d_dt_tpsi, residual

@@ -26,7 +26,10 @@ on the similarity-transformed symmetric operator with a real-FFT
 Helmholtz preconditioner on the manifold's cached half-spectrum
 ``|k|^2``, to a residual of 1e-13, so conservation statements are
 meaningful.  The residual is tested before it is preconditioned, so no
-preconditioner pass follows convergence.
+preconditioner pass follows convergence.  The step size is controlled
+by step doubling; a step cut short to land on a snapshot time records
+the cut step as its manifest ``dt`` but does not lower the next
+proposal.
 
 Operator applies dominate the cost of a step, so none is repeated.  The
 step-doubling control applies ``L`` once to each start state: the full
@@ -528,6 +531,15 @@ def _check_local_error(local_error):
 def _adaptive_evolve(state, times, local_error, manifest):
     """Step-doubling loop of Crank-Nicolson steps up to each time.
 
+    The proposal is cut to ``DT_MAX`` and to the time left to the next
+    target, so that a step lands on each snapshot time; the manifest row
+    of a landing holds the cut step as its ``dt``.  After an accepted
+    step the proposal grows by ``0.9 (local_error / err)^(1/3)``, clipped
+    to [0.2, 5]; after a cut step it is the larger of that and the
+    proposal it was cut from, so a landing does not lower the next
+    proposal.  A rejected step is retried at the cut step times that
+    factor, at least 0.2.
+
     Raises :class:`SolverConvergenceError` when the step size falls to
     1e-12 with the error estimate still above ``local_error``.
     """
@@ -543,6 +555,7 @@ def _adaptive_evolve(state, times, local_error, manifest):
     dt = min(DT_MAX, 0.05 * max(times[0] - state.t, 1e-3) + 1e-4)
     for target in times:
         while current.t < target - _SAME_TIME:
+            proposal = dt
             dt = min(dt, DT_MAX, target - current.t)
             if Lu is None:
                 Lu = witten_laplacian(manifold, current.u)
@@ -561,7 +574,9 @@ def _adaptive_evolve(state, times, local_error, manifest):
                 if manifest is not None:
                     manifest.append({"t": current.t, "dt": dt, "error_estimate": err})
                 grow = 0.9 * (local_error / max(err, 1e-16)) ** (1.0 / 3.0)
-                dt = dt * min(5.0, max(0.2, grow))
+                grown = dt * min(5.0, max(0.2, grow))
+                # a step cut short does not lower the proposal it was cut from
+                dt = max(grown, proposal) if dt < proposal else grown
             elif dt <= 1e-12:
                 raise SolverConvergenceError(
                     f"evolve at t={current.t:.6g}: local error estimate {err:.3g} "

@@ -67,6 +67,23 @@ def fft_calls(monkeypatch):
     return counts
 
 
+@pytest.fixture()
+def advance_steps(monkeypatch):
+    """The step sizes ``heatflow._advance`` is called with, in call order:
+    three per attempted step of the step-doubling control (dt, dt/2, dt/2)."""
+    from wittenlab import heatflow
+
+    steps = []
+    advance = heatflow._advance
+
+    def recording(manifold, u, dt, Lu=None):
+        steps.append(dt)
+        return advance(manifold, u, dt, Lu)
+
+    monkeypatch.setattr(heatflow, "_advance", recording)
+    return steps
+
+
 @pytest.fixture(scope="session")
 def check_runs():
     """Four kernel runs the stacked checks are compared on, by name: ``(snapshots,

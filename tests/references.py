@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 
 from wittenlab import evolve, heatflow, kernels
-from wittenlab.entropy import SERIES_RTOL, phi_mK_prime
+from wittenlab.entropy import SERIES_RTOL, monotonicity_bound, phi_mK_prime
 from wittenlab.geometry import (
     _m_equals_n,
     _smallest_eigenvalue_field,
@@ -166,6 +166,48 @@ def one_heat_flow(start, times, flow, local_error):
     merged = sorted(set(times) | set(taus))
     at = dict(zip(merged, evolve(start, merged, local_error=local_error)))
     return [at[t] for t in times], [replace(at[tau], t=t) for tau, t in zip(taus, flow_times)]
+
+
+def adaptive_evolve_regrowing(state, times, local_error, manifest):
+    """``wittenlab.heatflow._adaptive_evolve`` as it was before a landing
+    kept its proposal: after an accepted step the next one grows from the
+    step taken, so a step cut short to land on a snapshot time restarts
+    the controller from the cut length.  Steps through
+    ``heatflow._advance`` and ``heatflow._accept``, looked up at call
+    time."""
+    times = heatflow._snapshot_times(times, state.t)
+    manifold = state.manifold
+    out = []
+    current = state
+    Lu = None
+    mass0 = state.mass
+    dt = min(heatflow.DT_MAX, 0.05 * max(times[0] - state.t, 1e-3) + 1e-4) if times else 0.0
+    for target in times:
+        while current.t < target - heatflow._SAME_TIME:
+            dt = min(dt, heatflow.DT_MAX, target - current.t)
+            if Lu is None:
+                Lu = witten_laplacian(manifold, current.u)
+            coarse = heatflow._advance(manifold, current.u, dt, Lu)
+            half = heatflow._advance(manifold, current.u, 0.5 * dt, Lu)
+            fine = heatflow._advance(manifold, half, 0.5 * dt)
+            scale = float(np.abs(fine).max())
+            err = float(np.abs(coarse - fine).max()) / (3.0 * max(scale, 1e-300))
+            if err <= local_error:
+                current = heatflow._accept(
+                    manifold, fine, current.t + dt, mass0, current.kernel,
+                    where=f"evolve at t={current.t + dt:.6g}",
+                )
+                Lu = None
+                if manifest is not None:
+                    manifest.append({"t": current.t, "dt": dt, "error_estimate": err})
+                grow = 0.9 * (local_error / max(err, 1e-16)) ** (1.0 / 3.0)
+                dt = dt * min(5.0, max(0.2, grow))
+            elif dt <= 1e-12:
+                raise heatflow.SolverConvergenceError(f"step size {dt:.3g} at t={current.t:.6g}")
+            else:
+                dt = dt * max(0.2, 0.9 * (local_error / err) ** (1.0 / 3.0))
+        out.append(current)
+    return out
 
 
 def dense_operator(M):
@@ -496,6 +538,23 @@ def exp_series_loop(x):
         if j > 10000:
             raise RuntimeError("entropy normalization series failed to converge")
     return s
+
+
+def tilde_w_comparison_loop(m, K, t):
+    """``wittenlab.entropy.tilde_w_comparison`` at one time as it was before
+    it took a sequence of times: the series by :func:`exp_series_loop`, the
+    exponentials by ``math``."""
+    x = 4.0 * K * t
+    E = exp_series_loop(x) if x > 0.0 else 0.0
+    psi = 0.5 * m * E - 0.5 * m * K * t - m * K * K * t * t / 12.0
+    d_dt_tpsi = 0.5 * m * (E + math.expm1(x)) - m * K * t - 0.25 * m * K * K * t * t
+    d2_dt2_tpsi = (
+        0.5 * m * (math.expm1(x) / t + 4.0 * K * math.exp(x))
+        - m * K
+        - 0.5 * m * K * K * t
+    )
+    residual = d2_dt2_tpsi + monotonicity_bound(t, m, K)
+    return {"Psi": psi, "d_dt_tPsi": d_dt_tpsi, "identity_residual": residual}
 
 
 def phi_mK_loop(t, m, K):

@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 
 import wittenlab.cli
-from wittenlab import build_manifold, evolve, evolve_heat_on_flow, initial_delta, make_flow
+from wittenlab import (
+    build_manifold,
+    evolve,
+    evolve_heat_on_flow,
+    heatflow,
+    initial_delta,
+    make_flow,
+)
 from wittenlab.cli import _Runner, _snap_times, main
 from wittenlab.config import ConfigError, validate_experiment
 from wittenlab.heatflow import _snapshot_times
 
-from references import symmetric_target
+from references import adaptive_evolve_regrowing, symmetric_target
 
 WEIGHTED_CIRCLE = {
     "model": "circle",
@@ -117,6 +124,34 @@ def test_crank_nicolson_run_matches_dense_propagator():
             exact = symmetric_target(both.manifold, tau - start.t) @ start.u.ravel()
             exact = exact.reshape(start.u.shape)
             assert np.abs(snap.u - exact).max() <= 20 * local_error * exact.max(), (clock, tau)
+
+
+def test_dense_two_clock_run_keeps_the_crank_nicolson_bound():
+    # twelve base times and their flow times interleave, so most steps land;
+    # a landing keeps its proposal, and the run takes fewer steps below the
+    # error bound than one that regrows from each cut step
+    local_error = 1e-6
+    times = [float(t) for t in np.linspace(0.1, 0.65, 12)]
+    flow = {"family": "constant_rate", "params": {"rate": -0.4}, "horizon": 1.0}
+    data = experiment(WEIGHTED_CIRCLE, flow, times, BOTH_CLOCKS, local_error=local_error)
+    both = runner(data, ["mass", "flow_entropy"])
+    start = both.start_state
+    merged = sorted(set().union(*both._clock_times.values()))
+    assert len(merged) == 24
+    worst, steps = {}, {}
+    for run in (heatflow._adaptive_evolve, adaptive_evolve_regrowing):
+        manifest = []
+        snaps = run(start, merged, local_error, manifest)
+        steps[run.__name__] = len(manifest)
+        ratios = []
+        for snap, tau in zip(snaps, merged, strict=True):
+            exact = symmetric_target(both.manifold, tau - start.t) @ start.u.ravel()
+            exact = exact.reshape(start.u.shape)
+            ratios.append(np.abs(snap.u - exact).max() / (local_error * exact.max()))
+        worst[run.__name__] = max(ratios)
+    message = ", ".join(f"{name}: {r:.3g} local_error max u" for name, r in worst.items())
+    assert worst["_adaptive_evolve"] <= 20, message
+    assert steps["_adaptive_evolve"] < steps["adaptive_evolve_regrowing"], steps
 
 
 def test_static_flow_lands_once_per_time(evolve_calls):

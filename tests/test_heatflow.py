@@ -176,6 +176,106 @@ def test_evolve_manifest_records_steps(circle_flat):
     assert manifest[-1]["t"] == pytest.approx(0.2)
 
 
+def attempted_steps(steps):
+    """The attempted step sizes in ``advance_steps``: each attempt advances
+    by dt once and by dt/2 twice."""
+    assert len(steps) % 3 == 0
+    full = steps[0::3]
+    assert steps[1::3] == steps[2::3] == [0.5 * dt for dt in full]
+    return full
+
+
+def landing_shortfalls(attempts, manifest, start, targets, local_error):
+    """The attempts after an accepted step cut short (to land on a target, or
+    to ``DT_MAX``) that are shorter than the proposal it was cut from, and
+    are not cut by ``DT_MAX`` or by their own target; and the number of
+    attempts that followed such a cut step.
+
+    The proposal is followed from the manifest as a lower bound: after an
+    accepted step it is at least the step the growth rule gives, and after
+    a cut one at least the bound it was cut from too.  A rejection leaves it
+    unknown until the next accepted step."""
+    rows = iter(manifest)
+    row = next(rows, None)
+    t = start
+    bound = kept = None
+    short, checked = [], 0
+    for dt in attempts:
+        target = next(x for x in targets if t < x - heatflow._SAME_TIME)
+        if kept is not None:
+            checked += 1
+            if dt < min(kept, heatflow.DT_MAX, target - t):
+                short.append({"t": t, "dt": dt, "proposal": kept})
+        kept = None
+        if row is None or row["dt"] != dt:  # rejected
+            bound = None
+            continue
+        err = row["error_estimate"]
+        grown = dt * min(5.0, max(0.2, 0.9 * (local_error / max(err, 1e-16)) ** (1.0 / 3.0)))
+        if bound is not None and dt < bound:
+            kept = bound
+            bound = max(grown, bound)
+        else:
+            bound = grown
+        t = row["t"]
+        row = next(rows, None)
+    assert row is None and t == pytest.approx(targets[-1], abs=1e-10)
+    return short, checked
+
+
+def test_landing_keeps_the_proposal_it_was_cut_from(advance_steps):
+    M = circle(64, potential={"family": "cosine", "params": {"a": 0.5, "k": 1}})
+    s0 = initial_delta(M, 0, t0=0.05)
+    times = [float(t) for t in np.linspace(0.1, 0.6, 40)]
+    local_error = 1e-6
+    runs = {}
+    for run in (heatflow._adaptive_evolve, references.adaptive_evolve_regrowing):
+        advance_steps.clear()
+        manifest = []
+        snaps = run(s0, times, local_error, manifest)
+        assert [s.t for s in snaps] == pytest.approx(times, abs=1e-10)
+        attempts = attempted_steps(advance_steps)
+        runs[run.__name__] = (len(manifest), *landing_shortfalls(
+            attempts, manifest, s0.t, times, local_error
+        ))
+    accepted, short, checked = runs["_adaptive_evolve"]
+    assert short == [] and checked >= len(times) // 2
+    # the regrowing controller restarts from the cut step and falls short
+    old_accepted, old_short, _ = runs["adaptive_evolve_regrowing"]
+    assert old_short and accepted < old_accepted
+
+
+def test_checks_dense_schedule_takes_fewer_steps(advance_steps):
+    # the benchmark's checks_dense run: 120 base times and their flow times
+    from wittenlab.cli import _Runner
+    from wittenlab.config import validate_experiment
+
+    data = {
+        "manifold": {
+            "model": "circle",
+            "grid": 256,
+            "potential": {"family": "cosine", "params": {"a": 0.3, "k": 1}},
+        },
+        "solver": {
+            "t0": 0.05, "x0": 0, "times": [0.1 + 1.7 * i / 119 for i in range(120)],
+            "local_error": 1e-6,
+        },
+        "flow": {"family": "constant_rate", "params": {"rate": -0.4}, "horizon": 2.0},
+        "checks": [{"name": "mass"}, {"name": "flow_entropy", "m": [3], "K": 1.0}],
+    }
+    runner = _Runner(validate_experiment(data), {"mass", "flow_entropy"}, seed=0)
+    merged = sorted(set().union(*runner._clock_times.values()))
+    assert len(merged) == 240
+    counts = {}
+    for run in (heatflow._adaptive_evolve, references.adaptive_evolve_regrowing):
+        advance_steps.clear()
+        manifest = []
+        run(runner.start_state, merged, 1e-6, manifest)
+        attempts = attempted_steps(advance_steps)
+        counts[run.__name__] = (len(manifest), len(attempts) - len(manifest))
+    assert counts == {"_adaptive_evolve": (322, 2), "adaptive_evolve_regrowing": (358, 2)}
+
+
 def test_evolve_rejects_bad_times(circle_flat):
     s0 = mode_state(circle_flat, 0.5)
     with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ from wittenlab import (
     stack_states,
     sup_bound_defect,
     super_ricci_flow_margins,
+    tilde_w_comparison,
     w_derivative_decomposition,
     w_entropy,
 )
@@ -46,6 +47,7 @@ from references import (
     reference_series_columns,
     reference_sup_bound,
     report_minimum,
+    tilde_w_comparison_loop,
 )
 
 RUNS = ["weighted_circle", "separable_torus", "flat_circle_kernel_start", "conformal_flow"]
@@ -297,6 +299,22 @@ def test_exp_series_equals_the_scalar_loop():
             _exp_series(bad)
     with pytest.raises(RuntimeError, match="failed to converge"):
         _exp_series(np.array([0.5, math.inf]))
+
+
+def test_tilde_comparison_over_times_equals_the_per_time_loop():
+    ts = [*np.linspace(0.05, 1.2, 10).tolist(), 1e-300, 3.0, 17.5]
+    for m, K in [(2.0, 0.0), (2.0, 0.5), (3.5, 1.0), (5.0, 1.5), (2.0, 1e-320)]:
+        want = [tilde_w_comparison_loop(m, K, t) for t in ts]
+        got = tilde_w_comparison(m, K, np.array(ts))
+        assert list(got) == list(want[0])
+        for key, column in got.items():
+            assert same_bits(column, [w[key] for w in want]), (m, K, key)
+        for t, w in zip(ts, want):
+            one = tilde_w_comparison(m, K, t)
+            assert one == w and all(type(v) is float for v in one.values())
+    assert tilde_w_comparison(2.0, 0.5, [])["Psi"].shape == (0,)
+    with pytest.raises(ValueError, match="positive"):
+        tilde_w_comparison(2.0, 0.5, [0.5, 0.0])
 
 
 @pytest.mark.parametrize("model", STACK_MODELS)
