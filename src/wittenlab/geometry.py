@@ -48,6 +48,15 @@ M_EQUALS_N_TOL = 1e-12
 BALL_RATIO_TOL = 1e-6
 _DISK_BLOCK_ELEMENTS = 1 << 18  # 2 MB of doubles per block of the _disk_weights table
 
+# Largest circle whose implicit solves are direct in ``symmetric_eigensystem``:
+# the crossover against conjugate gradients.  Whole runs of the benchmark's
+# checks_dense config (eigh included) at N nodes, direct against conjugate
+# gradients interleaved in one process, medians on a 2-vCPU Xeon with one
+# BLAS thread: 0.29 against 0.49 s at 256 nodes, 0.44 against 0.52 s at
+# 512, even at 576, 0.80 against 0.68 s at 640 and 1.97 against 1.05 s at
+# 1024, where eigh's N^3 and the two N^2 products per solve outgrow the FFTs.
+_DENSE_SOLVE_MAX_NODES = 512
+
 
 @dataclass(frozen=True)
 class WeightedManifold:
@@ -72,10 +81,11 @@ class WeightedManifold:
       cell_volume`` (the per-node weights that realize the measure) and
       their total ``mu_total``;
     * ``sqrt_density``, ``potential_gradient``, ``potential_hessian``,
-      ``axis_eigensystems`` and the spectral symbols (``|k|^2`` on the
-      full and the real-FFT half spectrum, per-axis derivative symbols),
-      so operator applies, implicit solves, exact propagators and
-      curvature tensors do not recompute them;
+      ``axis_eigensystems``, ``symmetric_eigensystem`` (circles of up to
+      512 nodes, whose implicit solves are direct) and the spectral
+      symbols (``|k|^2`` on the full and the real-FFT half spectrum,
+      per-axis derivative symbols), so operator applies, implicit solves,
+      exact propagators and curvature tensors do not recompute them;
     * per dimension parameter ``float(m)``, the Bakry-Emery tensor of
       :func:`bakry_emery_tensor` and the :class:`CurvatureField` of
       :func:`ricci_bakry_emery`, kept on first use so that every check of
@@ -173,6 +183,24 @@ class WeightedManifold:
         if parts is None:
             return None
         return tuple(_projected_axis_eigensystem(self, a, p) for a, p in enumerate(parts))
+
+    @cached_property
+    def symmetric_eigensystem(self):
+        """``(mu, V)`` with ``S = V diag(mu) V^T`` for the dense symmetrized
+        operator ``S = rho^1/2 L rho^-1/2 = -B^T B``, ``B = rho^1/2 D rho^-1/2``
+        (see :func:`_weighted_derivative`), from one ``eigh``; ``mu <= 0`` up to
+        rounding.
+
+        Held on circles of at most ``_DENSE_SOLVE_MAX_NODES`` nodes, whose
+        implicit solves are direct in this basis; None on tori and on
+        larger circles, which solve by conjugate gradients.
+        """
+        if self.dim_n != 1 or self.grid_sizes[0] > _DENSE_SOLVE_MAX_NODES:
+            return None
+        half_D, half = _weighted_derivative(self, 0, self.potential)
+        B = half_D / half
+        mu, V = np.linalg.eigh(-(B.T @ B))
+        return _read_only(mu), _read_only(V)
 
     @cached_property
     def _bakry_emery_tensors(self):
@@ -535,21 +563,30 @@ def _axis_potentials(manifold):
     return parts
 
 
+def _weighted_derivative(manifold, axis, phi):
+    """``(rho^1/2 D, rho^1/2)`` for the dense spectral first-derivative matrix
+    D along ``axis`` and ``rho = exp(-phi)``: the symmetrized derivative
+    ``B = rho^1/2 D rho^-1/2`` is the first with its columns divided by the
+    second, and ``S = rho^1/2 L rho^-1/2 = -B^T B`` since ``D^T = -D``."""
+    n = manifold.grid_sizes[axis]
+    first = manifold._derivative_symbols[axis][0].ravel()
+    D = np.fft.irfft(first[:, None] * np.fft.rfft(np.eye(n), axis=0), n, axis=0)
+    half = np.exp(-0.5 * phi)
+    return half[:, None] * D, half
+
+
 def _projected_axis_eigensystem(manifold, axis, phi):
     """``(left, lam, right)`` of ``rho^-1/2 exp(tau P S P) P rho^1/2`` for the 1-D
     operator of potential ``phi`` along ``axis`` (see ``axis_eigensystems``)."""
     n = manifold.grid_sizes[axis]
-    first = manifold._derivative_symbols[axis][0].ravel()
-    D = np.fft.irfft(first[:, None] * np.fft.rfft(np.eye(n), axis=0), n, axis=0)
-    half = np.exp(-0.5 * phi)  # rho^1/2
+    half_D, half = _weighted_derivative(manifold, axis, phi)
     # the Householder reflection taking e_0 to the unit Nyquist vector; its
     # other columns are an orthonormal basis Q of range(P)
     w = (-1.0) ** np.arange(n) / math.sqrt(n)
     w[0] -= 1.0
     Q = (np.eye(n) - np.outer(w, w) / (0.5 * (w @ w)))[:, 1:]
-    # S = -B^T B with B = rho^1/2 D rho^-1/2, since D^T = -D; then
     # P S P = Q W diag(lam) (Q W)^T for the eigenpairs of -(BQ)^T (BQ)
-    BQ = (half[:, None] * D) @ (Q / half[:, None])
+    BQ = half_D @ (Q / half[:, None])
     lam, W = np.linalg.eigh(-(BQ.T @ BQ))
     QW = Q @ W
     return _read_only(QW / half[:, None]), _read_only(lam), _read_only(QW.T * half)

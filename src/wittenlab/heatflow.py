@@ -21,11 +21,14 @@ an implicit Euler ramp.
 Weighted circles (see :func:`_exact_propagator`) and non-separable tori
 are stepped by Crank-Nicolson (implicit midpoint) on the divergence form
 operator, and each step ends with the projection ``rho^-1/2 P rho^1/2``,
-so the steps converge to T.  The implicit solves run conjugate gradients
-on the similarity-transformed symmetric operator with a real-FFT
-Helmholtz preconditioner on the manifold's cached half-spectrum
+so the steps converge to T.  The implicit solves work on the
+similarity-transformed symmetric operator ``S``.  On circles of up to 512
+nodes they are direct, in the eigenbasis of the dense ``S`` cached on the
+manifold (``WeightedManifold.symmetric_eigensystem``), exact to rounding.
+Larger circles and non-separable tori run conjugate gradients with a
+real-FFT Helmholtz preconditioner on the manifold's cached half-spectrum
 ``|k|^2``, to a residual of 1e-13, so conservation statements are
-meaningful.  The residual is tested before it is preconditioned, so no
+meaningful; the residual is tested before it is preconditioned, so no
 preconditioner pass follows convergence.  The step size is controlled
 by step doubling; a step cut short to land on a snapshot time records
 the cut step as its manifest ``dt`` but does not lower the next
@@ -38,9 +41,10 @@ step and the first half step take their right-hand sides
 reuses it, and each solve takes its initial residual
 ``b - (I - gamma L) u`` from the apply that built ``b`` instead of
 applying ``L`` again.  An attempted step therefore costs two
-right-hand-side applies (one on a retry) plus, per PCG iteration, one
-apply and one preconditioner pass (a forward and an inverse FFT per
-axis).
+right-hand-side applies (one on a retry) plus its three solves: on a
+circle of up to 512 nodes two dense matrix-vector products each, else,
+per PCG iteration, one apply and one preconditioner pass (a forward and
+an inverse FFT per axis).
 
 Positivity bookkeeping: solver and FFT rounding can leave values of
 order 1e-16 * max(u) with either sign at nodes where the true solution is
@@ -114,6 +118,14 @@ POSITIVITY_REL_TOL = 1e-8
 
 # what a PositivityError of a time step suggests
 _STEP_REMEDY = "reduce dt or refine the grid"
+
+# what a PositivityError of the warm-up ramp suggests: its substeps follow
+# from solver.t0 alone, and a finer grid does not keep a strongly varying
+# potential's ramp positive (cosine a = 2, k = 3 fails at 256 to 1024 nodes)
+_WARM_UP_REMEDY = (
+    "the ramp's steps follow from solver.t0 alone; "
+    "lower the potential's amplitude or change solver.t0"
+)
 
 
 class PositivityError(RuntimeError):
@@ -400,20 +412,29 @@ def _accept(manifold, u, t, mass, kernel, where, remedy=_STEP_REMEDY):
 
 
 def _helmholtz_solve(manifold, gamma, b, x0, Lx0=None):
-    """Solve (I - gamma L) u = b by preconditioned conjugate gradients.
+    """Solve (I - gamma L) u = b, conjugated by exp(-phi/2) to a symmetric
+    system.
 
-    The system is conjugated by exp(-phi/2) to a symmetric one and
-    preconditioned with the constant-potential inverse (I + gamma |k|^2)^-1
-    applied on the real-FFT half spectrum.  ``Lx0`` is L x0 when the
-    caller has it; the initial residual is then built from it without an
-    apply.  The residual target is ``CG_TOL`` relative to b, tested before
-    each preconditioner pass (Saad, Alg. 9.1): an iteration is one apply
-    and one pass, and a converged residual, or a start that already meets
-    the target, is never preconditioned.  Raises
-    :class:`SolverConvergenceError` on a non-finite residual, on a search
-    direction with p.Ap <= 0 (the system is not positive definite) and
-    after ``CG_MAXITER`` iterations.
+    Where the manifold caches ``symmetric_eigensystem`` (circles of up to
+    512 nodes) the solve is direct (see :func:`_eigenbasis_solve`) and
+    ``x0`` and ``Lx0`` are not read.  Everywhere else (larger circles,
+    non-separable tori) it runs preconditioned conjugate gradients from
+    ``x0``, preconditioned with the constant-potential inverse
+    (I + gamma |k|^2)^-1 applied on the real-FFT half spectrum.  ``Lx0``
+    is L x0 when the caller has it; the initial residual is then built
+    from it without an apply.  The residual target is ``CG_TOL`` relative
+    to b, tested before each preconditioner pass (Saad, Alg. 9.1): an
+    iteration is one apply and one pass, and a converged residual, or a
+    start that already meets the target, is never preconditioned.
+
+    Either path raises :class:`SolverConvergenceError` on a non-finite
+    right-hand side or residual and on a system that is not positive
+    definite (conjugate gradients see a search direction with p.Ap <= 0);
+    conjugate gradients also after ``CG_MAXITER`` iterations.
     """
+    eigensystem = manifold.symmetric_eigensystem
+    if eigensystem is not None:
+        return _eigenbasis_solve(manifold, gamma, b, eigensystem)
     s_half = manifold.sqrt_density
     gs = gamma * s_half
     pre = 1.0 / (1.0 + gamma * manifold._rfftn_wavenumber_square)
@@ -452,6 +473,23 @@ def _helmholtz_solve(manifold, gamma, b, x0, Lx0=None):
     raise SolverConvergenceError(
         f"conjugate gradients missed residual {CG_TOL:g} within {CG_MAXITER} iterations"
     )
+
+
+def _eigenbasis_solve(manifold, gamma, b, eigensystem):
+    """``rho^-1/2 V ((V^T rho^1/2 b) / (1 - gamma mu))`` for the manifold's
+    ``symmetric_eigensystem`` ``(mu, V)``: (I - gamma L) u = b to rounding,
+    two matrix-vector products and no FFT."""
+    if not np.isfinite(b).all():
+        raise SolverConvergenceError("direct solve: non-finite right-hand side")
+    mu, V = eigensystem
+    diagonal = 1.0 - gamma * mu
+    if not diagonal.min() > 0.0:
+        raise SolverConvergenceError(
+            f"direct solve: smallest eigenvalue {diagonal.min():.3g} <= 0: "
+            f"I - gamma L with gamma = {gamma:g} is not positive definite"
+        )
+    s_half = manifold.sqrt_density
+    return (V @ ((V.T @ (s_half * b)) / diagonal)) / s_half
 
 
 def _norm(a):
@@ -783,5 +821,5 @@ def initial_delta(manifold, x0, t0):
     u = _fejer_bump(manifold, x0)
     for dt in dts:
         u = _implicit_euler_substep(manifold, u, dt)
-        u = _project_mass(manifold, u, 1.0, where="delta warm-up")
+        u = _project_mass(manifold, u, 1.0, where="delta warm-up", remedy=_WARM_UP_REMEDY)
     return make_state(manifold, u, t0, kernel=kernel)

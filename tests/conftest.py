@@ -43,6 +43,14 @@ def torus_32x48():
 
 
 @pytest.fixture(scope="session")
+def torus_non_separable():
+    """16x24 torus with potential cos(x + y): no per-axis factors, so it is
+    time stepped and its implicit solves run conjugate gradients."""
+    xs, ys = flat_torus((16, 24)).coordinates()
+    return flat_torus((16, 24), potential={"family": "samples", "samples": np.cos(xs + ys)})
+
+
+@pytest.fixture(scope="session")
 def circle_cos_03():
     return circle(256, potential={"family": "cosine", "params": {"a": 0.3, "k": 1}})
 

@@ -301,6 +301,24 @@ def test_unresolved_start_kernel_names_t0(tmp_path, capsys):
     assert "reduce dt" not in err
 
 
+def test_warm_up_ramp_that_loses_positivity_names_t0_not_dt(tmp_path, capsys):
+    # the implicit Euler ramp on this potential dips to -2.3e-6 of its
+    # maximum for every t0; its substeps follow from t0, so no dt to reduce
+    data = copy.deepcopy(BASE)
+    data["manifold"] = {
+        "model": "circle",
+        "grid": 256,
+        "potential": {"family": "cosine", "params": {"a": 2.0, "k": 3}},
+    }
+    path = write_config(tmp_path, data)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: delta warm-up: negative value")
+    assert "lower the potential's amplitude or change solver.t0" in err
+    assert "reduce dt" not in err
+    assert "Traceback" not in err
+
+
 TORUS_32x48 = {
     "model": "flat_torus_2d",
     "grid": [32, 48],

@@ -1,5 +1,6 @@
 """Construction, measures, curvature, distances, and ball ratios."""
 
+import dataclasses
 import functools
 import math
 
@@ -47,6 +48,7 @@ from wittenlab.ricciflow import (
 
 from references import (
     bakry_emery_uncached,
+    dense_operator,
     disk_weights_full_period,
     geodesic_distance_meshgrid,
 )
@@ -543,10 +545,9 @@ def test_sup_bound_A_that_is_not_a_finite_number_is_rejected_naming_it(A):
         sup_bound_defect(snaps[0], 3.0, 0.5, A)
 
 
-def test_axis_eigensystems_need_a_separable_potential():
-    xs, ys = flat_torus((16, 24)).coordinates()
-    mixed = flat_torus((16, 24), potential={"family": "samples", "samples": np.cos(xs + ys)})
-    assert mixed.axis_eigensystems is None
+def test_axis_eigensystems_need_a_separable_potential(torus_non_separable):
+    assert torus_non_separable.axis_eigensystems is None
+    xs, ys = torus_non_separable.coordinates()
     M = flat_torus(
         (16, 24),
         potential={"family": "samples", "samples": np.cos(xs) + 0.5 * np.sin(2 * ys)},
@@ -571,6 +572,34 @@ def test_axis_eigensystems_take_one_eigh_per_axis(monkeypatch):
     M = flat_torus((16, 24), potential={"family": "cosine_sine", "params": {"a": 0.5}})
     assert M.axis_eigensystems is not None
     assert shapes == [(15, 15), (23, 23)]
+
+
+def test_symmetric_eigensystem_is_cached_read_only_and_the_fft_operator(circle_cos):
+    M = circle_cos
+    system = M.symmetric_eigensystem
+    assert M.symmetric_eigensystem is system
+    mu, V = system
+    assert not (mu.flags.writeable or V.flags.writeable)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        M.symmetric_eigensystem = None
+    # S = rho^1/2 L rho^-1/2 of the FFT operator, dissipative, with the
+    # constants and the Nyquist mode (invisible to D) in its kernel
+    s = M.sqrt_density
+    S = s[:, None] * dense_operator(M) / s[None, :]
+    assert np.abs((V * mu) @ V.T - S).max() <= 1e-13 * np.abs(mu).max()
+    assert np.abs(mu[-2:]).max() <= 1e-11 < -mu[-3]
+    assert np.abs(V.T @ V - np.eye(M.shape[0])).max() <= 1e-13
+
+
+def test_symmetric_eigensystem_only_on_circles_of_up_to_512_nodes(
+    torus_cos, torus_32x48, torus_non_separable
+):
+    cosine = {"family": "cosine", "params": {"a": 0.5, "k": 2}}
+    mu, V = circle(512, potential=cosine).symmetric_eigensystem
+    assert mu.shape == (512,) and V.shape == (512, 512)
+    assert circle(514, potential=cosine).symmetric_eigensystem is None
+    for M in (torus_cos, torus_32x48, torus_non_separable):
+        assert M.symmetric_eigensystem is None
 
 
 NODE_TAKERS = {

@@ -429,10 +429,10 @@ def test_kernel_state_rejects_a_t_that_is_not_a_finite_positive_number(request, 
         kernel_state(M, x0, t)
 
 
-def test_solver_convergence_error(circle_cos, monkeypatch):
+def test_solver_convergence_error(torus_non_separable, monkeypatch):
     from wittenlab import heatflow as hf
 
-    s = initial_delta(circle_cos, 0, t0=0.05)
+    s = initial_delta(torus_non_separable, (0, 0), t0=0.05)
     monkeypatch.setattr(hf, "CG_MAXITER", 1)
     with pytest.raises(hf.SolverConvergenceError):
         step(s, 0.1)
@@ -563,11 +563,10 @@ def test_separable_torus_agrees_with_crank_nicolson(torus_32x48):
         assert np.abs(a.u - c.u).max() < np.abs(a.u - b.u).max()
 
 
-def test_non_separable_crank_nicolson_converges_to_the_symmetric_target():
+def test_non_separable_crank_nicolson_converges_to_the_symmetric_target(torus_non_separable):
     # no per-axis factors exist here; Crank-Nicolson's error at local_error
     # 1e-10, measured against a run at 1e-11, bounds its distance to T
-    xs, ys = flat_torus((16, 24)).coordinates()
-    M = flat_torus((16, 24), potential={"family": "samples", "samples": np.cos(xs + ys)})
+    M = torus_non_separable
     assert M.axis_eigensystems is None
     s0 = smooth_state(M, 0.0, max_mode=2)
     times = [0.05, 0.2]
@@ -612,7 +611,9 @@ def test_exact_start_is_the_symmetric_target_on_the_weighted_delta(torus_32x48):
     assert np.abs(s.u - later).max() <= 1e-12 * later.max()
 
 
-def test_only_stepped_models_start_with_helmholtz_solves(torus_32x48, circle_cos, monkeypatch):
+def test_only_stepped_models_start_with_helmholtz_solves(
+    torus_32x48, circle_cos, torus_non_separable, monkeypatch
+):
     calls = []
     solve = heatflow._helmholtz_solve
     monkeypatch.setattr(
@@ -620,9 +621,7 @@ def test_only_stepped_models_start_with_helmholtz_solves(torus_32x48, circle_cos
     )
     initial_delta(torus_32x48, (0, 0), t0=0.1)
     assert calls == []
-    xs, ys = flat_torus((16, 24)).coordinates()
-    mixed = flat_torus((16, 24), potential={"family": "samples", "samples": np.cos(xs + ys)})
-    for M in (circle_cos, mixed):
+    for M in (circle_cos, torus_non_separable):
         calls.clear()
         initial_delta(M, (0,) * M.dim_n, t0=0.1)
         assert calls, M.shape
@@ -695,18 +694,51 @@ def test_kernel_state_rejects_integer_node_on_torus(torus_flat):
         kernel_state(torus_flat, 3, 0.1)
 
 
-def test_pcg_names_an_indefinite_system(circle_cos):
-    b = 1.0 + 0.5 * np.cos(3.0 * circle_cos.axis_coordinates(0))
+def test_pcg_names_an_indefinite_system(torus_non_separable):
+    M = torus_non_separable
+    b = 1.0 + 0.5 * np.cos(3.0 * M.coordinates()[0])
     with pytest.raises(SolverConvergenceError, match=r"p\.Ap = .* <= 0"):
-        _helmholtz_solve(circle_cos, -0.3, b, b)
+        _helmholtz_solve(M, -0.3, b, b)
 
 
-def test_pcg_names_a_non_finite_residual(circle_cos):
+def test_pcg_names_a_non_finite_residual(torus_non_separable):
+    b = np.full(torus_non_separable.shape, 1.0)
+    rhs = b.copy()
+    rhs[5, 7] = np.nan
+    with pytest.raises(SolverConvergenceError, match="non-finite residual"):
+        _helmholtz_solve(torus_non_separable, 0.1, rhs, b)
+
+
+def test_direct_solve_names_a_non_finite_right_hand_side(circle_cos):
     b = np.full(circle_cos.shape, 1.0)
     rhs = b.copy()
     rhs[5] = np.nan
-    with pytest.raises(SolverConvergenceError, match="non-finite residual"):
+    with pytest.raises(SolverConvergenceError, match="non-finite right-hand side"):
         _helmholtz_solve(circle_cos, 0.1, rhs, b)
+
+
+def test_direct_solve_names_an_indefinite_system(circle_cos):
+    b = 1.0 + 0.5 * np.cos(3.0 * circle_cos.axis_coordinates(0))
+    with pytest.raises(
+        SolverConvergenceError, match=r"gamma = -0\.3 is not positive definite"
+    ):
+        _helmholtz_solve(circle_cos, -0.3, b, b)
+
+
+def test_direct_solve_reads_neither_start_nor_its_apply_and_makes_no_fft(
+    circle_cos, fft_calls
+):
+    M = circle_cos
+    # building the cached eigensystem takes FFTs; the solves that use it do not
+    assert M.symmetric_eigensystem is not None and M.sqrt_density is not None
+    u = 1.0 + 0.5 * random_band_limited(M, np.random.default_rng(6))
+    b = u + 0.05 * witten_laplacian(M, u)
+    fft_calls.clear()
+    got = _helmholtz_solve(M, 0.05, b, u)
+    assert fft_calls == {}
+    nan = np.full(M.shape, np.nan)
+    assert np.array_equal(_helmholtz_solve(M, 0.05, b, nan, nan), got)
+    assert fft_calls == {}
 
 
 def _solve_outcome(solve, *args):
@@ -717,7 +749,7 @@ def _solve_outcome(solve, *args):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("model", ["circle_cos", "circle_cos_03", "torus_32x48"])
+@pytest.mark.parametrize("model", ["torus_non_separable", "torus_32x48"])
 def test_helmholtz_solve_equals_the_precondition_first_solve(request, model):
     M = request.getfixturevalue(model)
     u = 1.0 + 0.5 * random_band_limited(M, np.random.default_rng(3))
@@ -733,16 +765,16 @@ def test_helmholtz_solve_equals_the_precondition_first_solve(request, model):
 
 @pytest.mark.parametrize("maxiter", [None, 1, 2])
 def test_helmholtz_solve_breaks_down_as_the_precondition_first_solve(
-    circle_cos, monkeypatch, maxiter
+    torus_non_separable, monkeypatch, maxiter
 ):
-    M = circle_cos
+    M = torus_non_separable
     if maxiter is not None:
         monkeypatch.setattr(heatflow, "CG_MAXITER", maxiter)
-    u = 1.0 + 0.5 * np.cos(3.0 * M.axis_coordinates(0))
+    u = 1.0 + 0.5 * np.cos(3.0 * M.coordinates()[0])
     Lu = witten_laplacian(M, u)
     nan_rhs, nan_start = u.copy(), u.copy()
-    nan_rhs[5] = np.nan
-    nan_start[7] = np.nan
+    nan_rhs[5, 7] = np.nan
+    nan_start[7, 3] = np.nan
     cases = [
         (0.1, u + 0.1 * Lu, u, Lu),  # converges unless CG_MAXITER is cut
         (0.1, nan_rhs, u, None),  # non-finite residual
@@ -764,7 +796,7 @@ def test_helmholtz_solve_breaks_down_as_the_precondition_first_solve(
     else:
         assert "within" in outcomes[0][1]
     assert "non-finite residual" in outcomes[1][1]
-    assert "p.Ap = -168 <= 0 at iteration 0" in outcomes[2][1]
+    assert "p.Ap = -247 <= 0 at iteration 0" in outcomes[2][1]
     assert outcomes[3] == (ValueError, "field contains non-finite values")
     assert "non-finite residual" in outcomes[4][1]
 
@@ -790,7 +822,7 @@ def _count_solve_transforms(fft_calls, monkeypatch, solve, *args):
     return len(apply_transforms), sum(fft_calls.values()) - sum(apply_transforms)
 
 
-@pytest.mark.parametrize("model", ["circle_cos", "torus_32x48"])
+@pytest.mark.parametrize("model", ["torus_non_separable", "torus_32x48"])
 def test_a_solve_preconditions_once_per_iteration(request, fft_calls, monkeypatch, model):
     """k iterations make k preconditioner passes, each a forward and an
     inverse 1-D FFT per axis; the precondition-first solve made k + 1
@@ -816,13 +848,13 @@ def test_a_solve_preconditions_once_per_iteration(request, fft_calls, monkeypatc
 
 
 def test_benchmark_counters_see_three_dealias_calls_per_attempted_step(
-    circle_cos, monkeypatch
+    torus_non_separable, monkeypatch
 ):
     """The benchmark tracer wraps ``dealias_nyquist`` and ``witten_laplacian``
     where ``heatflow`` looks them up, counts a solve per dealias call inside
     ``evolve`` and needs a multiple of 3 (step doubling).  Both counts equal
     those of a run on the precondition-first solve."""
-    s0 = initial_delta(circle_cos, 0, t0=0.05)
+    s0 = initial_delta(torus_non_separable, (0, 0), t0=0.05)
 
     def counted_run(solve):
         counts = {"dealias": 0, "apply": 0, "advance": 0}
@@ -859,8 +891,11 @@ def test_benchmark_counters_see_three_dealias_calls_per_attempted_step(
     assert counted_run(helmholtz_solve_precondition_first) == (counts, accepted)
 
 
-def test_helmholtz_solve_matches_dense_solve(torus_32x48):
-    M = torus_32x48
+@pytest.mark.parametrize(
+    "model", ["circle_cos", "circle_cos_03", "torus_non_separable", "torus_32x48"]
+)
+def test_helmholtz_solve_matches_dense_solve(request, model):
+    M = request.getfixturevalue(model)
     size = M.density.size
     dense = dense_operator(M)
     u = 1.0 + 0.5 * random_band_limited(M, np.random.default_rng(5))
