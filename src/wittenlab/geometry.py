@@ -48,15 +48,6 @@ M_EQUALS_N_TOL = 1e-12
 BALL_RATIO_TOL = 1e-6
 _DISK_BLOCK_ELEMENTS = 1 << 18  # 2 MB of doubles per block of the _disk_weights table
 
-# Largest circle whose implicit solves are direct in ``symmetric_eigensystem``:
-# the crossover against conjugate gradients.  Whole runs of the benchmark's
-# checks_dense config (eigh included) at N nodes, direct against conjugate
-# gradients interleaved in one process, medians on a 2-vCPU Xeon with one
-# BLAS thread: 0.29 against 0.49 s at 256 nodes, 0.44 against 0.52 s at
-# 512, even at 576, 0.80 against 0.68 s at 640 and 1.97 against 1.05 s at
-# 1024, where eigh's N^3 and the two N^2 products per solve outgrow the FFTs.
-_DENSE_SOLVE_MAX_NODES = 512
-
 
 @dataclass(frozen=True)
 class WeightedManifold:
@@ -81,11 +72,11 @@ class WeightedManifold:
       cell_volume`` (the per-node weights that realize the measure) and
       their total ``mu_total``;
     * ``sqrt_density``, ``potential_gradient``, ``potential_hessian``,
-      ``axis_eigensystems``, ``symmetric_eigensystem`` (circles of up to
-      512 nodes, whose implicit solves are direct) and the spectral
-      symbols (``|k|^2`` on the full and the real-FFT half spectrum,
-      per-axis derivative symbols), so operator applies, implicit solves,
-      exact propagators and curvature tensors do not recompute them;
+      ``axis_eigensystems``, ``symmetric_eigensystem`` (circles, whose
+      implicit solves are direct in it) and the spectral symbols
+      (``|k|^2`` on the full and the real-FFT half spectrum, per-axis
+      derivative symbols), so operator applies, implicit solves, exact
+      propagators and curvature tensors do not recompute them;
     * per dimension parameter ``float(m)``, the Bakry-Emery tensor of
       :func:`bakry_emery_tensor` and the :class:`CurvatureField` of
       :func:`ricci_bakry_emery`, kept on first use so that every check of
@@ -191,12 +182,12 @@ class WeightedManifold:
         (see :func:`_weighted_derivative`), from one ``eigh``; ``mu <= 0`` up to
         rounding.
 
-        Held on circles of at most ``_DENSE_SOLVE_MAX_NODES`` nodes, whose
-        implicit solves are direct in this basis; None on tori and on
-        larger circles, which solve by conjugate gradients.
+        Defined on circles only, whose implicit solves are direct in this
+        basis.  On ``N`` nodes ``V`` is an ``N x N`` matrix, built once in
+        ``O(N^3)``; a solve in it costs two ``N^2`` products.
         """
-        if self.dim_n != 1 or self.grid_sizes[0] > _DENSE_SOLVE_MAX_NODES:
-            return None
+        if self.dim_n != 1:
+            raise ValueError(f"symmetric_eigensystem is defined on circles, not on {self.model}")
         half_D, half = _weighted_derivative(self, 0, self.potential)
         B = half_D / half
         mu, V = np.linalg.eigh(-(B.T @ B))

@@ -22,14 +22,14 @@ Weighted circles (see :func:`_exact_propagator`) and non-separable tori
 are stepped by Crank-Nicolson (implicit midpoint) on the divergence form
 operator, and each step ends with the projection ``rho^-1/2 P rho^1/2``,
 so the steps converge to T.  The implicit solves work on the
-similarity-transformed symmetric operator ``S``.  On circles of up to 512
-nodes they are direct, in the eigenbasis of the dense ``S`` cached on the
-manifold (``WeightedManifold.symmetric_eigensystem``), exact to rounding.
-Larger circles and non-separable tori run conjugate gradients with a
-real-FFT Helmholtz preconditioner on the manifold's cached half-spectrum
-``|k|^2``, to a residual of 1e-13, so conservation statements are
-meaningful; the residual is tested before it is preconditioned, so no
-preconditioner pass follows convergence.  The step size is controlled
+similarity-transformed symmetric operator ``S``.  On circles they are
+direct, in the eigenbasis of the dense ``S`` cached on the manifold
+(``WeightedManifold.symmetric_eigensystem``), exact to rounding.
+Non-separable tori run conjugate gradients with a real-FFT Helmholtz
+preconditioner on the manifold's cached half-spectrum ``|k|^2``, to a
+residual of 1e-13, so conservation statements are meaningful; the
+residual is tested before it is preconditioned, so no preconditioner
+pass follows convergence.  The step size is controlled
 by step doubling; a step cut short to land on a snapshot time records
 the cut step as its manifest ``dt`` but does not lower the next
 proposal.
@@ -42,9 +42,9 @@ reuses it, and each solve takes its initial residual
 ``b - (I - gamma L) u`` from the apply that built ``b`` instead of
 applying ``L`` again.  An attempted step therefore costs two
 right-hand-side applies (one on a retry) plus its three solves: on a
-circle of up to 512 nodes two dense matrix-vector products each, else,
-per PCG iteration, one apply and one preconditioner pass (a forward and
-an inverse FFT per axis).
+circle two dense matrix-vector products each, on a torus, per PCG
+iteration, one apply and one preconditioner pass (a forward and an
+inverse FFT per axis).
 
 Positivity bookkeeping: solver and FFT rounding can leave values of
 order 1e-16 * max(u) with either sign at nodes where the true solution is
@@ -415,10 +415,9 @@ def _helmholtz_solve(manifold, gamma, b, x0, Lx0=None):
     """Solve (I - gamma L) u = b, conjugated by exp(-phi/2) to a symmetric
     system.
 
-    Where the manifold caches ``symmetric_eigensystem`` (circles of up to
-    512 nodes) the solve is direct (see :func:`_eigenbasis_solve`) and
-    ``x0`` and ``Lx0`` are not read.  Everywhere else (larger circles,
-    non-separable tori) it runs preconditioned conjugate gradients from
+    On a circle the solve is direct in the manifold's
+    ``symmetric_eigensystem`` (see :func:`_eigenbasis_solve`) and ``x0``
+    and ``Lx0`` are not read.  On a torus it runs conjugate gradients from
     ``x0``, preconditioned with the constant-potential inverse
     (I + gamma |k|^2)^-1 applied on the real-FFT half spectrum.  ``Lx0``
     is L x0 when the caller has it; the initial residual is then built
@@ -432,9 +431,8 @@ def _helmholtz_solve(manifold, gamma, b, x0, Lx0=None):
     definite (conjugate gradients see a search direction with p.Ap <= 0);
     conjugate gradients also after ``CG_MAXITER`` iterations.
     """
-    eigensystem = manifold.symmetric_eigensystem
-    if eigensystem is not None:
-        return _eigenbasis_solve(manifold, gamma, b, eigensystem)
+    if manifold.dim_n == 1:
+        return _eigenbasis_solve(manifold, gamma, b)
     s_half = manifold.sqrt_density
     gs = gamma * s_half
     pre = 1.0 / (1.0 + gamma * manifold._rfftn_wavenumber_square)
@@ -475,13 +473,13 @@ def _helmholtz_solve(manifold, gamma, b, x0, Lx0=None):
     )
 
 
-def _eigenbasis_solve(manifold, gamma, b, eigensystem):
-    """``rho^-1/2 V ((V^T rho^1/2 b) / (1 - gamma mu))`` for the manifold's
+def _eigenbasis_solve(manifold, gamma, b):
+    """``rho^-1/2 V ((V^T rho^1/2 b) / (1 - gamma mu))`` for the circle's
     ``symmetric_eigensystem`` ``(mu, V)``: (I - gamma L) u = b to rounding,
     two matrix-vector products and no FFT."""
     if not np.isfinite(b).all():
         raise SolverConvergenceError("direct solve: non-finite right-hand side")
-    mu, V = eigensystem
+    mu, V = manifold.symmetric_eigensystem
     diagonal = 1.0 - gamma * mu
     if not diagonal.min() > 0.0:
         raise SolverConvergenceError(

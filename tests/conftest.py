@@ -55,6 +55,12 @@ def circle_cos_03():
     return circle(256, potential={"family": "cosine", "params": {"a": 0.3, "k": 1}})
 
 
+@pytest.fixture(scope="session")
+def circle_576():
+    """Weighted circle finer than any bundled one: its solves stay direct."""
+    return circle(576, potential={"family": "cosine", "params": {"a": 0.5, "k": 2}})
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)

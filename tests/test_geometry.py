@@ -591,15 +591,14 @@ def test_symmetric_eigensystem_is_cached_read_only_and_the_fft_operator(circle_c
     assert np.abs(V.T @ V - np.eye(M.shape[0])).max() <= 1e-13
 
 
-def test_symmetric_eigensystem_only_on_circles_of_up_to_512_nodes(
-    torus_cos, torus_32x48, torus_non_separable
+def test_symmetric_eigensystem_on_every_circle_and_no_torus(
+    circle_576, torus_cos, torus_32x48, torus_non_separable
 ):
-    cosine = {"family": "cosine", "params": {"a": 0.5, "k": 2}}
-    mu, V = circle(512, potential=cosine).symmetric_eigensystem
-    assert mu.shape == (512,) and V.shape == (512, 512)
-    assert circle(514, potential=cosine).symmetric_eigensystem is None
+    mu, V = circle_576.symmetric_eigensystem
+    assert mu.shape == (576,) and V.shape == (576, 576)
     for M in (torus_cos, torus_32x48, torus_non_separable):
-        assert M.symmetric_eigensystem is None
+        with pytest.raises(ValueError, match="defined on circles, not on flat_torus_2d"):
+            M.symmetric_eigensystem
 
 
 NODE_TAKERS = {

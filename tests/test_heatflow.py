@@ -725,10 +725,11 @@ def test_direct_solve_names_an_indefinite_system(circle_cos):
         _helmholtz_solve(circle_cos, -0.3, b, b)
 
 
+@pytest.mark.parametrize("model", ["circle_cos", "circle_576"])
 def test_direct_solve_reads_neither_start_nor_its_apply_and_makes_no_fft(
-    circle_cos, fft_calls
+    request, fft_calls, model
 ):
-    M = circle_cos
+    M = request.getfixturevalue(model)
     # building the cached eigensystem takes FFTs; the solves that use it do not
     assert M.symmetric_eigensystem is not None and M.sqrt_density is not None
     u = 1.0 + 0.5 * random_band_limited(M, np.random.default_rng(6))
@@ -892,7 +893,7 @@ def test_benchmark_counters_see_three_dealias_calls_per_attempted_step(
 
 
 @pytest.mark.parametrize(
-    "model", ["circle_cos", "circle_cos_03", "torus_non_separable", "torus_32x48"]
+    "model", ["circle_cos", "circle_cos_03", "circle_576", "torus_non_separable", "torus_32x48"]
 )
 def test_helmholtz_solve_matches_dense_solve(request, model):
     M = request.getfixturevalue(model)
