@@ -73,10 +73,11 @@ class WeightedManifold:
       their total ``mu_total``;
     * ``sqrt_density``, ``potential_gradient``, ``potential_hessian``,
       ``axis_eigensystems``, ``symmetric_eigensystem`` (circles, whose
-      implicit solves are direct in it) and the spectral symbols
-      (``|k|^2`` on the full and the real-FFT half spectrum, per-axis
-      derivative symbols), so operator applies, implicit solves, exact
-      propagators and curvature tensors do not recompute them;
+      Crank-Nicolson steps and implicit solves are diagonal in it) and
+      the spectral symbols (``|k|^2`` on the full and the real-FFT half
+      spectrum, per-axis derivative symbols), so operator applies,
+      time steps, implicit solves, exact propagators and curvature
+      tensors do not recompute them;
     * per dimension parameter ``float(m)``, the Bakry-Emery tensor of
       :func:`bakry_emery_tensor` and the :class:`CurvatureField` of
       :func:`ricci_bakry_emery`, kept on first use so that every check of
@@ -182,9 +183,10 @@ class WeightedManifold:
         (see :func:`_weighted_derivative`), from one ``eigh``; ``mu <= 0`` up to
         rounding.
 
-        Defined on circles only, whose implicit solves are direct in this
-        basis.  On ``N`` nodes ``V`` is an ``N x N`` matrix, built once in
-        ``O(N^3)``; a solve in it costs two ``N^2`` products.
+        Defined on circles only, whose Crank-Nicolson steps and implicit
+        solves are diagonal maps in this basis.  On ``N`` nodes ``V`` is an
+        ``N x N`` matrix, built once in ``O(N^3)``; a step or solve in it
+        costs two ``N^2`` products.
         """
         if self.dim_n != 1:
             raise ValueError(f"symmetric_eigensystem is defined on circles, not on {self.model}")

@@ -21,30 +21,32 @@ an implicit Euler ramp.
 Weighted circles (see :func:`_exact_propagator`) and non-separable tori
 are stepped by Crank-Nicolson (implicit midpoint) on the divergence form
 operator, and each step ends with the projection ``rho^-1/2 P rho^1/2``,
-so the steps converge to T.  The implicit solves work on the
-similarity-transformed symmetric operator ``S``.  On circles they are
-direct, in the eigenbasis of the dense ``S`` cached on the manifold
-(``WeightedManifold.symmetric_eigensystem``), exact to rounding.
-Non-separable tori run conjugate gradients with a real-FFT Helmholtz
-preconditioner on the manifold's cached half-spectrum ``|k|^2``, to a
-residual of 1e-13, so conservation statements are meaningful; the
-residual is tested before it is preconditioned, so no preconditioner
-pass follows convergence.  The step size is controlled
-by step doubling; a step cut short to land on a snapshot time records
-the cut step as its manifest ``dt`` but does not lower the next
-proposal.
+so the steps converge to T.  The step size is controlled by step
+doubling; a step cut short to land on a snapshot time records the cut
+step as its manifest ``dt`` but does not lower the next proposal.
 
-Operator applies dominate the cost of a step, so none is repeated.  The
-step-doubling control applies ``L`` once to each start state: the full
-step and the first half step take their right-hand sides
-``u + (dt/2) L u`` from that one apply, a retry after a rejected step
-reuses it, and each solve takes its initial residual
-``b - (I - gamma L) u`` from the apply that built ``b`` instead of
-applying ``L`` again.  An attempted step therefore costs two
-right-hand-side applies (one on a retry) plus its three solves: on a
-circle two dense matrix-vector products each, on a torus, per PCG
-iteration, one apply and one preconditioner pass (a forward and an
-inverse FFT per axis).
+On circles a step is one diagonal map in the eigenbasis ``(mu, V)`` of
+the dense symmetrized operator ``S`` cached on the manifold
+(``WeightedManifold.symmetric_eigensystem``):
+``rho^-1/2 P V diag((1 + gamma mu) / (1 - gamma mu)) V^T rho^1/2 u`` with
+gamma = dt/2, exact to rounding.  It costs two dense matrix-vector
+products and the projection's real-FFT pair, and applies no ``L``; the
+implicit Euler ramp solves in the same basis.
+
+Non-separable tori solve ``(I - gamma L) u' = u + gamma L u`` by
+conjugate gradients on ``S``, with a real-FFT Helmholtz preconditioner on
+the manifold's cached half-spectrum ``|k|^2``, to a residual of 1e-13, so
+conservation statements are meaningful; the residual is tested before it
+is preconditioned, so no preconditioner pass follows convergence.
+Operator applies dominate the cost of these steps, so none is repeated.
+The step-doubling control applies ``L`` once to each start state: the
+full step and the first half step take their right-hand sides from that
+one apply, a retry after a rejected step reuses it, and each solve takes
+its initial residual ``b - (I - gamma L) u`` from the apply that built
+``b`` instead of applying ``L`` again.  An attempted step therefore
+costs two right-hand-side applies (one on a retry) plus its three
+solves, each, per PCG iteration, one apply and one preconditioner pass
+(a forward and an inverse FFT per axis).
 
 Positivity bookkeeping: solver and FFT rounding can leave values of
 order 1e-16 * max(u) with either sign at nodes where the true solution is
@@ -415,9 +417,11 @@ def _helmholtz_solve(manifold, gamma, b, x0, Lx0=None):
     """Solve (I - gamma L) u = b, conjugated by exp(-phi/2) to a symmetric
     system.
 
-    On a circle the solve is direct in the manifold's
-    ``symmetric_eigensystem`` (see :func:`_eigenbasis_solve`) and ``x0``
-    and ``Lx0`` are not read.  On a torus it runs conjugate gradients from
+    On a circle, where only the warm-up ramp solves (a Crank-Nicolson step
+    there is one diagonal map, see :func:`_advance`), the solve is direct
+    in the manifold's ``symmetric_eigensystem``, two dense matrix-vector
+    products (see :func:`_eigenbasis_solve`), and ``x0`` and ``Lx0`` are
+    not read.  On a torus it runs conjugate gradients from
     ``x0``, preconditioned with the constant-potential inverse
     (I + gamma |k|^2)^-1 applied on the real-FFT half spectrum.  ``Lx0``
     is L x0 when the caller has it; the initial residual is then built
@@ -474,10 +478,28 @@ def _helmholtz_solve(manifold, gamma, b, x0, Lx0=None):
 
 
 def _eigenbasis_solve(manifold, gamma, b):
-    """``rho^-1/2 V ((V^T rho^1/2 b) / (1 - gamma mu))`` for the circle's
-    ``symmetric_eigensystem`` ``(mu, V)``: (I - gamma L) u = b to rounding,
-    two matrix-vector products and no FFT."""
-    if not np.isfinite(b).all():
+    """(I - gamma L) u = b on a circle, to rounding: the map
+    ``1 / (1 - gamma mu)`` of :func:`_eigenbasis_map`, conjugated by
+    rho^1/2."""
+    s_half = manifold.sqrt_density
+    return _eigenbasis_map(manifold, gamma, s_half * b, np.reciprocal) / s_half
+
+
+def _crank_nicolson_factor(diagonal):
+    """``(1 + gamma mu) / (1 - gamma mu)`` from ``diagonal = 1 - gamma mu``."""
+    return (2.0 - diagonal) / diagonal
+
+
+def _eigenbasis_map(manifold, gamma, v, fn):
+    """``V diag(fn(1 - gamma mu)) V^T v`` for the circle's
+    ``symmetric_eigensystem`` ``(mu, V)``: two matrix-vector products and no
+    FFT.  ``v`` is in the symmetric coordinates ``rho^1/2 u``.
+
+    Raises :class:`SolverConvergenceError` on a non-finite ``v`` and where
+    ``I - gamma L`` is not positive definite (``min(1 - gamma mu) <= 0``),
+    naming gamma.
+    """
+    if not np.isfinite(v).all():
         raise SolverConvergenceError("direct solve: non-finite right-hand side")
     mu, V = manifold.symmetric_eigensystem
     diagonal = 1.0 - gamma * mu
@@ -486,8 +508,7 @@ def _eigenbasis_solve(manifold, gamma, b):
             f"direct solve: smallest eigenvalue {diagonal.min():.3g} <= 0: "
             f"I - gamma L with gamma = {gamma:g} is not positive definite"
         )
-    s_half = manifold.sqrt_density
-    return (V @ ((V.T @ (s_half * b)) / diagonal)) / s_half
+    return V @ (fn(diagonal) * (V.T @ v))
 
 
 def _norm(a):
@@ -499,13 +520,22 @@ def _norm(a):
 
 def _advance(manifold, u, dt, Lu=None):
     """One Crank-Nicolson step of du/dt = L u on raw values, ending with the
-    projection ``rho^-1/2 P rho^1/2``.  ``Lu`` is L u when the caller has
-    it; it serves the right-hand side and the solver's initial residual."""
+    projection ``rho^-1/2 P rho^1/2``.
+
+    On a circle the step is one diagonal map in the manifold's
+    ``symmetric_eigensystem``, ``(1 + gamma mu) / (1 - gamma mu)`` with
+    gamma = dt/2 (see :func:`_eigenbasis_map`), and ``Lu`` is not read.  On
+    a torus ``Lu`` is L u when the caller has it; it serves the right-hand
+    side ``u + gamma L u`` and the solver's initial residual."""
     g = 0.5 * dt
+    s = manifold.sqrt_density
+    if manifold.dim_n == 1:
+        # V spans the unprojected operator, so P is not a no-op here
+        v = _eigenbasis_map(manifold, g, s * u, _crank_nicolson_factor)
+        return dealias_nyquist(manifold, v) / s
     if Lu is None:
         Lu = witten_laplacian(manifold, u)
     out = _helmholtz_solve(manifold, g, u + g * Lu, u, Lu)
-    s = manifold.sqrt_density
     return dealias_nyquist(manifold, out * s) / s
 
 
@@ -576,6 +606,10 @@ def _adaptive_evolve(state, times, local_error, manifest):
     proposal.  A rejected step is retried at the cut step times that
     factor, at least 0.2.
 
+    Every attempt from one start state shares its ``L u``, applied on
+    the first attempt on a torus; a circle step applies no ``L`` (see
+    :func:`_advance`).
+
     Raises :class:`SolverConvergenceError` when the step size falls to
     1e-12 with the error estimate still above ``local_error``.
     """
@@ -593,7 +627,7 @@ def _adaptive_evolve(state, times, local_error, manifest):
         while current.t < target - _SAME_TIME:
             proposal = dt
             dt = min(dt, DT_MAX, target - current.t)
-            if Lu is None:
+            if Lu is None and manifold.dim_n > 1:  # a circle step reads no Lu
                 Lu = witten_laplacian(manifold, current.u)
             # one full step against two half steps
             coarse = _advance(manifold, current.u, dt, Lu)
@@ -668,7 +702,7 @@ def _exact_propagator(manifold, u):
     Weighted circles stay on Crank-Nicolson and on the warm-up ramp for
     now, although their factors exist: the benchmark's ``checks_dense``
     workload, a weighted circle, is the one whose counters certify the
-    implicit solver.
+    time stepping.
     """
     if _constant_potential(manifold):
         ksq = manifold._wavenumber_square

@@ -23,6 +23,7 @@ from wittenlab.harnack import (
 from wittenlab.operators import (
     _grid_axes,
     bochner_residual,
+    dealias_nyquist,
     gamma2,
     gradient,
     hessian,
@@ -273,6 +274,17 @@ def helmholtz_solve_precondition_first(manifold, gamma, b, x0, Lx0=None):
         f"conjugate gradients missed residual {heatflow.CG_TOL:g} within "
         f"{heatflow.CG_MAXITER} iterations"
     )
+
+
+def crank_nicolson_step_by_solve(manifold, u, dt):
+    """``wittenlab.heatflow._advance`` on a circle as it was before the step
+    became one diagonal map: apply L for the right-hand side
+    ``u + (dt/2) L u``, solve directly in the eigenbasis
+    (``heatflow._eigenbasis_solve``) and project by ``rho^-1/2 P rho^1/2``."""
+    g = 0.5 * dt
+    out = heatflow._eigenbasis_solve(manifold, g, u + g * witten_laplacian(manifold, u))
+    s = manifold.sqrt_density
+    return dealias_nyquist(manifold, out * s) / s
 
 
 def nyquist_projection(M):

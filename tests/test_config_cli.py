@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import wittenlab
-from wittenlab import geometry, operators
+from wittenlab import config, geometry, operators
 from wittenlab.cli import _Runner, bundled_config_path, main, run_experiment
 from wittenlab.config import CHECKS, REQUIRED, ConfigError, load_config, validate_experiment
 
@@ -447,7 +447,28 @@ def test_negative_K_exits_2(tmp_path):
     assert main(["harnack", "--config", path, "--out", str(tmp_path / "out")]) == 2
 
 
-def test_malformed_yaml_exits_2(tmp_path):
+# the loader load_config uses, and the pure-Python one it falls back to
+# where PyYAML has no libyaml
+LOADERS = [config._Loader, config._safe_loader(yaml.SafeLoader)]
+
+
+def test_both_yaml_loaders_read_every_config_alike(tmp_path):
+    # a generated config with 120 times, written as JSON like the benchmark's
+    data = copy.deepcopy(BASE)
+    data["solver"]["times"] = [0.1 + 1.7 * i / 119 for i in range(120)]
+    data["solver"]["local_error"] = 1e-6
+    generated = tmp_path / "generated.yaml"
+    generated.write_text(json.dumps(data, indent=1))
+    names = ["hamilton_cosine", "liyau_circle", "shrinking_flow", "torus_hamilton"]
+    for path in [bundled_config_path(name) for name in names] + [str(generated)]:
+        fast, python = (yaml.load(Path(path).read_text(), Loader=L) for L in LOADERS)
+        assert fast == python, path
+    assert python == data
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=["default", "pure_python"])
+def test_malformed_yaml_exits_2(tmp_path, monkeypatch, loader):
+    monkeypatch.setattr(config, "_Loader", loader)
     path = tmp_path / "broken.yaml"
     path.write_text("manifold: [unbalanced")
     assert main(["all", "--config", str(path)]) == 2

@@ -742,6 +742,32 @@ def test_direct_solve_reads_neither_start_nor_its_apply_and_makes_no_fft(
     assert fft_calls == {}
 
 
+# Both steps round at about eps (dt/2) max|mu| of max|u| (max|mu| is 1.6e4
+# on 256 nodes, 8e4 on circle_576), so 1e-13 resolves steps up to ~5e-3.
+@pytest.mark.parametrize("model", ["circle_cos", "circle_cos_03", "circle_576"])
+@pytest.mark.parametrize("dt", [1e-4, 1e-3, 4e-3])
+def test_circle_step_is_the_solve_step_as_one_diagonal_map(request, fft_calls, model, dt):
+    M = request.getfixturevalue(model)
+    u = initial_delta(M, 0, t0=0.05).u
+    want = references.crank_nicolson_step_by_solve(M, u, dt)
+    fft_calls.clear()
+    got = heatflow._advance(M, u, dt)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(u).max()
+    # the projection's real-FFT pair is the step's only transform
+    assert fft_calls == {"rfft": 1, "irfft": 1}
+
+
+def test_circle_step_names_a_non_finite_state_and_an_indefinite_system(circle_cos):
+    u = initial_delta(circle_cos, 0, t0=0.05).u.copy()
+    with pytest.raises(
+        SolverConvergenceError, match=r"gamma = -0\.25 is not positive definite"
+    ):
+        heatflow._advance(circle_cos, u, -0.5)
+    u[5] = np.nan
+    with pytest.raises(SolverConvergenceError, match="non-finite right-hand side"):
+        heatflow._advance(circle_cos, u, 0.01)
+
+
 def _solve_outcome(solve, *args):
     """The solution of ``solve(*args)``, or the type and message it raises."""
     try:
@@ -848,14 +874,17 @@ def test_a_solve_preconditions_once_per_iteration(request, fft_calls, monkeypatc
     ) == (0, 2)
 
 
+@pytest.mark.parametrize("model", ["torus_non_separable", "circle_cos"])
 def test_benchmark_counters_see_three_dealias_calls_per_attempted_step(
-    torus_non_separable, monkeypatch
+    request, monkeypatch, model
 ):
     """The benchmark tracer wraps ``dealias_nyquist`` and ``witten_laplacian``
     where ``heatflow`` looks them up, counts a solve per dealias call inside
-    ``evolve`` and needs a multiple of 3 (step doubling).  Both counts equal
-    those of a run on the precondition-first solve."""
-    s0 = initial_delta(torus_non_separable, (0, 0), t0=0.05)
+    ``evolve`` and needs a multiple of 3 (step doubling).  On a torus both
+    counts equal those of a run on the precondition-first solve; a circle
+    step applies no L."""
+    M = request.getfixturevalue(model)
+    s0 = initial_delta(M, (0,) * M.dim_n, t0=0.05)
 
     def counted_run(solve):
         counts = {"dealias": 0, "apply": 0, "advance": 0}
@@ -888,8 +917,11 @@ def test_benchmark_counters_see_three_dealias_calls_per_attempted_step(
     counts, accepted = counted_run(_helmholtz_solve)
     assert counts["dealias"] == counts["advance"] > 0
     assert counts["dealias"] % 3 == 0 and counts["dealias"] // 3 >= accepted > 0
-    assert counts["apply"] > counts["dealias"]
-    assert counted_run(helmholtz_solve_precondition_first) == (counts, accepted)
+    if M.dim_n == 1:
+        assert counts["apply"] == 0
+    else:
+        assert counts["apply"] > counts["dealias"]
+        assert counted_run(helmholtz_solve_precondition_first) == (counts, accepted)
 
 
 @pytest.mark.parametrize(
@@ -909,7 +941,7 @@ def test_helmholtz_solve_matches_dense_solve(request, model):
         assert np.abs(got - exact).max() <= 1e-11 * np.abs(exact).max()
 
 
-def test_crank_nicolson_applies_L_once_per_start_state(circle_cos, monkeypatch):
+def test_crank_nicolson_applies_L_once_per_start_state(torus_non_separable, monkeypatch):
     # Outside PCG, an attempted step applies L for the second half step's
     # right-hand side, plus once per start state for the full and first
     # half steps, shared with the retries after a rejection.
@@ -935,7 +967,7 @@ def test_crank_nicolson_applies_L_once_per_start_state(circle_cos, monkeypatch):
         counts["advance"] += 1
         return advance(*args, **kwargs)
 
-    s0 = initial_delta(circle_cos, 0, t0=0.05)
+    s0 = initial_delta(torus_non_separable, (0, 0), t0=0.05)
     monkeypatch.setattr(heatflow, "witten_laplacian", counting_apply)
     monkeypatch.setattr(heatflow, "_helmholtz_solve", marked_solve)
     monkeypatch.setattr(heatflow, "_advance", counting_advance)
