@@ -72,6 +72,7 @@ class WeightedManifold:
       cell_volume`` (the per-node weights that realize the measure) and
       their total ``mu_total``;
     * ``sqrt_density``, ``potential_gradient``, ``potential_hessian``,
+      ``nyquist_vectors`` (the grid-side definition of the Nyquist projection),
       ``axis_eigensystems``, ``symmetric_eigensystem`` (circles, whose
       Crank-Nicolson steps and implicit solves are diagonal in it) and
       the spectral symbols (``|k|^2`` on the full and the real-FFT half
@@ -175,6 +176,25 @@ class WeightedManifold:
         if parts is None:
             return None
         return tuple(_projected_axis_eigensystem(self, a, p) for a, p in enumerate(parts))
+
+    @cached_property
+    def nyquist_vectors(self):
+        """Per axis, the unit Nyquist vector ``w_a = (-1)^j / sqrt(N_a)``,
+        shaped to broadcast along that axis.
+
+        The Nyquist projection is ``P = (x)_a (I - w_a w_a^T)``: it zeroes
+        the per-axis Nyquist planes, the modes that the spectral first
+        derivative cannot see.  :func:`wittenlab.operators.dealias_nyquist`
+        applies it and the per-axis factors of ``axis_eigensystems`` span
+        its range, both from these vectors.
+        """
+        vectors = []
+        for a, n in enumerate(self.grid_sizes):
+            shape = [1] * self.dim_n
+            shape[a] = n
+            w = (-1.0) ** np.arange(n) / math.sqrt(n)
+            vectors.append(_read_only(w.reshape(shape)))
+        return tuple(vectors)
 
     @cached_property
     def symmetric_eigensystem(self):
@@ -575,7 +595,7 @@ def _projected_axis_eigensystem(manifold, axis, phi):
     half_D, half = _weighted_derivative(manifold, axis, phi)
     # the Householder reflection taking e_0 to the unit Nyquist vector; its
     # other columns are an orthonormal basis Q of range(P)
-    w = (-1.0) ** np.arange(n) / math.sqrt(n)
+    w = manifold.nyquist_vectors[axis].flatten()  # a copy: the cache stays as is
     w[0] -= 1.0
     Q = (np.eye(n) - np.outer(w, w) / (0.5 * (w @ w)))[:, 1:]
     # P S P = Q W diag(lam) (Q W)^T for the eigenpairs of -(BQ)^T (BQ)

@@ -30,8 +30,11 @@ the dense symmetrized operator ``S`` cached on the manifold
 (``WeightedManifold.symmetric_eigensystem``):
 ``rho^-1/2 P V diag((1 + gamma mu) / (1 - gamma mu)) V^T rho^1/2 u`` with
 gamma = dt/2, exact to rounding.  It costs two dense matrix-vector
-products and the projection's real-FFT pair, and applies no ``L``; the
-implicit Euler ramp solves in the same basis.
+products and the projection, and applies no ``L`` and no FFT; the
+implicit Euler ramp solves in the same basis.  The projection
+(:func:`wittenlab.operators.dealias_nyquist`) is one rank-one update
+``f - w_a (w_a . f)`` per axis with the manifold's cached unit Nyquist
+vectors, one dot product per grid line and two pointwise products.
 
 Non-separable tori solve ``(I - gamma L) u' = u + gamma L u`` by
 conjugate gradients on ``S``, with a real-FFT Helmholtz preconditioner on
@@ -520,7 +523,8 @@ def _norm(a):
 
 def _advance(manifold, u, dt, Lu=None):
     """One Crank-Nicolson step of du/dt = L u on raw values, ending with the
-    projection ``rho^-1/2 P rho^1/2``.
+    projection ``rho^-1/2 P rho^1/2``; P is :func:`dealias_nyquist`, one
+    rank-one update per axis and no FFT.
 
     On a circle the step is one diagonal map in the manifold's
     ``symmetric_eigensystem``, ``(1 + gamma mu) / (1 - gamma mu)`` with

@@ -14,9 +14,11 @@ Every field is real, so all transforms are real FFTs on the half
 spectrum: one spectral derivative (``geometry._axis_derivative``, a 1-D
 ``rfft``/``irfft`` pair per axis) serves the Laplacians and the one
 gradient/Hessian pair (``geometry._gradient``/``_hessian``), which also
-builds the manifold's cached grad and hess of phi, and the Nyquist
-projection, like the implicit solver's preconditioner, makes the 1-D
-transforms of ``rfftn``/``irfftn`` through :func:`_real_grid_fft`.  The
+builds the manifold's cached grad and hess of phi, and the implicit
+solver's preconditioner makes the 1-D transforms of ``rfftn``/``irfftn``
+through :func:`_real_grid_fft`.  The Nyquist projection
+(:func:`dealias_nyquist`) takes no transform: it is one rank-one update
+per axis with the manifold's cached unit Nyquist vectors.  The
 weight ``exp(-phi)``, the derivative symbols and the derivatives of phi
 are cached on the manifold (see
 :class:`wittenlab.geometry.WeightedManifold`), so an apply of
@@ -26,7 +28,8 @@ pointwise products.
 Every function here also takes a stack of fields: any leading axes in
 front of the grid axes index independent fields, and each field of the
 stack gets exactly the values it gets alone (pocketfft transforms each
-line of a stacked call as it transforms that line alone).  Derivative
+line of a stacked call as it transforms that line alone, and
+``np.vecdot`` reduces each line by a dot product of its own).  Derivative
 indices come first, so :func:`gradient` returns ``(n, *stack, *grid)``
 and :func:`hessian` ``(n, n, *stack, *grid)``; :func:`integrate_mu` and
 :func:`mu_inner` sum over the grid axes and return a float for one field
@@ -98,16 +101,27 @@ def dealias_nyquist(manifold, f):
     The first-derivative symbol is zero there, so content in those modes
     is invisible to the divergence-form operator; removing it keeps time
     stepping from accumulating frozen sawtooth components.
+
+    The projection ``P = (x)_a (I - w_a w_a^T)`` is applied on the grid as
+    one rank-one update per axis, ``f <- f - w_a (w_a . f)`` along axis a,
+    with the manifold's cached unit Nyquist vectors ``w_a = (-1)^j /
+    sqrt(N_a)`` (``WeightedManifold.nyquist_vectors``): per axis one dot
+    product per grid line and two pointwise products, no FFT.  ``np.vecdot``
+    reduces each line by a dot product of its own, so each field of a stack
+    gets exactly the values it gets alone (a matrix product would reduce a
+    stack in another order than one field).
     """
     f = _check_field(manifold, f)
-    fh = _zero_nyquist_planes(manifold, _real_grid_fft(manifold, f))
-    return _real_grid_fft(manifold, fh, inverse=True)
+    for axis, w in enumerate(manifold.nyquist_vectors, start=-manifold.dim_n):
+        f = f - w * np.vecdot(f, w, axis=axis, keepdims=True)
+    return f
 
 
 def _real_grid_fft(manifold, a, inverse=False):
     """``np.fft.rfftn`` of a field or stack over the grid axes, or with
     ``inverse`` ``irfftn`` back to the grid, bit for bit: the 1-D calls
-    those make, in their order, without their argument handling."""
+    those make, in their order, without their argument handling.  Only the
+    implicit solver's Helmholtz preconditioner transforms this way."""
     fft = np.fft  # looked up per call, so a patched transform is seen
     if inverse:
         for axis in range(-manifold.dim_n, -1):

@@ -23,7 +23,6 @@ from wittenlab.harnack import (
 from wittenlab.operators import (
     _grid_axes,
     bochner_residual,
-    dealias_nyquist,
     gamma2,
     gradient,
     hessian,
@@ -280,11 +279,14 @@ def crank_nicolson_step_by_solve(manifold, u, dt):
     """``wittenlab.heatflow._advance`` on a circle as it was before the step
     became one diagonal map: apply L for the right-hand side
     ``u + (dt/2) L u``, solve directly in the eigenbasis
-    (``heatflow._eigenbasis_solve``) and project by ``rho^-1/2 P rho^1/2``."""
+    (``heatflow._eigenbasis_solve``) and project by ``rho^-1/2 P rho^1/2``,
+    with P as a real-FFT pair that zeroes the Nyquist coefficient."""
     g = 0.5 * dt
     out = heatflow._eigenbasis_solve(manifold, g, u + g * witten_laplacian(manifold, u))
     s = manifold.sqrt_density
-    return dealias_nyquist(manifold, out * s) / s
+    vh = np.fft.rfft(out * s)
+    vh[-1] = 0.0
+    return np.fft.irfft(vh, manifold.grid_sizes[0]) / s
 
 
 def nyquist_projection(M):

@@ -753,8 +753,8 @@ def test_circle_step_is_the_solve_step_as_one_diagonal_map(request, fft_calls, m
     fft_calls.clear()
     got = heatflow._advance(M, u, dt)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(u).max()
-    # the projection's real-FFT pair is the step's only transform
-    assert fft_calls == {"rfft": 1, "irfft": 1}
+    # the step takes no transform: the projection is a rank-one update
+    assert fft_calls == {}
 
 
 def test_circle_step_names_a_non_finite_state_and_an_indefinite_system(circle_cos):

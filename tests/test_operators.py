@@ -21,6 +21,7 @@ from wittenlab.geometry import _axis_derivative
 from wittenlab.operators import _grid_axes, _real_grid_fft, dealias_nyquist, random_band_limited
 
 from references import (
+    nyquist_projection,
     random_band_limited_loop,
     random_band_limited_rows,
     witten_laplacian_drift_form,
@@ -65,6 +66,27 @@ def test_dealias_zeroes_exactly_the_nyquist_planes(torus_32x48, rng):
     scale = np.abs(fh).max()
     assert np.abs(gh[nyquist]).max() <= 1e-13 * scale
     assert np.abs(gh[~nyquist] - fh[~nyquist]).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("stack", [(), (3,)])
+@pytest.mark.parametrize("model", ["circle_cos", "circle_576", "torus_32x48"])
+def test_dealias_is_the_dense_projection_without_a_transform(
+    request, rng, fft_calls, model, stack
+):
+    M = request.getfixturevalue(model)
+    f = rng.standard_normal(stack + M.shape)  # white noise: Nyquist content on every axis
+    scale = np.abs(f).max()
+    want = (f.reshape(stack + (-1,)) @ nyquist_projection(M).T).reshape(f.shape)
+    fft_calls.clear()
+    got = dealias_nyquist(M, f)
+    assert fft_calls == {}
+    assert np.abs(got - want).max() <= 1e-14 * scale
+    assert np.abs(dealias_nyquist(M, got) - got).max() <= 1e-15 * scale
+    for bad in (np.nan, np.inf):
+        g = f.copy()
+        g[(0,) * g.ndim] = bad
+        with pytest.raises(ValueError, match="finite"):
+            dealias_nyquist(M, g)
 
 
 def test_gradient_constant(circle_flat):
