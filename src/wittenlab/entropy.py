@@ -14,9 +14,11 @@ classical normalization (m/2)(log(4 pi t) + 1); reports carry this
 convention explicitly.
 
 Each functional takes heat-flow states and reads their manifold and
-cached fields.  One private core evaluates them on a fixed metric and
-along the space-constant conformal flows of :mod:`wittenlab.ricciflow`,
-on states of the flow's base.  Along such a flow L(t) = scale * L_base
+cached fields; the derivatives of log u are the quotients grad u / u and
+Hess u / u - grad log u (x) grad log u (see ``HeatState``).  One private
+core evaluates them on a fixed metric and along the space-constant
+conformal flows of :mod:`wittenlab.ricciflow`, on states of the flow's
+base.  Along such a flow L(t) = scale * L_base
 with scale = e^{-2 lam(t)}, and the curvature term (1/2) dg/dt adds
 rate = lam'(t) times the metric; the Bakry-Emery tensor of the base does
 not depend on t.  A fixed metric is scale = 1, rate = 0, and the public
@@ -207,14 +209,14 @@ def _entropy_second_derivative(state, flow):
     M = state.manifold
     scales, rates = _metric(state, flow)
     u = _by_row(state, state.u)
-    G = _by_row(state, state.log_u_gradient)
+    G_sq = _by_row(state, state.grad_log_u_sq)
     gamma2 = _by_row(state, state.log_u_gamma2)
     out = np.empty(len(state.times))
     for rows in _blocks(state, 0):
         sc = scales[rows]
         quad = _column([a * a for a in sc], state) * gamma2[rows] + _column(
             [r * a for r, a in zip(rates[rows], sc)], state
-        ) * np.einsum("a...,a...->...", G[:, rows], G[:, rows])
+        ) * G_sq[rows]
         out[rows] = -2.0 * integrate_mu(M, quad * u[rows])
     return out
 
@@ -307,7 +309,8 @@ def _w_decomposition(state, m, K, flow):
     scales, rates = _metric(state, flow)
     u = _by_row(state, state.u)
     H = _by_row(state, state.log_u_hessian)
-    G = _by_row(state, state.log_u_gradient)
+    G = _by_row(state, state.grad_log_u)
+    G_sq = _by_row(state, state.grad_log_u_sq)
     eye = np.eye(n).reshape((n, n) + (1,) * (n + 1))
     T1, T2, T3 = np.empty((3, len(times)))
     for rows in _blocks(state, 2):
@@ -321,9 +324,7 @@ def _w_decomposition(state, m, K, flow):
 
         quad = _column([a * a for a in sc], state) * np.einsum(
             "ab...,a...,b...->...", ric, G_rows, G_rows
-        ) + _column([(r + K) * a for r, a in zip(rt, sc)], state) * np.einsum(
-            "a...,a...->...", G_rows, G_rows
-        )
+        ) + _column([(r + K) * a for r, a in zip(rt, sc)], state) * G_sq[rows]
         T2[rows] = np.array([-2.0 * ti for ti in t]) * integrate_mu(manifold, quad * u_rows)
 
         if m_equals_n:

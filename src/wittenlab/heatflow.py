@@ -49,7 +49,7 @@ its initial residual ``b - (I - gamma L) u`` from the apply that built
 ``b`` instead of applying ``L`` again.  An attempted step therefore
 costs two right-hand-side applies (one on a retry) plus its three
 solves, each, per PCG iteration, one apply and one preconditioner pass
-(a forward and an inverse FFT per axis).
+(an ``rfftn``/``irfftn`` pair).
 
 Positivity bookkeeping: solver and FFT rounding can leave values of
 order 1e-16 * max(u) with either sign at nodes where the true solution is
@@ -81,7 +81,7 @@ from .geometry import (
 from .operators import (
     _divergence_form,
     _gamma2,
-    _real_grid_fft,
+    _grid_axes,
     _zero_nyquist_planes,
     dealias_nyquist,
     gradient,
@@ -108,6 +108,9 @@ CG_MAXITER = 600
 
 # largest adaptive step of :func:`evolve`
 DT_MAX = 0.25
+
+# most DT_MAX steps a time-stepped run may span, 100 times the largest bundled run
+_STEP_BUDGET = 1e5
 
 # :func:`evolve` returns its current state for a target within this of it;
 # its snapshot times must lie further apart than this
@@ -181,12 +184,12 @@ class HeatState:
     derivative axes (``grad_log_u`` of a stack is ``(n, k, *grid)``), and
     every row equals the field of that row's state alone:
 
-    * ``dt_log_u`` = Lu/u and ``grad_log_u``, from the closed form on the
-      rows that hold analytic kernels, accurate in the far tail, and on
-      the other rows from one spectral grad u that the divergence form of
-      L reuses, and ``grad_log_u_sq`` = |grad log u|^2;
-    * ``log_u`` and its spectral ``log_u_gradient``, ``log_u_hessian``
-      and ``log_u_gamma2``;
+    * ``dt_log_u`` = Lu/u, ``grad_log_u`` = grad u/u and ``log_u_hessian``
+      = Hess u/u - grad log u (x) grad log u, from the closed form on the
+      rows that hold analytic kernels, accurate in the far tail, and on the
+      other rows from one spectral grad u that L and Hess u reuse (no
+      field differentiates ``log u``, which rings wherever u is tiny);
+    * ``grad_log_u_sq`` = |grad log u|^2, ``log_u`` and ``log_u_gamma2``;
     * ``entropy_pair``, the Boltzmann entropy and its dissipation rate
       (see :func:`wittenlab.entropy.entropy_H`), floats for one state and
       arrays over the rows for a stack.
@@ -233,8 +236,8 @@ class HeatState:
     def _numeric_rows(self):
         """``(rows, u, grad u)`` over the rows that are not closed-form kernel
         states: their index (a slice when that is every row), their values
-        with a row axis, and the spectral grad u that ``dt_log_u`` and
-        ``grad_log_u`` share (None when there is no such row)."""
+        with a row axis, and the spectral grad u that the log-derivative
+        fields share (None when there is no such row)."""
         closed = {i for i, _ in self._closed_form_rows}
         rows = slice(None)
         if closed:
@@ -281,7 +284,7 @@ class HeatState:
 
     @cached_property
     def grad_log_u_sq(self):
-        """|grad log u|^2, shared by the Harnack defects and ``entropy_pair``."""
+        """|grad log u|^2, shared by the Harnack defects and the entropy terms."""
         g = self.grad_log_u
         return _read_only(np.einsum("a...,a...->...", g, g))
 
@@ -290,16 +293,29 @@ class HeatState:
         return _read_only(np.log(self.u))
 
     @cached_property
-    def log_u_gradient(self):
-        return _read_only(gradient(self.manifold, self.log_u))
-
-    @cached_property
     def log_u_hessian(self):
-        return _read_only(_hessian(self.manifold, self.log_u, self.log_u_gradient))
+        """Hess u / u - g (x) g with g = grad u / u; on analytic rows the
+        diagonal (log k)_t - (log k)_x^2 per axis of the wrapped Gaussian k."""
+        M = self.manifold
+
+        def numeric(u, grad):
+            g = grad / u
+            return _hessian(M, u, grad) / u - g[:, None] * g[None, :]
+
+        def log_dxx(theta, t, L):  # k_t = k_xx
+            dx = kernels.wrapped_gaussian_log_dx(theta, t, L)
+            return kernels.wrapped_gaussian_log_dt(theta, t, L) - dx * dx
+
+        def diagonal(parts):
+            out = np.zeros((M.dim_n,) * 2 + M.shape)
+            out[range(M.dim_n), range(M.dim_n)] = np.broadcast_arrays(*parts)
+            return out
+
+        return self._log_derivative(2, numeric, log_dxx, diagonal)
 
     @cached_property
     def log_u_gamma2(self):
-        return _read_only(_gamma2(self.manifold, self.log_u_gradient, self.log_u_hessian))
+        return _read_only(_gamma2(self.manifold, self.grad_log_u, self.log_u_hessian))
 
     @cached_property
     def entropy_pair(self):
@@ -424,14 +440,14 @@ def _helmholtz_solve(manifold, gamma, b, x0, Lx0=None):
     there is one diagonal map, see :func:`_advance`), the solve is direct
     in the manifold's ``symmetric_eigensystem``, two dense matrix-vector
     products (see :func:`_eigenbasis_solve`), and ``x0`` and ``Lx0`` are
-    not read.  On a torus it runs conjugate gradients from
-    ``x0``, preconditioned with the constant-potential inverse
-    (I + gamma |k|^2)^-1 applied on the real-FFT half spectrum.  ``Lx0``
-    is L x0 when the caller has it; the initial residual is then built
-    from it without an apply.  The residual target is ``CG_TOL`` relative
-    to b, tested before each preconditioner pass (Saad, Alg. 9.1): an
-    iteration is one apply and one pass, and a converged residual, or a
-    start that already meets the target, is never preconditioned.
+    not read.  On a torus it runs conjugate gradients from ``x0``,
+    preconditioned with the constant-potential inverse (I + gamma |k|^2)^-1
+    on the real-FFT half spectrum.  ``Lx0`` is L x0 when the caller has it;
+    the initial residual is then built from it without an apply.  The
+    residual target is ``CG_TOL`` relative to b, tested before each
+    preconditioner pass (Saad, Alg. 9.1): an iteration is one apply and one
+    pass, and a converged residual, or a start that already meets the
+    target, is never preconditioned.
 
     Either path raises :class:`SolverConvergenceError` on a non-finite
     right-hand side or residual and on a system that is not positive
@@ -448,15 +464,15 @@ def _helmholtz_solve(manifold, gamma, b, x0, Lx0=None):
         Lx0 = witten_laplacian(manifold, x0)
     v = s_half * x0
     r = s_half * (b - x0 + gamma * Lx0)
-    bnorm = _norm(s_half * b)
+    bnorm = np.linalg.norm(s_half * b)
     if bnorm == 0.0:
         return np.zeros_like(b)
     p = None
     for it in range(CG_MAXITER):
-        rnorm = _norm(r)
+        rnorm = np.linalg.norm(r)
         if rnorm <= CG_TOL * bnorm:
             return v / s_half
-        z = _real_grid_fft(manifold, pre * _real_grid_fft(manifold, r), inverse=True)
+        z = np.fft.irfftn(pre * np.fft.rfftn(r), manifold.shape, _grid_axes(manifold))
         rz_new = float(r.ravel().dot(z.ravel()))
         if not (math.isfinite(rnorm) and math.isfinite(rz_new)):
             raise SolverConvergenceError(
@@ -512,13 +528,6 @@ def _eigenbasis_map(manifold, gamma, v, fn):
             f"I - gamma L with gamma = {gamma:g} is not positive definite"
         )
     return V @ (fn(diagonal) * (V.T @ v))
-
-
-def _norm(a):
-    """The 2-norm of ``a`` as ``np.linalg.norm`` computes it, without its
-    argument handling."""
-    a = a.ravel(order="K")
-    return math.sqrt(a.dot(a))
 
 
 def _advance(manifold, u, dt, Lu=None):
@@ -614,12 +623,18 @@ def _adaptive_evolve(state, times, local_error, manifest):
     the first attempt on a torus; a circle step applies no ``L`` (see
     :func:`_advance`).
 
-    Raises :class:`SolverConvergenceError` when the step size falls to
-    1e-12 with the error estimate still above ``local_error``.
+    Raises :class:`SolverConvergenceError` before the first step when the
+    span to the last time exceeds ``_STEP_BUDGET`` steps of ``DT_MAX``, and
+    when the step size falls to 1e-12 with the error above ``local_error``.
     """
     times = _snapshot_times(times, state.t)
     if not times:
         return []
+    if (times[-1] - state.t) / DT_MAX > _STEP_BUDGET:
+        raise SolverConvergenceError(
+            f"evolve from t={state.t:.6g}: time span {times[-1] - state.t:.6g} needs more "
+            f"than the step budget of {_STEP_BUDGET:g} steps of at most {DT_MAX:g}"
+        )
 
     manifold = state.manifold
     out = []

@@ -14,9 +14,9 @@ Every field is real, so all transforms are real FFTs on the half
 spectrum: one spectral derivative (``geometry._axis_derivative``, a 1-D
 ``rfft``/``irfft`` pair per axis) serves the Laplacians and the one
 gradient/Hessian pair (``geometry._gradient``/``_hessian``), which also
-builds the manifold's cached grad and hess of phi, and the implicit
-solver's preconditioner makes the 1-D transforms of ``rfftn``/``irfftn``
-through :func:`_real_grid_fft`.  The Nyquist projection
+builds the manifold's cached grad and hess of phi; the implicit
+solver's preconditioner is one ``rfftn``/``irfftn`` pair over the grid
+axes.  The Nyquist projection
 (:func:`dealias_nyquist`) takes no transform: it is one rank-one update
 per axis with the manifold's cached unit Nyquist vectors.  The
 weight ``exp(-phi)``, the derivative symbols and the derivatives of phi
@@ -115,22 +115,6 @@ def dealias_nyquist(manifold, f):
     for axis, w in enumerate(manifold.nyquist_vectors, start=-manifold.dim_n):
         f = f - w * np.vecdot(f, w, axis=axis, keepdims=True)
     return f
-
-
-def _real_grid_fft(manifold, a, inverse=False):
-    """``np.fft.rfftn`` of a field or stack over the grid axes, or with
-    ``inverse`` ``irfftn`` back to the grid, bit for bit: the 1-D calls
-    those make, in their order, without their argument handling.  Only the
-    implicit solver's Helmholtz preconditioner transforms this way."""
-    fft = np.fft  # looked up per call, so a patched transform is seen
-    if inverse:
-        for axis in range(-manifold.dim_n, -1):
-            a = fft.ifft(a, axis=axis)
-        return fft.irfft(a, manifold.grid_sizes[-1], axis=-1)
-    a = fft.rfft(a, axis=-1)
-    for axis in range(-2, -manifold.dim_n - 1, -1):
-        a = fft.fft(a, axis=axis)
-    return a
 
 
 def _zero_nyquist_planes(manifold, fh):

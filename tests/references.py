@@ -23,7 +23,6 @@ from wittenlab.harnack import (
 from wittenlab.operators import (
     _grid_axes,
     bochner_residual,
-    gamma2,
     gradient,
     hessian,
     integrate_mu,
@@ -405,6 +404,35 @@ def reference_log_derivatives(state):
     return dt, np.stack(np.broadcast_arrays(*grad))
 
 
+def reference_log_hessian(state):
+    """``Hess u / u - g (x) g`` of one state with ``g = grad u / u``, from one
+    ``hessian`` call on u; on an analytic kernel the diagonal of the wrapped
+    Gaussian's ``(log k)_t - (log k)_x^2`` per axis, with zero mixed entries."""
+    M, u, kernel = state.manifold, state.u, state.kernel
+    if kernel is None or not kernel.analytic:
+        g = gradient(M, u) / u
+        return hessian(M, u) / u - np.einsum("a...,b...->ab...", g, g)
+    H = np.zeros((M.dim_n, M.dim_n) + M.shape)
+    for axis in range(M.dim_n):
+        x = M.axis_coordinates(axis)
+        theta = x - x[kernel.x0[axis]]
+        shape = [1] * M.dim_n
+        shape[axis] = M.grid_sizes[axis]
+        L = M.circumferences[axis]
+        dx = kernels.wrapped_gaussian_log_dx(theta, state.t, L)
+        dt = kernels.wrapped_gaussian_log_dt(theta, state.t, L)
+        H[axis, axis] = (dt - dx * dx).reshape(shape)
+    return H
+
+
+def reference_log_gamma2(state):
+    """Gamma2 of log u at one state from the quotient gradient and Hessian."""
+    G, H = reference_log_derivatives(state)[1], reference_log_hessian(state)
+    return np.einsum("ab...,ab...->...", H, H) + np.einsum(
+        "ab...,a...,b...->...", state.manifold.potential_hessian, G, G
+    )
+
+
 def _sq(g):
     return np.einsum("a...,a...->...", g, g)
 
@@ -464,9 +492,8 @@ def reference_decomposition(state, m, K, scale=1.0, rate=0.0):
     """``(T1, T2, T3, T4)`` of dW/dt at one state in the metric g_base / scale."""
     manifold, t, u = state.manifold, state.t, state.u
     n = manifold.dim_n
-    log_u = np.log(u)
-    G = gradient(manifold, log_u)
-    H = hessian(manifold, log_u)
+    G = reference_log_derivatives(state)[1]
+    H = reference_log_hessian(state)
     c = 0.5 * K + 0.5 / t
     completed = H + (c / scale) * np.eye(n).reshape((n, n) + (1,) * n)
     T1 = -2.0 * t * (scale * scale) * integrate_mu(
@@ -496,12 +523,12 @@ def reference_series_columns(snapshots, m, K, flow=None):
         M, t, u = s.manifold, s.t, s.u
         log_u = np.log(u)
         H = -integrate_mu(M, u * log_u)
-        dH = scale * integrate_mu(M, _sq(reference_log_derivatives(s)[1]) * u)
+        G_sq = _sq(reference_log_derivatives(s)[1])
+        dH = scale * integrate_mu(M, G_sq * u)
         Phi = phi_mK_loop(t, m, K)
         W = H - Phi + t * (dH - phi_mK_prime(t, m, K))
-        G = gradient(M, log_u)
         d2H = -2.0 * integrate_mu(
-            M, (scale * scale * gamma2(M, log_u) + rate * scale * _sq(G)) * u
+            M, (scale * scale * reference_log_gamma2(s) + rate * scale * G_sq) * u
         )
         rows.append((H, dH, d2H, Phi, W, *reference_decomposition(s, m, K, scale, rate)))
     names = ("H", "dH_dt", "d2H_dt2", "Phi", "W_mK", "T1", "T2", "T3", "T4")

@@ -319,6 +319,21 @@ def test_warm_up_ramp_that_loses_positivity_names_t0_not_dt(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_a_flow_whose_base_clock_outruns_the_step_budget_exits_1(tmp_path, capsys):
+    # rate -5 takes the base clock to 4.85e7 at t = 2: refused before any step
+    data = copy.deepcopy(BASE)
+    data["manifold"]["potential"] = {"family": "cosine", "params": {"a": 0.3, "k": 1}}
+    data["solver"]["times"] = [0.1, 2.0]
+    data["flow"] = {"family": "constant_rate", "params": {"rate": -5.0}, "horizon": 2.0}
+    data["checks"] = [{"name": "flow_entropy", "m": [3], "K": 1.0}]
+    path = write_config(tmp_path, data)
+    assert main(["all", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: evolve from t=0.05: time span 4.85165e+07")
+    assert "step budget of 100000 steps of at most 0.25" in err
+    assert "Traceback" not in err
+
+
 TORUS_32x48 = {
     "model": "flat_torus_2d",
     "grid": [32, 48],

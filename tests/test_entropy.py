@@ -12,6 +12,8 @@ from wittenlab import (
     entropy_H,
     entropy_second_derivative,
     evolve,
+    flat_torus,
+    initial_delta,
     kernel_state,
     make_state,
     phi_mK,
@@ -24,8 +26,14 @@ from wittenlab import (
     w_entropy,
     w_monotonicity_check,
 )
-from wittenlab.entropy import monotonicity_bound
-from wittenlab.operators import gradient, hessian, integrate_mu, random_band_limited
+from wittenlab.entropy import _entropy_second_derivative, monotonicity_bound
+from wittenlab.operators import (
+    gradient,
+    hessian,
+    integrate_mu,
+    random_band_limited,
+    witten_laplacian,
+)
 
 
 def positive_test_state(M, rng, t=0.0):
@@ -135,6 +143,38 @@ def test_second_derivative_sign_flat(circle_flat, rng):
     for t in (0.2, 1.0):
         s = positive_test_state(circle_flat, rng, t)
         assert entropy_second_derivative(s) <= 0.0
+
+
+@pytest.mark.parametrize("t", [0.005, 0.01, 0.02, 0.05])
+def test_flat_circle_kernel_is_the_equality_case(circle_flat, t):
+    """The Gaussian's log-Hessian is -1/(2t): T1 = 0 and H'' = -1/(2t^2) at
+    m = 1, K = 0, also where much of the grid holds rounding-floor values
+    of u, which a spectral derivative of log u rings on (T1 = -2.5e-2 at
+    t = 0.005)."""
+    s = initial_delta(circle_flat, 0, t0=t)
+    assert s.kernel.analytic
+    assert abs(w_derivative_decomposition(s, 1, 0.0).T1) <= 1e-14
+    exact = -1.0 / (2.0 * t * t)
+    assert abs(entropy_second_derivative(s) - exact) <= 1e-12 * abs(exact)
+
+
+def exact_time_second_derivative(s):
+    """H'' from u_t = Lu and u_tt = L^2 u: -int L^2u log u dmu - int (Lu)^2/u dmu."""
+    M, u = s.manifold, s.u
+    Lu = witten_laplacian(M, u)
+    return -integrate_mu(M, witten_laplacian(M, Lu) * np.log(u)) - integrate_mu(M, Lu * Lu / u)
+
+
+def test_second_derivative_matches_the_exact_time_identity(circle_cos):
+    # the bundled torus_hamilton model from its exact start, and the ramp's
+    # start on the cosine circle
+    torus = flat_torus(64, potential={"family": "cosine", "params": {"a": 0.5, "k": 1}})
+    (on_torus,) = evolve(initial_delta(torus, (0, 0), t0=0.05), [0.1])
+    on_circle = initial_delta(circle_cos, 0, t0=0.1)
+    for s, tol in ((on_torus, 1e-7), (on_circle, 1e-12)):
+        (d2H,) = _entropy_second_derivative(s, None)
+        exact = exact_time_second_derivative(s)
+        assert abs(d2H - exact) <= tol * abs(exact)
 
 
 # ---------------------------------------------------------------- W entropy

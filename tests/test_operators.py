@@ -1,7 +1,5 @@
 """Spectral operators: derivatives, self-adjointness, curvature identity."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,7 @@ from wittenlab import (
     witten_laplacian,
 )
 from wittenlab.geometry import _axis_derivative
-from wittenlab.operators import _grid_axes, _real_grid_fft, dealias_nyquist, random_band_limited
+from wittenlab.operators import dealias_nyquist, random_band_limited
 
 from references import (
     nyquist_projection,
@@ -357,23 +355,6 @@ def test_stack_validation(torus_32x48):
     for f in (np.ones(8), np.ones(20), np.full(16, np.inf)):
         with pytest.raises(ValueError):
             dealias_nyquist(grid16, f)
-
-
-@pytest.mark.parametrize("model", ["circle_cos", "torus_32x48"])
-def test_real_grid_fft_is_numpys_rfftn_and_irfftn_bit_for_bit(request, rng, fft_calls, model):
-    M = request.getfixturevalue(model)
-    axes = _grid_axes(M)
-    for f in (rng.standard_normal(M.shape), random_band_limited(M, rng, size=3)):
-        fh = np.fft.rfftn(f, axes=axes)
-        fft_calls.clear()
-        got = _real_grid_fft(M, f)
-        assert np.array_equal(got, fh)
-        # the 1-D transforms are looked up per call, where the counter sees them
-        assert fft_calls == Counter(rfft=1, fft=M.dim_n - 1)
-        back = np.fft.irfftn(fh, M.shape, axes)
-        fft_calls.clear()
-        assert np.array_equal(_real_grid_fft(M, fh, inverse=True), back)
-        assert fft_calls == Counter(irfft=1, ifft=M.dim_n - 1)
 
 
 @pytest.mark.parametrize(

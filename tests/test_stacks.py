@@ -178,7 +178,7 @@ def test_stacked_fields_are_the_rows_of_each_state(check_runs):
     stack = stack_states(snaps)
     assert stack.stacked and stack.t == tuple(s.t for s in snaps)
     assert stack.kernels[0].analytic and not any(k.analytic for k in stack.kernels[1:])
-    for name in ("dt_log_u", "grad_log_u", "log_u_gradient", "log_u_hessian", "log_u_gamma2"):
+    for name in ("dt_log_u", "grad_log_u", "log_u_hessian", "log_u_gamma2"):
         field = getattr(stack, name)
         assert not field.flags.writeable
         lead = field.ndim - stack.u.ndim
