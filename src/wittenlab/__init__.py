@@ -31,10 +31,13 @@ from .geometry import (  # noqa: E402
     ricci_bakry_emery,
 )
 from .harnack import (  # noqa: E402
+    DefectColumns,
     DefectReport,
+    defect_columns,
     hamilton_harnack_defect,
     integrated_harnack_check,
     integrated_harnack_checks,
+    kernel_bounds,
     kernel_dt_log_bounds,
     li_yau_defect,
     sup_bound_defect,
@@ -55,6 +58,7 @@ from .entropy import (  # noqa: E402
     EntropySeries,
     WDecomposition,
     build_series,
+    build_series_per_m,
     entropy_H,
     entropy_second_derivative,
     phi_mK,
@@ -81,6 +85,7 @@ from .ricciflow import (  # noqa: E402
     evolve_heat_on_flow,
     fit_super_flow_constant,
     make_flow,
+    margin_columns,
     super_ricci_flow_margin,
     super_ricci_flow_margins,
     w_decomposition_on_flow,

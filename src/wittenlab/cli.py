@@ -6,6 +6,16 @@ families of :data:`wittenlab.config.CHECKS`), or ``all``.  Exit code 0 means eve
 least one failed or a numerical error occurred, 2 means the
 configuration was invalid or the output directory cannot be created.
 
+A check over a list of ``m`` is one columnar pass over the run's stacked
+snapshots (:func:`wittenlab.harnack.defect_columns`,
+:func:`wittenlab.harnack.kernel_bounds`,
+:func:`wittenlab.entropy.build_series_per_m`,
+:func:`wittenlab.ricciflow.margin_columns`): what no ``m`` changes is
+computed once, and each ``m`` gives arrays over the rows (times, minima,
+first minimum nodes, tolerances and verdicts), from which the CSV and
+``.npy`` key tables are formatted.  The runner builds no report per row;
+the defect fields are kept only where ``dump_defects`` asks for them.
+
 Beside ``summary.json`` the runner writes ``timing.json``: per check its
 wall seconds split into compute and output (formatting and writing the
 CSV and ``.npy`` tables), and the seconds of the run's one heat flow,
@@ -44,7 +54,7 @@ from .operators import (
     random_band_limited,
     witten_laplacian,
 )
-from .ricciflow import fit_super_flow_constant, make_flow, super_ricci_flow_margins
+from .ricciflow import fit_super_flow_constant, make_flow, margin_columns
 
 SUBCOMMAND_CHECKS = {
     sub: tuple(name for name, kind in CHECKS.items() if kind.subcommand == sub)
@@ -288,25 +298,27 @@ class _Runner:
             min_over_max=min(float(s.u.min() / s.u.max()) for s in snaps),
         )
 
+    def _mKs(self, check):
+        """The ``(m, K)`` of each ``m`` of ``check``, in order."""
+        return [(m, _resolve_K(check, m, self.manifold, self.flow)) for m in check.m_values]
+
     def _pointwise_harnack(self, check, fn_name):
         stack = self.stack
-        out_reports = []
         A = float(stack.u.max()) * (1.0 + 1e-12)  # sup over the run
-        for m in check.m_values:
-            if fn_name == "li_yau":  # the Li-Yau bound has no K
-                out_reports.extend(harnack_mod.li_yau_defect(stack, m))
-                continue
-            K = _resolve_K(check, m, self.manifold, self.flow)
-            if fn_name == "hamilton":
-                out_reports.extend(harnack_mod.hamilton_harnack_defect(stack, m, K))
-            else:
-                out_reports.extend(harnack_mod.sup_bound_defect(stack, m, K, A))
-        if check.options["dump_defects"]:
-            fields = [r.defect for r in out_reports]
-            self.write_stack(f"defect_{fn_name}", fields, reports.field_csv(out_reports))
-        self.write_csv(f"harnack_{fn_name}.csv", reports.harnack_csv(out_reports))
-        worst = min(r.min_defect for r in out_reports)
-        self.record(f"harnack_{fn_name}", all(r.ok for r in out_reports), worst_defect=worst)
+        if fn_name == "li_yau":  # the Li-Yau bound has no K
+            mKs = [(m, 0.0) for m in check.m_values]
+        else:
+            mKs = self._mKs(check)
+        keep = check.options["dump_defects"]
+        columns = harnack_mod.defect_columns(stack, fn_name, mKs, A=A, keep=keep)
+        if keep:
+            fields = [f for c in columns for f in c.defect]
+            keys = reports.field_columns_csv((c.t, c.m) for c in columns)
+            self.write_stack(f"defect_{fn_name}", fields, keys)
+        self.write_csv(f"harnack_{fn_name}.csv", reports.harnack_columns_csv(columns))
+        worst = min(low for c in columns for low in c.min_defect.tolist())
+        ok = all(c.ok.all() for c in columns)
+        self.record(f"harnack_{fn_name}", ok, worst_defect=worst)
 
     def check_li_yau(self, check):
         self._pointwise_harnack(check, "li_yau")
@@ -339,9 +351,7 @@ class _Runner:
         self.record("harnack_integrated", ok, pairs=len(out_reports))
 
     def check_kernel_bounds(self, check):
-        for m in check.m_values:
-            K = _resolve_K(check, m, self.manifold, self.flow)
-            rep = harnack_mod.kernel_dt_log_bounds(self.stack, m, K)
+        for m, rep in zip(check.m_values, harnack_mod.kernel_bounds(self.stack, self._mKs(check))):
             self.record(
                 f"kernel_bounds_m{m:g}",
                 rep.ok,
@@ -350,13 +360,11 @@ class _Runner:
             )
 
     def check_entropy(self, check):
-        all_series = []
-        for m in check.m_values:
-            K = _resolve_K(check, m, self.manifold, self.flow)
-            series = entropy_mod.build_series(self.stack, m, K)
+        mKs = self._mKs(check)
+        all_series = entropy_mod.build_series_per_m(self.stack, mKs)
+        for (m, K), series in zip(mKs, all_series):
             ok = entropy_mod.w_monotonicity_check(series)
             dH_ok = bool(np.all(series.dH_dt >= -1e-12))
-            all_series.append(series)
             self.record(
                 f"entropy_m{m:g}",
                 ok and dH_ok,
@@ -378,40 +386,36 @@ class _Runner:
 
     def check_flow_margin(self, check):
         flow = self.flow
-        margin_reports = []
+        times = [float(t) for t in np.linspace(0.0, flow.horizon, 9)]
+        mKs = self._mKs(check)
+        columns = margin_columns(flow, mKs, times, keep=True)
         worst_fields = []
-        for m in check.m_values:
-            K = _resolve_K(check, m, self.manifold, flow)
-            times = [float(t) for t in np.linspace(0.0, flow.horizon, 9)]
-            reps = super_ricci_flow_margins(flow, m, K, times)
-            margin_reports.extend(reps)
-            worst = min(reps, key=lambda r: r.min_defect)  # the first, on ties
-            worst_fields.append(worst)
-            ok = all(r.ok for r in reps)
-            self.record(f"flow_margin_m{m:g}", ok, K=K, worst_margin=worst.min_defect)
-        fields = [r.defect for r in worst_fields]
-        self.write_stack("flow_margin_field", fields, reports.field_csv(worst_fields))
-        self.write_csv("flow_margin.csv", reports.flow_margin_csv(margin_reports))
+        worst_keys = []
+        for (m, K), c in zip(mKs, columns):
+            lows = c.min_defect.tolist()
+            worst = min(range(len(lows)), key=lows.__getitem__)  # the first, on ties
+            worst_fields.append(c.defect[worst])
+            worst_keys.append((c.t[worst:worst + 1], c.m))
+            self.record(f"flow_margin_m{m:g}", c.ok.all(), K=K, worst_margin=lows[worst])
+        keys = reports.field_columns_csv(worst_keys)
+        self.write_stack("flow_margin_field", worst_fields, keys)
+        self.write_csv("flow_margin.csv", reports.flow_margin_columns_csv(columns))
 
     def check_flow_entropy(self, check):
         flow = self.flow
         stack = stack_states(self.snapshots("flow"))
-        all_series = []
-        all_margins = []
-        for m in check.m_values:
-            K = _resolve_K(check, m, self.manifold, flow)
-            series = entropy_mod.build_series(stack, m, K, flow=flow)
-            margins = [r.min_defect for r in super_ricci_flow_margins(flow, m, K, stack.t)]
+        mKs = self._mKs(check)
+        all_series = entropy_mod.build_series_per_m(stack, mKs, flow=flow)
+        margins = [c.min_defect for c in margin_columns(flow, mKs, stack.t)]
+        for (m, K), series in zip(mKs, all_series):
             worst_gap = float((series.dW_dt_formula - series.monotonicity_bound).max())
-            all_series.append(series)
-            all_margins.append(margins)
             self.record(
                 f"flow_entropy_m{m:g}",
                 entropy_mod.w_monotonicity_check(series),
                 worst_gap=worst_gap,
                 K=K,
             )
-        tables = reports.entropy_series_csv(all_series, all_margins)
+        tables = reports.entropy_series_csv(all_series, margins)
         self.write_csv("flow_entropy_series.csv", tables)
 
     # -------------------------------------------------------------- entry

@@ -26,15 +26,18 @@ functions below are that case.
 
 The core takes one state or a stack of them (see
 :class:`wittenlab.heatflow.HeatState`) and returns one value per row:
-:func:`build_series` evaluates each m in one pass over a run's stacked
-snapshots, and one state is the one-row case, whose public functions
-return floats where a stack gets arrays over its rows.  The per-row
-scalars (Phi_mK and its derivative, the decay bound, the flow's scale
-and rate) are computed once per time and broadcast: with ``math``, except
-the series of Phi_mK, which is summed over all the row times at once; the
-quadratic integrands are formed over blocks of rows under the
-operators' element budget (``operators._row_blocks``).  Every row's
-value equals that of its state alone, bit for bit.
+:func:`build_series_per_m` evaluates a list of ``(m, K)`` in one pass
+over a run's stacked snapshots, and one state is the one-row case, whose
+public functions return floats where a stack gets arrays over its rows.
+What no m changes (H, dH/dt, d2H/dt2, the flow's scale and rate, and a
+block's drift term) is computed once and shared by every m;
+:func:`build_series` is the one-m case.  The per-row scalars (Phi_mK
+and its derivative, the decay bound) are computed once per time and m and
+broadcast: with ``math``, except the series of Phi_mK, which is summed
+over all the row times at once; the quadratic integrands are formed over
+blocks of rows under the operators' element budget
+(``operators._row_blocks``).  Every row's value equals that of its state
+alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ __all__ = [
     "tilde_w_entropy",
     "w_derivative_decomposition",
     "build_series",
+    "build_series_per_m",
     "w_monotonicity_check",
     "tilde_w_comparison",
     "monotonicity_bound",
@@ -226,14 +230,16 @@ def entropy_second_derivative(state):
     return _one(state, _entropy_second_derivative(state, None))
 
 
-def _normalized_entropy(state, m, K, flow, normalization, derivative):
+def _normalized_entropy(state, m, K, flow, normalization, derivative, H_dH=None):
     """Per row, ``(H, dH/dt, Phi, H - Phi, W)`` as arrays at the row's time t
     for the normalization ``Phi``, taken over the row times as
     ``normalization(times, m, K)``, with
-    W = H - Phi + t (dH/dt - derivative(t, m, K)); m and K must pass their rules."""
+    W = H - Phi + t (dH/dt - derivative(t, m, K)); m and K must pass their
+    rules.  ``H_dH``, when given, is the ``(H, dH/dt)`` of
+    :func:`_entropy_H`, which no m changes."""
     _check_state(state, m, K)
     times = state.times
-    H, dH = _entropy_H(state, flow)
+    H, dH = H_dH or _entropy_H(state, flow)
     Phi = normalization(times, m, K)
     rate = np.array([derivative(t, m, K) for t in times])
     return H, dH, Phi, H - Phi, H - Phi + np.array(times) * (dH - rate)
@@ -294,16 +300,19 @@ class WDecomposition:
         return self.T1 + self.T2 + self.T3 + self.T4
 
 
-def _w_decomposition(state, m, K, flow):
-    """Per row, the four terms ``(T1, T2, T3, T4)`` of dW/dt as arrays, with
-    norms taken in the metric g = g_base / scale.
+def _w_decomposition(state, mKs, flow):
+    """Per ``(m, K)`` of ``mKs``, the four terms ``(T1, T2, T3, T4)`` of
+    dW/dt as arrays over the rows, with norms taken in the metric
+    g = g_base / scale.
 
     The Hessian of log u is completed by c g, whose base components are
     c / scale; the curvature quadratic carries rate + K in front of g.
+    A block's drift ``grad phi . grad log u`` is formed once for every m.
     """
-    m_equals_n = _check_state(state, m, K)
+    models = [
+        (_check_state(state, m, K), bakry_emery_tensor(state.manifold, m)) for m, K in mKs
+    ]
     manifold = state.manifold
-    ric = bakry_emery_tensor(manifold, m)
     n = manifold.dim_n
     times = state.times
     scales, rates = _metric(state, flow)
@@ -312,25 +321,28 @@ def _w_decomposition(state, m, K, flow):
     G = _by_row(state, state.grad_log_u)
     G_sq = _by_row(state, state.grad_log_u_sq)
     eye = np.eye(n).reshape((n, n) + (1,) * (n + 1))
-    T1, T2, T3 = np.empty((3, len(times)))
+    terms = np.empty((len(mKs), 4, len(times)))
     for rows in _blocks(state, 2):
         t, sc, rt = times[rows], scales[rows], rates[rows]
         G_rows, u_rows = G[:, rows], u[rows]
-        c = [(0.5 * K + 0.5 / ti) / a for ti, a in zip(t, sc)]
-        completed = H[:, :, rows] + _column(c, state) * eye
-        T1[rows] = np.array([-2.0 * ti * (a * a) for ti, a in zip(t, sc)]) * integrate_mu(
-            manifold, np.einsum("ab...,ab...->...", completed, completed) * u_rows
-        )
+        drift = None
+        for (m, K), (m_equals_n, ric), (T1, T2, T3, _) in zip(mKs, models, terms):
+            c = [(0.5 * K + 0.5 / ti) / a for ti, a in zip(t, sc)]
+            completed = H[:, :, rows] + _column(c, state) * eye
+            T1[rows] = np.array([-2.0 * ti * (a * a) for ti, a in zip(t, sc)]) * integrate_mu(
+                manifold, np.einsum("ab...,ab...->...", completed, completed) * u_rows
+            )
 
-        quad = _column([a * a for a in sc], state) * np.einsum(
-            "ab...,a...,b...->...", ric, G_rows, G_rows
-        ) + _column([(r + K) * a for r, a in zip(rt, sc)], state) * G_sq[rows]
-        T2[rows] = np.array([-2.0 * ti for ti in t]) * integrate_mu(manifold, quad * u_rows)
+            quad = _column([a * a for a in sc], state) * np.einsum(
+                "ab...,a...,b...->...", ric, G_rows, G_rows
+            ) + _column([(r + K) * a for r, a in zip(rt, sc)], state) * G_sq[rows]
+            T2[rows] = np.array([-2.0 * ti for ti in t]) * integrate_mu(manifold, quad * u_rows)
 
-        if m_equals_n:
-            T3[rows] = 0.0  # phi is constant, so the drift vanishes
-        else:
-            drift = np.einsum("a...,a...->...", manifold.potential_gradient, G_rows)
+            if m_equals_n:
+                T3[rows] = 0.0  # phi is constant, so the drift vanishes
+                continue
+            if drift is None:
+                drift = np.einsum("a...,a...->...", manifold.potential_gradient, G_rows)
             align = _column(sc, state) * drift - _column(
                 [(m - n) * (1.0 + K * ti) / (2.0 * ti) for ti in t], state
             )
@@ -338,14 +350,16 @@ def _w_decomposition(state, m, K, flow):
                 manifold, align * align * u_rows
             )
 
-    T4 = np.array([_monotonicity_bound(t, m, K) for t in times])
-    return T1, T2, T3, T4
+    for (m, K), (_, _, _, T4) in zip(mKs, terms):
+        T4[:] = [_monotonicity_bound(t, m, K) for t in times]
+    return [tuple(T) for T in terms]
 
 
 def _decomposition_record(state, m, K, flow):
     """:class:`WDecomposition` of the core's terms: floats for one state,
     arrays over the rows for a stack."""
-    return WDecomposition(*(_one(state, T) for T in _w_decomposition(state, m, K, flow)))
+    (terms,) = _w_decomposition(state, [(m, K)], flow)
+    return WDecomposition(*(_one(state, T) for T in terms))
 
 
 def w_derivative_decomposition(state, m, K):
@@ -410,17 +424,32 @@ def build_series(snapshots, m, K, flow=None):
     differences.  Each column is one pass over the stack, whose fields
     every series and check of the stack shares through its cache.
     """
+    (series,) = build_series_per_m(snapshots, [(m, K)], flow)
+    return series
+
+
+def build_series_per_m(snapshots, mKs, flow=None):
+    """The :func:`build_series` of each ``(m, K)`` of ``mKs``, in one pass.
+
+    What no m changes is computed once and shared, as the same read-only
+    arrays, by every series: the times, ``H``, ``dH_dt`` and ``d2H_dt2``.
+    """
     if len(snapshots.times if isinstance(snapshots, HeatState) else snapshots) < 2:
         raise ValueError("need at least two snapshots")
     state = _as_stack(snapshots)
     times = np.array(state.times)
-    H, dH, Phi, _, W = _normalized_entropy(state, m, K, flow, _phi_mK, _phi_mK_prime)
+    H_dH = _entropy_H(state, flow)
     d2H = _entropy_second_derivative(state, flow)
-    T1, T2, T3, T4 = _w_decomposition(state, m, K, flow)
-    return EntropySeries(
-        m=float(m), K=float(K), times=times, H=H, dH_dt=dH, d2H_dt2=d2H, Phi=Phi, W_mK=W,
-        dW_dt_numeric=np.gradient(W, times), T1=T1, T2=T2, T3=T3, T4=T4,
-    )
+    out = []
+    for (m, K), (T1, T2, T3, T4) in zip(mKs, _w_decomposition(state, mKs, flow)):
+        H, dH, Phi, _, W = _normalized_entropy(
+            state, m, K, flow, _phi_mK, _phi_mK_prime, H_dH
+        )
+        out.append(EntropySeries(
+            m=float(m), K=float(K), times=times, H=H, dH_dt=dH, d2H_dt2=d2H, Phi=Phi,
+            W_mK=W, dW_dt_numeric=np.gradient(W, times), T1=T1, T2=T2, T3=T3, T4=T4,
+        ))
+    return out
 
 
 def w_monotonicity_check(series):

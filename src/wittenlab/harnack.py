@@ -8,23 +8,30 @@ constant term), since defects grow like 1/t for small times.
 
 The pointwise functions take one state or a stack of them (see
 :class:`wittenlab.heatflow.HeatState`), and :func:`kernel_dt_log_bounds`
-a stack or a list of snapshots.  One implementation serves both: it
-evaluates one m over every row of the stack in one pass (one state is
-the one-row case), taking the rows in blocks under the operators' element
-budget (``operators._row_blocks``).  The per-row constants such as
-(m/2t) e^{4Kt} are computed with ``math`` once per time and broadcast
-over the grid, so every row's defect equals the defect of its state
-alone, bit for bit.  A stack gives one report per row, in row order.
+a stack or a list of snapshots.  One core serves every caller:
+:func:`defect_columns` evaluates a list of ``(m, K)`` over every row of
+the stack in one pass, taking the rows in blocks under the operators'
+element budget (``operators._row_blocks``).  What a block's defects
+share whatever m is (the sup bound's ``4 log(A/u)`` and
+``Lu/u + |grad u/u|^2``) is formed once per block; the per-row
+constants such as (m/2t) e^{4Kt} are computed with ``math`` once per
+time and m and broadcast over the grid, so every row's defect equals
+the defect of its state alone, bit for bit.  The public one-m functions
+are its one-pair case.
 
-Pointwise defects, and the super-Ricci-flow margins of
-:mod:`wittenlab.ricciflow`, are :class:`DefectReport` records: they store
-the ``defect`` field and its inputs with its ``min_defect`` and
-``argmin_node``, and derive the verdict ``ok`` (``min_defect >= -tol``).
-The checks build their reports a block of rows at a time
-(:func:`_block_reports`): the minima and first minimum nodes of a block
-come from one ``min`` and one ``argmin`` over its flattened grid axes,
-the values a reduction of each field alone gives.  A report built from
-one field derives its own.
+The core returns a :class:`DefectColumns` per ``(m, K)``: arrays over
+the rows of ``t``, ``min_defect``, the first minimum's flat node
+``argmin`` and ``tol``, the minima of a block being one ``min`` and one
+``argmin`` over its flattened grid axes, the values a reduction of each
+field alone gives.  The defect fields are kept only when asked for.
+The public functions turn the columns into :class:`DefectReport`
+records, which store the ``defect`` field and its inputs with its
+``min_defect`` and ``argmin_node`` and derive the verdict ``ok``
+(``min_defect >= -tol``); a report built from one field derives its
+own minimum.  The super-Ricci-flow margins of :mod:`wittenlab.ricciflow`
+are columns and reports of the same kind.  :func:`kernel_dt_log_bounds`
+likewise takes a list of ``(m, K)`` in its core, fitting its upper
+constant, which no m changes, once.
 
 The integrated two-point bound is checked by
 :func:`integrated_harnack_checks` over a list of node pairs in one pass:
@@ -36,7 +43,7 @@ one-pair wrapper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -53,6 +60,7 @@ from .heatflow import _as_stack, _by_row, _column
 from .operators import _row_blocks
 
 __all__ = [
+    "DefectColumns",
     "DefectReport",
     "IntegratedHarnackReport",
     "KernelDtLogReport",
@@ -62,6 +70,8 @@ __all__ = [
     "integrated_harnack_checks",
     "sup_bound_defect",
     "kernel_dt_log_bounds",
+    "defect_columns",
+    "kernel_bounds",
 ]
 
 HARNACK_TOL_REL = 1e-6  # of each bound's constant term, or of its right-hand side
@@ -96,6 +106,60 @@ class DefectReport:
     @property
     def ok(self):
         return bool(self.min_defect >= -self.tol)
+
+
+@dataclass(frozen=True, eq=False)
+class DefectColumns:
+    """A pointwise inequality at one ``m`` and ``K`` over the rows of a
+    stack, read-only, a column per quantity: the row times ``t``,
+    ``min_defect``, the flat grid index ``argmin`` of each row's first
+    minimum and ``tol``, arrays over the rows; ``ok`` and ``argmin_nodes``
+    are derived.  ``blocks``, when the fields were kept, holds the defect
+    fields as ``(rows, *grid)`` blocks in row order, else None, and
+    ``extras`` a dict per row where the inequality has them."""
+
+    inequality: str
+    m: float
+    K: float
+    t: np.ndarray
+    min_defect: np.ndarray
+    argmin: np.ndarray
+    tol: np.ndarray
+    grid: tuple
+    blocks: tuple = None
+    extras: tuple = None
+
+    def __post_init__(self):
+        for column in (self.t, self.min_defect, self.argmin, self.tol):
+            column.setflags(write=False)
+
+    @property
+    def ok(self):
+        return self.min_defect >= -self.tol
+
+    @property
+    def argmin_nodes(self):
+        """Each row's first minimum node, as an index array per grid axis."""
+        return np.unravel_index(self.argmin, self.grid)
+
+    @property
+    def defect(self):
+        """The kept defect field of each row, in row order."""
+        return [field for block in self.blocks for field in block]
+
+    def reports(self):
+        """A :class:`DefectReport` per row, from the kept fields."""
+        extras = self.extras or [{} for _ in self.t]
+        return [
+            DefectReport(
+                self.inequality, t, self.m, self.K, d, tol, extra,
+                min_defect=low, argmin_node=node,
+            )
+            for t, d, tol, extra, low, node in zip(
+                self.t.tolist(), self.defect, self.tol.tolist(), extras,
+                self.min_defect.tolist(), zip(*self.argmin_nodes),
+            )
+        ]
 
 
 @dataclass(frozen=True)
@@ -155,33 +219,124 @@ def _validate_mk(manifold, m, K, times=()):
         raise ValueError("state time must be positive")
 
 
-def _block_reports(inequality, times, m, K, defect, tols, extras=None):
-    """A :class:`DefectReport` per row of ``defect``, a ``(rows, *grid)``
-    block of fields at ``times`` with tolerances ``tols`` (and ``extras``,
-    one dict per row), whose minima and first minimum nodes are one
-    ``min`` and one ``argmin`` over the block's flattened grid axes."""
-    flat = defect.reshape(len(defect), -1)
-    nodes = zip(*np.unravel_index(flat.argmin(axis=1), defect.shape[1:]))
-    if extras is None:
-        extras = [{} for _ in times]
-    m, K = float(m), float(K)
+def _defect_columns(inequality, times, grid, mKs, block, keep=False):
+    """A :class:`DefectColumns` per ``(m, K)`` of ``mKs``, in order, over
+    the rows at ``times`` of fields on ``grid``.
+
+    The rows are taken in blocks under the operators' element budget.
+    ``block(rows, times)`` forms what the defects of a block of rows share
+    whatever m is and returns ``at``, with ``at(m, K)`` the block's
+    ``(defect, tols, extras)``: its ``(rows, *grid)`` fields, a tolerance
+    per row and a dict per row, or None.  Each block's minima and first
+    minimum nodes are one ``min`` and one ``argmin`` over its flattened
+    grid axes.  With ``keep`` the columns keep the fields and extras.
+    """
+    count, size = len(times), math.prod(grid)
+    low = np.empty((len(mKs), count))
+    first = np.empty((len(mKs), count), dtype=np.intp)
+    tol = np.empty((len(mKs), count))
+    blocks = [[] for _ in mKs]
+    extras = [[] for _ in mKs]
+    for rows in _row_blocks(count, size):
+        at = block(rows, times[rows])
+        for i, (m, K) in enumerate(mKs):
+            defect, tol[i, rows], extra = at(m, K)
+            flat = defect.reshape(len(defect), size)
+            low[i, rows] = flat.min(axis=1)
+            first[i, rows] = flat.argmin(axis=1)
+            if keep:
+                blocks[i].append(defect)
+                extras[i].extend(extra or ())
+    t = np.array(times, dtype=float)
     return [
-        DefectReport(inequality, t, m, K, d, tol, extra, min_defect=low, argmin_node=node)
-        for t, d, tol, extra, low, node in zip(
-            times, defect, tols, extras, flat.min(axis=1).tolist(), nodes
+        DefectColumns(
+            inequality, float(m), float(K), t, low[i], first[i], tol[i], tuple(grid),
+            tuple(blocks[i]) if keep else None, tuple(extras[i]) or None,
         )
+        for i, (m, K) in enumerate(mKs)
     ]
 
 
-def _pointwise(state, inequality, m, K, block_defects):
-    """Reports of a pointwise inequality over every row of ``state``:
-    ``block_defects(rows, times)`` gives the ``(defect, tols, extras)`` of
-    consecutive blocks of rows, reported by :func:`_block_reports` and
-    chained; the one report for one state."""
-    reports = []
-    for rows in _row_blocks(len(state.times), math.prod(state.manifold.shape)):
-        times = state.times[rows]
-        reports.extend(_block_reports(inequality, times, m, K, *block_defects(rows, times)))
+def _hamilton_block(state):
+    """Blocks of the Hamilton defect over the rows of ``state``."""
+    dt_log_u = _by_row(state, state.dt_log_u)
+    sq_grad = _by_row(state, state.grad_log_u_sq)
+
+    def block(rows, times):
+        rate, sq = dt_log_u[rows], sq_grad[rows]
+
+        def at(m, K):
+            rhs_const = [(m / (2.0 * t)) * math.exp(4.0 * K * t) for t in times]
+            growth = [math.exp(2.0 * K * t) for t in times]
+            defect = _column(rhs_const, state) + _column(growth, state) * rate - sq
+            return defect, [HARNACK_TOL_REL * c for c in rhs_const], None
+
+        return at
+
+    return block
+
+
+def _sup_bound_block(state, A, variant):
+    """Blocks of the sup-normalized defect over the rows of ``state``, with
+    the ``A`` and ``defect_variant`` extras when ``variant`` is set."""
+    if not (_is_real(A) and math.isfinite(A)):
+        raise ValueError(f"A must be a finite number, got {A!r}")
+    umax = float(state.u.max())
+    if A < umax:
+        raise ValueError(f"A={A} is below max u = {umax}; log(A/u) must be nonnegative")
+    u = _by_row(state, state.u)
+    dt_log_u = _by_row(state, state.dt_log_u)
+    sq_grad = _by_row(state, state.grad_log_u_sq)
+
+    def block(rows, times):
+        log_ratio = 4.0 * np.log(A / u[rows])
+        lhs = dt_log_u[rows] + sq_grad[rows]
+
+        def at(m, K):
+            if K == 0.0:
+                prefactor = [1.0 / t for t in times]  # limit of K/(1-e^{-Kt})
+            else:
+                prefactor = [K / (-math.expm1(-K * t)) for t in times]
+            bracket = m + log_ratio
+            defect = _column(prefactor, state) * bracket - lhs
+            tols = [HARNACK_TOL_REL * (p * m) for p in prefactor]
+            if not variant:
+                return defect, tols, None
+            other = _column([K + 1.0 / t for t in times], state) * bracket - lhs
+            return defect, tols, [{"A": float(A), "defect_variant": v} for v in other]
+
+        return at
+
+    return block
+
+
+def defect_columns(state, inequality, mKs, A=None, keep=False):
+    """The :class:`DefectColumns` of ``inequality`` at each ``(m, K)`` of
+    ``mKs`` over the rows of ``state``, in one pass over its rows.
+
+    ``inequality`` is ``"hamilton"``, ``"li_yau"`` (whose K must be 0) or
+    ``"sup_bound"``, which takes ``A`` as :func:`sup_bound_defect` does
+    and has no extras here.  With ``keep`` the columns keep the defect
+    fields.
+    """
+    if inequality not in ("hamilton", "li_yau", "sup_bound"):
+        raise ValueError(f"no pointwise inequality named {inequality!r}")
+    for m, K in mKs:
+        _validate_mk(state.manifold, m, K, state.times)
+        if inequality == "li_yau" and K != 0.0:
+            raise ValueError(f"the Li-Yau bound has K = 0, got K={K!r}")
+    if inequality == "sup_bound":
+        block = _sup_bound_block(state, A, variant=False)
+    else:
+        block = _hamilton_block(state)
+    return _defect_columns(inequality, state.times, state.manifold.shape, mKs, block, keep)
+
+
+def _one_m(state, columns):
+    """The reports of the one ``columns``: one per row of a stack, in a
+    list, or the one report of one state."""
+    (columns,) = columns
+    reports = columns.reports()
     return reports if state.stacked else reports[0]
 
 
@@ -192,27 +347,12 @@ def hamilton_harnack_defect(state, m, K):
     nonnegative for positive solutions whenever the Bakry-Emery tensor is
     bounded below by -K.  One report, or a list of one per row of a stack.
     """
-    _validate_mk(state.manifold, m, K, state.times)
-    dt_log_u = _by_row(state, state.dt_log_u)
-    sq_grad = _by_row(state, state.grad_log_u_sq)
-
-    def block(rows, times):
-        rhs_const = [(m / (2.0 * t)) * math.exp(4.0 * K * t) for t in times]
-        growth = [math.exp(2.0 * K * t) for t in times]
-        defect = (
-            _column(rhs_const, state) + _column(growth, state) * dt_log_u[rows] - sq_grad[rows]
-        )
-        return defect, [HARNACK_TOL_REL * c for c in rhs_const], None
-
-    return _pointwise(state, "hamilton", m, K, block)
+    return _one_m(state, defect_columns(state, "hamilton", [(m, K)], keep=True))
 
 
 def li_yau_defect(state, m):
     """Sharp-constant gradient bound; the K = 0 case of the Hamilton defect."""
-    report = hamilton_harnack_defect(state, m, 0.0)
-    if state.stacked:
-        return [replace(r, inequality="li_yau") for r in report]
-    return replace(report, inequality="li_yau")
+    return _one_m(state, defect_columns(state, "li_yau", [(m, 0.0)], keep=True))
 
 
 def _snapshot_at(snapshots, t):
@@ -271,28 +411,29 @@ def sup_bound_defect(state, m, K, A):
     list of one per row of a stack.
     """
     _validate_mk(state.manifold, m, K, state.times)
-    if not (_is_real(A) and math.isfinite(A)):
-        raise ValueError(f"A must be a finite number, got {A!r}")
-    umax = float(state.u.max())
-    if A < umax:
-        raise ValueError(f"A={A} is below max u = {umax}; log(A/u) must be nonnegative")
-    u = _by_row(state, state.u)
-    dt_log_u = _by_row(state, state.dt_log_u)
-    sq_grad = _by_row(state, state.grad_log_u_sq)
+    block = _sup_bound_block(state, A, variant=True)
+    columns = _defect_columns(
+        "sup_bound", state.times, state.manifold.shape, [(m, K)], block, keep=True
+    )
+    return _one_m(state, columns)
 
-    def block(rows, times):
-        if K == 0.0:
-            prefactor = [1.0 / t for t in times]  # limit of K/(1-e^{-Kt})
-        else:
-            prefactor = [K / (-math.expm1(-K * t)) for t in times]
-        bracket = m + 4.0 * np.log(A / u[rows])
-        lhs = dt_log_u[rows] + sq_grad[rows]
-        defect = _column(prefactor, state) * bracket - lhs
-        variant = _column([K + 1.0 / t for t in times], state) * bracket - lhs
-        tols = [HARNACK_TOL_REL * (p * m) for p in prefactor]
-        return defect, tols, [{"A": float(A), "defect_variant": v} for v in variant]
 
-    return _pointwise(state, "sup_bound", m, K, block)
+def _kernel_source(state):
+    """The kernel that every row of ``state`` comes from; a row with no
+    kernel, or with another source than row 0's, raises ``ValueError``."""
+    src = state.kernels[0]
+    for row, (t, kernel) in enumerate(zip(state.times, state.kernels)):
+        if kernel is None:
+            raise ValueError(
+                f"row {row} (t={t}) has no kernel: snapshots must come from a "
+                "kernel-initialized run"
+            )
+        if kernel.x0 != src.x0:
+            raise ValueError(
+                f"row {row} (t={t}) comes from x0={kernel.x0}, row 0 from x0={src.x0}: "
+                "the snapshots must share one source"
+            )
+    return src
 
 
 def kernel_dt_log_bounds(snapshots, m, K):
@@ -302,40 +443,52 @@ def kernel_dt_log_bounds(snapshots, m, K):
     d/dt log u <= C (1 + 1/sqrt(t) + d(x, x0)/t)^2 over the run; the
     constant is a shape diagnostic whose stability under grid refinement
     is checked by the callers, not an asserted bound.  ``snapshots`` is a
-    list of states or a stack, whose first row must come from a
-    kernel-initialized run.
+    list of states or a stack, every row of which must come from one
+    kernel-initialized run: a row with no kernel or another source raises
+    ``ValueError``.
     """
+    (report,) = kernel_bounds(snapshots, [(m, K)])
+    return report
+
+
+def kernel_bounds(snapshots, mKs):
+    """The :func:`kernel_dt_log_bounds` report of each ``(m, K)`` of
+    ``mKs``, in one pass over the rows; the fitted constant, which no m
+    changes, is fitted once."""
     state = _as_stack(snapshots)
     manifold = state.manifold
-    _validate_mk(manifold, m, K)
-    src = state.kernels[0]
-    if src is None:
-        raise ValueError("snapshots must come from a kernel-initialized run")
-    dist = geodesic_distance(manifold, src.x0)
+    for m, K in mKs:
+        _validate_mk(manifold, m, K)
+    dist = geodesic_distance(manifold, _kernel_source(state).x0)
     dt_log_u = _by_row(state, state.dt_log_u)
     grid_axes = tuple(range(1, manifold.dim_n + 1))
-    min_margin = math.inf
+    min_margin = [math.inf] * len(mKs)
+    ok = [True] * len(mKs)
     fitted = 0.0
-    ok = True
     for rows in _row_blocks(len(state.times), math.prod(manifold.shape)):
         times = state.times[rows]
-        lower = [-(m / (2.0 * t)) * math.exp(2.0 * K * t) for t in times]
         rate = dt_log_u[rows]
-        margins = (rate - _column(lower, state)).min(axis=grid_axes).tolist()
         shape = (
             _column([1.0 + 1.0 / math.sqrt(t) for t in times], state)
             + dist / _column(times, state)
         ) ** 2
-        for margin, low, fit in zip(margins, lower, (rate / shape).max(axis=grid_axes).tolist()):
-            min_margin = min(min_margin, margin)
-            if margin < -KERNEL_BOUND_TOL_REL * abs(low):
-                ok = False
+        for fit in (rate / shape).max(axis=grid_axes).tolist():
             fitted = max(fitted, fit)
-    return KernelDtLogReport(
-        m=float(m),
-        K=float(K),
-        times=tuple(state.times),
-        min_margin=float(min_margin),
-        ok=bool(ok),
-        fitted_upper_constant=float(fitted),
-    )
+        for i, (m, K) in enumerate(mKs):
+            lower = [-(m / (2.0 * t)) * math.exp(2.0 * K * t) for t in times]
+            margins = (rate - _column(lower, state)).min(axis=grid_axes).tolist()
+            for margin, low in zip(margins, lower):
+                min_margin[i] = min(min_margin[i], margin)
+                if margin < -KERNEL_BOUND_TOL_REL * abs(low):
+                    ok[i] = False
+    return [
+        KernelDtLogReport(
+            m=float(m),
+            K=float(K),
+            times=tuple(state.times),
+            min_margin=float(low),
+            ok=bool(passed),
+            fitted_upper_constant=float(fitted),
+        )
+        for (m, K), low, passed in zip(mKs, min_margin, ok)
+    ]

@@ -27,8 +27,14 @@ and reused by every snapshot table on that grid.  :func:`_table` writes
 the tables of per-report rows a block of rows at a time: in a block, a
 column whose values are all Python floats, strings, integers or booleans
 is one ``map`` of that type's formatter, and only a column of mixed or
-numpy scalars goes value by value through :func:`_fmt`.  The text is
-the same, byte for byte, as formatting each value with :func:`_fmt`.
+numpy scalars goes value by value through :func:`_fmt`.  The checks'
+columnar results (:class:`wittenlab.harnack.DefectColumns`) are written
+by :func:`harnack_columns_csv`, :func:`flow_margin_columns_csv` and
+:func:`field_columns_csv`, a block per ``m`` whose key columns are one
+text each.  Within one table, a numeric array column equal in dtype,
+shape and bytes to one already formatted (the times and the columns no
+``m`` changes, repeated in every ``m`` block) reuses its text.  The text
+is the same, byte for byte, as formatting each value with :func:`_fmt`.
 
 A failed write (an ``OSError`` from creating, writing or renaming a
 file) raises :class:`wittenlab.config.ConfigError` naming the output
@@ -61,9 +67,12 @@ __all__ = [
     "field_csv",
     "snapshots_csv",
     "harnack_csv",
+    "harnack_columns_csv",
+    "field_columns_csv",
     "integrated_csv",
     "entropy_series_csv",
     "flow_margin_csv",
+    "flow_margin_columns_csv",
     "manifest_csv",
     "write_blocks",
     "write_npy",
@@ -135,6 +144,19 @@ def _table(kind, cols, rows):
         yield _lines("", [_column(c) for c in zip(*chunk)])
 
 
+def _column_table(kind, cols, blocks):
+    """Versioned comment line, column header, then per block of ``blocks``
+    (a text column per ``cols``: a list of a text per row, or one text for
+    every row, at least one of them a list) a line per row, a block of
+    lines per ``_TABLE_ROWS`` rows."""
+    yield _header(kind, cols)
+    for columns in blocks:
+        rows = next(len(c) for c in columns if not isinstance(c, str))
+        for start in range(0, rows, _TABLE_ROWS):
+            part = slice(start, start + _TABLE_ROWS)
+            yield _lines("", [repeat(c) if isinstance(c, str) else c[part] for c in columns])
+
+
 def _keyed_csv(kind, keys, cols, blocks):
     """The header, then per ``(key, columns)`` of ``blocks`` a block with a
     row per entry of the text ``columns``, led by the values of ``key``."""
@@ -175,8 +197,32 @@ def _column(values):
     return [_fmt(v) for v in values.ravel()]
 
 
+def _column_text():
+    """A :func:`_column` for the columns of one table that formats a
+    numeric array once: a later array of the same dtype, shape and bytes,
+    such as the times of every ``m`` block, reuses its text, which is the
+    same text."""
+    texts = {}
+
+    def text(values):
+        if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiub"):
+            return _column(values)
+        key = (values.dtype.str, values.shape, values.tobytes())
+        if key not in texts:
+            texts[key] = _column(values)
+        return texts[key]
+
+    return text
+
+
 def _node(index):
     return "/".join(map(str, index))
+
+
+def _node_column(axes):
+    """The node of each entry of ``axes``, an index array per grid axis,
+    as text, as :func:`_node` writes it."""
+    return list(map("/".join, zip(*map(_column, axes))))
 
 
 def _coord_names(manifold):
@@ -260,6 +306,28 @@ def harnack_csv(reports):
     return _table("harnack", cols, rows)
 
 
+def harnack_columns_csv(columns):
+    """The table :func:`harnack_csv` writes of the reports of the
+    :class:`wittenlab.harnack.DefectColumns` ``columns``, formatted from
+    their columns."""
+    cols = ["inequality", "t", "m", "K", "min_defect", "argmin_node", "tol", "ok"]
+    text = _column_text()
+    blocks = (
+        [c.inequality, text(c.t), _fmt(c.m), _fmt(c.K), text(c.min_defect),
+         _node_column(c.argmin_nodes), text(c.tol), text(c.ok)]
+        for c in columns
+    )
+    return _column_table("harnack", cols, blocks)
+
+
+def field_columns_csv(blocks):
+    """The key table :func:`field_csv` writes of a stack of fields given
+    as ``(t, m)`` blocks of rows: an array of the rows' times and their
+    one ``m``."""
+    text = _column_text()
+    return _column_table("field-rows", ["t", "m"], ([text(t), _fmt(m)] for t, m in blocks))
+
+
 def integrated_csv(reports):
     cols = ["x", "y", "tau", "T", "m", "K", "distance", "lhs", "rhs", "ok"]
     rows = (
@@ -285,7 +353,8 @@ def entropy_series_csv(series, flow_margins=None):
         cols.append("flow_margin")
         for columns, margin in zip(tables, flow_margins):
             columns.append(margin)
-    blocks = (((s.m,), map(_column, columns)) for s, columns in zip(series, tables))
+    text = _column_text()
+    blocks = (((s.m,), map(text, columns)) for s, columns in zip(series, tables))
     return _keyed_csv("entropy-series", ["m"], cols, blocks)
 
 
@@ -293,6 +362,18 @@ def flow_margin_csv(reports):
     cols = ["t", "m", "K", "min_margin", "ok"]
     rows = ((r.t, r.m, r.K, r.min_defect, r.ok) for r in reports)
     return _table("flow-margin", cols, rows)
+
+
+def flow_margin_columns_csv(columns):
+    """The table :func:`flow_margin_csv` writes of the reports of the
+    margin :class:`wittenlab.harnack.DefectColumns` ``columns``, formatted
+    from their columns."""
+    cols = ["t", "m", "K", "min_margin", "ok"]
+    text = _column_text()
+    blocks = (
+        [text(c.t), _fmt(c.m), _fmt(c.K), text(c.min_defect), text(c.ok)] for c in columns
+    )
+    return _column_table("flow-margin", cols, blocks)
 
 
 def manifest_csv(rows):

@@ -9,9 +9,11 @@ base tensor at every t, because phi moves only by a constant.
 
 The margin field of the super-flow condition lives here, as the ``defect``
 of a :class:`wittenlab.harnack.DefectReport` (``inequality`` is
-``"super_ricci_flow"``, ``tol`` is ``FLOW_MARGIN_TOL``).  The fields of all
-requested times are one ``(times, *grid)`` stack, whose per-time minima
-and first minimum nodes are taken in one pass.  The heat flow
+``"super_ricci_flow"``, ``tol`` is ``FLOW_MARGIN_TOL``).  The margins of
+a list of ``(m, K)`` at the requested times are one pass of the
+:mod:`wittenlab.harnack` column core (:func:`margin_columns`): the fields
+of a block of times are one ``(times, *grid)`` stack, whose per-time
+minima and first minimum nodes are taken together.  The heat flow
 of the time-dependent operator is the base heat flow under the time
 change tau(t) = integral of e^{-2 lam} (:meth:`FlowSpec.base_clock`), so
 :func:`evolve_heat_on_flow` is :func:`wittenlab.heatflow.evolve` at the
@@ -37,7 +39,7 @@ from .entropy import (
     _w_entropy,
 )
 from .geometry import WeightedManifold, _check_K, _check_params, _is_real, ricci_bakry_emery
-from .harnack import _block_reports
+from .harnack import _defect_columns
 from .heatflow import _as_stack, _within_horizon, evolve
 
 __all__ = [
@@ -45,6 +47,7 @@ __all__ = [
     "make_flow",
     "super_ricci_flow_margin",
     "super_ricci_flow_margins",
+    "margin_columns",
     "fit_super_flow_constant",
     "evolve_heat_on_flow",
     "w_decomposition_on_flow",
@@ -176,29 +179,49 @@ def make_flow(base, family="static", params=None, horizon=1.0):
     return flow
 
 
-def _margin_fields(flow, m, K, times):
-    """Eigenvalue fields of (1/2) dg/dt + Ric_mn + K g in g(t), stacked:
-    an array of shape ``(len(times), *grid)``.
+def _margin_fields(flow, times):
+    """``at(base_eigs, K)``: the eigenvalue fields of
+    (1/2) dg/dt + Ric_mn + K g in g(t) at ``times``, stacked, an array of
+    shape ``(len(times), *grid)``, for ``base_eigs`` the smallest
+    eigenvalue field of the base tensor at the m in question.
 
     For space-constant conformal factors the endomorphism is
     lam'(t) + K + e^{-2 lam(t)} times the base-tensor eigenvalue, so the
-    base curvature is computed once for all times.
+    base curvature serves every time, and lam'(t) and e^{-2 lam(t)}
+    every m.
     """
-    base_eigs = ricci_bakry_emery(flow.base, m).values
-    column = (-1,) + (1,) * base_eigs.ndim
-    shift = np.array([flow.log_factor_rate(t) + K for t in times]).reshape(column)
+    column = (-1,) + (1,) * flow.base.dim_n
+    rates = [flow.log_factor_rate(t) for t in times]
     scale = np.array([flow.operator_scale(t) for t in times]).reshape(column)
-    return shift + scale * base_eigs
+
+    def at(base_eigs, K):
+        shift = np.array([rate + K for rate in rates]).reshape(column)
+        return shift + scale * base_eigs
+
+    return at
+
+
+def margin_columns(flow, mKs, times, keep=False):
+    """The super-flow margins at each of ``times`` for each ``(m, K)`` of
+    ``mKs``: a :class:`wittenlab.harnack.DefectColumns` per pair, whose
+    fields are kept with ``keep``."""
+    for _, K in mKs:
+        _check_K(K)
+    base_eigs = {m: ricci_bakry_emery(flow.base, m).values for m, _ in mKs}
+    times = [float(t) for t in times]
+
+    def block(rows, block_times):
+        fields = _margin_fields(flow, block_times)
+        tols = [FLOW_MARGIN_TOL] * len(block_times)
+        return lambda m, K: (fields(base_eigs[m], K), tols, None)
+
+    return _defect_columns("super_ricci_flow", times, flow.base.shape, mKs, block, keep)
 
 
 def super_ricci_flow_margins(flow, m, K, times):
     """Margin reports at each of ``times``, on one base curvature."""
-    _check_K(K)
-    times = [float(t) for t in times]
-    fields = _margin_fields(flow, m, K, times)
-    return _block_reports(
-        "super_ricci_flow", times, m, K, fields, [FLOW_MARGIN_TOL] * len(times)
-    )
+    (columns,) = margin_columns(flow, [(m, K)], times, keep=True)
+    return columns.reports()
 
 
 def super_ricci_flow_margin(flow, m, K, t):
@@ -214,7 +237,8 @@ def super_ricci_flow_margin(flow, m, K, t):
 def fit_super_flow_constant(flow, m):
     """Smallest K >= 0 for which the super-flow margin is nonnegative."""
     t_samples = np.linspace(0.0, flow.horizon, FIT_SAMPLES).tolist()
-    return max(0.0, -float(_margin_fields(flow, m, 0.0, t_samples).min()))
+    base_eigs = ricci_bakry_emery(flow.base, m).values
+    return max(0.0, -float(_margin_fields(flow, t_samples)(base_eigs, 0.0).min()))
 
 
 def evolve_heat_on_flow(flow, state, times, local_error=1e-8, manifest=None):

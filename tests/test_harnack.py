@@ -259,6 +259,23 @@ def test_kernel_dt_log_stationary_is_sound(circle_cos):
     assert rep.min_margin == pytest.approx((2.0 / (2 * 0.7)) * math.exp(2 * 0.7), rel=1e-9)
 
 
+def test_kernel_dt_log_bounds_reject_rows_of_another_source_or_no_kernel():
+    from wittenlab import circle
+
+    M = circle(64)
+    from_0, from_20 = (evolve(initial_delta(M, x0, t0=0.1), [0.2])[0] for x0 in (0, 20))
+    # each run alone fits its own constant, against its own source
+    alone = kernel_dt_log_bounds([from_20], 2.0, 0.0).fitted_upper_constant
+    assert alone == pytest.approx(0.167, abs=5e-3)
+    with pytest.raises(ValueError, match=r"row 1 \(t=0.2\) comes from x0=\(20,\), row 0 from"):
+        kernel_dt_log_bounds([from_0, from_20], 2.0, 0.0)
+    no_kernel = make_state(M, from_0.u, 0.3)
+    with pytest.raises(ValueError, match=r"row 1 \(t=0.3\) has no kernel"):
+        kernel_dt_log_bounds([from_0, no_kernel], 2.0, 0.0)
+    with pytest.raises(ValueError, match=r"row 0 \(t=0.3\) has no kernel"):
+        kernel_dt_log_bounds([no_kernel], 2.0, 0.0)
+
+
 def test_kernel_dt_log_fitted_constant_grid_stability():
     from wittenlab import circle
 

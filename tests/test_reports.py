@@ -22,6 +22,7 @@ from wittenlab import (
 )
 from wittenlab import reports
 from wittenlab.cli import main
+from wittenlab.harnack import _defect_columns
 from wittenlab.config import ConfigError
 
 from references import (
@@ -307,6 +308,52 @@ def test_entropy_series_csv_matches_the_row_formatter(rows, rng):
     assert_same_text(
         reports.entropy_series_csv(tables, margins),
         reference_entropy_series(tables, margins),
+    )
+
+
+@pytest.mark.parametrize("table_rows", [None, 3])
+def test_a_column_shared_across_m_blocks_is_written_as_each_block_formats_it(
+    table_rows, rng, monkeypatch
+):
+    if table_rows is not None:
+        monkeypatch.setattr(reports, "_TABLE_ROWS", table_rows)
+    rows = 40
+    t = special_field((rows,), rng)
+    shared = {c: special_field((rows,), rng) for c in ("H", "dH_dt", "d2H_dt2")}
+
+    def series(m, times):
+        columns = {c: special_field((rows,), rng) for c in reports.SERIES_COLUMNS}
+        columns.update(shared)
+        columns["monotonicity_bound"] = columns["T4"]  # repeated within a block too
+        return SimpleNamespace(m=m, times=times, **columns)
+
+    # the times, an equal copy, the times with each zero's sign flipped and
+    # their bits read as integers: the first two are one text, the others not
+    flipped = np.where(t == 0.0, -t, t)
+    tables = [series(2.0, t), series(3.0, t.copy()), series(4.0, flipped),
+              series(5.0, t.view(np.int64))]
+    margins = [np.full(rows, 0.5), np.full(rows, 0.5), np.zeros(rows), -np.zeros(rows)]
+    assert_same_text(
+        reports.entropy_series_csv(tables, margins), reference_entropy_series(tables, margins)
+    )
+
+    # the tables of defect and margin columns, whose blocks share their times
+    M = SimpleNamespace(shape=(4, 5))
+    times = special_field((7,), rng).tolist()
+    mKs = [(2.0, 0.5), (3.5, 0.0), (5.0, 1e-300)]
+    fields = {mK: special_field((7, *M.shape), rng) for mK in mKs}
+    fields[mKs[1]][2:] = 0.5  # rows of one value: the first node is the minimum
+    tols = {mK: special_field((7,), rng)[::-1].tolist() for mK in mKs}
+
+    def block(rows, times):
+        return lambda m, K: (fields[m, K][rows], tols[m, K][rows], None)
+
+    columns = _defect_columns("sup_bound", times, M.shape, mKs, block, keep=True)
+    reps = [r for c in columns for r in c.reports()]
+    assert_same_text(reports.harnack_columns_csv(columns), REFERENCE["harnack"](reps))
+    assert_same_text(reports.flow_margin_columns_csv(columns), REFERENCE["flow_margin"](reps))
+    assert_same_text(
+        reports.field_columns_csv((c.t, c.m) for c in columns), text(reports.field_csv(reps))
     )
 
 

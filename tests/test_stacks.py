@@ -33,8 +33,9 @@ from wittenlab import (
     w_entropy,
 )
 from wittenlab import operators
-from wittenlab.entropy import _exp_series
-from wittenlab.harnack import _block_reports
+from wittenlab.entropy import _exp_series, build_series_per_m
+from wittenlab.harnack import _defect_columns, defect_columns, kernel_bounds
+from wittenlab.ricciflow import margin_columns
 
 from references import (
     exp_series_loop,
@@ -173,6 +174,77 @@ def test_a_one_row_stack_equals_the_one_state_call(check_runs, run):
             assert kernel_dt_log_bounds(row, m, K) == kernel_dt_log_bounds([s], m, K)
 
 
+# ------------------------------------------- every m of a list in one pass
+# The runner checks a list of m in one columnar pass over its stack; each
+# m's columns and series must equal, bit for bit, the public one-m function.
+
+
+def assert_columns_are_the_reports(columns, reports, keep):
+    assert {(r.inequality, r.m, r.K) for r in reports} == {
+        (columns.inequality, columns.m, columns.K)
+    }
+    assert same_bits(columns.t, [r.t for r in reports])
+    assert same_bits(columns.min_defect, [r.min_defect for r in reports])
+    assert list(zip(*columns.argmin_nodes, strict=True)) == [r.argmin_node for r in reports]
+    assert same_bits(columns.tol, [r.tol for r in reports])
+    assert columns.ok.tolist() == [r.ok for r in reports]
+    if keep:
+        for field, r in zip(columns.defect, reports, strict=True):
+            assert same_bits(field, r.defect)
+    else:
+        assert columns.blocks is None
+
+
+@pytest.mark.parametrize("run", RUNS)
+@pytest.mark.parametrize("keep", [False, True], ids=["minima", "fields"])
+@pytest.mark.parametrize("rows_per_block", [None, 2])
+def test_one_pass_over_a_list_of_m_equals_the_one_m_functions(
+    check_runs, run, keep, rows_per_block, monkeypatch
+):
+    snaps, flow = check_runs[run]
+    M = snaps[0].manifold
+    if rows_per_block is not None:
+        monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", rows_per_block * math.prod(M.shape))
+    stack = stack_states(snaps)
+    A = float(stack.u.max()) * (1.0 + 1e-12)
+    cases = mk_cases(M)
+    # every m of a list, and one m: on the flat circle m = n, a one-m Li-Yau run
+    for mKs in (cases, cases[-1:]):
+        li_yau_mKs = [(m, 0.0) for m, _ in mKs]
+        for inequality, pairs, one_m in (
+            ("hamilton", mKs, lambda m, K: hamilton_harnack_defect(stack, m, K)),
+            ("li_yau", li_yau_mKs, lambda m, K: li_yau_defect(stack, m)),
+            ("sup_bound", mKs, lambda m, K: sup_bound_defect(stack, m, K, A)),
+        ):
+            got = defect_columns(stack, inequality, pairs, A=A, keep=keep)
+            for columns, (m, K) in zip(got, pairs, strict=True):
+                assert_columns_are_the_reports(columns, one_m(m, K), keep)
+        for got, (m, K) in zip(kernel_bounds(stack, mKs), mKs, strict=True):
+            want = kernel_dt_log_bounds(stack, m, K)
+            assert got == want and same_bits(got.min_margin, want.min_margin)
+            assert same_bits(got.fitted_upper_constant, want.fitted_upper_constant)
+        for got, (m, K) in zip(build_series_per_m(stack, mKs, flow), mKs, strict=True):
+            want = build_series(stack, m, K, flow=flow)
+            assert (got.m, got.K) == (want.m, want.K)
+            for name in SERIES_FIELDS:
+                assert same_bits(getattr(got, name), getattr(want, name)), name
+        if flow is not None:
+            # the flow entropy's times and the margin check's nine
+            for times in (stack.t, np.linspace(0.0, flow.horizon, 9).tolist()):
+                got = margin_columns(flow, mKs, times, keep=keep)
+                for columns, (m, K) in zip(got, mKs, strict=True):
+                    want = super_ricci_flow_margins(flow, m, K, times)
+                    assert_columns_are_the_reports(columns, want, keep)
+
+
+def test_the_one_pass_rejects_an_unknown_inequality_and_a_li_yau_K(check_runs):
+    stack = stack_states(check_runs["weighted_circle"][0])
+    with pytest.raises(ValueError, match="no pointwise inequality named 'lia_yau'"):
+        defect_columns(stack, "lia_yau", [(2.0, 0.0)])
+    with pytest.raises(ValueError, match="Li-Yau bound has K = 0, got K=0.5"):
+        defect_columns(stack, "li_yau", [(2.0, 0.0), (3.0, 0.5)])
+
+
 def test_stacked_fields_are_the_rows_of_each_state(check_runs):
     snaps, _ = check_runs["flat_circle_kernel_start"]
     stack = stack_states(snaps)
@@ -244,7 +316,11 @@ def test_a_tied_minimum_reports_its_first_node(torus_32x48, rng):
     block[2] = np.abs(block[2]) + 1.0
     block[2, 0, 9], block[2, 1, 0] = 0.0, -0.0  # zeros of both signs tie
     block[3, 5, 5] = -np.inf
-    reports = _block_reports("hamilton", [0.1, 0.2, 0.3, 0.4], 3, 0.5, block, [1e-7] * 4)
+    (columns,) = _defect_columns(
+        "hamilton", [0.1, 0.2, 0.3, 0.4], torus_32x48.shape, [(3, 0.5)],
+        lambda rows, times: lambda m, K: (block[rows], [1e-7] * len(times), None), keep=True,
+    )
+    reports = columns.reports()
     assert [r.argmin_node for r in reports[:3]] == [(2, 7), (0, 0), (0, 9)]
     assert [r.min_defect for r in reports[:2]] == [-10.0, 0.5]
     assert reports[3].argmin_node == (5, 5) and reports[3].min_defect == -math.inf
