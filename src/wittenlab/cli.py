@@ -19,7 +19,10 @@ the defect fields are kept only where ``dump_defects`` asks for them.
 Beside ``summary.json`` the runner writes ``timing.json``: per check its
 wall seconds split into compute and output (formatting and writing the
 CSV and ``.npy`` tables), and the seconds of the run's one heat flow,
-which the fixed-metric and flow checks share.  Timings differ from run
+which the fixed-metric and flow checks share.  The heat flow runs inside
+the first check that reads its snapshots but is timed apart from it:
+no check's seconds include it.  A fitted ``K`` is fitted once per ``m``
+and run, whichever checks ask for it.  Timings differ from run
 to run, so they stay out of the summary files, which are byte-identical
 across runs of one configuration.
 """
@@ -69,15 +72,6 @@ def bundled_config_path(name):
     if not ref.is_file():
         raise ConfigError(f"no bundled config named {name!r}")
     return str(ref)
-
-
-def _resolve_K(check, m, manifold, flow):
-    K = check.options["K"]
-    if K == "admissible":
-        return ricci_bakry_emery(manifold, m).admissible_K
-    if K == "fitted":
-        return fit_super_flow_constant(flow, m)
-    return K
 
 
 def _node(index, manifold, key):
@@ -164,6 +158,7 @@ class _Runner:
         self._manifest = None
         self._heat_flow_s = 0.0
         self._output_s = 0.0
+        self._fitted_K = {}
 
     # ------------------------------------------------------------ helpers
     def out(self, filename):
@@ -223,6 +218,19 @@ class _Runner:
         """The snapshots as one stacked state, whose fields every check shares."""
         return stack_states(self.snapshots())
 
+    def resolve_K(self, check, m):
+        """The K of ``check`` at ``m``: its number, the admissible K of the
+        curvature at m, or the flow's fitted constant at m, fitted once per
+        run."""
+        K = check.options["K"]
+        if K == "admissible":
+            return ricci_bakry_emery(self.manifold, m).admissible_K
+        if K == "fitted":
+            if m not in self._fitted_K:
+                self._fitted_K[m] = fit_super_flow_constant(self.flow, m)
+            return self._fitted_K[m]
+        return K
+
     def record(self, name, ok, **detail):
         entry = {"ok": bool(ok)}
         entry.update(detail)
@@ -247,7 +255,7 @@ class _Runner:
     def check_ball_ratio(self, check):
         opts = check.options
         for m in check.m_values:
-            K = _resolve_K(check, m, self.manifold, self.flow)
+            K = self.resolve_K(check, m)
             rep = ball_volume_ratio_check(
                 self.manifold, m, K, self.center, opts["r"], opts["R"]
             )
@@ -300,7 +308,7 @@ class _Runner:
 
     def _mKs(self, check):
         """The ``(m, K)`` of each ``m`` of ``check``, in order."""
-        return [(m, _resolve_K(check, m, self.manifold, self.flow)) for m in check.m_values]
+        return [(m, self.resolve_K(check, m)) for m in check.m_values]
 
     def _pointwise_harnack(self, check, fn_name):
         stack = self.stack
@@ -313,9 +321,9 @@ class _Runner:
         columns = harnack_mod.defect_columns(stack, fn_name, mKs, A=A, keep=keep)
         if keep:
             fields = [f for c in columns for f in c.defect]
-            keys = reports.field_columns_csv((c.t, c.m) for c in columns)
+            keys = reports.field_csv((c.t, c.m) for c in columns)
             self.write_stack(f"defect_{fn_name}", fields, keys)
-        self.write_csv(f"harnack_{fn_name}.csv", reports.harnack_columns_csv(columns))
+        self.write_csv(f"harnack_{fn_name}.csv", reports.harnack_csv(columns))
         worst = min(low for c in columns for low in c.min_defect.tolist())
         ok = all(c.ok.all() for c in columns)
         self.record(f"harnack_{fn_name}", ok, worst_defect=worst)
@@ -341,7 +349,7 @@ class _Runner:
         ys = sample * len(sample)
         out_reports = []
         for m in check.m_values:
-            K = _resolve_K(check, m, self.manifold, self.flow)
+            K = self.resolve_K(check, m)
             for tau, T in pairs:
                 out_reports.extend(
                     harnack_mod.integrated_harnack_checks(snaps, xs, ys, float(tau), float(T), m, K)
@@ -397,9 +405,9 @@ class _Runner:
             worst_fields.append(c.defect[worst])
             worst_keys.append((c.t[worst:worst + 1], c.m))
             self.record(f"flow_margin_m{m:g}", c.ok.all(), K=K, worst_margin=lows[worst])
-        keys = reports.field_columns_csv(worst_keys)
+        keys = reports.field_csv(worst_keys)
         self.write_stack("flow_margin_field", worst_fields, keys)
-        self.write_csv("flow_margin.csv", reports.flow_margin_columns_csv(columns))
+        self.write_csv("flow_margin.csv", reports.flow_margin_csv(columns))
 
     def check_flow_entropy(self, check):
         flow = self.flow
@@ -433,9 +441,11 @@ class _Runner:
         checks = {}
         for check in selected:
             self._output_s = 0.0
+            heat_flow_s = self._heat_flow_s
             check_start = time.perf_counter()
             self.run_check(check)
-            wall = time.perf_counter() - check_start
+            # the heat flow, if this check ran it, is timed once, as heat_flow_s
+            wall = time.perf_counter() - check_start - (self._heat_flow_s - heat_flow_s)
             checks[check.name] = {
                 "wall_s": wall, "compute_s": wall - self._output_s, "output_s": self._output_s,
             }

@@ -48,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import _check_K, _check_m, _m_equals_n, _read_only, bakry_emery_tensor
+from .geometry import _check_K, _check_m, _check_m_K_t, _read_only, bakry_emery_tensor
 from .heatflow import HeatState, _as_stack, _by_row, _column
 from .operators import _row_blocks, integrate_mu
 
@@ -161,17 +161,6 @@ def _monotonicity_bound(t, m, K):
     )
 
 
-def _check_state(state, m, K):
-    """Whether m == n, after the m and K rules and t > 0 on every row:
-    the domain of the entropy core, checked once per call so that its
-    per-row scalars use the unchecked formulas."""
-    m_equals_n = _m_equals_n(state.manifold, m)
-    _check_K(K)
-    if any(t <= 0.0 for t in state.times):
-        raise ValueError("t must be positive")
-    return m_equals_n
-
-
 def _metric(state, flow):
     """Per row of ``state``, the flow's ``(scale, rate)`` at the row's time
     as two lists of floats; scale 1 and rate 0 without a flow."""
@@ -237,7 +226,7 @@ def _normalized_entropy(state, m, K, flow, normalization, derivative, H_dH=None)
     W = H - Phi + t (dH/dt - derivative(t, m, K)); m and K must pass their
     rules.  ``H_dH``, when given, is the ``(H, dH/dt)`` of
     :func:`_entropy_H`, which no m changes."""
-    _check_state(state, m, K)
+    _check_m_K_t(state.manifold, m, K, state.times)
     times = state.times
     H, dH = H_dH or _entropy_H(state, flow)
     Phi = normalization(times, m, K)
@@ -309,10 +298,11 @@ def _w_decomposition(state, mKs, flow):
     c / scale; the curvature quadratic carries rate + K in front of g.
     A block's drift ``grad phi . grad log u`` is formed once for every m.
     """
-    models = [
-        (_check_state(state, m, K), bakry_emery_tensor(state.manifold, m)) for m, K in mKs
-    ]
     manifold = state.manifold
+    models = [
+        (_check_m_K_t(manifold, m, K, state.times), bakry_emery_tensor(manifold, m))
+        for m, K in mKs
+    ]
     n = manifold.dim_n
     times = state.times
     scales, rates = _metric(state, flow)

@@ -639,6 +639,18 @@ def _check_K(K):
         raise ValueError(f"curvature constant K={K} must be nonnegative")
 
 
+def _check_m_K_t(manifold, m, K, times=()):
+    """Whether m == n, after the m rule, the K rule and t > 0 for each of
+    ``times``: the domain of every check over the rows of a state, checked
+    once per call so that the per-row formulas need no check."""
+    m_equals_n = _m_equals_n(manifold, m)
+    _check_K(K)
+    for t in times:
+        if t <= 0.0:
+            raise ValueError(f"state time t={t} must be positive")
+    return m_equals_n
+
+
 def _check_ball_radii(manifold, r, R):
     """Reject ball radii outside 0 < r < R <= the injectivity scale."""
     if not (0.0 < r < R):

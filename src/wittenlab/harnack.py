@@ -23,15 +23,17 @@ The core returns a :class:`DefectColumns` per ``(m, K)``: arrays over
 the rows of ``t``, ``min_defect``, the first minimum's flat node
 ``argmin`` and ``tol``, the minima of a block being one ``min`` and one
 ``argmin`` over its flattened grid axes, the values a reduction of each
-field alone gives.  The defect fields are kept only when asked for.
-The public functions turn the columns into :class:`DefectReport`
-records, which store the ``defect`` field and its inputs with its
-``min_defect`` and ``argmin_node`` and derive the verdict ``ok``
-(``min_defect >= -tol``); a report built from one field derives its
-own minimum.  The super-Ricci-flow margins of :mod:`wittenlab.ricciflow`
-are columns and reports of the same kind.  :func:`kernel_dt_log_bounds`
-likewise takes a list of ``(m, K)`` in its core, fitting its upper
-constant, which no m changes, once.
+field alone gives; these are the one reduction of a defect field.  The
+defect fields are kept only when asked for.  The public functions turn
+the columns into :class:`DefectReport` records, which store the
+``defect`` field and its inputs with the ``min_defect`` and
+``argmin_node`` of its columns and derive the verdict ``ok``
+(``min_defect >= -tol``).  Every check over rows applies one domain
+rule, :func:`wittenlab.geometry._check_m_K_t`: the m rule, the K rule
+and a positive time on every row.  The super-Ricci-flow margins of
+:mod:`wittenlab.ricciflow` are columns and reports of the same kind.
+:func:`kernel_dt_log_bounds` likewise takes a list of ``(m, K)`` in its
+core, fitting its upper constant, which no m changes, once.
 
 The integrated two-point bound is checked by
 :func:`integrated_harnack_checks` over a list of node pairs in one pass:
@@ -48,14 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (
-    _as_index,
-    _check_K,
-    _is_real,
-    _m_equals_n,
-    _node_distances,
-    geodesic_distance,
-)
+from .geometry import _as_index, _check_m_K_t, _is_real, _node_distances, geodesic_distance
 from .heatflow import _as_stack, _by_row, _column
 from .operators import _row_blocks
 
@@ -81,9 +76,9 @@ KERNEL_BOUND_TOL_REL = 1e-9
 @dataclass(frozen=True)
 class DefectReport:
     """Read-only per-node ``defect`` of a pointwise inequality, which holds
-    where it is nonnegative.  ``min_defect`` is its minimum and
-    ``argmin_node`` the first minimum's node; either, when not given with
-    the defect, is derived from it."""
+    where it is nonnegative, with its minimum ``min_defect`` and the first
+    minimum's node ``argmin_node``, as the columns of its check's pass give
+    them (:meth:`DefectColumns.reports`); ``ok`` is derived."""
 
     inequality: str
     t: float
@@ -91,17 +86,12 @@ class DefectReport:
     K: float
     defect: np.ndarray
     tol: float
+    min_defect: float
+    argmin_node: tuple
     extra: dict = field(default_factory=dict)
-    min_defect: float = None
-    argmin_node: tuple = None
 
     def __post_init__(self):
         self.defect.setflags(write=False)
-        if self.min_defect is None:
-            object.__setattr__(self, "min_defect", float(self.defect.min()))
-        if self.argmin_node is None:
-            node = np.unravel_index(int(np.argmin(self.defect)), self.defect.shape)
-            object.__setattr__(self, "argmin_node", node)
 
     @property
     def ok(self):
@@ -151,10 +141,7 @@ class DefectColumns:
         """A :class:`DefectReport` per row, from the kept fields."""
         extras = self.extras or [{} for _ in self.t]
         return [
-            DefectReport(
-                self.inequality, t, self.m, self.K, d, tol, extra,
-                min_defect=low, argmin_node=node,
-            )
+            DefectReport(self.inequality, t, self.m, self.K, d, tol, low, node, extra)
             for t, d, tol, extra, low, node in zip(
                 self.t.tolist(), self.defect, self.tol.tolist(), extras,
                 self.min_defect.tolist(), zip(*self.argmin_nodes),
@@ -209,14 +196,6 @@ class KernelDtLogReport:
     min_margin: float
     ok: bool
     fitted_upper_constant: float
-
-
-def _validate_mk(manifold, m, K, times=()):
-    """Reject m by the m rule, K by the K rule and any of ``times`` <= 0."""
-    _m_equals_n(manifold, m)
-    _check_K(K)
-    if any(t <= 0.0 for t in times):
-        raise ValueError("state time must be positive")
 
 
 def _defect_columns(inequality, times, grid, mKs, block, keep=False):
@@ -322,7 +301,7 @@ def defect_columns(state, inequality, mKs, A=None, keep=False):
     if inequality not in ("hamilton", "li_yau", "sup_bound"):
         raise ValueError(f"no pointwise inequality named {inequality!r}")
     for m, K in mKs:
-        _validate_mk(state.manifold, m, K, state.times)
+        _check_m_K_t(state.manifold, m, K, state.times)
         if inequality == "li_yau" and K != 0.0:
             raise ValueError(f"the Li-Yau bound has K = 0, got K={K!r}")
     if inequality == "sup_bound":
@@ -376,7 +355,7 @@ def integrated_harnack_checks(snapshots, xs, ys, tau, T, m, K):
     s_tau = _snapshot_at(snapshots, tau)
     s_T = _snapshot_at(snapshots, T)
     manifold = s_tau.manifold
-    _validate_mk(manifold, m, K)
+    _check_m_K_t(manifold, m, K)
     xs = [_as_index(manifold, x) for x in xs]
     ys = [_as_index(manifold, y) for y in ys]
     # one index array per axis; shape (dim_n, 0) when there are no pairs
@@ -410,7 +389,7 @@ def sup_bound_defect(state, m, K, A):
     max(u) over the run (over every row of a stack).  One report, or a
     list of one per row of a stack.
     """
-    _validate_mk(state.manifold, m, K, state.times)
+    _check_m_K_t(state.manifold, m, K, state.times)
     block = _sup_bound_block(state, A, variant=True)
     columns = _defect_columns(
         "sup_bound", state.times, state.manifold.shape, [(m, K)], block, keep=True
@@ -458,7 +437,7 @@ def kernel_bounds(snapshots, mKs):
     state = _as_stack(snapshots)
     manifold = state.manifold
     for m, K in mKs:
-        _validate_mk(manifold, m, K)
+        _check_m_K_t(manifold, m, K)
     dist = geodesic_distance(manifold, _kernel_source(state).x0)
     dt_log_u = _by_row(state, state.dt_log_u)
     grid_axes = tuple(range(1, manifold.dim_n + 1))

@@ -4,10 +4,10 @@ Every CSV starts with a versioned comment line naming its columns, so
 downstream plotting stays stable, and floats use shortest round-trip
 formatting, which makes outputs byte-identical across runs of the same
 configuration.  Each check writes one file per table, built as blocks
-(the header, then a block per field or series, or per ``_TABLE_ROWS``
-rows of a per-report table) that :func:`write_blocks` writes one at a
-time to a temporary file renamed over the target, so no table is ever
-joined in memory.
+(the header, then up to ``_TABLE_ROWS`` lines of one field, series or
+``m`` at a time) that :func:`write_blocks` writes one at a time to a
+temporary file renamed over the target, so no table is ever joined in
+memory.
 
 A per-node field table (the defect, curvature and flow-margin fields)
 is binary: :func:`write_npy` streams ``<name>.npy``, a C-order ``<f8``
@@ -18,23 +18,24 @@ time, the bytes ``np.save`` writes of the stacked fields.
 coordinates follow :func:`wittenlab.geometry._grid_coordinates` and are
 not written.
 
-Every table is formatted a column at a time (:func:`_column`).
-:func:`_keyed_csv` writes the snapshot table and the entropy series, each
-row led by its block's key columns (``t``, ``m``): a float column is one
-``tolist`` and one ``repr`` per value, an integer column one ``str`` per
-value, and the node index and coordinate text of a grid is built once
-and reused by every snapshot table on that grid.  :func:`_table` writes
-the tables of per-report rows a block of rows at a time: in a block, a
-column whose values are all Python floats, strings, integers or booleans
-is one ``map`` of that type's formatter, and only a column of mixed or
-numpy scalars goes value by value through :func:`_fmt`.  The checks'
+Every table is built by one writer, :func:`_table`: the header, then
+blocks of text columns, each column a text per row or one text that
+every row of its block repeats (a block's key, such as the ``t`` of a
+snapshot or the ``m`` of a series or of a check's columns), written a
+block of ``_TABLE_ROWS`` lines at a time.  Each value column is
+formatted whole by :func:`_column`: a float column is one ``tolist`` and
+one ``repr`` per value, an integer column one ``str`` per value, a
+sequence of one Python scalar type one ``map`` of that type's formatter,
+and only a column of mixed or numpy scalars goes value by value through
+:func:`_fmt`.  The node index and coordinate text of a grid is built
+once and reused by every snapshot table on that grid.  The checks'
 columnar results (:class:`wittenlab.harnack.DefectColumns`) are written
-by :func:`harnack_columns_csv`, :func:`flow_margin_columns_csv` and
-:func:`field_columns_csv`, a block per ``m`` whose key columns are one
-text each.  Within one table, a numeric array column equal in dtype,
-shape and bytes to one already formatted (the times and the columns no
-``m`` changes, repeated in every ``m`` block) reuses its text.  The text
-is the same, byte for byte, as formatting each value with :func:`_fmt`.
+by :func:`harnack_csv`, :func:`flow_margin_csv` and :func:`field_csv`, a
+block per ``m``.  Within one table, a numeric array column equal in
+dtype, shape and bytes to one already formatted (the times and the
+columns no ``m`` changes, repeated in every ``m`` block) reuses its
+text.  The text is the same, byte for byte, as formatting each value
+with :func:`_fmt`.
 
 A failed write (an ``OSError`` from creating, writing or renaming a
 file) raises :class:`wittenlab.config.ConfigError` naming the output
@@ -51,7 +52,7 @@ import math
 import operator
 import os
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -59,7 +60,7 @@ from .config import ConfigError
 from .geometry import _grid_coordinates
 
 CSV_VERSION = "v1"
-_TABLE_ROWS = 128  # rows per block of a per-report table
+_TABLE_ROWS = 4096  # lines per written block: a 64x64 grid's snapshot is one block
 
 __all__ = [
     "atomic_write",
@@ -67,12 +68,9 @@ __all__ = [
     "field_csv",
     "snapshots_csv",
     "harnack_csv",
-    "harnack_columns_csv",
-    "field_columns_csv",
     "integrated_csv",
     "entropy_series_csv",
     "flow_margin_csv",
-    "flow_margin_columns_csv",
     "manifest_csv",
     "write_blocks",
     "write_npy",
@@ -135,16 +133,7 @@ def _header(kind, cols):
     return f"# wittenlab {kind} {CSV_VERSION}: {names}\n{names}\n"
 
 
-def _table(kind, cols, rows):
-    """Versioned comment line, column header, then a block of a line per
-    row for every ``_TABLE_ROWS`` rows, formatted a column at a time."""
-    yield _header(kind, cols)
-    rows = iter(rows)
-    while chunk := list(islice(rows, _TABLE_ROWS)):
-        yield _lines("", [_column(c) for c in zip(*chunk)])
-
-
-def _column_table(kind, cols, blocks):
+def _table(kind, cols, blocks):
     """Versioned comment line, column header, then per block of ``blocks``
     (a text column per ``cols``: a list of a text per row, or one text for
     every row, at least one of them a list) a line per row, a block of
@@ -154,24 +143,24 @@ def _column_table(kind, cols, blocks):
         rows = next(len(c) for c in columns if not isinstance(c, str))
         for start in range(0, rows, _TABLE_ROWS):
             part = slice(start, start + _TABLE_ROWS)
-            yield _lines("", [repeat(c) if isinstance(c, str) else c[part] for c in columns])
+            yield _lines([c if isinstance(c, str) else c[part] for c in columns])
 
 
-def _keyed_csv(kind, keys, cols, blocks):
-    """The header, then per ``(key, columns)`` of ``blocks`` a block with a
-    row per entry of the text ``columns``, led by the values of ``key``."""
-    yield _header(kind, [*keys, *cols])
-    for key, columns in blocks:
-        yield _lines("".join(_fmt(k) + "," for k in key), columns)
-
-
-def _lines(lead, columns):
-    """A line per entry of the text ``columns``, comma-separated and led
-    by ``lead``."""
-    parts = [repeat(lead)]
+def _lines(columns):
+    """A line per entry of the text ``columns`` (a list of a text per line,
+    or one text for every line), comma-separated.  Each run of one-text
+    columns and the commas around them is joined once, as one piece of
+    every line."""
+    parts, text = [], ""
     for column in columns:
-        parts += (column, repeat(","))
-    parts[-1] = repeat("\n")
+        if isinstance(column, str):
+            text += column + ","
+        else:
+            if text:
+                parts.append(repeat(text))
+            parts.append(column)
+            text = ","
+    parts.append(repeat(text[:-1] + "\n"))
     return "".join(map("".join, zip(*parts)))
 
 
@@ -215,13 +204,9 @@ def _column_text():
     return text
 
 
-def _node(index):
-    return "/".join(map(str, index))
-
-
 def _node_column(axes):
-    """The node of each entry of ``axes``, an index array per grid axis,
-    as text, as :func:`_node` writes it."""
+    """The node of each entry of ``axes``, an index sequence per grid
+    axis, as text: its indices joined by ``/``."""
     return list(map("/".join, zip(*map(_column, axes))))
 
 
@@ -252,10 +237,10 @@ def snapshots_csv(snapshots):
     if not snapshots:
         raise ValueError("no snapshots given")
     manifold = snapshots[0].manifold
-    cols = ["node_index", *_coord_names(manifold), "u"]
+    cols = ["t", "node_index", *_coord_names(manifold), "u"]
     prefixes = _node_prefixes(manifold.grid_sizes, manifold.circumferences)
-    blocks = (((s.t,), (prefixes, _grid_column(manifold, s.u))) for s in snapshots)
-    return _keyed_csv("snapshots", ["t"], cols, blocks)
+    blocks = ([_fmt(s.t), prefixes, _grid_column(manifold, s.u)] for s in snapshots)
+    return _table("snapshots", cols, blocks)
 
 
 def write_npy(path, shape, fields):
@@ -288,28 +273,19 @@ def write_npy(path, shape, fields):
 
 def curvature_csv(curvatures):
     """The key table of a stack of curvature fields: the ``m`` of each."""
-    return _table("curvature-rows", ["m"], ((cf.m,) for cf in curvatures))
+    yield from _table("curvature-rows", ["m"], [[_column([cf.m for cf in curvatures])]])
 
 
-def field_csv(reports):
-    """The key table of a stack of the reports' ``defect`` fields: the
-    ``t`` and ``m`` of each."""
-    return _table("field-rows", ["t", "m"], ((r.t, r.m) for r in reports))
+def field_csv(blocks):
+    """The key table of a stack of fields given as ``(t, m)`` blocks of
+    rows: an array of the rows' times and their one ``m``."""
+    text = _column_text()
+    return _table("field-rows", ["t", "m"], ([text(t), _fmt(m)] for t, m in blocks))
 
 
-def harnack_csv(reports):
-    cols = ["inequality", "t", "m", "K", "min_defect", "argmin_node", "tol", "ok"]
-    rows = (
-        (r.inequality, r.t, r.m, r.K, r.min_defect, _node(r.argmin_node), r.tol, r.ok)
-        for r in reports
-    )
-    return _table("harnack", cols, rows)
-
-
-def harnack_columns_csv(columns):
-    """The table :func:`harnack_csv` writes of the reports of the
-    :class:`wittenlab.harnack.DefectColumns` ``columns``, formatted from
-    their columns."""
+def harnack_csv(columns):
+    """A row per row of each :class:`wittenlab.harnack.DefectColumns` of
+    ``columns``, a block per ``m``."""
     cols = ["inequality", "t", "m", "K", "min_defect", "argmin_node", "tol", "ok"]
     text = _column_text()
     blocks = (
@@ -317,24 +293,16 @@ def harnack_columns_csv(columns):
          _node_column(c.argmin_nodes), text(c.tol), text(c.ok)]
         for c in columns
     )
-    return _column_table("harnack", cols, blocks)
-
-
-def field_columns_csv(blocks):
-    """The key table :func:`field_csv` writes of a stack of fields given
-    as ``(t, m)`` blocks of rows: an array of the rows' times and their
-    one ``m``."""
-    text = _column_text()
-    return _column_table("field-rows", ["t", "m"], ([text(t), _fmt(m)] for t, m in blocks))
+    return _table("harnack", cols, blocks)
 
 
 def integrated_csv(reports):
+    """A row per :class:`wittenlab.harnack.IntegratedHarnackReport` of the
+    sequence ``reports``."""
     cols = ["x", "y", "tau", "T", "m", "K", "distance", "lhs", "rhs", "ok"]
-    rows = (
-        (_node(r.x), _node(r.y), r.tau, r.T, r.m, r.K, r.distance, r.lhs, r.rhs, r.ok)
-        for r in reports
-    )
-    return _table("integrated-harnack", cols, rows)
+    nodes = [_node_column(zip(*(getattr(r, c) for r in reports))) for c in cols[:2]]
+    values = [_column([getattr(r, c) for r in reports]) for c in cols[2:]]
+    yield from _table("integrated-harnack", cols, [nodes + values])
 
 
 # EntropySeries columns, stored or derived, in order after the time column
@@ -347,38 +315,33 @@ SERIES_COLUMNS = (
 def entropy_series_csv(series, flow_margins=None):
     """A row per time of each series, keyed by its ``m``; ``flow_margins``,
     one sequence per series, adds the column ``flow_margin``."""
-    cols = ["t", *SERIES_COLUMNS]
+    cols = ["m", "t", *SERIES_COLUMNS]
     tables = [[s.times, *(getattr(s, c) for c in SERIES_COLUMNS)] for s in series]
     if flow_margins is not None:
         cols.append("flow_margin")
         for columns, margin in zip(tables, flow_margins):
             columns.append(margin)
     text = _column_text()
-    blocks = (((s.m,), map(text, columns)) for s, columns in zip(series, tables))
-    return _keyed_csv("entropy-series", ["m"], cols, blocks)
+    blocks = ([_fmt(s.m), *map(text, columns)] for s, columns in zip(series, tables))
+    return _table("entropy-series", cols, blocks)
 
 
-def flow_margin_csv(reports):
-    cols = ["t", "m", "K", "min_margin", "ok"]
-    rows = ((r.t, r.m, r.K, r.min_defect, r.ok) for r in reports)
-    return _table("flow-margin", cols, rows)
-
-
-def flow_margin_columns_csv(columns):
-    """The table :func:`flow_margin_csv` writes of the reports of the
-    margin :class:`wittenlab.harnack.DefectColumns` ``columns``, formatted
-    from their columns."""
+def flow_margin_csv(columns):
+    """A row per row of each margin :class:`wittenlab.harnack.DefectColumns`
+    of ``columns``, a block per ``m``."""
     cols = ["t", "m", "K", "min_margin", "ok"]
     text = _column_text()
     blocks = (
         [text(c.t), _fmt(c.m), _fmt(c.K), text(c.min_defect), text(c.ok)] for c in columns
     )
-    return _column_table("flow-margin", cols, blocks)
+    return _table("flow-margin", cols, blocks)
 
 
 def manifest_csv(rows):
+    """A row per accepted step of the sequence ``rows``, a heat flow's
+    manifest."""
     cols = ["t", "dt", "error_estimate"]
-    return _table("evolution-manifest", cols, map(operator.itemgetter(*cols), rows))
+    yield from _table("evolution-manifest", cols, [[_column([r[c] for r in rows]) for c in cols]])
 
 
 def write_summary(path_base, summary):

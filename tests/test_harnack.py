@@ -59,10 +59,10 @@ def test_rejects_bad_parameters(circle_cos, rng):
         hamilton_harnack_defect(s, 2.0, -1.0)
 
 
-def test_defect_report_derives_minimum_node_and_verdict():
+def test_defect_report_stores_its_minimum_and_derives_its_verdict():
     defect = np.array([[0.5, -2e-7], [-2e-7, 3.0]])
-    rep = DefectReport("hamilton", 0.1, 3.0, 0.5, defect, tol=1e-7)
-    assert (rep.min_defect, rep.argmin_node, rep.ok) == (-2e-7, (0, 1), False)
+    rep = DefectReport("hamilton", 0.1, 3.0, 0.5, defect, 1e-7, -2e-7, (0, 1))
+    assert (rep.min_defect, rep.argmin_node, rep.ok, rep.extra) == (-2e-7, (0, 1), False, {})
     assert replace(rep, tol=1e-6).ok
     assert not rep.defect.flags.writeable
 

@@ -1,6 +1,7 @@
 """The runner's one heat flow: fixed-metric and flow checks share one ``evolve``."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from wittenlab import (
     build_manifold,
     evolve,
     evolve_heat_on_flow,
+    fit_super_flow_constant,
     heatflow,
     initial_delta,
     make_flow,
@@ -187,8 +189,53 @@ def test_flow_only_run_times_its_heat_flow(tmp_path):
     out = tmp_path / "out"
     assert main(["flow", "--config", str(path), "--out", str(out)]) == 0
     timing = json.loads((out / "timing.json").read_text())
-    compute = timing["checks"]["flow_entropy"]["compute_s"]
-    assert 0.0 < timing["heat_flow_s"] <= compute
+    assert 0.0 < timing["heat_flow_s"] <= timing["total_s"]
+    assert timing["checks"]["flow_entropy"]["compute_s"] >= 0.0
+
+
+def test_the_heat_flow_is_timed_apart_from_the_check_that_runs_it(tmp_path, monkeypatch):
+    def slow(state, times, **kwargs):
+        time.sleep(0.2)
+        return evolve(state, times, **kwargs)
+
+    monkeypatch.setattr(wittenlab.cli, "evolve", slow)
+    checks = [{"name": "hamilton", "m": [3], "K": "admissible"}, FLOW_ENTROPY]
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(experiment(WEIGHTED_CIRCLE, SHRINKING, [0.1, 0.2], checks)))
+    out = tmp_path / "out"
+    main(["all", "--config", str(path), "--out", str(out)])
+    timing = json.loads((out / "timing.json").read_text())
+    assert timing["heat_flow_s"] >= 0.2
+    first = timing["checks"]["hamilton"]
+    assert first["compute_s"] < 0.1 and first["wall_s"] < 0.1
+    assert timing["total_s"] >= timing["heat_flow_s"] + first["wall_s"]
+
+
+def test_a_fitted_K_is_fitted_once_per_m_and_run(tmp_path, monkeypatch):
+    fitted = []
+
+    def counting(flow, m):
+        fitted.append(m)
+        return fit_super_flow_constant(flow, m)
+
+    monkeypatch.setattr(wittenlab.cli, "fit_super_flow_constant", counting)
+    checks = [
+        {"name": "flow_margin", "m": [2, 3], "K": "fitted"},
+        {"name": "flow_entropy", "m": [2, 3], "K": "fitted"},
+    ]
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(experiment(WEIGHTED_CIRCLE, SHRINKING, [0.1, 0.2], checks)))
+    assert main(["flow", "--config", str(path), "--out", str(tmp_path / "both")]) == 0
+    assert fitted == [2.0, 3.0]
+    # each check run alone fits its own constants: the summary is the same
+    merged = {}
+    for name in ("flow_margin", "flow_entropy"):
+        out = tmp_path / name
+        assert main(["flow", "--config", str(path), "--out", str(out), "--check", name]) == 0
+        merged.update(json.loads((out / "summary.json").read_text()))
+    assert len(fitted) == 6
+    expected = json.dumps(merged, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "both" / "summary.json").read_text() == expected
 
 
 def test_one_horizon_rule(tmp_path):

@@ -49,7 +49,7 @@ def test_curvature_csv_columns(circle_cos):
 
 def test_torus_field_stack_has_the_grid_shape(torus_flat, tmp_path):
     reps = [SimpleNamespace(t=0.5, m=m, defect=np.full(torus_flat.shape, m)) for m in (3, 4.0)]
-    lines = text(reports.field_csv(reps)).splitlines()
+    lines = text(reports.field_csv((np.array([r.t]), r.m) for r in reps)).splitlines()
     assert lines[0] == "# wittenlab field-rows v1: t,m"
     assert lines[1:] == ["t,m", "0.5,3", "0.5,4.0"]
     path = tmp_path / "field.npy"
@@ -195,6 +195,13 @@ def old_node_table(text, keys):
     return [tuple(r[:keys]) for r in rows], [r[-1] for r in rows]
 
 
+def field_key_rows(M, reps):
+    """The ``(t, m)`` key texts of each field of ``reps``, as the per-node
+    field table keyed its rows."""
+    keys, _ = old_node_table(REFERENCE["field"](M, reps, "v"), 2)
+    return keys[::math.prod(M.shape)]
+
+
 @pytest.mark.parametrize("name", ["circle_flat", "torus_32x48"])
 def test_node_tables_match_the_row_formatter(request, name, rng, tmp_path):
     M = request.getfixturevalue(name)
@@ -215,8 +222,9 @@ def test_node_tables_match_the_row_formatter(request, name, rng, tmp_path):
     path = tmp_path / "fields.npy"
     reports.write_npy(str(path), (len(fields), *M.shape), fields)
     stack = np.load(path)
+    field_keys = ((np.array([r.t]), r.m) for r in reps)
     for key_table, old_text, keys in [
-        (reports.field_csv(reps), REFERENCE["field"](M, reps, "v"), 2),
+        (reports.field_csv(field_keys), REFERENCE["field"](M, reps, "v"), 2),
         (reports.curvature_csv(curvatures), REFERENCE["curvature"](M, curvatures), 1),
     ]:
         old_keys, old_values = old_node_table(old_text, keys)
@@ -256,17 +264,12 @@ def test_report_tables_match_the_row_formatter(rng):
         v = scalars(rng)
         return SimpleNamespace(t=v[0], m=v[1], K=v[2], tol=v[3], ok=v[4], **extra)
 
-    harnack = [report(inequality="hamilton", min_defect=x, argmin_node=(3, np.int64(4)))
-               for x in SPECIAL]
     integrated = [report(x=(1,), y=(np.int64(2),), tau=x, T=2, distance=x, lhs=-x,
                          rhs=True) for x in SPECIAL]
-    margins = [report(min_defect=x) for x in SPECIAL]
     keys = ("t", "dt", "error_estimate")
     manifest = [dict(zip(keys, scalars(rng))) for _ in range(20)]
     for kind, build, rows in (
-        ("harnack", reports.harnack_csv, harnack),
         ("integrated", reports.integrated_csv, integrated),
-        ("flow_margin", reports.flow_margin_csv, margins),
         ("manifest", reports.manifest_csv, manifest),
     ):
         assert_same_text(build(rows), REFERENCE[kind](rows))
@@ -338,7 +341,7 @@ def test_a_column_shared_across_m_blocks_is_written_as_each_block_formats_it(
     )
 
     # the tables of defect and margin columns, whose blocks share their times
-    M = SimpleNamespace(shape=(4, 5))
+    M = SimpleNamespace(shape=(4, 5), dim_n=2, coordinates=lambda: np.indices((4, 5)))
     times = special_field((7,), rng).tolist()
     mKs = [(2.0, 0.5), (3.5, 0.0), (5.0, 1e-300)]
     fields = {mK: special_field((7, *M.shape), rng) for mK in mKs}
@@ -350,11 +353,10 @@ def test_a_column_shared_across_m_blocks_is_written_as_each_block_formats_it(
 
     columns = _defect_columns("sup_bound", times, M.shape, mKs, block, keep=True)
     reps = [r for c in columns for r in c.reports()]
-    assert_same_text(reports.harnack_columns_csv(columns), REFERENCE["harnack"](reps))
-    assert_same_text(reports.flow_margin_columns_csv(columns), REFERENCE["flow_margin"](reps))
-    assert_same_text(
-        reports.field_columns_csv((c.t, c.m) for c in columns), text(reports.field_csv(reps))
-    )
+    assert_same_text(reports.harnack_csv(columns), REFERENCE["harnack"](reps))
+    assert_same_text(reports.flow_margin_csv(columns), REFERENCE["flow_margin"](reps))
+    key_rows = text(reports.field_csv((c.t, c.m) for c in columns)).splitlines()[2:]
+    assert [tuple(row.split(",")) for row in key_rows] == field_key_rows(M, reps)
 
 
 # ------------------------------------------------------- one file per check

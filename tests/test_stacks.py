@@ -7,12 +7,12 @@ stack must equal the one-state call.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wittenlab import (
-    DefectReport,
     HeatState,
     build_series,
     circle,
@@ -245,6 +245,22 @@ def test_the_one_pass_rejects_an_unknown_inequality_and_a_li_yau_K(check_runs):
         defect_columns(stack, "li_yau", [(2.0, 0.0), (3.0, 0.5)])
 
 
+@pytest.mark.parametrize("t", [0.0, -0.1])
+def test_the_harnack_and_entropy_checks_reject_a_nonpositive_row_time(check_runs, t):
+    snaps, _ = check_runs["weighted_circle"]
+    rows = [snaps[0], replace(snaps[1], t=t)]
+    stack = stack_states(rows)
+    message = f"state time t={t} must be positive"
+    for check in (
+        lambda: hamilton_harnack_defect(stack, 2.0, 0.5),
+        lambda: build_series(rows, 2.0, 0.5),
+        lambda: build_series(stack, 2.0, 0.5),
+    ):
+        with pytest.raises(ValueError) as raised:
+            check()
+        assert str(raised.value) == message
+
+
 def test_stacked_fields_are_the_rows_of_each_state(check_runs):
     snaps, _ = check_runs["flat_circle_kernel_start"]
     stack = stack_states(snaps)
@@ -326,8 +342,6 @@ def test_a_tied_minimum_reports_its_first_node(torus_32x48, rng):
     assert reports[3].argmin_node == (5, 5) and reports[3].min_defect == -math.inf
     for r in reports:
         assert_minimum_of_its_field(r)
-        alone = DefectReport(r.inequality, r.t, r.m, r.K, r.defect.copy(), r.tol)
-        assert same_bits(alone.min_defect, r.min_defect) and alone.argmin_node == r.argmin_node
 
 
 @pytest.mark.parametrize("model", STACK_MODELS)
