@@ -6,8 +6,15 @@ families of :data:`wittenlab.config.CHECKS`), or ``all``.  Exit code 0 means eve
 least one failed or a numerical error occurred, 2 means the
 configuration was invalid or the output directory cannot be created.
 
-A check over a list of ``m`` is one columnar pass over the run's stacked
-snapshots (:func:`wittenlab.harnack.defect_columns`,
+The runner holds one stacked :class:`wittenlab.heatflow.HeatState` per
+clock, both built from the run's one :func:`evolve`: "base" at
+``solver.times``, and "flow" at the flow's base-clock times, relabelled
+with the flow times by one ``replace`` of the stack.  Every check reads
+the stack of its clock (:meth:`_Runner.stack`), its rows and the fields
+cached on it, and no list of snapshot states is kept.
+
+A check over a list of ``m`` is one columnar pass over its clock's stack
+(:func:`wittenlab.harnack.defect_columns`,
 :func:`wittenlab.harnack.kernel_bounds`,
 :func:`wittenlab.entropy.build_series_per_m`,
 :func:`wittenlab.ricciflow.margin_columns`): what no ``m`` changes is
@@ -184,8 +191,9 @@ class _Runner:
         """The approximate fundamental solution at ``solver.t0`` at x0."""
         return initial_delta(self.manifold, self.x0, t0=self.config.solver.t0)
 
-    def snapshots(self, clock="base"):
-        """The snapshots of ``clock``: "base" at ``solver.times``, "flow" at
+    def stack(self, clock="base"):
+        """The snapshots of ``clock`` as one stacked state, whose fields every
+        check of that clock shares: "base" at ``solver.times``, "flow" at
         the solver times within the flow horizon, labelled with those.
 
         Both come from the run's one heat flow: one :func:`evolve` from the
@@ -207,16 +215,13 @@ class _Runner:
             self.start_state, merged, local_error=solver.local_error, manifest=self._manifest
         )
         at = dict(zip(merged, snaps))
-        runs = {clock: [at[t] for t in times] for clock, times in self._clock_times.items()}
-        if "flow" in runs:
-            runs["flow"] = [replace(s, t=t) for s, t in zip(runs["flow"], self._flow_times)]
+        stacks = {
+            clock: stack_states(at[t] for t in times) for clock, times in self._clock_times.items()
+        }
+        if "flow" in stacks:
+            stacks["flow"] = replace(stacks["flow"], t=tuple(self._flow_times))
         self._heat_flow_s = time.perf_counter() - start
-        return runs
-
-    @cached_property
-    def stack(self):
-        """The snapshots as one stacked state, whose fields every check shares."""
-        return stack_states(self.snapshots())
+        return stacks
 
     def resolve_K(self, check, m):
         """The K of ``check`` at ``m``: its number, the admissible K of the
@@ -296,14 +301,15 @@ class _Runner:
         )
 
     def check_mass(self, check):
-        snaps = self.snapshots()
-        drift = max(abs(s.mass - 1.0) for s in snaps)
+        stack = self.stack()
+        drift = max(np.abs(stack.mass - 1.0).tolist())
+        rows = stack.u.reshape(len(stack.t), -1)
         ok = drift <= 1e-10
-        self.write_csv("snapshots.csv", reports.snapshots_csv(snaps))
+        self.write_csv("snapshots.csv", reports.snapshots_csv(stack))
         self.write_csv("evolution_manifest.csv", reports.manifest_csv(self._manifest))
         self.record(
-            "mass_conservation", ok, max_drift=drift, snapshots=len(snaps),
-            min_over_max=min(float(s.u.min() / s.u.max()) for s in snaps),
+            "mass_conservation", ok, max_drift=drift, snapshots=len(stack.t),
+            min_over_max=min((rows.min(axis=1) / rows.max(axis=1)).tolist()),
         )
 
     def _mKs(self, check):
@@ -311,7 +317,7 @@ class _Runner:
         return [(m, self.resolve_K(check, m)) for m in check.m_values]
 
     def _pointwise_harnack(self, check, fn_name):
-        stack = self.stack
+        stack = self.stack()
         A = float(stack.u.max()) * (1.0 + 1e-12)  # sup over the run
         if fn_name == "li_yau":  # the Li-Yau bound has no K
             mKs = [(m, 0.0) for m in check.m_values]
@@ -338,10 +344,10 @@ class _Runner:
         self._pointwise_harnack(check, "sup_bound")
 
     def check_integrated(self, check):
-        snaps = self.snapshots()
+        stack = self.stack()
         opts = check.options
         n_nodes = opts["nodes"]
-        pairs = opts["pairs"] or [[snaps[0].t, snaps[-1].t]]
+        pairs = opts["pairs"] or [[stack.t[0], stack.t[-1]]]
         side = _sample_side(n_nodes, self.manifold)
         axes = ([i * n // side for i in range(side)] for n in self.manifold.shape)
         sample = list(itertools.product(*axes))
@@ -352,14 +358,15 @@ class _Runner:
             K = self.resolve_K(check, m)
             for tau, T in pairs:
                 out_reports.extend(
-                    harnack_mod.integrated_harnack_checks(snaps, xs, ys, float(tau), float(T), m, K)
+                    harnack_mod.integrated_harnack_checks(stack, xs, ys, float(tau), float(T), m, K)
                 )
         ok = all(r.ok for r in out_reports)
         self.write_csv("harnack_integrated.csv", reports.integrated_csv(out_reports))
         self.record("harnack_integrated", ok, pairs=len(out_reports))
 
     def check_kernel_bounds(self, check):
-        for m, rep in zip(check.m_values, harnack_mod.kernel_bounds(self.stack, self._mKs(check))):
+        all_reports = harnack_mod.kernel_bounds(self.stack(), self._mKs(check))
+        for m, rep in zip(check.m_values, all_reports):
             self.record(
                 f"kernel_bounds_m{m:g}",
                 rep.ok,
@@ -369,7 +376,7 @@ class _Runner:
 
     def check_entropy(self, check):
         mKs = self._mKs(check)
-        all_series = entropy_mod.build_series_per_m(self.stack, mKs)
+        all_series = entropy_mod.build_series_per_m(self.stack(), mKs)
         for (m, K), series in zip(mKs, all_series):
             ok = entropy_mod.w_monotonicity_check(series)
             dH_ok = bool(np.all(series.dH_dt >= -1e-12))
@@ -411,7 +418,7 @@ class _Runner:
 
     def check_flow_entropy(self, check):
         flow = self.flow
-        stack = stack_states(self.snapshots("flow"))
+        stack = self.stack("flow")
         mKs = self._mKs(check)
         all_series = entropy_mod.build_series_per_m(stack, mKs, flow=flow)
         margins = [c.min_defect for c in margin_columns(flow, mKs, stack.t)]

@@ -8,10 +8,13 @@ constant term), since defects grow like 1/t for small times.
 
 The pointwise functions take one state or a stack of them (see
 :class:`wittenlab.heatflow.HeatState`), and :func:`kernel_dt_log_bounds`
-a stack or a list of snapshots.  One core serves every caller:
-:func:`defect_columns` evaluates a list of ``(m, K)`` over every row of
+and :func:`integrated_harnack_checks` a stack or a list of snapshots,
+which they stack.  One core serves every pointwise check:
+``_defect_columns`` evaluates a list of ``(m, K)`` over every row of
 the stack in one pass, taking the rows in blocks under the operators'
-element budget (``operators._row_blocks``).  What a block's defects
+element budget (``operators._row_blocks``); :func:`defect_columns`,
+:func:`kernel_bounds` and :func:`wittenlab.ricciflow.margin_columns`
+each give it the defect of their inequality.  What a block's defects
 share whatever m is (the sup bound's ``4 log(A/u)`` and
 ``Lu/u + |grad u/u|^2``) is formed once per block; the per-row
 constants such as (m/2t) e^{4Kt} are computed with ``math`` once per
@@ -32,14 +35,17 @@ the columns into :class:`DefectReport` records, which store the
 rule, :func:`wittenlab.geometry._check_m_K_t`: the m rule, the K rule
 and a positive time on every row.  The super-Ricci-flow margins of
 :mod:`wittenlab.ricciflow` are columns and reports of the same kind.
-:func:`kernel_dt_log_bounds` likewise takes a list of ``(m, K)`` in its
-core, fitting its upper constant, which no m changes, once.
+The kernel lower bound of :func:`kernel_bounds` is the core's case with
+defect d/dt log u + (m/2t) e^{2Kt} and tolerance ``KERNEL_BOUND_TOL_REL``
+(m/2t) e^{2Kt} per row; its fitted upper constant, which no m changes,
+is fitted in the same pass, once per block of rows.
 
 The integrated two-point bound is checked by
 :func:`integrated_harnack_checks` over a list of node pairs in one pass:
-the pair distances come from the two nodes' coordinates, not from a
-distance field per pair.  :func:`integrated_harnack_check` is its
-one-pair wrapper.
+the rows at ``tau`` and ``T`` are each the row nearest that time, which
+must lie within ``1e-10 max(1, |t|)`` of it, and the pair distances
+come from the two nodes' coordinates, not from a distance field per
+pair.  :func:`integrated_harnack_check` is its one-pair wrapper.
 """
 
 from __future__ import annotations
@@ -334,27 +340,33 @@ def li_yau_defect(state, m):
     return _one_m(state, defect_columns(state, "li_yau", [(m, 0.0)], keep=True))
 
 
-def _snapshot_at(snapshots, t):
-    for s in snapshots:
-        if abs(s.t - t) <= 1e-10 * max(1.0, abs(t)):
-            return s
-    raise ValueError(f"no snapshot at t={t}")
+def _row_at(state, t):
+    """The row of the stack ``state`` nearest to time ``t``, which must lie
+    within ``1e-10 max(1, |t|)`` of it."""
+    times = np.array(state.times)
+    row = int(np.argmin(np.abs(times - t)))
+    if not abs(times[row] - t) <= 1e-10 * max(1.0, abs(t)):
+        raise ValueError(f"no snapshot at t={t}")
+    return row
 
 
 def integrated_harnack_checks(snapshots, xs, ys, tau, T, m, K):
     """Integrated comparison of each node pair ``(xs[i], ys[i])``, in order.
 
-    One :class:`IntegratedHarnackReport` per pair; the snapshots at ``tau``
-    and ``T`` are found once, and the pair distances and ratios
-    lhs = u(x, tau) / u(y, T) are taken together over the pairs.
+    ``snapshots`` is a stack or a list of states.  One
+    :class:`IntegratedHarnackReport` per pair; the rows at ``tau`` and
+    ``T`` are found once, each the row nearest its time, and the pair
+    distances and ratios lhs = u(x, tau) / u(y, T) are taken together over
+    the pairs.
     """
     if not (0.0 < tau < T):
         raise ValueError(f"need 0 < tau < T, got tau={tau}, T={T}")
     if len(xs) != len(ys):
         raise ValueError(f"{len(xs)} x nodes against {len(ys)} y nodes")
-    s_tau = _snapshot_at(snapshots, tau)
-    s_T = _snapshot_at(snapshots, T)
-    manifold = s_tau.manifold
+    state = _as_stack(snapshots)
+    u_tau = state.u[_row_at(state, tau)]
+    u_T = state.u[_row_at(state, T)]
+    manifold = state.manifold
     _check_m_K_t(manifold, m, K)
     xs = [_as_index(manifold, x) for x in xs]
     ys = [_as_index(manifold, y) for y in ys]
@@ -362,7 +374,7 @@ def integrated_harnack_checks(snapshots, xs, ys, tau, T, m, K):
     x_axes = tuple(np.array(xs, dtype=np.intp).reshape(-1, manifold.dim_n).T)
     y_axes = tuple(np.array(ys, dtype=np.intp).reshape(-1, manifold.dim_n).T)
     distances = _node_distances(manifold, x_axes, y_axes).tolist()
-    ratios = (s_tau.u[x_axes] / s_T.u[y_axes]).tolist()
+    ratios = (u_tau[x_axes] / u_T[y_axes]).tolist()
     tau, T, m, K = float(tau), float(T), float(m), float(K)
     return [
         IntegratedHarnackReport(x=x, y=y, tau=tau, T=T, m=m, K=K, distance=d, lhs=r)
@@ -432,8 +444,13 @@ def kernel_dt_log_bounds(snapshots, m, K):
 
 def kernel_bounds(snapshots, mKs):
     """The :func:`kernel_dt_log_bounds` report of each ``(m, K)`` of
-    ``mKs``, in one pass over the rows; the fitted constant, which no m
-    changes, is fitted once."""
+    ``mKs``, in one pass over the rows.
+
+    The lower bound's margins are the :func:`_defect_columns` of the
+    defect d/dt log u + (m/2t) e^{2Kt}, each row's tolerance
+    ``KERNEL_BOUND_TOL_REL`` of its (m/2t) e^{2Kt}; the fitted constant,
+    which no m changes, is fitted once per block of rows in the same pass.
+    """
     state = _as_stack(snapshots)
     manifold = state.manifold
     for m, K in mKs:
@@ -441,33 +458,27 @@ def kernel_bounds(snapshots, mKs):
     dist = geodesic_distance(manifold, _kernel_source(state).x0)
     dt_log_u = _by_row(state, state.dt_log_u)
     grid_axes = tuple(range(1, manifold.dim_n + 1))
-    min_margin = [math.inf] * len(mKs)
-    ok = [True] * len(mKs)
-    fitted = 0.0
-    for rows in _row_blocks(len(state.times), math.prod(manifold.shape)):
-        times = state.times[rows]
+    fits = [0.0]
+
+    def block(rows, times):
         rate = dt_log_u[rows]
         shape = (
             _column([1.0 + 1.0 / math.sqrt(t) for t in times], state)
             + dist / _column(times, state)
         ) ** 2
-        for fit in (rate / shape).max(axis=grid_axes).tolist():
-            fitted = max(fitted, fit)
-        for i, (m, K) in enumerate(mKs):
-            lower = [-(m / (2.0 * t)) * math.exp(2.0 * K * t) for t in times]
-            margins = (rate - _column(lower, state)).min(axis=grid_axes).tolist()
-            for margin, low in zip(margins, lower):
-                min_margin[i] = min(min_margin[i], margin)
-                if margin < -KERNEL_BOUND_TOL_REL * abs(low):
-                    ok[i] = False
+        fits.extend((rate / shape).max(axis=grid_axes).tolist())
+
+        def at(m, K):
+            const = [(m / (2.0 * t)) * math.exp(2.0 * K * t) for t in times]
+            return rate + _column(const, state), [KERNEL_BOUND_TOL_REL * c for c in const], None
+
+        return at
+
+    columns = _defect_columns("kernel_lower", state.times, manifold.shape, mKs, block)
     return [
         KernelDtLogReport(
-            m=float(m),
-            K=float(K),
-            times=tuple(state.times),
-            min_margin=float(low),
-            ok=bool(passed),
-            fitted_upper_constant=float(fitted),
+            m=c.m, K=c.K, times=tuple(state.times), min_margin=min(c.min_defect.tolist()),
+            ok=bool(c.ok.all()), fitted_upper_constant=max(fits),
         )
-        for (m, K), low, passed in zip(mKs, min_margin, ok)
+        for c in columns
     ]

@@ -22,13 +22,16 @@ Every table is built by one writer, :func:`_table`: the header, then
 blocks of text columns, each column a text per row or one text that
 every row of its block repeats (a block's key, such as the ``t`` of a
 snapshot or the ``m`` of a series or of a check's columns), written a
-block of ``_TABLE_ROWS`` lines at a time.  Each value column is
-formatted whole by :func:`_column`: a float column is one ``tolist`` and
-one ``repr`` per value, an integer column one ``str`` per value, a
-sequence of one Python scalar type one ``map`` of that type's formatter,
-and only a column of mixed or numpy scalars goes value by value through
-:func:`_fmt`.  The node index and coordinate text of a grid is built
-once and reused by every snapshot table on that grid.  The checks'
+block of ``_TABLE_ROWS`` lines at a time.  Each value column is a numeric
+array, formatted whole by :func:`_column`: a float array is one
+``tolist`` and one ``repr`` per value, an integer array one ``str`` per
+value, a boolean array ``1`` or ``0`` per value; the tables built from
+report records (integrated, manifest, curvature keys) pass each
+attribute as one ``np.asarray`` column, and every such column holds
+values of one type.  :func:`snapshots_csv` takes the run's stacked
+snapshots (a list of states is stacked first) and writes a block per
+row.  The node index and coordinate text of a grid is built once and
+reused by every snapshot table on that grid.  The checks'
 columnar results (:class:`wittenlab.harnack.DefectColumns`) are written
 by :func:`harnack_csv`, :func:`flow_margin_csv` and :func:`field_csv`, a
 block per ``m``.  Within one table, a numeric array column equal in
@@ -58,6 +61,7 @@ import numpy as np
 
 from .config import ConfigError
 from .geometry import _grid_coordinates
+from .heatflow import _as_stack
 
 CSV_VERSION = "v1"
 _TABLE_ROWS = 4096  # lines per written block: a 64x64 grid's snapshot is one block
@@ -164,38 +168,25 @@ def _lines(columns):
     return "".join(map("".join, zip(*parts)))
 
 
-# formatters of the Python scalar types, each as _fmt writes it
-_TEXT = {float: repr, int: str, str: str, bool: {True: "1", False: "0"}.__getitem__}
-
-
 def _column(values):
-    """Each value of a column as text, exactly as :func:`_fmt` writes it:
-    an array, or a sequence of values of one Python scalar type, in one
-    ``map``; any other sequence value by value."""
-    if not isinstance(values, np.ndarray):
-        kinds = set(map(type, values))
-        text = _TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-        return list(map(text or _fmt, values))
+    """Each value of the numeric array ``values``, flattened, as text,
+    exactly as :func:`_fmt` writes it, in one ``map``."""
     kind = values.dtype.kind
-    if kind == "f":
-        return list(map(repr, values.astype(float, copy=False).ravel().tolist()))
-    if kind in "iu":
-        return list(map(str, values.ravel().tolist()))
     if kind == "b":
         return ["1" if v else "0" for v in values.ravel().tolist()]
-    return [_fmt(v) for v in values.ravel()]
+    if kind == "f":
+        return list(map(repr, values.astype(float, copy=False).ravel().tolist()))
+    return list(map(str, values.ravel().tolist()))
 
 
 def _column_text():
-    """A :func:`_column` for the columns of one table that formats a
-    numeric array once: a later array of the same dtype, shape and bytes,
-    such as the times of every ``m`` block, reuses its text, which is the
-    same text."""
+    """A :func:`_column` for the columns of one table that formats an
+    array once: a later array of the same dtype, shape and bytes, such as
+    the times of every ``m`` block, reuses its text, which is the same
+    text."""
     texts = {}
 
     def text(values):
-        if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiub"):
-            return _column(values)
         key = (values.dtype.str, values.shape, values.tobytes())
         if key not in texts:
             texts[key] = _column(values)
@@ -207,7 +198,7 @@ def _column_text():
 def _node_column(axes):
     """The node of each entry of ``axes``, an index sequence per grid
     axis, as text: its indices joined by ``/``."""
-    return list(map("/".join, zip(*map(_column, axes))))
+    return list(map("/".join, zip(*(_column(np.asarray(a)) for a in axes))))
 
 
 def _coord_names(manifold):
@@ -222,24 +213,17 @@ def _node_prefixes(grid_sizes, periods):
     return tuple(map(",".join, zip(*columns)))
 
 
-def _grid_column(manifold, values):
-    values = np.asarray(values)
-    if values.shape != manifold.shape:
-        raise ValueError(
-            f"field shape {values.shape} does not match grid {manifold.shape}"
-        )
-    return _column(values)
-
-
 def snapshots_csv(snapshots):
-    """The field ``u`` of each snapshot, keyed by its ``t``: a row (t,
-    node_index, coordinates..., u) per grid node."""
+    """The field ``u`` of each row of the stack ``snapshots``, keyed by
+    its ``t``: a row (t, node_index, coordinates..., u) per grid node.  A
+    list of states is stacked first."""
     if not snapshots:
         raise ValueError("no snapshots given")
-    manifold = snapshots[0].manifold
+    stack = _as_stack(snapshots)
+    manifold = stack.manifold
     cols = ["t", "node_index", *_coord_names(manifold), "u"]
     prefixes = _node_prefixes(manifold.grid_sizes, manifold.circumferences)
-    blocks = ([_fmt(s.t), prefixes, _grid_column(manifold, s.u)] for s in snapshots)
+    blocks = ([_fmt(t), prefixes, _column(u)] for t, u in zip(stack.t, stack.u))
     return _table("snapshots", cols, blocks)
 
 
@@ -273,7 +257,8 @@ def write_npy(path, shape, fields):
 
 def curvature_csv(curvatures):
     """The key table of a stack of curvature fields: the ``m`` of each."""
-    yield from _table("curvature-rows", ["m"], [[_column([cf.m for cf in curvatures])]])
+    m = np.asarray([cf.m for cf in curvatures])
+    yield from _table("curvature-rows", ["m"], [[_column(m)]])
 
 
 def field_csv(blocks):
@@ -301,7 +286,7 @@ def integrated_csv(reports):
     sequence ``reports``."""
     cols = ["x", "y", "tau", "T", "m", "K", "distance", "lhs", "rhs", "ok"]
     nodes = [_node_column(zip(*(getattr(r, c) for r in reports))) for c in cols[:2]]
-    values = [_column([getattr(r, c) for r in reports]) for c in cols[2:]]
+    values = [_column(np.asarray([getattr(r, c) for r in reports])) for c in cols[2:]]
     yield from _table("integrated-harnack", cols, [nodes + values])
 
 
@@ -320,7 +305,7 @@ def entropy_series_csv(series, flow_margins=None):
     if flow_margins is not None:
         cols.append("flow_margin")
         for columns, margin in zip(tables, flow_margins):
-            columns.append(margin)
+            columns.append(np.asarray(margin))
     text = _column_text()
     blocks = ([_fmt(s.m), *map(text, columns)] for s, columns in zip(series, tables))
     return _table("entropy-series", cols, blocks)
@@ -341,7 +326,8 @@ def manifest_csv(rows):
     """A row per accepted step of the sequence ``rows``, a heat flow's
     manifest."""
     cols = ["t", "dt", "error_estimate"]
-    yield from _table("evolution-manifest", cols, [[_column([r[c] for r in rows]) for c in cols]])
+    columns = [_column(np.asarray([r[c] for r in rows])) for c in cols]
+    yield from _table("evolution-manifest", cols, [columns])
 
 
 def write_summary(path_base, summary):

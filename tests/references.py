@@ -31,7 +31,7 @@ from wittenlab.operators import (
     random_band_limited,
     witten_laplacian,
 )
-from wittenlab.reports import SERIES_COLUMNS, _fmt, _grid_column, _header, _node_prefixes
+from wittenlab.reports import SERIES_COLUMNS, _column, _fmt, _header, _node_prefixes
 from wittenlab.ricciflow import FIT_SAMPLES
 
 EIGEN_TRUNCATE = 1e-16  # eigen_sum_circle drops modes with exp(-lam t) below it
@@ -364,7 +364,7 @@ def snapshots_csv_per_row(snapshots):
     blocks = [_header("snapshots", cols)]
     for s in snapshots:
         t = _fmt(s.t) + ","
-        u_text = _grid_column(manifold, s.u)
+        u_text = _column(np.asarray(s.u))
         blocks.append("\n".join(t + p + "," + u for p, u in zip(prefixes, u_text)) + "\n")
     return "".join(blocks)
 

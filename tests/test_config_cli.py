@@ -789,6 +789,32 @@ def test_integrated_nodes_on_a_torus_must_be_a_square(tmp_path, capsys, nodes):
         assert sum(1 for line in handle if line[0].isdigit()) == 9 * 9
 
 
+def test_integrated_pair_reads_the_row_at_its_time_not_a_near_one(tmp_path):
+    # 0.5 and 0.50000000005 are two snapshots (their gap exceeds evolve's
+    # 1e-13), each within the lookup tolerance 1e-10 of the other
+    T = 0.50000000005
+    data = {
+        **BASE,
+        "manifold": {"model": "circle", "grid": 64,
+                     "potential": {"family": "cosine", "params": {"a": 0.5, "k": 1}}},
+        "solver": {**BASE["solver"], "times": [0.2, 0.5, T]},
+        "checks": [{"name": "integrated", "m": [2], "K": 0.0, "nodes": 4, "pairs": [[0.2, T]]}],
+    }
+    out = tmp_path / "out"
+    assert main(["harnack", "--config", write_config(tmp_path, data), "--out", str(out)]) == 0
+    stack = _Runner(validate_experiment(data), {"integrated"}, seed=0).stack()
+    assert stack.t == (0.2, 0.5, T)
+    u_tau, u_near, u_T = stack.u
+    rows = [line.split(",") for line in (out / "harnack_integrated.csv").read_text().splitlines()]
+    assert rows[1][:8] == ["x", "y", "tau", "T", "m", "K", "distance", "lhs"]
+    assert len(rows[2:]) == 16
+    for row in rows[2:]:
+        x, y, lhs = int(row[0]), int(row[1]), float(row[7])
+        assert float(row[3]) == T
+        assert lhs.hex() == (u_tau[x] / u_T[y]).hex()
+        assert lhs != u_tau[x] / u_near[y]
+
+
 @pytest.mark.parametrize(
     "model,grid,x0,nodes,fitting",
     [

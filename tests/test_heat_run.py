@@ -67,8 +67,9 @@ def runner(data, selected):
 
 def test_both_clocks_share_one_evolve(tmp_path, evolve_calls):
     times = [0.1, 0.2, 0.3, 0.45]
+    data = experiment(WEIGHTED_CIRCLE, SHRINKING, times, BOTH_CLOCKS)
     path = tmp_path / "exp.json"
-    path.write_text(json.dumps(experiment(WEIGHTED_CIRCLE, SHRINKING, times, BOTH_CLOCKS)))
+    path.write_text(json.dumps(data))
     out = tmp_path / "out"
     assert main(["all", "--config", str(path), "--out", str(out)]) == 0
     assert len(evolve_calls) == 1
@@ -80,6 +81,22 @@ def test_both_clocks_share_one_evolve(tmp_path, evolve_calls):
     rows = (out / "evolution_manifest.csv").read_text().splitlines()[2:]
     assert float(rows[-1].split(",")[0]) == pytest.approx(targets[-1])
 
+    # the runner's stack per clock: the base rows are evolve's states bit for
+    # bit, the flow rows the states at the snapped taus, labelled with the
+    # flow times
+    evolve_calls.clear()
+    both = runner(data, ["mass", "flow_entropy"])
+    base, on_flow = both.stack(), both.stack("flow")
+    (targets,) = evolve_calls
+    snaps = dict(zip(targets, evolve(both.start_state, targets)))
+    taus = _snap_times(both.flow.base_clock(0.05, times[:3]), times)
+    for stack, labels, rows in [(base, times, times), (on_flow, times[:3], taus)]:
+        assert stack.t == tuple(labels)
+        assert stack.u.shape == (len(rows), *both.manifold.shape)
+        for got, tau in zip(stack.u, rows, strict=True):
+            assert got.tobytes() == snaps[tau].u.tobytes(), tau
+        assert stack.kernel == tuple(snaps[tau].kernel for tau in rows)
+
 
 def test_separable_torus_run_equals_separate_calls(tmp_path):
     times = [0.15, 0.2, 0.3]
@@ -89,11 +106,11 @@ def test_separable_torus_run_equals_separate_calls(tmp_path):
     start = initial_delta(M, (0, 0), t0=0.1)
     flow = make_flow(M, **{k: SHRINKING[k] for k in ("family", "params", "horizon")})
     for got, want in [
-        (both.snapshots(), evolve(start, times)),
-        (both.snapshots("flow"), evolve_heat_on_flow(flow, start, times)),
+        (both.stack(), evolve(start, times)),
+        (both.stack("flow"), evolve_heat_on_flow(flow, start, times)),
     ]:
-        assert [s.t for s in got] == [s.t for s in want]
-        assert all(np.array_equal(a.u, b.u) for a, b in zip(got, want))
+        assert list(got.t) == [s.t for s in want]
+        assert all(np.array_equal(a, b.u) for a, b in zip(got.u, want, strict=True))
 
     # and so are the files: each clock's as from a run that reads it alone
     path = tmp_path / "exp.json"
@@ -120,12 +137,12 @@ def test_crank_nicolson_run_matches_dense_propagator():
         "base": times,
         "flow": [start.t + flow.base_time(start.t, t) for t in times[:3]],
     }
-    assert len(both.snapshots("flow")) == 3
+    assert len(both.stack("flow").t) == 3
     for clock, taus in clocks.items():
-        for snap, tau in zip(both.snapshots(clock), taus, strict=True):
+        for u, tau in zip(both.stack(clock).u, taus, strict=True):
             exact = symmetric_target(both.manifold, tau - start.t) @ start.u.ravel()
             exact = exact.reshape(start.u.shape)
-            assert np.abs(snap.u - exact).max() <= 20 * local_error * exact.max(), (clock, tau)
+            assert np.abs(u - exact).max() <= 20 * local_error * exact.max(), (clock, tau)
 
 
 def test_dense_two_clock_run_keeps_the_crank_nicolson_bound():
@@ -165,10 +182,10 @@ def test_static_flow_lands_once_per_time(evolve_calls):
     both = runner(data, ["mass", "flow_entropy"])
     taus = both.flow.base_clock(t0, times)
     assert taus != times and np.allclose(taus, times, rtol=0.0, atol=1e-15)
-    base, on_flow = both.snapshots(), both.snapshots("flow")
+    base, on_flow = both.stack(), both.stack("flow")
     assert evolve_calls == [times]
-    assert [s.t for s in base] == [s.t for s in on_flow] == times
-    assert all(a.u is b.u for a, b in zip(base, on_flow))
+    assert list(base.t) == list(on_flow.t) == times
+    assert base.u.tobytes() == on_flow.u.tobytes()
 
 
 def test_merged_times_keep_evolves_rule():
@@ -245,7 +262,7 @@ def test_one_horizon_rule(tmp_path):
     for excess, inside in [(5e-13, 3), (2e-12, 2)]:
         flow = {**SHRINKING, "horizon": 0.3 - excess}
         both = runner(experiment(WEIGHTED_CIRCLE, flow, times, BOTH_CLOCKS), ["flow_entropy"])
-        assert len(both.snapshots("flow")) == inside
+        assert len(both.stack("flow").t) == inside
         M = build_manifold(WEIGHTED_CIRCLE)
         spec = make_flow(M, **{k: flow[k] for k in ("family", "params", "horizon")})
         start = initial_delta(M, 0, t0=0.05)

@@ -23,6 +23,7 @@ from wittenlab import (
 from wittenlab import reports
 from wittenlab.cli import main
 from wittenlab.harnack import _defect_columns
+from wittenlab.heatflow import HeatState
 from wittenlab.config import ConfigError
 
 from references import (
@@ -181,6 +182,24 @@ def scalars(rng):
     return [pool[i] for i in rng.permutation(len(pool))]
 
 
+# Python and numpy scalars of one type: the values one column of a report
+# or manifest table holds
+TYPED = (
+    [*SPECIAL, np.float64(0.3), np.float32(0.1), np.float64(-0.0)],
+    [2, -7, 0, 10**12, np.int64(5)],
+    [True, False, np.bool_(True)],
+)
+
+
+def typed_columns(rng, count, rows):
+    """``count`` columns of ``rows`` scalars each, column i of the type
+    ``TYPED[i % 3]``, the values drawn at random from its pool."""
+    return [
+        [pool[i] for i in rng.integers(len(pool), size=rows)]
+        for pool in (TYPED[c % len(TYPED)] for c in range(count))
+    ]
+
+
 def bits(values):
     """The float64 bit patterns of ``values``: equal only if every value is
     the same float, the sign of zero and NaN included."""
@@ -216,7 +235,7 @@ def test_node_tables_match_the_row_formatter(request, name, rng, tmp_path):
     reps = [SimpleNamespace(t=t, m=m, defect=values)
             for t, m, values in zip(SPECIAL, scalars(rng), fields)]
     curvatures = [SimpleNamespace(m=m, values=values)
-                  for m, values in zip(scalars(rng), fields)]
+                  for m, values in zip(typed_columns(rng, 1, len(fields))[0], fields)]
     # the field stacks hold, bit for bit, every value of the per-node text
     # tables they replaced, and their key tables the key columns of its rows
     path = tmp_path / "fields.npy"
@@ -231,7 +250,7 @@ def test_node_tables_match_the_row_formatter(request, name, rng, tmp_path):
         assert np.array_equal(bits(stack).ravel(), bits([float(v) for v in old_values]))
         key_rows = text(key_table).splitlines()[2:]
         assert [tuple(row.split(",")) for row in key_rows] == old_keys[::size]
-    snaps = [SimpleNamespace(manifold=M, t=t, u=special_field(M.shape, rng))
+    snaps = [HeatState(M, t, special_field(M.shape, rng))
              for t in (0.1, 2, np.float64(1e-300), -0.0)]
     assert_same_text(reports.snapshots_csv(snaps), REFERENCE["snapshots"](M, snaps))
     assert_same_text(reports.snapshots_csv(snaps), snapshots_csv_per_row(snaps))
@@ -260,14 +279,14 @@ def test_a_field_stack_is_what_np_save_writes_of_the_stacked_fields(request, nam
 
 
 def test_report_tables_match_the_row_formatter(rng):
-    def report(**extra):
-        v = scalars(rng)
-        return SimpleNamespace(t=v[0], m=v[1], K=v[2], tol=v[3], ok=v[4], **extra)
-
-    integrated = [report(x=(1,), y=(np.int64(2),), tau=x, T=2, distance=x, lhs=-x,
-                         rhs=True) for x in SPECIAL]
+    # every column holds values of one type, Python and numpy scalars mixed
+    integrated = [
+        SimpleNamespace(x=(1,), y=(np.int64(2),), tau=x, T=2, m=m, K=K, distance=x, lhs=-x,
+                        rhs=True, ok=ok)
+        for x, m, K, ok in zip(SPECIAL, *typed_columns(rng, 3, len(SPECIAL)))
+    ]
     keys = ("t", "dt", "error_estimate")
-    manifest = [dict(zip(keys, scalars(rng))) for _ in range(20)]
+    manifest = [dict(zip(keys, row)) for row in zip(*typed_columns(rng, 3, 20))]
     for kind, build, rows in (
         ("integrated", reports.integrated_csv, integrated),
         ("manifest", reports.manifest_csv, manifest),
@@ -281,18 +300,18 @@ def test_report_tables_in_blocks_of_rows_match_the_row_formatter(rng, monkeypatc
     test_report_tables_match_the_row_formatter(rng)
 
 
-def test_a_column_of_one_python_type_is_formatted_as_the_row_formatter(rng):
+def test_an_array_column_is_formatted_as_the_row_formatter(rng):
     for column in (
-        SPECIAL,
-        [0, -7, 2**70],
-        ["hamilton", "li_yau", ""],
-        [True, False, True],
-        [],
-        scalars(rng),
-        [1.0, 2],  # a float column that holds an integer keeps its text
-        [np.float64(0.3), 0.3],
+        np.array(SPECIAL),
+        np.array([-0.0, 1e-45, 0.1, 3.0, math.inf, math.nan], dtype=np.float32),
+        np.array([0, -7, 2**62]),
+        np.array([3, 0, 255], dtype=np.uint8),
+        np.array([True, False, True]),
+        np.array([]),
+        special_field((2, 8), rng),  # flattened in C order
+        *map(np.asarray, typed_columns(rng, 3, 20)),
     ):
-        assert reports._column(tuple(column)) == [reference_fmt(v) for v in column]
+        assert reports._column(column) == [reference_fmt(v) for v in column.ravel()]
 
 
 @pytest.mark.parametrize("rows", [0, 1, 40])
@@ -307,7 +326,7 @@ def test_entropy_series_csv_matches_the_row_formatter(rows, rng):
     tables = [series(m) for m in scalars(rng)[:3]]
     expected = reference_entropy_series(tables)
     assert_same_text(reports.entropy_series_csv(tables), expected)
-    margins = [scalars(rng)[:rows] for _ in tables]
+    margins = typed_columns(rng, len(tables), rows)
     assert_same_text(
         reports.entropy_series_csv(tables, margins),
         reference_entropy_series(tables, margins),
