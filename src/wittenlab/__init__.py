@@ -87,7 +87,6 @@ from .ricciflow import (  # noqa: E402
     make_flow,
     margin_columns,
     super_ricci_flow_margin,
-    super_ricci_flow_margins,
     w_decomposition_on_flow,
     w_entropy_on_flow,
 )

@@ -13,6 +13,10 @@ with the flow times by one ``replace`` of the stack.  Every check reads
 the stack of its clock (:meth:`_Runner.stack`), its rows and the fields
 cached on it, and no list of snapshot states is kept.
 
+The fixed-metric and flow W-entropy checks share one handler body,
+``_Runner._entropy``, which reads the stack of the check's clock and
+records ``ok``, ``worst_monotonicity_gap`` and ``K`` per ``m``.
+
 A check over a list of ``m`` is one columnar pass over its clock's stack
 (:func:`wittenlab.harnack.defect_columns`,
 :func:`wittenlab.harnack.kernel_bounds`,
@@ -374,20 +378,26 @@ class _Runner:
                 fitted_upper_constant=rep.fitted_upper_constant,
             )
 
-    def check_entropy(self, check):
+    def _entropy(self, check, flow):
+        """The W-entropy series of each m of ``check`` over the stack of its
+        clock, in the metric of ``flow`` (None: the fixed metric), each
+        recorded as ``<check>_m<m>`` by its monotonicity gate."""
         mKs = self._mKs(check)
-        all_series = entropy_mod.build_series_per_m(self.stack(), mKs)
+        stack = self.stack(CHECKS[check.name].clock)
+        all_series = entropy_mod.build_series_per_m(stack, mKs, flow=flow)
         for (m, K), series in zip(mKs, all_series):
-            ok = entropy_mod.w_monotonicity_check(series)
-            dH_ok = bool(np.all(series.dH_dt >= -1e-12))
             self.record(
-                f"entropy_m{m:g}",
-                ok and dH_ok,
+                f"{check.name}_m{m:g}",
+                entropy_mod.w_monotonicity_check(series),
                 worst_monotonicity_gap=float(
                     (series.dW_dt_formula - series.monotonicity_bound).max()
                 ),
                 K=K,
             )
+        return all_series
+
+    def check_entropy(self, check):
+        all_series = self._entropy(check, None)
         self.write_csv("entropy_series.csv", reports.entropy_series_csv(all_series))
 
     def check_tilde_identity(self, check):
@@ -417,21 +427,10 @@ class _Runner:
         self.write_csv("flow_margin.csv", reports.flow_margin_csv(columns))
 
     def check_flow_entropy(self, check):
-        flow = self.flow
-        stack = self.stack("flow")
-        mKs = self._mKs(check)
-        all_series = entropy_mod.build_series_per_m(stack, mKs, flow=flow)
-        margins = [c.min_defect for c in margin_columns(flow, mKs, stack.t)]
-        for (m, K), series in zip(mKs, all_series):
-            worst_gap = float((series.dW_dt_formula - series.monotonicity_bound).max())
-            self.record(
-                f"flow_entropy_m{m:g}",
-                entropy_mod.w_monotonicity_check(series),
-                worst_gap=worst_gap,
-                K=K,
-            )
-        tables = reports.entropy_series_csv(all_series, margins)
-        self.write_csv("flow_entropy_series.csv", tables)
+        all_series = self._entropy(check, self.flow)
+        mKs = [(s.m, s.K) for s in all_series]
+        margins = [c.min_defect for c in margin_columns(self.flow, mKs, self.stack("flow").t)]
+        self.write_csv("flow_entropy_series.csv", reports.entropy_series_csv(all_series, margins))
 
     # -------------------------------------------------------------- entry
     def run(self):

@@ -457,23 +457,23 @@ def tilde_w_comparison(m, K, t):
     which vanishes identically.
 
     ``t`` is one time, with a float per entry, or a sequence of times,
-    with an array over them per entry.  The series is one pass over the
-    times; the exponentials are ``math.expm1`` and ``math.exp`` per time,
-    so each time's values equal those of its one-time call bit for bit.
+    with an array over them per entry; one time is the one-element
+    sequence, unwrapped.  The series is one pass over the times; the
+    exponentials are ``math.expm1`` and ``math.exp`` per time, so each
+    time's values equal those of its one-time call bit for bit.
     """
-    keys = ("Psi", "d_dt_tPsi", "identity_residual")
-    if np.ndim(t) == 0:
-        _check_t_m_K(t, m, K)
-        x = 4.0 * K * t
-        return dict(zip(keys, _tilde_w_row(m, K, t, x, _exp_series(x) if x > 0.0 else 0.0)))
-    for s in t:
+    times = [t] if np.ndim(t) == 0 else t
+    for s in times:
         _check_t_m_K(s, m, K)
-    ts = np.array(t, dtype=float)
+    ts = np.array(times, dtype=float)
     x = 4.0 * K * ts
     E = np.zeros(x.shape)
     E[x > 0.0] = _exp_series(x[x > 0.0])
     rows = [_tilde_w_row(m, K, *args) for args in zip(ts.tolist(), x.tolist(), E.tolist())]
-    return dict(zip(keys, np.array(rows, dtype=float).reshape(len(rows), 3).T))
+    columns = np.array(rows, dtype=float).reshape(len(rows), 3).T
+    if np.ndim(t) == 0:
+        columns = columns[:, 0].tolist()
+    return dict(zip(("Psi", "d_dt_tPsi", "identity_residual"), columns))
 
 
 def _tilde_w_row(m, K, t, x, E):

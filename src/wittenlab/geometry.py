@@ -438,8 +438,16 @@ def build_manifold(config):
     if not np.all(np.isfinite(phi)):
         raise ValueError("potential contains non-finite values")
     manifold = WeightedManifold(grid_sizes=grid, circumferences=period, potential=phi)
-    if not np.all(manifold.measure_weights > 0.0):
+    with np.errstate(over="ignore"):  # an overflow is named below
+        weights, total = manifold.measure_weights, manifold.mu_total
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(
+            f"measure weights exp(-phi) * cell volume overflow where phi = {phi.min():g}"
+        )
+    if not np.all(weights > 0.0):
         raise ValueError("measure weights must be positive")
+    if not math.isfinite(total):
+        raise ValueError("total measure mu_total, the sum of the measure weights, overflows")
     return manifold
 
 

@@ -14,7 +14,8 @@ which they stack.  One core serves every pointwise check:
 the stack in one pass, taking the rows in blocks under the operators'
 element budget (``operators._row_blocks``); :func:`defect_columns`,
 :func:`kernel_bounds` and :func:`wittenlab.ricciflow.margin_columns`
-each give it the defect of their inequality.  What a block's defects
+each give it the defect of their inequality, and every public check
+reaches it through one of these.  What a block's defects
 share whatever m is (the sup bound's ``4 log(A/u)`` and
 ``Lu/u + |grad u/u|^2``) is formed once per block; the per-row
 constants such as (m/2t) e^{4Kt} are computed with ``math`` once per
@@ -22,16 +23,19 @@ time and m and broadcast over the grid, so every row's defect equals
 the defect of its state alone, bit for bit.  The public one-m functions
 are its one-pair case.
 
-The core returns a :class:`DefectColumns` per ``(m, K)``: arrays over
-the rows of ``t``, ``min_defect``, the first minimum's flat node
-``argmin`` and ``tol``, the minima of a block being one ``min`` and one
-``argmin`` over its flattened grid axes, the values a reduction of each
-field alone gives; these are the one reduction of a defect field.  The
-defect fields are kept only when asked for.  The public functions turn
-the columns into :class:`DefectReport` records, which store the
-``defect`` field and its inputs with the ``min_defect`` and
-``argmin_node`` of its columns and derive the verdict ``ok``
-(``min_defect >= -tol``).  Every check over rows applies one domain
+The core carries fields, tolerances and minima only.  It returns a
+:class:`DefectColumns` per ``(m, K)``: arrays over the rows of ``t``,
+``min_defect``, the first minimum's flat node ``argmin`` and ``tol``,
+the minima of a block being one ``min`` and one ``argmin`` over its
+flattened grid axes, the values a reduction of each field alone gives;
+these are the one reduction of a defect field.  The defect fields are
+kept only when asked for.  The public functions turn the columns into
+:class:`DefectReport` records, which store the ``defect`` field and its
+inputs with the ``min_defect`` and ``argmin_node`` of its columns and
+derive the verdict ``ok`` (``min_defect >= -tol``);
+:func:`sup_bound_defect` adds to its reports the ``A`` and the
+(K + 1/t) ``defect_variant`` of each row, formed from the stack's cached
+fields after the pass.  Every check over rows applies one domain
 rule, :func:`wittenlab.geometry._check_m_K_t`: the m rule, the K rule
 and a positive time on every row.  The super-Ricci-flow margins of
 :mod:`wittenlab.ricciflow` are columns and reports of the same kind.
@@ -51,7 +55,7 @@ pair.  :func:`integrated_harnack_check` is its one-pair wrapper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -111,8 +115,7 @@ class DefectColumns:
     ``min_defect``, the flat grid index ``argmin`` of each row's first
     minimum and ``tol``, arrays over the rows; ``ok`` and ``argmin_nodes``
     are derived.  ``blocks``, when the fields were kept, holds the defect
-    fields as ``(rows, *grid)`` blocks in row order, else None, and
-    ``extras`` a dict per row where the inequality has them."""
+    fields as ``(rows, *grid)`` blocks in row order, else None."""
 
     inequality: str
     m: float
@@ -123,7 +126,6 @@ class DefectColumns:
     tol: np.ndarray
     grid: tuple
     blocks: tuple = None
-    extras: tuple = None
 
     def __post_init__(self):
         for column in (self.t, self.min_defect, self.argmin, self.tol):
@@ -145,11 +147,10 @@ class DefectColumns:
 
     def reports(self):
         """A :class:`DefectReport` per row, from the kept fields."""
-        extras = self.extras or [{} for _ in self.t]
         return [
-            DefectReport(self.inequality, t, self.m, self.K, d, tol, low, node, extra)
-            for t, d, tol, extra, low, node in zip(
-                self.t.tolist(), self.defect, self.tol.tolist(), extras,
+            DefectReport(self.inequality, t, self.m, self.K, d, tol, low, node)
+            for t, d, tol, low, node in zip(
+                self.t.tolist(), self.defect, self.tol.tolist(),
                 self.min_defect.tolist(), zip(*self.argmin_nodes),
             )
         ]
@@ -211,32 +212,30 @@ def _defect_columns(inequality, times, grid, mKs, block, keep=False):
     The rows are taken in blocks under the operators' element budget.
     ``block(rows, times)`` forms what the defects of a block of rows share
     whatever m is and returns ``at``, with ``at(m, K)`` the block's
-    ``(defect, tols, extras)``: its ``(rows, *grid)`` fields, a tolerance
-    per row and a dict per row, or None.  Each block's minima and first
-    minimum nodes are one ``min`` and one ``argmin`` over its flattened
-    grid axes.  With ``keep`` the columns keep the fields and extras.
+    ``(defect, tols)``: its ``(rows, *grid)`` fields and a tolerance per
+    row.  Each block's minima and first minimum nodes are one ``min`` and
+    one ``argmin`` over its flattened grid axes.  With ``keep`` the
+    columns keep the fields.
     """
     count, size = len(times), math.prod(grid)
     low = np.empty((len(mKs), count))
     first = np.empty((len(mKs), count), dtype=np.intp)
     tol = np.empty((len(mKs), count))
     blocks = [[] for _ in mKs]
-    extras = [[] for _ in mKs]
     for rows in _row_blocks(count, size):
         at = block(rows, times[rows])
         for i, (m, K) in enumerate(mKs):
-            defect, tol[i, rows], extra = at(m, K)
+            defect, tol[i, rows] = at(m, K)
             flat = defect.reshape(len(defect), size)
             low[i, rows] = flat.min(axis=1)
             first[i, rows] = flat.argmin(axis=1)
             if keep:
                 blocks[i].append(defect)
-                extras[i].extend(extra or ())
     t = np.array(times, dtype=float)
     return [
         DefectColumns(
             inequality, float(m), float(K), t, low[i], first[i], tol[i], tuple(grid),
-            tuple(blocks[i]) if keep else None, tuple(extras[i]) or None,
+            tuple(blocks[i]) if keep else None,
         )
         for i, (m, K) in enumerate(mKs)
     ]
@@ -254,16 +253,15 @@ def _hamilton_block(state):
             rhs_const = [(m / (2.0 * t)) * math.exp(4.0 * K * t) for t in times]
             growth = [math.exp(2.0 * K * t) for t in times]
             defect = _column(rhs_const, state) + _column(growth, state) * rate - sq
-            return defect, [HARNACK_TOL_REL * c for c in rhs_const], None
+            return defect, [HARNACK_TOL_REL * c for c in rhs_const]
 
         return at
 
     return block
 
 
-def _sup_bound_block(state, A, variant):
-    """Blocks of the sup-normalized defect over the rows of ``state``, with
-    the ``A`` and ``defect_variant`` extras when ``variant`` is set."""
+def _sup_bound_block(state, A):
+    """Blocks of the sup-normalized defect over the rows of ``state``."""
     if not (_is_real(A) and math.isfinite(A)):
         raise ValueError(f"A must be a finite number, got {A!r}")
     umax = float(state.u.max())
@@ -282,13 +280,8 @@ def _sup_bound_block(state, A, variant):
                 prefactor = [1.0 / t for t in times]  # limit of K/(1-e^{-Kt})
             else:
                 prefactor = [K / (-math.expm1(-K * t)) for t in times]
-            bracket = m + log_ratio
-            defect = _column(prefactor, state) * bracket - lhs
-            tols = [HARNACK_TOL_REL * (p * m) for p in prefactor]
-            if not variant:
-                return defect, tols, None
-            other = _column([K + 1.0 / t for t in times], state) * bracket - lhs
-            return defect, tols, [{"A": float(A), "defect_variant": v} for v in other]
+            defect = _column(prefactor, state) * (m + log_ratio) - lhs
+            return defect, [HARNACK_TOL_REL * (p * m) for p in prefactor]
 
         return at
 
@@ -300,9 +293,8 @@ def defect_columns(state, inequality, mKs, A=None, keep=False):
     ``mKs`` over the rows of ``state``, in one pass over its rows.
 
     ``inequality`` is ``"hamilton"``, ``"li_yau"`` (whose K must be 0) or
-    ``"sup_bound"``, which takes ``A`` as :func:`sup_bound_defect` does
-    and has no extras here.  With ``keep`` the columns keep the defect
-    fields.
+    ``"sup_bound"``, which takes ``A`` as :func:`sup_bound_defect` does.
+    With ``keep`` the columns keep the defect fields.
     """
     if inequality not in ("hamilton", "li_yau", "sup_bound"):
         raise ValueError(f"no pointwise inequality named {inequality!r}")
@@ -311,17 +303,15 @@ def defect_columns(state, inequality, mKs, A=None, keep=False):
         if inequality == "li_yau" and K != 0.0:
             raise ValueError(f"the Li-Yau bound has K = 0, got K={K!r}")
     if inequality == "sup_bound":
-        block = _sup_bound_block(state, A, variant=False)
+        block = _sup_bound_block(state, A)
     else:
         block = _hamilton_block(state)
     return _defect_columns(inequality, state.times, state.manifold.shape, mKs, block, keep)
 
 
-def _one_m(state, columns):
-    """The reports of the one ``columns``: one per row of a stack, in a
-    list, or the one report of one state."""
-    (columns,) = columns
-    reports = columns.reports()
+def _one_m(state, reports):
+    """``reports``, one per row: in a list for a stack, the one report of
+    one state."""
     return reports if state.stacked else reports[0]
 
 
@@ -332,12 +322,14 @@ def hamilton_harnack_defect(state, m, K):
     nonnegative for positive solutions whenever the Bakry-Emery tensor is
     bounded below by -K.  One report, or a list of one per row of a stack.
     """
-    return _one_m(state, defect_columns(state, "hamilton", [(m, K)], keep=True))
+    (columns,) = defect_columns(state, "hamilton", [(m, K)], keep=True)
+    return _one_m(state, columns.reports())
 
 
 def li_yau_defect(state, m):
     """Sharp-constant gradient bound; the K = 0 case of the Hamilton defect."""
-    return _one_m(state, defect_columns(state, "li_yau", [(m, 0.0)], keep=True))
+    (columns,) = defect_columns(state, "li_yau", [(m, 0.0)], keep=True)
+    return _one_m(state, columns.reports())
 
 
 def _row_at(state, t):
@@ -399,14 +391,18 @@ def sup_bound_defect(state, m, K, A):
     carries the (K + 1/t) variant, which dominates it node-wise because
     1/(1 - e^{-x}) <= 1 + 1/x.  ``A``, a finite number, must dominate
     max(u) over the run (over every row of a stack).  One report, or a
-    list of one per row of a stack.
+    list of one per row of a stack; each carries ``A`` and the variant
+    field, (K + 1/t)(m + 4 log(A/u)) - (Lu/u + |grad log u|^2), in
+    ``extra``.
     """
-    _check_m_K_t(state.manifold, m, K, state.times)
-    block = _sup_bound_block(state, A, variant=True)
-    columns = _defect_columns(
-        "sup_bound", state.times, state.manifold.shape, [(m, K)], block, keep=True
-    )
-    return _one_m(state, columns)
+    (columns,) = defect_columns(state, "sup_bound", [(m, K)], A=A, keep=True)
+    bracket = m + 4.0 * np.log(A / _by_row(state, state.u))
+    lhs = _by_row(state, state.dt_log_u) + _by_row(state, state.grad_log_u_sq)
+    variant = _column([K + 1.0 / t for t in state.times], state) * bracket - lhs
+    return _one_m(state, [
+        replace(r, extra={"A": float(A), "defect_variant": v})
+        for r, v in zip(columns.reports(), variant)
+    ])
 
 
 def _kernel_source(state):
@@ -470,7 +466,7 @@ def kernel_bounds(snapshots, mKs):
 
         def at(m, K):
             const = [(m / (2.0 * t)) * math.exp(2.0 * K * t) for t in times]
-            return rate + _column(const, state), [KERNEL_BOUND_TOL_REL * c for c in const], None
+            return rate + _column(const, state), [KERNEL_BOUND_TOL_REL * c for c in const]
 
         return at
 

@@ -13,7 +13,9 @@ of a :class:`wittenlab.harnack.DefectReport` (``inequality`` is
 a list of ``(m, K)`` at the requested times are one pass of the
 :mod:`wittenlab.harnack` column core (:func:`margin_columns`): the fields
 of a block of times are one ``(times, *grid)`` stack, whose per-time
-minima and first minimum nodes are taken together.  The heat flow
+minima and first minimum nodes are taken together.  It is the one route
+to margin fields: :func:`super_ricci_flow_margin` is its one-time case,
+and :func:`fit_super_flow_constant` reads its minima at K = 0.  The heat flow
 of the time-dependent operator is the base heat flow under the time
 change tau(t) = integral of e^{-2 lam} (:meth:`FlowSpec.base_clock`), so
 :func:`evolve_heat_on_flow` is :func:`wittenlab.heatflow.evolve` at the
@@ -46,7 +48,6 @@ __all__ = [
     "FlowSpec",
     "make_flow",
     "super_ricci_flow_margin",
-    "super_ricci_flow_margins",
     "margin_columns",
     "fit_super_flow_constant",
     "evolve_heat_on_flow",
@@ -169,59 +170,56 @@ def make_flow(base, family="static", params=None, horizon=1.0):
     for key, val in params.items():
         if not _is_real(val) or not math.isfinite(val):
             raise ValueError(f"flow parameter {key} must be a finite number, got {val!r}")
-    # a conformal factor out of double range overflows here or breaks invariance
-    w0 = flow.measure_weights(0.0)
-    for t in np.linspace(0.0, horizon, 7):
-        flow.operator_scale(float(t))
-        wt = flow.measure_weights(float(t))
-        if np.abs(wt - w0).max() > 1e-14 * np.abs(w0).max():
+    w0 = _measure_weights(flow, 0.0)
+    for t in np.linspace(0.0, horizon, 7).tolist():
+        if not np.abs(_measure_weights(flow, t) - w0).max() <= 1e-14 * np.abs(w0).max():
             raise ValueError(f"flow breaks measure invariance at t={t:g}")
     return flow
 
 
-def _margin_fields(flow, times):
-    """``at(base_eigs, K)``: the eigenvalue fields of
-    (1/2) dg/dt + Ric_mn + K g in g(t) at ``times``, stacked, an array of
-    shape ``(len(times), *grid)``, for ``base_eigs`` the smallest
-    eigenvalue field of the base tensor at the m in question.
-
-    For space-constant conformal factors the endomorphism is
-    lam'(t) + K + e^{-2 lam(t)} times the base-tensor eigenvalue, so the
-    base curvature serves every time, and lam'(t) and e^{-2 lam(t)}
-    every m.
-    """
-    column = (-1,) + (1,) * flow.base.dim_n
-    rates = [flow.log_factor_rate(t) for t in times]
-    scale = np.array([flow.operator_scale(t) for t in times]).reshape(column)
-
-    def at(base_eigs, K):
-        shift = np.array([rate + K for rate in rates]).reshape(column)
-        return shift + scale * base_eigs
-
-    return at
+def _measure_weights(flow, t):
+    """``flow.measure_weights(t)``, checking e^{-2 lam(t)} too: a conformal
+    factor out of double range raises ``ValueError`` naming it, with no
+    numpy warning."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            flow.operator_scale(t)
+            return flow.measure_weights(t)
+    except (OverflowError, FloatingPointError, ValueError):  # ValueError: sin(inf)
+        raise ValueError(
+            f"the conformal factor e^(2 lam(t)) leaves double range at t={t:g}"
+        ) from None
 
 
 def margin_columns(flow, mKs, times, keep=False):
     """The super-flow margins at each of ``times`` for each ``(m, K)`` of
     ``mKs``: a :class:`wittenlab.harnack.DefectColumns` per pair, whose
-    fields are kept with ``keep``."""
+    fields, kept with ``keep``, are the smallest eigenvalue fields of
+    (1/2) dg/dt + Ric_mn + K g in g(t).
+
+    For space-constant conformal factors the endomorphism is
+    lam'(t) + K + e^{-2 lam(t)} times the smallest eigenvalue of the base
+    tensor, so the base curvature of each m serves every time, and a
+    block's lam'(t) and e^{-2 lam(t)} every m.
+    """
     for _, K in mKs:
         _check_K(K)
     base_eigs = {m: ricci_bakry_emery(flow.base, m).values for m, _ in mKs}
     times = [float(t) for t in times]
+    column = (-1,) + (1,) * flow.base.dim_n
 
     def block(rows, block_times):
-        fields = _margin_fields(flow, block_times)
+        rates = [flow.log_factor_rate(t) for t in block_times]
+        scale = np.array([flow.operator_scale(t) for t in block_times]).reshape(column)
         tols = [FLOW_MARGIN_TOL] * len(block_times)
-        return lambda m, K: (fields(base_eigs[m], K), tols, None)
+
+        def at(m, K):
+            shift = np.array([rate + K for rate in rates]).reshape(column)
+            return shift + scale * base_eigs[m], tols
+
+        return at
 
     return _defect_columns("super_ricci_flow", times, flow.base.shape, mKs, block, keep)
-
-
-def super_ricci_flow_margins(flow, m, K, times):
-    """Margin reports at each of ``times``, on one base curvature."""
-    (columns,) = margin_columns(flow, [(m, K)], times, keep=True)
-    return columns.reports()
 
 
 def super_ricci_flow_margin(flow, m, K, t):
@@ -230,15 +228,17 @@ def super_ricci_flow_margin(flow, m, K, t):
 
     Eigenvalues are taken with respect to g(t).
     """
-    (report,) = super_ricci_flow_margins(flow, m, K, [t])
+    (columns,) = margin_columns(flow, [(m, K)], [t], keep=True)
+    (report,) = columns.reports()
     return report
 
 
 def fit_super_flow_constant(flow, m):
-    """Smallest K >= 0 for which the super-flow margin is nonnegative."""
+    """Smallest K >= 0 for which the super-flow margin is nonnegative: the
+    least margin at K = 0 over ``FIT_SAMPLES`` times, negated, or 0."""
     t_samples = np.linspace(0.0, flow.horizon, FIT_SAMPLES).tolist()
-    base_eigs = ricci_bakry_emery(flow.base, m).values
-    return max(0.0, -float(_margin_fields(flow, t_samples)(base_eigs, 0.0).min()))
+    (columns,) = margin_columns(flow, [(m, 0.0)], t_samples)
+    return max(0.0, -float(columns.min_defect.min()))
 
 
 def evolve_heat_on_flow(flow, state, times, local_error=1e-8, manifest=None):
@@ -253,7 +253,7 @@ def evolve_heat_on_flow(flow, state, times, local_error=1e-8, manifest=None):
     the adaptive stepping of ``evolve``.  Rows collected in ``manifest``
     are on the base clock.  The CLI takes its flow snapshots from the
     same time change, in the one ``evolve`` it shares with the
-    fixed-metric checks (``wittenlab.cli._Runner.snapshots``).
+    fixed-metric checks (``wittenlab.cli._Runner.stack("flow")``).
     """
     times = [float(t) for t in times]
     taus = flow.base_clock(state.t, times)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,51 @@ def test_invalid_input_exits_2_without_traceback(tmp_path, capsys, mutate):
     assert main(["all", "--config", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "mutate, quantity",
+    [
+        pytest.param(
+            lambda d: d["manifold"].update(
+                grid=32, potential={"family": "samples", "samples": [-800.0] * 32}
+            ),
+            "measure weights exp(-phi) * cell volume overflow",
+            id="sampled_potential_whose_weights_overflow",
+        ),
+        pytest.param(
+            lambda d: d["manifold"].update(
+                grid=32, potential={"family": "samples", "samples": [-709.0] * 32}
+            ),
+            "total measure mu_total",
+            id="sampled_potential_whose_total_measure_overflows",
+        ),
+        pytest.param(
+            lambda d: d["manifold"].update(potential={"family": "cosine", "params": {"a": 800.0}}),
+            "measure weights exp(-phi) * cell volume overflow",
+            id="cosine_potential_whose_weights_overflow",
+        ),
+        pytest.param(
+            lambda d: d.update(
+                flow={"family": "constant_rate", "params": {"rate": -0.4}, "horizon": 1e300},
+                checks=[{"name": "flow_margin", "m": [2], "K": 0.0}],
+            ),
+            "flow: the conformal factor e^(2 lam(t)) leaves double range",
+            id="flow_horizon_whose_conformal_factor_overflows",
+        ),
+    ],
+)
+def test_out_of_range_weights_and_flows_exit_2_naming_the_quantity(
+    tmp_path, capsys, mutate, quantity
+):
+    data = copy.deepcopy(BASE)
+    mutate(data)
+    path = write_config(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the run
+        assert main(["all", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and quantity in err, err
 
 
 def regular_file(tmp_path):
@@ -519,7 +565,7 @@ def test_small_run_exit_zero_and_outputs(tmp_path):
     assert main(["all", "--config", path, "--out", out]) == 0
     for f in ("summary.txt", "summary.json", "harnack_hamilton.csv", "snapshots.csv"):
         assert os.path.exists(os.path.join(out, f)), f
-    first = open(os.path.join(out, "harnack_hamilton.csv")).readline()
+    first = Path(out, "harnack_hamilton.csv").read_text().splitlines()[0]
     assert first.startswith("# wittenlab harnack v1:")
 
 
@@ -641,7 +687,7 @@ def test_grid_scale(tmp_path):
     out = str(tmp_path / "out")
     assert main(["curvature", "--config", path, "--grid-scale", "2", "--out", out]) == 0
     assert np.load(os.path.join(out, "curvature.npy")).shape == (1, 128)  # 64 * 2 nodes
-    assert open(os.path.join(out, "curvature_rows.csv")).read().splitlines()[1:] == ["m", "2.0"]
+    assert Path(out, "curvature_rows.csv").read_text().splitlines()[1:] == ["m", "2.0"]
 
 
 @pytest.mark.parametrize("scale", [0, -2, 1.5, True, "2"])
@@ -894,7 +940,7 @@ def test_timing_file_beside_an_unchanged_summary(tmp_path):
     outs = [str(tmp_path / tag) for tag in ("a", "b")]
     for out in outs:
         assert main(["all", "--config", path, "--out", out]) == 0
-    summaries = [open(os.path.join(out, "summary.json"), "rb").read() for out in outs]
+    summaries = [Path(out, "summary.json").read_bytes() for out in outs]
     assert summaries[0] == summaries[1]
     assert set(json.loads(summaries[0])) == {
         "harnack_hamilton",
@@ -903,13 +949,29 @@ def test_timing_file_beside_an_unchanged_summary(tmp_path):
         "curvature_m2",
         "mass_conservation",
     }
-    timing = json.load(open(os.path.join(outs[0], "timing.json")))
+    timing = json.loads(Path(outs[0], "timing.json").read_text())
     assert set(timing["checks"]) == {c["name"] for c in data["checks"]}
     for name, entry in timing["checks"].items():
         assert entry["wall_s"] == pytest.approx(entry["compute_s"] + entry["output_s"])
         assert entry["compute_s"] >= 0.0 and entry["output_s"] >= 0.0, name
     assert timing["checks"]["mass"]["output_s"] > 0.0
     assert 0.0 < timing["heat_flow_s"] <= timing["total_s"]
+
+
+def test_both_entropy_checks_record_one_key_set(tmp_path):
+    data = copy.deepcopy(BASE)
+    data.update(
+        flow={"family": "constant_rate", "params": {"rate": -0.2}, "horizon": 1.0},
+        checks=[
+            {"name": "entropy", "m": [2], "K": 0.0},
+            {"name": "flow_entropy", "m": [2], "K": "fitted"},
+        ],
+    )
+    out = tmp_path / "out"
+    assert main(["all", "--config", write_config(tmp_path, data), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    keys = {"ok", "worst_monotonicity_gap", "K"}
+    assert set(summary["entropy_m2"]) == set(summary["flow_entropy_m2"]) == keys
 
 
 def test_load_config_reads_yaml(tmp_path):
@@ -929,7 +991,7 @@ def test_defect_field_dump(tmp_path):
     dumps = sorted(f for f in os.listdir(out) if f.startswith("defect_"))
     assert dumps == ["defect_hamilton.npy", "defect_hamilton_rows.csv"]
     # one field of 64 nodes per snapshot, keyed by its t and m
-    lines = open(os.path.join(out, dumps[1])).read().splitlines()
+    lines = Path(out, dumps[1]).read_text().splitlines()
     assert lines[1:] == ["t,m", "0.1,2.0", "0.3,2.0"]
     M = wittenlab.build_manifold(BASE["manifold"])
     snaps = wittenlab.evolve(wittenlab.initial_delta(M, 0, t0=0.05), [0.1, 0.3], local_error=1e-8)

@@ -19,6 +19,7 @@ from wittenlab import (
     phi_mK,
     phi_mK_prime,
     ricci_bakry_emery,
+    stack_states,
     tilde_w_comparison,
     tilde_w_entropy,
     uniform_state,
@@ -46,6 +47,21 @@ def mode_state(M, t, amplitude=0.9):
     x = M.axis_coordinates(0)
     u = (1.0 + amplitude * math.exp(-t) * np.cos(x)) / M.mu_total
     return make_state(M, u, t)
+
+
+@pytest.mark.parametrize("model", ["circle_cos", "torus_32x48"])
+def test_the_dissipation_rate_is_nonnegative_exactly(request, rng, model):
+    """dH/dt = int |grad log u|^2 u dmu is a sum of nonnegative terms, so it
+    is >= 0 bit for bit on every positive state, one or stacked, never a
+    rounding below: the entropy checks gate on monotonicity alone."""
+    M = request.getfixturevalue(model)
+    fields = random_band_limited(M, rng, size=12)
+    grid_axes = tuple(range(1, M.dim_n + 1))
+    for lift in (1e-12, 1e-3, 1.0):
+        rows = fields - fields.min(axis=grid_axes, keepdims=True) + lift
+        states = [make_state(M, u, 0.1 * (i + 1)) for i, u in enumerate(rows)]
+        assert all(entropy_H(s)[1] >= 0.0 for s in states)
+        assert (entropy_H(stack_states(states))[1] >= 0.0).all()
 
 
 # ---------------------------------------------------------------- phi_mK

@@ -40,8 +40,8 @@ from wittenlab.operators import gradient, hessian
 from wittenlab.ricciflow import (
     fit_super_flow_constant,
     make_flow,
+    margin_columns,
     super_ricci_flow_margin,
-    super_ricci_flow_margins,
     w_decomposition_on_flow,
     w_entropy_on_flow,
 )
@@ -453,8 +453,8 @@ M_RULE_CHECKS = {
     "ball_volume_ratio_check": lambda M, snaps, m, K: ball_volume_ratio_check(
         M, m, K, (0, 0), 0.5, 1.0
     ),
-    "super_ricci_flow_margins": lambda M, snaps, m, K: super_ricci_flow_margins(
-        make_flow(M, "static"), m, K, [0.1, 0.3]
+    "margin_columns": lambda M, snaps, m, K: margin_columns(
+        make_flow(M, "static"), [(m, K)], [0.1, 0.3]
     ),
     "super_ricci_flow_margin": lambda M, snaps, m, K: super_ricci_flow_margin(
         make_flow(M, "static"), m, K, 0.1
@@ -481,7 +481,7 @@ SCALAR_RULE_CHECKS = {
 # the Bakry-Emery tensor and what is built on it take m = inf (CD(-K, inf))
 INFINITE_M_OK = {
     "bakry_emery_tensor", "ricci_bakry_emery", "fit_super_flow_constant",
-    "super_ricci_flow_margin", "super_ricci_flow_margins",
+    "super_ricci_flow_margin", "margin_columns",
 }
 NOT_A_FINITE_NUMBER = [True, "3", math.nan, math.inf, -math.inf]
 

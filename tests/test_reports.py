@@ -18,12 +18,12 @@ from wittenlab import (
     make_flow,
     ricci_bakry_emery,
     sup_bound_defect,
-    super_ricci_flow_margins,
 )
 from wittenlab import reports
 from wittenlab.cli import main
 from wittenlab.harnack import _defect_columns
 from wittenlab.heatflow import HeatState
+from wittenlab.ricciflow import margin_columns
 from wittenlab.config import ConfigError
 
 from references import (
@@ -86,13 +86,15 @@ def test_entropy_series_csv_with_margin(circle_cos):
 def test_atomic_write_and_summary(tmp_path):
     base = str(tmp_path / "sub" / "summary")
     reports.write_summary(base, {"alpha": {"ok": True, "value": 1.5}})
-    text = open(base + ".txt").read()
-    assert "[PASS] alpha" in text
-    data = json.loads(open(base + ".json").read())
+    with open(base + ".txt") as f:
+        assert "[PASS] alpha" in f.read()
+    with open(base + ".json") as f:
+        data = json.load(f)
     assert data["alpha"]["ok"] is True
     # overwrite is atomic and idempotent
     reports.write_summary(base, {"alpha": {"ok": False}})
-    assert "[FAIL] alpha" in open(base + ".txt").read()
+    with open(base + ".txt") as f:
+        assert "[FAIL] alpha" in f.read()
     assert not [f for f in os.listdir(tmp_path / "sub") if f.startswith(".tmp_")]
 
 
@@ -368,7 +370,7 @@ def test_a_column_shared_across_m_blocks_is_written_as_each_block_formats_it(
     tols = {mK: special_field((7,), rng)[::-1].tolist() for mK in mKs}
 
     def block(rows, times):
-        return lambda m, K: (fields[m, K][rows], tols[m, K][rows], None)
+        return lambda m, K: (fields[m, K][rows], tols[m, K][rows])
 
     columns = _defect_columns("sup_bound", times, M.shape, mKs, block, keep=True)
     reps = [r for c in columns for r in c.reports()]
@@ -480,7 +482,10 @@ def test_each_check_writes_one_table_whose_blocks_are_its_fields(tmp_path, model
 
     grid_times = [float(t) for t in np.linspace(0.0, flow.horizon, 9)]
     worst = [
-        min(super_ricci_flow_margins(flow, m, K_flow, grid_times), key=lambda r: r.min_defect)
+        min(
+            margin_columns(flow, [(m, K_flow)], grid_times, keep=True)[0].reports(),
+            key=lambda r: r.min_defect,
+        )
         for m in ms
     ]
     assert_stack(out, "flow_margin_field", ["t", "m"], [((r.t, r.m), r.defect) for r in worst])
@@ -488,7 +493,7 @@ def test_each_check_writes_one_table_whose_blocks_are_its_fields(tmp_path, model
     expected = []
     for m in ms:
         series = build_series(flow_snaps, m, K_flow, flow=flow)
-        margins = [r.min_defect for r in super_ricci_flow_margins(flow, m, K_flow, times)]
+        margins = margin_columns(flow, [(m, K_flow)], times)[0].min_defect.tolist()
         rows = reference_series_rows(series, margins)
         expected.append(((reference_fmt(m),), reference_lines(rows)))
     header, blocks = read_blocks(out / "flow_entropy_series.csv", 1)

@@ -27,7 +27,7 @@ from wittenlab import (
     ricci_bakry_emery,
     stack_states,
     sup_bound_defect,
-    super_ricci_flow_margins,
+    super_ricci_flow_margin,
     tilde_w_comparison,
     w_derivative_decomposition,
     w_entropy,
@@ -35,7 +35,7 @@ from wittenlab import (
 from wittenlab import operators
 from wittenlab.entropy import _exp_series, build_series_per_m
 from wittenlab.harnack import _defect_columns, defect_columns, kernel_bounds
-from wittenlab.ricciflow import margin_columns
+from wittenlab.ricciflow import FIT_SAMPLES, margin_columns
 
 from references import (
     exp_series_loop,
@@ -233,7 +233,7 @@ def test_one_pass_over_a_list_of_m_equals_the_one_m_functions(
             for times in (stack.t, np.linspace(0.0, flow.horizon, 9).tolist()):
                 got = margin_columns(flow, mKs, times, keep=keep)
                 for columns, (m, K) in zip(got, mKs, strict=True):
-                    want = super_ricci_flow_margins(flow, m, K, times)
+                    want = [super_ricci_flow_margin(flow, m, K, t) for t in times]
                     assert_columns_are_the_reports(columns, want, keep)
 
 
@@ -334,7 +334,7 @@ def test_a_tied_minimum_reports_its_first_node(torus_32x48, rng):
     block[3, 5, 5] = -np.inf
     (columns,) = _defect_columns(
         "hamilton", [0.1, 0.2, 0.3, 0.4], torus_32x48.shape, [(3, 0.5)],
-        lambda rows, times: lambda m, K: (block[rows], [1e-7] * len(times), None), keep=True,
+        lambda rows, times: lambda m, K: (block[rows], [1e-7] * len(times)), keep=True,
     )
     reports = columns.reports()
     assert [r.argmin_node for r in reports[:3]] == [(2, 7), (0, 0), (0, 9)]
@@ -358,19 +358,35 @@ def test_flow_margins_equal_the_per_time_fields(model_stacks, model, family, par
     for m in (M.dim_n + 1.0, M.dim_n + 2.5):
         K = fit_super_flow_constant(flow, m)
         assert same_bits(K, fit_super_flow_constant_loop(flow, m))
-        reports = super_ricci_flow_margins(flow, m, K, times)
+        (columns,) = margin_columns(flow, [(m, K)], times, keep=True)
         fields = margin_fields_per_time(flow, m, K, times)
-        for t, r, field in zip(times, reports, fields, strict=True):
+        for t, r, field in zip(times, columns.reports(), fields, strict=True):
             assert (r.inequality, r.t, r.m, r.K) == ("super_ricci_flow", t, m, K)
             assert same_bits(r.defect, field)
             assert_minimum_of_its_field(r)
+
+
+def test_the_fitted_flow_constant_is_the_least_margin_column_at_K_0(torus_32x48):
+    """``fit_super_flow_constant`` is max(0, -min) of the minima of
+    ``margin_columns`` at K = 0 over its sample times, bit for bit, with
+    the times taken in several row blocks."""
+    M = torus_32x48
+    assert len(list(operators._row_blocks(FIT_SAMPLES, math.prod(M.shape)))) > 1
+    flow = make_flow(M, "sinusoidal", {"amplitude": 0.5, "frequency": 3.0}, horizon=2.0)
+    times = np.linspace(0.0, flow.horizon, FIT_SAMPLES).tolist()
+    for m in (M.dim_n + 1.0, M.dim_n + 2.5, math.inf):
+        (columns,) = margin_columns(flow, [(m, 0.0)], times)
+        K = fit_super_flow_constant(flow, m)
+        assert K > 0.0 and same_bits(K, max(0.0, -float(columns.min_defect.min())))
+        assert same_bits(K, fit_super_flow_constant_loop(flow, m))
 
 
 def test_a_constant_margin_field_reports_its_first_node():
     flat = circle(64)
     flow = make_flow(flat, "constant_rate", {"rate": -0.4}, horizon=1.0)
     assert fit_super_flow_constant(flow, 2.0) == fit_super_flow_constant_loop(flow, 2.0) == 0.4
-    for r in super_ricci_flow_margins(flow, 2.0, 0.5, [0.0, 0.5, 1.0]):
+    (columns,) = margin_columns(flow, [(2.0, 0.5)], [0.0, 0.5, 1.0], keep=True)
+    for r in columns.reports():
         assert np.ptp(r.defect) == 0.0 and r.argmin_node == (0,)
         assert_minimum_of_its_field(r)
 
