@@ -17,14 +17,13 @@ Validation failures raise :class:`ConfigError` naming the offending key.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import yaml
 
-from .geometry import _grid_sizes, _is_integer, _is_real
+from .geometry import _check_finite, _check_time, _grid_sizes, _is_integer
 from .heatflow import _check_local_error, _snapshot_times, _within_horizon
 
 REQUIRED = "required"  # a key with no default
@@ -130,10 +129,11 @@ def load_config(path):
 
 
 def _number(raw, key):
-    """``raw`` as a float; strings, bools and non-finite values raise."""
-    if not (_is_real(raw) and math.isfinite(raw)):
-        raise ConfigError(f"{key} must be a finite number, got {raw!r}")
-    return float(raw)
+    """``raw`` as a float by the finite-number rule, which names ``key``."""
+    try:
+        return _check_finite(key, raw)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_K(raw, key):
@@ -208,13 +208,14 @@ def _parse_check(item, name, times):
         ):
             raise ConfigError(f"{where}.pairs must be a non-empty list of [tau, T] pairs")
         pairs = options["pairs"] = [
-            [_number(t, f"{where}.pairs") for t in p] for p in pairs
+            [_checked(f"{where}.pairs", _check_time, s, t) for s, t in zip(("tau", "T"), p)]
+            for p in pairs
         ]
     if name == "integrated":
         if pairs is None and len(times) < 2:
             raise ConfigError(f"{where} needs a pairs option or two solver.times")
         for tau, T in pairs or []:
-            if not 0.0 < tau < T:
+            if not tau < T:
                 raise ConfigError(f"{where}.pairs needs 0 < tau < T, got [{tau:g}, {T:g}]")
             for t in (tau, T):
                 if t not in times:
@@ -245,7 +246,11 @@ def validate_experiment(data, out_override=None, grid_scale=1):
     """Turn a raw config mapping into an :class:`ExperimentConfig`.
 
     ``out_override`` and ``grid_scale`` come from the command line's
-    ``--out`` and ``--grid-scale``."""
+    ``--out`` and ``--grid-scale``.  This is the one place where grids are
+    scaled: the grid sizes and the node indices ``solver.x0`` and
+    ``center`` are multiplied by ``grid_scale``, so each node names the
+    same point on the refined grid, and a ``samples`` potential, given on
+    the unscaled grid, is refused at a scale above 1."""
     if not (_is_integer(grid_scale) and grid_scale >= 1):
         raise ConfigError(f"--grid-scale must be an integer >= 1, got {grid_scale!r}")
     if "manifold" not in data:
@@ -255,12 +260,15 @@ def validate_experiment(data, out_override=None, grid_scale=1):
         manifold["grid"] = _grid_sizes(manifold.get("grid"), grid_scale)
     except ValueError as exc:
         raise ConfigError(f"manifold.{exc}") from None
+    if grid_scale > 1 and _mapping(manifold, "potential").get("family") == "samples":
+        raise ConfigError(f"--grid-scale {grid_scale} cannot refine a 'samples' potential")
+
+    def scaled(node):  # a node of the unscaled grid, on the scaled one
+        return None if node is None else tuple(i * grid_scale for i in node)
 
     solver_raw = _mapping(data, "solver")
-    t0 = _number(solver_raw.get("t0", 0.05), "solver.t0")
-    if t0 <= 0:
-        raise ConfigError("solver.t0 must be positive")
-    x0 = _parse_node(solver_raw.get("x0"), "solver.x0")
+    t0 = _checked("solver.t0", _check_time, "t0", solver_raw.get("t0", 0.05))
+    x0 = scaled(_parse_node(solver_raw.get("x0"), "solver.x0"))
     times_raw = solver_raw.get("times", (0.1, 0.5, 1.0))
     if not isinstance(times_raw, (list, tuple)) or not times_raw:
         raise ConfigError(f"solver.times must be a non-empty list of numbers, got {times_raw!r}")
@@ -289,13 +297,16 @@ def validate_experiment(data, out_override=None, grid_scale=1):
                 f"carry the check name, so give it one entry"
             )
         checks.append(_parse_check(item, name, times))
+        if "center" in checks[-1].options:
+            checks[-1].options["center"] = scaled(checks[-1].options["center"])
 
     flow = None
     if data.get("flow") is not None:
         flow = _mapping(data, "flow")
         if "family" not in flow:
             raise ConfigError("flow.family is required when a flow is given")
-        flow["horizon"] = _number(flow.get("horizon", times[-1]), "flow.horizon")
+        horizon = flow.get("horizon", times[-1])
+        flow["horizon"] = _checked("flow.horizon", _check_time, "flow horizon", horizon)
 
     if flow is None and any(CHECKS[c.name].subcommand == "flow" for c in checks):
         raise ConfigError("flow checks selected but no flow section given")

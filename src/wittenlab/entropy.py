@@ -11,7 +11,10 @@ checks assert.
 
 The additive constant of Phi_mK is fixed so that K = 0 reproduces the
 classical normalization (m/2)(log(4 pi t) + 1); reports carry this
-convention explicitly.
+convention explicitly.  The closed forms in t (the normalization, its
+derivative, the decay bound and the normalization comparison) check m,
+K and each t by the one ``(m, K, t)`` rule of :mod:`wittenlab.geometry`,
+with no model; the functionals of states check each row time by it.
 
 Each functional takes heat-flow states and reads their manifold and
 cached fields; the derivatives of log u are the quotients grad u / u and
@@ -48,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import _check_K, _check_m, _check_m_K_t, _read_only, bakry_emery_tensor
+from .geometry import _check_m_K_t, _read_only, bakry_emery_tensor
 from .heatflow import HeatState, _as_stack, _by_row, _column
 from .operators import _row_blocks, integrate_mu
 
@@ -84,7 +87,8 @@ def _exp_series(x):
     j.  The terms are taken ``_SERIES_CHUNK`` indices j at a time for
     every element still summing, by sequential ``accumulate`` along j, so
     each element's terms and partial sums are formed in the order of the
-    term-by-term loop over that argument alone.
+    term-by-term loop over that argument alone.  At x = 0 the sum stops
+    at j = 1 with the value 0 exactly, so K = 0 needs no case of its own.
     """
     x = np.asarray(x, dtype=float)
     if (x < 0.0).any():
@@ -112,22 +116,13 @@ def _exp_series(x):
     return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
-def _check_t_m_K(t, m, K):
-    """The domain of the normalizations and of dW/dt: t > 0, m a finite
-    number and K >= 0."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    _check_m(m)
-    _check_K(K)
-
-
 def phi_mK(t, m, K):
     """Time normalization with derivative (m/2t) e^{4Kt}.
 
     Equals (m/2)(log(4 pi t) + 1) at K = 0; the K-dependence enters
     through the entire series sum_{j>=1} (4Kt)^j / (j * j!).
     """
-    _check_t_m_K(t, m, K)
+    _check_m_K_t(None, m, K, [t])
     return float(_phi_mK([t], m, K)[0])
 
 
@@ -135,13 +130,11 @@ def _phi_mK(times, m, K):
     """Phi_mK at each of ``times``, as an array: the logarithm per time,
     the series in one pass over the times."""
     base = np.array([0.5 * m * (math.log(4.0 * math.pi * t) + 1.0) for t in times])
-    if K == 0.0:
-        return base
     return base + 0.5 * m * _exp_series(4.0 * K * np.array(times))
 
 
 def phi_mK_prime(t, m, K):
-    _check_t_m_K(t, m, K)
+    _check_m_K_t(None, m, K, [t])
     return _phi_mK_prime(t, m, K)
 
 
@@ -151,7 +144,7 @@ def _phi_mK_prime(t, m, K):
 
 def monotonicity_bound(t, m, K):
     """-(m/2t) [e^{4Kt}(1 + 4Kt) - (1 + Kt)^2], the W-entropy decay bound."""
-    _check_t_m_K(t, m, K)
+    _check_m_K_t(None, m, K, [t])
     return _monotonicity_bound(t, m, K)
 
 
@@ -463,12 +456,10 @@ def tilde_w_comparison(m, K, t):
     time's values equal those of its one-time call bit for bit.
     """
     times = [t] if np.ndim(t) == 0 else t
-    for s in times:
-        _check_t_m_K(s, m, K)
+    _check_m_K_t(None, m, K, times)
     ts = np.array(times, dtype=float)
     x = 4.0 * K * ts
-    E = np.zeros(x.shape)
-    E[x > 0.0] = _exp_series(x[x > 0.0])
+    E = _exp_series(x)
     rows = [_tilde_w_row(m, K, *args) for args in zip(ts.tolist(), x.tolist(), E.tolist())]
     columns = np.array(rows, dtype=float).reshape(len(rows), 3).T
     if np.ndim(t) == 0:

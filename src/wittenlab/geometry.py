@@ -15,6 +15,27 @@ Uniform periodic grids make the trapezoid rule spectrally accurate,
 Fourier differentiation exact on band-limited fields and geodesic-ball
 measures closed-form mode by mode, which keeps discretization error out
 of the inequality checks built on top.
+
+The scalar input rules of the package live here, one implementation
+each, and every public function applies them where its inputs enter,
+raising ``ValueError`` that names the input:
+
+* the finite-number rule (``_check_finite``): a real number, not a bool
+  or a string, neither NaN nor infinite; the sup bound's ``A``, the flow
+  parameters and the numbers of a configuration that are not times;
+* the time rule (``_check_time``): a finite positive real number; every
+  time and time step (``t``, ``t0``, ``dt``, ``tau``, ``T``, the flow
+  horizon, each row time of a check);
+* the m rule (``_check_m``, ``_m_equals_n``): the finite-number rule, or
+  m = inf where the Bakry-Emery tensor takes it; m >= n, and m == n only
+  on a constant potential;
+* the K rule (``_check_K``): the finite-number rule and K >= 0;
+* ``_check_m_K_t``, the three together: the domain of every function of
+  m, K and t.
+
+A heat-flow state's times pass the finite-number rule when the state is
+built; 0 is a valid state time (the uniform state), which the time rule
+of the checks refuses.
 """
 
 from __future__ import annotations
@@ -613,11 +634,29 @@ def _projected_axis_eigensystem(manifold, axis, phi):
     return _read_only(QW / half[:, None]), _read_only(lam), _read_only(QW.T * half)
 
 
+def _check_finite(name, value):
+    """``value`` as a float: the finite-number rule, which rejects a value
+    that is not a real number (bools and strings included), NaN and +-inf,
+    naming it ``name``."""
+    if not (_is_real(value) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _check_time(name, value):
+    """``value`` as a float: the time rule, which rejects a time or time
+    step that is not a finite positive real number (``True`` included),
+    naming it ``name``."""
+    if not (_is_real(value) and 0.0 < value < math.inf):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+    return float(value)
+
+
 def _check_m(m, infinite_ok=False):
-    """Reject an m that is not a real number (bools and strings included),
-    NaN, and +-inf unless ``infinite_ok`` (then m = +inf passes)."""
-    if not (_is_real(m) and (math.isfinite(m) or (infinite_ok and m == math.inf))):
-        raise ValueError(f"dimension parameter m must be a finite number, got {m!r}")
+    """Reject an m that fails the finite-number rule, except m = +inf with
+    ``infinite_ok``."""
+    if not (infinite_ok and m == math.inf):
+        _check_finite("dimension parameter m", m)
 
 
 def _m_equals_n(manifold, m, infinite_ok=False):
@@ -641,21 +680,22 @@ def _m_equals_n(manifold, m, infinite_ok=False):
 def _check_K(K):
     """Reject a K that is not a finite number, and K < 0: the rule of every
     function that takes K (Ric_mn >= -K)."""
-    if not (_is_real(K) and math.isfinite(K)):
-        raise ValueError(f"curvature constant K must be a finite number, got {K!r}")
+    _check_finite("curvature constant K", K)
     if K < 0.0:
         raise ValueError(f"curvature constant K={K} must be nonnegative")
 
 
 def _check_m_K_t(manifold, m, K, times=()):
-    """Whether m == n, after the m rule, the K rule and t > 0 for each of
-    ``times``: the domain of every check over the rows of a state, checked
-    once per call so that the per-row formulas need no check."""
-    m_equals_n = _m_equals_n(manifold, m)
+    """Whether m == n, after the m rule, the K rule and the time rule for
+    each of ``times``: the domain of every function of m, K and t, checked
+    once per call so that the per-row formulas need no check.  With no
+    ``manifold`` (the closed forms in t alone) m need only be a finite
+    number, and m == n is False."""
+    _check_m(m)
+    m_equals_n = manifold is not None and _m_equals_n(manifold, m)
     _check_K(K)
     for t in times:
-        if t <= 0.0:
-            raise ValueError(f"state time t={t} must be positive")
+        _check_time("t", t)
     return m_equals_n
 
 
@@ -771,8 +811,7 @@ def ball_volume_ratio_check(manifold, m, K, y, r, R):
     :func:`_ball_measures`) is set against (R/r)^m * exp(sqrt((m-1) K) * R).
     """
     _check_ball_radii(manifold, r, R)
-    _check_K(K)
-    _m_equals_n(manifold, m)
+    _check_m_K_t(manifold, m, K)
     big, small = _ball_measures(manifold, y, (R, r))
     return BallRatioReport(
         center=_as_index(manifold, y),

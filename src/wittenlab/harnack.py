@@ -60,7 +60,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import _as_index, _check_m_K_t, _is_real, _node_distances, geodesic_distance
+from .geometry import _as_index, _check_finite, _check_m_K_t, _check_time, _node_distances
+from .geometry import geodesic_distance
 from .heatflow import _as_stack, _by_row, _column
 from .operators import _row_blocks
 
@@ -262,8 +263,7 @@ def _hamilton_block(state):
 
 def _sup_bound_block(state, A):
     """Blocks of the sup-normalized defect over the rows of ``state``."""
-    if not (_is_real(A) and math.isfinite(A)):
-        raise ValueError(f"A must be a finite number, got {A!r}")
+    _check_finite("A", A)
     umax = float(state.u.max())
     if A < umax:
         raise ValueError(f"A={A} is below max u = {umax}; log(A/u) must be nonnegative")
@@ -302,10 +302,7 @@ def defect_columns(state, inequality, mKs, A=None, keep=False):
         _check_m_K_t(state.manifold, m, K, state.times)
         if inequality == "li_yau" and K != 0.0:
             raise ValueError(f"the Li-Yau bound has K = 0, got K={K!r}")
-    if inequality == "sup_bound":
-        block = _sup_bound_block(state, A)
-    else:
-        block = _hamilton_block(state)
+    block = _sup_bound_block(state, A) if inequality == "sup_bound" else _hamilton_block(state)
     return _defect_columns(inequality, state.times, state.manifold.shape, mKs, block, keep)
 
 
@@ -351,7 +348,8 @@ def integrated_harnack_checks(snapshots, xs, ys, tau, T, m, K):
     distances and ratios lhs = u(x, tau) / u(y, T) are taken together over
     the pairs.
     """
-    if not (0.0 < tau < T):
+    tau, T = _check_time("tau", tau), _check_time("T", T)
+    if not tau < T:
         raise ValueError(f"need 0 < tau < T, got tau={tau}, T={T}")
     if len(xs) != len(ys):
         raise ValueError(f"{len(xs)} x nodes against {len(ys)} y nodes")
@@ -367,9 +365,8 @@ def integrated_harnack_checks(snapshots, xs, ys, tau, T, m, K):
     y_axes = tuple(np.array(ys, dtype=np.intp).reshape(-1, manifold.dim_n).T)
     distances = _node_distances(manifold, x_axes, y_axes).tolist()
     ratios = (u_tau[x_axes] / u_T[y_axes]).tolist()
-    tau, T, m, K = float(tau), float(T), float(m), float(K)
     return [
-        IntegratedHarnackReport(x=x, y=y, tau=tau, T=T, m=m, K=K, distance=d, lhs=r)
+        IntegratedHarnackReport(x=x, y=y, tau=tau, T=T, m=float(m), K=float(K), distance=d, lhs=r)
         for x, y, d, r in zip(xs, ys, distances, ratios)
     ]
 
@@ -450,7 +447,7 @@ def kernel_bounds(snapshots, mKs):
     state = _as_stack(snapshots)
     manifold = state.manifold
     for m, K in mKs:
-        _check_m_K_t(manifold, m, K)
+        _check_m_K_t(manifold, m, K, state.times)
     dist = geodesic_distance(manifold, _kernel_source(state).x0)
     dt_log_u = _by_row(state, state.dt_log_u)
     grid_axes = tuple(range(1, manifold.dim_n + 1))

@@ -73,6 +73,8 @@ from . import kernels
 from .geometry import (
     WeightedManifold,
     _as_index,
+    _check_finite,
+    _check_time,
     _constant_potential,
     _hessian,
     _is_real,
@@ -212,6 +214,8 @@ class HeatState:
             and len(self.t) == len(self.kernel) == len(self.u)
         ):
             raise ValueError("a stack of states needs a tuple of times and of kernels, one per row")
+        for t in self.times:
+            _check_finite("t", t)
 
     @property
     def stacked(self):
@@ -552,13 +556,6 @@ def _advance(manifold, u, dt, Lu=None):
     return dealias_nyquist(manifold, out * s) / s
 
 
-def _check_time(name, value):
-    """Reject a time or time step ``value`` that is not a finite positive
-    real number (``True`` included), naming it ``name``."""
-    if not (_is_real(value) and math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-
-
 def step(state, dt):
     """Advance a state by one Crank-Nicolson step dt.
 
@@ -820,7 +817,6 @@ def kernel_state(manifold, x0, t):
     """Exact closed-form kernel state; constant-potential flat models only."""
     if not _constant_potential(manifold):
         raise ValueError("closed-form kernels need a constant potential")
-    _check_time("t", t)
     x0 = _as_index(manifold, x0)
     profiles = _axis_profiles(manifold, x0, kernels.wrapped_gaussian, t)
     # each profile is clamped at TINY, and so is their product, which underflows

@@ -40,7 +40,8 @@ from .entropy import (
     _entropy_second_derivative,
     _w_entropy,
 )
-from .geometry import WeightedManifold, _check_K, _check_params, _is_real, ricci_bakry_emery
+from .geometry import WeightedManifold, _check_finite, _check_K, _check_params, _check_time
+from .geometry import ricci_bakry_emery
 from .harnack import _defect_columns
 from .heatflow import _as_stack, _within_horizon, evolve
 
@@ -160,16 +161,14 @@ class FlowSpec:
 def make_flow(base, family="static", params=None, horizon=1.0):
     """Build a :class:`FlowSpec` and verify measure invariance numerically;
     ``static`` is the ``constant_rate`` flow with zero parameters."""
-    if not (_is_real(horizon) and 0.0 < horizon < math.inf):
-        raise ValueError(f"flow horizon must be a positive finite number, got {horizon!r}")
+    horizon = _check_time("flow horizon", horizon)
     if family == "static":
         _check_params("flow", family, params or {}, {})
         family = "constant_rate"
     params = {**_FLOW_DEFAULTS.get(family, {}), **(params or {})}
-    flow = FlowSpec(base=base, family=family, params=params, horizon=float(horizon))
+    flow = FlowSpec(base=base, family=family, params=params, horizon=horizon)
     for key, val in params.items():
-        if not _is_real(val) or not math.isfinite(val):
-            raise ValueError(f"flow parameter {key} must be a finite number, got {val!r}")
+        _check_finite(f"flow parameter {key}", val)
     w0 = _measure_weights(flow, 0.0)
     for t in np.linspace(0.0, horizon, 7).tolist():
         if not np.abs(_measure_weights(flow, t) - w0).max() <= 1e-14 * np.abs(w0).max():

@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 import wittenlab
-from wittenlab import config, geometry, operators
+from wittenlab import cli, config, geometry, operators
 from wittenlab.cli import _Runner, bundled_config_path, main, run_experiment
 from wittenlab.config import CHECKS, REQUIRED, ConfigError, load_config, validate_experiment
 
@@ -622,6 +622,25 @@ def test_blocked_selftest_equals_the_per_field_loop(monkeypatch, model, seed, bl
         assert entry["fields"] == count
 
 
+@pytest.mark.parametrize("name", ["bochner_residual", "mu_inner"])
+def test_a_nan_selftest_residual_or_gap_fails_the_check(monkeypatch, name):
+    """A NaN in one field's residual or inner product is the worst value and
+    fails the check; a running max(worst, nan) kept the finite worst."""
+    original = getattr(cli, name)
+
+    def last_field_nan(*args):
+        out = np.array(original(*args))
+        out[-1] = np.nan
+        return out
+
+    monkeypatch.setattr(cli, name, last_field_nan)
+    runner, check = selftest_runner("circle_cos", 3, 0)
+    runner.check_operators_selftest(check)
+    entry = runner.summary["operators_selftest"]
+    key = "worst_bochner_residual" if name == "bochner_residual" else "worst_adjointness_gap"
+    assert not entry["ok"] and math.isnan(entry[key])
+
+
 def test_selftest_transforms_do_not_grow_with_count_within_a_block(fft_calls):
     # a block of the 256-node circle holds at least 10 pairs
     calls = []
@@ -688,6 +707,47 @@ def test_grid_scale(tmp_path):
     assert main(["curvature", "--config", path, "--grid-scale", "2", "--out", out]) == 0
     assert np.load(os.path.join(out, "curvature.npy")).shape == (1, 128)  # 64 * 2 nodes
     assert Path(out, "curvature_rows.csv").read_text().splitlines()[1:] == ["m", "2.0"]
+
+
+def test_grid_scale_maps_the_source_and_the_ball_centre_onto_the_refined_grid(tmp_path):
+    """Nodes name points: at --grid-scale 2 solver.x0 [32, 36] of the 64x64
+    torus is node (64, 72) of the 128x128 one, where the t = 0.1 peak lands,
+    at the unscaled run's point and max u; a ball centre scales alike."""
+    data = {
+        "manifold": {
+            "model": "flat_torus_2d", "grid": 64,
+            "potential": {"family": "cosine", "params": {"a": 0.5}},
+        },
+        "solver": {"t0": 0.05, "x0": [32, 36], "times": [0.1]},
+        "checks": ["mass", {"name": "ball_ratio", "m": [3], "center": [3, 5]}],
+    }
+    scaled = validate_experiment(data, grid_scale=2)
+    assert scaled.solver.x0 == (64, 72)
+    assert scaled.checks[1].options["center"] == (6, 10)
+    path = write_config(tmp_path, data)
+    peaks = []
+    for scale in (1, 2):
+        out = tmp_path / f"out{scale}"
+        argv = ["simulate", "--config", path, "--out", str(out), "--grid-scale", str(scale)]
+        assert main(argv) == 0
+        rows = np.loadtxt(out / "snapshots.csv", delimiter=",", skiprows=2)
+        peaks.append(rows[rows[:, -1].argmax()])
+    (_, _, x, y, u), (_, node, x2, y2, u2) = peaks
+    assert divmod(int(node), 128) == (64, 72)
+    assert (x2, y2) == (x, y)
+    assert u2 == pytest.approx(u, rel=1e-5)
+
+
+def test_grid_scale_refuses_a_samples_potential_naming_the_flag(tmp_path, capsys):
+    manifold = {"model": "circle", "grid": 64, "potential": {"family": "samples"}}
+    manifold["potential"]["samples"] = [0.0] * 64
+    path = write_config(tmp_path, {**BASE, "manifold": manifold})
+    argv = ["simulate", "--config", path, "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, "--grid-scale", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --grid-scale 2 cannot refine a 'samples' potential")
 
 
 @pytest.mark.parametrize("scale", [0, -2, 1.5, True, "2"])

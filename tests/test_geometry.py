@@ -18,6 +18,7 @@ from wittenlab import (
 )
 from wittenlab.entropy import (
     build_series,
+    build_series_per_m,
     monotonicity_bound,
     phi_mK,
     phi_mK_prime,
@@ -28,14 +29,26 @@ from wittenlab.entropy import (
 )
 from wittenlab.geometry import _ball_measures, _disk_weights, bakry_emery_tensor
 from wittenlab.harnack import (
+    defect_columns,
     hamilton_harnack_defect,
     integrated_harnack_check,
     integrated_harnack_checks,
+    kernel_bounds,
     kernel_dt_log_bounds,
     li_yau_defect,
     sup_bound_defect,
 )
-from wittenlab.heatflow import evolve, initial_delta, kernel_state
+from wittenlab.heatflow import (
+    HeatState,
+    evolve,
+    initial_delta,
+    kernel_state,
+    make_state,
+    stack_states,
+    step,
+    uniform_state,
+)
+from wittenlab.kernels import wrapped_gaussian, wrapped_gaussian_log_dt, wrapped_gaussian_log_dx
 from wittenlab.operators import gradient, hessian
 from wittenlab.ricciflow import (
     fit_super_flow_constant,
@@ -543,6 +556,107 @@ def test_sup_bound_A_that_is_not_a_finite_number_is_rejected_naming_it(A):
     M, snaps = _torus_run(0.5)
     with pytest.raises(ValueError, match="^A must be a finite number"):
         sup_bound_defect(snaps[0], 3.0, 0.5, A)
+
+
+NOT_A_TIME = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+_L = 2.0 * math.pi
+_THETA = np.linspace(0.0, _L, 8, endpoint=False)
+
+
+def _with_row_time(t):
+    """The cosine torus run as a stack whose second row's time is set to
+    ``t`` by ``dataclasses.replace``, which refuses NaN and +-inf itself."""
+    _, snaps = _torus_run(0.5)
+    return stack_states([snaps[0], dataclasses.replace(snaps[1], t=t)])
+
+
+def _integrated(fn, tau, T):
+    _, snaps = _torus_run(0.5)
+    pair = ((0, 0), (3, 5)) if fn is integrated_harnack_check else ([(0, 0)], [(3, 5)])
+    return fn(snaps, *pair, tau, T, 3.0, 0.5)
+
+
+def _static_flow():
+    return make_flow(_torus_run(0.5)[0], "static")
+
+
+# each entry point that takes a time, with the name its message gives the time
+TIME_RULE_CHECKS = {
+    "phi_mK": ("t", lambda t: phi_mK(t, 3.0, 0.5)),
+    "phi_mK_prime": ("t", lambda t: phi_mK_prime(t, 3.0, 0.5)),
+    "monotonicity_bound": ("t", lambda t: monotonicity_bound(t, 3.0, 0.5)),
+    "tilde_w_comparison": ("t", lambda t: tilde_w_comparison(3.0, 0.5, t)),
+    "tilde_w_comparison_of_times": ("t", lambda t: tilde_w_comparison(3.0, 0.5, [0.5, t])),
+    "wrapped_gaussian": ("t", lambda t: wrapped_gaussian(_THETA, t, _L)),
+    "wrapped_gaussian_log_dx": ("t", lambda t: wrapped_gaussian_log_dx(_THETA, t, _L)),
+    "wrapped_gaussian_log_dt": ("t", lambda t: wrapped_gaussian_log_dt(_THETA, t, _L)),
+    "kernel_state": ("t", lambda t: kernel_state(_torus_run(0.0)[0], (3, 5), t)),
+    "initial_delta": ("t0", lambda t: initial_delta(_torus_run(0.5)[0], (3, 5), t)),
+    "step": ("dt", lambda t: step(_torus_run(0.5)[1][0], t)),
+    "make_flow": ("flow horizon", lambda t: make_flow(_torus_run(0.5)[0], "static", horizon=t)),
+    "integrated_harnack_check_tau": ("tau", lambda t: _integrated(integrated_harnack_check, t, 0.3)),
+    "integrated_harnack_check_T": ("T", lambda t: _integrated(integrated_harnack_check, 0.1, t)),
+    "integrated_harnack_checks_tau": (
+        "tau", lambda t: _integrated(integrated_harnack_checks, t, 0.3)
+    ),
+    "integrated_harnack_checks_T": ("T", lambda t: _integrated(integrated_harnack_checks, 0.1, t)),
+    # the checks that read row times
+    "hamilton_harnack_defect": (
+        "t", lambda t: hamilton_harnack_defect(_with_row_time(t), 3.0, 0.5)
+    ),
+    "li_yau_defect": ("t", lambda t: li_yau_defect(_with_row_time(t), 3.0)),
+    "sup_bound_defect": ("t", lambda t: sup_bound_defect(_with_row_time(t), 3.0, 0.5, 1e3)),
+    "defect_columns": (
+        "t", lambda t: defect_columns(_with_row_time(t), "hamilton", [(3.0, 0.5)])
+    ),
+    "kernel_dt_log_bounds": ("t", lambda t: kernel_dt_log_bounds(_with_row_time(t), 3.0, 0.5)),
+    "kernel_bounds": ("t", lambda t: kernel_bounds(_with_row_time(t), [(3.0, 0.5)])),
+    "w_entropy": ("t", lambda t: w_entropy(_with_row_time(t), 3.0, 0.5)),
+    "tilde_w_entropy": ("t", lambda t: tilde_w_entropy(_with_row_time(t), 3.0, 0.5)),
+    "w_derivative_decomposition": (
+        "t", lambda t: w_derivative_decomposition(_with_row_time(t), 3.0, 0.5)
+    ),
+    "build_series": ("t", lambda t: build_series(_with_row_time(t), 3.0, 0.5)),
+    "build_series_per_m": ("t", lambda t: build_series_per_m(_with_row_time(t), [(3.0, 0.5)])),
+    "w_entropy_on_flow": (
+        "t", lambda t: w_entropy_on_flow(_static_flow(), _with_row_time(t), 3.0, 0.5)
+    ),
+    "w_decomposition_on_flow": (
+        "t", lambda t: w_decomposition_on_flow(_static_flow(), _with_row_time(t), 3.0, 0.5)
+    ),
+}
+
+
+@pytest.mark.parametrize("t", NOT_A_TIME)
+@pytest.mark.parametrize("name", sorted(TIME_RULE_CHECKS))
+def test_a_time_that_is_not_finite_and_positive_is_rejected_naming_it(name, t):
+    """One time rule: NaN, +-inf, 0 and -1 raise ValueError naming the time
+    at every entry that takes one, as the start of the message, where NaN
+    gave NaN verdicts, inf read the wrong snapshot row and 0 divided by
+    zero."""
+    what, check = TIME_RULE_CHECKS[name]
+    with pytest.raises(ValueError, match=rf"^{what} must be a finite (positive )?number, got "):
+        check(t)
+
+
+@pytest.mark.parametrize("t", NOT_A_TIME)
+def test_a_state_refuses_only_a_time_that_is_not_finite(t):
+    """make_state, a stack and dataclasses.replace refuse NaN and +-inf
+    times; 0 and negative times make states, which the checks refuse."""
+    M, snaps = _torus_run(0.5)
+    u = snaps[0].u
+    builds = (
+        lambda: make_state(M, u, t),
+        lambda: dataclasses.replace(snaps[0], t=t),
+        lambda: HeatState(M, (0.1, t), np.stack([u, u]), (None, None)),
+    )
+    for build in builds:
+        if math.isfinite(t):
+            assert t in build().times
+        else:
+            with pytest.raises(ValueError, match="^t must be a finite number, got "):
+                build()
+    assert uniform_state(M).t == 0.0
 
 
 def test_axis_eigensystems_need_a_separable_potential(torus_non_separable):

@@ -64,7 +64,7 @@ def test_flow_rejects_bad_parameters(circle_flat):
         make_flow(circle_flat, "spiral", horizon=1.0)
     with pytest.raises(ValueError):
         make_flow(circle_flat, "static", horizon=-2.0)
-    with pytest.raises(ValueError, match="horizon must be a positive finite number"):
+    with pytest.raises(ValueError, match="^flow horizon must be a finite positive number"):
         make_flow(circle_flat, "static", None, True)  # not a horizon of 1.0
 
 

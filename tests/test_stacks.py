@@ -250,7 +250,7 @@ def test_the_harnack_and_entropy_checks_reject_a_nonpositive_row_time(check_runs
     snaps, _ = check_runs["weighted_circle"]
     rows = [snaps[0], replace(snaps[1], t=t)]
     stack = stack_states(rows)
-    message = f"state time t={t} must be positive"
+    message = f"t must be a finite positive number, got {t!r}"
     for check in (
         lambda: hamilton_harnack_defect(stack, 2.0, 0.5),
         lambda: build_series(rows, 2.0, 0.5),
