@@ -307,14 +307,14 @@ class _Runner:
 
     def check_mass(self, check):
         stack = self.stack()
-        drift = max(np.abs(stack.mass - 1.0).tolist())
+        drift = float(np.abs(stack.mass - 1.0).max())
         rows = stack.u.reshape(len(stack.t), -1)
         ok = drift <= 1e-10
         self.write_csv("snapshots.csv", reports.snapshots_csv(stack))
         self.write_csv("evolution_manifest.csv", reports.manifest_csv(self._manifest))
         self.record(
             "mass_conservation", ok, max_drift=drift, snapshots=len(stack.t),
-            min_over_max=min((rows.min(axis=1) / rows.max(axis=1)).tolist()),
+            min_over_max=float((rows.min(axis=1) / rows.max(axis=1)).min()),
         )
 
     def _mKs(self, check):
@@ -335,7 +335,7 @@ class _Runner:
             keys = reports.field_csv((c.t, c.m) for c in columns)
             self.write_stack(f"defect_{fn_name}", fields, keys)
         self.write_csv(f"harnack_{fn_name}.csv", reports.harnack_csv(columns))
-        worst = min(low for c in columns for low in c.min_defect.tolist())
+        worst = float(np.min([c.worst_defect for c in columns]))
         ok = all(c.ok.all() for c in columns)
         self.record(f"harnack_{fn_name}", ok, worst_defect=worst)
 
@@ -402,11 +402,12 @@ class _Runner:
         self.write_csv("entropy_series.csv", reports.entropy_series_csv(all_series))
 
     def check_tilde_identity(self, check):
-        worst = 0.0
-        for m in check.m_values:
-            for K in (0.0, 0.5, 1.0):
-                out = entropy_mod.tilde_w_comparison(m, K, np.linspace(0.05, 1.2, 10))
-                worst = max(worst, *np.abs(out["identity_residual"]).tolist())
+        residuals = [
+            entropy_mod.tilde_w_comparison(m, K, np.linspace(0.05, 1.2, 10))["identity_residual"]
+            for m in check.m_values
+            for K in (0.0, 0.5, 1.0)
+        ]
+        worst = float(np.abs(residuals).max())  # a NaN residual is the worst, and fails
         ok = worst <= 1e-9
         self.record("tilde_identity", ok, worst_residual=worst)
 
@@ -415,15 +416,10 @@ class _Runner:
         times = [float(t) for t in np.linspace(0.0, flow.horizon, 9)]
         mKs = self._mKs(check)
         columns = margin_columns(flow, mKs, times, keep=True)
-        worst_fields = []
-        worst_keys = []
         for (m, K), c in zip(mKs, columns):
-            lows = c.min_defect.tolist()
-            worst = min(range(len(lows)), key=lows.__getitem__)  # the first, on ties
-            worst_fields.append(c.defect[worst])
-            worst_keys.append((c.t[worst:worst + 1], c.m))
-            self.record(f"flow_margin_m{m:g}", c.ok.all(), K=K, worst_margin=lows[worst])
-        keys = reports.field_csv(worst_keys)
+            self.record(f"flow_margin_m{m:g}", c.ok.all(), K=K, worst_margin=c.worst_defect)
+        worst_fields = [c.defect[c.worst] for c in columns]
+        keys = reports.field_csv((c.t[c.worst:c.worst + 1], c.m) for c in columns)
         self.write_stack("flow_margin_field", worst_fields, keys)
         self.write_csv("flow_margin.csv", reports.flow_margin_csv(columns))
 

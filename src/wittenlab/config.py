@@ -39,7 +39,7 @@ class _CheckKind(NamedTuple):
 CHECKS = {
     "curvature": _CheckKind("curvature", None, {"m": M_N_PLUS_1}),
     "ball_ratio": _CheckKind(
-        "curvature", None, {"m": (2.0,), "K": "admissible", "r": 0.5, "R": 1.0, "center": None}
+        "curvature", None, {"m": M_N_PLUS_1, "K": "admissible", "r": 0.5, "R": 1.0, "center": None}
     ),
     "operators_selftest": _CheckKind("curvature", None, {"count": 20}),
     "mass": _CheckKind("simulate", "base", {}),

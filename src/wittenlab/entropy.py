@@ -15,6 +15,10 @@ convention explicitly.  The closed forms in t (the normalization, its
 derivative, the decay bound and the normalization comparison) check m,
 K and each t by the one ``(m, K, t)`` rule of :mod:`wittenlab.geometry`,
 with no model; the functionals of states check each row time by it.
+Each public function applies the rule once, at its head: the private
+cores (``_normalized_entropy``, ``_w_decomposition``) apply none, and
+:func:`build_series_per_m` checks every ``(m, K)`` and each row time
+once before any field of the stack is computed.
 
 Each functional takes heat-flow states and reads their manifold and
 cached fields; the derivatives of log u are the quotients grad u / u and
@@ -122,7 +126,7 @@ def phi_mK(t, m, K):
     Equals (m/2)(log(4 pi t) + 1) at K = 0; the K-dependence enters
     through the entire series sum_{j>=1} (4Kt)^j / (j * j!).
     """
-    _check_m_K_t(None, m, K, [t])
+    _check_m_K_t(None, [(m, K)], [t])
     return float(_phi_mK([t], m, K)[0])
 
 
@@ -134,7 +138,7 @@ def _phi_mK(times, m, K):
 
 
 def phi_mK_prime(t, m, K):
-    _check_m_K_t(None, m, K, [t])
+    _check_m_K_t(None, [(m, K)], [t])
     return _phi_mK_prime(t, m, K)
 
 
@@ -144,7 +148,7 @@ def _phi_mK_prime(t, m, K):
 
 def monotonicity_bound(t, m, K):
     """-(m/2t) [e^{4Kt}(1 + 4Kt) - (1 + Kt)^2], the W-entropy decay bound."""
-    _check_m_K_t(None, m, K, [t])
+    _check_m_K_t(None, [(m, K)], [t])
     return _monotonicity_bound(t, m, K)
 
 
@@ -216,10 +220,9 @@ def _normalized_entropy(state, m, K, flow, normalization, derivative, H_dH=None)
     """Per row, ``(H, dH/dt, Phi, H - Phi, W)`` as arrays at the row's time t
     for the normalization ``Phi``, taken over the row times as
     ``normalization(times, m, K)``, with
-    W = H - Phi + t (dH/dt - derivative(t, m, K)); m and K must pass their
-    rules.  ``H_dH``, when given, is the ``(H, dH/dt)`` of
+    W = H - Phi + t (dH/dt - derivative(t, m, K)); the caller has applied
+    the domain rule.  ``H_dH``, when given, is the ``(H, dH/dt)`` of
     :func:`_entropy_H`, which no m changes."""
-    _check_m_K_t(state.manifold, m, K, state.times)
     times = state.times
     H, dH = H_dH or _entropy_H(state, flow)
     Phi = normalization(times, m, K)
@@ -228,6 +231,7 @@ def _normalized_entropy(state, m, K, flow, normalization, derivative, H_dH=None)
 
 
 def _w_entropy(state, m, K, flow):
+    _check_m_K_t(state.manifold, [(m, K)], state.times)
     H, dH, _, H_mK, W_mK = _normalized_entropy(state, m, K, flow, _phi_mK, _phi_mK_prime)
     values = {"H": H, "dH_dt": dH, "H_mK": H_mK, "W_mK": W_mK}
     return {k: _one(state, v) for k, v in values.items()}
@@ -255,6 +259,7 @@ def _tilde_normalization_prime(t, m, K):
 
 def tilde_w_entropy(state, m, K):
     """W-entropy under the polynomial-in-t normalization (the older form)."""
+    _check_m_K_t(state.manifold, [(m, K)], state.times)
     H, dH, _, H_t, W_t = _normalized_entropy(
         state, m, K, None, _tilde_normalization, _tilde_normalization_prime
     )
@@ -282,20 +287,18 @@ class WDecomposition:
         return self.T1 + self.T2 + self.T3 + self.T4
 
 
-def _w_decomposition(state, mKs, flow):
+def _w_decomposition(state, mKs, flow, m_equals_n):
     """Per ``(m, K)`` of ``mKs``, the four terms ``(T1, T2, T3, T4)`` of
     dW/dt as arrays over the rows, with norms taken in the metric
-    g = g_base / scale.
+    g = g_base / scale; ``m_equals_n`` holds the flags of the domain rule,
+    which the caller has applied.
 
     The Hessian of log u is completed by c g, whose base components are
     c / scale; the curvature quadratic carries rate + K in front of g.
     A block's drift ``grad phi . grad log u`` is formed once for every m.
     """
     manifold = state.manifold
-    models = [
-        (_check_m_K_t(manifold, m, K, state.times), bakry_emery_tensor(manifold, m))
-        for m, K in mKs
-    ]
+    tensors = [bakry_emery_tensor(manifold, m) for m, _ in mKs]
     n = manifold.dim_n
     times = state.times
     scales, rates = _metric(state, flow)
@@ -309,7 +312,7 @@ def _w_decomposition(state, mKs, flow):
         t, sc, rt = times[rows], scales[rows], rates[rows]
         G_rows, u_rows = G[:, rows], u[rows]
         drift = None
-        for (m, K), (m_equals_n, ric), (T1, T2, T3, _) in zip(mKs, models, terms):
+        for (m, K), m_is_n, ric, (T1, T2, T3, _) in zip(mKs, m_equals_n, tensors, terms):
             c = [(0.5 * K + 0.5 / ti) / a for ti, a in zip(t, sc)]
             completed = H[:, :, rows] + _column(c, state) * eye
             T1[rows] = np.array([-2.0 * ti * (a * a) for ti, a in zip(t, sc)]) * integrate_mu(
@@ -321,7 +324,7 @@ def _w_decomposition(state, mKs, flow):
             ) + _column([(r + K) * a for r, a in zip(rt, sc)], state) * G_sq[rows]
             T2[rows] = np.array([-2.0 * ti for ti in t]) * integrate_mu(manifold, quad * u_rows)
 
-            if m_equals_n:
+            if m_is_n:
                 T3[rows] = 0.0  # phi is constant, so the drift vanishes
                 continue
             if drift is None:
@@ -341,7 +344,8 @@ def _w_decomposition(state, mKs, flow):
 def _decomposition_record(state, m, K, flow):
     """:class:`WDecomposition` of the core's terms: floats for one state,
     arrays over the rows for a stack."""
-    (terms,) = _w_decomposition(state, [(m, K)], flow)
+    m_equals_n = _check_m_K_t(state.manifold, [(m, K)], state.times)
+    (terms,) = _w_decomposition(state, [(m, K)], flow, m_equals_n)
     return WDecomposition(*(_one(state, T) for T in terms))
 
 
@@ -414,17 +418,20 @@ def build_series(snapshots, m, K, flow=None):
 def build_series_per_m(snapshots, mKs, flow=None):
     """The :func:`build_series` of each ``(m, K)`` of ``mKs``, in one pass.
 
-    What no m changes is computed once and shared, as the same read-only
-    arrays, by every series: the times, ``H``, ``dH_dt`` and ``d2H_dt2``.
+    The domain rule is applied once, to every pair and row time, before
+    any field is read.  What no m changes is computed once and shared, as
+    the same read-only arrays, by every series: the times, ``H``,
+    ``dH_dt`` and ``d2H_dt2``.
     """
     if len(snapshots.times if isinstance(snapshots, HeatState) else snapshots) < 2:
         raise ValueError("need at least two snapshots")
     state = _as_stack(snapshots)
+    m_equals_n = _check_m_K_t(state.manifold, mKs, state.times)
     times = np.array(state.times)
     H_dH = _entropy_H(state, flow)
     d2H = _entropy_second_derivative(state, flow)
     out = []
-    for (m, K), (T1, T2, T3, T4) in zip(mKs, _w_decomposition(state, mKs, flow)):
+    for (m, K), (T1, T2, T3, T4) in zip(mKs, _w_decomposition(state, mKs, flow, m_equals_n)):
         H, dH, Phi, _, W = _normalized_entropy(
             state, m, K, flow, _phi_mK, _phi_mK_prime, H_dH
         )
@@ -456,7 +463,7 @@ def tilde_w_comparison(m, K, t):
     time's values equal those of its one-time call bit for bit.
     """
     times = [t] if np.ndim(t) == 0 else t
-    _check_m_K_t(None, m, K, times)
+    _check_m_K_t(None, [(m, K)], times)
     ts = np.array(times, dtype=float)
     x = 4.0 * K * ts
     E = _exp_series(x)

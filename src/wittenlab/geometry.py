@@ -31,7 +31,8 @@ raising ``ValueError`` that names the input:
   on a constant potential;
 * the K rule (``_check_K``): the finite-number rule and K >= 0;
 * ``_check_m_K_t``, the three together: the domain of every function of
-  m, K and t.
+  m, K and t, applied once at the head of each call to a list of
+  ``(m, K)`` and its times.
 
 A heat-flow state's times pass the finite-number rule when the state is
 built; 0 is a valid state time (the uniform state), which the time rule
@@ -685,18 +686,19 @@ def _check_K(K):
         raise ValueError(f"curvature constant K={K} must be nonnegative")
 
 
-def _check_m_K_t(manifold, m, K, times=()):
-    """Whether m == n, after the m rule, the K rule and the time rule for
-    each of ``times``: the domain of every function of m, K and t, checked
-    once per call so that the per-row formulas need no check.  With no
-    ``manifold`` (the closed forms in t alone) m need only be a finite
-    number, and m == n is False."""
-    _check_m(m)
-    m_equals_n = manifold is not None and _m_equals_n(manifold, m)
-    _check_K(K)
+def _check_m_K_t(manifold, mKs, times=()):
+    """Whether m == n, per ``(m, K)`` of ``mKs``, after the m rule and the
+    K rule for each pair and the time rule once for each of ``times`` (m
+    against n last): the domain of every function of m, K and t, checked
+    once at the head of a call so that the per-row formulas need no
+    check.  With no ``manifold`` (the closed forms in t alone) m need only
+    be a finite number, and m == n is False."""
+    for m, K in mKs:
+        _check_m(m)
+        _check_K(K)
     for t in times:
         _check_time("t", t)
-    return m_equals_n
+    return [manifold is not None and _m_equals_n(manifold, m) for m, _ in mKs]
 
 
 def _check_ball_radii(manifold, r, R):
@@ -811,7 +813,7 @@ def ball_volume_ratio_check(manifold, m, K, y, r, R):
     :func:`_ball_measures`) is set against (R/r)^m * exp(sqrt((m-1) K) * R).
     """
     _check_ball_radii(manifold, r, R)
-    _check_m_K_t(manifold, m, K)
+    _check_m_K_t(manifold, [(m, K)])
     big, small = _ball_measures(manifold, y, (R, r))
     return BallRatioReport(
         center=_as_index(manifold, y),

@@ -29,20 +29,26 @@ The core carries fields, tolerances and minima only.  It returns a
 the minima of a block being one ``min`` and one ``argmin`` over its
 flattened grid axes, the values a reduction of each field alone gives;
 these are the one reduction of a defect field.  The defect fields are
-kept only when asked for.  The public functions turn the columns into
-:class:`DefectReport` records, which store the ``defect`` field and its
-inputs with the ``min_defect`` and ``argmin_node`` of its columns and
-derive the verdict ``ok`` (``min_defect >= -tol``);
-:func:`sup_bound_defect` adds to its reports the ``A`` and the
-(K + 1/t) ``defect_variant`` of each row, formed from the stack's cached
-fields after the pass.  Every check over rows applies one domain
-rule, :func:`wittenlab.geometry._check_m_K_t`: the m rule, the K rule
-and a positive time on every row.  The super-Ricci-flow margins of
+kept only when asked for, as one read-only ``(rows, *grid)`` array per
+``(m, K)``.  The worst row of a check is read in one place,
+:attr:`DefectColumns.worst`: the first row of least ``min_defect``, by
+``np.argmin``, so a NaN row is the worst and fails.  The public
+functions turn the columns into :class:`DefectReport` records, which
+store the ``defect`` field and its inputs with the ``min_defect`` and
+``argmin_node`` of its columns and derive the verdict ``ok``
+(``min_defect >= -tol``); :func:`sup_bound_defect` adds to its reports
+the ``A`` and the (K + 1/t) ``defect_variant`` of each row, formed from
+the stack's cached fields after the pass.  Every check over rows applies
+one domain rule, :func:`wittenlab.geometry._check_m_K_t`, once per call
+and before any field is read: the m rule and the K rule for each
+``(m, K)``, and a positive time on every row, once per row whatever the
+number of pairs.  The super-Ricci-flow margins of
 :mod:`wittenlab.ricciflow` are columns and reports of the same kind.
 The kernel lower bound of :func:`kernel_bounds` is the core's case with
 defect d/dt log u + (m/2t) e^{2Kt} and tolerance ``KERNEL_BOUND_TOL_REL``
 (m/2t) e^{2Kt} per row; its fitted upper constant, which no m changes,
-is fitted in the same pass, once per block of rows.
+is fitted in the same pass, once per block of rows, and reduced by
+numpy, so a NaN fit stays NaN.
 
 The integrated two-point bound is checked by
 :func:`integrated_harnack_checks` over a list of node pairs in one pass:
@@ -114,9 +120,9 @@ class DefectColumns:
     """A pointwise inequality at one ``m`` and ``K`` over the rows of a
     stack, read-only, a column per quantity: the row times ``t``,
     ``min_defect``, the flat grid index ``argmin`` of each row's first
-    minimum and ``tol``, arrays over the rows; ``ok`` and ``argmin_nodes``
-    are derived.  ``blocks``, when the fields were kept, holds the defect
-    fields as ``(rows, *grid)`` blocks in row order, else None."""
+    minimum and ``tol``, arrays over the rows; ``ok``, ``argmin_nodes``
+    and the worst row are derived.  ``defect``, when the fields were kept,
+    holds them as one ``(rows, *grid)`` array, else None."""
 
     inequality: str
     m: float
@@ -126,11 +132,12 @@ class DefectColumns:
     argmin: np.ndarray
     tol: np.ndarray
     grid: tuple
-    blocks: tuple = None
+    defect: np.ndarray = None
 
     def __post_init__(self):
-        for column in (self.t, self.min_defect, self.argmin, self.tol):
-            column.setflags(write=False)
+        for column in (self.t, self.min_defect, self.argmin, self.tol, self.defect):
+            if column is not None:
+                column.setflags(write=False)
 
     @property
     def ok(self):
@@ -142,9 +149,15 @@ class DefectColumns:
         return np.unravel_index(self.argmin, self.grid)
 
     @property
-    def defect(self):
-        """The kept defect field of each row, in row order."""
-        return [field for block in self.blocks for field in block]
+    def worst(self):
+        """The first row of least ``min_defect``, by ``np.argmin``: a NaN
+        row is the worst.  Every verdict's worst value is read here."""
+        return int(np.argmin(self.min_defect))
+
+    @property
+    def worst_defect(self):
+        """``min_defect`` at the :attr:`worst` row."""
+        return float(self.min_defect[self.worst])
 
     def reports(self):
         """A :class:`DefectReport` per row, from the kept fields."""
@@ -216,13 +229,13 @@ def _defect_columns(inequality, times, grid, mKs, block, keep=False):
     ``(defect, tols)``: its ``(rows, *grid)`` fields and a tolerance per
     row.  Each block's minima and first minimum nodes are one ``min`` and
     one ``argmin`` over its flattened grid axes.  With ``keep`` the
-    columns keep the fields.
+    columns keep the fields, one ``(rows, *grid)`` array per pair.
     """
     count, size = len(times), math.prod(grid)
     low = np.empty((len(mKs), count))
     first = np.empty((len(mKs), count), dtype=np.intp)
     tol = np.empty((len(mKs), count))
-    blocks = [[] for _ in mKs]
+    fields = np.empty((len(mKs), count, *grid)) if keep else [None] * len(mKs)
     for rows in _row_blocks(count, size):
         at = block(rows, times[rows])
         for i, (m, K) in enumerate(mKs):
@@ -231,14 +244,11 @@ def _defect_columns(inequality, times, grid, mKs, block, keep=False):
             low[i, rows] = flat.min(axis=1)
             first[i, rows] = flat.argmin(axis=1)
             if keep:
-                blocks[i].append(defect)
+                fields[i, rows] = defect
     t = np.array(times, dtype=float)
     return [
-        DefectColumns(
-            inequality, float(m), float(K), t, low[i], first[i], tol[i], tuple(grid),
-            tuple(blocks[i]) if keep else None,
-        )
-        for i, (m, K) in enumerate(mKs)
+        DefectColumns(inequality, float(m), float(K), t, low[i], first[i], tol[i], tuple(grid), f)
+        for i, ((m, K), f) in enumerate(zip(mKs, fields))
     ]
 
 
@@ -298,8 +308,8 @@ def defect_columns(state, inequality, mKs, A=None, keep=False):
     """
     if inequality not in ("hamilton", "li_yau", "sup_bound"):
         raise ValueError(f"no pointwise inequality named {inequality!r}")
-    for m, K in mKs:
-        _check_m_K_t(state.manifold, m, K, state.times)
+    _check_m_K_t(state.manifold, mKs, state.times)
+    for _, K in mKs:
         if inequality == "li_yau" and K != 0.0:
             raise ValueError(f"the Li-Yau bound has K = 0, got K={K!r}")
     block = _sup_bound_block(state, A) if inequality == "sup_bound" else _hamilton_block(state)
@@ -357,7 +367,7 @@ def integrated_harnack_checks(snapshots, xs, ys, tau, T, m, K):
     u_tau = state.u[_row_at(state, tau)]
     u_T = state.u[_row_at(state, T)]
     manifold = state.manifold
-    _check_m_K_t(manifold, m, K)
+    _check_m_K_t(manifold, [(m, K)])
     xs = [_as_index(manifold, x) for x in xs]
     ys = [_as_index(manifold, y) for y in ys]
     # one index array per axis; shape (dim_n, 0) when there are no pairs
@@ -446,12 +456,11 @@ def kernel_bounds(snapshots, mKs):
     """
     state = _as_stack(snapshots)
     manifold = state.manifold
-    for m, K in mKs:
-        _check_m_K_t(manifold, m, K, state.times)
+    _check_m_K_t(manifold, mKs, state.times)
     dist = geodesic_distance(manifold, _kernel_source(state).x0)
     dt_log_u = _by_row(state, state.dt_log_u)
     grid_axes = tuple(range(1, manifold.dim_n + 1))
-    fits = [0.0]
+    fits = np.empty(len(state.times))
 
     def block(rows, times):
         rate = dt_log_u[rows]
@@ -459,7 +468,7 @@ def kernel_bounds(snapshots, mKs):
             _column([1.0 + 1.0 / math.sqrt(t) for t in times], state)
             + dist / _column(times, state)
         ) ** 2
-        fits.extend((rate / shape).max(axis=grid_axes).tolist())
+        fits[rows] = (rate / shape).max(axis=grid_axes)
 
         def at(m, K):
             const = [(m / (2.0 * t)) * math.exp(2.0 * K * t) for t in times]
@@ -468,10 +477,11 @@ def kernel_bounds(snapshots, mKs):
         return at
 
     columns = _defect_columns("kernel_lower", state.times, manifold.shape, mKs, block)
+    fitted = float(np.maximum(fits.max(), 0.0))  # at least 0; a NaN fit stays NaN
     return [
         KernelDtLogReport(
-            m=c.m, K=c.K, times=tuple(state.times), min_margin=min(c.min_defect.tolist()),
-            ok=bool(c.ok.all()), fitted_upper_constant=max(fits),
+            m=c.m, K=c.K, times=tuple(state.times), min_margin=c.worst_defect,
+            ok=bool(c.ok.all()), fitted_upper_constant=fitted,
         )
         for c in columns
     ]

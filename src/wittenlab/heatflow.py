@@ -696,8 +696,11 @@ def evolve(state, times, local_error=1e-8, manifest=None):
     one per accepted step or exact propagation.  The heat flow along a
     conformal flow runs through here on the base clock (see
     :func:`wittenlab.ricciflow.evolve_heat_on_flow`).  A ``local_error``
-    outside (0, 1) raises ``ValueError`` on every path.
+    outside (0, 1) raises ``ValueError`` on every path, and so does a
+    stacked ``state``: evolve takes one state.
     """
+    if state.stacked:
+        raise ValueError("evolve takes one state, not a stack")
     _check_local_error(local_error)
     propagate = _exact_propagator(state.manifold, state.u)
     if propagate is not None:

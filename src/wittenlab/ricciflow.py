@@ -7,24 +7,28 @@ this family every tensor stays diagonal: the time-dependent operator is
 e^{-2 lam(t)} times the base operator, and the Bakry-Emery tensor is the
 base tensor at every t, because phi moves only by a constant.
 
-The margin field of the super-flow condition lives here, as the ``defect``
-of a :class:`wittenlab.harnack.DefectReport` (``inequality`` is
-``"super_ricci_flow"``, ``tol`` is ``FLOW_MARGIN_TOL``).  The margins of
-a list of ``(m, K)`` at the requested times are one pass of the
-:mod:`wittenlab.harnack` column core (:func:`margin_columns`): the fields
-of a block of times are one ``(times, *grid)`` stack, whose per-time
-minima and first minimum nodes are taken together.  It is the one route
-to margin fields: :func:`super_ricci_flow_margin` is its one-time case,
-and :func:`fit_super_flow_constant` reads its minima at K = 0.  The heat flow
-of the time-dependent operator is the base heat flow under the time
-change tau(t) = integral of e^{-2 lam} (:meth:`FlowSpec.base_clock`), so
-:func:`evolve_heat_on_flow` is :func:`wittenlab.heatflow.evolve` at the
-times tau, with no stepping of its own; constant potentials and
-separable potentials on the torus propagate exactly.  The flow
-W-entropy, its dW/dt decomposition and the entropy dissipation
-identities are adapters over the entropy core of
-:mod:`wittenlab.entropy`, called with scale = e^{-2 lam(t)} and
-rate = lam'(t) on states of the base manifold.
+The margin field of the super-flow condition lives here, as the
+``defect`` of a :class:`wittenlab.harnack.DefectReport` (``inequality``
+is ``"super_ricci_flow"``, ``tol`` is ``FLOW_MARGIN_TOL``).  The margins
+of a list of ``(m, K)`` at the requested times are one pass of the
+:mod:`wittenlab.harnack` column core (:func:`margin_columns`): the
+fields of a block of times are one ``(times, *grid)`` stack, whose
+per-time minima and first minimum nodes are taken together.  It is the
+one route to margin fields: :func:`super_ricci_flow_margin` is its
+one-time case, and :func:`fit_super_flow_constant` reads its worst row
+at K = 0 (a NaN margin gives a NaN constant, which the K rule refuses).
+A margin time must be a finite number in [0, horizon], within the 1e-12
+of ``heatflow._within_horizon``: 0 is valid, since the margin check and
+the fit sample from it, and a time outside raises ``ValueError`` naming
+it.  The heat flow of the time-dependent operator is the base heat flow
+under the time change tau(t) = integral of e^{-2 lam}
+(:meth:`FlowSpec.base_clock`), so :func:`evolve_heat_on_flow` is
+:func:`wittenlab.heatflow.evolve` at the times tau, with no stepping of
+its own, and like it takes one state; constant potentials and separable
+potentials on the torus propagate exactly.  The flow W-entropy, its
+dW/dt decomposition and the entropy dissipation identities are adapters
+over the entropy core of :mod:`wittenlab.entropy`, called with scale =
+e^{-2 lam(t)} and rate = lam'(t) on states of the base manifold.
 """
 
 from __future__ import annotations
@@ -199,12 +203,17 @@ def margin_columns(flow, mKs, times, keep=False):
     For space-constant conformal factors the endomorphism is
     lam'(t) + K + e^{-2 lam(t)} times the smallest eigenvalue of the base
     tensor, so the base curvature of each m serves every time, and a
-    block's lam'(t) and e^{-2 lam(t)} every m.
+    block's lam'(t) and e^{-2 lam(t)} every m.  Each K must pass the K
+    rule, m may be inf, and each time must be a finite number in
+    [0, horizon] (within the 1e-12 of ``_within_horizon``).
     """
     for _, K in mKs:
         _check_K(K)
+    times = [_check_finite("margin time t", t) for t in times]
+    for t in times:
+        if not (0.0 <= t and _within_horizon(t, flow.horizon)):
+            raise ValueError(f"margin time t={t!r} lies outside [0, {flow.horizon!r}]")
     base_eigs = {m: ricci_bakry_emery(flow.base, m).values for m, _ in mKs}
-    times = [float(t) for t in times]
     column = (-1,) + (1,) * flow.base.dim_n
 
     def block(rows, block_times):
@@ -234,10 +243,11 @@ def super_ricci_flow_margin(flow, m, K, t):
 
 def fit_super_flow_constant(flow, m):
     """Smallest K >= 0 for which the super-flow margin is nonnegative: the
-    least margin at K = 0 over ``FIT_SAMPLES`` times, negated, or 0."""
+    least margin at K = 0 over ``FIT_SAMPLES`` times, negated, or 0.  A
+    NaN margin gives a NaN constant, which the K rule refuses."""
     t_samples = np.linspace(0.0, flow.horizon, FIT_SAMPLES).tolist()
     (columns,) = margin_columns(flow, [(m, 0.0)], t_samples)
-    return max(0.0, -float(columns.min_defect.min()))
+    return float(np.maximum(-columns.worst_defect, 0.0))
 
 
 def evolve_heat_on_flow(flow, state, times, local_error=1e-8, manifest=None):
@@ -254,6 +264,8 @@ def evolve_heat_on_flow(flow, state, times, local_error=1e-8, manifest=None):
     same time change, in the one ``evolve`` it shares with the
     fixed-metric checks (``wittenlab.cli._Runner.stack("flow")``).
     """
+    if state.stacked:
+        raise ValueError("evolve_heat_on_flow takes one state, not a stack")
     times = [float(t) for t in times]
     taus = flow.base_clock(state.t, times)
     snaps = evolve(state, taus, local_error=local_error, manifest=manifest)

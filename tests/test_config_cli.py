@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 import wittenlab
-from wittenlab import cli, config, geometry, operators
+from wittenlab import cli, config, entropy, geometry, operators
 from wittenlab.cli import _Runner, bundled_config_path, main, run_experiment
 from wittenlab.config import CHECKS, REQUIRED, ConfigError, load_config, validate_experiment
 
@@ -641,6 +641,24 @@ def test_a_nan_selftest_residual_or_gap_fails_the_check(monkeypatch, name):
     assert not entry["ok"] and math.isnan(entry[key])
 
 
+def test_a_nan_tilde_identity_residual_fails_the_check(monkeypatch):
+    """A NaN identity residual is the worst and fails the check; a running
+    max(worst, *residuals) kept the finite worst."""
+    original = entropy.tilde_w_comparison
+
+    def last_residual_nan(*args):
+        out = original(*args)
+        out["identity_residual"] = np.append(out["identity_residual"][:-1], np.nan)
+        return out
+
+    monkeypatch.setattr(entropy, "tilde_w_comparison", last_residual_nan)
+    data = {**BASE, "checks": [{"name": "tilde_identity", "m": [2, 3]}]}
+    runner = _Runner(validate_experiment(data), {"tilde_identity"}, 0)
+    runner.check_tilde_identity(runner.checks[0])
+    entry = runner.summary["tilde_identity"]
+    assert not entry["ok"] and math.isnan(entry["worst_residual"])
+
+
 def test_selftest_transforms_do_not_grow_with_count_within_a_block(fft_calls):
     # a block of the 256-node circle holds at least 10 pairs
     calls = []
@@ -868,8 +886,8 @@ WEIGHTED_TORUS = {
         pytest.param(
             WEIGHTED_CIRCLE, {"name": "hamilton", "m": [1], "K": "admissible"}, id="hamilton"
         ),
-        # the default m of ball_ratio, 2, is the torus dimension
-        pytest.param(WEIGHTED_TORUS, {"name": "ball_ratio"}, id="ball_ratio_default_m"),
+        # m = 2 is the torus dimension
+        pytest.param(WEIGHTED_TORUS, {"name": "ball_ratio", "m": [2]}, id="ball_ratio_m2"),
     ],
 )
 def test_m_equal_to_n_on_a_weighted_model_exits_2(tmp_path, capsys, manifold, check):
@@ -879,6 +897,19 @@ def test_m_equal_to_n_on_a_weighted_model_exits_2(tmp_path, capsys, manifold, ch
     assert main(["all", "--config", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"checks.{check['name']}.m=" in err and "needs a constant potential" in err
+
+
+def test_ball_ratio_without_m_takes_n_plus_1_on_every_model(tmp_path):
+    """The default m of ball_ratio is n + 1, as curvature's is: 3 on a
+    weighted torus, where m = n = 2 needs a constant potential, and 2 on a
+    circle, as before."""
+    for manifold, name in ((WEIGHTED_TORUS, "ball_ratio_m3"), (WEIGHTED_CIRCLE, "ball_ratio_m2")):
+        out = tmp_path / name
+        data = {**BASE, "manifold": manifold, "solver": {**BASE["solver"], "x0": None}}
+        data["checks"] = [{"name": "ball_ratio"}]
+        path = write_config(tmp_path, data)
+        assert main(["all", "--config", path, "--out", str(out)]) == 0
+        assert list(json.loads((out / "summary.json").read_text())) == [name]
 
 
 @pytest.mark.parametrize("nodes", [2, 3, 5])

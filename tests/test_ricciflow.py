@@ -17,6 +17,7 @@ from wittenlab import (
     make_flow,
     make_state,
     ricci_bakry_emery,
+    stack_states,
     super_ricci_flow_margin,
     uniform_state,
     w_decomposition_on_flow,
@@ -25,6 +26,7 @@ from wittenlab import (
     w_entropy_on_flow,
 )
 from wittenlab.operators import integrate_mu, random_band_limited
+from wittenlab.ricciflow import margin_columns
 
 
 def positive_test_state(M, rng, t=0.0):
@@ -105,6 +107,41 @@ def test_margin_shrinking_needs_K_one(circle_flat):
     assert not super_ricci_flow_margin(flow, 2.0, 0.9, 0.3).ok
     assert super_ricci_flow_margin(flow, 2.0, 1.0, 0.3).ok
     assert fit_super_flow_constant(flow, 2.0) == pytest.approx(1.0, abs=1e-12)
+
+
+# each entry point of the margins, at one time t beside a valid one where it takes several
+MARGIN_TIME_CHECKS = {
+    "margin_columns": lambda flow, t: margin_columns(flow, [(3.0, 2.0)], [0.5, t]),
+    "super_ricci_flow_margin": lambda flow, t: super_ricci_flow_margin(flow, 3.0, 2.0, t),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0, -3.0, 50.0, 1.0 + 1e-9])
+@pytest.mark.parametrize("name", sorted(MARGIN_TIME_CHECKS))
+def test_a_margin_time_outside_the_flow_interval_is_rejected_naming_it(circle_cos, name, t):
+    """A margin time must be a finite number in [0, horizon]; 0 and the
+    horizon are valid, since the margin check and the fit sample from 0.
+    Unchecked, t = -3 passed with margin 1.55, t = 50 read -1.2e17 and NaN
+    gave a NaN margin."""
+    flow = make_flow(circle_cos, "constant_rate", {"rate": -0.4}, horizon=1.0)
+    check = MARGIN_TIME_CHECKS[name]
+    with pytest.raises(ValueError, match=r"^margin time t") as raised:
+        check(flow, t)
+    assert repr(t) in str(raised.value)
+    for valid in (0.0, 1.0):
+        check(flow, valid)
+
+
+def test_evolve_refuses_a_stack(circle_cos):
+    """evolve and evolve_heat_on_flow take one state; a stack raised a raw
+    TypeError from tuple arithmetic on its times."""
+    start = initial_delta(circle_cos, 0, t0=0.05)
+    stack = stack_states(evolve(start, [0.1, 0.2], local_error=1e-6))
+    flow = make_flow(circle_cos, "constant_rate", {"rate": -0.4}, horizon=1.0)
+    with pytest.raises(ValueError, match="^evolve takes one state, not a stack"):
+        evolve(stack, [0.3])
+    with pytest.raises(ValueError, match="^evolve_heat_on_flow takes one state, not a stack"):
+        evolve_heat_on_flow(flow, stack, [0.3])
 
 
 def test_fitted_constant_sinusoidal(circle_cos_03):

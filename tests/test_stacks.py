@@ -32,7 +32,7 @@ from wittenlab import (
     w_derivative_decomposition,
     w_entropy,
 )
-from wittenlab import operators
+from wittenlab import entropy, geometry, operators
 from wittenlab.entropy import _exp_series, build_series_per_m
 from wittenlab.harnack import _defect_columns, defect_columns, kernel_bounds
 from wittenlab.ricciflow import FIT_SAMPLES, margin_columns
@@ -192,7 +192,7 @@ def assert_columns_are_the_reports(columns, reports, keep):
         for field, r in zip(columns.defect, reports, strict=True):
             assert same_bits(field, r.defect)
     else:
-        assert columns.blocks is None
+        assert columns.defect is None
 
 
 @pytest.mark.parametrize("run", RUNS)
@@ -259,6 +259,38 @@ def test_the_harnack_and_entropy_checks_reject_a_nonpositive_row_time(check_runs
         with pytest.raises(ValueError) as raised:
             check()
         assert str(raised.value) == message
+
+
+def test_each_columnar_check_applies_the_time_rule_once_per_row(check_runs, monkeypatch):
+    """One domain pass per call: with five (m, K), the time rule runs once
+    per row time, not once per row and m."""
+    snaps, _ = check_runs["weighted_circle"]
+    stack = stack_states(snaps)
+    mKs = [(m, 0.5) for m in (2.0, 2.5, 3.0, 4.0, 6.0)]
+    checked = []
+    rule = geometry._check_time
+    monkeypatch.setattr(geometry, "_check_time", lambda name, t: checked.append(t) or rule(name, t))
+    for check in (
+        lambda: defect_columns(stack, "hamilton", mKs),
+        lambda: kernel_bounds(stack, mKs),
+        lambda: build_series_per_m(stack, mKs),
+    ):
+        checked.clear()
+        check()
+        assert checked == list(stack.t)
+
+
+def test_an_entropy_stack_refuses_a_bad_row_time_before_any_field(check_runs, monkeypatch):
+    snaps, _ = check_runs["weighted_circle"]
+    stack = stack_states([snaps[0], replace(snaps[1], t=-0.1)])
+
+    def no_field(*args):
+        raise AssertionError("an entropy field was computed before the time rule")
+
+    for name in ("_entropy_H", "_entropy_second_derivative", "_w_decomposition"):
+        monkeypatch.setattr(entropy, name, no_field)
+    with pytest.raises(ValueError, match="^t must be a finite positive number, got -0.1"):
+        build_series_per_m(stack, [(2.0, 0.5), (3.0, 0.5)])
 
 
 def test_stacked_fields_are_the_rows_of_each_state(check_runs):
@@ -342,6 +374,25 @@ def test_a_tied_minimum_reports_its_first_node(torus_32x48, rng):
     assert reports[3].argmin_node == (5, 5) and reports[3].min_defect == -math.inf
     for r in reports:
         assert_minimum_of_its_field(r)
+
+
+def test_the_worst_row_is_the_first_least_and_a_nan_row_is_the_worst():
+    """Every verdict's worst value is the ``min_defect`` of the first row of
+    least ``min_defect`` (``np.argmin``): a NaN row is the worst, where a
+    Python ``min`` over the column kept a finite value.  The kept fields
+    are one read-only ``(rows, *grid)`` array."""
+    for fields, worst, value in (
+        ([[1.0, 2.0], [-3.0, 0.0], [-3.0, 4.0], [0.5, 0.5]], 1, -3.0),  # ties: the first row
+        ([[1.0, 2.0], [0.5, np.nan], [-3.0, 4.0], [np.nan, -5.0]], 1, np.nan),
+    ):
+        fields = np.array(fields)
+        (columns,) = _defect_columns(
+            "hamilton", [0.1, 0.2, 0.3, 0.4], (2,), [(3.0, 0.5)],
+            lambda rows, times: lambda m, K: (fields[rows], [1e-7] * len(times)), keep=True,
+        )
+        assert columns.worst == worst
+        assert same_bits(columns.worst_defect, value)
+        assert same_bits(columns.defect, fields) and not columns.defect.flags.writeable
 
 
 @pytest.mark.parametrize("model", STACK_MODELS)
