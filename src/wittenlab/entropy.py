@@ -18,7 +18,9 @@ with no model; the functionals of states check each row time by it.
 Each public function applies the rule once, at its head: the private
 cores (``_normalized_entropy``, ``_w_decomposition``) apply none, and
 :func:`build_series_per_m` checks every ``(m, K)`` and each row time
-once before any field of the stack is computed.
+once before any field of the stack is computed.  Along a flow each row
+time then passes the flow's time rule (``heatflow._check_flow_times``),
+in the same check, ``_check_domain``.
 
 Each functional takes heat-flow states and reads their manifold and
 cached fields; the derivatives of log u are the quotients grad u / u and
@@ -56,7 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import _check_m_K_t, _read_only, bakry_emery_tensor
-from .heatflow import HeatState, _as_stack, _by_row, _column
+from .heatflow import HeatState, _as_stack, _by_row, _check_flow_times, _column
 from .operators import _row_blocks, integrate_mu
 
 __all__ = [
@@ -167,6 +169,15 @@ def _metric(state, flow):
     return [flow.operator_scale(t) for t in times], [flow.log_factor_rate(t) for t in times]
 
 
+def _check_domain(state, mKs, flow):
+    """The m == n flags of :func:`_check_m_K_t` on ``mKs`` and the row times
+    of ``state``, whose times then pass, with ``flow``, its time rule."""
+    m_equals_n = _check_m_K_t(state.manifold, mKs, state.times)
+    if flow is not None:
+        _check_flow_times("flow time t", state.times, flow.horizon)
+    return m_equals_n
+
+
 def _one(state, values):
     """Per-row ``values`` as they are for a stack, the one float for one state."""
     return values if state.stacked else float(values[0])
@@ -231,7 +242,7 @@ def _normalized_entropy(state, m, K, flow, normalization, derivative, H_dH=None)
 
 
 def _w_entropy(state, m, K, flow):
-    _check_m_K_t(state.manifold, [(m, K)], state.times)
+    _check_domain(state, [(m, K)], flow)
     H, dH, _, H_mK, W_mK = _normalized_entropy(state, m, K, flow, _phi_mK, _phi_mK_prime)
     values = {"H": H, "dH_dt": dH, "H_mK": H_mK, "W_mK": W_mK}
     return {k: _one(state, v) for k, v in values.items()}
@@ -344,7 +355,7 @@ def _w_decomposition(state, mKs, flow, m_equals_n):
 def _decomposition_record(state, m, K, flow):
     """:class:`WDecomposition` of the core's terms: floats for one state,
     arrays over the rows for a stack."""
-    m_equals_n = _check_m_K_t(state.manifold, [(m, K)], state.times)
+    m_equals_n = _check_domain(state, [(m, K)], flow)
     (terms,) = _w_decomposition(state, [(m, K)], flow, m_equals_n)
     return WDecomposition(*(_one(state, T) for T in terms))
 
@@ -419,14 +430,14 @@ def build_series_per_m(snapshots, mKs, flow=None):
     """The :func:`build_series` of each ``(m, K)`` of ``mKs``, in one pass.
 
     The domain rule is applied once, to every pair and row time, before
-    any field is read.  What no m changes is computed once and shared, as
-    the same read-only arrays, by every series: the times, ``H``,
-    ``dH_dt`` and ``d2H_dt2``.
+    any field is read, and with ``flow`` its time rule to every row time.
+    What no m changes is computed once and shared, as the same read-only
+    arrays, by every series: the times, ``H``, ``dH_dt`` and ``d2H_dt2``.
     """
     if len(snapshots.times if isinstance(snapshots, HeatState) else snapshots) < 2:
         raise ValueError("need at least two snapshots")
     state = _as_stack(snapshots)
-    m_equals_n = _check_m_K_t(state.manifold, mKs, state.times)
+    m_equals_n = _check_domain(state, mKs, flow)
     times = np.array(state.times)
     H_dH = _entropy_H(state, flow)
     d2H = _entropy_second_derivative(state, flow)

@@ -3,64 +3,50 @@
 Every check takes heat-flow states, reads their manifold and cached
 ``dt_log_u`` and ``grad_log_u``, and reports the defect RHS - LHS per
 node, so nonnegative defect certifies the inequality on the grid.
-Tolerances are relative to the natural scale of each inequality (its
-constant term), since defects grow like 1/t for small times.
 
-The pointwise functions take one state or a stack of them (see
-:class:`wittenlab.heatflow.HeatState`), and :func:`kernel_dt_log_bounds`
-and :func:`integrated_harnack_checks` a stack or a list of snapshots,
-which they stack.  One core serves every pointwise check:
-``_defect_columns`` evaluates a list of ``(m, K)`` over every row of
-the stack in one pass, taking the rows in blocks under the operators'
-element budget (``operators._row_blocks``); :func:`defect_columns`,
-:func:`kernel_bounds` and :func:`wittenlab.ricciflow.margin_columns`
-each give it the defect of their inequality, and every public check
-reaches it through one of these.  What a block's defects
-share whatever m is (the sup bound's ``4 log(A/u)`` and
-``Lu/u + |grad u/u|^2``) is formed once per block; the per-row
-constants such as (m/2t) e^{4Kt} are computed with ``math`` once per
-time and m and broadcast over the grid, so every row's defect equals
-the defect of its state alone, bit for bit.  The public one-m functions
-are its one-pair case.
+Each pointwise bound is a row of one coefficient table, ``_TABLE``, with
+a defect affine in the shared fields a = d/dt log u, b = |grad log u|^2
+and l = log(A/u): D = beta + alpha a - gamma b + delta l, coefficients
+functions of (t, m, K).  Hamilton's bound under CD(-K, m) has beta =
+(m/2t) e^{4Kt}, alpha = e^{2Kt}, gamma = 1, and Li-Yau's is its K = 0
+row; the kernel's lower bound on d/dt log u has beta = (m/2t) e^{2Kt},
+alpha = 1; the sup-normalized bound has beta = m p, alpha = -1, gamma =
+1, delta = 4 p with p = K/(1 - e^{-Kt}) (1/t at K = 0), and its variant
+p = K + 1/t, which dominates it.  A row names the fields it reads and
+forms its defect in its own arithmetic order (the sup bound's is
+p (m + 4 l) - (a + b)).  One tolerance rule serves every row: its
+relative tolerance (``KERNEL_BOUND_TOL_REL`` for the kernel bound,
+``HARNACK_TOL_REL`` else) times beta, since defects grow like 1/t for
+small times.
 
-The core carries fields, tolerances and minima only.  It returns a
-:class:`DefectColumns` per ``(m, K)``: arrays over the rows of ``t``,
-``min_defect``, the first minimum's flat node ``argmin`` and ``tol``,
-the minima of a block being one ``min`` and one ``argmin`` over its
-flattened grid axes, the values a reduction of each field alone gives;
-these are the one reduction of a defect field.  The defect fields are
-kept only when asked for, as one read-only ``(rows, *grid)`` array per
-``(m, K)``.  The worst row of a check is read in one place,
-:attr:`DefectColumns.worst`: the first row of least ``min_defect``, by
-``np.argmin``, so a NaN row is the worst and fails.  The public
-functions turn the columns into :class:`DefectReport` records, which
-store the ``defect`` field and its inputs with the ``min_defect`` and
-``argmin_node`` of its columns and derive the verdict ``ok``
-(``min_defect >= -tol``); :func:`sup_bound_defect` adds to its reports
-the ``A`` and the (K + 1/t) ``defect_variant`` of each row, formed from
-the stack's cached fields after the pass.  Every check over rows applies
-one domain rule, :func:`wittenlab.geometry._check_m_K_t`, once per call
-and before any field is read: the m rule and the K rule for each
-``(m, K)``, and a positive time on every row, once per row whatever the
-number of pairs.  The super-Ricci-flow margins of
-:mod:`wittenlab.ricciflow` are columns and reports of the same kind.
-The kernel lower bound of :func:`kernel_bounds` is the core's case with
-defect d/dt log u + (m/2t) e^{2Kt} and tolerance ``KERNEL_BOUND_TOL_REL``
-(m/2t) e^{2Kt} per row; its fitted upper constant, which no m changes,
-is fitted in the same pass, once per block of rows, and reduced by
-numpy, so a NaN fit stays NaN.
+One block builder, ``_table_columns``, evaluates table rows at a list of
+``(m, K)`` over the rows of a stack (see
+:class:`wittenlab.heatflow.HeatState`) in one pass, a block of rows at a
+time under the operators' element budget.  A block forms each shared
+field once, and only if one of its rows reads it; the coefficients are
+computed with ``math`` once per time and ``(m, K)`` and broadcast, so
+every row's defect equals that of its state alone, bit for bit.
+:func:`defect_columns`, :func:`kernel_bounds` and
+:func:`sup_bound_defect` (whose variant is a row of its pass) go through
+it after one domain rule, :func:`wittenlab.geometry._check_m_K_t`, once
+per call and before any field is read.  Its core, ``_defect_columns``,
+which also takes the margins of
+:func:`wittenlab.ricciflow.margin_columns`, keeps fields, tolerances and
+minima only, as a :class:`DefectColumns` per row and ``(m, K)``, whose
+worst row is read in one place, :attr:`DefectColumns.worst`.
 
 The integrated two-point bound is checked by
 :func:`integrated_harnack_checks` over a list of node pairs in one pass:
 the rows at ``tau`` and ``T`` are each the row nearest that time, which
 must lie within ``1e-10 max(1, |t|)`` of it, and the pair distances
-come from the two nodes' coordinates, not from a distance field per
-pair.  :func:`integrated_harnack_check` is its one-pair wrapper.
+come from the two nodes' coordinates.  :func:`integrated_harnack_check`
+is its one-pair wrapper.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -220,17 +206,18 @@ class KernelDtLogReport:
 
 
 def _defect_columns(inequality, times, grid, mKs, block, keep=False):
-    """A :class:`DefectColumns` per ``(m, K)`` of ``mKs``, in order, over
-    the rows at ``times`` of fields on ``grid``.
+    """A :class:`DefectColumns` per case of ``mKs``, an ``(m, K)`` that may
+    carry more items, over the rows at ``times`` of fields on ``grid``;
+    ``inequality`` names every case, or is a list of one name per case.
 
-    The rows are taken in blocks under the operators' element budget.
-    ``block(rows, times)`` forms what the defects of a block of rows share
-    whatever m is and returns ``at``, with ``at(m, K)`` the block's
-    ``(defect, tols)``: its ``(rows, *grid)`` fields and a tolerance per
-    row.  Each block's minima and first minimum nodes are one ``min`` and
-    one ``argmin`` over its flattened grid axes.  With ``keep`` the
-    columns keep the fields, one ``(rows, *grid)`` array per pair.
+    The rows are taken in blocks under the operators' element budget;
+    ``block(rows, times)`` prepares one and returns ``at``, where
+    ``at(*case)`` is the block's ``(rows, *grid)`` defect and a tolerance
+    per row.  Each block's minima and first minimum nodes are one ``min``
+    and one ``argmin`` over its flattened grid axes.  With ``keep`` the
+    columns keep the fields.
     """
+    names = [inequality] * len(mKs) if isinstance(inequality, str) else inequality
     count, size = len(times), math.prod(grid)
     low = np.empty((len(mKs), count))
     first = np.empty((len(mKs), count), dtype=np.intp)
@@ -238,8 +225,8 @@ def _defect_columns(inequality, times, grid, mKs, block, keep=False):
     fields = np.empty((len(mKs), count, *grid)) if keep else [None] * len(mKs)
     for rows in _row_blocks(count, size):
         at = block(rows, times[rows])
-        for i, (m, K) in enumerate(mKs):
-            defect, tol[i, rows] = at(m, K)
+        for i, case in enumerate(mKs):
+            defect, tol[i, rows] = at(*case)
             flat = defect.reshape(len(defect), size)
             low[i, rows] = flat.min(axis=1)
             first[i, rows] = flat.argmin(axis=1)
@@ -247,60 +234,85 @@ def _defect_columns(inequality, times, grid, mKs, block, keep=False):
                 fields[i, rows] = defect
     t = np.array(times, dtype=float)
     return [
-        DefectColumns(inequality, float(m), float(K), t, low[i], first[i], tol[i], tuple(grid), f)
-        for i, ((m, K), f) in enumerate(zip(mKs, fields))
+        DefectColumns(name, float(case[0]), float(case[1]), t, low[i], first[i], tol[i],
+                      tuple(grid), f)
+        for i, (name, case, f) in enumerate(zip(names, mKs, fields))
     ]
 
 
-def _hamilton_block(state):
-    """Blocks of the Hamilton defect over the rows of ``state``."""
-    dt_log_u = _by_row(state, state.dt_log_u)
-    sq_grad = _by_row(state, state.grad_log_u_sq)
+# A row of the coefficient table: coefficients(t, m, K) are its coefficients
+# at one time, beta first, and defect(c, f, m) combines their columns c with
+# the shared fields f that it reads
+_Bound = namedtuple("_Bound", "tol_rel reads coefficients defect")
+
+
+def _sup_bound(prefactor):
+    """The sup bound's row for the prefactor ``p(t, K)``."""
+
+    def coefficients(t, m, K):
+        p = prefactor(t, K)
+        return p * m, p
+
+    return _Bound(HARNACK_TOL_REL, ("4l", "a+b"), coefficients,
+                  lambda c, f, m: c[1] * (m + f["4l"]) - f["a+b"])
+
+
+# The shared fields as the rows read them, from a block's rows of a state
+_FIELDS = {
+    "a": lambda s, rows, A: _by_row(s, s.dt_log_u)[rows],
+    "b": lambda s, rows, A: _by_row(s, s.grad_log_u_sq)[rows],
+    "4l": lambda s, rows, A: 4.0 * np.log(A / _by_row(s, s.u)[rows]),
+    "a+b": lambda s, rows, A: _by_row(s, s.dt_log_u)[rows] + _by_row(s, s.grad_log_u_sq)[rows],
+}
+
+_TABLE = {
+    "hamilton": _Bound(
+        HARNACK_TOL_REL, ("a", "b"),
+        lambda t, m, K: ((m / (2.0 * t)) * math.exp(4.0 * K * t), math.exp(2.0 * K * t)),
+        lambda c, f, m: c[0] + c[1] * f["a"] - f["b"],
+    ),
+    "kernel_lower": _Bound(
+        KERNEL_BOUND_TOL_REL, ("a",), lambda t, m, K: ((m / (2.0 * t)) * math.exp(2.0 * K * t),),
+        lambda c, f, m: f["a"] + c[0],
+    ),
+    "sup_bound": _sup_bound(lambda t, K: 1.0 / t if K == 0.0 else K / (-math.expm1(-K * t))),
+    "sup_bound_variant": _sup_bound(lambda t, K: K + 1.0 / t),
+}
+_TABLE["li_yau"] = _TABLE["hamilton"]  # at K = 0
+
+
+def _table_columns(state, names, mKs, A=None, keep=False):
+    """The :class:`DefectColumns` of each table row of ``names`` at each
+    ``(m, K)`` of ``mKs``, row-major, in one pass over the rows of
+    ``state``, whose domain the caller has checked.  ``A``, which the sup
+    bound reads, must be a finite number of at least max u."""
+    bounds = [_TABLE[name] for name in names]
+    reads = {name for bound in bounds for name in bound.reads}
+    if "4l" in reads:
+        _check_finite("A", A)
+        umax = float(state.u.max())
+        if A < umax:
+            raise ValueError(f"A={A} is below max u = {umax}; log(A/u) must be nonnegative")
 
     def block(rows, times):
-        rate, sq = dt_log_u[rows], sq_grad[rows]
+        fields = {name: _FIELDS[name](state, rows, A) for name in reads}
 
-        def at(m, K):
-            rhs_const = [(m / (2.0 * t)) * math.exp(4.0 * K * t) for t in times]
-            growth = [math.exp(2.0 * K * t) for t in times]
-            defect = _column(rhs_const, state) + _column(growth, state) * rate - sq
-            return defect, [HARNACK_TOL_REL * c for c in rhs_const]
+        def at(m, K, bound):
+            coefficients = [bound.coefficients(t, m, K) for t in times]
+            columns = [_column(c, state) for c in zip(*coefficients)]
+            return bound.defect(columns, fields, m), [bound.tol_rel * c[0] for c in coefficients]
 
         return at
 
-    return block
-
-
-def _sup_bound_block(state, A):
-    """Blocks of the sup-normalized defect over the rows of ``state``."""
-    _check_finite("A", A)
-    umax = float(state.u.max())
-    if A < umax:
-        raise ValueError(f"A={A} is below max u = {umax}; log(A/u) must be nonnegative")
-    u = _by_row(state, state.u)
-    dt_log_u = _by_row(state, state.dt_log_u)
-    sq_grad = _by_row(state, state.grad_log_u_sq)
-
-    def block(rows, times):
-        log_ratio = 4.0 * np.log(A / u[rows])
-        lhs = dt_log_u[rows] + sq_grad[rows]
-
-        def at(m, K):
-            if K == 0.0:
-                prefactor = [1.0 / t for t in times]  # limit of K/(1-e^{-Kt})
-            else:
-                prefactor = [K / (-math.expm1(-K * t)) for t in times]
-            defect = _column(prefactor, state) * (m + log_ratio) - lhs
-            return defect, [HARNACK_TOL_REL * (p * m) for p in prefactor]
-
-        return at
-
-    return block
+    cases = [(m, K, bound) for bound in bounds for m, K in mKs]
+    inequalities = [name for name in names for _ in mKs]
+    return _defect_columns(inequalities, state.times, state.manifold.shape, cases, block, keep)
 
 
 def defect_columns(state, inequality, mKs, A=None, keep=False):
     """The :class:`DefectColumns` of ``inequality`` at each ``(m, K)`` of
-    ``mKs`` over the rows of ``state``, in one pass over its rows.
+    ``mKs`` over the rows of ``state``, in one pass over its rows: the
+    inequality's row of the coefficient table.
 
     ``inequality`` is ``"hamilton"``, ``"li_yau"`` (whose K must be 0) or
     ``"sup_bound"``, which takes ``A`` as :func:`sup_bound_defect` does.
@@ -312,8 +324,7 @@ def defect_columns(state, inequality, mKs, A=None, keep=False):
     for _, K in mKs:
         if inequality == "li_yau" and K != 0.0:
             raise ValueError(f"the Li-Yau bound has K = 0, got K={K!r}")
-    block = _sup_bound_block(state, A) if inequality == "sup_bound" else _hamilton_block(state)
-    return _defect_columns(inequality, state.times, state.manifold.shape, mKs, block, keep)
+    return _table_columns(state, [inequality], mKs, A, keep)
 
 
 def _one_m(state, reports):
@@ -402,13 +413,13 @@ def sup_bound_defect(state, m, K, A):
     field, (K + 1/t)(m + 4 log(A/u)) - (Lu/u + |grad log u|^2), in
     ``extra``.
     """
-    (columns,) = defect_columns(state, "sup_bound", [(m, K)], A=A, keep=True)
-    bracket = m + 4.0 * np.log(A / _by_row(state, state.u))
-    lhs = _by_row(state, state.dt_log_u) + _by_row(state, state.grad_log_u_sq)
-    variant = _column([K + 1.0 / t for t in state.times], state) * bracket - lhs
+    _check_m_K_t(state.manifold, [(m, K)], state.times)
+    columns, variant = _table_columns(
+        state, ["sup_bound", "sup_bound_variant"], [(m, K)], A=A, keep=True
+    )
     return _one_m(state, [
         replace(r, extra={"A": float(A), "defect_variant": v})
-        for r, v in zip(columns.reports(), variant)
+        for r, v in zip(columns.reports(), variant.defect)
     ])
 
 
@@ -447,36 +458,22 @@ def kernel_dt_log_bounds(snapshots, m, K):
 
 def kernel_bounds(snapshots, mKs):
     """The :func:`kernel_dt_log_bounds` report of each ``(m, K)`` of
-    ``mKs``, in one pass over the rows.
-
-    The lower bound's margins are the :func:`_defect_columns` of the
-    defect d/dt log u + (m/2t) e^{2Kt}, each row's tolerance
-    ``KERNEL_BOUND_TOL_REL`` of its (m/2t) e^{2Kt}; the fitted constant,
-    which no m changes, is fitted once per block of rows in the same pass.
-    """
+    ``mKs``: the margins are the table's ``kernel_lower`` row, and the
+    fitted constant, which no m changes, is fitted once per block of rows."""
     state = _as_stack(snapshots)
     manifold = state.manifold
     _check_m_K_t(manifold, mKs, state.times)
     dist = geodesic_distance(manifold, _kernel_source(state).x0)
+    columns = _table_columns(state, ["kernel_lower"], mKs)
     dt_log_u = _by_row(state, state.dt_log_u)
-    grid_axes = tuple(range(1, manifold.dim_n + 1))
     fits = np.empty(len(state.times))
-
-    def block(rows, times):
-        rate = dt_log_u[rows]
+    for rows in _row_blocks(len(state.times), dist.size):
+        times = state.times[rows]
         shape = (
             _column([1.0 + 1.0 / math.sqrt(t) for t in times], state)
             + dist / _column(times, state)
         ) ** 2
-        fits[rows] = (rate / shape).max(axis=grid_axes)
-
-        def at(m, K):
-            const = [(m / (2.0 * t)) * math.exp(2.0 * K * t) for t in times]
-            return rate + _column(const, state), [KERNEL_BOUND_TOL_REL * c for c in const]
-
-        return at
-
-    columns = _defect_columns("kernel_lower", state.times, manifold.shape, mKs, block)
+        fits[rows] = (dt_log_u[rows] / shape).max(axis=tuple(range(1, manifold.dim_n + 1)))
     fitted = float(np.maximum(fits.max(), 0.0))  # at least 0; a NaN fit stays NaN
     return [
         KernelDtLogReport(

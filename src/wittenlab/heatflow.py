@@ -598,6 +598,18 @@ def _within_horizon(t, horizon):
     return t <= horizon + 1e-12
 
 
+def _check_flow_times(name, times, horizon):
+    """``times`` as floats: the time rule of every function that reads a
+    flow's metric, which rejects a time that is not a finite number in
+    [0, ``horizon``] (within the 1e-12 of :func:`_within_horizon`),
+    naming it ``name``."""
+    times = [_check_finite(name, t) for t in times]
+    for t in times:
+        if not (0.0 <= t and _within_horizon(t, horizon)):
+            raise ValueError(f"{name}={t!r} lies outside [0, {horizon!r}]")
+    return times
+
+
 def _check_local_error(local_error):
     """Reject a ``local_error`` outside (0, 1): the rule of every :func:`evolve`."""
     if not (_is_real(local_error) and 0.0 < local_error < 1.0):

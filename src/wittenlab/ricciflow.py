@@ -17,11 +17,14 @@ per-time minima and first minimum nodes are taken together.  It is the
 one route to margin fields: :func:`super_ricci_flow_margin` is its
 one-time case, and :func:`fit_super_flow_constant` reads its worst row
 at K = 0 (a NaN margin gives a NaN constant, which the K rule refuses).
-A margin time must be a finite number in [0, horizon], within the 1e-12
-of ``heatflow._within_horizon``: 0 is valid, since the margin check and
-the fit sample from it, and a time outside raises ``ValueError`` naming
-it.  The heat flow of the time-dependent operator is the base heat flow
-under the time change tau(t) = integral of e^{-2 lam}
+Every time read in the flow's metric, a margin time or a row time of
+the flow entropy functions and of ``entropy.build_series_per_m`` with a
+flow, passes one rule, ``heatflow._check_flow_times``, once per call and
+before any field is read: a finite number in [0, horizon], within the
+1e-12 of ``heatflow._within_horizon``.  0 is valid, since the margin
+check and the fit sample from it; a time outside raises ``ValueError``
+naming it.  The heat flow of the time-dependent operator is the base
+heat flow under the time change tau(t) = integral of e^{-2 lam}
 (:meth:`FlowSpec.base_clock`), so :func:`evolve_heat_on_flow` is
 :func:`wittenlab.heatflow.evolve` at the times tau, with no stepping of
 its own, and like it takes one state; constant potentials and separable
@@ -47,7 +50,7 @@ from .entropy import (
 from .geometry import WeightedManifold, _check_finite, _check_K, _check_params, _check_time
 from .geometry import ricci_bakry_emery
 from .harnack import _defect_columns
-from .heatflow import _as_stack, _within_horizon, evolve
+from .heatflow import _as_stack, _check_flow_times, _within_horizon, evolve
 
 __all__ = [
     "FlowSpec",
@@ -204,15 +207,11 @@ def margin_columns(flow, mKs, times, keep=False):
     lam'(t) + K + e^{-2 lam(t)} times the smallest eigenvalue of the base
     tensor, so the base curvature of each m serves every time, and a
     block's lam'(t) and e^{-2 lam(t)} every m.  Each K must pass the K
-    rule, m may be inf, and each time must be a finite number in
-    [0, horizon] (within the 1e-12 of ``_within_horizon``).
+    rule, m may be inf, and each time the flow time rule.
     """
     for _, K in mKs:
         _check_K(K)
-    times = [_check_finite("margin time t", t) for t in times]
-    for t in times:
-        if not (0.0 <= t and _within_horizon(t, flow.horizon)):
-            raise ValueError(f"margin time t={t!r} lies outside [0, {flow.horizon!r}]")
+    times = _check_flow_times("margin time t", times, flow.horizon)
     base_eigs = {m: ricci_bakry_emery(flow.base, m).values for m, _ in mKs}
     column = (-1,) + (1,) * flow.base.dim_n
 
@@ -295,11 +294,13 @@ def entropy_dissipation_on_flow(flow, snapshots):
 
     With three or more snapshots, each row also carries the residuals of
     these quadratures against temporal finite differences of H, which
-    shrink at the scheme/spacing order.
+    shrink at the scheme/spacing order.  Each row time must lie in
+    [0, horizon].
     """
     if not snapshots:
         return []
     state = _as_stack(snapshots)
+    _check_flow_times("flow time t", state.times, flow.horizon)
     H_arr, dH = _entropy_H(state, flow)
     d2H = _entropy_second_derivative(state, flow)
     rows = [

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from wittenlab import (
+    HeatState,
     build_series,
+    circle,
     entropy_dissipation_on_flow,
     entropy_H,
     entropy_second_derivative,
@@ -25,6 +27,7 @@ from wittenlab import (
     w_entropy,
     w_entropy_on_flow,
 )
+from wittenlab.entropy import build_series_per_m
 from wittenlab.operators import integrate_mu, random_band_limited
 from wittenlab.ricciflow import margin_columns
 
@@ -130,6 +133,44 @@ def test_a_margin_time_outside_the_flow_interval_is_rejected_naming_it(circle_co
     assert repr(t) in str(raised.value)
     for valid in (0.0, 1.0):
         check(flow, valid)
+
+
+# each function that reads a flow's metric, on a stack of snapshots
+FLOW_TIME_CHECKS = {
+    "w_entropy_on_flow": lambda flow, stack: w_entropy_on_flow(flow, stack, 3.0, 0.5),
+    "w_decomposition_on_flow": lambda flow, stack: w_decomposition_on_flow(flow, stack, 3.0, 0.5),
+    "entropy_dissipation_on_flow": lambda flow, stack: entropy_dissipation_on_flow(flow, stack),
+    "build_series_per_m": lambda flow, stack: build_series_per_m(stack, [(3.0, 0.5)], flow),
+}
+FIELDS = (
+    "dt_log_u", "grad_log_u", "grad_log_u_sq", "log_u", "log_u_hessian", "log_u_gamma2",
+    "entropy_pair",
+)
+
+
+@pytest.mark.parametrize("t", [-3.0, 50.0, math.nan])
+@pytest.mark.parametrize("name", sorted(FLOW_TIME_CHECKS))
+def test_a_flow_metric_time_outside_the_flow_interval_is_rejected_before_any_field(
+    name, t, monkeypatch
+):
+    """A row time read in a flow's metric must be a finite number in
+    [0, horizon], as a margin time, after the positive-time rule of the
+    functions that take m.  Unchecked, t = 50 on this flow gave
+    W_mK = -4.07e43 and a dissipation row.  A state refuses a NaN time
+    itself; a NaN set past that check is refused here too."""
+    M = circle(64, potential={"family": "cosine", "params": {"a": 1.0, "k": 1}})
+    flow = make_flow(M, "constant_rate", {"rate": -0.4}, horizon=1.0)
+    snaps = evolve(initial_delta(M, 0, t0=0.05), [0.2, 0.5], local_error=1e-6)
+    check = FLOW_TIME_CHECKS[name]
+    stack = stack_states(snaps)
+    object.__setattr__(stack, "t", (0.2, t))
+    for field in FIELDS:
+        monkeypatch.setattr(HeatState, field, property(lambda state: pytest.fail("field read")))
+    with pytest.raises(ValueError, match=r"^(flow time )?t\b") as raised:
+        check(flow, stack)
+    assert repr(t) in str(raised.value)
+    monkeypatch.undo()
+    check(flow, stack_states(snaps))
 
 
 def test_evolve_refuses_a_stack(circle_cos):

@@ -32,9 +32,15 @@ from wittenlab import (
     w_derivative_decomposition,
     w_entropy,
 )
-from wittenlab import entropy, geometry, operators
+from wittenlab import entropy, geometry, harnack, operators
 from wittenlab.entropy import _exp_series, build_series_per_m
-from wittenlab.harnack import _defect_columns, defect_columns, kernel_bounds
+from wittenlab.harnack import (
+    KERNEL_BOUND_TOL_REL,
+    _defect_columns,
+    _table_columns,
+    defect_columns,
+    kernel_bounds,
+)
 from wittenlab.ricciflow import FIT_SAMPLES, margin_columns
 
 from references import (
@@ -45,6 +51,7 @@ from references import (
     reference_decomposition,
     reference_hamilton,
     reference_kernel_bounds,
+    reference_log_derivatives,
     reference_series_columns,
     reference_sup_bound,
     report_minimum,
@@ -137,6 +144,24 @@ def test_stacked_checks_equal_the_per_snapshot_formulas(check_runs, run):
         assert same_bits(np.array([dec.T1, dec.T2, dec.T3, dec.T4]), terms)
         if m == stack.manifold.dim_n:
             assert not series.T3.any()  # the drift term vanishes at m == n
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_the_kernel_row_equals_the_per_snapshot_margins(check_runs, run):
+    """Each row of the table's kernel lower bound, against the defect
+    d/dt log u + (m/2t) e^{2Kt} of its snapshot alone: ``min_defect`` and
+    ``argmin`` bit for bit, and ``tol`` = KERNEL_BOUND_TOL_REL (m/2t) e^{2Kt}."""
+    snaps, _ = check_runs[run]
+    stack = stack_states(snaps)
+    mKs = mk_cases(stack.manifold)
+    for columns, (m, K) in zip(_table_columns(stack, ["kernel_lower"], mKs), mKs, strict=True):
+        assert (columns.inequality, columns.m, columns.K) == ("kernel_lower", m, K)
+        for i, s in enumerate(snaps):
+            lower = (m / (2.0 * s.t)) * math.exp(2.0 * K * s.t)
+            margin = reference_log_derivatives(s)[0] + lower
+            assert same_bits(columns.min_defect[i], margin.min())
+            assert columns.argmin[i] == np.argmin(margin)
+            assert columns.tol[i] == KERNEL_BOUND_TOL_REL * lower
 
 
 @pytest.mark.parametrize("run", RUNS)
@@ -235,6 +260,34 @@ def test_one_pass_over_a_list_of_m_equals_the_one_m_functions(
                 for columns, (m, K) in zip(got, mKs, strict=True):
                     want = [super_ricci_flow_margin(flow, m, K, t) for t in times]
                     assert_columns_are_the_reports(columns, want, keep)
+
+
+def test_a_pass_forms_only_the_fields_its_rows_read(check_runs, monkeypatch):
+    """Each block forms the shared fields its table rows read, and no
+    other: no log(A/u) for Hamilton or Li-Yau, and no |grad log u|^2 at
+    all for the kernel bound."""
+    snaps, _ = check_runs["weighted_circle"]
+    formed = set()
+    for name, form in harnack._FIELDS.items():
+        monkeypatch.setitem(
+            harnack._FIELDS, name,
+            lambda s, rows, A, name=name, form=form: formed.add(name) or form(s, rows, A),
+        )
+    mKs = [(2.0, 0.5), (3.0, 0.5)]
+    A = float(stack_states(snaps).u.max()) * (1.0 + 1e-12)
+    for check, fields in (
+        (lambda stack: defect_columns(stack, "hamilton", mKs), {"a", "b"}),
+        (lambda stack: defect_columns(stack, "li_yau", [(2.0, 0.0)]), {"a", "b"}),
+        (lambda stack: defect_columns(stack, "sup_bound", mKs, A=A), {"4l", "a+b"}),
+        (lambda stack: sup_bound_defect(stack, 2.0, 0.5, A), {"4l", "a+b"}),
+        (lambda stack: kernel_bounds(stack, mKs), {"a"}),
+    ):
+        formed.clear()
+        check(stack_states(snaps))
+        assert formed == fields
+    with monkeypatch.context() as patch:
+        patch.setattr(HeatState, "grad_log_u_sq", property(lambda s: pytest.fail("b formed")))
+        kernel_bounds(stack_states(snaps), mKs)
 
 
 def test_the_one_pass_rejects_an_unknown_inequality_and_a_li_yau_K(check_runs):
