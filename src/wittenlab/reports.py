@@ -14,9 +14,10 @@ is binary: :func:`write_npy` streams ``<name>.npy``, a C-order ``<f8``
 array of shape ``(rows, *grid)``, header first and then one field at a
 time, the bytes ``np.save`` writes of the stacked fields.
 :func:`field_csv` and :func:`curvature_csv` build its key table
-``<name>_rows.csv`` (``t, m`` or ``m``), a row per array row.  Node
-coordinates follow :func:`wittenlab.geometry._grid_coordinates` and are
-not written.
+``<name>_rows.csv`` (``t, m`` or ``m``), a row per array row.  No
+per-node output, the snapshot table included, writes a node's index or
+coordinates: each holds its nodes in C order, and node ``i`` along an
+axis of ``n`` nodes and period ``L`` lies at ``i * L / n``.
 
 Every table is built by one writer, :func:`_table`: the header, then
 blocks of text columns, each column a text per row or one text that
@@ -30,8 +31,7 @@ report records (integrated, manifest, curvature keys) pass each
 attribute as one ``np.asarray`` column, and every such column holds
 values of one type.  :func:`snapshots_csv` takes the run's stacked
 snapshots (a list of states is stacked first) and writes a block per
-row.  The node index and coordinate text of a grid is built once and
-reused by every snapshot table on that grid.  The checks'
+row, its ``t`` and its ``u`` per node.  The checks'
 columnar results (:class:`wittenlab.harnack.DefectColumns`) are written
 by :func:`harnack_csv`, :func:`flow_margin_csv` and :func:`field_csv`, a
 block per ``m``.  Within one table, a numeric array column equal in
@@ -51,16 +51,13 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import operator
 import os
-from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
 
 from .config import ConfigError
-from .geometry import _grid_coordinates
 from .heatflow import _as_stack
 
 CSV_VERSION = "v1"
@@ -201,30 +198,16 @@ def _node_column(axes):
     return list(map("/".join, zip(*(_column(np.asarray(a)) for a in axes))))
 
 
-def _coord_names(manifold):
-    return ["x", "y"][: manifold.dim_n]
-
-
-@lru_cache(maxsize=16)
-def _node_prefixes(grid_sizes, periods):
-    """``"node_index,coordinates..."`` per node of the grid in C order."""
-    columns = [_column(np.arange(math.prod(grid_sizes)))]
-    columns.extend(_column(c) for c in _grid_coordinates(grid_sizes, periods))
-    return tuple(map(",".join, zip(*columns)))
-
-
 def snapshots_csv(snapshots):
     """The field ``u`` of each row of the stack ``snapshots``, keyed by
-    its ``t``: a row (t, node_index, coordinates..., u) per grid node.  A
-    list of states is stacked first."""
+    its ``t``: a row (t, u) per grid node, in C order, so a row's node is
+    its position within its snapshot (see the module docstring for its
+    coordinates).  A list of states is stacked first."""
     if not snapshots:
         raise ValueError("no snapshots given")
     stack = _as_stack(snapshots)
-    manifold = stack.manifold
-    cols = ["t", "node_index", *_coord_names(manifold), "u"]
-    prefixes = _node_prefixes(manifold.grid_sizes, manifold.circumferences)
-    blocks = ([_fmt(t), prefixes, _column(u)] for t, u in zip(stack.t, stack.u))
-    return _table("snapshots", cols, blocks)
+    blocks = ([_fmt(t), _column(u)] for t, u in zip(stack.t, stack.u))
+    return _table("snapshots", ["t", "u"], blocks)
 
 
 def write_npy(path, shape, fields):

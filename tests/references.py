@@ -31,7 +31,7 @@ from wittenlab.operators import (
     random_band_limited,
     witten_laplacian,
 )
-from wittenlab.reports import SERIES_COLUMNS, _column, _fmt, _header, _node_prefixes
+from wittenlab.reports import SERIES_COLUMNS, _column, _fmt, _header
 from wittenlab.ricciflow import FIT_SAMPLES
 
 EIGEN_TRUNCATE = 1e-16  # eigen_sum_circle drops modes with exp(-lam t) below it
@@ -297,6 +297,17 @@ def nyquist_projection(M):
     return P
 
 
+def separable_torus_propagator(manifold, u, tau):
+    """``T(tau) u`` on a torus with an additively separable potential: per
+    axis of ``manifold.axis_eigensystems``, the product ``E = (left *
+    exp(tau lam)) @ right`` applied along that axis by ``tensordot``."""
+    out = u
+    for axis, (left, lam, right) in enumerate(manifold.axis_eigensystems):
+        E = (left * np.exp(tau * lam)) @ right
+        out = np.moveaxis(np.tensordot(E, out, axes=(1, axis)), 0, axis)
+    return out
+
+
 def symmetric_target(M, tau):
     """T(tau) = rho^-1/2 P exp(tau PSP) P rho^1/2 with S = rho^1/2 L rho^-1/2,
     as a dense matrix, from scipy's expm."""
@@ -355,17 +366,13 @@ def bakry_emery_uncached(manifold, m):
 
 
 def snapshots_csv_per_row(snapshots):
-    """Snapshot CSV text joined row by row, each row ``t + prefix + "," + u``: the
+    """Snapshot CSV text joined row by row, each row ``t + "," + u``: the
     assembly that ``wittenlab.reports.snapshots_csv`` does in one join per
     snapshot."""
-    manifold = snapshots[0].manifold
-    cols = ["t", "node_index", *["x", "y"][: manifold.dim_n], "u"]
-    prefixes = _node_prefixes(manifold.grid_sizes, manifold.circumferences)
-    blocks = [_header("snapshots", cols)]
+    blocks = [_header("snapshots", ["t", "u"])]
     for s in snapshots:
         t = _fmt(s.t) + ","
-        u_text = _column(np.asarray(s.u))
-        blocks.append("\n".join(t + p + "," + u for p, u in zip(prefixes, u_text)) + "\n")
+        blocks.append("".join(t + u + "\n" for u in _column(np.asarray(s.u))))
     return "".join(blocks)
 
 
@@ -663,10 +670,8 @@ REFERENCE = {
         ["m", "node_index", *reference_names(M), "ric_mn_value"],
         ((cf.m, *row) for cf in fields for row in reference_node_rows(M, cf.values)),
     ),
-    "snapshots": lambda M, snaps: reference_table(
-        "snapshots",
-        ["t", "node_index", *reference_names(M), "u"],
-        ((s.t, *row) for s in snaps for row in reference_node_rows(M, s.u)),
+    "snapshots": lambda snaps: reference_table(
+        "snapshots", ["t", "u"], ((s.t, u) for s in snaps for u in np.ravel(s.u))
     ),
     "harnack": lambda reps: reference_table(
         "harnack",

@@ -730,7 +730,9 @@ def test_grid_scale(tmp_path):
 def test_grid_scale_maps_the_source_and_the_ball_centre_onto_the_refined_grid(tmp_path):
     """Nodes name points: at --grid-scale 2 solver.x0 [32, 36] of the 64x64
     torus is node (64, 72) of the 128x128 one, where the t = 0.1 peak lands,
-    at the unscaled run's point and max u; a ball centre scales alike."""
+    at the unscaled run's point and max u; a ball centre scales alike.  A
+    snapshot row's node is its position within its snapshot in C order,
+    and node i of an axis of n nodes and period L lies at i * L / n."""
     data = {
         "manifold": {
             "model": "flat_torus_2d", "grid": 64,
@@ -748,11 +750,16 @@ def test_grid_scale_maps_the_source_and_the_ball_centre_onto_the_refined_grid(tm
         out = tmp_path / f"out{scale}"
         argv = ["simulate", "--config", path, "--out", str(out), "--grid-scale", str(scale)]
         assert main(argv) == 0
-        rows = np.loadtxt(out / "snapshots.csv", delimiter=",", skiprows=2)
-        peaks.append(rows[rows[:, -1].argmax()])
-    (_, _, x, y, u), (_, node, x2, y2, u2) = peaks
-    assert divmod(int(node), 128) == (64, 72)
-    assert (x2, y2) == (x, y)
+        u = np.loadtxt(out / "snapshots.csv", delimiter=",", skiprows=2)[:, -1]
+        M = wittenlab.build_manifold(validate_experiment(data, grid_scale=scale).manifold)
+        n = M.grid_sizes[0]
+        row = int(u.argmax())
+        node = divmod(row % n**2, n)
+        point = tuple(i * (L / n) for i, L in zip(node, M.circumferences))
+        peaks.append((node, point, u[row]))
+    (_, point, u), (node2, point2, u2) = peaks
+    assert node2 == (64, 72)
+    assert point2 == point
     assert u2 == pytest.approx(u, rel=1e-5)
 
 

@@ -1,8 +1,10 @@
 """CSV exports and summary files."""
 
+import importlib.util
 import json
 import math
 import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +24,7 @@ from wittenlab import (
 from wittenlab import reports
 from wittenlab.cli import main
 from wittenlab.harnack import _defect_columns
-from wittenlab.heatflow import HeatState
+from wittenlab.heatflow import HeatState, _as_stack
 from wittenlab.ricciflow import margin_columns
 from wittenlab.config import ConfigError
 
@@ -65,10 +67,32 @@ def test_snapshot_and_manifest_csv(circle_cos, tmp_path):
     manifest = []
     snaps = evolve(s, [0.1], manifest=manifest)
     snap_text = text(reports.snapshots_csv(snaps))
-    assert snap_text.splitlines()[1] == "t,node_index,x,u"
+    assert snap_text.splitlines()[1] == "t,u"
     man_text = text(reports.manifest_csv(manifest))
     assert man_text.splitlines()[1] == "t,dt,error_estimate"
     assert len(man_text.splitlines()) == 2 + len(manifest)
+
+
+def benchmark_checks():
+    """``benchmarks/checks.py``, imported from its file as it stands."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "checks.py"
+    spec = importlib.util.spec_from_file_location("benchmark_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, x0", [("circle_cos", 0), ("torus_32x48", (3, 5))])
+def test_the_benchmark_reads_snapshots_back_bit_for_bit(request, tmp_path, name, x0):
+    """The benchmark's reader takes a snapshot table's first column as t
+    and its last as u, the row's node its position in C order."""
+    M = request.getfixturevalue(name)
+    stack = _as_stack(evolve(initial_delta(M, x0, t0=0.08), [0.1, 0.3]))
+    path = tmp_path / "snapshots.csv"
+    reports.write_blocks(str(path), reports.snapshots_csv(stack))
+    times, u = benchmark_checks().read_snapshots(path, M.shape)
+    assert np.array_equal(bits(times), bits(stack.t))
+    assert np.array_equal(bits(u), bits(stack.u))
 
 
 def test_entropy_series_csv_with_margin(circle_cos):
@@ -254,7 +278,7 @@ def test_node_tables_match_the_row_formatter(request, name, rng, tmp_path):
         assert [tuple(row.split(",")) for row in key_rows] == old_keys[::size]
     snaps = [HeatState(M, t, special_field(M.shape, rng))
              for t in (0.1, 2, np.float64(1e-300), -0.0)]
-    assert_same_text(reports.snapshots_csv(snaps), REFERENCE["snapshots"](M, snaps))
+    assert_same_text(reports.snapshots_csv(snaps), REFERENCE["snapshots"](snaps))
     assert_same_text(reports.snapshots_csv(snaps), snapshots_csv_per_row(snaps))
     with pytest.raises(ValueError, match="no snapshots"):
         reports.snapshots_csv([])
